@@ -195,11 +195,6 @@ def add(a: Tensor, b) -> Tensor:
     return _emit(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require(a.data.shape == b.data.shape, f"sub shapes differ: {a.shape} vs {b.shape}")
-    return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require(a.data.shape == b.data.shape, f"mul shapes differ: {a.shape} vs {b.shape}")
     return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
@@ -300,20 +295,8 @@ def transpose(x: Tensor) -> Tensor:
     return _emit(x.data.T.copy(), (x,), lambda g: (g.T,))
 
 
-def sum_(x: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        return _emit(x.data.sum(), (x,), lambda g: (np.full_like(x.data, float(g)),))
-    _require(x.ndim == 2, f"axis sum expects a matrix, got {x.shape}")
-    if axis == 0:
-        return _emit(x.data.sum(axis=0), (x,), lambda g: (np.tile(g, (x.shape[0], 1)),))
-    return _emit(
-        x.data.sum(axis=1), (x,), lambda g: (np.tile(g[:, None], (1, x.shape[1])),)
-    )
-
-
-def mean(x: Tensor, axis: int | None = None) -> Tensor:
-    n = x.data.size if axis is None else x.shape[axis]
-    return scalar_mul(sum_(x, axis), 1.0 / n)
+def sum_(x: Tensor) -> Tensor:
+    return _emit(x.data.sum(), (x,), lambda g: (np.full_like(x.data, float(g)),))
 
 
 def embedding_lookup(table: Tensor, indices) -> Tensor:

@@ -49,9 +49,6 @@ class Cfg:
                 self.succ[a].append(b)
                 self.pred[b].append(a)
 
-    def node(self, node_id: int) -> CfgNode:
-        return self.nodes[node_id]
-
 
 class _Builder:
     def __init__(self):

@@ -121,6 +121,21 @@ def _pack_transformer(out: bytearray, t: TransformerParams,
         _pack_blob(out, name, tensor)
 
 
+def _fill(params: list[tuple[str, Tensor]], blobs: dict[str, np.ndarray]):
+    """Move each blob into its named parameter; names and shapes must match."""
+    for name, tensor in params:
+        if name not in blobs:
+            raise CheckpointError(f"missing blob {name!r}")
+        data = blobs.pop(name)
+        if data.shape != tensor.data.shape:
+            raise CheckpointError(
+                f"blob {name!r} has shape {data.shape}, expected {tensor.data.shape}"
+            )
+        tensor.data = data
+    if blobs:
+        raise CheckpointError(f"unexpected blob {next(iter(blobs))!r}")
+
+
 @dataclass
 class Checkpoint:
     tree: TreeLstmParams | None = None
@@ -167,35 +182,30 @@ def deserialize(raw: bytes) -> Checkpoint:
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     flags = r.u32()
+    unknown = flags & ~(_FLAG_TREE | _FLAG_TRANSFORMER)
+    if unknown:
+        raise CheckpointError(f"unknown flag bits {unknown:#x}")
     out = Checkpoint()
     if flags & _FLAG_TREE:
         size = r.u32()
         vocab = {label: i for i, label in enumerate(r.str_list())}
         blobs = dict(r.blob() for _ in range(r.u32()))
         rng = np.random.default_rng(0)
-        tree = TreeLstmParams.init(vocab, size, rng)
-        for name, tensor in tree.named_params():
-            tensor.data = blobs[name].copy()
-        out.tree = tree
+        out.tree = TreeLstmParams.init(vocab, size, rng)
         if "score_w" in blobs:
-            sep = SepModel.init(tree, rng)
-            sep.score_w.data = blobs["score_w"].copy()
-            sep.score_b.data = blobs["score_b"].copy()
-            out.sep = sep
+            out.sep = SepModel.init(out.tree, rng)
+        _fill((out.sep or out.tree).named_params(), blobs)
     if flags & _FLAG_TRANSFORMER:
         size, heads, n_enc, n_dec = (r.u32() for _ in range(4))
         code_tokens = r.str_list()
         word_tokens = r.str_list()
         out.code_vocab = Vocab({t: i for i, t in enumerate(code_tokens)}, code_tokens)
         out.word_vocab = Vocab({t: i for i, t in enumerate(word_tokens)}, word_tokens)
-        blobs = dict(r.blob() for _ in range(r.u32()))
-        t = TransformerParams.init(
+        out.transformer = TransformerParams.init(
             len(code_tokens), len(word_tokens), size, heads, n_enc, n_dec,
             np.random.default_rng(0),
         )
-        for name, tensor in t.named_params():
-            tensor.data = blobs[name].copy()
-        out.transformer = t
+        _fill(out.transformer.named_params(), dict(r.blob() for _ in range(r.u32())))
     return out
 
 

@@ -4,7 +4,7 @@ Subcommands: split, pretrain, train, eval, summarize, plus `cfg dump` and
 `dom dump` for DOT output. Corpora are JSON Lines records with id/code/
 comment fields; configs are key = value text. Runs are reproducible from
 (config, seed): identical invocations write byte-identical checkpoints
-and loss logs. BASTS_THREADS caps preprocessing parallelism.
+and loss logs.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,13 +197,6 @@ def _prepare_one(record: CorpusRecord, config: RunConfig) -> PreparedRecord:
     )
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("BASTS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def preprocess(records: list[CorpusRecord], config: RunConfig,
                code_vocab: Vocab | None = None,
                word_vocab: Vocab | None = None) -> PreparedCorpus:
@@ -217,24 +208,11 @@ def preprocess(records: list[CorpusRecord], config: RunConfig,
     """
     prepared: list[PreparedRecord] = []
     dropped: list[tuple[str, str]] = []
-
-    def safe(record: CorpusRecord):
+    for record in records:
         try:
-            return _prepare_one(record, config)
+            prepared.append(_prepare_one(record, config))
         except Exception as err:  # per-record diagnostics, pipeline continues
-            return record.record_id, f"{type(err).__name__}: {err}"
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(safe, records))
-    else:
-        results = [safe(r) for r in records]
-    for result in results:
-        if isinstance(result, PreparedRecord):
-            prepared.append(result)
-        else:
-            dropped.append(result)
+            dropped.append((record.record_id, f"{type(err).__name__}: {err}"))
     if not prepared:
         raise ConfigError("no records survived preprocessing")
 
@@ -257,16 +235,13 @@ def preprocess(records: list[CorpusRecord], config: RunConfig,
 def dedupe_against(prepared: PreparedCorpus, train_records) -> PreparedCorpus:
     """Drop evaluation records whose abstracted code string occurs in training."""
     train_codes = {" ".join(r.code_tokens) for r in train_records}
-    keep = [
-        i
-        for i, r in enumerate(prepared.records)
-        if " ".join(r.code_tokens) not in train_codes
-    ]
-    dropped = prepared.dropped + [
-        (prepared.records[i].record_id, "duplicate of a training record")
-        for i in range(len(prepared.records))
-        if i not in set(keep)
-    ]
+    keep = []
+    dropped = list(prepared.dropped)
+    for i, r in enumerate(prepared.records):
+        if " ".join(r.code_tokens) in train_codes:
+            dropped.append((r.record_id, "duplicate of a training record"))
+        else:
+            keep.append(i)
     return PreparedCorpus(
         [prepared.examples[i] for i in keep],
         [prepared.records[i] for i in keep],
@@ -334,16 +309,20 @@ def cmd_split(args) -> int:
     return 0
 
 
-def cmd_pretrain(args, config: RunConfig) -> int:
-    corpus = preprocess(load_corpus(args.input), config)
+def _init_tree(corpus: PreparedCorpus, config: RunConfig) -> TreeLstmParams:
+    """Fresh tree encoder over the corpus's type_value vocabulary."""
     roots = [a.root for r in corpus.records for a in r.splits.asts]
     vocab = build_type_value_vocab(roots, min_freq=config.type_value_min_freq)
-    params = TreeLstmParams.init(
+    return TreeLstmParams.init(
         vocab, config.embedding_size, np.random.default_rng(config.seed)
     )
+
+
+def cmd_pretrain(args, config: RunConfig) -> int:
+    corpus = preprocess(load_corpus(args.input), config)
     model, history = pretrain(
         corpus.split_corpus,
-        params,
+        _init_tree(corpus, config),
         PretrainConfig(
             learning_rate=config.learning_rate,
             epochs=config.epochs,
@@ -375,11 +354,7 @@ def cmd_train(args, config: RunConfig) -> int:
                 f"{config.embedding_size}"
             )
     elif args.from_scratch:
-        roots = [a.root for r in corpus.records for a in r.splits.asts]
-        vocab = build_type_value_vocab(roots, min_freq=config.type_value_min_freq)
-        tree = TreeLstmParams.init(
-            vocab, config.embedding_size, np.random.default_rng(config.seed)
-        )
+        tree = _init_tree(corpus, config)
     else:
         raise ConfigError("train needs --checkpoint or --from-scratch")
     transformer = TransformerParams.init(

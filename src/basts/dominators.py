@@ -47,23 +47,6 @@ class DomTree:
     def edges(self) -> list[tuple[int, int]]:
         return sorted((p, c) for c, p in self.idom.items())
 
-    def children(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {self.root: []}
-        for c in self.idom:
-            out.setdefault(c, [])
-        for c, p in sorted(self.idom.items()):
-            out[p].append(c)
-        return out
-
-    def dominates(self, u: int, v: int) -> bool:
-        """True when u is v or an ancestor of v in the tree."""
-        while True:
-            if u == v:
-                return True
-            if v == self.root:
-                return False
-            v = self.idom[v]
-
     def dominator_set(self, v: int) -> set[int]:
         out = {v}
         while v != self.root:

@@ -210,11 +210,6 @@ class Statement:
     body: list["Statement"] = field(default_factory=list)  # IF then, loops, BLOCK
     orelse: list["Statement"] = field(default_factory=list)  # IF else
 
-    @property
-    def children(self) -> list["Statement"]:
-        extra = [s for s in (self.init, self.update) if s is not None]
-        return extra + self.body + self.orelse
-
 
 @dataclass
 class Method:

@@ -1,12 +1,12 @@
 """Block-wise partition of the dominator tree into code splits.
 
-Virtual start/end nodes are dropped first. Every remaining dominator-tree
-edge (u -> u') is removed when u' has more than one incoming edge or u
-has more than one outgoing edge; each surviving connected component is
-one block of consecutive statements. A block is materialized as split
-code by prepending the method declaration, and each split code re-parses
-into its own split AST. Removed edges, lifted to the blocks they join,
-form the successor relation later used as pre-training labels.
+Virtual start/end nodes are dropped first. Following the paper, every
+dominator-tree edge out of a node with more than one child is cut; each
+surviving connected component is one block of consecutive statements. A
+block is materialized as split code by prepending the method declaration,
+and each split code re-parses into its own split AST. Removed edges,
+lifted to the blocks they join, form the successor relation later used
+as pre-training labels.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from basts.frontend import (
 class CodeSplit:
     split_id: int
     statements: list[int]  # statement ids in source order
-    includes_declaration: bool = True
 
 
 @dataclass
@@ -72,10 +71,8 @@ def partition_blocks(domtree: DomTree, cfg: Cfg) -> SplitGraph:
         v: domtree.idom[v] for v in real if domtree.idom.get(v) in real_set
     }
     out_degree = {v: 0 for v in real}
-    in_degree = {v: 0 for v in real}
-    for child, par in parent.items():
+    for par in parent.values():
         out_degree[par] += 1
-        in_degree[child] += 1
 
     kept: list[tuple[int, int]] = []
     removed: list[tuple[int, int]] = []
@@ -83,7 +80,7 @@ def partition_blocks(domtree: DomTree, cfg: Cfg) -> SplitGraph:
         par = parent.get(child)
         if par is None:
             continue
-        if out_degree[par] > 1 or in_degree[child] > 1:
+        if out_degree[par] > 1:
             removed.append((par, child))
         else:
             kept.append((par, child))
@@ -166,29 +163,26 @@ def _absorbed_clauses(method: Method, split: CodeSplit) -> set[int]:
     return absorbed
 
 
-def make_split_code(split: CodeSplit, method: Method) -> list[Token]:
-    """Declaration tokens followed by the split's statements in source order."""
-    out = list(method.declaration_tokens)
+def _append_body(out: list[Token], split: CodeSplit, method: Method) -> list[Token]:
+    """Append the split's statement tokens to `out` in source order."""
     ids = set(split.statements)
     absorbed = _absorbed_clauses(method, split)
     for sid in split.statements:
-        if sid in absorbed:
-            continue
-        out.extend(_render_piece(method, method.statements[sid], ids))
+        if sid not in absorbed:
+            out.extend(_render_piece(method, method.statements[sid], ids))
     return out
+
+
+def make_split_code(split: CodeSplit, method: Method) -> list[Token]:
+    """Declaration tokens followed by the split's statements in source order."""
+    return _append_body(list(method.declaration_tokens), split, method)
 
 
 def build_split_asts(splitgraph: SplitGraph, method: Method) -> list[SplitAst]:
     """Re-parse each split's code and build its AST; one tree per split."""
     out = []
     for split in splitgraph.splits:
-        tokens = list(method.declaration_tokens) + [_punct("{")]
-        ids = set(split.statements)
-        absorbed = _absorbed_clauses(method, split)
-        for sid in split.statements:
-            if sid in absorbed:
-                continue
-            tokens.extend(_render_piece(method, method.statements[sid], ids))
+        tokens = _append_body(method.declaration_tokens + [_punct("{")], split, method)
         tokens.append(_punct("}"))
         out.append(SplitAst(split.split_id, build_ast(parse_method(tokens))))
     return out

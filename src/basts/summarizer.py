@@ -283,18 +283,6 @@ def avg_pool(embeddings: list[SyntaxEmbedding]) -> Tensor:
     return ad.scalar_mul(total, 1.0 / len(embeddings))
 
 
-def fuse(pooled: Tensor, token_embedding: Tensor, params: TransformerParams) -> Tensor:
-    """ReLU projection of one token embedding joined with the pooled syntax."""
-    joint = ad.concat([pooled, token_embedding], axis=0)
-    return ad.relu(ad.add(ad.matmul(params.fuse_w, joint), params.fuse_b))
-
-
-def positional_encoding(d: int, l: int, size: int) -> float:
-    """Sinusoidal position value for token index d and coordinate l."""
-    angle = d / (10000.0 ** (l / size))
-    return math.sin(angle) if l % 2 == 0 else math.cos(angle)
-
-
 _POS_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 

@@ -33,7 +33,6 @@ from basts.summarizer import (
     encode,
     greedy_decode,
     multi_head_attention,
-    positional_encoding,
     positional_matrix,
     source_mask,
     train_step,
@@ -50,6 +49,7 @@ from basts.syntax_encoder import (
     tree_lstm_cell,
 )
 from conftest import parse_source, random_reachable_cfg
+from oracles import positional_encoding
 from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
 
 

@@ -1,9 +1,12 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from basts.checkpoint import deserialize, load_checkpoint, serialize
+from basts.autodiff import Tensor
+from basts.checkpoint import CheckpointError, deserialize, load_checkpoint, serialize
 from basts.cli import (
     CorpusRecord,
     FormatError,
@@ -13,7 +16,7 @@ from basts.cli import (
     preprocess,
     run,
 )
-from basts.summarizer import Vocab
+from basts.summarizer import TransformerParams, Vocab
 from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams
 from conftest import IDLE_CONNECTIONS_SOURCE
 
@@ -163,20 +166,33 @@ class TestPreprocess:
     def test_dedupe_against_training(self):
         config = self.toy_config()
         shared = "int add(int a, int b) { return a + b; }"
-        train = preprocess([CorpusRecord("t", shared, "adds")], config)
+        shared2 = "void reset(Counter c) { c.set(0); }"
+        train = preprocess(
+            [CorpusRecord("t", shared, "adds"), CorpusRecord("t2", shared2, "resets")],
+            config,
+        )
         test_corpus = preprocess(
             [
                 CorpusRecord("dup", shared, "adds again"),
                 CorpusRecord("new", "int sub(int a, int b) { return a - b; }",
                              "subtracts"),
+                CorpusRecord("dup2", shared2, "resets again"),
+                CorpusRecord("bad", "int f( { return; }", "broken"),
+                CorpusRecord("new2", "int mul(int a, int b) { return a * b; }",
+                             "multiplies"),
             ],
             config,
             code_vocab=train.code_vocab,
             word_vocab=train.word_vocab,
         )
         deduped = dedupe_against(test_corpus, train.records)
-        assert [r.record_id for r in deduped.records] == ["new"]
-        assert ("dup", "duplicate of a training record") in deduped.dropped
+        assert [r.record_id for r in deduped.records] == ["new", "new2"]
+        assert len(deduped.examples) == 2
+        assert [rid for rid, _ in deduped.dropped] == ["bad", "dup", "dup2"]
+        assert deduped.dropped[1:] == [
+            ("dup", "duplicate of a training record"),
+            ("dup2", "duplicate of a training record"),
+        ]
 
 
 class TestCheckpointFormat:
@@ -195,13 +211,65 @@ class TestCheckpointFormat:
         assert np.array_equal(restored.sep.score_w.data, sep.score_w.data)
         assert serialize(tree=restored.tree, sep=restored.sep) == raw
 
+    def test_summarizer_roundtrip_bytes_identical(self):
+        tree = TreeLstmParams.init({"<UNK>": 0, "A": 1}, 8, np.random.default_rng(3))
+        code_vocab = Vocab.build([["a", "b", "c"]])
+        word_vocab = Vocab.build([["x", "y", "z", "w"]])
+        transformer = TransformerParams.init(len(code_vocab), len(word_vocab), 8, 2,
+                                             2, 1, np.random.default_rng(4))
+        raw = serialize(tree=tree, transformer=transformer,
+                        code_vocab=code_vocab, word_vocab=word_vocab)
+        restored = deserialize(raw)
+        assert restored.sep is None
+        assert restored.code_vocab == code_vocab
+        assert restored.word_vocab == word_vocab
+        assert serialize(
+            tree=restored.tree, transformer=restored.transformer,
+            code_vocab=restored.code_vocab, word_vocab=restored.word_vocab,
+        ) == raw
+
     def test_checksum_detects_corruption(self):
         params = TreeLstmParams.init({"<UNK>": 0}, 4, np.random.default_rng(0))
         raw = bytearray(serialize(tree=params))
         raw[30] ^= 0xFF
-        from basts.checkpoint import CheckpointError
-
         with pytest.raises(CheckpointError):
+            deserialize(bytes(raw))
+
+    @staticmethod
+    def _tree_with_blobs(edit):
+        """Serialize a tree section whose blob list has been passed through `edit`."""
+        params = TreeLstmParams.init({"<UNK>": 0}, 4, np.random.default_rng(0))
+        blobs = edit(params.named_params())
+        params.named_params = lambda: blobs
+        return serialize(tree=params)
+
+    def test_missing_blob_is_named(self):
+        raw = self._tree_with_blobs(lambda blobs: blobs[:-1])
+        with pytest.raises(CheckpointError, match="missing blob 'virtual_m'"):
+            deserialize(raw)
+
+    def test_unexpected_blob_is_named(self):
+        raw = self._tree_with_blobs(
+            lambda blobs: blobs + [("bogus", Tensor(np.zeros(4)))]
+        )
+        with pytest.raises(CheckpointError, match="unexpected blob 'bogus'"):
+            deserialize(raw)
+
+    def test_blob_shape_mismatch_is_named(self):
+        def shrink(blobs):
+            return [(n, Tensor(np.zeros((3, 3))) if n == "w_i" else t) for n, t in blobs]
+
+        raw = self._tree_with_blobs(shrink)
+        with pytest.raises(CheckpointError, match="blob 'w_i' has shape"):
+            deserialize(raw)
+
+    def test_unknown_flag_bits_rejected(self):
+        params = TreeLstmParams.init({"<UNK>": 0}, 4, np.random.default_rng(0))
+        raw = bytearray(serialize(tree=params))
+        raw[12] |= 0x04  # flags follow the 8-byte magic and the u32 version
+        payload = bytes(raw[8:-4])
+        raw[-4:] = struct.pack("<I", zlib.crc32(payload))
+        with pytest.raises(CheckpointError, match="unknown flag bits 0x4"):
             deserialize(bytes(raw))
 
 

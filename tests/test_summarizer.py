@@ -18,15 +18,14 @@ from basts.summarizer import (
     avg_pool,
     decoder_logits,
     encode,
-    fuse,
     greedy_decode,
     multi_head_attention,
-    positional_encoding,
     positional_matrix,
     source_mask,
     train_step,
 )
 from basts.syntax_encoder import SyntaxEmbedding, TreeLstmParams
+from oracles import fuse, positional_encoding
 
 
 def make_model(size=8, heads=2, enc=1, dec=1, code_vocab=12, word_vocab=10, seed=0):
