@@ -15,7 +15,7 @@ from basts.syntax_encoder import (
     PretrainConfig,
     TreeLstmParams,
     build_type_value_vocab,
-    encode_tree,
+    encode_trees,
     generate_pairs,
     pretrain,
     sep_score,
@@ -128,7 +128,7 @@ print(f"final  {history[-1].loss:6.4f}  {history[-1].accuracy:6.3f}")
 #    non-adjacent one.
 ms = corpus[1]
 first_edge = ms.graph.successor_edges[0]
-e = {a.split_id: encode_tree(a, model.tree) for a in ms.asts}
+e = {emb.split_id: emb for emb in encode_trees(ms.asts, model.tree)}
 pos = sep_score(e[first_edge[0]], e[first_edge[1]], model).item()
 neg = sep_score(e[first_edge[1]], e[first_edge[0]], model).item()
 print(f"\nscore along edge {first_edge}: {pos:.3f}")

@@ -5,11 +5,17 @@ active records a node whose backward closure turns an output gradient
 into input gradients. A tape supports one backward pass. There is no
 broadcasting beyond scalars and the few row-wise composites defined here;
 shapes are checked eagerly and mismatches raise ShapeError.
+
+The graph holds no reference cycles, so reference counting frees a
+step's arrays as soon as its tape and loss are dropped. Strong references
+run one way only: tape -> node -> input tensors -> their nodes; a node
+refers to its output tensor and to its tape weakly.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -25,7 +31,7 @@ class GraphError(RuntimeError):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -66,13 +72,15 @@ class Tensor:
 
 
 class _OpNode:
+    """One recorded op; `out` and `tape` are weak references."""
+
     __slots__ = ("inputs", "backward_fn", "out", "tape")
 
     def __init__(self, inputs, backward_fn, out, tape):
         self.inputs = inputs
         self.backward_fn = backward_fn
-        self.out = out
-        self.tape = tape
+        self.out = weakref.ref(out)
+        self.tape = weakref.ref(tape)
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -81,7 +89,7 @@ _TAPE_STACK: list["Tape"] = []
 class Tape:
     """Records operations in forward order; one backward pass per tape."""
 
-    __slots__ = ("nodes", "used")
+    __slots__ = ("nodes", "used", "__weakref__")
 
     def __init__(self):
         self.nodes: list[_OpNode] = []
@@ -126,7 +134,7 @@ def backward(tape: Tape, loss: Tensor):
     """Populate .grad on every tracked leaf with d(loss)/d(leaf)."""
     if tape.used:
         raise GraphError("tape already used for a backward pass")
-    if loss.node is None or loss.node.tape is not tape:
+    if loss.node is None or loss.node.tape() is not tape:
         raise GraphError("loss was not produced on this tape")
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -135,7 +143,9 @@ def backward(tape: Tape, loss: Tensor):
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
     for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
+        out = node.out()
+        # an output that is gone fed no later op, so no gradient reaches it
+        g = None if out is None else grads.pop(id(out), None)
         if g is None:
             continue
         for t, gt in zip(node.inputs, node.backward_fn(g)):
@@ -146,7 +156,7 @@ def backward(tape: Tape, loss: Tensor):
                 grads[key] = grads[key] + gt
             else:
                 grads[key] = gt
-            if t.node is None or t.node.tape is not tape:
+            if t.node is None or t.node.tape() is not tape:
                 leaves[key] = t
     for key, t in leaves.items():
         if t.requires_grad:
@@ -320,6 +330,26 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
         return (full,)
 
     return _emit(table.data[idx_array], (table,), back)
+
+
+def segment_sum(x: Tensor, segments, n: int) -> Tensor:
+    """Row i of the [n, ...] result is the sum of the rows of x labelled i.
+
+    `segments` holds one id in [0, n) per row of x; ids may repeat or go
+    unused (an unused id gives a zero row). Rows add in their order in x.
+    """
+    seg = np.asarray(segments, dtype=np.intp)
+    _require(
+        x.ndim >= 1 and seg.shape == (x.shape[0],),
+        f"segment_sum needs one segment id per row: {seg.shape} ids for {x.shape}",
+    )
+    _require(
+        seg.size == 0 or (int(seg.min()) >= 0 and int(seg.max()) < n),
+        f"segment_sum ids must lie in [0, {n})",
+    )
+    out = np.zeros((n,) + x.shape[1:])
+    np.add.at(out, seg, x.data)
+    return _emit(out, (x,), lambda g: (g[seg],))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

@@ -19,7 +19,9 @@ import numpy as np
 from basts import autodiff as ad
 from basts.autodiff import Adam, Tape, Tensor, backward, no_grad
 from basts.splitter import SplitAst
-from basts.syntax_encoder import SyntaxEmbedding, TreeLstmParams, encode_tree
+from basts.syntax_encoder import SyntaxEmbedding, TreeLstmParams, encode_trees
+# encode_tree is also reachable here (bench/workloads.py wraps it by this name)
+from basts.syntax_encoder import encode_tree  # noqa: F401
 
 
 class EmptyInputError(ValueError):
@@ -372,9 +374,9 @@ def encode(example: SummarizationExample, model: SummarizerModel,
     t = model.transformer
     if freeze_tree:
         with no_grad():
-            embeddings = [encode_tree(a, model.tree) for a in example.split_asts]
+            embeddings = encode_trees(example.split_asts, model.tree)
     else:
-        embeddings = [encode_tree(a, model.tree) for a in example.split_asts]
+        embeddings = encode_trees(example.split_asts, model.tree)
     pooled = avg_pool(embeddings)
 
     n = len(example.code_ids)

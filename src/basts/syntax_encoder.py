@@ -6,6 +6,14 @@ while each child's memory passes through its own forget gate. Leaves
 borrow a single learnable virtual child state so the same cell serves
 the whole tree. The root hidden state is the split's syntax embedding.
 
+The fold is batched by node height (leaf = 0), as in dynamic batching
+(Looks et al., ICLR 2017): one cell application per height covers every
+node of that height in every tree of the batch, so a batch of trees
+costs as many cell applications as its tallest tree has levels. Child
+states are gathered by row from the levels below, summed into their
+parents with `autodiff.segment_sum`, and each child edge gets its own
+forget gate row.
+
 Pre-training scores ordered pairs of split embeddings with a logistic
 head and minimizes binary cross entropy against the block successor
 relation; the trained tree parameters are what the summarizer later
@@ -105,38 +113,6 @@ class TreeLstmParams:
     def all_params(self) -> list[Tensor]:
         return [t for _, t in self.named_params()]
 
-    def embed(self, type_value: str) -> Tensor:
-        row = self.vocab.get(type_value, 0)
-        return ad.embedding_lookup(self.embedding, row)
-
-
-def tree_lstm_cell(x_v: Tensor, children: list[tuple[Tensor, Tensor]],
-                   params: TreeLstmParams) -> tuple[Tensor, Tensor]:
-    """One cell application: children (h, m) pairs fold into the parent's.
-
-    Children must be non-empty; leaves pass the virtual child state.
-    """
-    if not children:
-        raise ValueError("tree_lstm_cell needs at least one child state")
-    h_tilde = children[0][0]
-    for h_c, _ in children[1:]:
-        h_tilde = ad.add(h_tilde, h_c)
-
-    def gate(w, u, b, h):
-        return ad.add(ad.add(ad.matmul(w, x_v), ad.matmul(u, h)), b)
-
-    i = ad.sigmoid(gate(params.w_i, params.u_i, params.b_i, h_tilde))
-    o = ad.sigmoid(gate(params.w_o, params.u_o, params.b_o, h_tilde))
-    u = ad.tanh(gate(params.w_u, params.u_u, params.b_u, h_tilde))
-
-    wfx = ad.add(ad.matmul(params.w_f, x_v), params.b_f)
-    m = ad.mul(i, u)
-    for h_c, m_c in children:
-        f_c = ad.sigmoid(ad.add(wfx, ad.matmul(params.u_f, h_c)))
-        m = ad.add(m, ad.mul(f_c, m_c))
-    h = ad.mul(o, ad.tanh(m))
-    return h, m
-
 
 @dataclass
 class SyntaxEmbedding:
@@ -144,29 +120,116 @@ class SyntaxEmbedding:
     split_id: int
 
 
-def encode_tree(t: SplitAst, params: TreeLstmParams) -> SyntaxEmbedding:
-    """Bottom-up fold of a split AST into its syntax embedding.
+_VIRTUAL = -1  # the level of the virtual child state, one row
 
-    Iterative post-order, so tree depth is not bounded by the Python
-    recursion limit. Each node is processed exactly once.
+
+@dataclass
+class _Level:
+    """Every node of one height across a batch, as rows of one matrix."""
+
+    labels: list[int] = field(default_factory=list)  # embedding row per node
+    # lower level -> (child rows there, parent rows here), one pair per
+    # child edge; a leaf's one child is row 0 of the _VIRTUAL level
+    edges: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
+
+    def add_edge(self, lower: int, child_row: int, parent_row: int):
+        rows, parents = self.edges.setdefault(lower, ([], []))
+        rows.append(child_row)
+        parents.append(parent_row)
+
+
+def _levels(trees: list[SplitAst], vocab: dict[str, int]):
+    """Group the nodes of all trees by height; also each root's (level, row).
+
+    Loops only, so tree depth is not bounded by the Python recursion
+    limit. Rows follow breadth-first order, so a parent's children from
+    one lower level sit in that level in their order.
     """
-    states: dict[int, tuple[Tensor, Tensor]] = {}
-    virtual = [(params.virtual_h, params.virtual_m)]
-    stack = [(t.root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not ready:
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(node.children))
-            continue
-        x_v = params.embed(node.type_value())
-        if node.children:
-            children = [states.pop(c.node_id) for c in node.children]
-        else:
-            children = virtual
-        states[node.node_id] = tree_lstm_cell(x_v, children, params)
-    h_root, _ = states[t.root.node_id]
-    return SyntaxEmbedding(h_root, t.split_id)
+    levels: list[_Level] = []
+    roots: list[tuple[int, int]] = []
+    for t in trees:
+        nodes, parent = [t.root], [-1]
+        for i, node in enumerate(nodes):  # the list grows breadth-first
+            nodes.extend(node.children)
+            parent.extend([i] * len(node.children))
+        height = [0] * len(nodes)
+        for j in range(len(nodes) - 1, 0, -1):
+            p = parent[j]
+            height[p] = max(height[p], height[j] + 1)
+        while len(levels) <= height[0]:
+            levels.append(_Level())
+        row = []
+        for node, h in zip(nodes, height):
+            level = levels[h]
+            row.append(len(level.labels))
+            level.labels.append(vocab.get(node.type_value(), 0))
+            if not node.children:
+                level.add_edge(_VIRTUAL, 0, row[-1])
+        for j in range(1, len(nodes)):
+            p = parent[j]
+            levels[height[p]].add_edge(height[j], row[j], row[p])
+        roots.append((height[0], row[0]))
+    return levels, roots
+
+
+def encode_trees(trees: list[SplitAst],
+                 params: TreeLstmParams) -> list[SyntaxEmbedding]:
+    """Bottom-up Child-Sum Tree-LSTM fold of a batch of split ASTs.
+
+    All nodes of one height, across every tree, go through the cell as
+    one matrix: a level gathers the (h, m) rows of its children from the
+    lower levels that hold them, sums child h into the parents with
+    `segment_sum`, applies the forget gate once per child edge and sums
+    the gated child m the same way. Leaves take the virtual child state
+    as their one child. The op count grows with the tallest tree, not
+    with the number of nodes.
+    """
+    if not trees:
+        return []
+    levels, roots = _levels(trees, params.vocab)
+    size = params.size
+    # [x, h_tilde] @ iou_w gives every row's input, output and update
+    # pre-activations at once
+    iou_w = ad.transpose(ad.concat([
+        ad.concat([params.w_i, params.w_o, params.w_u], axis=0),
+        ad.concat([params.u_i, params.u_o, params.u_u], axis=0),
+    ], axis=1))
+    iou_b = ad.concat([params.b_i, params.b_o, params.b_u], axis=0)
+    f_w, f_u = ad.transpose(params.w_f), ad.transpose(params.u_f)
+    states = {_VIRTUAL: (ad.repeat_row(params.virtual_h, 1),
+                        ad.repeat_row(params.virtual_m, 1))}
+    for height, level in enumerate(levels):
+        n = len(level.labels)
+        parents, h_parts, m_parts = [], [], []
+        for lower in sorted(level.edges):  # one gather per lower level
+            rows, lower_parents = level.edges[lower]
+            parents += lower_parents
+            h_low, m_low = states[lower]
+            h_parts.append(ad.embedding_lookup(h_low, rows))
+            m_parts.append(ad.embedding_lookup(m_low, rows))
+        h_kids = h_parts[0] if len(h_parts) == 1 else ad.concat(h_parts)
+        m_kids = m_parts[0] if len(m_parts) == 1 else ad.concat(m_parts)
+
+        x = ad.embedding_lookup(params.embedding, level.labels)
+        h_tilde = ad.segment_sum(h_kids, parents, n)
+        iou = ad.add_rowvec(ad.matmul(ad.concat([x, h_tilde], axis=1), iou_w), iou_b)
+        gates = ad.sigmoid(iou)
+        i = ad.col_slice(gates, 0, size)
+        o = ad.col_slice(gates, size, 2 * size)
+        u = ad.tanh(ad.col_slice(iou, 2 * size, 3 * size))
+
+        wfx = ad.add_rowvec(ad.matmul(x, f_w), params.b_f)
+        f = ad.sigmoid(ad.add(ad.embedding_lookup(wfx, parents),
+                              ad.matmul(h_kids, f_u)))
+        m = ad.add(ad.mul(i, u), ad.segment_sum(ad.mul(f, m_kids), parents, n))
+        states[height] = (ad.mul(o, ad.tanh(m)), m)
+    return [SyntaxEmbedding(ad.embedding_lookup(states[height][0], row), t.split_id)
+            for t, (height, row) in zip(trees, roots)]
+
+
+def encode_tree(t: SplitAst, params: TreeLstmParams) -> SyntaxEmbedding:
+    """The syntax embedding of one split AST: its root hidden state."""
+    return encode_trees([t], params)[0]
 
 
 @dataclass
@@ -209,15 +272,11 @@ def sep_score(e_t: SyntaxEmbedding, e_t_prime: SyntaxEmbedding,
 
 
 def _pair_scores(pairs: list[PairExample], model: SepModel) -> list[Tensor]:
-    cache: dict[int, SyntaxEmbedding] = {}
-
-    def embed(tree: SplitAst) -> SyntaxEmbedding:
-        key = id(tree)
-        if key not in cache:
-            cache[key] = encode_tree(tree, model.tree)
-        return cache[key]
-
-    return [sep_score(embed(p.t), embed(p.t_prime), model) for p in pairs]
+    """Score every pair; each distinct tree is folded once, all in one batch."""
+    trees = list({id(t): t for p in pairs for t in (p.t, p.t_prime)}.values())
+    embedded = dict(zip(map(id, trees), encode_trees(trees, model.tree)))
+    return [sep_score(embedded[id(p.t)], embedded[id(p.t_prime)], model)
+            for p in pairs]
 
 
 SCORE_FLOOR = 1e-12
@@ -323,7 +382,9 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
             opt.zero_grad()
             epoch_loss += loss.item() * len(batch)
         with ad.no_grad():
-            for score, pair in zip(_pair_scores(pairs, model), pairs):
-                correct += int((score.item() > 0.5) == bool(pair.label))
+            for lo in range(0, len(pairs), config.batch_size):
+                chunk = pairs[lo : lo + config.batch_size]
+                for score, pair in zip(_pair_scores(chunk, model), chunk):
+                    correct += int((score.item() > 0.5) == bool(pair.label))
         history.append(EpochStats(epoch_loss / len(pairs), correct / len(pairs)))
     return model, history

@@ -46,10 +46,9 @@ from basts.syntax_encoder import (
     encode_tree,
     pretrain,
     sep_loss,
-    tree_lstm_cell,
 )
 from conftest import parse_source, random_reachable_cfg
-from oracles import positional_encoding
+from oracles import positional_encoding, tree_lstm_cell
 from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
 
 

@@ -171,6 +171,38 @@ class TestCompositeGradients:
         assert x.grad[0, 1] == 0.0
 
 
+class TestSegmentSum:
+    def test_sums_rows_into_their_segments(self):
+        x = Tensor(np.arange(8.0).reshape(4, 2))
+        y = ad.segment_sum(x, [2, 0, 2, 0], 4)
+        assert np.array_equal(y.data, [[8.0, 10.0], [0.0, 0.0], [4.0, 6.0], [0.0, 0.0]])
+
+    def test_grad_check_with_repeated_and_unused_ids(self):
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(4, 3)))
+
+        def f(t):
+            # ids 1 and 3 repeat, id 2 is unused
+            return ad.sum_(ad.mul(ad.segment_sum(t, [3, 1, 0, 1, 3], 4), weights))
+
+        report = ad.grad_check(f, x)
+        assert report.passed, report
+
+    def test_one_id_per_row(self):
+        x = Tensor(np.zeros((3, 2)))
+        with pytest.raises(ShapeError):
+            ad.segment_sum(x, [0, 1], 2)
+        with pytest.raises(ShapeError):
+            ad.segment_sum(x, [0, 1, 1, 0], 2)
+
+    @pytest.mark.parametrize("bad_id", [-1, 2, 7])
+    def test_ids_outside_range_are_rejected(self, bad_id):
+        x = Tensor(np.zeros((3, 2)))
+        with pytest.raises(ShapeError):
+            ad.segment_sum(x, [0, bad_id, 1], 2)
+
+
 class TestGradCheckUtility:
     def test_sum_has_zero_error(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)

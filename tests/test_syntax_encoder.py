@@ -1,9 +1,12 @@
+import copy
+import gc
+
 import numpy as np
 import pytest
 
 import basts.autodiff as ad
-from basts.autodiff import Tensor
-from basts.frontend import AstNode
+from basts.autodiff import Tape, Tensor, backward
+from basts.frontend import AstNode, iter_nodes
 from basts.splitter import SplitAst, split_method
 from basts.syntax_encoder import (
     ConfigError,
@@ -13,13 +16,15 @@ from basts.syntax_encoder import (
     TreeLstmParams,
     build_type_value_vocab,
     encode_tree,
+    encode_trees,
     generate_pairs,
     pretrain,
     sep_loss,
     sep_score,
-    tree_lstm_cell,
 )
 from conftest import parse_source
+from oracles import embed, encode_tree_per_node, tree_lstm_cell
+from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
 
 
 def make_params(size=4, seed=0, vocab=None):
@@ -106,18 +111,19 @@ class TestEncodeTree:
         params = make_params(size=3, seed=7)
         tree = SplitAst(0, AstNode(0, "A"))
         emb = encode_tree(tree, params)
-        x = params.embed("A")
+        x = embed(params, "A")
         h, _ = tree_lstm_cell(x, [(params.virtual_h, params.virtual_m)], params)
-        assert np.array_equal(emb.vector.data, h.data)
+        # matrix and matrix-vector products may round differently
+        assert np.allclose(emb.vector.data, h.data, rtol=0.0, atol=1e-12)
 
     def test_three_node_chain_matches_manual_unrolling(self):
         params = make_params(size=3, seed=8)
         emb = encode_tree(chain_tree(["A", "B", "C"]), params)
         leaf = tree_lstm_cell(
-            params.embed("C"), [(params.virtual_h, params.virtual_m)], params
+            embed(params, "C"), [(params.virtual_h, params.virtual_m)], params
         )
-        mid = tree_lstm_cell(params.embed("B"), [leaf], params)
-        root = tree_lstm_cell(params.embed("A"), [mid], params)
+        mid = tree_lstm_cell(embed(params, "B"), [leaf], params)
+        root = tree_lstm_cell(embed(params, "A"), [mid], params)
         assert np.allclose(emb.vector.data, root[0].data, atol=1e-15)
 
     def test_node_id_permutation_invariance(self):
@@ -150,6 +156,184 @@ class TestEncodeTree:
         for target in (params.u_f, params.embedding, params.virtual_m):
             report = ad.grad_check(f, target)
             assert report.passed, report
+
+
+def star_tree(n_leaves, split_id=0):
+    root = AstNode(0, "A")
+    root.children = [AstNode(i + 1, "BC"[i % 2]) for i in range(n_leaves)]
+    return SplitAst(split_id, root)
+
+
+def random_tree(rng, n_nodes, split_id=0):
+    """Each new node hangs under a uniformly chosen earlier node."""
+    nodes = [AstNode(0, "A")]
+    for i in range(1, n_nodes):
+        node = AstNode(i, str(rng.choice(["A", "B", "C", "Unseen"])))
+        nodes[int(rng.integers(0, i))].children.append(node)
+        nodes.append(node)
+    return SplitAst(split_id, nodes[0])
+
+
+def tree_grads(trees, params, fold):
+    """Root embeddings and d(loss)/d(param) for a fixed random readout."""
+    readout = np.random.default_rng(99).normal(size=(len(trees), params.size))
+    for p in params.all_params():
+        p.zero_grad()
+    with Tape() as tape:
+        embeddings = fold(trees, params)
+        loss = ad.sum_(ad.mul(embeddings[0].vector, Tensor(readout[0])))
+        for e, w in zip(embeddings[1:], readout[1:]):
+            loss = ad.add(loss, ad.sum_(ad.mul(e.vector, Tensor(w))))
+        backward(tape, loss)
+    grads = {name: p.grad.copy() for name, p in params.named_params()}
+    for p in params.all_params():
+        p.zero_grad()
+    return [e.vector.data for e in embeddings], grads
+
+
+def per_node_fold(trees, params):
+    return [encode_tree_per_node(t, params) for t in trees]
+
+
+def _shaped_batches():
+    rng = np.random.default_rng(21)
+    return {
+        "single node": [SplitAst(0, AstNode(0, "A"))],
+        "40-child star": [star_tree(40)],
+        "50-deep chain": [chain_tree(["ABC"[i % 3] for i in range(50)])],
+        "mixed heights": [random_tree(rng, n, i) for i, n in enumerate((1, 2, 7, 30, 60))]
+        + [star_tree(12, 5), chain_tree(["B", "A", "C", "A"])],
+    }
+
+
+class TestEncodeTreesMatchesPerNodeFold:
+    """The height-batched fold against the one-cell-per-node oracle."""
+
+    def _assert_match(self, trees, params):
+        got_h, got_g = tree_grads(trees, params, encode_trees)
+        want_h, want_g = tree_grads(trees, params, per_node_fold)
+        for got, want in zip(got_h, want_h):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        for name, want in want_g.items():
+            scale = max(np.max(np.abs(want)), 1e-30)
+            assert np.max(np.abs(got_g[name] - want)) <= 1e-10 * scale, name
+
+    @pytest.mark.parametrize("corpus", ["pretrain", "summarization"])
+    def test_toy_corpora(self, corpus):
+        sources = (PRETRAIN_SOURCES if corpus == "pretrain"
+                   else [row["code"] for row in SUMMARIZATION_ROWS])
+        trees = [a for src in sources for a in split_method(parse_source(src)).asts]
+        vocab = build_type_value_vocab([t.root for t in trees], min_freq=2)
+        self._assert_match(trees, TreeLstmParams.init(vocab, 6, np.random.default_rng(5)))
+
+    @pytest.mark.parametrize("shape", list(_shaped_batches()))
+    def test_shaped_trees(self, shape):
+        self._assert_match(_shaped_batches()[shape], make_params(size=5, seed=6))
+
+    def test_batch_equals_trees_folded_alone(self):
+        trees = _shaped_batches()["mixed heights"]
+        params = make_params(size=4, seed=2)
+        together = encode_trees(trees, params)
+        for t, e in zip(trees, together):
+            assert e.split_id == t.split_id
+            assert np.allclose(e.vector.data, encode_tree(t, params).vector.data,
+                               rtol=0.0, atol=1e-12)
+
+    def test_empty_batch(self):
+        assert encode_trees([], make_params()) == []
+
+    def test_grad_check_every_parameter_on_three_trees(self):
+        params = make_params(size=3, seed=12)
+        trees = [
+            chain_tree(["A", "B", "C"]),
+            star_tree(3, split_id=1),
+            SplitAst(2, AstNode(0, "C", children=[
+                AstNode(1, "A"), AstNode(2, "B", children=[AstNode(3, "A")])])),
+        ]
+
+        def f(_):
+            total = None
+            for e in encode_trees(trees, params):
+                term = ad.sum_(ad.mul(e.vector, e.vector))
+                total = term if total is None else ad.add(total, term)
+            return total
+
+        for name, tensor in params.named_params():
+            report = ad.grad_check(f, tensor)
+            assert report.passed, (name, report)
+
+
+def toy_pretrain_batch(size=8):
+    """The first 16 pairs over the toy pre-training methods, and a model."""
+    corpus = [split_method(parse_source(src)) for src in PRETRAIN_SOURCES]
+    vocab = build_type_value_vocab([a.root for ms in corpus for a in ms.asts])
+    params = TreeLstmParams.init(vocab, size, np.random.default_rng(0))
+    model = SepModel.init(params, np.random.default_rng(1))
+    pairs = [p for ms in corpus for p in generate_pairs(ms, 1, seed=0)]
+    return pairs[:16], model
+
+
+def node_count(trees):
+    return sum(1 for t in trees for _ in iter_nodes(t.root))
+
+
+class TestCostGates:
+    """Exact, machine-independent costs of the fold, pinned against regressions."""
+
+    # 10 distinct trees of 103 nodes on 5 levels; a per-node fold records 3,036
+    PRETRAIN_BATCH_OPS = 269
+
+    def test_pretrain_batch_op_count(self):
+        batch, model = toy_pretrain_batch()
+        with Tape() as tape:
+            loss = sep_loss(batch, model)
+            backward(tape, loss)
+        assert len(tape.nodes) == self.PRETRAIN_BATCH_OPS
+
+    def test_op_count_follows_height_not_node_count(self):
+        def widened(t):
+            # every subtree under the root three times: same levels, ~3x nodes
+            children = [copy.deepcopy(c) for _ in range(3) for c in t.root.children]
+            return SplitAst(t.split_id, AstNode(t.root.node_id, t.root.node_type,
+                                                t.root.value, children))
+
+        small = split_method(parse_source(PRETRAIN_SOURCES[0])).asts
+        large = [widened(t) for t in small]
+        assert node_count(large) >= 2 * node_count(small)
+        params = make_params(size=4)
+        with Tape() as tape_small:
+            encode_trees(small, params)
+        with Tape() as tape_large:
+            encode_trees(large, params)
+        assert len(tape_small.nodes) == len(tape_large.nodes)
+
+    @pytest.mark.parametrize("shape", ["chain", "star"])
+    def test_large_trees_fold_in_linear_memory(self, shape):
+        size = 8
+        tree = (chain_tree(["ABC"[i % 3] for i in range(2000)]) if shape == "chain"
+                else star_tree(2000))
+        params = make_params(size=size)
+        with Tape() as tape:
+            emb = encode_tree(tree, params)
+            loss = ad.sum_(ad.mul(emb.vector, emb.vector))
+            floats = sum(node.out().data.size for node in tape.nodes
+                         if node.out() is not None)
+            backward(tape, loss)
+        assert floats <= 40 * node_count([tree]) * size
+        assert np.all(np.isfinite(params.u_f.grad))
+
+    def test_step_leaves_no_reference_cycles(self):
+        batch, model = toy_pretrain_batch()
+        gc.collect()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                loss = sep_loss(batch, model)
+                backward(tape, loss)
+            del tape, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSepScore:
