@@ -46,7 +46,7 @@ print(cfg_to_dot(cfg, method))
 # 4. The dominator tree of the graph.
 domtree = compute_dominators(cfg)
 print("\ndominator tree:")
-print(dom_to_dot(domtree, cfg))
+print(dom_to_dot(domtree))
 
 # 5. Partition the tree into blocks: drop the virtual nodes, cut every
 #    edge out of a branching node, and each remaining component is one

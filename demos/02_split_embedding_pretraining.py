@@ -9,6 +9,7 @@ trained scorer on a positive and a negative pair.
 
 import numpy as np
 
+from basts.autodiff import embedding_lookup
 from basts.frontend import abstract_literals, parse_method, tokenize
 from basts.splitter import split_method
 from basts.syntax_encoder import (
@@ -125,11 +126,14 @@ for i in range(0, len(history), 10):
 print(f"final  {history[-1].loss:6.4f}  {history[-1].accuracy:6.3f}")
 
 # 4. Probe the trained scorer: a real successor pair should outscore a
-#    non-adjacent one.
+#    non-adjacent one. The split embeddings are the rows of one matrix,
+#    and sep_score scores row pairs.
 ms = corpus[1]
 first_edge = ms.graph.successor_edges[0]
-e = {emb.split_id: emb for emb in encode_trees(ms.asts, model.tree)}
-pos = sep_score(e[first_edge[0]], e[first_edge[1]], model).item()
-neg = sep_score(e[first_edge[1]], e[first_edge[0]], model).item()
+roots = encode_trees(ms.asts, model.tree)
+row = {a.split_id: i for i, a in enumerate(ms.asts)}
+forward = [row[first_edge[0]], row[first_edge[1]]]
+pos, neg = sep_score(embedding_lookup(roots, forward),
+                     embedding_lookup(roots, forward[::-1]), model).data
 print(f"\nscore along edge {first_edge}: {pos:.3f}")
 print(f"score against the edge direction: {neg:.3f}")

@@ -56,20 +56,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scalar_mul(self, other)
-
-    def __rmul__(self, other):
-        return scalar_mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class _OpNode:
     """One recorded op; `out` and `tape` are weak references."""
@@ -173,7 +159,7 @@ def _require(cond: bool, message: str):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product for 2D@2D, 2D@1D, 1D@2D, and 1D@1D."""
+    """Matrix/vector product for 2D@2D, 2D@1D and 1D@2D."""
     ad, bd = a.data, b.data
     _require(
         ad.shape[-1] == bd.shape[0],
@@ -188,19 +174,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     elif a.ndim == 1 and b.ndim == 2:
         def back(g):
             return bd @ g, np.outer(ad, g)
-    elif a.ndim == 1 and b.ndim == 1:
-        def back(g):
-            return g * bd, g * ad
     else:
-        raise ShapeError(f"matmul supports 1D/2D operands, got {ad.shape} @ {bd.shape}")
+        raise ShapeError(f"matmul needs 2D@2D, 2D@1D or 1D@2D, got {ad.shape} @ {bd.shape}")
     return _emit(ad @ bd, (a, b), back)
 
 
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum of same-shape tensors, or tensor plus scalar."""
-    if not isinstance(b, Tensor):
-        s = float(b)
-        return _emit(a.data + s, (a,), lambda g: (g,))
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of same-shape tensors; a 0-d operand is broadcast."""
+    if a.ndim == 0 or b.ndim == 0:
+        def back(g):
+            return (g if a.ndim else g.sum()), (g if b.ndim else g.sum())
+        return _emit(a.data + b.data, (a, b), back)
     _require(a.data.shape == b.data.shape, f"add shapes differ: {a.shape} vs {b.shape}")
     return _emit(a.data + b.data, (a, b), lambda g: (g, g))
 
@@ -310,19 +294,10 @@ def sum_(x: Tensor) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, indices) -> Tensor:
-    """Rows of an embedding table: one index gives a vector, a list a matrix."""
+    """Rows of an embedding table as a matrix, one row per index."""
     _require(table.ndim == 2, f"embedding table must be 2D, got {table.shape}")
-    if isinstance(indices, (int, np.integer)):
-        idx = int(indices)
-
-        def back1(g):
-            full = np.zeros_like(table.data)
-            full[idx] = g
-            return (full,)
-
-        return _emit(table.data[idx].copy(), (table,), back1)
-
     idx_array = np.asarray(indices, dtype=np.intp)
+    _require(idx_array.ndim == 1, f"embedding indices must be 1D, got shape {idx_array.shape}")
 
     def back(g):
         full = np.zeros_like(table.data)

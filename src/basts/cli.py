@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from basts.autodiff import Adam
-from basts.cfg import build_cfg, cfg_to_dot
+from basts.cfg import CfgError, build_cfg, cfg_to_dot
 from basts.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from basts.dominators import compute_dominators, dom_to_dot
+from basts.dominators import DomError, compute_dominators, dom_to_dot
 from basts.frontend import (
+    LexError,
+    ParseError,
     TokenKind,
     abstract_literals,
     ast_to_json,
@@ -204,14 +206,15 @@ def preprocess(records: list[CorpusRecord], config: RunConfig,
 
     Vocabularies are built from these records only when not supplied, so
     evaluation corpora reuse the training vocabularies and never leak
-    into them. Records failing any stage are dropped with a reason.
+    into them. Records a pipeline stage rejects are dropped with the
+    error as the reason; any other exception is a fault and propagates.
     """
     prepared: list[PreparedRecord] = []
     dropped: list[tuple[str, str]] = []
     for record in records:
         try:
             prepared.append(_prepare_one(record, config))
-        except Exception as err:  # per-record diagnostics, pipeline continues
+        except (LexError, ParseError, CfgError, DomError) as err:
             dropped.append((record.record_id, f"{type(err).__name__}: {err}"))
     if not prepared:
         raise ConfigError("no records survived preprocessing")
@@ -469,7 +472,7 @@ def cmd_dump(args, which: str) -> int:
         if which == "cfg":
             print(cfg_to_dot(cfg, method))
         else:
-            print(dom_to_dot(compute_dominators(cfg), cfg))
+            print(dom_to_dot(compute_dominators(cfg)))
     return 0
 
 

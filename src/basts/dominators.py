@@ -147,7 +147,7 @@ def brute_force_dominators(cfg: Cfg) -> dict[int, set[int]]:
     return dom
 
 
-def dom_to_dot(tree: DomTree, cfg: Cfg | None = None) -> str:
+def dom_to_dot(tree: DomTree) -> str:
     """Render the dominator tree in DOT form, ordered by node id."""
     nodes = sorted({tree.root, *tree.idom.keys(), *tree.idom.values()})
     lines = ["digraph domtree {"]

@@ -222,12 +222,18 @@ class Method:
     statements: dict[int, Statement]  # every statement, nested ones included
 
 
+# Deepest nesting the parser accepts (docs/grammar.md, "Nesting limit"); it keeps
+# the recursive AST, CFG and JSON builders under Python's default recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.i = 0
         self.statements: dict[int, Statement] = {}
         self._next_id = 0
+        self.depth = 0  # current nesting level, see MAX_NESTING
 
     def _peek(self, k: int = 0) -> Token | None:
         j = self.i + k
@@ -247,6 +253,11 @@ class _Parser:
         t = self.toks[self.i]
         self.i += 1
         return t
+
+    def _descend(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self._fail([f"nesting at most {MAX_NESTING} deep"])
 
     def _expect_ident(self, what: str = "identifier") -> Token:
         t = self._peek()
@@ -299,6 +310,12 @@ class _Parser:
     # --- statements -------------------------------------------------------
 
     def parse_statement(self) -> Statement:
+        self._descend()
+        stmt = self._parse_statement()
+        self.depth -= 1
+        return stmt
+
+    def _parse_statement(self) -> Statement:
         t = self._peek()
         if t is None:
             self._fail(["statement"])
@@ -458,30 +475,38 @@ class _Parser:
         "/": 6,
         "%": 6,
     }
+    _UNARY = 7  # a unary operand binds tighter than any binary operator
 
     def parse_expr(self, min_bp: int = 1) -> Expr:
+        depth = self.depth
+        self._descend()
         left = self._parse_unary()
         while True:
             t = self._peek()
             if t is None or t.kind is not TokenKind.OPERATOR:
-                return left
+                break
             bp = self._BINDING.get(t.text)
             if bp is None or bp < min_bp:
-                return left
+                break
             self.i += 1
+            self._descend()  # every operator of a chain nests `left` one deeper
             right = self.parse_expr(bp + 1)
             left = Expr("binary", t.text, [left, right])
+        self.depth = depth
+        return left
 
     def _parse_unary(self) -> Expr:
         t = self._peek()
         if t is not None and t.text in ("!", "-") and t.kind is TokenKind.OPERATOR:
             self.i += 1
-            return Expr("unary", t.text, [self._parse_unary()])
+            return Expr("unary", t.text, [self.parse_expr(self._UNARY)])
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
+        depth = self.depth
         expr = self._parse_primary()
         while self._at("."):
+            self._descend()  # every member access nests `expr` one deeper
             self._expect(".")
             name = self._expect_ident("member name").text
             if self._at("("):
@@ -489,6 +514,7 @@ class _Parser:
                 expr = Expr("call", name, [expr] + args)
             else:
                 expr = Expr("field", name, [expr])
+        self.depth = depth
         return expr
 
     def _parse_primary(self) -> Expr:

@@ -1,8 +1,9 @@
 """Fusion Transformer that turns code plus split-AST encodings into comments.
 
-Split embeddings are average-pooled into one syntax vector, concatenated
-with every code token embedding, and projected through a ReLU layer; the
-result, plus sinusoidal position encodings, feeds a standard multi-head
+The [T, L] matrix of an example's split embeddings is average-pooled in
+one op into one syntax vector, concatenated with every code token
+embedding, and projected through a ReLU layer; the result, plus
+sinusoidal position encodings, feeds a standard multi-head
 encoder/decoder stack (post-sublayer layer norm, residual connections,
 padding and causal masks). Training is teacher-forced cross entropy;
 decoding is greedy.
@@ -19,7 +20,7 @@ import numpy as np
 from basts import autodiff as ad
 from basts.autodiff import Adam, Tape, Tensor, backward, no_grad
 from basts.splitter import SplitAst
-from basts.syntax_encoder import SyntaxEmbedding, TreeLstmParams, encode_trees
+from basts.syntax_encoder import TreeLstmParams, encode_trees
 # encode_tree is also reachable here (bench/workloads.py wraps it by this name)
 from basts.syntax_encoder import encode_tree  # noqa: F401
 
@@ -275,14 +276,12 @@ class SummarizerModel:
 # --- building blocks --------------------------------------------------------
 
 
-def avg_pool(embeddings: list[SyntaxEmbedding]) -> Tensor:
-    """Coordinate-wise mean of split embeddings."""
-    if not embeddings:
-        raise EmptyInputError("cannot pool an empty embedding list")
-    total = embeddings[0].vector
-    for e in embeddings[1:]:
-        total = ad.add(total, e.vector)
-    return ad.scalar_mul(total, 1.0 / len(embeddings))
+def avg_pool(roots: Tensor) -> Tensor:
+    """Coordinate-wise mean of the rows of a [T, L] split-embedding matrix."""
+    n = roots.shape[0]
+    if n == 0:
+        raise EmptyInputError("cannot pool an empty embedding matrix")
+    return ad.matmul(Tensor(np.full(n, 1.0 / n)), roots)
 
 
 _POS_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -374,10 +373,10 @@ def encode(example: SummarizationExample, model: SummarizerModel,
     t = model.transformer
     if freeze_tree:
         with no_grad():
-            embeddings = encode_trees(example.split_asts, model.tree)
+            roots = encode_trees(example.split_asts, model.tree)
     else:
-        embeddings = encode_trees(example.split_asts, model.tree)
-    pooled = avg_pool(embeddings)
+        roots = encode_trees(example.split_asts, model.tree)
+    pooled = avg_pool(roots)
 
     n = len(example.code_ids)
     tokens = ad.embedding_lookup(t.code_embedding, example.code_ids)

@@ -4,7 +4,8 @@ Every AST node is embedded by its type_value label and folded bottom-up:
 children's hidden states are summed for the input/output/update gates
 while each child's memory passes through its own forget gate. Leaves
 borrow a single learnable virtual child state so the same cell serves
-the whole tree. The root hidden state is the split's syntax embedding.
+the whole tree. The root hidden state is the split's syntax embedding,
+and a batch of T trees gives one [T, L] matrix of them.
 
 The fold is batched by node height (leaf = 0), as in dynamic batching
 (Looks et al., ICLR 2017): one cell application per height covers every
@@ -17,7 +18,7 @@ forget gate row.
 Pre-training scores ordered pairs of split embeddings with a logistic
 head and minimizes binary cross entropy against the block successor
 relation; the trained tree parameters are what the summarizer later
-fine-tunes.
+fine-tunes. Pairs are scored as rows of two gathered embedding matrices.
 """
 
 from __future__ import annotations
@@ -114,12 +115,6 @@ class TreeLstmParams:
         return [t for _, t in self.named_params()]
 
 
-@dataclass
-class SyntaxEmbedding:
-    vector: Tensor  # length-L root hidden state
-    split_id: int
-
-
 _VIRTUAL = -1  # the level of the virtual child state, one row
 
 
@@ -172,9 +167,8 @@ def _levels(trees: list[SplitAst], vocab: dict[str, int]):
     return levels, roots
 
 
-def encode_trees(trees: list[SplitAst],
-                 params: TreeLstmParams) -> list[SyntaxEmbedding]:
-    """Bottom-up Child-Sum Tree-LSTM fold of a batch of split ASTs.
+def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
+    """Child-Sum Tree-LSTM fold: row i of the [T, L] result is trees[i]'s root h.
 
     All nodes of one height, across every tree, go through the cell as
     one matrix: a level gathers the (h, m) rows of its children from the
@@ -185,7 +179,7 @@ def encode_trees(trees: list[SplitAst],
     with the number of nodes.
     """
     if not trees:
-        return []
+        return Tensor(np.zeros((0, params.size)))
     levels, roots = _levels(trees, params.vocab)
     size = params.size
     # [x, h_tilde] @ iou_w gives every row's input, output and update
@@ -223,13 +217,17 @@ def encode_trees(trees: list[SplitAst],
                               ad.matmul(h_kids, f_u)))
         m = ad.add(ad.mul(i, u), ad.segment_sum(ad.mul(f, m_kids), parents, n))
         states[height] = (ad.mul(o, ad.tanh(m)), m)
-    return [SyntaxEmbedding(ad.embedding_lookup(states[height][0], row), t.split_id)
-            for t, (height, row) in zip(trees, roots)]
+    # one gather of the root rows from the levels that hold roots, stacked
+    heights = sorted({height for height, _ in roots})
+    tops = [states[height][0] for height in heights]
+    first = dict(zip(heights, np.cumsum([0] + [top.shape[0] for top in tops])))
+    stacked = tops[0] if len(tops) == 1 else ad.concat(tops)
+    return ad.embedding_lookup(stacked, [first[height] + row for height, row in roots])
 
 
-def encode_tree(t: SplitAst, params: TreeLstmParams) -> SyntaxEmbedding:
-    """The syntax embedding of one split AST: its root hidden state."""
-    return encode_trees([t], params)[0]
+def encode_tree(t: SplitAst, params: TreeLstmParams) -> Tensor:
+    """The syntax embedding of one split AST, as a one-row [1, L] matrix."""
+    return encode_trees([t], params)
 
 
 @dataclass
@@ -264,19 +262,20 @@ class PairExample:
     label: int  # 1 when t's block directly precedes t_prime's
 
 
-def sep_score(e_t: SyntaxEmbedding, e_t_prime: SyntaxEmbedding,
-              model: SepModel) -> Tensor:
-    """Probability in (0, 1) that t_prime is the next split after t."""
-    joint = ad.concat([e_t.vector, e_t_prime.vector], axis=0)
-    return ad.sigmoid(ad.add(ad.matmul(model.score_w, joint), model.score_b))
+def sep_score(left: Tensor, right: Tensor, model: SepModel) -> Tensor:
+    """[P] probabilities that right[i]'s split is the next after left[i]'s."""
+    joint = ad.concat([left, right], axis=1)
+    return ad.sigmoid(ad.add(ad.matmul(joint, model.score_w), model.score_b))
 
 
-def _pair_scores(pairs: list[PairExample], model: SepModel) -> list[Tensor]:
-    """Score every pair; each distinct tree is folded once, all in one batch."""
+def _pair_scores(pairs: list[PairExample], model: SepModel) -> Tensor:
+    """Scores of every pair, shape [P]; each distinct tree is folded once."""
     trees = list({id(t): t for p in pairs for t in (p.t, p.t_prime)}.values())
-    embedded = dict(zip(map(id, trees), encode_trees(trees, model.tree)))
-    return [sep_score(embedded[id(p.t)], embedded[id(p.t_prime)], model)
-            for p in pairs]
+    row = {id(t): i for i, t in enumerate(trees)}
+    roots = encode_trees(trees, model.tree)
+    left = ad.embedding_lookup(roots, [row[id(p.t)] for p in pairs])
+    right = ad.embedding_lookup(roots, [row[id(p.t_prime)] for p in pairs])
+    return sep_score(left, right, model)
 
 
 SCORE_FLOOR = 1e-12
@@ -287,13 +286,10 @@ def sep_loss(pairs: list[PairExample], model: SepModel) -> Tensor:
     if not pairs:
         raise ValueError("sep_loss needs at least one pair")
     scores = _pair_scores(pairs, model)
-    total = None
-    for pair, score in zip(pairs, scores):
-        if pair.label == 1:
-            term = ad.log(score, floor=SCORE_FLOOR)
-        else:
-            term = ad.log(ad.add(ad.scalar_mul(score, -1.0), 1.0), floor=SCORE_FLOOR)
-        total = term if total is None else ad.add(total, term)
+    y = np.array([p.label for p in pairs], dtype=np.float64)
+    # the probability given to the observed label: s for 1, 1 - s for 0
+    observed = ad.add(ad.mul(scores, Tensor(2.0 * y - 1.0)), Tensor(1.0 - y))
+    total = ad.sum_(ad.log(observed, floor=SCORE_FLOOR))
     return ad.scalar_mul(total, -1.0 / len(pairs))
 
 
@@ -384,7 +380,7 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
         with ad.no_grad():
             for lo in range(0, len(pairs), config.batch_size):
                 chunk = pairs[lo : lo + config.batch_size]
-                for score, pair in zip(_pair_scores(chunk, model), chunk):
-                    correct += int((score.item() > 0.5) == bool(pair.label))
+                predicted = _pair_scores(chunk, model).data > 0.5
+                correct += int(np.sum(predicted == [p.label == 1 for p in chunk]))
         history.append(EpochStats(epoch_loss / len(pairs), correct / len(pairs)))
     return model, history

@@ -37,6 +37,16 @@ def parse_source(source: str):
     return parse_method(abstract_literals(tokenize(source)))
 
 
+def nested_ifs(n: int) -> str:
+    """n nested ifs; the innermost condition sits n + 1 levels deep."""
+    return "void f() { " + "if (a) " * n + "return; }"
+
+
+def nested_parens(n: int) -> str:
+    """A return of a name in n parentheses; the name sits n + 2 levels deep."""
+    return "int f() { return " + "(" * n + "a" + ")" * n + "; }"
+
+
 def make_cfg(n_nodes, edges, entry=0, exit_=None):
     """Assemble a Cfg directly; node 0 is start, the last node is end."""
     exit_ = n_nodes - 1 if exit_ is None else exit_

@@ -3,16 +3,20 @@
 `fuse` is the per-token form of the fusion layer inside
 `summarizer.encode`; `positional_encoding` is the scalar form of
 `summarizer.positional_matrix`; `tree_lstm_cell` and `encode_tree_per_node`
-are the one-cell-per-node form of `syntax_encoder.encode_trees`.
+are the one-cell-per-node form of `syntax_encoder.encode_trees`;
+`sep_loss_per_pair` is the per-pair score and cross-entropy loop that
+`syntax_encoder.sep_loss` computes as one vector expression.
 """
 
 import math
+
+import numpy as np
 
 import basts.autodiff as ad
 from basts.autodiff import Tensor
 from basts.splitter import SplitAst
 from basts.summarizer import TransformerParams
-from basts.syntax_encoder import SyntaxEmbedding, TreeLstmParams
+from basts.syntax_encoder import SCORE_FLOOR, PairExample, SepModel, TreeLstmParams
 
 
 def fuse(pooled: Tensor, token_embedding: Tensor, params: TransformerParams) -> Tensor:
@@ -28,8 +32,15 @@ def positional_encoding(d: int, l: int, size: int) -> float:
 
 
 def embed(params: TreeLstmParams, type_value: str) -> Tensor:
-    """Embedding row of one type_value label; unknown labels use UNK."""
-    return ad.embedding_lookup(params.embedding, params.vocab.get(type_value, 0))
+    """Embedding vector of one type_value label; unknown labels use UNK.
+
+    `embedding_lookup` returns a matrix, and `tree_lstm_cell` takes a vector;
+    a one-hot row times the table selects the same row exactly (every other
+    term is 0.0) as a vector with the lookup's gradient.
+    """
+    one_hot = np.zeros(len(params.vocab))
+    one_hot[params.vocab.get(type_value, 0)] = 1.0
+    return ad.matmul(Tensor(one_hot), params.embedding)
 
 
 def tree_lstm_cell(x_v: Tensor, children: list[tuple[Tensor, Tensor]],
@@ -60,8 +71,8 @@ def tree_lstm_cell(x_v: Tensor, children: list[tuple[Tensor, Tensor]],
     return h, m
 
 
-def encode_tree_per_node(t: SplitAst, params: TreeLstmParams) -> SyntaxEmbedding:
-    """Bottom-up fold of a split AST, one `tree_lstm_cell` per node.
+def encode_tree_per_node(t: SplitAst, params: TreeLstmParams) -> Tensor:
+    """Root hidden state of a split AST, one `tree_lstm_cell` per node.
 
     Iterative post-order, so tree depth is not bounded by the Python
     recursion limit. Each node is processed exactly once.
@@ -82,4 +93,20 @@ def encode_tree_per_node(t: SplitAst, params: TreeLstmParams) -> SyntaxEmbedding
             children = virtual
         states[node.node_id] = tree_lstm_cell(x_v, children, params)
     h_root, _ = states[t.root.node_id]
-    return SyntaxEmbedding(h_root, t.split_id)
+    return h_root
+
+
+def sep_loss_per_pair(pairs: list[PairExample], model: SepModel) -> Tensor:
+    """Mean binary cross entropy, one score and one loss term per pair."""
+    roots = {id(t): encode_tree_per_node(t, model.tree)
+             for p in pairs for t in (p.t, p.t_prime)}
+    total = None
+    for pair in pairs:
+        joint = ad.concat([roots[id(pair.t)], roots[id(pair.t_prime)]], axis=0)
+        score = ad.sigmoid(ad.add(ad.sum_(ad.mul(model.score_w, joint)), model.score_b))
+        if pair.label == 1:
+            term = ad.log(score, floor=SCORE_FLOOR)
+        else:
+            term = ad.log(ad.add(ad.scalar_mul(score, -1.0), Tensor(1.0)), floor=SCORE_FLOOR)
+        total = term if total is None else ad.add(total, term)
+    return ad.scalar_mul(total, -1.0 / len(pairs))

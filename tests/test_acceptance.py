@@ -128,7 +128,7 @@ def test_criterion_3_gradient_fidelity():
 
     def tree_loss(_):
         emb = encode_tree(ten_node_tree, tree_params)
-        return ad.sum_(ad.mul(emb.vector, emb.vector))
+        return ad.sum_(ad.mul(emb, emb))
 
     worst["tree"] = max(
         ad.grad_check(tree_loss, p).max_rel_error for p in tree_params.all_params()

@@ -40,11 +40,16 @@ class TestForwardOps:
 
     def test_embedding_lookup(self):
         table = Tensor(np.arange(12.0).reshape(4, 3))
-        assert np.array_equal(ad.embedding_lookup(table, 2).data, [6.0, 7.0, 8.0])
         assert np.array_equal(
             ad.embedding_lookup(table, [1, 1, 0]).data,
             [[3.0, 4.0, 5.0], [3.0, 4.0, 5.0], [0.0, 1.0, 2.0]],
         )
+
+    @pytest.mark.parametrize("indices", [2, [[1], [2]]])
+    def test_embedding_lookup_rejects_non_1d_indices(self, indices):
+        table = Tensor(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(ShapeError):
+            ad.embedding_lookup(table, indices)
 
 
 class TestBackward:
@@ -201,6 +206,33 @@ class TestSegmentSum:
         x = Tensor(np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             ad.segment_sum(x, [0, bad_id, 1], 2)
+
+
+class TestAddScalarTensor:
+    def test_zero_d_operand_broadcasts(self):
+        v = Tensor(np.array([1.0, -2.0, 0.5]))
+        b = Tensor(np.array(3.0))
+        assert np.array_equal(ad.add(v, b).data, [4.0, 1.0, 3.5])
+        assert np.array_equal(ad.add(b, v).data, [4.0, 1.0, 3.5])
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_grad_check_both_operands(self, side):
+        rng = np.random.default_rng(23)
+        m = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(np.array(0.4), requires_grad=True)
+        weights = Tensor(rng.normal(size=(2, 3)))
+
+        def f(_):
+            total = ad.add(m, b) if side == "right" else ad.add(b, m)
+            return ad.sum_(ad.mul(ad.tanh(total), weights))
+
+        for target in (m, b):
+            report = ad.grad_check(f, target)
+            assert report.passed, report
+
+    def test_other_shape_mismatches_still_raise(self):
+        with pytest.raises(ShapeError):
+            ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(1)))
 
 
 class TestGradCheckUtility:

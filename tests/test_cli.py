@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from basts import cli
 from basts.autodiff import Tensor
 from basts.checkpoint import CheckpointError, deserialize, load_checkpoint, serialize
 from basts.cli import (
@@ -18,7 +19,9 @@ from basts.cli import (
 )
 from basts.summarizer import TransformerParams, Vocab
 from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams
-from conftest import IDLE_CONNECTIONS_SOURCE
+from basts.frontend import MAX_NESTING
+from basts.splitter import split_method
+from conftest import IDLE_CONNECTIONS_SOURCE, nested_ifs, nested_parens, parse_source
 
 
 def write_corpus(path, rows):
@@ -129,6 +132,41 @@ class TestPreprocess:
         assert len(corpus.examples) == 1
         assert len(corpus.dropped) == 1
         assert corpus.dropped[0][0] == "bad"
+
+    @pytest.mark.parametrize("source", [
+        nested_ifs(MAX_NESTING), nested_parens(MAX_NESTING - 1),
+    ], ids=["ifs", "parens"])
+    def test_nesting_one_past_the_bound_dropped_as_parse_error(self, source):
+        records = [CorpusRecord("deep", source, "too deep"),
+                   CorpusRecord("ok", "void g() { a = 1; }", "fine")]
+        corpus = preprocess(records, self.toy_config())
+        assert [r.record_id for r in corpus.records] == ["ok"]
+        ((record_id, reason),) = corpus.dropped
+        assert record_id == "deep"
+        assert reason.startswith("ParseError: ")
+        assert f"nesting at most {MAX_NESTING} deep" in reason
+
+    @pytest.mark.parametrize("source", [
+        nested_ifs(MAX_NESTING - 1), nested_parens(MAX_NESTING - 2),
+    ], ids=["ifs", "parens"])
+    def test_nesting_at_the_bound_splits(self, source, tmp_path):
+        assert split_method(parse_source(source)).asts
+        corpus = preprocess([CorpusRecord("deep", source, "deep")], self.toy_config())
+        assert not corpus.dropped
+        src = tmp_path / "deep.mini"
+        src.write_text(source)
+        out = tmp_path / "splits.json"
+        assert run(["split", "--input", str(src), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["methods"][0]["splits"]
+
+    def test_program_fault_is_not_a_dropped_record(self, monkeypatch):
+        def broken_split(method):
+            raise KeyError("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "split_method", broken_split)
+        with pytest.raises(KeyError):
+            preprocess([CorpusRecord("r", "void g() { a = 1; }", "fine")],
+                       self.toy_config())
 
     def test_truncation_limits(self):
         long_code = "void f() { " + " ".join(f"x{i} = {i};" for i in range(200)) + " }"

@@ -97,5 +97,5 @@ class TestOracleEquivalence:
 def test_dom_to_dot_lists_tree_edges(diamond_method):
     cfg = build_cfg(diamond_method)
     tree = compute_dominators(cfg)
-    dot = dom_to_dot(tree, cfg)
+    dot = dom_to_dot(tree)
     assert dot.count("->") == len(cfg.nodes) - 1

@@ -1,6 +1,7 @@
 import pytest
 
 from basts.frontend import (
+    MAX_NESTING,
     LexError,
     ParseError,
     StmtKind,
@@ -14,7 +15,7 @@ from basts.frontend import (
     tokenize,
     tokenize_comment,
 )
-from conftest import IDLE_CONNECTIONS_SOURCE, parse_source
+from conftest import IDLE_CONNECTIONS_SOURCE, nested_ifs, nested_parens, parse_source
 
 
 def lex(source):
@@ -153,6 +154,28 @@ class TestParseMethod:
         assert err.value.index == 6
         assert err.value.expected == ["'('"]
         assert err.value.found == "x"
+
+    @pytest.mark.parametrize("source", [
+        nested_ifs(MAX_NESTING - 1), nested_parens(MAX_NESTING - 2),
+    ], ids=["ifs", "parens"])
+    def test_nesting_at_the_bound_parses(self, source):
+        parse_source(source)
+
+    @pytest.mark.parametrize("source", [
+        nested_ifs(MAX_NESTING), nested_parens(MAX_NESTING - 1),
+        nested_ifs(250), nested_parens(300),
+        "void f() { if (a) {} " + "else if (a) {} " * 400 + "}",
+        "int f() { return " + " + ".join(["a"] * 1000) + "; }",
+        "int f() { return a" + ".b" * 1000 + "; }",
+        "int f() { return a" + ".b()" * 1000 + "; }",
+        "int f() { return " + "-" * 1000 + "a; }",
+        "int f() { return " + "g(" * 300 + "a" + ")" * 300 + "; }",
+    ], ids=["ifs", "parens", "250 ifs", "300 parens", "else-if chain",
+            "operator chain", "field chain", "call chain", "unary", "calls"])
+    def test_nesting_past_the_bound_is_a_parse_error(self, source):
+        with pytest.raises(ParseError) as err:
+            parse_source(source)
+        assert err.value.expected == [f"nesting at most {MAX_NESTING} deep"]
 
     def test_statement_ids_follow_source_order(self, idle_method):
         stmts = idle_method.statements

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import basts.autodiff as ad
+from basts import summarizer
 from basts.autodiff import Adam, Tensor
+from basts.cli import CorpusRecord, RunConfig, preprocess
 from basts.frontend import AstNode
 from basts.splitter import SplitAst
 from basts.summarizer import (
@@ -24,8 +26,9 @@ from basts.summarizer import (
     source_mask,
     train_step,
 )
-from basts.syntax_encoder import SyntaxEmbedding, TreeLstmParams
+from basts.syntax_encoder import TreeLstmParams, build_type_value_vocab, encode_trees
 from oracles import fuse, positional_encoding
+from toydata import SUMMARIZATION_ROWS
 
 
 def make_model(size=8, heads=2, enc=1, dec=1, code_vocab=12, word_vocab=10, seed=0):
@@ -41,8 +44,8 @@ def make_example(code_ids=(7, 8, 9, 4), comment_ids=(1, 7, 8, 2)):
     return SummarizationExample(list(code_ids), [ast], list(comment_ids))
 
 
-def vec(values):
-    return SyntaxEmbedding(Tensor(np.asarray(values, dtype=float)), 0)
+def rows(*vectors):
+    return Tensor(np.asarray(vectors, dtype=float))
 
 
 class TestVocab:
@@ -66,19 +69,27 @@ class TestVocab:
 
 class TestAvgPool:
     def test_single_embedding_identity(self):
-        assert np.array_equal(avg_pool([vec([1.0, 3.0])]).data, [1.0, 3.0])
+        assert np.array_equal(avg_pool(rows([1.0, 3.0])).data, [1.0, 3.0])
 
     def test_two_vector_mean(self):
-        pooled = avg_pool([vec([1.0, 3.0]), vec([3.0, 1.0])])
+        pooled = avg_pool(rows([1.0, 3.0], [3.0, 1.0]))
         assert np.array_equal(pooled.data, [2.0, 2.0])
 
     def test_constant_idempotence(self):
-        pooled = avg_pool([vec([0.5, -2.0])] * 5)
+        pooled = avg_pool(rows(*[[0.5, -2.0]] * 5))
         assert np.allclose(pooled.data, [0.5, -2.0], atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 16])
+    def test_matches_sequential_mean(self, n):
+        values = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 6))
+        total = values[0].copy()
+        for row in values[1:]:
+            total = total + row
+        assert np.max(np.abs(avg_pool(Tensor(values)).data - total / n)) <= 1e-15
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInputError):
-            avg_pool([])
+            avg_pool(Tensor(np.zeros((0, 2))))
 
 
 class TestFuse:
@@ -199,12 +210,10 @@ class TestEncode:
         out = encode(ex, model)
         t = model.transformer
         with ad.no_grad():
-            from basts.syntax_encoder import encode_tree
-
-            pooled = avg_pool([encode_tree(a, model.tree) for a in ex.split_asts])
+            pooled = avg_pool(encode_trees(ex.split_asts, model.tree))
             rows = []
             for cid in ex.code_ids:
-                token = ad.embedding_lookup(t.code_embedding, cid)
+                token = Tensor(ad.embedding_lookup(t.code_embedding, [cid]).data[0])
                 rows.append(fuse(pooled, token, t).data)
         expected = np.stack(rows) + positional_matrix(len(ex.code_ids), t.size)
         assert np.allclose(out.data, expected, atol=1e-12)
@@ -221,12 +230,8 @@ class TestEncode:
         t = model.transformer
         layer = t.encoder_layers[0]
 
-        from basts.syntax_encoder import encode_tree
-
         with ad.no_grad():
-            pooled = avg_pool(
-                [encode_tree(a, model.tree) for a in ex.split_asts]
-            ).data
+            pooled = avg_pool(encode_trees(ex.split_asts, model.tree)).data
         tok = t.code_embedding.data[np.asarray(ex.code_ids)]
         joint = np.concatenate([np.tile(pooled, (3, 1)), tok], axis=1)
         x = np.maximum(joint @ t.fuse_w.data.T + t.fuse_b.data, 0.0)
@@ -317,6 +322,40 @@ class TestTrainStep:
         for name, param in targets.items():
             report = ad.grad_check(f, param)
             assert report.passed, (name, report)
+
+
+class TestCostGates:
+    """The exact, machine-independent op count of one step, pinned against regressions."""
+
+    # the 16 toy rows as one batch at the default config: L=64, 4 heads, 2+2 layers
+    TRAIN_STEP_OPS = 6385
+
+    def test_train_step_op_count(self, monkeypatch):
+        config = RunConfig()
+        corpus = preprocess(
+            [CorpusRecord(r["id"], r["code"], r["comment"]) for r in SUMMARIZATION_ROWS],
+            config,
+        )
+        roots = [a.root for r in corpus.records for a in r.splits.asts]
+        vocab = build_type_value_vocab(roots, min_freq=config.type_value_min_freq)
+        rng = np.random.default_rng(0)
+        model = SummarizerModel(
+            TreeLstmParams.init(vocab, config.embedding_size, rng),
+            TransformerParams.init(
+                len(corpus.code_vocab), len(corpus.word_vocab), config.embedding_size,
+                config.heads, config.encoder_layers, config.decoder_layers, rng,
+            ),
+        )
+        recorded = []
+
+        def counting_backward(tape, loss):
+            recorded.append(len(tape.nodes))
+            ad.backward(tape, loss)
+
+        monkeypatch.setattr(summarizer, "backward", counting_backward)
+        train_step(corpus.examples, model, Adam(model.all_params()))
+        assert len(corpus.examples) == 16
+        assert recorded == [self.TRAIN_STEP_OPS]
 
 
 class TestCausality:

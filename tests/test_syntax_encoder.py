@@ -23,7 +23,7 @@ from basts.syntax_encoder import (
     sep_score,
 )
 from conftest import parse_source
-from oracles import embed, encode_tree_per_node, tree_lstm_cell
+from oracles import embed, encode_tree_per_node, sep_loss_per_pair, tree_lstm_cell
 from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
 
 
@@ -114,7 +114,7 @@ class TestEncodeTree:
         x = embed(params, "A")
         h, _ = tree_lstm_cell(x, [(params.virtual_h, params.virtual_m)], params)
         # matrix and matrix-vector products may round differently
-        assert np.allclose(emb.vector.data, h.data, rtol=0.0, atol=1e-12)
+        assert np.allclose(emb.data[0], h.data, rtol=0.0, atol=1e-12)
 
     def test_three_node_chain_matches_manual_unrolling(self):
         params = make_params(size=3, seed=8)
@@ -124,7 +124,7 @@ class TestEncodeTree:
         )
         mid = tree_lstm_cell(embed(params, "B"), [leaf], params)
         root = tree_lstm_cell(embed(params, "A"), [mid], params)
-        assert np.allclose(emb.vector.data, root[0].data, atol=1e-15)
+        assert np.allclose(emb.data[0], root[0].data, atol=1e-15)
 
     def test_node_id_permutation_invariance(self):
         params = make_params(size=3, seed=4)
@@ -136,14 +136,14 @@ class TestEncodeTree:
         b.root.children[0].node_id = 17
         b.root.children[0].children[0].node_id = 5
         assert np.array_equal(
-            encode_tree(a, params).vector.data, encode_tree(b, params).vector.data
+            encode_tree(a, params).data, encode_tree(b, params).data
         )
 
     def test_unknown_labels_fall_to_unk(self):
         params = make_params(size=3, seed=4)
         seen = encode_tree(SplitAst(0, AstNode(0, "NeverSeen")), params)
         unk = encode_tree(SplitAst(0, AstNode(0, "<UNK>")), params)
-        assert np.array_equal(seen.vector.data, unk.vector.data)
+        assert np.array_equal(seen.data, unk.data)
 
     def test_gradients_through_recursion(self):
         params = make_params(size=3, seed=11)
@@ -151,7 +151,7 @@ class TestEncodeTree:
 
         def f(_):
             emb = encode_tree(tree, params)
-            return ad.sum_(ad.mul(emb.vector, emb.vector))
+            return ad.sum_(ad.mul(emb, emb))
 
         for target in (params.u_f, params.embedding, params.virtual_m):
             report = ad.grad_check(f, target)
@@ -180,19 +180,18 @@ def tree_grads(trees, params, fold):
     for p in params.all_params():
         p.zero_grad()
     with Tape() as tape:
-        embeddings = fold(trees, params)
-        loss = ad.sum_(ad.mul(embeddings[0].vector, Tensor(readout[0])))
-        for e, w in zip(embeddings[1:], readout[1:]):
-            loss = ad.add(loss, ad.sum_(ad.mul(e.vector, Tensor(w))))
+        roots = fold(trees, params)
+        loss = ad.sum_(ad.mul(roots, Tensor(readout)))
         backward(tape, loss)
     grads = {name: p.grad.copy() for name, p in params.named_params()}
     for p in params.all_params():
         p.zero_grad()
-    return [e.vector.data for e in embeddings], grads
+    return roots.data, grads
 
 
 def per_node_fold(trees, params):
-    return [encode_tree_per_node(t, params) for t in trees]
+    """The oracle's root vectors stacked as the rows of one matrix."""
+    return ad.concat([ad.repeat_row(encode_tree_per_node(t, params), 1) for t in trees])
 
 
 def _shaped_batches():
@@ -212,8 +211,8 @@ class TestEncodeTreesMatchesPerNodeFold:
     def _assert_match(self, trees, params):
         got_h, got_g = tree_grads(trees, params, encode_trees)
         want_h, want_g = tree_grads(trees, params, per_node_fold)
-        for got, want in zip(got_h, want_h):
-            assert np.max(np.abs(got - want)) <= 1e-12
+        assert got_h.shape == want_h.shape == (len(trees), params.size)
+        assert np.max(np.abs(got_h - want_h)) <= 1e-12
         for name, want in want_g.items():
             scale = max(np.max(np.abs(want)), 1e-30)
             assert np.max(np.abs(got_g[name] - want)) <= 1e-10 * scale, name
@@ -234,13 +233,13 @@ class TestEncodeTreesMatchesPerNodeFold:
         trees = _shaped_batches()["mixed heights"]
         params = make_params(size=4, seed=2)
         together = encode_trees(trees, params)
-        for t, e in zip(trees, together):
-            assert e.split_id == t.split_id
-            assert np.allclose(e.vector.data, encode_tree(t, params).vector.data,
+        assert together.shape == (len(trees), params.size)
+        for i, t in enumerate(trees):
+            assert np.allclose(together.data[i], encode_tree(t, params).data[0],
                                rtol=0.0, atol=1e-12)
 
     def test_empty_batch(self):
-        assert encode_trees([], make_params()) == []
+        assert encode_trees([], make_params(size=4)).shape == (0, 4)
 
     def test_grad_check_every_parameter_on_three_trees(self):
         params = make_params(size=3, seed=12)
@@ -252,11 +251,8 @@ class TestEncodeTreesMatchesPerNodeFold:
         ]
 
         def f(_):
-            total = None
-            for e in encode_trees(trees, params):
-                term = ad.sum_(ad.mul(e.vector, e.vector))
-                total = term if total is None else ad.add(total, term)
-            return total
+            roots = encode_trees(trees, params)
+            return ad.sum_(ad.mul(roots, roots))
 
         for name, tensor in params.named_params():
             report = ad.grad_check(f, tensor)
@@ -280,8 +276,8 @@ def node_count(trees):
 class TestCostGates:
     """Exact, machine-independent costs of the fold, pinned against regressions."""
 
-    # 10 distinct trees of 103 nodes on 5 levels; a per-node fold records 3,036
-    PRETRAIN_BATCH_OPS = 269
+    # 10 distinct trees of 103 nodes on 5 levels; `sep_loss_per_pair` records 8,740
+    PRETRAIN_BATCH_OPS = 160
 
     def test_pretrain_batch_op_count(self):
         batch, model = toy_pretrain_batch()
@@ -315,7 +311,7 @@ class TestCostGates:
         params = make_params(size=size)
         with Tape() as tape:
             emb = encode_tree(tree, params)
-            loss = ad.sum_(ad.mul(emb.vector, emb.vector))
+            loss = ad.sum_(ad.mul(emb, emb))
             floats = sum(node.out().data.size for node in tape.nodes
                          if node.out() is not None)
             backward(tape, loss)
@@ -336,6 +332,10 @@ class TestCostGates:
             gc.enable()
 
 
+def rows(*vectors):
+    return Tensor(np.array(vectors, dtype=float))
+
+
 class TestSepScore:
     def test_zero_projection_gives_half(self):
         params = make_params(size=2)
@@ -344,32 +344,35 @@ class TestSepScore:
         model.score_b.data[...] = 0.0
         e1 = encode_tree(SplitAst(0, AstNode(0, "A")), params)
         e2 = encode_tree(SplitAst(1, AstNode(0, "B")), params)
-        assert sep_score(e1, e2, model).item() == 0.5
+        assert sep_score(e1, e2, model).data.tolist() == [0.5]
 
     def test_unit_projection_of_first_coordinate(self):
-        from basts.syntax_encoder import SyntaxEmbedding
-
         params = make_params(size=2)
         model = SepModel.init(params, np.random.default_rng(0))
         model.score_w.data[...] = 0.0
         model.score_w.data[0] = 1.0
         model.score_b.data[...] = 0.0
-        e_t = SyntaxEmbedding(Tensor(np.array([2.0, 0.0])), 0)
-        e_tp = SyntaxEmbedding(Tensor(np.array([0.0, 0.0])), 1)
-        score = sep_score(e_t, e_tp, model)
-        assert abs(score.item() - 0.8807970779778823) < 1e-12
+        score = sep_score(rows([2.0, 0.0]), rows([0.0, 0.0]), model)
+        assert score.shape == (1,)
+        assert abs(score.data[0] - 0.8807970779778823) < 1e-12
 
     def test_asymmetric_in_argument_order(self):
-        from basts.syntax_encoder import SyntaxEmbedding
-
         params = make_params(size=2)
         model = SepModel.init(params, np.random.default_rng(0))
         model.score_w.data[:] = [1.0, 0.0, -1.0, 0.0]
-        e_a = SyntaxEmbedding(Tensor(np.array([1.0, 0.0])), 0)
-        e_b = SyntaxEmbedding(Tensor(np.array([3.0, 0.0])), 1)
-        s_ab = sep_score(e_a, e_b, model).item()
-        s_ba = sep_score(e_b, e_a, model).item()
+        e_a, e_b = rows([1.0, 0.0]), rows([3.0, 0.0])
+        s_ab = sep_score(e_a, e_b, model).data[0]
+        s_ba = sep_score(e_b, e_a, model).data[0]
         assert s_ab != s_ba
+
+    def test_rows_score_independently(self):
+        params = make_params(size=2)
+        model = SepModel.init(params, np.random.default_rng(3))
+        left, right = rows([1.0, -2.0], [0.5, 0.0]), rows([0.0, 3.0], [-1.0, 1.0])
+        both = sep_score(left, right, model).data
+        for i in range(2):
+            one = sep_score(rows(left.data[i]), rows(right.data[i]), model).data
+            assert np.allclose(both[i], one[0], rtol=0.0, atol=1e-15)
 
 
 class TestSepLoss:
@@ -420,6 +423,35 @@ class TestSepLoss:
         for target in (model.score_w, params.w_o):
             report = ad.grad_check(f, target)
             assert report.passed, report
+
+
+def pair_loss_grads(loss_fn, batch, model):
+    for p in model.all_params():
+        p.zero_grad()
+    with Tape() as tape:
+        loss = loss_fn(batch, model)
+        backward(tape, loss)
+    grads = {name: p.grad.copy() for name, p in model.named_params()}
+    for p in model.all_params():
+        p.zero_grad()
+    return loss.item(), grads
+
+
+class TestSepLossMatchesPerPairOracle:
+    """The vector loss against one score and one loss term per pair."""
+
+    @pytest.mark.parametrize("labels", ["toy", "all positive", "all negative"])
+    def test_loss_and_gradients(self, labels):
+        batch, model = toy_pretrain_batch()
+        if labels != "toy":
+            label = 1 if labels == "all positive" else 0
+            batch = [PairExample(p.t, p.t_prime, label) for p in batch]
+        got_loss, got_g = pair_loss_grads(sep_loss, batch, model)
+        want_loss, want_g = pair_loss_grads(sep_loss_per_pair, batch, model)
+        assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+        for name, want in want_g.items():
+            scale = max(np.max(np.abs(want)), 1e-30)
+            assert np.max(np.abs(got_g[name] - want)) <= 1e-10 * scale, name
 
 
 class TestGeneratePairs:
