@@ -10,6 +10,10 @@ The graph holds no reference cycles, so reference counting frees a
 step's arrays as soon as its tape and loss are dropped. Strong references
 run one way only: tape -> node -> input tensors -> their nodes; a node
 refers to its output tensor and to its tape weakly.
+
+Model parameters live in dataclasses that subclass Params, whose one
+walk names every Tensor by field declaration order; that walk is the
+optimizer's parameter list and the checkpoint's blob layout.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,6 +59,32 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+class Params:
+    """Base of the parameter dataclasses; one walk names every tensor.
+
+    Names follow field declaration order: a Tensor field is named by its
+    field, a Params field adds "field." to its own names, item i of a
+    list field adds "field<i>.", and other fields (sizes, vocabularies)
+    hold no parameters. Adam and the checkpoint layout both read this.
+    """
+
+    def named_params(self, prefix: str = "") -> list[tuple[str, Tensor]]:
+        out = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out.append((prefix + f.name, value))
+            elif isinstance(value, Params):
+                out.extend(value.named_params(f"{prefix}{f.name}."))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    out.extend(item.named_params(f"{prefix}{f.name}{i}."))
+        return out
+
+    def all_params(self) -> list[Tensor]:
+        return [t for _, t in self.named_params()]
 
 
 class _OpNode:

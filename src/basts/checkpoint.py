@@ -9,7 +9,7 @@ Layout (all integers little-endian):
     checksum  u32      crc32 of everything between magic and checksum
 
 The tree section stores the embedding width, the type_value vocabulary in
-row order, and the named parameter blobs in their declaration order; with
+row order, and the parameter blobs in `named_params()` order; with
 the pair-scoring head appended it is a pre-training checkpoint on its
 own. The transformer section adds the two token vocabularies, the layer
 geometry, and its parameter blobs. Identical parameters serialize to
@@ -51,13 +51,15 @@ def _pack_str_list(out: bytearray, items: list[str]):
         _pack_str(out, item)
 
 
-def _pack_blob(out: bytearray, name: str, tensor: Tensor):
-    _pack_str(out, name)
-    shape = tensor.data.shape
-    out += struct.pack("<B", len(shape))
-    for dim in shape:
-        out += struct.pack("<Q", dim)
-    out += np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
+def _pack_blobs(out: bytearray, blobs: list[tuple[str, Tensor]]):
+    out += struct.pack("<I", len(blobs))
+    for name, tensor in blobs:
+        _pack_str(out, name)
+        shape = tensor.data.shape
+        out += struct.pack("<B", len(shape))
+        for dim in shape:
+            out += struct.pack("<Q", dim)
+        out += np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
 
 
 class _Reader:
@@ -96,29 +98,27 @@ class _Reader:
         return name, data.astype(np.float64)
 
 
+def _tree_blobs(tree: TreeLstmParams, sep: SepModel | None):
+    """The tree section's blobs: the tree's, then the pair-scoring head's."""
+    blobs = tree.named_params()
+    if sep is not None:
+        blobs = blobs + [("score_w", sep.score_w), ("score_b", sep.score_b)]
+    return blobs
+
+
 def _pack_tree(out: bytearray, tree: TreeLstmParams, sep: SepModel | None):
     out += struct.pack("<I", tree.size)
     rows = sorted(tree.vocab, key=tree.vocab.get)
     _pack_str_list(out, rows)
-    blobs = tree.named_params()
-    if sep is not None:
-        blobs = blobs + [("score_w", sep.score_w), ("score_b", sep.score_b)]
-    out += struct.pack("<I", len(blobs))
-    for name, tensor in blobs:
-        _pack_blob(out, name, tensor)
+    _pack_blobs(out, _tree_blobs(tree, sep))
 
 
 def _pack_transformer(out: bytearray, t: TransformerParams,
                       code_vocab: Vocab, word_vocab: Vocab):
-    out += struct.pack(
-        "<IIII", t.size, t.heads, len(t.encoder_layers), len(t.decoder_layers)
-    )
+    out += struct.pack("<IIII", t.size, t.heads, len(t.enc), len(t.dec))
     _pack_str_list(out, code_vocab.id_to_token)
     _pack_str_list(out, word_vocab.id_to_token)
-    blobs = t.named_params()
-    out += struct.pack("<I", len(blobs))
-    for name, tensor in blobs:
-        _pack_blob(out, name, tensor)
+    _pack_blobs(out, t.named_params())
 
 
 def _fill(params: list[tuple[str, Tensor]], blobs: dict[str, np.ndarray]):
@@ -194,7 +194,7 @@ def deserialize(raw: bytes) -> Checkpoint:
         out.tree = TreeLstmParams.init(vocab, size, rng)
         if "score_w" in blobs:
             out.sep = SepModel.init(out.tree, rng)
-        _fill((out.sep or out.tree).named_params(), blobs)
+        _fill(_tree_blobs(out.tree, out.sep), blobs)
     if flags & _FLAG_TRANSFORMER:
         size, heads, n_enc, n_dec = (r.u32() for _ in range(4))
         code_tokens = r.str_list()

@@ -68,17 +68,27 @@ class CorpusRecord:
 
 
 def load_corpus(path) -> list[CorpusRecord]:
-    """Read JSON Lines records with id/code/comment fields, in file order."""
+    """Read JSON Lines records with id/code/comment fields, in file order.
+
+    Each line is decoded on its own, so invalid UTF-8 is reported with its
+    line number.
+    """
     records = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise FormatError(f"invalid UTF-8 at byte {err.start}", line_no) from err
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise FormatError(f"invalid JSON ({err.msg})", line_no) from err
+            if not isinstance(obj, dict):
+                raise FormatError("record is not a JSON object", line_no)
             for key in ("id", "code", "comment"):
                 if key not in obj:
                     raise FormatError(f"missing field {key!r}", line_no)
@@ -132,7 +142,7 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         """Parse a key = value config file; '#' starts a comment line."""
         values = {}
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 text = line.strip()
@@ -142,15 +152,11 @@ class RunConfig:
                     raise FormatError("expected key = value", line_no)
                 key, _, value = text.partition("=")
                 key, value = key.strip(), value.strip()
-                if key not in types:
+                if key not in defaults:
                     raise FormatError(f"unknown config key {key!r}", line_no)
+                kind = type(defaults[key])  # bool, int or float
                 try:
-                    if types[key] == "bool" or types[key] is bool:
-                        values[key] = _BOOL_VALUES[value.lower()]
-                    elif types[key] == "float" or types[key] is float:
-                        values[key] = float(value)
-                    else:
-                        values[key] = int(value)
+                    values[key] = _BOOL_VALUES[value.lower()] if kind is bool else kind(value)
                 except (KeyError, ValueError) as err:
                     raise FormatError(f"bad value for {key}: {value!r}", line_no) from err
         return cls(**values).validate()

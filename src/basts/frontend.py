@@ -10,6 +10,7 @@ docs/grammar.md.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,6 +61,11 @@ BOOL_TOKEN = "<BOOL>"
 _TWO_CHAR_OPS = ("==", "!=", "<=", ">=", "&&", "||")
 _ONE_CHAR_OPS = "=<>+-*/%!"
 _PUNCT = "(){};,."
+# ASCII only, as docs/grammar.md gives them; str.isdigit/isalpha also
+# accept characters such as "²", "٣" and "é"
+_DIGITS = frozenset(string.digits)
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
 
 
 def tokenize(source: str) -> list[Token]:
@@ -81,13 +87,13 @@ def tokenize(source: str) -> list[Token]:
                 raise LexError("unterminated block comment", i)
             i = j + 2
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i + 1
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
-            if j < n - 1 and source[j] == "." and source[j + 1].isdigit():
+            if j < n - 1 and source[j] == "." and source[j + 1] in _DIGITS:
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             out.append(Token(source[i:j], TokenKind.NUMBER_LIT, i))
             i = j
@@ -101,9 +107,9 @@ def tokenize(source: str) -> list[Token]:
             out.append(Token(source[i : j + 1], TokenKind.STRING_LIT, i))
             i = j + 1
             continue
-        if c.isalpha() or c == "_":
+        if c in _IDENT_START:
             j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and source[j] in _IDENT_CHARS:
                 j += 1
             text = source[i:j]
             if text in ("true", "false"):

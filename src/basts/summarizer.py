@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from basts import autodiff as ad
-from basts.autodiff import Adam, Tape, Tensor, backward, no_grad
+from basts.autodiff import Adam, Params, Tape, Tensor, backward, no_grad
 from basts.splitter import SplitAst
 from basts.syntax_encoder import TreeLstmParams, encode_trees
 # encode_tree is also reachable here (bench/workloads.py wraps it by this name)
@@ -53,14 +53,12 @@ class Vocab:
     id_to_token: list[str]
 
     @classmethod
-    def build(cls, sequences, min_freq: int = 1) -> "Vocab":
-        counts = Counter()
-        for seq in sequences:
-            counts.update(seq)
-        id_to_token = list(SPECIAL_TOKENS)
-        for token, freq in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            if freq >= min_freq and token not in SPECIAL_TOKENS:
-                id_to_token.append(token)
+    def build(cls, sequences) -> "Vocab":
+        counts = Counter(token for seq in sequences for token in seq)
+        ranked = sorted(counts, key=lambda token: (-counts[token], token))
+        id_to_token = list(SPECIAL_TOKENS) + [
+            token for token in ranked if token not in SPECIAL_TOKENS
+        ]
         return cls({t: i for i, t in enumerate(id_to_token)}, id_to_token)
 
     def __len__(self):
@@ -88,7 +86,7 @@ class SummarizationExample:
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(Params):
     wq: Tensor
     wk: Tensor
     wv: Tensor
@@ -98,15 +96,9 @@ class AttentionParams:
     def init(cls, size, rng):
         return cls(*(ad.glorot_init(rng, size, size) for _ in range(4)))
 
-    def named(self, prefix):
-        return [
-            (f"{prefix}.wq", self.wq), (f"{prefix}.wk", self.wk),
-            (f"{prefix}.wv", self.wv), (f"{prefix}.wo", self.wo),
-        ]
-
 
 @dataclass
-class LayerNormParams:
+class LayerNormParams(Params):
     gain: Tensor
     bias: Tensor
 
@@ -114,12 +106,9 @@ class LayerNormParams:
     def init(cls, size):
         return cls(Tensor(np.ones(size), requires_grad=True), ad.zeros_init(size))
 
-    def named(self, prefix):
-        return [(f"{prefix}.gain", self.gain), (f"{prefix}.bias", self.bias)]
-
 
 @dataclass
-class FeedForwardParams:
+class FeedForwardParams(Params):
     w1: Tensor
     b1: Tensor
     w2: Tensor
@@ -134,15 +123,9 @@ class FeedForwardParams:
             ad.zeros_init(size),
         )
 
-    def named(self, prefix):
-        return [
-            (f"{prefix}.w1", self.w1), (f"{prefix}.b1", self.b1),
-            (f"{prefix}.w2", self.w2), (f"{prefix}.b2", self.b2),
-        ]
-
 
 @dataclass
-class EncoderLayerParams:
+class EncoderLayerParams(Params):
     attn: AttentionParams
     ln1: LayerNormParams
     ffn: FeedForwardParams
@@ -157,17 +140,9 @@ class EncoderLayerParams:
             LayerNormParams.init(size),
         )
 
-    def named(self, prefix):
-        return (
-            self.attn.named(f"{prefix}.attn")
-            + self.ln1.named(f"{prefix}.ln1")
-            + self.ffn.named(f"{prefix}.ffn")
-            + self.ln2.named(f"{prefix}.ln2")
-        )
-
 
 @dataclass
-class DecoderLayerParams:
+class DecoderLayerParams(Params):
     self_attn: AttentionParams
     ln1: LayerNormParams
     cross_attn: AttentionParams
@@ -186,27 +161,17 @@ class DecoderLayerParams:
             LayerNormParams.init(size),
         )
 
-    def named(self, prefix):
-        return (
-            self.self_attn.named(f"{prefix}.self_attn")
-            + self.ln1.named(f"{prefix}.ln1")
-            + self.cross_attn.named(f"{prefix}.cross_attn")
-            + self.ln2.named(f"{prefix}.ln2")
-            + self.ffn.named(f"{prefix}.ffn")
-            + self.ln3.named(f"{prefix}.ln3")
-        )
-
 
 @dataclass
-class TransformerParams:
+class TransformerParams(Params):
     size: int  # embedding width L, split across heads
     heads: int
     code_embedding: Tensor
     word_embedding: Tensor
     fuse_w: Tensor  # L x 2L projection applied to concat(pooled, token)
     fuse_b: Tensor
-    encoder_layers: list[EncoderLayerParams]
-    decoder_layers: list[DecoderLayerParams]
+    enc: list[EncoderLayerParams]  # blob names enc0., enc1., ...
+    dec: list[DecoderLayerParams]
     out_w: Tensor  # L x |W| word projection
     out_b: Tensor
 
@@ -224,53 +189,22 @@ class TransformerParams:
             word_embedding=ad.uniform_init(rng, (word_vocab_size, size), 0.1),
             fuse_w=ad.glorot_init(rng, 2 * size, size, shape=(size, 2 * size)),
             fuse_b=ad.zeros_init(size),
-            encoder_layers=[
-                EncoderLayerParams.init(size, hidden, rng)
-                for _ in range(encoder_layers)
-            ],
-            decoder_layers=[
-                DecoderLayerParams.init(size, hidden, rng)
-                for _ in range(decoder_layers)
-            ],
+            enc=[EncoderLayerParams.init(size, hidden, rng)
+                 for _ in range(encoder_layers)],
+            dec=[DecoderLayerParams.init(size, hidden, rng)
+                 for _ in range(decoder_layers)],
             out_w=ad.glorot_init(rng, size, word_vocab_size,
                                  shape=(size, word_vocab_size)),
             out_b=ad.zeros_init(word_vocab_size),
         )
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        out = [
-            ("code_embedding", self.code_embedding),
-            ("word_embedding", self.word_embedding),
-            ("fuse_w", self.fuse_w),
-            ("fuse_b", self.fuse_b),
-        ]
-        for i, layer in enumerate(self.encoder_layers):
-            out.extend(layer.named(f"enc{i}"))
-        for i, layer in enumerate(self.decoder_layers):
-            out.extend(layer.named(f"dec{i}"))
-        out.extend([("out_w", self.out_w), ("out_b", self.out_b)])
-        return out
-
-    def all_params(self) -> list[Tensor]:
-        return [t for _, t in self.named_params()]
-
 
 @dataclass
-class SummarizerModel:
+class SummarizerModel(Params):
     """Tree encoder plus Transformer; the unit that checkpoints store."""
 
     tree: TreeLstmParams
     transformer: TransformerParams
-
-    def named_params(self):
-        return [
-            (f"tree.{n}", t) for n, t in self.tree.named_params()
-        ] + [
-            (f"transformer.{n}", t) for n, t in self.transformer.named_params()
-        ]
-
-    def all_params(self):
-        return [t for _, t in self.named_params()]
 
 
 # --- building blocks --------------------------------------------------------
@@ -386,7 +320,7 @@ def encode(example: SummarizationExample, model: SummarizerModel,
 
     keys_ok = source_mask(example)
     allowed = np.broadcast_to(keys_ok, (n, n))
-    for layer in t.encoder_layers:
+    for layer in t.enc:
         x = _encoder_layer(x, layer, t.heads, allowed)
     return x
 
@@ -405,7 +339,7 @@ def decoder_logits(target_ids: list[int], memory: Tensor, keys_ok: np.ndarray,
     self_allowed = causal & target_ok
     np.fill_diagonal(self_allowed, True)  # a position may always see itself
     cross_allowed = np.broadcast_to(keys_ok, (s, memory.shape[0]))
-    for layer in t.decoder_layers:
+    for layer in t.dec:
         y = _decoder_layer(y, memory, layer, t.heads, self_allowed, cross_allowed)
     return ad.add_rowvec(ad.matmul(y, t.out_w), t.out_b)
 

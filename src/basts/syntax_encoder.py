@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from basts import autodiff as ad
-from basts.autodiff import Adam, Tape, Tensor, backward
+from basts.autodiff import Adam, Params, Tape, Tensor, backward
 from basts.frontend import iter_nodes
 from basts.splitter import MethodSplits, SplitAst
 
@@ -56,7 +56,7 @@ def build_type_value_vocab(roots, min_freq: int = 2) -> dict[str, int]:
 
 
 @dataclass
-class TreeLstmParams:
+class TreeLstmParams(Params):
     vocab: dict[str, int]
     size: int
     embedding: Tensor  # |vocab| x L rows of type_value embeddings
@@ -100,19 +100,6 @@ class TreeLstmParams:
             virtual_h=ad.uniform_init(rng, size, 0.1),
             virtual_m=ad.uniform_init(rng, size, 0.1),
         )
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("embedding", self.embedding),
-            ("w_i", self.w_i), ("u_i", self.u_i), ("b_i", self.b_i),
-            ("w_f", self.w_f), ("u_f", self.u_f), ("b_f", self.b_f),
-            ("w_o", self.w_o), ("u_o", self.u_o), ("b_o", self.b_o),
-            ("w_u", self.w_u), ("u_u", self.u_u), ("b_u", self.b_u),
-            ("virtual_h", self.virtual_h), ("virtual_m", self.virtual_m),
-        ]
-
-    def all_params(self) -> list[Tensor]:
-        return [t for _, t in self.named_params()]
 
 
 _VIRTUAL = -1  # the level of the virtual child state, one row
@@ -231,7 +218,7 @@ def encode_tree(t: SplitAst, params: TreeLstmParams) -> Tensor:
 
 
 @dataclass
-class SepModel:
+class SepModel(Params):
     tree: TreeLstmParams
     score_w: Tensor  # length 2L projection
     score_b: Tensor  # scalar bias
@@ -244,15 +231,6 @@ class SepModel:
             score_w=ad.glorot_init(rng, two_l, 1, shape=(two_l,)),
             score_b=ad.zeros_init(()),
         )
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return self.tree.named_params() + [
-            ("score_w", self.score_w),
-            ("score_b", self.score_b),
-        ]
-
-    def all_params(self) -> list[Tensor]:
-        return [t for _, t in self.named_params()]
 
 
 @dataclass

@@ -5,7 +5,9 @@
 `summarizer.positional_matrix`; `tree_lstm_cell` and `encode_tree_per_node`
 are the one-cell-per-node form of `syntax_encoder.encode_trees`;
 `sep_loss_per_pair` is the per-pair score and cross-entropy loop that
-`syntax_encoder.sep_loss` computes as one vector expression.
+`syntax_encoder.sep_loss` computes as one vector expression;
+`reachable_tensors` finds by brute force what `autodiff.Params.named_params`
+walks by dataclass field.
 """
 
 import math
@@ -110,3 +112,26 @@ def sep_loss_per_pair(pairs: list[PairExample], model: SepModel) -> Tensor:
             term = ad.log(ad.add(ad.scalar_mul(score, -1.0), Tensor(1.0)), floor=SCORE_FLOOR)
         total = term if total is None else ad.add(total, term)
     return ad.scalar_mul(total, -1.0 / len(pairs))
+
+
+def reachable_tensors(root) -> list[Tensor]:
+    """Every distinct Tensor reachable from root through attributes and containers.
+
+    Follows `vars()` of any object with a `__dict__` and the items of lists,
+    tuples and dicts, whatever the field types say.
+    """
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found

@@ -70,6 +70,34 @@ class TestLoadCorpus:
             load_corpus(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("value", ["5", "null", '"m1"', "[1, 2]"])
+    def test_non_object_line_names_line(self, tmp_path, value):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(toy_rows()[0]) + "\n" + value + "\n")
+        with pytest.raises(FormatError, match="not a JSON object") as err:
+            load_corpus(path)
+        assert err.value.line == 2
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(
+            json.dumps(toy_rows()[0]).encode() + b'\n{"id": "\xff"}\n'
+        )
+        with pytest.raises(FormatError, match="invalid UTF-8") as err:
+            load_corpus(path)
+        assert err.value.line == 2
+
+    def test_crlf_lines_and_non_ascii_text(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        rows = toy_rows()
+        rows[0]["comment"] = "Adds two numbers, café."
+        path.write_bytes(b"".join(
+            json.dumps(row, ensure_ascii=False).encode() + b"\r\n" for row in rows
+        ))
+        records = load_corpus(path)
+        assert [r.record_id for r in records] == ["m1", "m2", "m3"]
+        assert records[0].comment == "Adds two numbers, café."
+
     def test_missing_file_raises_io(self, tmp_path):
         with pytest.raises(OSError):
             load_corpus(tmp_path / "nope.jsonl")
@@ -87,12 +115,21 @@ class TestRunConfig:
         path.write_text(
             "# toy setup\nembedding_size = 16\nheads = 2\n"
             "learning_rate = 0.01\nfreeze_pretrained = true\n"
+            "bleu_smoothing = 0\n"
         )
         config = RunConfig.from_file(path)
         assert config.embedding_size == 16
         assert config.heads == 2
         assert config.learning_rate == 0.01
         assert config.freeze_pretrained is True
+        assert config.bleu_smoothing is False
+        path.write_text("learning_rate = 1\n")
+        config = RunConfig.from_file(path)
+        assert config.learning_rate == 1.0 and type(config.learning_rate) is float
+        path.write_text("heads = 2\nepochs = 2.5\n")
+        with pytest.raises(FormatError, match="bad value for epochs") as err:
+            RunConfig.from_file(path)
+        assert err.value.line == 2
 
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ConfigError):

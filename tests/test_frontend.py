@@ -59,6 +59,19 @@ class TestTokenize:
             lex("x = @;")
         assert err.value.offset == 4
 
+    @pytest.mark.parametrize("src, offset", [
+        ("int é = 1;", 4),     # a non-ASCII letter starts no identifier
+        ("int aé = 1;", 5),    # ... and continues none
+        ("x = ٣;", 4),         # Arabic-Indic digit
+        ("x = ²;", 4),         # superscript two
+        ("x = 1٣;", 5),        # a non-ASCII digit continues no number
+        ("x = 1.٣;", 6),       # ... nor a fraction: "1", ".", then the digit
+    ])
+    def test_non_ascii_letters_and_digits_rejected(self, src, offset):
+        with pytest.raises(LexError) as err:
+            lex(src)
+        assert err.value.offset == offset
+
     def test_roundtrip_lexical_content(self):
         src = "int x = 3 ; x = x + 1 ; f ( x , \"s\" ) ;"
         assert " ".join(t.text for t in lex(src)) == src

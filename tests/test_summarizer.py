@@ -228,7 +228,7 @@ class TestEncode:
         model = make_model(size=2, heads=1, enc=1, dec=0, seed=11)
         ex = make_example(code_ids=(7, 8, 9), comment_ids=(1, 7, 2))
         t = model.transformer
-        layer = t.encoder_layers[0]
+        layer = t.enc[0]
 
         with ad.no_grad():
             pooled = avg_pool(encode_trees(ex.split_asts, model.tree)).data
@@ -313,9 +313,9 @@ class TestTrainStep:
 
         targets = {
             "fuse_w": model.transformer.fuse_w,
-            "enc_wq": model.transformer.encoder_layers[0].attn.wq,
-            "dec_cross_wv": model.transformer.decoder_layers[0].cross_attn.wv,
-            "ln_gain": model.transformer.encoder_layers[0].ln1.gain,
+            "enc_wq": model.transformer.enc[0].attn.wq,
+            "dec_cross_wv": model.transformer.dec[0].cross_attn.wv,
+            "ln_gain": model.transformer.enc[0].ln1.gain,
             "tree_u_i": model.tree.u_i,
             "virtual_h": model.tree.virtual_h,
         }
