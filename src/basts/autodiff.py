@@ -6,6 +6,11 @@ into input gradients. A tape supports one backward pass. There is no
 broadcasting beyond scalars and the few row-wise composites defined here;
 shapes are checked eagerly and mismatches raise ShapeError.
 
+Python bookkeeping per recorded op, not arithmetic, bounds the speed of
+a step, so larger composites are single ops with hand-written
+backwards: `attention` runs every head of a multi-head attention as one
+batched product, masked softmax and weighted sum.
+
 The graph holds no reference cycles, so reference counting frees a
 step's arrays as soon as its tape and loss are dropped. Strong references
 run one way only: tape -> node -> input tensors -> their nodes; a node
@@ -268,26 +273,55 @@ def log(x: Tensor, floor: float = 0.0) -> Tensor:
     return _emit(np.log(xd), (x,), lambda g: (g * inside / xd,))
 
 
-def row_softmax(x: Tensor, additive_mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis of a vector or matrix.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              additive_mask: np.ndarray) -> Tensor:
+    """Scaled dot-product attention of every head at once, as one op.
 
-    `additive_mask` is a constant of the same shape holding 0 where a
-    position participates and -inf where it is excluded; excluded
-    positions get probability exactly 0 and zero gradient.
+    q is [n, L], k and v are [m, L]; head h owns columns [h*d, (h+1)*d)
+    of each, d = L / heads. `additive_mask` is a constant [n, m] holding
+    0 where query i may look at key j and -inf where it may not; a masked
+    key gets weight exactly 0 and no gradient. A query row must keep at
+    least one key. The [n, L] result holds head h's contexts in its
+    columns, as the heads' outputs side by side.
     """
-    z = x.data if additive_mask is None else x.data + additive_mask
-    z2 = z if z.ndim == 2 else z[None, :]
-    m = z2.max(axis=1, keepdims=True)
-    e = np.exp(z2 - m)
-    y2 = e / e.sum(axis=1, keepdims=True)
-    y = y2 if z.ndim == 2 else y2[0]
+    _require(
+        q.ndim == 2 and k.ndim == 2 and v.ndim == 2,
+        f"attention expects matrices, got {q.shape}, {k.shape}, {v.shape}",
+    )
+    n, size = q.shape
+    m = k.shape[0]
+    _require(
+        k.shape == (m, size) and v.shape == (m, size),
+        f"attention needs k and v of shape [m, {size}], got {k.shape} and {v.shape}",
+    )
+    _require(
+        heads > 0 and size % heads == 0,
+        f"attention width {size} does not split into {heads} heads",
+    )
+    mask = np.asarray(additive_mask, dtype=np.float64)
+    _require(mask.shape == (n, m), f"attention mask must be [{n}, {m}], got {mask.shape}")
+    d = size // heads
+    scale = 1.0 / math.sqrt(d)
+
+    def split(x):  # [rows, L] -> [heads, rows, d]
+        return x.reshape(x.shape[0], heads, d).transpose(1, 0, 2)
+
+    def join(x):  # [heads, rows, d] -> [rows, L]
+        return x.transpose(1, 0, 2).reshape(x.shape[1], size)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    z = (qh @ kh.transpose(0, 2, 1)) * scale + mask
+    e = np.exp(z - z.max(axis=2, keepdims=True))
+    p = e / e.sum(axis=2, keepdims=True)
 
     def back(g):
-        g2 = g if g.ndim == 2 else g[None, :]
-        dz = y2 * (g2 - (g2 * y2).sum(axis=1, keepdims=True))
-        return (dz if g.ndim == 2 else dz[0],)
+        gh = split(g)
+        dp = gh @ vh.transpose(0, 2, 1)
+        dv = p.transpose(0, 2, 1) @ gh
+        dz = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * scale
+        return join(dz @ kh), join(dz.transpose(0, 2, 1) @ qh), join(dv)
 
-    return _emit(y, (x,), back)
+    return _emit(join(p @ vh), (q, k, v), back)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -451,8 +485,8 @@ class Adam:
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not (lr > 0 and math.isfinite(lr)):
+            raise ValueError(f"learning rate must be positive and finite, got {lr}")
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1

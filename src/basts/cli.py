@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -134,8 +135,10 @@ class RunConfig:
         for name in ("encoder_layers", "decoder_layers"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         return self
 
     @classmethod

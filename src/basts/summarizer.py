@@ -1,17 +1,21 @@
 """Fusion Transformer that turns code plus split-AST encodings into comments.
 
-The [T, L] matrix of an example's split embeddings is average-pooled in
-one op into one syntax vector, concatenated with every code token
-embedding, and projected through a ReLU layer; the result, plus
-sinusoidal position encodings, feeds a standard multi-head
-encoder/decoder stack (post-sublayer layer norm, residual connections,
-padding and causal masks). Training is teacher-forced cross entropy;
-decoding is greedy.
+Each example's split embeddings are average-pooled into one syntax
+vector, concatenated with every code token embedding, and projected
+through a ReLU layer; the result, plus sinusoidal position encodings,
+feeds a standard multi-head encoder/decoder stack (post-sublayer layer
+norm, residual connections, padding and causal masks). Training is
+teacher-forced cross entropy; decoding is greedy.
+
+A batch is encoded together: one `encode_trees` call folds every split
+AST of the batch, and one matmul with a constant averaging matrix pools
+them per example. Every attention call runs all of its heads as one
+`autodiff.attention` op, so its tape cost does not grow with the head
+count.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -210,14 +214,6 @@ class SummarizerModel(Params):
 # --- building blocks --------------------------------------------------------
 
 
-def avg_pool(roots: Tensor) -> Tensor:
-    """Coordinate-wise mean of the rows of a [T, L] split-embedding matrix."""
-    n = roots.shape[0]
-    if n == 0:
-        raise EmptyInputError("cannot pool an empty embedding matrix")
-    return ad.matmul(Tensor(np.full(n, 1.0 / n)), roots)
-
-
 _POS_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -240,30 +236,19 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: AttentionParams,
     """Scaled dot-product attention over `heads` column slices.
 
     `allowed[i, j]` marks whether query position i may look at key
-    position j; a query row with no allowed key raises MaskError.
+    position j; a query row with no allowed key raises MaskError. Five
+    tape ops at any head count: three projections, `autodiff.attention`
+    and the output projection.
     """
     rows_ok = allowed.any(axis=1)
     if not rows_ok.all():
         bad = int(np.flatnonzero(~rows_ok)[0])
         raise MaskError(f"query position {bad} has every key masked")
-    size = x_q.shape[1]
-    head_width = size // heads
-    additive = np.where(allowed, 0.0, -np.inf)
     q = ad.matmul(x_q, params.wq)
     k = ad.matmul(x_kv, params.wk)
     v = ad.matmul(x_kv, params.wv)
-    contexts = []
-    scale = 1.0 / math.sqrt(head_width)
-    for h in range(heads):
-        lo, hi = h * head_width, (h + 1) * head_width
-        scores = ad.scalar_mul(
-            ad.matmul(ad.col_slice(q, lo, hi), ad.transpose(ad.col_slice(k, lo, hi))),
-            scale,
-        )
-        attn = ad.row_softmax(scores, additive)
-        contexts.append(ad.matmul(attn, ad.col_slice(v, lo, hi)))
-    joined = contexts[0] if heads == 1 else ad.concat(contexts, axis=1)
-    return ad.matmul(joined, params.wo)
+    contexts = ad.attention(q, k, v, heads, np.where(allowed, 0.0, -np.inf))
+    return ad.matmul(contexts, params.wo)
 
 
 def _feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
@@ -297,32 +282,57 @@ def source_mask(example: SummarizationExample) -> np.ndarray:
     return np.asarray(example.code_ids) != Vocab.PAD
 
 
-def encode(example: SummarizationExample, model: SummarizerModel,
-           freeze_tree: bool = False) -> Tensor:
-    """Source encoding: fused and positioned inputs through the encoder stack.
+def encode_batch(batch: list[SummarizationExample], model: SummarizerModel,
+                 freeze_tree: bool = False) -> list[Tensor]:
+    """Source encodings of a batch: one [n, L] matrix per example.
 
-    With zero encoder layers the result is exactly the fused inputs plus
-    position encodings. PAD key positions are masked in attention.
+    Every split AST of the batch is folded in one `encode_trees` call;
+    one matmul with a constant [B, T] averaging matrix pools each
+    example's roots into row b of a [B, L] matrix, and an example takes
+    its row once per code token. The fused and positioned inputs then go
+    through the encoder stack, with PAD key positions masked.
     """
     t = model.transformer
+    trees, spans = [], []
+    for b, example in enumerate(batch):
+        if not example.split_asts:
+            raise EmptyInputError(f"example {b} of the batch has no split ASTs")
+        spans.append((len(trees), len(trees) + len(example.split_asts)))
+        trees += example.split_asts
+    pool = np.zeros((len(batch), len(trees)))
+    for b, (lo, hi) in enumerate(spans):
+        pool[b, lo:hi] = 1.0 / (hi - lo)
     if freeze_tree:
         with no_grad():
-            roots = encode_trees(example.split_asts, model.tree)
+            roots = encode_trees(trees, model.tree)
     else:
-        roots = encode_trees(example.split_asts, model.tree)
-    pooled = avg_pool(roots)
+        roots = encode_trees(trees, model.tree)
+    pooled = ad.matmul(Tensor(pool), roots)
 
-    n = len(example.code_ids)
-    tokens = ad.embedding_lookup(t.code_embedding, example.code_ids)
-    joint = ad.concat([ad.repeat_row(pooled, n), tokens], axis=1)
-    fused = ad.relu(ad.add_rowvec(ad.matmul(joint, ad.transpose(t.fuse_w)), t.fuse_b))
-    x = ad.add(fused, Tensor(positional_matrix(n, t.size)))
+    fuse_wt = ad.transpose(t.fuse_w)
+    memories = []
+    for b, example in enumerate(batch):
+        n = len(example.code_ids)
+        syntax = ad.embedding_lookup(pooled, [b] * n)
+        tokens = ad.embedding_lookup(t.code_embedding, example.code_ids)
+        joint = ad.concat([syntax, tokens], axis=1)
+        fused = ad.relu(ad.add_rowvec(ad.matmul(joint, fuse_wt), t.fuse_b))
+        x = ad.add(fused, Tensor(positional_matrix(n, t.size)))
+        allowed = np.broadcast_to(source_mask(example), (n, n))
+        for layer in t.enc:
+            x = _encoder_layer(x, layer, t.heads, allowed)
+        memories.append(x)
+    return memories
 
-    keys_ok = source_mask(example)
-    allowed = np.broadcast_to(keys_ok, (n, n))
-    for layer in t.enc:
-        x = _encoder_layer(x, layer, t.heads, allowed)
-    return x
+
+def encode(example: SummarizationExample, model: SummarizerModel,
+           freeze_tree: bool = False) -> Tensor:
+    """Source encoding of one example: `encode_batch` of a batch of one.
+
+    With zero encoder layers the result is exactly the fused inputs plus
+    position encodings.
+    """
+    return encode_batch([example], model, freeze_tree)[0]
 
 
 def decoder_logits(target_ids: list[int], memory: Tensor, keys_ok: np.ndarray,
@@ -352,8 +362,7 @@ def train_step(batch: list[SummarizationExample], model: SummarizerModel,
     with Tape() as tape:
         total = None
         count = 0
-        for example in batch:
-            memory = encode(example, model, freeze_tree)
+        for example, memory in zip(batch, encode_batch(batch, model, freeze_tree)):
             decoder_in = example.comment_ids[:-1]
             targets = example.comment_ids[1:]
             logits = decoder_logits(decoder_in, memory, source_mask(example), model)

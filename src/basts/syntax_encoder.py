@@ -23,6 +23,7 @@ fine-tunes. Pairs are scored as rows of two gathered embedding matrices.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -307,8 +308,10 @@ class PretrainConfig:
     neg_ratio: int = 1
 
     def validate(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.epochs <= 0:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size <= 0:

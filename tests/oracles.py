@@ -1,13 +1,19 @@
 """Slow reference forms of vectorised package code, kept as test oracles.
 
 `fuse` is the per-token form of the fusion layer inside
-`summarizer.encode`; `positional_encoding` is the scalar form of
+`summarizer.encode_batch`; `positional_encoding` is the scalar form of
 `summarizer.positional_matrix`; `tree_lstm_cell` and `encode_tree_per_node`
 are the one-cell-per-node form of `syntax_encoder.encode_trees`;
 `sep_loss_per_pair` is the per-pair score and cross-entropy loop that
 `syntax_encoder.sep_loss` computes as one vector expression;
 `reachable_tensors` finds by brute force what `autodiff.Params.named_params`
 walks by dataclass field.
+
+`row_softmax` and `attention_per_head` are the one-op-per-head form of
+`autodiff.attention`, and `multi_head_attention_per_head` the matching
+form of `summarizer.multi_head_attention`. `avg_pool`, `encode_per_example`
+and `train_loss_per_example` are the one-fold-per-example form of
+`summarizer.train_step`'s loss.
 """
 
 import math
@@ -17,14 +23,133 @@ import numpy as np
 import basts.autodiff as ad
 from basts.autodiff import Tensor
 from basts.splitter import SplitAst
-from basts.summarizer import TransformerParams
-from basts.syntax_encoder import SCORE_FLOOR, PairExample, SepModel, TreeLstmParams
+from basts.summarizer import (
+    AttentionParams,
+    EmptyInputError,
+    MaskError,
+    SummarizationExample,
+    SummarizerModel,
+    TransformerParams,
+    _encoder_layer,
+    decoder_logits,
+    positional_matrix,
+    source_mask,
+)
+from basts.syntax_encoder import (
+    SCORE_FLOOR,
+    PairExample,
+    SepModel,
+    TreeLstmParams,
+    encode_trees,
+)
 
 
 def fuse(pooled: Tensor, token_embedding: Tensor, params: TransformerParams) -> Tensor:
     """ReLU projection of one token embedding joined with the pooled syntax."""
     joint = ad.concat([pooled, token_embedding], axis=0)
     return ad.relu(ad.add(ad.matmul(params.fuse_w, joint), params.fuse_b))
+
+
+def row_softmax(x: Tensor, additive_mask: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis of a vector or matrix, as one tape op.
+
+    `additive_mask` is a constant of the same shape holding 0 where a
+    position participates and -inf where it is excluded; excluded
+    positions get probability exactly 0 and zero gradient.
+    """
+    z = x.data if additive_mask is None else x.data + additive_mask
+    z2 = z if z.ndim == 2 else z[None, :]
+    m = z2.max(axis=1, keepdims=True)
+    e = np.exp(z2 - m)
+    y2 = e / e.sum(axis=1, keepdims=True)
+    y = y2 if z.ndim == 2 else y2[0]
+
+    def back(g):
+        g2 = g if g.ndim == 2 else g[None, :]
+        dz = y2 * (g2 - (g2 * y2).sum(axis=1, keepdims=True))
+        return (dz if g.ndim == 2 else dz[0],)
+
+    return ad._emit(y, (x,), back)
+
+
+def attention_per_head(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                       additive_mask: np.ndarray) -> Tensor:
+    """Scaled dot-product attention, one column slice of q, k, v per head."""
+    width = q.shape[1] // heads
+    scale = 1.0 / math.sqrt(width)
+    contexts = []
+    for h in range(heads):
+        lo, hi = h * width, (h + 1) * width
+        scores = ad.scalar_mul(
+            ad.matmul(ad.col_slice(q, lo, hi), ad.transpose(ad.col_slice(k, lo, hi))),
+            scale,
+        )
+        attn = row_softmax(scores, additive_mask)
+        contexts.append(ad.matmul(attn, ad.col_slice(v, lo, hi)))
+    return contexts[0] if heads == 1 else ad.concat(contexts, axis=1)
+
+
+def multi_head_attention_per_head(x_q: Tensor, x_kv: Tensor, params: AttentionParams,
+                                  heads: int, allowed: np.ndarray) -> Tensor:
+    """`summarizer.multi_head_attention` with `attention_per_head` inside."""
+    rows_ok = allowed.any(axis=1)
+    if not rows_ok.all():
+        bad = int(np.flatnonzero(~rows_ok)[0])
+        raise MaskError(f"query position {bad} has every key masked")
+    q = ad.matmul(x_q, params.wq)
+    k = ad.matmul(x_kv, params.wk)
+    v = ad.matmul(x_kv, params.wv)
+    contexts = attention_per_head(q, k, v, heads, np.where(allowed, 0.0, -np.inf))
+    return ad.matmul(contexts, params.wo)
+
+
+def avg_pool(roots: Tensor) -> Tensor:
+    """Coordinate-wise mean of the rows of a [T, L] split-embedding matrix."""
+    n = roots.shape[0]
+    if n == 0:
+        raise EmptyInputError("cannot pool an empty embedding matrix")
+    return ad.matmul(Tensor(np.full(n, 1.0 / n)), roots)
+
+
+def encode_per_example(example: SummarizationExample, model: SummarizerModel,
+                       freeze_tree: bool = False) -> Tensor:
+    """Source encoding of one example, with a tree fold of its own."""
+    t = model.transformer
+    if freeze_tree:
+        with ad.no_grad():
+            roots = encode_trees(example.split_asts, model.tree)
+    else:
+        roots = encode_trees(example.split_asts, model.tree)
+    pooled = avg_pool(roots)
+    n = len(example.code_ids)
+    tokens = ad.embedding_lookup(t.code_embedding, example.code_ids)
+    joint = ad.concat([ad.repeat_row(pooled, n), tokens], axis=1)
+    fused = ad.relu(ad.add_rowvec(ad.matmul(joint, ad.transpose(t.fuse_w)), t.fuse_b))
+    x = ad.add(fused, Tensor(positional_matrix(n, t.size)))
+    allowed = np.broadcast_to(source_mask(example), (n, n))
+    for layer in t.enc:
+        x = _encoder_layer(x, layer, t.heads, allowed)
+    return x
+
+
+def train_loss_per_example(batch: list[SummarizationExample], model: SummarizerModel,
+                           freeze_tree: bool = False) -> Tensor:
+    """The mean token cross entropy `summarizer.train_step` minimizes.
+
+    Each example is encoded, decoded and scored on its own; the summed
+    cross entropies are divided by the batch's target count.
+    """
+    total = None
+    count = 0
+    for example in batch:
+        memory = encode_per_example(example, model, freeze_tree)
+        targets = example.comment_ids[1:]
+        logits = decoder_logits(example.comment_ids[:-1], memory, source_mask(example),
+                                model)
+        ce = ad.cross_entropy_logits(logits, targets, reduction="sum")
+        total = ce if total is None else ad.add(total, ce)
+        count += len(targets)
+    return ad.scalar_mul(total, 1.0 / count)
 
 
 def positional_encoding(d: int, l: int, size: int) -> float:

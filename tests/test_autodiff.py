@@ -3,11 +3,12 @@ import pytest
 
 from basts import autodiff as ad
 from basts.autodiff import Adam, GraphError, ShapeError, Tape, Tensor, backward
+from oracles import attention_per_head, row_softmax
 
 
 class TestForwardOps:
     def test_softmax_symmetry(self):
-        y = ad.row_softmax(Tensor([0.0, 0.0]))
+        y = row_softmax(Tensor([0.0, 0.0]))
         assert np.allclose(y.data, [0.5, 0.5])
 
     def test_matmul_identity(self):
@@ -23,7 +24,7 @@ class TestForwardOps:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(5, 9)))
-        y = ad.row_softmax(x)
+        y = row_softmax(x)
         assert np.all(np.abs(y.data.sum(axis=1) - 1.0) <= 1e-12)
         assert np.all((y.data > 0) & (y.data < 1))
 
@@ -126,7 +127,7 @@ class TestBackward:
             rng = np.random.default_rng(3)
             x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
             with Tape() as tape:
-                loss = ad.sum_(ad.row_softmax(ad.matmul(x, ad.transpose(x))))
+                loss = ad.sum_(row_softmax(ad.matmul(x, ad.transpose(x))))
                 backward(tape, loss)
             return loss.data.copy(), x.grad.copy()
 
@@ -170,10 +171,112 @@ class TestCompositeGradients:
         x = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)
         mask = np.array([[0.0, -np.inf, 0.0]])
         with Tape() as tape:
-            y = ad.row_softmax(x, mask)
+            y = row_softmax(x, mask)
             backward(tape, ad.sum_(ad.mul(y, y)))
         assert y.data[0, 1] == 0.0
         assert x.grad[0, 1] == 0.0
+
+
+def _masks(n, m, kind):
+    """An additive [n, m] mask: none, causal (n == m), padding, or both."""
+    allowed = np.ones((n, m), dtype=bool)
+    if kind in ("causal", "causal+padding"):
+        allowed &= np.tril(np.ones((n, m), dtype=bool))
+    if kind in ("padding", "causal+padding"):
+        allowed[:, m - 2:] = False
+        allowed[:, 0] = True
+    return np.where(allowed, 0.0, -np.inf)
+
+
+def _attention_grads(fn, q, k, v, heads, mask, weights):
+    """Output and (dq, dk, dv) of sum(fn(q, k, v) * weights)."""
+    for t in (q, k, v):
+        t.zero_grad()
+    with Tape() as tape:
+        out = fn(q, k, v, heads, mask)
+        backward(tape, ad.sum_(ad.mul(out, weights)))
+    grads = [t.grad.copy() for t in (q, k, v)]
+    for t in (q, k, v):
+        t.zero_grad()
+    return out.data, grads
+
+
+class TestAttention:
+    CASES = [  # heads, query rows, key rows, mask
+        (1, 5, 5, "none"),
+        (2, 5, 5, "causal"),
+        (4, 6, 6, "causal+padding"),
+        (1, 3, 7, "padding"),
+        (2, 4, 6, "padding"),
+        (4, 7, 3, "none"),
+    ]
+
+    def _inputs(self, n, m, size=8, seed=0):
+        rng = np.random.default_rng(seed)
+        q = Tensor(rng.normal(size=(n, size)), requires_grad=True)
+        k = Tensor(rng.normal(size=(m, size)), requires_grad=True)
+        v = Tensor(rng.normal(size=(m, size)), requires_grad=True)
+        return q, k, v, Tensor(rng.normal(size=(n, size)))
+
+    @pytest.mark.parametrize("heads,n,m,kind", CASES)
+    def test_matches_per_head_oracle(self, heads, n, m, kind):
+        q, k, v, weights = self._inputs(n, m, seed=heads * 10 + n)
+        mask = _masks(n, m, kind)
+        out, grads = _attention_grads(ad.attention, q, k, v, heads, mask, weights)
+        ref, ref_grads = _attention_grads(attention_per_head, q, k, v, heads, mask, weights)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+        for g, r in zip(grads, ref_grads):
+            assert np.max(np.abs(g - r)) <= 1e-10 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("heads,n,m,kind", CASES)
+    def test_grad_check_q_k_v(self, heads, n, m, kind):
+        q, k, v, weights = self._inputs(n, m, seed=heads + n + m)
+        mask = _masks(n, m, kind)
+
+        def f(_):
+            return ad.sum_(ad.mul(ad.attention(q, k, v, heads, mask), weights))
+
+        for target in (q, k, v):
+            report = ad.grad_check(f, target)
+            assert report.passed, report
+
+    def test_masked_key_has_weight_exactly_zero(self):
+        q, k, v, _ = self._inputs(4, 6)
+        mask = _masks(4, 6, "padding")  # keys 4 and 5 are masked for every query
+        base = ad.attention(q, k, v, 2, mask).data
+        v.data[4:] += 1e3
+        k.data[5] -= 7.0
+        assert np.array_equal(ad.attention(q, k, v, 2, mask).data, base)
+
+    def test_masked_key_gets_no_gradient(self):
+        q, k, v, weights = self._inputs(4, 6)
+        _, (_, dk, dv) = _attention_grads(ad.attention, q, k, v, 2,
+                                          _masks(4, 6, "padding"), weights)
+        assert not dk[4:].any() and not dv[4:].any()
+
+    @pytest.mark.parametrize("heads", [0, 3, 16])
+    def test_head_count_must_split_the_width(self, heads):
+        q, k, v, _ = self._inputs(2, 2)
+        with pytest.raises(ShapeError):
+            ad.attention(q, k, v, heads, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (3,), (1, 2, 3)])
+    def test_mask_shape_must_be_queries_by_keys(self, shape):
+        q, k, v, _ = self._inputs(2, 3)
+        with pytest.raises(ShapeError):
+            ad.attention(q, k, v, 2, np.zeros(shape))
+
+    def test_k_and_v_rows_must_match(self):
+        q, k, _, _ = self._inputs(2, 3)
+        _, _, v, _ = self._inputs(2, 4)
+        with pytest.raises(ShapeError):
+            ad.attention(q, k, v, 2, np.zeros((2, 3)))
+
+    def test_widths_must_match(self):
+        q, _, _, _ = self._inputs(2, 3)
+        _, k, v, _ = self._inputs(2, 3, size=6)
+        with pytest.raises(ShapeError):
+            ad.attention(q, k, v, 2, np.zeros((2, 3)))
 
 
 class TestSegmentSum:
@@ -266,3 +369,8 @@ class TestAdam:
     def test_rejects_bad_learning_rate(self):
         with pytest.raises(ValueError):
             Adam([Tensor([1.0], requires_grad=True)], lr=0.0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_rejects_non_finite_learning_rate(self, lr):
+        with pytest.raises(ValueError):
+            Adam([Tensor([1.0], requires_grad=True)], lr=lr)

@@ -131,6 +131,13 @@ class TestRunConfig:
             RunConfig.from_file(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_learning_rate(self, tmp_path, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"learning_rate = {value}\n")
+        with pytest.raises(ConfigError, match="learning_rate"):
+            RunConfig.from_file(path)
+
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ConfigError):
             RunConfig(embedding_size=10, heads=4).validate()

@@ -17,9 +17,9 @@ from basts.summarizer import (
     SummarizerModel,
     TransformerParams,
     Vocab,
-    avg_pool,
     decoder_logits,
     encode,
+    encode_batch,
     greedy_decode,
     multi_head_attention,
     positional_matrix,
@@ -27,7 +27,14 @@ from basts.summarizer import (
     train_step,
 )
 from basts.syntax_encoder import TreeLstmParams, build_type_value_vocab, encode_trees
-from oracles import fuse, positional_encoding
+from oracles import (
+    avg_pool,
+    fuse,
+    multi_head_attention_per_head,
+    positional_encoding,
+    row_softmax,
+    train_loss_per_example,
+)
 from toydata import SUMMARIZATION_ROWS
 
 
@@ -192,7 +199,7 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(5, 4)))
         scores = ad.matmul(x, ad.transpose(x))
-        attn = ad.row_softmax(scores)
+        attn = row_softmax(scores)
         assert np.max(np.abs(attn.data.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_fully_masked_row_raises(self):
@@ -263,6 +270,89 @@ class TestEncode:
         assert np.max(np.abs(out_base - out_padded)) <= 1e-10
 
 
+def toy_corpus_and_model():
+    """The 16 toy rows, preprocessed, and a fresh model at the default config."""
+    config = RunConfig()
+    corpus = preprocess(
+        [CorpusRecord(r["id"], r["code"], r["comment"]) for r in SUMMARIZATION_ROWS],
+        config,
+    )
+    roots = [a.root for r in corpus.records for a in r.splits.asts]
+    vocab = build_type_value_vocab(roots, min_freq=config.type_value_min_freq)
+    rng = np.random.default_rng(0)
+    model = SummarizerModel(
+        TreeLstmParams.init(vocab, config.embedding_size, rng),
+        TransformerParams.init(
+            len(corpus.code_vocab), len(corpus.word_vocab), config.embedding_size,
+            config.heads, config.encoder_layers, config.decoder_layers, rng,
+        ),
+    )
+    return corpus, model
+
+
+class GradientRecorder:
+    """Stands in for Adam in `train_step`: keeps each parameter's gradient."""
+
+    def __init__(self, params):
+        self.params = params
+        self.grads = None
+
+    def step(self):
+        self.grads = [None if p.grad is None else p.grad.copy() for p in self.params]
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = None
+
+
+class TestBatchedEncode:
+    @pytest.mark.parametrize("freeze_tree", [False, True])
+    def test_train_step_matches_per_example_oracle(self, monkeypatch, freeze_tree):
+        corpus, model = toy_corpus_and_model()
+        params = model.all_params()
+        recorder = GradientRecorder(params)
+        loss = train_step(corpus.examples, model, recorder, freeze_tree=freeze_tree)
+
+        monkeypatch.setattr(summarizer, "multi_head_attention",
+                            multi_head_attention_per_head)
+        with ad.Tape() as tape:
+            ref = train_loss_per_example(corpus.examples, model, freeze_tree)
+            ad.backward(tape, ref)
+        ref_grads = [p.grad for p in params]
+
+        assert abs(loss - ref.item()) <= 1e-10 * abs(ref.item())
+        for (name, _), g, r in zip(model.named_params(), recorder.grads, ref_grads):
+            if r is None:
+                assert freeze_tree and name.startswith("tree.") and g is None, name
+                continue
+            assert np.max(np.abs(g - r)) <= 1e-10 * np.max(np.abs(r)), name
+
+    def test_greedy_decode_matches_per_head_path(self, monkeypatch):
+        corpus, model = toy_corpus_and_model()
+        opt = Adam(model.all_params(), lr=3e-3)
+        for _ in range(3):
+            train_step(corpus.examples, model, opt)
+        decoded = [greedy_decode(ex, model, max_len=12) for ex in corpus.examples]
+        monkeypatch.setattr(summarizer, "multi_head_attention",
+                            multi_head_attention_per_head)
+        assert decoded == [greedy_decode(ex, model, max_len=12) for ex in corpus.examples]
+        assert len({tuple(ids) for ids in decoded}) > 1
+
+    def test_batch_rows_match_single_example_encodes(self):
+        model = make_model(enc=2, seed=8)
+        batch = [make_example(), make_example(code_ids=(9, 4, 7)),
+                 make_example(code_ids=(8, 8, 10, 11, 4))]
+        batch[1].split_asts = batch[1].split_asts * 3
+        for ex, memory in zip(batch, encode_batch(batch, model)):
+            assert np.max(np.abs(memory.data - encode(ex, model).data)) <= 1e-12
+
+    def test_example_without_split_asts_raises(self):
+        model = make_model()
+        empty = SummarizationExample([7, 8], [], [1, 7, 2])
+        with pytest.raises(EmptyInputError, match="example 1"):
+            train_step([make_example(), empty], model, Adam(model.all_params()))
+
+
 class TestTrainStep:
     def test_uniform_distribution_loss_is_log_vocab(self):
         model = make_model(word_vocab=13)
@@ -328,24 +418,10 @@ class TestCostGates:
     """The exact, machine-independent op count of one step, pinned against regressions."""
 
     # the 16 toy rows as one batch at the default config: L=64, 4 heads, 2+2 layers
-    TRAIN_STEP_OPS = 6385
+    TRAIN_STEP_OPS = 1479
 
     def test_train_step_op_count(self, monkeypatch):
-        config = RunConfig()
-        corpus = preprocess(
-            [CorpusRecord(r["id"], r["code"], r["comment"]) for r in SUMMARIZATION_ROWS],
-            config,
-        )
-        roots = [a.root for r in corpus.records for a in r.splits.asts]
-        vocab = build_type_value_vocab(roots, min_freq=config.type_value_min_freq)
-        rng = np.random.default_rng(0)
-        model = SummarizerModel(
-            TreeLstmParams.init(vocab, config.embedding_size, rng),
-            TransformerParams.init(
-                len(corpus.code_vocab), len(corpus.word_vocab), config.embedding_size,
-                config.heads, config.encoder_layers, config.decoder_layers, rng,
-            ),
-        )
+        corpus, model = toy_corpus_and_model()
         recorded = []
 
         def counting_backward(tape, loss):
@@ -356,6 +432,14 @@ class TestCostGates:
         train_step(corpus.examples, model, Adam(model.all_params()))
         assert len(corpus.examples) == 16
         assert recorded == [self.TRAIN_STEP_OPS]
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_is_five_ops_at_any_head_count(self, heads):
+        params = AttentionParams.init(8, np.random.default_rng(heads))
+        x = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
+        with ad.Tape() as tape:
+            multi_head_attention(x, x, params, heads, np.tril(np.ones((5, 5), dtype=bool)))
+        assert len(tape.nodes) == 5
 
 
 class TestCausality:

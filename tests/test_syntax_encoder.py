@@ -516,6 +516,8 @@ class TestPretrain:
             pretrain(corpus, params, PretrainConfig(epochs=0))
         with pytest.raises(ConfigError):
             pretrain(corpus, params, PretrainConfig(learning_rate=-1.0))
+        with pytest.raises(ConfigError):
+            pretrain(corpus, params, PretrainConfig(learning_rate=float("nan")))
 
 
 def test_vocab_unk_threshold():
