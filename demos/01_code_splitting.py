@@ -59,8 +59,9 @@ for split in splits.graph.splits:
     print(f"\nsplit {split.split_id}: statements {split.statements}")
     print(f"  {code}")
 
-# 6. Every split re-parses on its own (headers get empty blocks), so each
-#    block has its own AST for the tree encoder.
+# 6. Each split's AST is built from the method's parsed statements and
+#    equals what re-parsing the split's code would give (headers get empty
+#    blocks), so each block has its own AST for the tree encoder.
 print("\nsplit AST root labels:")
 for ast in splits.asts:
     kids = ", ".join(c.type_value() for c in ast.root.children[:4])

@@ -166,9 +166,16 @@ class RunConfig:
 
 
 def code_token_texts(method, max_len: int) -> list[str]:
-    """Model-facing token sequence: identifiers expand to subtokens."""
-    out = []
-    for tok in method.tokens:
+    """Model-facing token sequence: identifiers expand to subtokens.
+
+    Only the method's own tokens count, and the walk stops once `max_len`
+    texts are out.
+    """
+    out: list[str] = []
+    lo, hi = method.span
+    for tok in method.tokens[lo:hi]:
+        if len(out) >= max_len:
+            break
         if tok.kind is TokenKind.IDENTIFIER:
             out.extend(split_identifier(tok.text))
         else:

@@ -225,6 +225,7 @@ class Method:
     declaration_tokens: list[Token]  # return type through the closing ')'
     body: list[Statement]
     tokens: list[Token]  # the token list all spans index into
+    span: tuple[int, int]  # half-open range of this method's own tokens
     statements: dict[int, Statement]  # every statement, nested ones included
 
 
@@ -310,6 +311,7 @@ class _Parser:
             declaration_tokens=declaration,
             body=body,
             tokens=self.toks,
+            span=(start, self.i),
             statements=self.statements,
         )
 
@@ -626,8 +628,8 @@ class _AstBuilder:
     def __init__(self):
         self._next_id = 0
 
-    def node(self, node_type: str, value: str | None = None, children=()) -> AstNode:
-        n = AstNode(self._next_id, node_type, value, list(children))
+    def node(self, node_type: str, value: str | None = None) -> AstNode:
+        n = AstNode(self._next_id, node_type, value, [])
         self._next_id += 1
         return n
 
@@ -708,6 +710,16 @@ class _AstBuilder:
             return self.node("ContinueStatement")
         return self.block(s.body)  # BLOCK
 
+    def method(self, m: Method, body: list[Statement]) -> AstNode:
+        root = self.node("MethodDeclaration", m.name)
+        root.children.append(self.node("BasicType", m.return_type))
+        for ptype, pname in m.params:
+            param = self.node("FormalParameter", pname)
+            param.children.append(self.node("BasicType", ptype))
+            root.children.append(param)
+        root.children.extend(self.stmt(s) for s in body)
+        return root
+
 
 def build_ast(method: Method) -> AstNode:
     """Build the labeled syntax tree of a parsed method.
@@ -716,12 +728,4 @@ def build_ast(method: Method) -> AstNode:
     type and parameters come first, then one subtree per body statement.
     Node ids are assigned in construction order and are unique per tree.
     """
-    b = _AstBuilder()
-    root = b.node("MethodDeclaration", method.name)
-    root.children.append(b.node("BasicType", method.return_type))
-    for ptype, pname in method.params:
-        param = b.node("FormalParameter", pname)
-        param.children.append(b.node("BasicType", ptype))
-        root.children.append(param)
-    root.children.extend(b.stmt(s) for s in method.body)
-    return root
+    return _AstBuilder().method(method, method.body)

@@ -3,28 +3,24 @@
 Virtual start/end nodes are dropped first. Following the paper, every
 dominator-tree edge out of a node with more than one child is cut; each
 surviving connected component is one block of consecutive statements. A
-block is materialized as split code by prepending the method declaration,
-and each split code re-parses into its own split AST. Removed edges,
+block is materialized as split code by prepending the method declaration.
+Each split's AST is built from the method's parsed statements and equals
+what re-parsing the split's code would give. Removed edges,
 lifted to the blocks they join, form the successor relation later used
 as pre-training labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from basts.cfg import Cfg, NodeKind, build_cfg
 from basts.dominators import DomTree, compute_dominators
-from basts.frontend import (
-    AstNode,
-    Method,
-    Statement,
-    StmtKind,
-    Token,
-    TokenKind,
-    build_ast,
-    parse_method,
-)
+from basts.frontend import AstNode, Method, Statement, StmtKind, Token, TokenKind, _AstBuilder
+
+# parse_method and build_ast are not called here but stay reachable
+# (bench/workloads.py wraps them by these names)
+from basts.frontend import build_ast, parse_method  # noqa: F401
 
 
 @dataclass
@@ -118,13 +114,38 @@ def _punct(text: str) -> Token:
     return Token(text, TokenKind.PUNCT, -1)
 
 
-def _render_piece(method: Method, stmt: Statement, split_ids: set[int]) -> list[Token]:
-    """Tokens for one statement-level piece of a split.
+def _pieces(split: CodeSplit, method: Method) -> list[Statement]:
+    """The split's statement-level pieces in source order, as its code holds them.
+
+    A control header's body statements are pieces of their own or lie in
+    other splits, so the header gets an empty body and an if loses its
+    else part. A for keeps the init/update clauses that live in the same
+    split, and they belong to its piece; a clause stranded in another
+    split is a standalone piece there.
+    """
+    ids = set(split.statements)
+    absorbed = set()
+    out = []
+    for sid in split.statements:
+        stmt = method.statements[sid]
+        k = stmt.kind
+        if k is StmtKind.IF or k is StmtKind.WHILE:
+            stmt = replace(stmt, body=[], orelse=[])
+        elif k is StmtKind.FOR:
+            init, update = stmt.init, stmt.update
+            init = init if init is not None and init.stmt_id in ids else None
+            update = update if update is not None and update.stmt_id in ids else None
+            absorbed.update(c.stmt_id for c in (init, update) if c is not None)
+            stmt = replace(stmt, body=[], init=init, update=update)
+        out.append(stmt)
+    return [s for s in out if s.stmt_id not in absorbed]
+
+
+def _render_piece(method: Method, stmt: Statement) -> list[Token]:
+    """Tokens for one piece of a split, as `_pieces` gives it.
 
     Control-flow headers are completed with an empty block so the split
-    code stays parseable. A for header absorbs its init/update clauses
-    when they live in the same split; clauses stranded in another split
-    render there as standalone statements.
+    code stays parseable.
     """
     toks = method.tokens
     k = stmt.kind
@@ -134,13 +155,13 @@ def _render_piece(method: Method, stmt: Statement, split_ids: set[int]) -> list[
         return [keyword, _punct("(")] + toks[lo:hi] + [_punct(")"), _punct("{"), _punct("}")]
     if k is StmtKind.FOR:
         out = [toks[stmt.span[0]], _punct("(")]
-        if stmt.init is not None and stmt.init.stmt_id in split_ids:
+        if stmt.init is not None:
             out += toks[stmt.init.span[0] : stmt.init.span[1]]
         out.append(_punct(";"))
         if stmt.cond_span is not None:
             out += toks[stmt.cond_span[0] : stmt.cond_span[1]]
         out.append(_punct(";"))
-        if stmt.update is not None and stmt.update.stmt_id in split_ids:
+        if stmt.update is not None:
             out += toks[stmt.update.span[0] : stmt.update.span[1]]
         return out + [_punct(")"), _punct("{"), _punct("}")]
     out = list(toks[stmt.span[0] : stmt.span[1]])
@@ -149,43 +170,25 @@ def _render_piece(method: Method, stmt: Statement, split_ids: set[int]) -> list[
     return out
 
 
-def _absorbed_clauses(method: Method, split: CodeSplit) -> set[int]:
-    """Statement ids that render inside a co-resident for header."""
-    ids = set(split.statements)
-    absorbed = set()
-    for sid in split.statements:
-        stmt = method.statements[sid]
-        if stmt.kind is not StmtKind.FOR:
-            continue
-        for clause in (stmt.init, stmt.update):
-            if clause is not None and clause.stmt_id in ids:
-                absorbed.add(clause.stmt_id)
-    return absorbed
-
-
-def _append_body(out: list[Token], split: CodeSplit, method: Method) -> list[Token]:
-    """Append the split's statement tokens to `out` in source order."""
-    ids = set(split.statements)
-    absorbed = _absorbed_clauses(method, split)
-    for sid in split.statements:
-        if sid not in absorbed:
-            out.extend(_render_piece(method, method.statements[sid], ids))
-    return out
-
-
 def make_split_code(split: CodeSplit, method: Method) -> list[Token]:
     """Declaration tokens followed by the split's statements in source order."""
-    return _append_body(list(method.declaration_tokens), split, method)
+    out = list(method.declaration_tokens)
+    for piece in _pieces(split, method):
+        out.extend(_render_piece(method, piece))
+    return out
 
 
 def build_split_asts(splitgraph: SplitGraph, method: Method) -> list[SplitAst]:
-    """Re-parse each split's code and build its AST; one tree per split."""
-    out = []
-    for split in splitgraph.splits:
-        tokens = _append_body(method.declaration_tokens + [_punct("{")], split, method)
-        tokens.append(_punct("}"))
-        out.append(SplitAst(split.split_id, build_ast(parse_method(tokens))))
-    return out
+    """Build each split's AST from the method's parsed statements; one tree per split.
+
+    The root is the method declaration, followed by one subtree per piece
+    of the split. The tree equals what parsing the split's code, with its
+    body braced, would give.
+    """
+    return [
+        SplitAst(split.split_id, _AstBuilder().method(method, _pieces(split, method)))
+        for split in splitgraph.splits
+    ]
 
 
 def split_method(method: Method) -> MethodSplits:

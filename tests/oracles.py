@@ -14,6 +14,10 @@ walks by dataclass field.
 form of `summarizer.multi_head_attention`. `avg_pool`, `encode_per_example`
 and `train_loss_per_example` are the one-fold-per-example form of
 `summarizer.train_step`'s loss.
+
+`split_asts_by_reparse` is the token form of `splitter.build_split_asts`:
+it parses each split's code, with its body braced, instead of building
+the tree from the method's parsed statements.
 """
 
 import math
@@ -22,7 +26,8 @@ import numpy as np
 
 import basts.autodiff as ad
 from basts.autodiff import Tensor
-from basts.splitter import SplitAst
+from basts.frontend import Method, Token, TokenKind, build_ast, parse_method
+from basts.splitter import SplitAst, SplitGraph, make_split_code
 from basts.summarizer import (
     AttentionParams,
     EmptyInputError,
@@ -260,3 +265,15 @@ def reachable_tensors(root) -> list[Tensor]:
         elif hasattr(obj, "__dict__"):
             stack.extend(vars(obj).values())
     return found
+
+
+def split_asts_by_reparse(graph: SplitGraph, method: Method) -> list[SplitAst]:
+    """One AST per split, each parsed from the split's code with its body braced."""
+    n = len(method.declaration_tokens)
+    out = []
+    for split in graph.splits:
+        code = make_split_code(split, method)
+        tokens = (code[:n] + [Token("{", TokenKind.PUNCT)] + code[n:]
+                  + [Token("}", TokenKind.PUNCT)])
+        out.append(SplitAst(split.split_id, build_ast(parse_method(tokens))))
+    return out

@@ -7,7 +7,13 @@ import pytest
 
 from basts import cli
 from basts.autodiff import Tensor
-from basts.checkpoint import CheckpointError, deserialize, load_checkpoint, serialize
+from basts.checkpoint import (
+    CheckpointError,
+    deserialize,
+    load_checkpoint,
+    save_checkpoint,
+    serialize,
+)
 from basts.cli import (
     CorpusRecord,
     FormatError,
@@ -19,7 +25,7 @@ from basts.cli import (
 )
 from basts.summarizer import TransformerParams, Vocab
 from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams
-from basts.frontend import MAX_NESTING
+from basts.frontend import MAX_NESTING, parse_program
 from basts.splitter import split_method
 from conftest import IDLE_CONNECTIONS_SOURCE, nested_ifs, nested_parens, parse_source
 
@@ -147,6 +153,48 @@ class TestRunConfig:
         path.write_text("emedding_size = 16\n")
         with pytest.raises(FormatError):
             RunConfig.from_file(path)
+
+
+ALPHA_SOURCE = "int alpha(int a) { return a; }"
+BETA_SOURCE = "int beta(int b) { return b; }"
+
+
+class TestCodeTokenTexts:
+    def test_each_method_of_a_file_reads_only_its_own_tokens(self):
+        alpha, beta = parse_program(ALPHA_SOURCE + " " + BETA_SOURCE)
+        for method, source in ((alpha, ALPHA_SOURCE), (beta, BETA_SOURCE)):
+            (alone,) = parse_program(source)
+            assert cli.code_token_texts(method, 100) == cli.code_token_texts(alone, 100)
+        assert cli.code_token_texts(beta, 100)[:2] == ["int", "beta"]
+
+    def test_cut_at_max_len_mid_identifier(self):
+        method = parse_source("void closeIdleConnections() { }")
+        assert cli.code_token_texts(method, 3) == ["void", "close", "idle"]
+        assert cli.code_token_texts(method, 0) == []
+        assert cli.code_token_texts(method, 100) == [
+            "void", "close", "idle", "connections", "(", ")", "{", "}"]
+
+    def test_summarize_feeds_each_method_its_own_code(self, tmp_path, monkeypatch, capsys):
+        code_vocab = Vocab.build([cli.code_token_texts(m, 100)
+                                  for m in parse_program(ALPHA_SOURCE + BETA_SOURCE)])
+        word_vocab = Vocab.build([["x"]])
+        tree = TreeLstmParams.init({"<UNK>": 0}, 8, np.random.default_rng(3))
+        transformer = TransformerParams.init(len(code_vocab), len(word_vocab), 8, 2,
+                                             1, 1, np.random.default_rng(4))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, tree=tree, transformer=transformer,
+                        code_vocab=code_vocab, word_vocab=word_vocab)
+        fed = []
+        monkeypatch.setattr(cli, "greedy_decode",
+                            lambda example, model, max_len: fed.append(example.code_ids) or [])
+        for name, text in (("both", ALPHA_SOURCE + "\n" + BETA_SOURCE), ("beta", BETA_SOURCE)):
+            src = tmp_path / f"{name}.mini"
+            src.write_text(text)
+            assert run(["summarize", "--input", str(src), "--checkpoint", str(ckpt)]) == 0
+        alpha_ids, beta_ids, beta_alone_ids = fed
+        assert beta_ids == beta_alone_ids
+        assert alpha_ids != beta_ids
+        assert capsys.readouterr().out == "\n" * 3
 
 
 class TestPreprocess:

@@ -1,8 +1,25 @@
+import sys
+from pathlib import Path
+
+import pytest
+
 from basts.cfg import build_cfg
 from basts.dominators import compute_dominators
-from basts.frontend import StmtKind, build_ast, iter_nodes
+from basts.frontend import StmtKind, ast_to_json, build_ast, iter_nodes, parse_program
 from basts.splitter import make_split_code, partition_blocks, split_method
-from conftest import parse_source
+from conftest import (
+    DIAMOND_SOURCE,
+    IDLE_CONNECTIONS_SOURCE,
+    STRAIGHT_LINE_SOURCE,
+    nested_ifs,
+    parse_source,
+)
+from oracles import split_asts_by_reparse
+from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from minigen import generate_records  # noqa: E402
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
 
 
 def labels(root):
@@ -133,3 +150,56 @@ class TestBuildSplitAsts:
         inner_if_split = result.asts[2]
         types = [n.node_type for n in iter_nodes(inner_if_split.root)]
         assert "IfStatement" in types
+
+
+EDGE_CASE_SOURCES = [
+    "void f() { }",
+    "void f() { for (;;) { } }",
+    "void f() { for (;;) { a = 1; } b = 2; }",
+    # the update lands in a split of its own, away from its header
+    "void f(int n) { for (int i = 0; i < n; i = i + 1) { if (a) { b; } else { c; } } d; }",
+    # header, body and both clauses share one split
+    "void f(int n) { for (int i = 0; i < n; i = i + 1) { x = 1; } }",
+    "void f() { { } { { } } a = 1; { { b = 2; } } }",
+    "void f() { if (a) { x; } else if (b) { y; } else if (c) { z; } else { w; } v; }",
+    "void f() { if (c) { } else { x = 1; } }",
+    "void f() { if (c) { x = 1; } }",
+    "void f() { while (c) { if (d) { break; } continue; } return; }",
+    nested_ifs(20),
+]
+
+
+def assert_split_asts_equal_reparse(method) -> int:
+    """Check every split AST against the re-parse oracle; returns the split count."""
+    result = split_method(method)
+    want = split_asts_by_reparse(result.graph, method)  # raises if a split fails to parse
+    assert [a.split_id for a in result.asts] == [a.split_id for a in want]
+    assert [ast_to_json(a.root) for a in result.asts] == [ast_to_json(a.root) for a in want]
+    return len(result.asts)
+
+
+class TestSplitAstsEqualReparse:
+    def test_fixture_and_toy_methods(self):
+        sources = [IDLE_CONNECTIONS_SOURCE, DIAMOND_SOURCE, STRAIGHT_LINE_SOURCE]
+        sources += PRETRAIN_SOURCES + [row["code"] for row in SUMMARIZATION_ROWS]
+        for source in sources:
+            assert_split_asts_equal_reparse(parse_source(source))
+
+    @pytest.mark.parametrize("source", EDGE_CASE_SOURCES)
+    def test_edge_cases(self, source):
+        assert_split_asts_equal_reparse(parse_source(source))
+
+    def test_methods_after_the_first_in_a_file(self):
+        for method in parse_program("\n".join(PRETRAIN_SOURCES)):
+            assert_split_asts_equal_reparse(method)
+
+    # 420 generated methods, 3,562 splits; about 2 s in all
+    @pytest.mark.parametrize("label, profile, count", [
+        ("prep-large", PREP_PROFILE, 3),
+        ("pretrain-sep", MEDIUM_PROFILE, 6),
+        ("summarize-small", SMALL_PROFILE, 12),
+    ])
+    def test_generated_methods(self, label, profile, count):
+        for seed in range(1, 21):
+            for record in generate_records(label, seed, count, profile):
+                assert_split_asts_equal_reparse(parse_source(record["code"]))
