@@ -190,6 +190,12 @@ def _require(cond: bool, message: str):
         raise ShapeError(message)
 
 
+def _require_ids(ids: np.ndarray, n: int, what: str):
+    # read as unsigned, a negative id is huge, so one max checks both ends
+    _require(ids.size == 0 or int(ids.view(np.uintp).max()) < n,
+             f"{what} must lie in [0, {n})")
+
+
 # --- primitive operations ---------------------------------------------------
 
 
@@ -357,18 +363,30 @@ def sum_(x: Tensor) -> Tensor:
     return _emit(x.data.sum(), (x,), lambda g: (np.full_like(x.data, float(g)),))
 
 
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """[n, ...] sums of the rows of `rows` by id; rows add in their order.
+
+    Equal to `np.add.at(zeros, idx, rows)`, bit for bit: one `np.bincount`
+    over the flat ids `idx * width + column`, which accumulates its weights
+    in input order. Ids must lie in [0, n).
+    """
+    tail = rows.shape[1:]
+    width = math.prod(tail)
+    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=rows.ravel(), minlength=n * width)
+    # bincount gives integer zeros when there is nothing to add
+    return out.astype(np.float64, copy=False).reshape((n,) + tail)
+
+
 def embedding_lookup(table: Tensor, indices) -> Tensor:
-    """Rows of an embedding table as a matrix, one row per index."""
+    """Rows of an embedding table as a matrix, one row per index in [0, rows)."""
     _require(table.ndim == 2, f"embedding table must be 2D, got {table.shape}")
     idx_array = np.asarray(indices, dtype=np.intp)
     _require(idx_array.ndim == 1, f"embedding indices must be 1D, got shape {idx_array.shape}")
-
-    def back(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx_array, g)
-        return (full,)
-
-    return _emit(table.data[idx_array], (table,), back)
+    n = table.shape[0]
+    _require_ids(idx_array, n, "embedding indices")
+    return _emit(table.data[idx_array], (table,),
+                 lambda g: (_scatter_rows(idx_array, g, n),))
 
 
 def segment_sum(x: Tensor, segments, n: int) -> Tensor:
@@ -382,13 +400,8 @@ def segment_sum(x: Tensor, segments, n: int) -> Tensor:
         x.ndim >= 1 and seg.shape == (x.shape[0],),
         f"segment_sum needs one segment id per row: {seg.shape} ids for {x.shape}",
     )
-    _require(
-        seg.size == 0 or (int(seg.min()) >= 0 and int(seg.max()) < n),
-        f"segment_sum ids must lie in [0, {n})",
-    )
-    out = np.zeros((n,) + x.shape[1:])
-    np.add.at(out, seg, x.data)
-    return _emit(out, (x,), lambda g: (g[seg],))
+    _require_ids(seg, n, "segment_sum ids")
+    return _emit(_scatter_rows(seg, x.data, n), (x,), lambda g: (g[seg],))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

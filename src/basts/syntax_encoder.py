@@ -10,10 +10,14 @@ and a batch of T trees gives one [T, L] matrix of them.
 The fold is batched by node height (leaf = 0), as in dynamic batching
 (Looks et al., ICLR 2017): one cell application per height covers every
 node of that height in every tree of the batch, so a batch of trees
-costs as many cell applications as its tallest tree has levels. Child
-states are gathered by row from the levels below, summed into their
-parents with `autodiff.segment_sum`, and each child edge gets its own
-forget gate row.
+costs as many cell applications as its tallest tree has levels. Within
+a level there is one row per distinct subtree of the batch: equal
+subtrees (the same label over the same children, in order) are
+hash-consed into one row, so the batch is folded as a DAG. Ops follow
+the tallest tree and rows follow the distinct subtrees. Child states
+are gathered by row from the levels below, summed into their parents
+with `autodiff.segment_sum`, and each child edge gets its own forget
+gate row.
 
 Pre-training scores ordered pairs of split embeddings with a logistic
 head and minimizes binary cross entropy against the block successor
@@ -122,36 +126,46 @@ class _Level:
 
 
 def _levels(trees: list[SplitAst], vocab: dict[str, int]):
-    """Group the nodes of all trees by height; also each root's (level, row).
+    """One row per distinct subtree of the batch, grouped by height; also
+    each root's (level, row).
+
+    Subtrees are hash-consed (Filliâtre & Conchon, ML Workshop 2006): a
+    node is keyed by its embedding row and the (height, row) of each child
+    in order, and a node's state depends on nothing else. The first node
+    with a key takes a row at height 1 + its tallest child (0 for a leaf,
+    whose one child is the virtual state); every later node with that key,
+    in any tree, reuses that row. So the levels follow the tallest tree and
+    the rows follow the distinct subtrees, not the node count.
 
     Loops only, so tree depth is not bounded by the Python recursion
-    limit. Rows follow breadth-first order, so a parent's children from
-    one lower level sit in that level in their order.
+    limit. Each tree is walked in reverse breadth-first order, which puts
+    a node's children before it.
     """
     levels: list[_Level] = []
+    found: dict[tuple, tuple[int, int]] = {}  # key -> (height, row)
     roots: list[tuple[int, int]] = []
     for t in trees:
-        nodes, parent = [t.root], [-1]
-        for i, node in enumerate(nodes):  # the list grows breadth-first
+        nodes, first = [t.root], []
+        for node in nodes:  # the list grows breadth-first; siblings are adjacent
+            first.append(len(nodes))
             nodes.extend(node.children)
-            parent.extend([i] * len(node.children))
-        height = [0] * len(nodes)
-        for j in range(len(nodes) - 1, 0, -1):
-            p = parent[j]
-            height[p] = max(height[p], height[j] + 1)
-        while len(levels) <= height[0]:
-            levels.append(_Level())
-        row = []
-        for node, h in zip(nodes, height):
-            level = levels[h]
-            row.append(len(level.labels))
-            level.labels.append(vocab.get(node.type_value(), 0))
-            if not node.children:
-                level.add_edge(_VIRTUAL, 0, row[-1])
-        for j in range(1, len(nodes)):
-            p = parent[j]
-            levels[height[p]].add_edge(height[j], row[j], row[p])
-        roots.append((height[0], row[0]))
+        ids = [None] * len(nodes)  # (height, row) of each node's subtree
+        for j in range(len(nodes) - 1, -1, -1):
+            node = nodes[j]
+            kids = tuple(ids[first[j]:first[j] + len(node.children)])
+            key = (vocab.get(node.type_value(), 0), kids)
+            hit = found.get(key)
+            if hit is None:
+                height = 1 + max(kids)[0] if kids else 0  # kids are (height, row)
+                if height == len(levels):
+                    levels.append(_Level())
+                level = levels[height]
+                hit = found[key] = (height, len(level.labels))
+                level.labels.append(key[0])
+                for lower, row in kids or ((_VIRTUAL, 0),):
+                    level.add_edge(lower, row, hit[1])
+            ids[j] = hit
+        roots.append(ids[0])
     return levels, roots
 
 
@@ -163,8 +177,11 @@ def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
     lower levels that hold them, sums child h into the parents with
     `segment_sum`, applies the forget gate once per child edge and sums
     the gated child m the same way. Leaves take the virtual child state
-    as their one child. The op count grows with the tallest tree, not
-    with the number of nodes.
+    as their one child. A subtree that occurs more than once in the batch
+    is one row, gathered by every parent that holds it, so its gradient
+    is the sum over its occurrences. The op count grows with the tallest
+    tree and the row count with the distinct subtrees, not with the
+    number of nodes.
     """
     if not trees:
         return Tensor(np.zeros((0, params.size)))

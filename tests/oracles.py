@@ -4,8 +4,10 @@
 `summarizer.encode_batch`; `positional_encoding` is the scalar form of
 `summarizer.positional_matrix`; `tree_lstm_cell` and `encode_tree_per_node`
 are the one-cell-per-node form of `syntax_encoder.encode_trees`;
-`sep_loss_per_pair` is the per-pair score and cross-entropy loop that
-`syntax_encoder.sep_loss` computes as one vector expression;
+`distinct_subtrees` is the recursive canonical form of the hash-consing
+in `syntax_encoder._levels`; `sep_loss_per_pair` is the per-pair score
+and cross-entropy loop that `syntax_encoder.sep_loss` computes as one
+vector expression;
 `reachable_tensors` finds by brute force what `autodiff.Params.named_params`
 walks by dataclass field.
 
@@ -226,6 +228,24 @@ def encode_tree_per_node(t: SplitAst, params: TreeLstmParams) -> Tensor:
         states[node.node_id] = tree_lstm_cell(x_v, children, params)
     h_root, _ = states[t.root.node_id]
     return h_root
+
+
+def distinct_subtrees(trees: list[SplitAst], vocab: dict[str, int]) -> set:
+    """Every distinct subtree of the trees, as (embedding row, child forms).
+
+    Two subtrees are equal when their labels map to the same row and their
+    children are equal, in order. Recursive, so for shallow trees only.
+    """
+    forms = set()
+
+    def canon(node):
+        form = (vocab.get(node.type_value(), 0), tuple(canon(c) for c in node.children))
+        forms.add(form)
+        return form
+
+    for t in trees:
+        canon(t.root)
+    return forms
 
 
 def sep_loss_per_pair(pairs: list[PairExample], model: SepModel) -> Tensor:

@@ -52,6 +52,21 @@ class TestForwardOps:
         with pytest.raises(ShapeError):
             ad.embedding_lookup(table, indices)
 
+    @pytest.mark.parametrize("indices", [[-1], [4], [0, 2, -3]])
+    def test_embedding_lookup_rejects_indices_outside_table(self, indices):
+        table = Tensor(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(ShapeError):
+            ad.embedding_lookup(table, indices)
+
+    def test_empty_lookup_backprops_zero_gradient(self):
+        table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        with Tape() as tape:
+            rows = ad.embedding_lookup(table, [])
+            assert rows.shape == (0, 3)
+            loss = ad.add(ad.sum_(rows), ad.sum_(ad.embedding_lookup(table, [1])))
+            backward(tape, loss)
+        assert np.array_equal(table.grad, [[0, 0, 0], [1, 1, 1], [0, 0, 0], [0, 0, 0]])
+
 
 class TestBackward:
     def test_grad_of_sum_is_ones(self):
@@ -150,6 +165,18 @@ class TestCompositeGradients:
         for p in (x, gain, bias):
             report = ad.grad_check(f, p)
             assert report.passed, report
+
+    def test_embedding_lookup_repeated_indices_finite_differences(self):
+        rng = np.random.default_rng(19)
+        table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(6, 3)))
+
+        def f(t):
+            # rows 1 and 4 repeat, row 2 is never read
+            return ad.sum_(ad.mul(ad.tanh(ad.embedding_lookup(t, [1, 4, 0, 1, 4, 1])), weights))
+
+        report = ad.grad_check(f, table)
+        assert report.passed, report
 
     def test_cross_entropy_uniform_is_log_vocab(self):
         logits = Tensor(np.zeros((4, 11)), requires_grad=True)
@@ -279,11 +306,53 @@ class TestAttention:
             ad.attention(q, k, v, 2, np.zeros((2, 3)))
 
 
+class TestScatterRows:
+    """The `np.bincount` scatter behind `embedding_lookup` and `segment_sum`."""
+
+    @pytest.mark.parametrize("tail", [(), (5,), (3, 4)])
+    def test_bit_equal_to_add_at(self, tail):
+        rng = np.random.default_rng(23)
+        n = 9
+        # ids repeat, and ids 7 and 8 are never drawn
+        ids = rng.integers(0, 7, size=60).astype(np.intp)
+        rows = rng.normal(size=(60,) + tail) * 10.0 ** rng.integers(-8, 8, size=(60,) + tail)
+        want = np.zeros((n,) + tail)
+        np.add.at(want, ids, rows)
+        got = ad._scatter_rows(ids, rows, n)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert not got[7:].any()
+
+    @pytest.mark.parametrize("tail", [(), (3,), (2, 2)])
+    def test_empty_input_gives_float_zeros(self, tail):
+        got = ad._scatter_rows(np.zeros(0, dtype=np.intp), np.zeros((0,) + tail), 4)
+        assert got.dtype == np.float64 and got.shape == (4,) + tail
+        assert not got.any()
+
+
 class TestSegmentSum:
     def test_sums_rows_into_their_segments(self):
         x = Tensor(np.arange(8.0).reshape(4, 2))
         y = ad.segment_sum(x, [2, 0, 2, 0], 4)
         assert np.array_equal(y.data, [[8.0, 10.0], [0.0, 0.0], [4.0, 6.0], [0.0, 0.0]])
+
+    def test_rows_add_in_their_order(self):
+        # 1e16 + 1 rounds back to 1e16, so only the row order gives 0.0 here
+        x = Tensor([[1e16], [1.0], [-1e16], [1.0]])
+        y = ad.segment_sum(x, [0, 0, 0, 1], 2)
+        assert y.data[0, 0] == ((1e16 + 1.0) - 1e16) == 0.0
+        assert y.data[1, 0] == 1.0
+
+    def test_grad_check_3d_rows(self):
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.normal(size=(6, 2, 3)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(4, 2, 3)))
+
+        def f(t):
+            return ad.sum_(ad.mul(ad.segment_sum(t, [2, 0, 2, 3, 0, 2], 4), weights))
+
+        report = ad.grad_check(f, x)
+        assert report.passed, report
 
     def test_grad_check_with_repeated_and_unused_ids(self):
         rng = np.random.default_rng(17)

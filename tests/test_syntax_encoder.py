@@ -1,5 +1,7 @@
 import copy
 import gc
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from basts.frontend import AstNode, iter_nodes
 from basts.splitter import SplitAst, split_method
 from basts.syntax_encoder import (
     ConfigError,
+    _levels,
     PairExample,
     PretrainConfig,
     SepModel,
@@ -23,8 +26,18 @@ from basts.syntax_encoder import (
     sep_score,
 )
 from conftest import parse_source
-from oracles import embed, encode_tree_per_node, sep_loss_per_pair, tree_lstm_cell
+from oracles import (
+    distinct_subtrees,
+    embed,
+    encode_tree_per_node,
+    sep_loss_per_pair,
+    tree_lstm_cell,
+)
 from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from minigen import generate_records  # noqa: E402
+from workloads import MEDIUM_PROFILE  # noqa: E402
 
 
 def make_params(size=4, seed=0, vocab=None):
@@ -205,6 +218,43 @@ def _shaped_batches():
     }
 
 
+def toy_trees(corpus):
+    sources = (PRETRAIN_SOURCES if corpus == "pretrain"
+               else [row["code"] for row in SUMMARIZATION_ROWS])
+    return [a for src in sources for a in split_method(parse_source(src)).asts]
+
+
+def with_own_vocab(trees, size=5, seed=6):
+    vocab = build_type_value_vocab([t.root for t in trees], min_freq=2)
+    return trees, TreeLstmParams.init(vocab, size, np.random.default_rng(seed))
+
+
+def _sharing_batches():
+    """Batches in which many nodes repeat a subtree seen before them."""
+    rng = np.random.default_rng(31)
+    tree = random_tree(rng, 25)
+    method = max((split_method(parse_source(src)) for src in PRETRAIN_SOURCES),
+                 key=lambda ms: len(ms.asts))
+    star = AstNode(0, "A", children=[AstNode(i + 1, "B") for i in range(40)])
+    return {
+        "same tree twice": ([tree, copy.deepcopy(tree)], make_params(size=5, seed=6)),
+        "splits of one method": with_own_vocab(method.asts),
+        # both labels fall to UNK, so the two roots are one subtree
+        "two unknown labels": ([
+            SplitAst(0, AstNode(0, "A", children=[AstNode(1, "Unseen"), AstNode(2, "B")])),
+            SplitAst(1, AstNode(0, "A", children=[AstNode(1, "Other"), AstNode(2, "B")])),
+            SplitAst(2, AstNode(0, "Other")),
+        ], make_params(size=5, seed=6)),
+        "40-child star of identical leaves": ([SplitAst(0, star)],
+                                              make_params(size=5, seed=6)),
+    }
+
+
+def row_count(trees, vocab):
+    levels, _ = _levels(trees, vocab)
+    return sum(len(level.labels) for level in levels)
+
+
 class TestEncodeTreesMatchesPerNodeFold:
     """The height-batched fold against the one-cell-per-node oracle."""
 
@@ -219,15 +269,17 @@ class TestEncodeTreesMatchesPerNodeFold:
 
     @pytest.mark.parametrize("corpus", ["pretrain", "summarization"])
     def test_toy_corpora(self, corpus):
-        sources = (PRETRAIN_SOURCES if corpus == "pretrain"
-                   else [row["code"] for row in SUMMARIZATION_ROWS])
-        trees = [a for src in sources for a in split_method(parse_source(src)).asts]
-        vocab = build_type_value_vocab([t.root for t in trees], min_freq=2)
-        self._assert_match(trees, TreeLstmParams.init(vocab, 6, np.random.default_rng(5)))
+        self._assert_match(*with_own_vocab(toy_trees(corpus), size=6, seed=5))
 
     @pytest.mark.parametrize("shape", list(_shaped_batches()))
     def test_shaped_trees(self, shape):
         self._assert_match(_shaped_batches()[shape], make_params(size=5, seed=6))
+
+    @pytest.mark.parametrize("sharing", list(_sharing_batches()))
+    def test_sharing_heavy_batches(self, sharing):
+        trees, params = _sharing_batches()[sharing]
+        assert row_count(trees, params.vocab) < node_count(trees)
+        self._assert_match(trees, params)
 
     def test_batch_equals_trees_folded_alone(self):
         trees = _shaped_batches()["mixed heights"]
@@ -259,6 +311,32 @@ class TestEncodeTreesMatchesPerNodeFold:
             assert report.passed, (name, report)
 
 
+class TestHashConsedLevels:
+    """`_levels` keeps one row per distinct subtree, by the recursive oracle."""
+
+    def _assert_one_row_per_subtree(self, trees):
+        vocab = build_type_value_vocab([t.root for t in trees], min_freq=2)
+        assert row_count(trees, vocab) == len(distinct_subtrees(trees, vocab))
+        assert row_count(trees, vocab) < node_count(trees)
+        # two roots share a row exactly when their trees are equal, that is
+        # when they hold the same distinct subtrees
+        _, roots = _levels(trees, vocab)
+        forms = [frozenset(distinct_subtrees([t], vocab)) for t in trees]
+        for i in range(len(trees)):
+            for j in range(i):
+                assert (roots[i] == roots[j]) == (forms[i] == forms[j])
+
+    @pytest.mark.parametrize("corpus", ["pretrain", "summarization"])
+    def test_toy_corpora(self, corpus):
+        self._assert_one_row_per_subtree(toy_trees(corpus))
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_generated_methods(self, seed):
+        records = generate_records("pretrain-sep", seed, 20, MEDIUM_PROFILE)
+        self._assert_one_row_per_subtree(
+            [a for r in records for a in split_method(parse_source(r["code"])).asts])
+
+
 def toy_pretrain_batch(size=8):
     """The first 16 pairs over the toy pre-training methods, and a model."""
     corpus = [split_method(parse_source(src)) for src in PRETRAIN_SOURCES]
@@ -278,6 +356,8 @@ class TestCostGates:
 
     # 10 distinct trees of 103 nodes on 5 levels; `sep_loss_per_pair` records 8,740
     PRETRAIN_BATCH_OPS = 160
+    # the fold's rows: the distinct subtrees of those 103 nodes
+    PRETRAIN_BATCH_ROWS = 48
 
     def test_pretrain_batch_op_count(self):
         batch, model = toy_pretrain_batch()
@@ -285,6 +365,12 @@ class TestCostGates:
             loss = sep_loss(batch, model)
             backward(tape, loss)
         assert len(tape.nodes) == self.PRETRAIN_BATCH_OPS
+
+    def test_pretrain_batch_row_count(self):
+        batch, model = toy_pretrain_batch()
+        trees = list({id(t): t for p in batch for t in (p.t, p.t_prime)}.values())
+        assert node_count(trees) == 103
+        assert row_count(trees, model.tree.vocab) == self.PRETRAIN_BATCH_ROWS
 
     def test_op_count_follows_height_not_node_count(self):
         def widened(t):
