@@ -10,9 +10,9 @@ docs/grammar.md.
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class LexError(ValueError):
@@ -45,8 +45,7 @@ class TokenKind(Enum):
     PUNCT = "punct"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     kind: TokenKind
     offset: int = -1  # character offset in the source; -1 for synthesized tokens
@@ -58,83 +57,52 @@ NUM_TOKEN = "<NUM>"
 STR_TOKEN = "<STR>"
 BOOL_TOKEN = "<BOOL>"
 
-_TWO_CHAR_OPS = ("==", "!=", "<=", ">=", "&&", "||")
-_ONE_CHAR_OPS = "=<>+-*/%!"
-_PUNCT = "(){};,."
-# ASCII only, as docs/grammar.md gives them; str.isdigit/isalpha also
-# accept characters such as "²", "٣" and "é"
-_DIGITS = frozenset(string.digits)
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CHARS = _IDENT_START | _DIGITS
+# One alternative per lexeme class, tried in this order at each offset
+# (docs/grammar.md, "Lexical rules"). Only the skip alternative has no
+# group, so `lastindex` names the class of every token; the last group
+# matches any character no other alternative takes there. Letters and
+# digits are spelled out because \w and \d also accept "é", "²" and "٣".
+_LEXEME_RE = re.compile(
+    r"(?:\s+|//[^\n]*|/\*[\s\S]*?\*/)"  # whitespace and comments
+    r"|([0-9]+(?:\.[0-9]+)?)"  # 1: number
+    r'|("[^"\\]*(?:\\[\s\S][^"\\]*)*")'  # 2: string with backslash escapes
+    r"|([A-Za-z_][A-Za-z0-9_]*)"  # 3: word
+    r"|(==|!=|<=|>=|&&|\|\||[=<>+\-*%!]|/(?!\*))"  # 4: operator
+    r"|([(){};,.])"  # 5: punct
+    r"|([\s\S])"  # 6: anything else
+)
+_GROUP_KIND = (
+    None,
+    TokenKind.NUMBER_LIT,
+    TokenKind.STRING_LIT,
+    None,
+    TokenKind.OPERATOR,
+    TokenKind.PUNCT,
+)
+_WORD_KIND = {word: TokenKind.KEYWORD for word in KEYWORDS}
+_WORD_KIND.update(true=TokenKind.BOOL_LIT, false=TokenKind.BOOL_LIT)
 
 
 def tokenize(source: str) -> list[Token]:
     """Lex source text into tokens, skipping whitespace and comments."""
     out: list[Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
+    append = out.append
+    identifier = TokenKind.IDENTIFIER
+    for m in _LEXEME_RE.finditer(source):
+        group = m.lastindex
+        if group is None:
             continue
-        if c == "/" and source[i + 1 : i + 2] == "/":
-            j = source.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if c == "/" and source[i + 1 : i + 2] == "*":
-            j = source.find("*/", i + 2)
-            if j < 0:
-                raise LexError("unterminated block comment", i)
-            i = j + 2
-            continue
-        if c in _DIGITS:
-            j = i + 1
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            if j < n - 1 and source[j] == "." and source[j + 1] in _DIGITS:
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            out.append(Token(source[i:j], TokenKind.NUMBER_LIT, i))
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                j += 2 if source[j] == "\\" else 1
-            if j >= n:
-                raise LexError("unterminated string literal", i)
-            out.append(Token(source[i : j + 1], TokenKind.STRING_LIT, i))
-            i = j + 1
-            continue
-        if c in _IDENT_START:
-            j = i + 1
-            while j < n and source[j] in _IDENT_CHARS:
-                j += 1
-            text = source[i:j]
-            if text in ("true", "false"):
-                kind = TokenKind.BOOL_LIT
-            elif text in KEYWORDS:
-                kind = TokenKind.KEYWORD
-            else:
-                kind = TokenKind.IDENTIFIER
-            out.append(Token(text, kind, i))
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            out.append(Token(two, TokenKind.OPERATOR, i))
-            i += 2
-            continue
-        if c in _ONE_CHAR_OPS:
-            out.append(Token(c, TokenKind.OPERATOR, i))
-            i += 1
-            continue
-        if c in _PUNCT:
-            out.append(Token(c, TokenKind.PUNCT, i))
-            i += 1
-            continue
-        raise LexError(f"unrecognized character {c!r}", i)
+        text = m[group]
+        if group == 3:
+            append(Token(text, _WORD_KIND.get(text, identifier), m.start()))
+        elif group < 6:
+            append(Token(text, _GROUP_KIND[group], m.start()))
+        elif text == '"':  # the string alternative found no closing quote
+            raise LexError("unterminated string literal", m.start())
+        elif text == "/":  # only "/*" without "*/" gets here
+            raise LexError("unterminated block comment", m.start())
+        else:
+            raise LexError(f"unrecognized character {text!r}", m.start())
     return out
 
 
@@ -143,18 +111,21 @@ def abstract_literals(tokens: list[Token]) -> list[Token]:
 
     Kinds and list length are preserved, so the operation is idempotent.
     """
-    replacement = {
-        TokenKind.NUMBER_LIT: NUM_TOKEN,
-        TokenKind.STRING_LIT: STR_TOKEN,
-        TokenKind.BOOL_LIT: BOOL_TOKEN,
-    }
+    number, string, boolean = TokenKind.NUMBER_LIT, TokenKind.STRING_LIT, TokenKind.BOOL_LIT
     out = []
+    append = out.append
     for t in tokens:
-        text = replacement.get(t.kind)
-        if text is None or t.text == text:
-            out.append(t)
+        kind = t.kind
+        if kind is number:
+            text = NUM_TOKEN
+        elif kind is string:
+            text = STR_TOKEN
+        elif kind is boolean:
+            text = BOOL_TOKEN
         else:
-            out.append(Token(text, t.kind, t.offset))
+            append(t)
+            continue
+        append(t if t.text == text else Token(text, kind, t.offset))
     return out
 
 
@@ -229,6 +200,8 @@ class Method:
     statements: dict[int, Statement]  # every statement, nested ones included
 
 
+_LITERAL_KINDS = (TokenKind.NUMBER_LIT, TokenKind.STRING_LIT, TokenKind.BOOL_LIT)
+
 # Deepest nesting the parser accepts (docs/grammar.md, "Nesting limit"); it keeps
 # the recursive AST, CFG and JSON builders under Python's default recursion limit.
 MAX_NESTING = 100
@@ -237,6 +210,7 @@ MAX_NESTING = 100
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
+        self.n = len(tokens)
         self.i = 0
         self.statements: dict[int, Statement] = {}
         self._next_id = 0
@@ -244,22 +218,21 @@ class _Parser:
 
     def _peek(self, k: int = 0) -> Token | None:
         j = self.i + k
-        return self.toks[j] if j < len(self.toks) else None
+        return self.toks[j] if j < self.n else None
 
     def _fail(self, expected: list[str]):
         t = self._peek()
         raise ParseError(self.i, expected, t.text if t else "<eof>")
 
     def _at(self, text: str) -> bool:
-        t = self._peek()
-        return t is not None and t.text == text
+        return self.i < self.n and self.toks[self.i].text == text
 
     def _expect(self, text: str) -> Token:
-        if not self._at(text):
+        i = self.i
+        if i >= self.n or self.toks[i].text != text:
             self._fail([repr(text)])
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+        self.i = i + 1
+        return self.toks[i]
 
     def _descend(self):
         self.depth += 1
@@ -485,15 +458,24 @@ class _Parser:
     }
     _UNARY = 7  # a unary operand binds tighter than any binary operator
 
+    # The expression methods below index `self.toks` against `self.n`
+    # themselves, since they run once per leaf and per operator.
+
     def parse_expr(self, min_bp: int = 1) -> Expr:
+        toks, n, binding = self.toks, self.n, self._BINDING
         depth = self.depth
         self._descend()
-        left = self._parse_unary()
-        while True:
-            t = self._peek()
-            if t is None or t.kind is not TokenKind.OPERATOR:
+        t = toks[self.i] if self.i < n else None
+        if t is not None and t.text in ("!", "-") and t.kind is TokenKind.OPERATOR:
+            self.i += 1
+            left = Expr("unary", t.text, [self.parse_expr(self._UNARY)])
+        else:
+            left = self._parse_postfix()
+        while self.i < n:
+            t = toks[self.i]
+            if t.kind is not TokenKind.OPERATOR:
                 break
-            bp = self._BINDING.get(t.text)
+            bp = binding.get(t.text)
             if bp is None or bp < min_bp:
                 break
             self.i += 1
@@ -503,19 +485,13 @@ class _Parser:
         self.depth = depth
         return left
 
-    def _parse_unary(self) -> Expr:
-        t = self._peek()
-        if t is not None and t.text in ("!", "-") and t.kind is TokenKind.OPERATOR:
-            self.i += 1
-            return Expr("unary", t.text, [self.parse_expr(self._UNARY)])
-        return self._parse_postfix()
-
     def _parse_postfix(self) -> Expr:
+        toks, n = self.toks, self.n
         depth = self.depth
         expr = self._parse_primary()
-        while self._at("."):
+        while self.i < n and toks[self.i].text == ".":
             self._descend()  # every member access nests `expr` one deeper
-            self._expect(".")
+            self.i += 1
             name = self._expect_ident("member name").text
             if self._at("("):
                 args = self._parse_args()
@@ -526,20 +502,21 @@ class _Parser:
         return expr
 
     def _parse_primary(self) -> Expr:
-        t = self._peek()
-        if t is None:
+        i = self.i
+        if i >= self.n:
             self._fail(["expression"])
-        if t.kind in (TokenKind.NUMBER_LIT, TokenKind.STRING_LIT, TokenKind.BOOL_LIT):
-            self.i += 1
-            return Expr("literal", t.text)
-        if t.kind is TokenKind.IDENTIFIER:
-            self.i += 1
-            if self._at("("):
-                args = self._parse_args()
-                return Expr("call", t.text, args)
+        t = self.toks[i]
+        kind = t.kind
+        if kind is TokenKind.IDENTIFIER:
+            self.i = i + 1
+            if i + 1 < self.n and self.toks[i + 1].text == "(":
+                return Expr("call", t.text, self._parse_args())
             return Expr("name", t.text)
+        if kind in _LITERAL_KINDS:
+            self.i = i + 1
+            return Expr("literal", t.text)
         if t.text == "(":
-            self._expect("(")
+            self.i = i + 1
             inner = self.parse_expr()
             self._expect(")")
             return inner
@@ -592,7 +569,7 @@ def parse_program(source: str) -> list[Method]:
 # --- AST construction -----------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class AstNode:
     node_id: int
     node_type: str

@@ -1,7 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from basts.cfg import Cfg, CfgNode, NodeKind
 from basts.frontend import abstract_literals, parse_method, tokenize
+
+# Every property test runs under this one profile: the same examples on
+# every run, no example database on disk, and no per-example deadline,
+# since the time an example takes depends on the machine's load.
+settings.register_profile(
+    "tier1", derandomize=True, database=None, deadline=None, max_examples=500
+)
+settings.load_profile("tier1")
 
 # A method with a for loop and two nested conditionals; its dominator tree
 # partitions into six blocks connected by five successor edges.

@@ -20,15 +20,27 @@ and `train_loss_per_example` are the one-fold-per-example form of
 `split_asts_by_reparse` is the token form of `splitter.build_split_asts`:
 it parses each split's code, with its body braced, instead of building
 the tree from the method's parsed statements.
+
+`tokenize_per_char` is the one-branch-chain-per-character form of
+`frontend.tokenize`, which walks one compiled regular expression.
 """
 
 import math
+import string
 
 import numpy as np
 
 import basts.autodiff as ad
 from basts.autodiff import Tensor
-from basts.frontend import Method, Token, TokenKind, build_ast, parse_method
+from basts.frontend import (
+    KEYWORDS,
+    LexError,
+    Method,
+    Token,
+    TokenKind,
+    build_ast,
+    parse_method,
+)
 from basts.splitter import SplitAst, SplitGraph, make_split_code
 from basts.summarizer import (
     AttentionParams,
@@ -296,4 +308,84 @@ def split_asts_by_reparse(graph: SplitGraph, method: Method) -> list[SplitAst]:
         tokens = (code[:n] + [Token("{", TokenKind.PUNCT)] + code[n:]
                   + [Token("}", TokenKind.PUNCT)])
         out.append(SplitAst(split.split_id, build_ast(parse_method(tokens))))
+    return out
+
+
+_TWO_CHAR_OPS = ("==", "!=", "<=", ">=", "&&", "||")
+_ONE_CHAR_OPS = "=<>+-*/%!"
+_PUNCT = "(){};,."
+# ASCII only, as docs/grammar.md gives them; str.isdigit/isalpha also
+# accept characters such as "²", "٣" and "é"
+_DIGITS = frozenset(string.digits)
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
+
+
+def tokenize_per_char(source: str) -> list[Token]:
+    """Lex source text into tokens, skipping whitespace and comments."""
+    out: list[Token] = []
+    i, n = 0, len(source)
+    while i < n:
+        c = source[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "/" and source[i + 1 : i + 2] == "/":
+            j = source.find("\n", i)
+            i = n if j < 0 else j + 1
+            continue
+        if c == "/" and source[i + 1 : i + 2] == "*":
+            j = source.find("*/", i + 2)
+            if j < 0:
+                raise LexError("unterminated block comment", i)
+            i = j + 2
+            continue
+        if c in _DIGITS:
+            j = i + 1
+            while j < n and source[j] in _DIGITS:
+                j += 1
+            if j < n - 1 and source[j] == "." and source[j + 1] in _DIGITS:
+                j += 1
+                while j < n and source[j] in _DIGITS:
+                    j += 1
+            out.append(Token(source[i:j], TokenKind.NUMBER_LIT, i))
+            i = j
+            continue
+        if c == '"':
+            j = i + 1
+            while j < n and source[j] != '"':
+                j += 2 if source[j] == "\\" else 1
+            if j >= n:
+                raise LexError("unterminated string literal", i)
+            out.append(Token(source[i : j + 1], TokenKind.STRING_LIT, i))
+            i = j + 1
+            continue
+        if c in _IDENT_START:
+            j = i + 1
+            while j < n and source[j] in _IDENT_CHARS:
+                j += 1
+            text = source[i:j]
+            if text in ("true", "false"):
+                kind = TokenKind.BOOL_LIT
+            elif text in KEYWORDS:
+                kind = TokenKind.KEYWORD
+            else:
+                kind = TokenKind.IDENTIFIER
+            out.append(Token(text, kind, i))
+            i = j
+            continue
+        two = source[i : i + 2]
+        if two in _TWO_CHAR_OPS:
+            out.append(Token(two, TokenKind.OPERATOR, i))
+            i += 2
+            continue
+        if c in _ONE_CHAR_OPS:
+            out.append(Token(c, TokenKind.OPERATOR, i))
+            i += 1
+            continue
+        if c in _PUNCT:
+            out.append(Token(c, TokenKind.PUNCT, i))
+            i += 1
+            continue
+        raise LexError(f"unrecognized character {c!r}", i)
     return out

@@ -1,3 +1,4 @@
+import gc
 import json
 import struct
 import zlib
@@ -27,7 +28,14 @@ from basts.summarizer import TransformerParams, Vocab
 from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams
 from basts.frontend import MAX_NESTING, parse_program
 from basts.splitter import split_method
-from conftest import IDLE_CONNECTIONS_SOURCE, nested_ifs, nested_parens, parse_source
+from conftest import (
+    DIAMOND_SOURCE,
+    IDLE_CONNECTIONS_SOURCE,
+    STRAIGHT_LINE_SOURCE,
+    nested_ifs,
+    nested_parens,
+    parse_source,
+)
 
 
 def write_corpus(path, rows):
@@ -323,6 +331,94 @@ class TestPreprocess:
             ("dup", "duplicate of a training record"),
             ("dup2", "duplicate of a training record"),
         ]
+
+
+def fixture_records_with_rejects():
+    """The fixture methods, then one record each stage rejects."""
+    sources = [IDLE_CONNECTIONS_SOURCE, DIAMOND_SOURCE, STRAIGHT_LINE_SOURCE]
+    records = [CorpusRecord(f"ok{i}", src, "does things") for i, src in enumerate(sources)]
+    return records + [
+        CorpusRecord("lex", "void f() { x = @; }", "lex error"),
+        CorpusRecord("parse", "int f( { return; }", "parse error"),
+        CorpusRecord("cfg", "void f() { break; }", "cfg error"),
+    ]
+
+
+@pytest.fixture(params=[True, False], ids=["caller-collects", "caller-paused"])
+def caller_gc(request):
+    """Set the collector as the caller has it, and put it back afterwards."""
+    was_enabled = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable() if was_enabled else gc.disable()
+
+
+class TestPreprocessPausesCollector:
+    config = RunConfig(embedding_size=16, heads=2, encoder_layers=1, decoder_layers=1)
+
+    def test_state_restored_after_return(self, caller_gc):
+        preprocess(fixture_records_with_rejects(), self.config)
+        assert gc.isenabled() is caller_gc
+
+    def test_state_restored_when_every_record_is_dropped(self, caller_gc):
+        with pytest.raises(ConfigError):
+            preprocess(fixture_records_with_rejects()[3:], self.config)
+        assert gc.isenabled() is caller_gc
+
+    def test_state_restored_when_a_fault_propagates(self, caller_gc, monkeypatch):
+        def broken_split(method):
+            raise RuntimeError("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "split_method", broken_split)
+        with pytest.raises(RuntimeError):
+            preprocess(fixture_records_with_rejects(), self.config)
+        assert gc.isenabled() is caller_gc
+
+    def test_no_collection_starts_in_the_record_loop(self, monkeypatch):
+        events = []
+        tokenize, split = cli.tokenize, cli.split_method
+
+        def first_stage(source):
+            events.append("record")
+            return tokenize(source)
+
+        def last_stage(method):
+            result = split(method)
+            events.append("split")
+            return result
+
+        def on_gc(phase, info):
+            if phase == "start":
+                events.append("collection")
+
+        monkeypatch.setattr(cli, "tokenize", first_stage)
+        monkeypatch.setattr(cli, "split_method", last_stage)
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(on_gc)
+        try:
+            preprocess(fixture_records_with_rejects() * 4, self.config)
+        finally:
+            gc.callbacks.remove(on_gc)
+            gc.enable() if was_enabled else gc.disable()
+        stages = [i for i, event in enumerate(events) if event != "collection"]
+        loop = events[stages[0] : stages[-1] + 1]
+        assert loop.count("record") == 24 and loop.count("split") == 12
+        assert "collection" not in loop
+
+    def test_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            corpus = preprocess(fixture_records_with_rejects(), self.config)
+            assert [r.record_id for r in corpus.records] == ["ok0", "ok1", "ok2"]
+            assert [reason.split(":")[0] for _, reason in corpus.dropped] == [
+                "LexError", "ParseError", "CfgError",
+            ]
+            del corpus
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCheckpointFormat:

@@ -1,10 +1,16 @@
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from basts.frontend import (
     MAX_NESTING,
     LexError,
     ParseError,
     StmtKind,
+    Token,
     TokenKind,
     abstract_literals,
     build_ast,
@@ -16,6 +22,11 @@ from basts.frontend import (
     tokenize_comment,
 )
 from conftest import IDLE_CONNECTIONS_SOURCE, nested_ifs, nested_parens, parse_source
+from oracles import tokenize_per_char
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from minigen import generate_records  # noqa: E402
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
 
 
 def lex(source):
@@ -76,6 +87,90 @@ class TestTokenize:
         src = "int x = 3 ; x = x + 1 ; f ( x , \"s\" ) ;"
         assert " ".join(t.text for t in lex(src)) == src
 
+    @pytest.mark.parametrize("src, message, offset", [
+        ('x = "abc;', "unterminated string literal", 4),
+        ('x = "a\\";', "unterminated string literal", 4),  # the escape eats the quote
+        ("x = 1; /* y", "unterminated block comment", 7),
+        ("x /*/ y", "unterminated block comment", 2),
+        ("x = a & b;", "unrecognized character '&'", 6),
+    ])
+    def test_lex_error_messages(self, src, message, offset):
+        with pytest.raises(LexError) as err:
+            lex(src)
+        assert str(err.value) == f"{message} at offset {offset}"
+        assert err.value.offset == offset
+
+    def test_slash_before_star_and_slash(self):
+        assert [t.text for t in lex("a / b // c\n/* d */ e /f")] == [
+            "a", "/", "b", "e", "/", "f",
+        ]
+
+
+def lex_outcome(lexer, source):
+    """The token list, or the LexError's message and offset."""
+    try:
+        return lexer(source)
+    except LexError as err:
+        return (str(err), err.offset)
+
+
+# Characters where the lexer's alternatives meet, and the non-ASCII
+# letters, digits and spaces that `str.isspace` and `\s` must agree on.
+LEX_ALPHABET = 'aZ_x09.5"\\/*=<>!&|+-%(){};,. \t\n\x1c\u00a0\u2028é²٣@'
+LEX_FRAGMENTS = [
+    "if", "else", "while", "true", "false", "return", "//", "/*", "*/",
+    '"', '\\"', "\\\n", '"\\\n"', '"\\""',  # escapes in and out of strings
+    "1.5", "2.", "==", "!=", "<=", ">=", "&&", "||", " ", "\n",
+]
+lex_sources = st.one_of(
+    st.text(alphabet=LEX_ALPHABET, max_size=40),
+    st.lists(
+        st.one_of(st.sampled_from(LEX_FRAGMENTS), st.sampled_from(LEX_ALPHABET)),
+        max_size=30,
+    ).map("".join),
+)
+
+
+class TestTokenizeMatchesPerCharOracle:
+    @given(lex_sources)
+    def test_random_text(self, source):
+        assert lex_outcome(tokenize, source) == lex_outcome(tokenize_per_char, source)
+
+    @pytest.mark.parametrize("label, profile, count", [
+        ("prep-large", PREP_PROFILE, 3),
+        ("pretrain-sep", MEDIUM_PROFILE, 6),
+        ("summarize-small", SMALL_PROFILE, 12),
+    ])
+    def test_generated_methods(self, label, profile, count):
+        for seed in range(1, 21):
+            for record in generate_records(label, seed, count, profile):
+                assert tokenize(record["code"]) == tokenize_per_char(record["code"])
+
+
+class TestTokenContract:
+    def test_immutable(self):
+        tok = Token("x", TokenKind.IDENTIFIER, 3)
+        with pytest.raises(AttributeError):
+            tok.text = "y"
+        with pytest.raises(AttributeError):
+            tok.extra = 1
+
+    def test_hashes_by_value(self):
+        a = Token("x", TokenKind.IDENTIFIER, 3)
+        assert hash(a) == hash(Token("x", TokenKind.IDENTIFIER, 3))
+        assert len({a, Token("x", TokenKind.IDENTIFIER, 3), Token("x", TokenKind.IDENTIFIER)}) == 2
+
+    def test_equals_the_plain_tuple_of_its_fields(self):
+        assert Token("x", TokenKind.IDENTIFIER, 3) == ("x", TokenKind.IDENTIFIER, 3)
+
+    def test_offset_defaults_to_minus_one(self):
+        assert Token("{", TokenKind.PUNCT).offset == -1
+
+    def test_repr(self):
+        assert repr(Token("x", TokenKind.IDENTIFIER)) == (
+            "Token(text='x', kind=<TokenKind.IDENTIFIER: 'identifier'>, offset=-1)"
+        )
+
 
 class TestAbstractLiterals:
     def test_number_becomes_placeholder(self):
@@ -96,6 +191,16 @@ class TestAbstractLiterals:
         assert len(once) == len(toks)
         assert abstract_literals(once) == once
         assert [t.kind for t in once] == [t.kind for t in toks]
+
+    def test_keeps_token_objects_it_does_not_change(self):
+        toks = lex('f(1, "a", false, x);')
+        once = abstract_literals(toks)
+        for before, after in zip(toks, once):
+            if before.kind in (TokenKind.NUMBER_LIT, TokenKind.STRING_LIT, TokenKind.BOOL_LIT):
+                assert after.offset == before.offset
+            else:
+                assert after is before
+        assert all(a is b for a, b in zip(abstract_literals(once), once))
 
 
 class TestSplitIdentifier:
@@ -189,6 +294,32 @@ class TestParseMethod:
         with pytest.raises(ParseError) as err:
             parse_source(source)
         assert err.value.expected == [f"nesting at most {MAX_NESTING} deep"]
+
+    # Expected values recorded from the recursive-descent parser before
+    # its expression path was flattened; the bound counts one level per
+    # unary operator, binary operator and member access.
+    @pytest.mark.parametrize("source, index, expected, found", [
+        ("int f() { return a + ; }", 8, ["expression"], ";"),
+        ("int f() { return (a + b; }", 10, ["')'"], ";"),
+        ("int f() { return a.; }", 8, ["member name"], ";"),
+        ("int f() { return !", 7, ["expression"], "<eof>"),
+        ("int f() { return " + "!" * 99 + "a; }", 105, [f"nesting at most {MAX_NESTING} deep"], "a"),
+        ("int f() { return a" + " + a" * 98 + "; }", 202, [f"nesting at most {MAX_NESTING} deep"], "a"),
+        ("int f() { return a" + ".b" * 99 + "; }", 203, [f"nesting at most {MAX_NESTING} deep"], "."),
+    ], ids=["missing operand", "unclosed paren", "dot without member", "bang at eof",
+            "unary chain", "binary chain", "member chain"])
+    def test_exact_parse_errors(self, source, index, expected, found):
+        with pytest.raises(ParseError) as err:
+            parse_source(source)
+        assert (err.value.index, err.value.expected, err.value.found) == (index, expected, found)
+
+    @pytest.mark.parametrize("source", [
+        "int f() { return " + "!" * 98 + "a; }",
+        "int f() { return a" + " + a" * 97 + "; }",
+        "int f() { return a" + ".b" * 98 + "; }",
+    ], ids=["unary chain", "binary chain", "member chain"])
+    def test_chains_one_short_of_the_bound_parse(self, source):
+        parse_source(source)
 
     def test_statement_ids_follow_source_order(self, idle_method):
         stmts = idle_method.statements
