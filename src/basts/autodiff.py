@@ -8,8 +8,9 @@ shapes are checked eagerly and mismatches raise ShapeError.
 
 Python bookkeeping per recorded op, not arithmetic, bounds the speed of
 a step, so larger composites are single ops with hand-written
-backwards: `attention` runs every head of a multi-head attention as one
-batched product, masked softmax and weighted sum.
+backwards: `attention` runs every head of a multi-head attention, for
+every sequence packed into its rows, as one op of batched products,
+masked softmaxes and weighted sums.
 
 The graph holds no reference cycles, so reference counting frees a
 step's arrays as soon as its tape and loss are dropped. Strong references
@@ -185,15 +186,16 @@ def backward(tape: Tape, loss: Tensor):
             t.grad = g if t.grad is None else t.grad + g
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ShapeError(message)
-
-
 def _require_ids(ids: np.ndarray, n: int, what: str):
     # read as unsigned, a negative id is huge, so one max checks both ends
-    _require(ids.size == 0 or int(ids.view(np.uintp).max()) < n,
-             f"{what} must lie in [0, {n})")
+    if not (ids.size == 0 or int(ids.view(np.uintp).max()) < n):
+        raise ShapeError(f"{what} must lie in [0, {n})")
+
+
+def _tiles(offsets, n: int) -> bool:
+    """Whether row offsets ascend from 0 to n, cutting [0, n) into segments."""
+    return (len(offsets) >= 2 and offsets[0] == 0 and offsets[-1] == n
+            and list(offsets) == sorted(offsets))
 
 
 # --- primitive operations ---------------------------------------------------
@@ -202,10 +204,8 @@ def _require_ids(ids: np.ndarray, n: int, what: str):
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix/vector product for 2D@2D, 2D@1D and 1D@2D."""
     ad, bd = a.data, b.data
-    _require(
-        ad.shape[-1] == bd.shape[0],
-        f"matmul inner dimensions differ: {ad.shape} @ {bd.shape}",
-    )
+    if ad.shape[-1] != bd.shape[0]:
+        raise ShapeError(f"matmul inner dimensions differ: {ad.shape} @ {bd.shape}")
     if a.ndim == 2 and b.ndim == 2:
         def back(g):
             return g @ bd.T, ad.T @ g
@@ -226,12 +226,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         def back(g):
             return (g if a.ndim else g.sum()), (g if b.ndim else g.sum())
         return _emit(a.data + b.data, (a, b), back)
-    _require(a.data.shape == b.data.shape, f"add shapes differ: {a.shape} vs {b.shape}")
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     return _emit(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require(a.data.shape == b.data.shape, f"mul shapes differ: {a.shape} vs {b.shape}")
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
     return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
@@ -242,16 +244,15 @@ def scalar_mul(a: Tensor, s: float) -> Tensor:
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     """Add a length-L vector to every row of an [n, L] matrix."""
-    _require(
-        m.ndim == 2 and v.ndim == 1 and m.shape[1] == v.shape[0],
-        f"add_rowvec shapes differ: {m.shape} vs {v.shape}",
-    )
+    if not (m.ndim == 2 and v.ndim == 1 and m.shape[1] == v.shape[0]):
+        raise ShapeError(f"add_rowvec shapes differ: {m.shape} vs {v.shape}")
     return _emit(m.data + v.data, (m, v), lambda g: (g, g.sum(axis=0)))
 
 
 def repeat_row(v: Tensor, n: int) -> Tensor:
     """Stack n copies of a vector into an [n, L] matrix."""
-    _require(v.ndim == 1, f"repeat_row expects a vector, got {v.shape}")
+    if v.ndim != 1:
+        raise ShapeError(f"repeat_row expects a vector, got {v.shape}")
     return _emit(
         np.tile(v.data, (n, 1)), (v,), lambda g: (g.sum(axis=0),)
     )
@@ -280,32 +281,55 @@ def log(x: Tensor, floor: float = 0.0) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              additive_mask: np.ndarray) -> Tensor:
+              additive_mask, segments=None) -> Tensor:
     """Scaled dot-product attention of every head at once, as one op.
 
     q is [n, L], k and v are [m, L]; head h owns columns [h*d, (h+1)*d)
-    of each, d = L / heads. `additive_mask` is a constant [n, m] holding
-    0 where query i may look at key j and -inf where it may not; a masked
-    key gets weight exactly 0 and no gradient. A query row must keep at
-    least one key. The [n, L] result holds head h's contexts in its
-    columns, as the heads' outputs side by side.
+    of each, d = L / heads. The [n, L] result holds head h's contexts in
+    its columns, as the heads' outputs side by side.
+
+    Rows may pack several independent sequences. `segments` is a pair
+    (q_offsets, k_offsets) of B + 1 row offsets each, ascending from 0 to
+    n and from 0 to m: segment b's queries are rows
+    [q_offsets[b], q_offsets[b+1]) of q and its keys the matching rows of
+    k and v, and a query sees only its own segment's keys.
+    `additive_mask` then is a list of B constant blocks, block b
+    [n_b, m_b], holding 0 where query i may look at key j and -inf where
+    it may not; a masked key gets weight exactly 0 and no gradient. A
+    query row must keep at least one key. Each segment's scores, softmax
+    and weighted sum are taken on their own, so no [n, m] array is built.
+    Without `segments` all rows form one segment and `additive_mask` is
+    its one [n, m] block.
     """
-    _require(
-        q.ndim == 2 and k.ndim == 2 and v.ndim == 2,
-        f"attention expects matrices, got {q.shape}, {k.shape}, {v.shape}",
-    )
+    if not (q.ndim == 2 and k.ndim == 2 and v.ndim == 2):
+        raise ShapeError(f"attention expects matrices, got {q.shape}, {k.shape}, {v.shape}")
     n, size = q.shape
     m = k.shape[0]
-    _require(
-        k.shape == (m, size) and v.shape == (m, size),
-        f"attention needs k and v of shape [m, {size}], got {k.shape} and {v.shape}",
-    )
-    _require(
-        heads > 0 and size % heads == 0,
-        f"attention width {size} does not split into {heads} heads",
-    )
-    mask = np.asarray(additive_mask, dtype=np.float64)
-    _require(mask.shape == (n, m), f"attention mask must be [{n}, {m}], got {mask.shape}")
+    if not (k.shape == (m, size) and v.shape == (m, size)):
+        raise ShapeError(f"attention needs k and v of shape [m, {size}], "
+                         f"got {k.shape} and {v.shape}")
+    if not (heads > 0 and size % heads == 0):
+        raise ShapeError(f"attention width {size} does not split into {heads} heads")
+    if segments is None:
+        q_off, k_off, additive_mask = (0, n), (0, m), (additive_mask,)
+    else:
+        q_off, k_off = segments
+    if not (_tiles(q_off, n) and _tiles(k_off, m)
+            and len(q_off) == len(k_off) == len(additive_mask) + 1):
+        raise ShapeError(
+            f"attention segments must tile {n} query and {m} key rows with one "
+            f"mask block each, got offsets {list(q_off)} and {list(k_off)} "
+            f"for {len(additive_mask)} blocks")
+    spans = []
+    for b, block in enumerate(additive_mask):
+        qs, ks = slice(q_off[b], q_off[b + 1]), slice(k_off[b], k_off[b + 1])
+        block = np.asarray(block, dtype=np.float64)
+        if block.shape != (qs.stop - qs.start, ks.stop - ks.start):
+            raise ShapeError(f"attention mask block {b} must be "
+                             f"[{qs.stop - qs.start}, {ks.stop - ks.start}], "
+                             f"got {block.shape}")
+        if qs.stop > qs.start:  # a segment without queries has no output or gradient
+            spans.append((qs, ks, block))
     d = size // heads
     scale = 1.0 / math.sqrt(d)
 
@@ -316,18 +340,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         return x.transpose(1, 0, 2).reshape(x.shape[1], size)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    z = (qh @ kh.transpose(0, 2, 1)) * scale + mask
-    e = np.exp(z - z.max(axis=2, keepdims=True))
-    p = e / e.sum(axis=2, keepdims=True)
+    out = np.empty((heads, n, d))
+    probs = []
+    for qs, ks, block in spans:
+        z = (qh[:, qs] @ kh[:, ks].transpose(0, 2, 1)) * scale + block
+        e = np.exp(z - z.max(axis=2, keepdims=True))
+        p = e / e.sum(axis=2, keepdims=True)
+        out[:, qs] = p @ vh[:, ks]
+        probs.append(p)
 
     def back(g):
         gh = split(g)
-        dp = gh @ vh.transpose(0, 2, 1)
-        dv = p.transpose(0, 2, 1) @ gh
-        dz = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * scale
-        return join(dz @ kh), join(dz.transpose(0, 2, 1) @ qh), join(dv)
+        dq = np.empty((heads, n, d))
+        dk, dv = np.zeros((heads, m, d)), np.zeros((heads, m, d))
+        for (qs, ks, _), p in zip(spans, probs):
+            gs = gh[:, qs]
+            dp = gs @ vh[:, ks].transpose(0, 2, 1)
+            dv[:, ks] = p.transpose(0, 2, 1) @ gs
+            dz = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * scale
+            dq[:, qs] = dz @ kh[:, ks]
+            dk[:, ks] = dz.transpose(0, 2, 1) @ qh[:, qs]
+        return join(dq), join(dk), join(dv)
 
-    return _emit(join(p @ vh), (q, k, v), back)
+    return _emit(join(out), (q, k, v), back)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -344,7 +379,8 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 def col_slice(x: Tensor, lo: int, hi: int) -> Tensor:
     """Columns [lo, hi) of a matrix."""
-    _require(x.ndim == 2, f"col_slice expects a matrix, got {x.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"col_slice expects a matrix, got {x.shape}")
 
     def back(g):
         full = np.zeros_like(x.data)
@@ -355,7 +391,8 @@ def col_slice(x: Tensor, lo: int, hi: int) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    _require(x.ndim == 2, f"transpose expects a matrix, got {x.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"transpose expects a matrix, got {x.shape}")
     return _emit(x.data.T.copy(), (x,), lambda g: (g.T,))
 
 
@@ -380,9 +417,11 @@ def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 def embedding_lookup(table: Tensor, indices) -> Tensor:
     """Rows of an embedding table as a matrix, one row per index in [0, rows)."""
-    _require(table.ndim == 2, f"embedding table must be 2D, got {table.shape}")
+    if table.ndim != 2:
+        raise ShapeError(f"embedding table must be 2D, got {table.shape}")
     idx_array = np.asarray(indices, dtype=np.intp)
-    _require(idx_array.ndim == 1, f"embedding indices must be 1D, got shape {idx_array.shape}")
+    if idx_array.ndim != 1:
+        raise ShapeError(f"embedding indices must be 1D, got shape {idx_array.shape}")
     n = table.shape[0]
     _require_ids(idx_array, n, "embedding indices")
     return _emit(table.data[idx_array], (table,),
@@ -396,20 +435,17 @@ def segment_sum(x: Tensor, segments, n: int) -> Tensor:
     unused (an unused id gives a zero row). Rows add in their order in x.
     """
     seg = np.asarray(segments, dtype=np.intp)
-    _require(
-        x.ndim >= 1 and seg.shape == (x.shape[0],),
-        f"segment_sum needs one segment id per row: {seg.shape} ids for {x.shape}",
-    )
+    if not (x.ndim >= 1 and seg.shape == (x.shape[0],)):
+        raise ShapeError(
+            f"segment_sum needs one segment id per row: {seg.shape} ids for {x.shape}")
     _require_ids(seg, n, "segment_sum ids")
     return _emit(_scatter_rows(seg, x.data, n), (x,), lambda g: (g[seg],))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Row-wise normalization of a matrix, then affine scale and shift."""
-    _require(
-        x.ndim == 2 and gain.shape == (x.shape[1],) and bias.shape == (x.shape[1],),
-        f"layer_norm shapes differ: {x.shape}, {gain.shape}, {bias.shape}",
-    )
+    if not (x.ndim == 2 and gain.shape == (x.shape[1],) and bias.shape == (x.shape[1],)):
+        raise ShapeError(f"layer_norm shapes differ: {x.shape}, {gain.shape}, {bias.shape}")
     mu = x.data.mean(axis=1, keepdims=True)
     var = x.data.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -432,10 +468,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 def cross_entropy_logits(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
     """Token-level cross entropy of [n, V] logits against n target ids."""
     tgt = np.asarray(targets, dtype=np.intp)
-    _require(
-        logits.ndim == 2 and tgt.shape == (logits.shape[0],),
-        f"cross entropy shapes differ: {logits.shape} vs {tgt.shape}",
-    )
+    if not (logits.ndim == 2 and tgt.shape == (logits.shape[0],)):
+        raise ShapeError(f"cross entropy shapes differ: {logits.shape} vs {tgt.shape}")
     z = logits.data
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))

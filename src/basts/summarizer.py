@@ -7,17 +7,23 @@ feeds a standard multi-head encoder/decoder stack (post-sublayer layer
 norm, residual connections, padding and causal masks). Training is
 teacher-forced cross entropy; decoding is greedy.
 
-A batch is encoded together: one `encode_trees` call folds every split
-AST of the batch, and one matmul with a constant averaging matrix pools
-them per example. Every attention call runs all of its heads as one
-`autodiff.attention` op, so its tape cost does not grow with the head
-count.
+A training batch is packed: the token rows of all its examples form one
+matrix, with position encodings restarting at each example, so
+`train_step` runs each encoder and decoder layer once per batch and
+scores every target token with one cross entropy. One `encode_trees`
+call folds every split AST of the batch, and one matmul with a constant
+averaging matrix pools them per example. Every attention call runs all
+of its heads, over every example's own rows, as one `autodiff.attention`
+op, so its tape cost grows with neither the head count nor the batch
+size, and no attention array spans two examples. `encode`,
+`decoder_logits` and `greedy_decode` run the same code on a batch of one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -231,23 +237,41 @@ def positional_matrix(n_positions: int, size: int) -> np.ndarray:
     return cached
 
 
+def _offsets(lengths) -> list[int]:
+    """Row offsets of consecutive segments of these lengths, from 0 to their sum."""
+    return list(accumulate(lengths, initial=0))
+
+
+def _positions(lengths, size: int) -> np.ndarray:
+    """Position encodings of packed rows; positions restart at each segment."""
+    return np.concatenate([positional_matrix(n, size) for n in lengths])
+
+
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: AttentionParams,
-                         heads: int, allowed: np.ndarray) -> Tensor:
+                         heads: int, allowed, segments=None) -> Tensor:
     """Scaled dot-product attention over `heads` column slices.
 
     `allowed[i, j]` marks whether query position i may look at key
-    position j; a query row with no allowed key raises MaskError. Five
-    tape ops at any head count: three projections, `autodiff.attention`
-    and the output projection.
+    position j. For rows packed from several examples, `segments` holds
+    their query and key row offsets, as `autodiff.attention` takes them,
+    and `allowed` one such block per example. A query row with no allowed
+    key raises MaskError naming its example and position. Five tape ops
+    at any head count and batch size: three projections,
+    `autodiff.attention` and the output projection.
     """
-    rows_ok = allowed.any(axis=1)
-    if not rows_ok.all():
-        bad = int(np.flatnonzero(~rows_ok)[0])
-        raise MaskError(f"query position {bad} has every key masked")
+    if segments is None:
+        segments, allowed = ((0, x_q.shape[0]), (0, x_kv.shape[0])), [allowed]
+    for b, block in enumerate(allowed):
+        rows_ok = block.any(axis=1)
+        if not rows_ok.all():
+            bad = int(np.flatnonzero(~rows_ok)[0])
+            raise MaskError(f"example {b} of the batch: query position {bad} "
+                            f"has every key masked")
     q = ad.matmul(x_q, params.wq)
     k = ad.matmul(x_kv, params.wk)
     v = ad.matmul(x_kv, params.wv)
-    contexts = ad.attention(q, k, v, heads, np.where(allowed, 0.0, -np.inf))
+    masks = [np.where(block, 0.0, -np.inf) for block in allowed]
+    contexts = ad.attention(q, k, v, heads, masks, segments)
     return ad.matmul(contexts, params.wo)
 
 
@@ -257,8 +281,10 @@ def _feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
 
 
 def _encoder_layer(x: Tensor, layer: EncoderLayerParams, heads: int,
-                   allowed: np.ndarray) -> Tensor:
-    attended = multi_head_attention(x, x, layer.attn, heads, allowed)
+                   self_mask) -> Tensor:
+    """One encoder layer. Here and in `_decoder_layer` a mask is the
+    (allowed, segments) pair that ends `multi_head_attention`'s arguments."""
+    attended = multi_head_attention(x, x, layer.attn, heads, *self_mask)
     x = ad.layer_norm(ad.add(x, attended), layer.ln1.gain, layer.ln1.bias)
     x = ad.layer_norm(ad.add(x, _feed_forward(x, layer.ffn)),
                       layer.ln2.gain, layer.ln2.bias)
@@ -266,11 +292,10 @@ def _encoder_layer(x: Tensor, layer: EncoderLayerParams, heads: int,
 
 
 def _decoder_layer(y: Tensor, memory: Tensor, layer: DecoderLayerParams,
-                   heads: int, self_allowed: np.ndarray,
-                   cross_allowed: np.ndarray) -> Tensor:
-    attended = multi_head_attention(y, y, layer.self_attn, heads, self_allowed)
+                   heads: int, self_mask, cross_mask) -> Tensor:
+    attended = multi_head_attention(y, y, layer.self_attn, heads, *self_mask)
     y = ad.layer_norm(ad.add(y, attended), layer.ln1.gain, layer.ln1.bias)
-    crossed = multi_head_attention(y, memory, layer.cross_attn, heads, cross_allowed)
+    crossed = multi_head_attention(y, memory, layer.cross_attn, heads, *cross_mask)
     y = ad.layer_norm(ad.add(y, crossed), layer.ln2.gain, layer.ln2.bias)
     y = ad.layer_norm(ad.add(y, _feed_forward(y, layer.ffn)),
                       layer.ln3.gain, layer.ln3.bias)
@@ -282,15 +307,26 @@ def source_mask(example: SummarizationExample) -> np.ndarray:
     return np.asarray(example.code_ids) != Vocab.PAD
 
 
-def encode_batch(batch: list[SummarizationExample], model: SummarizerModel,
-                 freeze_tree: bool = False) -> list[Tensor]:
-    """Source encodings of a batch: one [n, L] matrix per example.
+def _causal_mask(target_ids: list[int]) -> np.ndarray:
+    """Decoder self-attention: each position sees itself and earlier non-PAD ones."""
+    s = len(target_ids)
+    allowed = np.tril(np.ones((s, s), dtype=bool)) & (np.asarray(target_ids) != Vocab.PAD)
+    np.fill_diagonal(allowed, True)  # a position may always see itself
+    return allowed
 
-    Every split AST of the batch is folded in one `encode_trees` call;
-    one matmul with a constant [B, T] averaging matrix pools each
-    example's roots into row b of a [B, L] matrix, and an example takes
-    its row once per code token. The fused and positioned inputs then go
-    through the encoder stack, with PAD key positions masked.
+
+def encode_batch(batch: list[SummarizationExample], model: SummarizerModel,
+                 freeze_tree: bool = False) -> tuple[Tensor, list[int]]:
+    """Source encodings of a batch, packed: one [Σn, L] matrix and its row offsets.
+
+    Example b's code tokens are rows offsets[b]:offsets[b+1] of the
+    matrix. Every split AST of the batch is folded in one `encode_trees`
+    call; one matmul with a constant [B, T] averaging matrix pools each
+    example's roots into row b of a [B, L] matrix, and one lookup takes
+    row b once per code token of example b. The fused inputs, with
+    positions restarting at each example, go through each encoder layer
+    once for the whole batch; attention stays within an example and
+    skips its PAD keys.
     """
     t = model.transformer
     trees, spans = [], []
@@ -309,20 +345,19 @@ def encode_batch(batch: list[SummarizationExample], model: SummarizerModel,
         roots = encode_trees(trees, model.tree)
     pooled = ad.matmul(Tensor(pool), roots)
 
-    fuse_wt = ad.transpose(t.fuse_w)
-    memories = []
-    for b, example in enumerate(batch):
-        n = len(example.code_ids)
-        syntax = ad.embedding_lookup(pooled, [b] * n)
-        tokens = ad.embedding_lookup(t.code_embedding, example.code_ids)
-        joint = ad.concat([syntax, tokens], axis=1)
-        fused = ad.relu(ad.add_rowvec(ad.matmul(joint, fuse_wt), t.fuse_b))
-        x = ad.add(fused, Tensor(positional_matrix(n, t.size)))
-        allowed = np.broadcast_to(source_mask(example), (n, n))
-        for layer in t.enc:
-            x = _encoder_layer(x, layer, t.heads, allowed)
-        memories.append(x)
-    return memories
+    lengths = [len(example.code_ids) for example in batch]
+    offsets = _offsets(lengths)
+    syntax = ad.embedding_lookup(pooled, np.repeat(np.arange(len(batch)), lengths))
+    tokens = ad.embedding_lookup(
+        t.code_embedding, [c for example in batch for c in example.code_ids])
+    joint = ad.concat([syntax, tokens], axis=1)
+    fused = ad.relu(ad.add_rowvec(ad.matmul(joint, ad.transpose(t.fuse_w)), t.fuse_b))
+    x = ad.add(fused, Tensor(_positions(lengths, t.size)))
+    self_mask = ([np.broadcast_to(source_mask(example), (n, n))
+                  for example, n in zip(batch, lengths)], (offsets, offsets))
+    for layer in t.enc:
+        x = _encoder_layer(x, layer, t.heads, self_mask)
+    return x, offsets
 
 
 def encode(example: SummarizationExample, model: SummarizerModel,
@@ -335,41 +370,50 @@ def encode(example: SummarizationExample, model: SummarizerModel,
     return encode_batch([example], model, freeze_tree)[0]
 
 
-def decoder_logits(target_ids: list[int], memory: Tensor, keys_ok: np.ndarray,
-                   model: SummarizerModel) -> Tensor:
-    """Word logits at every target position under the causal mask."""
+def decoder_logits(target_ids, memory: Tensor, keys_ok, model: SummarizerModel) -> Tensor:
+    """Word logits at every target position under the causal mask.
+
+    For a packed batch, `target_ids` holds each example's decoder input
+    ids and `keys_ok` each example's key mask; the masks' lengths cut
+    `memory` into the examples' rows, as `encode_batch` packs them. The
+    [Σs, V] result holds example b's rows in order. Each example's
+    self-attention and cross-attention stay within its own rows, so every
+    decoder layer runs once for the whole batch. One example may be
+    passed bare: its id list, its [n, L] memory and its [n] key mask.
+    """
+    if isinstance(keys_ok, np.ndarray):
+        target_ids, keys_ok = [target_ids], [keys_ok]
     t = model.transformer
-    s = len(target_ids)
+    lengths = [len(ids) for ids in target_ids]
+    offsets = _offsets(lengths)
     y = ad.add(
-        ad.embedding_lookup(t.word_embedding, target_ids),
-        Tensor(positional_matrix(s, t.size)),
+        ad.embedding_lookup(t.word_embedding, [i for ids in target_ids for i in ids]),
+        Tensor(_positions(lengths, t.size)),
     )
-    target_ok = np.asarray(target_ids) != Vocab.PAD
-    causal = np.tril(np.ones((s, s), dtype=bool))
-    self_allowed = causal & target_ok
-    np.fill_diagonal(self_allowed, True)  # a position may always see itself
-    cross_allowed = np.broadcast_to(keys_ok, (s, memory.shape[0]))
+    self_mask = ([_causal_mask(ids) for ids in target_ids], (offsets, offsets))
+    cross_mask = ([np.broadcast_to(ok, (s, len(ok))) for s, ok in zip(lengths, keys_ok)],
+                  (offsets, _offsets([len(ok) for ok in keys_ok])))
     for layer in t.dec:
-        y = _decoder_layer(y, memory, layer, t.heads, self_allowed, cross_allowed)
+        y = _decoder_layer(y, memory, layer, t.heads, self_mask, cross_mask)
     return ad.add_rowvec(ad.matmul(y, t.out_w), t.out_b)
 
 
 def train_step(batch: list[SummarizationExample], model: SummarizerModel,
                opt: Adam, freeze_tree: bool = False) -> float:
-    """One teacher-forced step: mean token cross entropy, one Adam update."""
+    """One teacher-forced step: mean token cross entropy, one Adam update.
+
+    The whole batch is packed: one encoder pass, one decoder pass and one
+    cross entropy over every target token of the batch.
+    """
     if not batch:
         raise EmptyInputError("train_step needs a non-empty batch")
     with Tape() as tape:
-        total = None
-        count = 0
-        for example, memory in zip(batch, encode_batch(batch, model, freeze_tree)):
-            decoder_in = example.comment_ids[:-1]
-            targets = example.comment_ids[1:]
-            logits = decoder_logits(decoder_in, memory, source_mask(example), model)
-            ce = ad.cross_entropy_logits(logits, targets, reduction="sum")
-            total = ce if total is None else ad.add(total, ce)
-            count += len(targets)
-        loss = ad.scalar_mul(total, 1.0 / count)
+        memory, _ = encode_batch(batch, model, freeze_tree)
+        logits = decoder_logits([example.comment_ids[:-1] for example in batch], memory,
+                                [source_mask(example) for example in batch], model)
+        targets = [i for example in batch for i in example.comment_ids[1:]]
+        ce = ad.cross_entropy_logits(logits, targets, reduction="sum")
+        loss = ad.scalar_mul(ce, 1.0 / len(targets))
         if not np.isfinite(loss.data):
             raise NaNError(
                 f"non-finite loss {loss.data} on batch of {len(batch)} "

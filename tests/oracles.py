@@ -13,9 +13,13 @@ walks by dataclass field.
 
 `row_softmax` and `attention_per_head` are the one-op-per-head form of
 `autodiff.attention`, and `multi_head_attention_per_head` the matching
-form of `summarizer.multi_head_attention`. `avg_pool`, `encode_per_example`
-and `train_loss_per_example` are the one-fold-per-example form of
-`summarizer.train_step`'s loss.
+form of `summarizer.multi_head_attention`, one segment of packed rows at
+a time. `avg_pool`, `encode_per_example`, `encoder_layer_per_example`,
+`decoder_layer_per_example`, `decoder_logits_per_example` and
+`train_loss_per_example` are the one-example-at-a-time form of
+`summarizer.train_step`'s loss: each example gets its own tree fold, its
+own encoder and decoder passes with per-head attention, and its own
+cross entropy, where the step packs the whole batch into one pass.
 
 `split_asts_by_reparse` is the token form of `splitter.build_split_asts`:
 it parses each split's code, with its body braced, instead of building
@@ -44,13 +48,15 @@ from basts.frontend import (
 from basts.splitter import SplitAst, SplitGraph, make_split_code
 from basts.summarizer import (
     AttentionParams,
+    DecoderLayerParams,
     EmptyInputError,
+    EncoderLayerParams,
     MaskError,
     SummarizationExample,
     SummarizerModel,
     TransformerParams,
-    _encoder_layer,
-    decoder_logits,
+    Vocab,
+    _feed_forward,
     positional_matrix,
     source_mask,
 )
@@ -109,17 +115,76 @@ def attention_per_head(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
 
 def multi_head_attention_per_head(x_q: Tensor, x_kv: Tensor, params: AttentionParams,
-                                  heads: int, allowed: np.ndarray) -> Tensor:
-    """`summarizer.multi_head_attention` with `attention_per_head` inside."""
-    rows_ok = allowed.any(axis=1)
-    if not rows_ok.all():
-        bad = int(np.flatnonzero(~rows_ok)[0])
-        raise MaskError(f"query position {bad} has every key masked")
+                                  heads: int, allowed, segments=None) -> Tensor:
+    """`summarizer.multi_head_attention` with `attention_per_head` inside.
+
+    Packed rows are attended one segment at a time: each segment's query
+    and key rows are gathered, attended on their own and stacked again.
+    """
+    if segments is None:
+        segments, allowed = ((0, x_q.shape[0]), (0, x_kv.shape[0])), [allowed]
+    for b, block in enumerate(allowed):
+        rows_ok = block.any(axis=1)
+        if not rows_ok.all():
+            bad = int(np.flatnonzero(~rows_ok)[0])
+            raise MaskError(f"example {b} of the batch: query position {bad} "
+                            f"has every key masked")
     q = ad.matmul(x_q, params.wq)
     k = ad.matmul(x_kv, params.wk)
     v = ad.matmul(x_kv, params.wv)
-    contexts = attention_per_head(q, k, v, heads, np.where(allowed, 0.0, -np.inf))
-    return ad.matmul(contexts, params.wo)
+    q_off, k_off = segments
+    contexts = []
+    for b, block in enumerate(allowed):
+        q_rows = np.arange(q_off[b], q_off[b + 1])
+        k_rows = np.arange(k_off[b], k_off[b + 1])
+        contexts.append(attention_per_head(
+            ad.embedding_lookup(q, q_rows), ad.embedding_lookup(k, k_rows),
+            ad.embedding_lookup(v, k_rows), heads, np.where(block, 0.0, -np.inf)))
+    return ad.matmul(ad.concat(contexts, axis=0), params.wo)
+
+
+def encoder_layer_per_example(x: Tensor, layer: EncoderLayerParams, heads: int,
+                              allowed: np.ndarray) -> Tensor:
+    """One encoder layer over one example's rows, attention per head."""
+    attended = multi_head_attention_per_head(x, x, layer.attn, heads, allowed)
+    x = ad.layer_norm(ad.add(x, attended), layer.ln1.gain, layer.ln1.bias)
+    x = ad.layer_norm(ad.add(x, _feed_forward(x, layer.ffn)),
+                      layer.ln2.gain, layer.ln2.bias)
+    return x
+
+
+def decoder_layer_per_example(y: Tensor, memory: Tensor, layer: DecoderLayerParams,
+                              heads: int, self_allowed: np.ndarray,
+                              cross_allowed: np.ndarray) -> Tensor:
+    """One decoder layer over one example's rows, attention per head."""
+    attended = multi_head_attention_per_head(y, y, layer.self_attn, heads, self_allowed)
+    y = ad.layer_norm(ad.add(y, attended), layer.ln1.gain, layer.ln1.bias)
+    crossed = multi_head_attention_per_head(y, memory, layer.cross_attn, heads,
+                                            cross_allowed)
+    y = ad.layer_norm(ad.add(y, crossed), layer.ln2.gain, layer.ln2.bias)
+    y = ad.layer_norm(ad.add(y, _feed_forward(y, layer.ffn)),
+                      layer.ln3.gain, layer.ln3.bias)
+    return y
+
+
+def decoder_logits_per_example(target_ids: list[int], memory: Tensor, keys_ok: np.ndarray,
+                               model: SummarizerModel) -> Tensor:
+    """Word logits of one example at every target position under the causal mask."""
+    t = model.transformer
+    s = len(target_ids)
+    y = ad.add(
+        ad.embedding_lookup(t.word_embedding, target_ids),
+        Tensor(positional_matrix(s, t.size)),
+    )
+    target_ok = np.asarray(target_ids) != Vocab.PAD
+    causal = np.tril(np.ones((s, s), dtype=bool))
+    self_allowed = causal & target_ok
+    np.fill_diagonal(self_allowed, True)  # a position may always see itself
+    cross_allowed = np.broadcast_to(keys_ok, (s, memory.shape[0]))
+    for layer in t.dec:
+        y = decoder_layer_per_example(y, memory, layer, t.heads, self_allowed,
+                                      cross_allowed)
+    return ad.add_rowvec(ad.matmul(y, t.out_w), t.out_b)
 
 
 def avg_pool(roots: Tensor) -> Tensor:
@@ -147,7 +212,7 @@ def encode_per_example(example: SummarizationExample, model: SummarizerModel,
     x = ad.add(fused, Tensor(positional_matrix(n, t.size)))
     allowed = np.broadcast_to(source_mask(example), (n, n))
     for layer in t.enc:
-        x = _encoder_layer(x, layer, t.heads, allowed)
+        x = encoder_layer_per_example(x, layer, t.heads, allowed)
     return x
 
 
@@ -163,8 +228,8 @@ def train_loss_per_example(batch: list[SummarizationExample], model: SummarizerM
     for example in batch:
         memory = encode_per_example(example, model, freeze_tree)
         targets = example.comment_ids[1:]
-        logits = decoder_logits(example.comment_ids[:-1], memory, source_mask(example),
-                                model)
+        logits = decoder_logits_per_example(example.comment_ids[:-1], memory,
+                                            source_mask(example), model)
         ce = ad.cross_entropy_logits(logits, targets, reduction="sum")
         total = ce if total is None else ad.add(total, ce)
         count += len(targets)

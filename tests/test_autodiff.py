@@ -306,6 +306,75 @@ class TestAttention:
             ad.attention(q, k, v, 2, np.zeros((2, 3)))
 
 
+def _packed(q_lengths, k_lengths, kinds, size=8, seed=0):
+    """Random packed q, k, v, output weights, (q, k) row offsets and mask blocks."""
+    q_off, k_off = np.cumsum([0] + q_lengths), np.cumsum([0] + k_lengths)
+    rng = np.random.default_rng(seed)
+    q, k, v = (Tensor(rng.normal(size=(rows, size)), requires_grad=True)
+               for rows in (q_off[-1], k_off[-1], k_off[-1]))
+    weights = Tensor(rng.normal(size=(q_off[-1], size)))
+    blocks = [_masks(n, m, kind) for n, m, kind in zip(q_lengths, k_lengths, kinds)]
+    return q, k, v, weights, (q_off, k_off), blocks
+
+
+class TestSegmentedAttention:
+    """Packed rows: every segment attends only to its own keys, in one op."""
+
+    CASES = [  # heads, query rows, key rows and mask of each segment
+        (2, [3, 1, 5], [4, 6, 2], ["none", "padding", "none"]),
+        (4, [4, 2], [4, 2], ["causal", "causal+padding"]),
+        (1, [2, 0, 3], [3, 2, 3], ["padding", "none", "causal"]),
+    ]
+
+    @pytest.mark.parametrize("heads,q_lengths,k_lengths,kinds", CASES)
+    def test_bit_equal_to_separate_one_segment_calls(self, heads, q_lengths, k_lengths,
+                                                    kinds):
+        q, k, v, weights, (q_off, k_off), blocks = _packed(q_lengths, k_lengths, kinds)
+        out, grads = _attention_grads(
+            lambda *a: ad.attention(*a, segments=(q_off, k_off)), q, k, v, heads,
+            blocks, weights)
+        for b, block in enumerate(blocks):
+            qs, ks = slice(q_off[b], q_off[b + 1]), slice(k_off[b], k_off[b + 1])
+            parts = [Tensor(t.data[s], requires_grad=True)
+                     for t, s in ((q, qs), (k, ks), (v, ks))]
+            ref, ref_grads = _attention_grads(ad.attention, *parts, heads, block,
+                                              Tensor(weights.data[qs]))
+            assert np.array_equal(out[qs], ref)
+            for g, r, s in zip(grads, ref_grads, (qs, ks, ks)):
+                assert np.array_equal(g[s], r)
+
+    @pytest.mark.parametrize("heads,q_lengths,k_lengths,kinds", CASES)
+    def test_grad_check_q_k_v(self, heads, q_lengths, k_lengths, kinds):
+        q, k, v, weights, segments, blocks = _packed(q_lengths, k_lengths, kinds, seed=3)
+
+        def f(_):
+            out = ad.attention(q, k, v, heads, blocks, segments)
+            return ad.sum_(ad.mul(out, weights))
+
+        for target in (q, k, v):
+            report = ad.grad_check(f, target)
+            assert report.passed, report
+
+    @pytest.mark.parametrize("q_off,k_off", [
+        ([0, 2, 4], [0, 3, 5]),  # query offsets stop short of the 5 rows
+        ([0, 2, 6], [0, 3, 5]),  # and run past them
+        ([1, 2, 5], [0, 3, 5]),  # do not start at 0
+        ([0, 3, 2, 5], [0, 1, 3, 5]),  # go backwards
+        ([0, 2, 5], [0, 5]),  # one key segment for two query segments
+        ([0, 5], [0, 5]),  # one segment for two mask blocks
+    ])
+    def test_segments_must_tile_the_rows(self, q_off, k_off):
+        q, k, v, _, _, blocks = _packed([2, 3], [3, 2], ["none", "none"])
+        with pytest.raises(ShapeError, match="tile"):
+            ad.attention(q, k, v, 2, blocks, (q_off, k_off))
+
+    def test_mask_block_must_match_its_segment(self):
+        q, k, v, _, segments, blocks = _packed([2, 3], [3, 2], ["none", "none"])
+        blocks[1] = np.zeros((3, 3))
+        with pytest.raises(ShapeError, match=r"block 1 must be \[3, 2\]"):
+            ad.attention(q, k, v, 2, blocks, segments)
+
+
 class TestScatterRows:
     """The `np.bincount` scatter behind `embedding_lookup` and `segment_sum`."""
 

@@ -1,7 +1,11 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import basts.autodiff as ad
 from basts import summarizer
@@ -36,6 +40,10 @@ from oracles import (
     train_loss_per_example,
 )
 from toydata import SUMMARIZATION_ROWS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from minigen import generate_records  # noqa: E402
+from workloads import SMALL_PROFILE  # noqa: E402
 
 
 def make_model(size=8, heads=2, enc=1, dec=1, code_vocab=12, word_vocab=10, seed=0):
@@ -209,6 +217,16 @@ class TestMultiHeadAttention:
         with pytest.raises(MaskError):
             multi_head_attention(x, x, params, heads=1, allowed=allowed)
 
+    def test_fully_masked_row_names_its_example_and_position(self):
+        params = self._params(4)
+        x = Tensor(np.zeros((5, 4)))
+        allowed = [np.ones((2, 2), dtype=bool), np.tril(np.ones((3, 3), dtype=bool))]
+        allowed[1][2] = False
+        offsets = np.array([0, 2, 5])
+        with pytest.raises(MaskError, match="^example 1 of the batch: query position 2 "
+                                            "has every key masked$"):
+            multi_head_attention(x, x, params, 1, allowed, (offsets, offsets))
+
 
 class TestEncode:
     def test_zero_layers_is_fused_plus_positions(self):
@@ -270,12 +288,10 @@ class TestEncode:
         assert np.max(np.abs(out_base - out_padded)) <= 1e-10
 
 
-def toy_corpus_and_model():
-    """The 16 toy rows, preprocessed, and a fresh model at the default config."""
-    config = RunConfig()
+def corpus_and_model(records, config):
+    """Records {id, code, comment}, preprocessed, and a fresh model at `config`."""
     corpus = preprocess(
-        [CorpusRecord(r["id"], r["code"], r["comment"]) for r in SUMMARIZATION_ROWS],
-        config,
+        [CorpusRecord(r["id"], r["code"], r["comment"]) for r in records], config
     )
     roots = [a.root for r in corpus.records for a in r.splits.asts]
     vocab = build_type_value_vocab(roots, min_freq=config.type_value_min_freq)
@@ -288,6 +304,11 @@ def toy_corpus_and_model():
         ),
     )
     return corpus, model
+
+
+def toy_corpus_and_model():
+    """The 16 toy rows, preprocessed, and a fresh model at the default config."""
+    return corpus_and_model(SUMMARIZATION_ROWS, RunConfig())
 
 
 class GradientRecorder:
@@ -305,27 +326,65 @@ class GradientRecorder:
             p.grad = None
 
 
+def assert_step_matches_oracle(batch, model, freeze_tree):
+    """The packed `train_step` against `train_loss_per_example`.
+
+    The loss agrees within 1e-10 relative and every gradient within 1e-10
+    of its largest entry. The model is left as it was: no update, no grads.
+    """
+    params = model.all_params()
+    recorder = GradientRecorder(params)
+    loss = train_step(batch, model, recorder, freeze_tree=freeze_tree)
+    with ad.Tape() as tape:
+        ref = train_loss_per_example(batch, model, freeze_tree)
+        ad.backward(tape, ref)
+    ref_grads = [p.grad for p in params]
+    recorder.zero_grad()
+
+    assert abs(loss - ref.item()) <= 1e-10 * abs(ref.item())
+    for (name, _), g, r in zip(model.named_params(), recorder.grads, ref_grads):
+        if r is None:
+            assert freeze_tree and name.startswith("tree.") and g is None, name
+            continue
+        assert np.max(np.abs(g - r)) <= 1e-10 * np.max(np.abs(r)), name
+
+
+@pytest.fixture(scope="module")
+def minigen_pool():
+    """24 summarize-small methods from the bench generator, at L=8 and 2 heads."""
+    records = generate_records("summarize-small", 11, 24, SMALL_PROFILE)
+    corpus, model = corpus_and_model(records, RunConfig(embedding_size=8, heads=2))
+    assert len(corpus.examples) == 24
+    return corpus, model
+
+
 class TestBatchedEncode:
     @pytest.mark.parametrize("freeze_tree", [False, True])
-    def test_train_step_matches_per_example_oracle(self, monkeypatch, freeze_tree):
+    def test_train_step_matches_per_example_oracle(self, freeze_tree):
         corpus, model = toy_corpus_and_model()
-        params = model.all_params()
-        recorder = GradientRecorder(params)
-        loss = train_step(corpus.examples, model, recorder, freeze_tree=freeze_tree)
+        assert len(corpus.examples) == 16
+        assert_step_matches_oracle(corpus.examples, model, freeze_tree)
 
-        monkeypatch.setattr(summarizer, "multi_head_attention",
-                            multi_head_attention_per_head)
-        with ad.Tape() as tape:
-            ref = train_loss_per_example(corpus.examples, model, freeze_tree)
-            ad.backward(tape, ref)
-        ref_grads = [p.grad for p in params]
+    @pytest.mark.parametrize("freeze_tree", [False, True])
+    @pytest.mark.parametrize("picks", [[14], [8, 14, 6]])
+    def test_small_batches_match_per_example_oracle(self, picks, freeze_tree):
+        # code lengths 13, 57 and 18 (plus 3 PADs), comment lengths 7, 7 and 8
+        corpus, model = toy_corpus_and_model()
+        batch = [corpus.examples[i] for i in picks]
+        if len(batch) > 1:
+            padded = batch[2]
+            batch[2] = SummarizationExample(padded.code_ids + [Vocab.PAD] * 3,
+                                            padded.split_asts, padded.comment_ids)
+        assert_step_matches_oracle(batch, model, freeze_tree)
 
-        assert abs(loss - ref.item()) <= 1e-10 * abs(ref.item())
-        for (name, _), g, r in zip(model.named_params(), recorder.grads, ref_grads):
-            if r is None:
-                assert freeze_tree and name.startswith("tree.") and g is None, name
-                continue
-            assert np.max(np.abs(g - r)) <= 1e-10 * np.max(np.abs(r)), name
+    # 60 batches of 1 to 16 methods, repeats allowed; about 4 s
+    @settings(max_examples=60)
+    @given(picks=st.lists(st.integers(0, 23), min_size=1, max_size=16),
+           freeze_tree=st.booleans())
+    def test_minigen_batches_match_per_example_oracle(self, minigen_pool, picks,
+                                                      freeze_tree):
+        corpus, model = minigen_pool
+        assert_step_matches_oracle([corpus.examples[i] for i in picks], model, freeze_tree)
 
     def test_greedy_decode_matches_per_head_path(self, monkeypatch):
         corpus, model = toy_corpus_and_model()
@@ -343,14 +402,26 @@ class TestBatchedEncode:
         batch = [make_example(), make_example(code_ids=(9, 4, 7)),
                  make_example(code_ids=(8, 8, 10, 11, 4))]
         batch[1].split_asts = batch[1].split_asts * 3
-        for ex, memory in zip(batch, encode_batch(batch, model)):
-            assert np.max(np.abs(memory.data - encode(ex, model).data)) <= 1e-12
+        memory, offsets = encode_batch(batch, model)
+        assert offsets == [0, 4, 7, 12]
+        for b, ex in enumerate(batch):
+            rows = memory.data[offsets[b]:offsets[b + 1]]
+            assert np.max(np.abs(rows - encode(ex, model).data)) <= 1e-12
 
     def test_example_without_split_asts_raises(self):
         model = make_model()
         empty = SummarizationExample([7, 8], [], [1, 7, 2])
         with pytest.raises(EmptyInputError, match="example 1"):
             train_step([make_example(), empty], model, Adam(model.all_params()))
+
+    def test_fully_masked_example_is_named_by_its_batch_index(self):
+        model = make_model(enc=1, dec=1)
+        batch = [make_example(), make_example(code_ids=(9, 4, 7)),
+                 make_example(code_ids=(Vocab.PAD,) * 3)]
+        with pytest.raises(MaskError, match="^example 2 of the batch: query position 0 "
+                                            "has every key masked$"):
+            train_step(batch, model, Adam(model.all_params()))
+        assert all(p.grad is None for p in model.all_params())
 
 
 class TestTrainStep:
@@ -417,8 +488,9 @@ class TestTrainStep:
 class TestCostGates:
     """The exact, machine-independent op count of one step, pinned against regressions."""
 
-    # the 16 toy rows as one batch at the default config: L=64, 4 heads, 2+2 layers
-    TRAIN_STEP_OPS = 1479
+    # the 16 toy rows as one packed batch at the default config: L=64, 4 heads,
+    # 2+2 layers; 149 of them are the tree fold
+    TRAIN_STEP_OPS = 234
 
     def test_train_step_op_count(self, monkeypatch):
         corpus, model = toy_corpus_and_model()
@@ -439,6 +511,17 @@ class TestCostGates:
         x = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
         with ad.Tape() as tape:
             multi_head_attention(x, x, params, heads, np.tril(np.ones((5, 5), dtype=bool)))
+        assert len(tape.nodes) == 5
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    def test_attention_is_five_ops_at_any_batch_size(self, batch):
+        params = AttentionParams.init(8, np.random.default_rng(batch))
+        lengths = [2 + b % 5 for b in range(batch)]
+        offsets = np.cumsum([0] + lengths)
+        x = Tensor(np.random.default_rng(0).normal(size=(offsets[-1], 8)))
+        allowed = [np.tril(np.ones((n, n), dtype=bool)) for n in lengths]
+        with ad.Tape() as tape:
+            multi_head_attention(x, x, params, 2, allowed, (offsets, offsets))
         assert len(tape.nodes) == 5
 
 
