@@ -10,7 +10,8 @@ Python bookkeeping per recorded op, not arithmetic, bounds the speed of
 a step, so larger composites are single ops with hand-written
 backwards: `attention` runs every head of a multi-head attention, for
 every sequence packed into its rows, as one op of batched products,
-masked softmaxes and weighted sums.
+masked softmaxes and weighted sums; each sequence's rows follow from the
+shape of its mask block.
 
 The graph holds no reference cycles, so reference counting frees a
 step's arrays as soon as its tape and loss are dropped. Strong references
@@ -192,12 +193,6 @@ def _require_ids(ids: np.ndarray, n: int, what: str):
         raise ShapeError(f"{what} must lie in [0, {n})")
 
 
-def _tiles(offsets, n: int) -> bool:
-    """Whether row offsets ascend from 0 to n, cutting [0, n) into segments."""
-    return (len(offsets) >= 2 and offsets[0] == 0 and offsets[-1] == n
-            and list(offsets) == sorted(offsets))
-
-
 # --- primitive operations ---------------------------------------------------
 
 
@@ -280,26 +275,21 @@ def log(x: Tensor, floor: float = 0.0) -> Tensor:
     return _emit(np.log(xd), (x,), lambda g: (g * inside / xd,))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              additive_mask, segments=None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, blocks) -> Tensor:
     """Scaled dot-product attention of every head at once, as one op.
 
     q is [n, L], k and v are [m, L]; head h owns columns [h*d, (h+1)*d)
     of each, d = L / heads. The [n, L] result holds head h's contexts in
     its columns, as the heads' outputs side by side.
 
-    Rows may pack several independent sequences. `segments` is a pair
-    (q_offsets, k_offsets) of B + 1 row offsets each, ascending from 0 to
-    n and from 0 to m: segment b's queries are rows
-    [q_offsets[b], q_offsets[b+1]) of q and its keys the matching rows of
-    k and v, and a query sees only its own segment's keys.
-    `additive_mask` then is a list of B constant blocks, block b
-    [n_b, m_b], holding 0 where query i may look at key j and -inf where
+    Rows may pack several independent sequences, one constant additive
+    mask block each. Block b, of shape [n_b, m_b], covers the next n_b
+    rows of q and the next m_b rows of k and v, so the blocks must cover
+    exactly n query and m key rows; a query sees only its own block's
+    keys. A block holds 0 where query i may look at key j and -inf where
     it may not; a masked key gets weight exactly 0 and no gradient. A
-    query row must keep at least one key. Each segment's scores, softmax
+    query row must keep at least one key. Each block's scores, softmax
     and weighted sum are taken on their own, so no [n, m] array is built.
-    Without `segments` all rows form one segment and `additive_mask` is
-    its one [n, m] block.
     """
     if not (q.ndim == 2 and k.ndim == 2 and v.ndim == 2):
         raise ShapeError(f"attention expects matrices, got {q.shape}, {k.shape}, {v.shape}")
@@ -310,26 +300,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          f"got {k.shape} and {v.shape}")
     if not (heads > 0 and size % heads == 0):
         raise ShapeError(f"attention width {size} does not split into {heads} heads")
-    if segments is None:
-        q_off, k_off, additive_mask = (0, n), (0, m), (additive_mask,)
-    else:
-        q_off, k_off = segments
-    if not (_tiles(q_off, n) and _tiles(k_off, m)
-            and len(q_off) == len(k_off) == len(additive_mask) + 1):
-        raise ShapeError(
-            f"attention segments must tile {n} query and {m} key rows with one "
-            f"mask block each, got offsets {list(q_off)} and {list(k_off)} "
-            f"for {len(additive_mask)} blocks")
-    spans = []
-    for b, block in enumerate(additive_mask):
-        qs, ks = slice(q_off[b], q_off[b + 1]), slice(k_off[b], k_off[b + 1])
+    spans, q_end, k_end = [], 0, 0
+    for b, block in enumerate(blocks):
         block = np.asarray(block, dtype=np.float64)
-        if block.shape != (qs.stop - qs.start, ks.stop - ks.start):
-            raise ShapeError(f"attention mask block {b} must be "
-                             f"[{qs.stop - qs.start}, {ks.stop - ks.start}], "
-                             f"got {block.shape}")
-        if qs.stop > qs.start:  # a segment without queries has no output or gradient
+        if block.ndim != 2:
+            raise ShapeError(f"attention mask block {b} must be a matrix, got {block.shape}")
+        qs = slice(q_end, q_end + block.shape[0])
+        ks = slice(k_end, k_end + block.shape[1])
+        q_end, k_end = qs.stop, ks.stop
+        if qs.stop > qs.start:  # a block without queries has no output or gradient
             spans.append((qs, ks, block))
+    if (q_end, k_end) != (n, m):
+        raise ShapeError(f"attention mask blocks cover {q_end} query and {k_end} key "
+                         f"rows, not {n} and {m}")
     d = size // heads
     scale = 1.0 / math.sqrt(d)
 
@@ -428,13 +411,13 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
                  lambda g: (_scatter_rows(idx_array, g, n),))
 
 
-def segment_sum(x: Tensor, segments, n: int) -> Tensor:
+def segment_sum(x: Tensor, ids, n: int) -> Tensor:
     """Row i of the [n, ...] result is the sum of the rows of x labelled i.
 
-    `segments` holds one id in [0, n) per row of x; ids may repeat or go
-    unused (an unused id gives a zero row). Rows add in their order in x.
+    `ids` holds one label in [0, n) per row of x; labels may repeat or go
+    unused (an unused label gives a zero row). Rows add in their order in x.
     """
-    seg = np.asarray(segments, dtype=np.intp)
+    seg = np.asarray(ids, dtype=np.intp)
     if not (x.ndim >= 1 and seg.shape == (x.shape[0],)):
         raise ShapeError(
             f"segment_sum needs one segment id per row: {seg.shape} ids for {x.shape}")
@@ -465,8 +448,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return _emit(xhat * gain.data + bias.data, (x, gain, bias), back)
 
 
-def cross_entropy_logits(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
-    """Token-level cross entropy of [n, V] logits against n target ids."""
+def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
+    """Mean token-level cross entropy of [n, V] logits against n target ids."""
     tgt = np.asarray(targets, dtype=np.intp)
     if not (logits.ndim == 2 and tgt.shape == (logits.shape[0],)):
         raise ShapeError(f"cross entropy shapes differ: {logits.shape} vs {tgt.shape}")
@@ -474,7 +457,7 @@ def cross_entropy_logits(logits: Tensor, targets, reduction: str = "mean") -> Te
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
     nll = lse - z[np.arange(len(tgt)), tgt]
-    scale = 1.0 / len(tgt) if reduction == "mean" else 1.0
+    scale = 1.0 / len(tgt)
 
     def back(g):
         p = np.exp(z - m)

@@ -94,11 +94,14 @@ def load_corpus(path) -> list[CorpusRecord]:
             for key in ("id", "code", "comment"):
                 if key not in obj:
                     raise FormatError(f"missing field {key!r}", line_no)
+            for key in ("code", "comment"):
+                if not isinstance(obj[key], str):
+                    raise FormatError(f"field {key!r} is not a string", line_no)
             rid = str(obj["id"])
             if rid in seen:
                 raise FormatError(f"duplicate record id {rid!r}", line_no)
             seen.add(rid)
-            records.append(CorpusRecord(rid, str(obj["code"]), str(obj["comment"])))
+            records.append(CorpusRecord(rid, obj["code"], obj["comment"]))
     return records
 
 
@@ -123,16 +126,16 @@ class RunConfig:
     type_value_min_freq: int = 2
 
     def validate(self):
-        if self.embedding_size % self.heads != 0:
-            raise ConfigError(
-                f"embedding_size {self.embedding_size} not divisible by "
-                f"heads {self.heads}"
-            )
         for name in ("embedding_size", "heads", "max_code_length",
                      "max_comment_length", "batch_size", "epochs", "neg_ratio",
                      "type_value_min_freq"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.embedding_size % self.heads != 0:
+            raise ConfigError(
+                f"embedding_size {self.embedding_size} not divisible by "
+                f"heads {self.heads}"
+            )
         for name in ("encoder_layers", "decoder_layers"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")

@@ -15,15 +15,18 @@ call folds every split AST of the batch, and one matmul with a constant
 averaging matrix pools them per example. Every attention call runs all
 of its heads, over every example's own rows, as one `autodiff.attention`
 op, so its tape cost grows with neither the head count nor the batch
-size, and no attention array spans two examples. `encode`,
-`decoder_logits` and `greedy_decode` run the same code on a batch of one.
+size, and no attention array spans two examples. Each example's rows
+follow from the shape of its mask block; `attention_mask` builds and
+checks a batch's blocks once, for the encoder, the decoder's
+self-attention and its cross-attention, and every layer reuses them.
+`encode`, `decoder_logits` and `greedy_decode` run the same code on a
+batch of one, so decoding builds its masks once per step.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -237,42 +240,40 @@ def positional_matrix(n_positions: int, size: int) -> np.ndarray:
     return cached
 
 
-def _offsets(lengths) -> list[int]:
-    """Row offsets of consecutive segments of these lengths, from 0 to their sum."""
-    return list(accumulate(lengths, initial=0))
-
-
 def _positions(lengths, size: int) -> np.ndarray:
-    """Position encodings of packed rows; positions restart at each segment."""
+    """Position encodings of packed rows; positions restart at each example."""
     return np.concatenate([positional_matrix(n, size) for n in lengths])
 
 
-def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: AttentionParams,
-                         heads: int, allowed, segments=None) -> Tensor:
-    """Scaled dot-product attention over `heads` column slices.
+def attention_mask(allowed_blocks) -> list[np.ndarray]:
+    """Additive mask blocks, as `autodiff.attention` takes them, from boolean ones.
 
-    `allowed[i, j]` marks whether query position i may look at key
-    position j. For rows packed from several examples, `segments` holds
-    their query and key row offsets, as `autodiff.attention` takes them,
-    and `allowed` one such block per example. A query row with no allowed
-    key raises MaskError naming its example and position. Five tape ops
-    at any head count and batch size: three projections,
-    `autodiff.attention` and the output projection.
+    `allowed_blocks[b][i, j]` marks whether query position i of example b
+    may look at its key position j. A query row with no allowed key raises
+    MaskError naming its example and position.
     """
-    if segments is None:
-        segments, allowed = ((0, x_q.shape[0]), (0, x_kv.shape[0])), [allowed]
-    for b, block in enumerate(allowed):
+    for b, block in enumerate(allowed_blocks):
         rows_ok = block.any(axis=1)
         if not rows_ok.all():
             bad = int(np.flatnonzero(~rows_ok)[0])
             raise MaskError(f"example {b} of the batch: query position {bad} "
                             f"has every key masked")
+    return [np.where(block, 0.0, -np.inf) for block in allowed_blocks]
+
+
+def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: AttentionParams,
+                         heads: int, mask) -> Tensor:
+    """Scaled dot-product attention over `heads` column slices.
+
+    `mask` holds one additive block per example packed into the rows, as
+    `attention_mask` builds them; each block's shape gives its example's
+    query and key rows. Five tape ops at any head count and batch size:
+    three projections, `autodiff.attention` and the output projection.
+    """
     q = ad.matmul(x_q, params.wq)
     k = ad.matmul(x_kv, params.wk)
     v = ad.matmul(x_kv, params.wv)
-    masks = [np.where(block, 0.0, -np.inf) for block in allowed]
-    contexts = ad.attention(q, k, v, heads, masks, segments)
-    return ad.matmul(contexts, params.wo)
+    return ad.matmul(ad.attention(q, k, v, heads, mask), params.wo)
 
 
 def _feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
@@ -282,9 +283,7 @@ def _feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
 
 def _encoder_layer(x: Tensor, layer: EncoderLayerParams, heads: int,
                    self_mask) -> Tensor:
-    """One encoder layer. Here and in `_decoder_layer` a mask is the
-    (allowed, segments) pair that ends `multi_head_attention`'s arguments."""
-    attended = multi_head_attention(x, x, layer.attn, heads, *self_mask)
+    attended = multi_head_attention(x, x, layer.attn, heads, self_mask)
     x = ad.layer_norm(ad.add(x, attended), layer.ln1.gain, layer.ln1.bias)
     x = ad.layer_norm(ad.add(x, _feed_forward(x, layer.ffn)),
                       layer.ln2.gain, layer.ln2.bias)
@@ -293,9 +292,9 @@ def _encoder_layer(x: Tensor, layer: EncoderLayerParams, heads: int,
 
 def _decoder_layer(y: Tensor, memory: Tensor, layer: DecoderLayerParams,
                    heads: int, self_mask, cross_mask) -> Tensor:
-    attended = multi_head_attention(y, y, layer.self_attn, heads, *self_mask)
+    attended = multi_head_attention(y, y, layer.self_attn, heads, self_mask)
     y = ad.layer_norm(ad.add(y, attended), layer.ln1.gain, layer.ln1.bias)
-    crossed = multi_head_attention(y, memory, layer.cross_attn, heads, *cross_mask)
+    crossed = multi_head_attention(y, memory, layer.cross_attn, heads, cross_mask)
     y = ad.layer_norm(ad.add(y, crossed), layer.ln2.gain, layer.ln2.bias)
     y = ad.layer_norm(ad.add(y, _feed_forward(y, layer.ffn)),
                       layer.ln3.gain, layer.ln3.bias)
@@ -316,14 +315,14 @@ def _causal_mask(target_ids: list[int]) -> np.ndarray:
 
 
 def encode_batch(batch: list[SummarizationExample], model: SummarizerModel,
-                 freeze_tree: bool = False) -> tuple[Tensor, list[int]]:
-    """Source encodings of a batch, packed: one [Σn, L] matrix and its row offsets.
+                 freeze_tree: bool = False) -> Tensor:
+    """Source encodings of a batch, packed into one [Σn, L] matrix.
 
-    Example b's code tokens are rows offsets[b]:offsets[b+1] of the
-    matrix. Every split AST of the batch is folded in one `encode_trees`
-    call; one matmul with a constant [B, T] averaging matrix pools each
-    example's roots into row b of a [B, L] matrix, and one lookup takes
-    row b once per code token of example b. The fused inputs, with
+    Example b's code tokens follow those of examples 0..b-1. Every split
+    AST of the batch is folded in one `encode_trees` call; one matmul
+    with a constant [B, T] averaging matrix pools each example's roots
+    into row b of a [B, L] matrix, and one lookup takes row b once per
+    code token of example b. The fused inputs, with
     positions restarting at each example, go through each encoder layer
     once for the whole batch; attention stays within an example and
     skips its PAD keys.
@@ -346,28 +345,26 @@ def encode_batch(batch: list[SummarizationExample], model: SummarizerModel,
     pooled = ad.matmul(Tensor(pool), roots)
 
     lengths = [len(example.code_ids) for example in batch]
-    offsets = _offsets(lengths)
     syntax = ad.embedding_lookup(pooled, np.repeat(np.arange(len(batch)), lengths))
     tokens = ad.embedding_lookup(
         t.code_embedding, [c for example in batch for c in example.code_ids])
     joint = ad.concat([syntax, tokens], axis=1)
     fused = ad.relu(ad.add_rowvec(ad.matmul(joint, ad.transpose(t.fuse_w)), t.fuse_b))
     x = ad.add(fused, Tensor(_positions(lengths, t.size)))
-    self_mask = ([np.broadcast_to(source_mask(example), (n, n))
-                  for example, n in zip(batch, lengths)], (offsets, offsets))
+    self_mask = attention_mask([np.broadcast_to(source_mask(example), (n, n))
+                                for example, n in zip(batch, lengths)])
     for layer in t.enc:
         x = _encoder_layer(x, layer, t.heads, self_mask)
-    return x, offsets
+    return x
 
 
-def encode(example: SummarizationExample, model: SummarizerModel,
-           freeze_tree: bool = False) -> Tensor:
+def encode(example: SummarizationExample, model: SummarizerModel) -> Tensor:
     """Source encoding of one example: `encode_batch` of a batch of one.
 
     With zero encoder layers the result is exactly the fused inputs plus
     position encodings.
     """
-    return encode_batch([example], model, freeze_tree)[0]
+    return encode_batch([example], model)
 
 
 def decoder_logits(target_ids, memory: Tensor, keys_ok, model: SummarizerModel) -> Tensor:
@@ -385,14 +382,13 @@ def decoder_logits(target_ids, memory: Tensor, keys_ok, model: SummarizerModel) 
         target_ids, keys_ok = [target_ids], [keys_ok]
     t = model.transformer
     lengths = [len(ids) for ids in target_ids]
-    offsets = _offsets(lengths)
     y = ad.add(
         ad.embedding_lookup(t.word_embedding, [i for ids in target_ids for i in ids]),
         Tensor(_positions(lengths, t.size)),
     )
-    self_mask = ([_causal_mask(ids) for ids in target_ids], (offsets, offsets))
-    cross_mask = ([np.broadcast_to(ok, (s, len(ok))) for s, ok in zip(lengths, keys_ok)],
-                  (offsets, _offsets([len(ok) for ok in keys_ok])))
+    self_mask = attention_mask([_causal_mask(ids) for ids in target_ids])
+    cross_mask = attention_mask([np.broadcast_to(ok, (s, len(ok)))
+                                 for s, ok in zip(lengths, keys_ok)])
     for layer in t.dec:
         y = _decoder_layer(y, memory, layer, t.heads, self_mask, cross_mask)
     return ad.add_rowvec(ad.matmul(y, t.out_w), t.out_b)
@@ -408,12 +404,11 @@ def train_step(batch: list[SummarizationExample], model: SummarizerModel,
     if not batch:
         raise EmptyInputError("train_step needs a non-empty batch")
     with Tape() as tape:
-        memory, _ = encode_batch(batch, model, freeze_tree)
+        memory = encode_batch(batch, model, freeze_tree)
         logits = decoder_logits([example.comment_ids[:-1] for example in batch], memory,
                                 [source_mask(example) for example in batch], model)
         targets = [i for example in batch for i in example.comment_ids[1:]]
-        ce = ad.cross_entropy_logits(logits, targets, reduction="sum")
-        loss = ad.scalar_mul(ce, 1.0 / len(targets))
+        loss = ad.cross_entropy_logits(logits, targets)
         if not np.isfinite(loss.data):
             raise NaNError(
                 f"non-finite loss {loss.data} on batch of {len(batch)} "

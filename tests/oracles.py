@@ -13,13 +13,15 @@ walks by dataclass field.
 
 `row_softmax` and `attention_per_head` are the one-op-per-head form of
 `autodiff.attention`, and `multi_head_attention_per_head` the matching
-form of `summarizer.multi_head_attention`, one segment of packed rows at
-a time. `avg_pool`, `encode_per_example`, `encoder_layer_per_example`,
-`decoder_layer_per_example`, `decoder_logits_per_example` and
-`train_loss_per_example` are the one-example-at-a-time form of
-`summarizer.train_step`'s loss: each example gets its own tree fold, its
-own encoder and decoder passes with per-head attention, and its own
-cross entropy, where the step packs the whole batch into one pass.
+form of `summarizer.multi_head_attention`, one mask block of packed rows
+at a time, with each block's rows counted from its shape and its own
+check for fully masked rows. `avg_pool`, `encode_per_example`,
+`encoder_layer_per_example`, `decoder_layer_per_example`,
+`decoder_logits_per_example` and `train_loss_per_example` are the
+one-example-at-a-time form of `summarizer.train_step`'s loss: each
+example gets its own tree fold, its own encoder and decoder passes with
+per-head attention, and its own cross entropy, where the step packs the
+whole batch into one pass.
 
 `split_asts_by_reparse` is the token form of `splitter.build_split_asts`:
 it parses each split's code, with its body braced, instead of building
@@ -115,14 +117,15 @@ def attention_per_head(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
 
 def multi_head_attention_per_head(x_q: Tensor, x_kv: Tensor, params: AttentionParams,
-                                  heads: int, allowed, segments=None) -> Tensor:
+                                  heads: int, allowed) -> Tensor:
     """`summarizer.multi_head_attention` with `attention_per_head` inside.
 
-    Packed rows are attended one segment at a time: each segment's query
-    and key rows are gathered, attended on their own and stacked again.
+    `allowed` holds one boolean block per example, where the package code
+    takes the additive blocks `summarizer.attention_mask` builds; it is
+    checked here on its own. Packed rows are attended one block at a time:
+    block b's query and key rows, which its shape counts, are gathered,
+    attended on their own and stacked again.
     """
-    if segments is None:
-        segments, allowed = ((0, x_q.shape[0]), (0, x_kv.shape[0])), [allowed]
     for b, block in enumerate(allowed):
         rows_ok = block.any(axis=1)
         if not rows_ok.all():
@@ -132,7 +135,8 @@ def multi_head_attention_per_head(x_q: Tensor, x_kv: Tensor, params: AttentionPa
     q = ad.matmul(x_q, params.wq)
     k = ad.matmul(x_kv, params.wk)
     v = ad.matmul(x_kv, params.wv)
-    q_off, k_off = segments
+    q_off = np.cumsum([0] + [block.shape[0] for block in allowed])
+    k_off = np.cumsum([0] + [block.shape[1] for block in allowed])
     contexts = []
     for b, block in enumerate(allowed):
         q_rows = np.arange(q_off[b], q_off[b + 1])
@@ -144,7 +148,7 @@ def multi_head_attention_per_head(x_q: Tensor, x_kv: Tensor, params: AttentionPa
 
 
 def encoder_layer_per_example(x: Tensor, layer: EncoderLayerParams, heads: int,
-                              allowed: np.ndarray) -> Tensor:
+                              allowed: list[np.ndarray]) -> Tensor:
     """One encoder layer over one example's rows, attention per head."""
     attended = multi_head_attention_per_head(x, x, layer.attn, heads, allowed)
     x = ad.layer_norm(ad.add(x, attended), layer.ln1.gain, layer.ln1.bias)
@@ -154,8 +158,8 @@ def encoder_layer_per_example(x: Tensor, layer: EncoderLayerParams, heads: int,
 
 
 def decoder_layer_per_example(y: Tensor, memory: Tensor, layer: DecoderLayerParams,
-                              heads: int, self_allowed: np.ndarray,
-                              cross_allowed: np.ndarray) -> Tensor:
+                              heads: int, self_allowed: list[np.ndarray],
+                              cross_allowed: list[np.ndarray]) -> Tensor:
     """One decoder layer over one example's rows, attention per head."""
     attended = multi_head_attention_per_head(y, y, layer.self_attn, heads, self_allowed)
     y = ad.layer_norm(ad.add(y, attended), layer.ln1.gain, layer.ln1.bias)
@@ -182,8 +186,8 @@ def decoder_logits_per_example(target_ids: list[int], memory: Tensor, keys_ok: n
     np.fill_diagonal(self_allowed, True)  # a position may always see itself
     cross_allowed = np.broadcast_to(keys_ok, (s, memory.shape[0]))
     for layer in t.dec:
-        y = decoder_layer_per_example(y, memory, layer, t.heads, self_allowed,
-                                      cross_allowed)
+        y = decoder_layer_per_example(y, memory, layer, t.heads, [self_allowed],
+                                      [cross_allowed])
     return ad.add_rowvec(ad.matmul(y, t.out_w), t.out_b)
 
 
@@ -212,7 +216,7 @@ def encode_per_example(example: SummarizationExample, model: SummarizerModel,
     x = ad.add(fused, Tensor(positional_matrix(n, t.size)))
     allowed = np.broadcast_to(source_mask(example), (n, n))
     for layer in t.enc:
-        x = encoder_layer_per_example(x, layer, t.heads, allowed)
+        x = encoder_layer_per_example(x, layer, t.heads, [allowed])
     return x
 
 
@@ -220,20 +224,20 @@ def train_loss_per_example(batch: list[SummarizationExample], model: SummarizerM
                            freeze_tree: bool = False) -> Tensor:
     """The mean token cross entropy `summarizer.train_step` minimizes.
 
-    Each example is encoded, decoded and scored on its own; the summed
-    cross entropies are divided by the batch's target count.
+    Each example is encoded, decoded and scored on its own; each mean
+    cross entropy is weighted by its example's share of the batch's
+    target tokens.
     """
+    count = sum(len(example.comment_ids) - 1 for example in batch)
     total = None
-    count = 0
     for example in batch:
         memory = encode_per_example(example, model, freeze_tree)
         targets = example.comment_ids[1:]
         logits = decoder_logits_per_example(example.comment_ids[:-1], memory,
                                             source_mask(example), model)
-        ce = ad.cross_entropy_logits(logits, targets, reduction="sum")
+        ce = ad.scalar_mul(ad.cross_entropy_logits(logits, targets), len(targets) / count)
         total = ce if total is None else ad.add(total, ce)
-        count += len(targets)
-    return ad.scalar_mul(total, 1.0 / count)
+    return total
 
 
 def positional_encoding(d: int, l: int, size: int) -> float:

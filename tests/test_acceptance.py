@@ -29,6 +29,7 @@ from basts.summarizer import (
     SummarizationExample,
     SummarizerModel,
     TransformerParams,
+    attention_mask,
     decoder_logits,
     encode,
     greedy_decode,
@@ -309,7 +310,7 @@ def test_criterion_8_attention_invariants():
     x_kv = Tensor(np.tile(row, (5, 1)))
     x_q = Tensor(rng.normal(size=(3, size)))
     out = multi_head_attention(
-        x_q, x_kv, params, heads=2, allowed=np.ones((3, 5), dtype=bool)
+        x_q, x_kv, params, 2, attention_mask([np.ones((3, 5), dtype=bool)])
     )
     expected = row @ params.wv.data
     value_ok = bool(np.max(np.abs(out.data - expected)) <= 1e-12)

@@ -249,7 +249,7 @@ class TestAttention:
     def test_matches_per_head_oracle(self, heads, n, m, kind):
         q, k, v, weights = self._inputs(n, m, seed=heads * 10 + n)
         mask = _masks(n, m, kind)
-        out, grads = _attention_grads(ad.attention, q, k, v, heads, mask, weights)
+        out, grads = _attention_grads(ad.attention, q, k, v, heads, [mask], weights)
         ref, ref_grads = _attention_grads(attention_per_head, q, k, v, heads, mask, weights)
         assert np.max(np.abs(out - ref)) <= 1e-12
         for g, r in zip(grads, ref_grads):
@@ -261,7 +261,7 @@ class TestAttention:
         mask = _masks(n, m, kind)
 
         def f(_):
-            return ad.sum_(ad.mul(ad.attention(q, k, v, heads, mask), weights))
+            return ad.sum_(ad.mul(ad.attention(q, k, v, heads, [mask]), weights))
 
         for target in (q, k, v):
             report = ad.grad_check(f, target)
@@ -269,7 +269,7 @@ class TestAttention:
 
     def test_masked_key_has_weight_exactly_zero(self):
         q, k, v, _ = self._inputs(4, 6)
-        mask = _masks(4, 6, "padding")  # keys 4 and 5 are masked for every query
+        mask = [_masks(4, 6, "padding")]  # keys 4 and 5 are masked for every query
         base = ad.attention(q, k, v, 2, mask).data
         v.data[4:] += 1e3
         k.data[5] -= 7.0
@@ -278,36 +278,40 @@ class TestAttention:
     def test_masked_key_gets_no_gradient(self):
         q, k, v, weights = self._inputs(4, 6)
         _, (_, dk, dv) = _attention_grads(ad.attention, q, k, v, 2,
-                                          _masks(4, 6, "padding"), weights)
+                                          [_masks(4, 6, "padding")], weights)
         assert not dk[4:].any() and not dv[4:].any()
 
     @pytest.mark.parametrize("heads", [0, 3, 16])
     def test_head_count_must_split_the_width(self, heads):
         q, k, v, _ = self._inputs(2, 2)
         with pytest.raises(ShapeError):
-            ad.attention(q, k, v, heads, np.zeros((2, 2)))
+            ad.attention(q, k, v, heads, [np.zeros((2, 2))])
 
     @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (3,), (1, 2, 3)])
     def test_mask_shape_must_be_queries_by_keys(self, shape):
         q, k, v, _ = self._inputs(2, 3)
         with pytest.raises(ShapeError):
-            ad.attention(q, k, v, 2, np.zeros(shape))
+            ad.attention(q, k, v, 2, [np.zeros(shape)])
 
     def test_k_and_v_rows_must_match(self):
         q, k, _, _ = self._inputs(2, 3)
         _, _, v, _ = self._inputs(2, 4)
         with pytest.raises(ShapeError):
-            ad.attention(q, k, v, 2, np.zeros((2, 3)))
+            ad.attention(q, k, v, 2, [np.zeros((2, 3))])
 
     def test_widths_must_match(self):
         q, _, _, _ = self._inputs(2, 3)
         _, k, v, _ = self._inputs(2, 3, size=6)
         with pytest.raises(ShapeError):
-            ad.attention(q, k, v, 2, np.zeros((2, 3)))
+            ad.attention(q, k, v, 2, [np.zeros((2, 3))])
 
 
 def _packed(q_lengths, k_lengths, kinds, size=8, seed=0):
-    """Random packed q, k, v, output weights, (q, k) row offsets and mask blocks."""
+    """Random packed q, k, v, output weights, (q, k) row offsets and mask blocks.
+
+    The offsets are for the tests' own slicing; `autodiff.attention` counts
+    each block's rows from its shape.
+    """
     q_off, k_off = np.cumsum([0] + q_lengths), np.cumsum([0] + k_lengths)
     rng = np.random.default_rng(seed)
     q, k, v = (Tensor(rng.normal(size=(rows, size)), requires_grad=True)
@@ -318,9 +322,9 @@ def _packed(q_lengths, k_lengths, kinds, size=8, seed=0):
 
 
 class TestSegmentedAttention:
-    """Packed rows: every segment attends only to its own keys, in one op."""
+    """Packed rows: each mask block's queries see only its own keys, in one op."""
 
-    CASES = [  # heads, query rows, key rows and mask of each segment
+    CASES = [  # heads, query rows, key rows and mask of each block
         (2, [3, 1, 5], [4, 6, 2], ["none", "padding", "none"]),
         (4, [4, 2], [4, 2], ["causal", "causal+padding"]),
         (1, [2, 0, 3], [3, 2, 3], ["padding", "none", "causal"]),
@@ -330,14 +334,12 @@ class TestSegmentedAttention:
     def test_bit_equal_to_separate_one_segment_calls(self, heads, q_lengths, k_lengths,
                                                     kinds):
         q, k, v, weights, (q_off, k_off), blocks = _packed(q_lengths, k_lengths, kinds)
-        out, grads = _attention_grads(
-            lambda *a: ad.attention(*a, segments=(q_off, k_off)), q, k, v, heads,
-            blocks, weights)
+        out, grads = _attention_grads(ad.attention, q, k, v, heads, blocks, weights)
         for b, block in enumerate(blocks):
             qs, ks = slice(q_off[b], q_off[b + 1]), slice(k_off[b], k_off[b + 1])
             parts = [Tensor(t.data[s], requires_grad=True)
                      for t, s in ((q, qs), (k, ks), (v, ks))]
-            ref, ref_grads = _attention_grads(ad.attention, *parts, heads, block,
+            ref, ref_grads = _attention_grads(ad.attention, *parts, heads, [block],
                                               Tensor(weights.data[qs]))
             assert np.array_equal(out[qs], ref)
             for g, r, s in zip(grads, ref_grads, (qs, ks, ks)):
@@ -345,34 +347,45 @@ class TestSegmentedAttention:
 
     @pytest.mark.parametrize("heads,q_lengths,k_lengths,kinds", CASES)
     def test_grad_check_q_k_v(self, heads, q_lengths, k_lengths, kinds):
-        q, k, v, weights, segments, blocks = _packed(q_lengths, k_lengths, kinds, seed=3)
+        q, k, v, weights, _, blocks = _packed(q_lengths, k_lengths, kinds, seed=3)
 
         def f(_):
-            out = ad.attention(q, k, v, heads, blocks, segments)
+            out = ad.attention(q, k, v, heads, blocks)
             return ad.sum_(ad.mul(out, weights))
 
         for target in (q, k, v):
             report = ad.grad_check(f, target)
             assert report.passed, report
 
+    # 5 query and 5 key rows; each case gives the row offsets where its blocks end
     @pytest.mark.parametrize("q_off,k_off", [
-        ([0, 2, 4], [0, 3, 5]),  # query offsets stop short of the 5 rows
-        ([0, 2, 6], [0, 3, 5]),  # and run past them
-        ([1, 2, 5], [0, 3, 5]),  # do not start at 0
-        ([0, 3, 2, 5], [0, 1, 3, 5]),  # go backwards
-        ([0, 2, 5], [0, 5]),  # one key segment for two query segments
-        ([0, 5], [0, 5]),  # one segment for two mask blocks
+        ([0, 2, 4], [0, 3, 5]),  # the blocks cover too few query rows
+        ([0, 2, 6], [0, 3, 5]),  # too many query rows
+        ([0, 2, 5], [0, 3, 4]),  # too few key rows
+        ([0, 2, 5], [0, 3, 6]),  # too many key rows
+        ([0], [0]),  # no block at all
+        ([0, 2, 5, 6], [0, 3, 5, 5]),  # one block too many
     ])
     def test_segments_must_tile_the_rows(self, q_off, k_off):
-        q, k, v, _, _, blocks = _packed([2, 3], [3, 2], ["none", "none"])
-        with pytest.raises(ShapeError, match="tile"):
-            ad.attention(q, k, v, 2, blocks, (q_off, k_off))
+        q, k, v, _, _, _ = _packed([2, 3], [3, 2], ["none", "none"])
+        blocks = [np.zeros((q_off[b + 1] - q_off[b], k_off[b + 1] - k_off[b]))
+                  for b in range(len(q_off) - 1)]
+        with pytest.raises(ShapeError, match=f"cover {q_off[-1]} query and "
+                                             f"{k_off[-1]} key rows, not 5 and 5"):
+            ad.attention(q, k, v, 2, blocks)
 
     def test_mask_block_must_match_its_segment(self):
-        q, k, v, _, segments, blocks = _packed([2, 3], [3, 2], ["none", "none"])
+        q, k, v, _, _, blocks = _packed([2, 3], [3, 2], ["none", "none"])
         blocks[1] = np.zeros((3, 3))
-        with pytest.raises(ShapeError, match=r"block 1 must be \[3, 2\]"):
-            ad.attention(q, k, v, 2, blocks, segments)
+        with pytest.raises(ShapeError, match="cover 5 query and 6 key rows"):
+            ad.attention(q, k, v, 2, blocks)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3, 2), ()])
+    def test_mask_block_must_be_a_matrix(self, shape):
+        q, k, v, _, _, blocks = _packed([2, 3], [3, 2], ["none", "none"])
+        blocks[1] = np.zeros(shape)
+        with pytest.raises(ShapeError, match=r"block 1 must be a matrix"):
+            ad.attention(q, k, v, 2, blocks)
 
 
 class TestScatterRows:

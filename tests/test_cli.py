@@ -92,6 +92,16 @@ class TestLoadCorpus:
             load_corpus(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("field", ["code", "comment"])
+    @pytest.mark.parametrize("value", [None, 7, ["void", "f"]])
+    def test_non_string_field_names_line_and_field(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        rows = toy_rows()
+        rows[1][field] = value
+        write_corpus(path, rows)
+        with pytest.raises(FormatError, match=f"^line 2: field '{field}' is not a string$"):
+            load_corpus(path)
+
     def test_invalid_utf8_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_bytes(
@@ -155,6 +165,12 @@ class TestRunConfig:
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ConfigError):
             RunConfig(embedding_size=10, heads=4).validate()
+
+    def test_zero_heads_is_a_config_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("heads = 0\n")
+        with pytest.raises(ConfigError, match="^heads must be positive, got 0$"):
+            RunConfig.from_file(path)
 
     def test_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -21,6 +21,7 @@ from basts.summarizer import (
     SummarizerModel,
     TransformerParams,
     Vocab,
+    attention_mask,
     decoder_logits,
     encode,
     encode_batch,
@@ -174,7 +175,7 @@ class TestMultiHeadAttention:
         x_kv = Tensor(np.tile(row, (4, 1)))
         x_q = Tensor(np.random.default_rng(1).normal(size=(3, size)))
         out = multi_head_attention(x_q, x_kv, params, heads=2,
-                                   allowed=np.ones((3, 4), dtype=bool))
+                                   mask=attention_mask([np.ones((3, 4), dtype=bool)]))
         expected = row @ params.wv.data
         for r in out.data:
             assert np.allclose(r, expected, atol=1e-12)
@@ -184,7 +185,7 @@ class TestMultiHeadAttention:
         params = self._params(size, wo_identity=True)
         x = Tensor(np.random.default_rng(2).normal(size=(1, size)))
         out = multi_head_attention(x, x, params, heads=1,
-                                   allowed=np.ones((1, 1), dtype=bool))
+                                   mask=attention_mask([np.ones((1, 1), dtype=bool)]))
         assert np.array_equal(out.data, x.data @ params.wv.data)
 
     def test_two_by_two_single_head_hand_computed(self):
@@ -200,7 +201,7 @@ class TestMultiHeadAttention:
         attn = e / e.sum(axis=1, keepdims=True)
         expected = (attn @ v) @ params.wo.data
         out = multi_head_attention(Tensor(x), Tensor(x), params, heads=1,
-                                   allowed=np.ones((2, 2), dtype=bool))
+                                   mask=attention_mask([np.ones((2, 2), dtype=bool)]))
         assert np.allclose(out.data, expected, atol=1e-14)
 
     def test_attention_rows_sum_to_one(self):
@@ -211,21 +212,23 @@ class TestMultiHeadAttention:
         assert np.max(np.abs(attn.data.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_fully_masked_row_raises(self):
-        params = self._params(4)
-        x = Tensor(np.zeros((2, 4)))
         allowed = np.array([[True, True], [False, False]])
         with pytest.raises(MaskError):
-            multi_head_attention(x, x, params, heads=1, allowed=allowed)
+            attention_mask([allowed])
 
     def test_fully_masked_row_names_its_example_and_position(self):
-        params = self._params(4)
-        x = Tensor(np.zeros((5, 4)))
         allowed = [np.ones((2, 2), dtype=bool), np.tril(np.ones((3, 3), dtype=bool))]
         allowed[1][2] = False
-        offsets = np.array([0, 2, 5])
         with pytest.raises(MaskError, match="^example 1 of the batch: query position 2 "
                                             "has every key masked$"):
-            multi_head_attention(x, x, params, 1, allowed, (offsets, offsets))
+            attention_mask(allowed)
+
+    def test_mask_is_zero_where_allowed_and_minus_inf_elsewhere(self):
+        allowed = [np.array([[True, False, True]]), np.tril(np.ones((2, 2), dtype=bool))]
+        mask = attention_mask(allowed)
+        assert [block.dtype for block in mask] == [np.float64, np.float64]
+        assert np.array_equal(mask[0], [[0.0, -np.inf, 0.0]])
+        assert np.array_equal(mask[1], [[0.0, -np.inf], [0.0, 0.0]])
 
 
 class TestEncode:
@@ -394,6 +397,8 @@ class TestBatchedEncode:
         decoded = [greedy_decode(ex, model, max_len=12) for ex in corpus.examples]
         monkeypatch.setattr(summarizer, "multi_head_attention",
                             multi_head_attention_per_head)
+        # the oracle takes the boolean blocks and checks them itself
+        monkeypatch.setattr(summarizer, "attention_mask", list)
         assert decoded == [greedy_decode(ex, model, max_len=12) for ex in corpus.examples]
         assert len({tuple(ids) for ids in decoded}) > 1
 
@@ -402,8 +407,9 @@ class TestBatchedEncode:
         batch = [make_example(), make_example(code_ids=(9, 4, 7)),
                  make_example(code_ids=(8, 8, 10, 11, 4))]
         batch[1].split_asts = batch[1].split_asts * 3
-        memory, offsets = encode_batch(batch, model)
-        assert offsets == [0, 4, 7, 12]
+        memory = encode_batch(batch, model)
+        offsets = [0, 4, 7, 12]
+        assert memory.shape == (12, 8)
         for b, ex in enumerate(batch):
             rows = memory.data[offsets[b]:offsets[b + 1]]
             assert np.max(np.abs(rows - encode(ex, model).data)) <= 1e-12
@@ -490,7 +496,7 @@ class TestCostGates:
 
     # the 16 toy rows as one packed batch at the default config: L=64, 4 heads,
     # 2+2 layers; 149 of them are the tree fold
-    TRAIN_STEP_OPS = 234
+    TRAIN_STEP_OPS = 233
 
     def test_train_step_op_count(self, monkeypatch):
         corpus, model = toy_corpus_and_model()
@@ -510,19 +516,34 @@ class TestCostGates:
         params = AttentionParams.init(8, np.random.default_rng(heads))
         x = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
         with ad.Tape() as tape:
-            multi_head_attention(x, x, params, heads, np.tril(np.ones((5, 5), dtype=bool)))
+            multi_head_attention(x, x, params, heads,
+                                 attention_mask([np.tril(np.ones((5, 5), dtype=bool))]))
         assert len(tape.nodes) == 5
 
     @pytest.mark.parametrize("batch", [1, 3, 16])
     def test_attention_is_five_ops_at_any_batch_size(self, batch):
         params = AttentionParams.init(8, np.random.default_rng(batch))
         lengths = [2 + b % 5 for b in range(batch)]
-        offsets = np.cumsum([0] + lengths)
-        x = Tensor(np.random.default_rng(0).normal(size=(offsets[-1], 8)))
-        allowed = [np.tril(np.ones((n, n), dtype=bool)) for n in lengths]
+        x = Tensor(np.random.default_rng(0).normal(size=(sum(lengths), 8)))
+        mask = attention_mask([np.tril(np.ones((n, n), dtype=bool)) for n in lengths])
         with ad.Tape() as tape:
-            multi_head_attention(x, x, params, 2, allowed, (offsets, offsets))
+            multi_head_attention(x, x, params, 2, mask)
         assert len(tape.nodes) == 5
+
+    @pytest.mark.parametrize("enc,dec", [(1, 1), (3, 2)])
+    def test_train_step_builds_three_masks_at_any_depth(self, monkeypatch, enc, dec):
+        # one for the encoder, one each for the decoder's self- and cross-attention
+        calls = []
+
+        def counting_attention_mask(allowed_blocks):
+            calls.append(len(allowed_blocks))
+            return attention_mask(allowed_blocks)
+
+        monkeypatch.setattr(summarizer, "attention_mask", counting_attention_mask)
+        model = make_model(enc=enc, dec=dec)
+        batch = [make_example(), make_example(code_ids=(9, 4, 7))]
+        train_step(batch, model, Adam(model.all_params()))
+        assert calls == [2, 2, 2]
 
 
 class TestCausality:
