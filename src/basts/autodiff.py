@@ -11,7 +11,8 @@ a step, so larger composites are single ops with hand-written
 backwards: `attention` runs every head of a multi-head attention, for
 every sequence packed into its rows, as one op of batched products,
 masked softmaxes and weighted sums; each sequence's rows follow from the
-shape of its mask block.
+shape of its mask block. `syntax_encoder.encode_trees` records a whole
+Tree-LSTM fold the same way, through `_emit`.
 
 The graph holds no reference cycles, so reference counting frees a
 step's arrays as soon as its tape and loss are dropped. Strong references

@@ -94,10 +94,9 @@ def load_corpus(path) -> list[CorpusRecord]:
             for key in ("id", "code", "comment"):
                 if key not in obj:
                     raise FormatError(f"missing field {key!r}", line_no)
-            for key in ("code", "comment"):
                 if not isinstance(obj[key], str):
                     raise FormatError(f"field {key!r} is not a string", line_no)
-            rid = str(obj["id"])
+            rid = obj["id"]
             if rid in seen:
                 raise FormatError(f"duplicate record id {rid!r}", line_no)
             seen.add(rid)

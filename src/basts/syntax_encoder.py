@@ -7,17 +7,17 @@ borrow a single learnable virtual child state so the same cell serves
 the whole tree. The root hidden state is the split's syntax embedding,
 and a batch of T trees gives one [T, L] matrix of them.
 
-The fold is batched by node height (leaf = 0), as in dynamic batching
-(Looks et al., ICLR 2017): one cell application per height covers every
-node of that height in every tree of the batch, so a batch of trees
-costs as many cell applications as its tallest tree has levels. Within
-a level there is one row per distinct subtree of the batch: equal
-subtrees (the same label over the same children, in order) are
-hash-consed into one row, so the batch is folded as a DAG. Ops follow
-the tallest tree and rows follow the distinct subtrees. Child states
-are gathered by row from the levels below, summed into their parents
-with `autodiff.segment_sum`, and each child edge gets its own forget
-gate row.
+The fold of a whole batch is one tape op with a hand-written backward,
+fused as RNN cells are by Appleyard, Kočiský & Blunsom (arXiv
+1604.01946). Inside it the fold is batched by node height (leaf = 0), as
+in dynamic batching (Looks et al., ICLR 2017): one cell application per
+height covers every node of that height in every tree of the batch.
+Equal subtrees (the same label over the same children, in order) are
+hash-consed into one row, so the batch is folded as a DAG: rows follow
+the distinct subtrees, and every row lives in one [R, 2L] h|m buffer.
+Each height gathers its child rows from that buffer once, sums child h
+into the parents, gives each child edge its own forget gate row, and
+writes its own rows. The tape holds one op per fold, whatever the trees.
 
 Pre-training scores ordered pairs of split embeddings with a logistic
 head and minimizes binary cross entropy against the block successor
@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,42 +108,40 @@ class TreeLstmParams(Params):
         )
 
 
-_VIRTUAL = -1  # the level of the virtual child state, one row
+class _Plan(NamedTuple):
+    """A batch's fold as the rows of one state buffer, lowest height first.
+
+    Row 0 is the virtual child; each height's rows, and their edges, are
+    contiguous. Each edge joins a row to one of its children; a leaf's one
+    edge goes to row 0. Edges are sorted by parent row, and a row's edges
+    follow its children's order within one height, lower heights first.
+    """
+
+    labels: np.ndarray  # [R] embedding row of each row (0 for row 0)
+    children: np.ndarray  # [E] child row of each edge
+    parents: np.ndarray  # [E] parent row of each edge, ascending
+    roots: np.ndarray  # [T] row of each tree's root
+    # per height, lowest first: its rows [lo, hi) and its edges [e0, e1)
+    heights: list[tuple[int, int, int, int]]
 
 
-@dataclass
-class _Level:
-    """Every node of one height across a batch, as rows of one matrix."""
-
-    labels: list[int] = field(default_factory=list)  # embedding row per node
-    # lower level -> (child rows there, parent rows here), one pair per
-    # child edge; a leaf's one child is row 0 of the _VIRTUAL level
-    edges: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
-
-    def add_edge(self, lower: int, child_row: int, parent_row: int):
-        rows, parents = self.edges.setdefault(lower, ([], []))
-        rows.append(child_row)
-        parents.append(parent_row)
-
-
-def _levels(trees: list[SplitAst], vocab: dict[str, int]):
-    """One row per distinct subtree of the batch, grouped by height; also
-    each root's (level, row).
+def _levels(trees: list[SplitAst], vocab: dict[str, int]) -> _Plan:
+    """The batch's `_Plan`: one row per distinct subtree, grouped by height.
 
     Subtrees are hash-consed (Filliâtre & Conchon, ML Workshop 2006): a
     node is keyed by its embedding row and the (height, row) of each child
     in order, and a node's state depends on nothing else. The first node
     with a key takes a row at height 1 + its tallest child (0 for a leaf,
     whose one child is the virtual state); every later node with that key,
-    in any tree, reuses that row. So the levels follow the tallest tree and
+    in any tree, reuses that row. So the heights follow the tallest tree and
     the rows follow the distinct subtrees, not the node count.
 
     Loops only, so tree depth is not bounded by the Python recursion
     limit. Each tree is walked in reverse breadth-first order, which puts
     a node's children before it.
     """
-    levels: list[_Level] = []
-    found: dict[tuple, tuple[int, int]] = {}  # key -> (height, row)
+    levels: list[list[tuple]] = []  # the keys of each height, in row order
+    found: dict[tuple, tuple[int, int]] = {}  # key -> (height, row in height)
     roots: list[tuple[int, int]] = []
     for t in trees:
         nodes, first = [t.root], []
@@ -158,76 +157,132 @@ def _levels(trees: list[SplitAst], vocab: dict[str, int]):
             if hit is None:
                 height = 1 + max(kids)[0] if kids else 0  # kids are (height, row)
                 if height == len(levels):
-                    levels.append(_Level())
-                level = levels[height]
-                hit = found[key] = (height, len(level.labels))
-                level.labels.append(key[0])
-                for lower, row in kids or ((_VIRTUAL, 0),):
-                    level.add_edge(lower, row, hit[1])
+                    levels.append([])
+                hit = found[key] = (height, len(levels[height]))
+                levels[height].append(key)
             ids[j] = hit
         roots.append(ids[0])
-    return levels, roots
+    # (height, row) -> buffer row: base[height + 1] + row, the virtual
+    # child being (-1, 0)
+    offset = np.cumsum([0, 1] + [len(level) for level in levels])
+    base = offset.tolist()
+    keys = [key for level in levels for key in level]
+    counts = [len(kids) or 1 for _, kids in keys]
+    children = np.array([base[h + 1] + r for _, kids in keys for h, r in kids or ((-1, 0),)],
+                        dtype=np.intp)
+    parents = np.repeat(np.arange(1, len(keys) + 1), counts)
+    # a row's edges go lower heights first, stably: its child sums then add
+    # in the order of a fold that gathers one lower height at a time
+    order = np.lexsort((np.searchsorted(offset, children, side="right"), parents))
+    ends = np.cumsum([0] + counts).tolist()  # ends[r - 1] is row r's first edge
+    return _Plan(
+        labels=np.array([0] + [label for label, _ in keys], dtype=np.intp),
+        children=children[order],
+        parents=parents,
+        roots=np.array([base[h + 1] + r for h, r in roots], dtype=np.intp),
+        heights=[(lo, hi, ends[lo - 1], ends[hi - 1]) for lo, hi in zip(base[1:], base[2:])],
+    )
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
     """Child-Sum Tree-LSTM fold: row i of the [T, L] result is trees[i]'s root h.
 
-    All nodes of one height, across every tree, go through the cell as
-    one matrix: a level gathers the (h, m) rows of its children from the
-    lower levels that hold them, sums child h into the parents with
-    `segment_sum`, applies the forget gate once per child edge and sums
-    the gated child m the same way. Leaves take the virtual child state
-    as their one child. A subtree that occurs more than once in the batch
-    is one row, gathered by every parent that holds it, so its gradient
-    is the sum over its occurrences. The op count grows with the tallest
-    tree and the row count with the distinct subtrees, not with the
-    number of nodes.
+    The whole fold is one tape op with a hand-written backward. `_levels`
+    gives every distinct subtree of the batch one row of an [R, 2L] h|m
+    buffer, height by height, with the virtual child state in row 0. Each
+    height's rows go through the cell as one matrix: one gather of their
+    child rows, child h summed into each parent for the input, output and
+    update gates, a forget gate per child edge, and the gated child m
+    summed likewise; then the height writes its own rows. A subtree that
+    occurs more than once in the batch is one row, read by every parent
+    that holds it, so its gradient is the sum over its occurrences.
+
+    The backward walks the heights top-down. Each height turns its rows'
+    h and m gradients into gate pre-activation gradients and sends the
+    gradients of its edges to their child rows, summed per child, so its
+    cost follows its own edges. Every weight gradient is then one product
+    over all rows or all edges. The op takes the 15 `TreeLstmParams`
+    tensors as they are; its tape cost is one op, whatever the trees.
     """
-    if not trees:
-        return Tensor(np.zeros((0, params.size)))
-    levels, roots = _levels(trees, params.vocab)
     size = params.size
-    # [x, h_tilde] @ iou_w gives every row's input, output and update
-    # pre-activations at once
-    iou_w = ad.transpose(ad.concat([
-        ad.concat([params.w_i, params.w_o, params.w_u], axis=0),
-        ad.concat([params.u_i, params.u_o, params.u_u], axis=0),
-    ], axis=1))
-    iou_b = ad.concat([params.b_i, params.b_o, params.b_u], axis=0)
-    f_w, f_u = ad.transpose(params.w_f), ad.transpose(params.u_f)
-    states = {_VIRTUAL: (ad.repeat_row(params.virtual_h, 1),
-                        ad.repeat_row(params.virtual_m, 1))}
-    for height, level in enumerate(levels):
-        n = len(level.labels)
-        parents, h_parts, m_parts = [], [], []
-        for lower in sorted(level.edges):  # one gather per lower level
-            rows, lower_parents = level.edges[lower]
-            parents += lower_parents
-            h_low, m_low = states[lower]
-            h_parts.append(ad.embedding_lookup(h_low, rows))
-            m_parts.append(ad.embedding_lookup(m_low, rows))
-        h_kids = h_parts[0] if len(h_parts) == 1 else ad.concat(h_parts)
-        m_kids = m_parts[0] if len(m_parts) == 1 else ad.concat(m_parts)
+    if not trees:
+        return Tensor(np.zeros((0, size)))
+    labels, children, parents, roots, heights = _levels(trees, params.vocab)
+    rows = len(labels)
+    p = params
+    # x @ w_x + b gives every row's i, o, u and f pre-activations from its
+    # label, h_sum @ u_iou adds the children's part of i, o and u
+    w_x = np.concatenate([p.w_i.data, p.w_o.data, p.w_u.data, p.w_f.data]).T
+    b = np.concatenate([p.b_i.data, p.b_o.data, p.b_u.data, p.b_f.data])
+    u_iou = np.concatenate([p.u_i.data, p.u_o.data, p.u_u.data]).T
+    u_f = p.u_f.data
+    state = np.empty((rows, 2 * size))  # h | m
+    state[0, :size], state[0, size:] = p.virtual_h.data, p.virtual_m.data
+    h_sum = np.empty((rows, size))
+    gates = np.empty((rows, 4 * size))  # i | o | u | tanh(m)
+    forget = np.empty((len(children), size))
+    for lo, hi, e0, e1 in heights:
+        up = parents[e0:e1] - lo  # each edge's parent, counted within the height
+        pre = p.embedding.data[labels[lo:hi]] @ w_x + b
+        kids = state[children[e0:e1]]  # child h | m, then child h | f * m
+        f = forget[e0:e1] = _sigmoid(pre[up, 3 * size:] + kids[:, :size] @ u_f.T)
+        kids[:, size:] *= f
+        sums = ad._scatter_rows(up, kids, hi - lo)
+        h_sum[lo:hi] = sums[:, :size]
+        gate = gates[lo:hi]  # i | o | u | tanh(m) of the height's rows
+        iou = pre[:, :3 * size] + sums[:, :size] @ u_iou
+        i = gate[:, :size] = _sigmoid(iou[:, :size])
+        o = gate[:, size:2 * size] = _sigmoid(iou[:, size:2 * size])
+        u = gate[:, 2 * size:3 * size] = np.tanh(iou[:, 2 * size:])
+        m = state[lo:hi, size:] = i * u + sums[:, size:]
+        tanh_m = gate[:, 3 * size:] = np.tanh(m)
+        state[lo:hi, :size] = o * tanh_m
 
-        x = ad.embedding_lookup(params.embedding, level.labels)
-        h_tilde = ad.segment_sum(h_kids, parents, n)
-        iou = ad.add_rowvec(ad.matmul(ad.concat([x, h_tilde], axis=1), iou_w), iou_b)
-        gates = ad.sigmoid(iou)
-        i = ad.col_slice(gates, 0, size)
-        o = ad.col_slice(gates, size, 2 * size)
-        u = ad.tanh(ad.col_slice(iou, 2 * size, 3 * size))
+    def back(g):
+        grad = np.zeros((rows, 2 * size))  # d h | d m, then d h_sum | d m
+        np.add.at(grad[:, :size], roots, g)
+        d_pre = np.zeros((rows, 4 * size))
+        d_fpre = np.empty((len(children), size))
+        for lo, hi, e0, e1 in reversed(heights):
+            gate = gates[lo:hi]
+            i, o = gate[:, :size], gate[:, size:2 * size]
+            u, tanh_m = gate[:, 2 * size:3 * size], gate[:, 3 * size:]
+            d_h, d_m = grad[lo:hi, :size], grad[lo:hi, size:]
+            d_m += d_h * o * (1.0 - tanh_m * tanh_m)
+            d_iou = d_pre[lo:hi, :3 * size]
+            d_iou[:, :size] = d_m * u * i * (1.0 - i)
+            d_iou[:, size:2 * size] = d_h * tanh_m * o * (1.0 - o)
+            d_iou[:, 2 * size:] = d_m * i * (1.0 - u * u)
+            d_h[...] = d_iou @ u_iou.T
+            # each edge takes its parent's d h_sum and d m
+            kids, f = children[e0:e1], forget[e0:e1]
+            d_edge = grad[parents[e0:e1]]
+            d_fpre[e0:e1] = d_edge[:, size:] * state[kids, size:] * f * (1.0 - f)
+            d_edge[:, :size] += d_fpre[e0:e1] @ u_f
+            d_edge[:, size:] *= f
+            # summed per child row, for the distinct child rows only
+            kids, inverse = np.unique(kids, return_inverse=True)
+            grad[kids] += ad._scatter_rows(inverse, d_edge, len(kids))
+        d_pre[1:, 3 * size:] = ad._scatter_rows(parents - 1, d_fpre, rows - 1)
+        x = p.embedding.data[labels[1:]]
+        d_w_x = (x.T @ d_pre[1:]).T  # rows: w_i, w_o, w_u, w_f
+        d_b = d_pre.sum(axis=0)
+        d_embedding = ad._scatter_rows(labels[1:], d_pre[1:] @ w_x.T, len(p.embedding.data))
+        d_u_iou = (h_sum[1:].T @ d_pre[1:, :3 * size]).T  # rows: u_i, u_o, u_u
+        d_u_f = d_fpre.T @ state[children, :size]
+        return (d_embedding, d_w_x[:size], d_u_iou[:size], d_b[:size],
+                d_w_x[3 * size:], d_u_f, d_b[3 * size:],
+                d_w_x[size:2 * size], d_u_iou[size:2 * size], d_b[size:2 * size],
+                d_w_x[2 * size:3 * size], d_u_iou[2 * size:], d_b[2 * size:3 * size],
+                grad[0, :size].copy(), grad[0, size:].copy())
 
-        wfx = ad.add_rowvec(ad.matmul(x, f_w), params.b_f)
-        f = ad.sigmoid(ad.add(ad.embedding_lookup(wfx, parents),
-                              ad.matmul(h_kids, f_u)))
-        m = ad.add(ad.mul(i, u), ad.segment_sum(ad.mul(f, m_kids), parents, n))
-        states[height] = (ad.mul(o, ad.tanh(m)), m)
-    # one gather of the root rows from the levels that hold roots, stacked
-    heights = sorted({height for height, _ in roots})
-    tops = [states[height][0] for height in heights]
-    first = dict(zip(heights, np.cumsum([0] + [top.shape[0] for top in tops])))
-    stacked = tops[0] if len(tops) == 1 else ad.concat(tops)
-    return ad.embedding_lookup(stacked, [first[height] + row for height, row in roots])
+    inputs = (p.embedding, p.w_i, p.u_i, p.b_i, p.w_f, p.u_f, p.b_f,
+              p.w_o, p.u_o, p.b_o, p.w_u, p.u_u, p.b_u, p.virtual_h, p.virtual_m)
+    return ad._emit(state[roots, :size], inputs, back)
 
 
 def encode_tree(t: SplitAst, params: TreeLstmParams) -> Tensor:

@@ -2,8 +2,11 @@
 
 `fuse` is the per-token form of the fusion layer inside
 `summarizer.encode_batch`; `positional_encoding` is the scalar form of
-`summarizer.positional_matrix`; `tree_lstm_cell` and `encode_tree_per_node`
-are the one-cell-per-node form of `syntax_encoder.encode_trees`;
+`summarizer.positional_matrix`. `syntax_encoder.encode_trees` folds a batch
+of trees as one tape op with a hand-written backward; `tree_lstm_cell` and
+`encode_tree_per_node` are its one-cell-per-node form, and
+`encode_trees_per_level` its one-height-at-a-time form, about 20 primitive
+ops per height with their own backwards, over the same hash-consed rows;
 `distinct_subtrees` is the recursive canonical form of the hash-consing
 in `syntax_encoder._levels`; `sep_loss_per_pair` is the per-pair score
 and cross-entropy loop that `syntax_encoder.sep_loss` computes as one
@@ -67,6 +70,7 @@ from basts.syntax_encoder import (
     PairExample,
     SepModel,
     TreeLstmParams,
+    _levels,
     encode_trees,
 )
 
@@ -309,6 +313,71 @@ def encode_tree_per_node(t: SplitAst, params: TreeLstmParams) -> Tensor:
         states[node.node_id] = tree_lstm_cell(x_v, children, params)
     h_root, _ = states[t.root.node_id]
     return h_root
+
+
+def encode_trees_per_level(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
+    """Root h of each tree as the rows of a [T, L] matrix, one height at a time.
+
+    Folds the rows of `syntax_encoder._levels`, each height as one matrix
+    through primitive ops: it gathers the (h, m) rows of its children from
+    every lower height that holds them, sums child h into the parents with
+    `segment_sum`, applies the forget gate once per child edge and sums the
+    gated child m the same way. Leaves take the virtual child state.
+    """
+    if not trees:
+        return Tensor(np.zeros((0, params.size)))
+    plan = _levels(trees, params.vocab)
+    size = params.size
+    # [x, h_tilde] @ iou_w gives every row's input, output and update
+    # pre-activations at once
+    iou_w = ad.transpose(ad.concat([
+        ad.concat([params.w_i, params.w_o, params.w_u], axis=0),
+        ad.concat([params.u_i, params.u_o, params.u_u], axis=0),
+    ], axis=1))
+    iou_b = ad.concat([params.b_i, params.b_o, params.b_u], axis=0)
+    f_w, f_u = ad.transpose(params.w_f), ad.transpose(params.u_f)
+    # states[0] is the virtual child, states[k + 1] the rows of height k
+    firsts = np.array([0] + [lo for lo, _, _, _ in plan.heights])
+    states = [(ad.repeat_row(params.virtual_h, 1), ad.repeat_row(params.virtual_m, 1))]
+
+    def locate(rows):  # plan rows -> (index into states, row within it)
+        k = np.searchsorted(firsts, rows, side="right") - 1
+        return k, rows - firsts[k]
+
+    for lo, hi, e0, e1 in plan.heights:
+        n = hi - lo
+        lower, low_rows = locate(plan.children[e0:e1])
+        up = plan.parents[e0:e1] - lo
+        parents, h_parts, m_parts = [], [], []
+        for k in np.unique(lower):  # one gather per lower height
+            picked = lower == k
+            parents += up[picked].tolist()
+            h_low, m_low = states[k]
+            h_parts.append(ad.embedding_lookup(h_low, low_rows[picked]))
+            m_parts.append(ad.embedding_lookup(m_low, low_rows[picked]))
+        h_kids = h_parts[0] if len(h_parts) == 1 else ad.concat(h_parts)
+        m_kids = m_parts[0] if len(m_parts) == 1 else ad.concat(m_parts)
+
+        x = ad.embedding_lookup(params.embedding, plan.labels[lo:hi])
+        h_tilde = ad.segment_sum(h_kids, parents, n)
+        iou = ad.add_rowvec(ad.matmul(ad.concat([x, h_tilde], axis=1), iou_w), iou_b)
+        gates = ad.sigmoid(iou)
+        i = ad.col_slice(gates, 0, size)
+        o = ad.col_slice(gates, size, 2 * size)
+        u = ad.tanh(ad.col_slice(iou, 2 * size, 3 * size))
+
+        wfx = ad.add_rowvec(ad.matmul(x, f_w), params.b_f)
+        f = ad.sigmoid(ad.add(ad.embedding_lookup(wfx, parents),
+                              ad.matmul(h_kids, f_u)))
+        m = ad.add(ad.mul(i, u), ad.segment_sum(ad.mul(f, m_kids), parents, n))
+        states.append((ad.mul(o, ad.tanh(m)), m))
+    # one gather of the root rows from the heights that hold roots, stacked
+    held, root_rows = locate(plan.roots)
+    present = sorted(set(held.tolist()))
+    tops = [states[k][0] for k in present]
+    first = dict(zip(present, np.cumsum([0] + [top.shape[0] for top in tops])))
+    stacked = tops[0] if len(tops) == 1 else ad.concat(tops)
+    return ad.embedding_lookup(stacked, [first[k] + r for k, r in zip(held, root_rows)])
 
 
 def distinct_subtrees(trees: list[SplitAst], vocab: dict[str, int]) -> set:

@@ -92,7 +92,7 @@ class TestLoadCorpus:
             load_corpus(path)
         assert err.value.line == 2
 
-    @pytest.mark.parametrize("field", ["code", "comment"])
+    @pytest.mark.parametrize("field", ["code", "comment", "id"])
     @pytest.mark.parametrize("value", [None, 7, ["void", "f"]])
     def test_non_string_field_names_line_and_field(self, tmp_path, field, value):
         path = tmp_path / "c.jsonl"
@@ -101,6 +101,20 @@ class TestLoadCorpus:
         write_corpus(path, rows)
         with pytest.raises(FormatError, match=f"^line 2: field '{field}' is not a string$"):
             load_corpus(path)
+
+    def test_number_id_is_rejected_not_renamed(self, tmp_path):
+        # read through str(), 3 and "3" were one id, so line 4 was a false
+        # duplicate; the first non-string id is the error
+        path = tmp_path / "c.jsonl"
+        rows = [dict(toy_rows()[0], id=rid) for rid in (None, [1], 3, "3")]
+        write_corpus(path, rows)
+        with pytest.raises(FormatError, match="^line 1: field 'id' is not a string$"):
+            load_corpus(path)
+        write_corpus(path, rows[2:])
+        with pytest.raises(FormatError, match="^line 1: field 'id' is not a string$"):
+            load_corpus(path)
+        write_corpus(path, rows[3:])
+        assert [r.record_id for r in load_corpus(path)] == ["3"]
 
     def test_invalid_utf8_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"

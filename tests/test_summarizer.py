@@ -495,8 +495,8 @@ class TestCostGates:
     """The exact, machine-independent op count of one step, pinned against regressions."""
 
     # the 16 toy rows as one packed batch at the default config: L=64, 4 heads,
-    # 2+2 layers; 149 of them are the tree fold
-    TRAIN_STEP_OPS = 233
+    # 2+2 layers; one of them is the tree fold of all the batch's split ASTs
+    TRAIN_STEP_OPS = 85
 
     def test_train_step_op_count(self, monkeypatch):
         corpus, model = toy_corpus_and_model()

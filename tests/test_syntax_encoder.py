@@ -1,6 +1,7 @@
 import copy
 import gc
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from oracles import (
     distinct_subtrees,
     embed,
     encode_tree_per_node,
+    encode_trees_per_level,
     sep_loss_per_pair,
     tree_lstm_cell,
 )
@@ -251,21 +253,27 @@ def _sharing_batches():
 
 
 def row_count(trees, vocab):
-    levels, _ = _levels(trees, vocab)
-    return sum(len(level.labels) for level in levels)
+    # every row of the plan but the virtual child's
+    return len(_levels(trees, vocab).labels) - 1
+
+
+def assert_fold_matches(trees, params, oracle):
+    """Root h within 1e-12 and every gradient within 1e-10 of its largest entry."""
+    got_h, got_g = tree_grads(trees, params, encode_trees)
+    want_h, want_g = tree_grads(trees, params, oracle)
+    assert got_h.shape == want_h.shape == (len(trees), params.size)
+    assert np.max(np.abs(got_h - want_h)) <= 1e-12
+    assert got_g.keys() == want_g.keys() and len(want_g) == 15
+    for name, want in want_g.items():
+        scale = max(np.max(np.abs(want)), 1e-30)
+        assert np.max(np.abs(got_g[name] - want)) <= 1e-10 * scale, name
 
 
 class TestEncodeTreesMatchesPerNodeFold:
     """The height-batched fold against the one-cell-per-node oracle."""
 
     def _assert_match(self, trees, params):
-        got_h, got_g = tree_grads(trees, params, encode_trees)
-        want_h, want_g = tree_grads(trees, params, per_node_fold)
-        assert got_h.shape == want_h.shape == (len(trees), params.size)
-        assert np.max(np.abs(got_h - want_h)) <= 1e-12
-        for name, want in want_g.items():
-            scale = max(np.max(np.abs(want)), 1e-30)
-            assert np.max(np.abs(got_g[name] - want)) <= 1e-10 * scale, name
+        assert_fold_matches(trees, params, per_node_fold)
 
     @pytest.mark.parametrize("corpus", ["pretrain", "summarization"])
     def test_toy_corpora(self, corpus):
@@ -311,6 +319,70 @@ class TestEncodeTreesMatchesPerNodeFold:
             assert report.passed, (name, report)
 
 
+def rows_with_several_parents(trees, vocab):
+    """Plan rows, other than the virtual child, that two or more rows hold."""
+    plan = _levels(trees, vocab)
+    holders = {}
+    for child, parent in zip(plan.children.tolist(), plan.parents.tolist()):
+        holders.setdefault(child, set()).add(parent)
+    return [child for child, parents in holders.items() if child and len(parents) > 1]
+
+
+def medium_trees(seed, methods=4):
+    records = generate_records("pretrain-sep", seed, methods, MEDIUM_PROFILE)
+    return [a for r in records for a in split_method(parse_source(r["code"])).asts]
+
+
+ORACLES = {"per level": encode_trees_per_level, "per node": per_node_fold}
+
+
+class TestFusedFoldMatchesOracles:
+    """The one-op fold against the per-level composite and the per-node cell."""
+
+    @pytest.mark.parametrize("oracle", list(ORACLES))
+    def test_toy_pretraining_batch(self, oracle):
+        batch, model = toy_pretrain_batch()
+        trees = list({id(t): t for p in batch for t in (p.t, p.t_prime)}.values())
+        assert_fold_matches(trees, model.tree, ORACLES[oracle])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("oracle", list(ORACLES))
+    def test_medium_generated_batches(self, oracle, seed):
+        trees, params = with_own_vocab(medium_trees(seed), size=8, seed=seed)
+        assert rows_with_several_parents(trees, params.vocab)
+        assert_fold_matches(trees, params, ORACLES[oracle])
+
+    @pytest.mark.parametrize("shape", ["chain", "star"])
+    @pytest.mark.parametrize("oracle", list(ORACLES))
+    def test_chain_and_star(self, oracle, shape):
+        trees = [chain_tree(["ABC"[i % 3] for i in range(60)]) if shape == "chain"
+                 else star_tree(60)]
+        assert_fold_matches(trees, make_params(size=5, seed=6), ORACLES[oracle])
+
+    def test_grad_check_every_parameter_at_width_4(self):
+        params = make_params(size=4, seed=12)
+        # leaf "A" hangs under "C" and under "B"; "B(A)" under two roots
+        trees = [
+            SplitAst(0, AstNode(0, "C", children=[
+                AstNode(1, "A"), AstNode(2, "B", children=[AstNode(3, "A")])])),
+            SplitAst(1, AstNode(0, "A", children=[
+                AstNode(1, "B", children=[AstNode(2, "A")]), AstNode(3, "C")])),
+            chain_tree(["A", "B", "C"]),
+            star_tree(3, split_id=3),
+        ]
+        assert len(rows_with_several_parents(trees, params.vocab)) >= 2
+        readout = Tensor(np.random.default_rng(5).normal(size=(len(trees), 4)))
+
+        def f(_):
+            return ad.sum_(ad.mul(encode_trees(trees, params), readout))
+
+        named = params.named_params()
+        assert len(named) == 15
+        for name, tensor in named:
+            report = ad.grad_check(f, tensor)
+            assert report.passed, (name, report)
+
+
 class TestHashConsedLevels:
     """`_levels` keeps one row per distinct subtree, by the recursive oracle."""
 
@@ -320,7 +392,7 @@ class TestHashConsedLevels:
         assert row_count(trees, vocab) < node_count(trees)
         # two roots share a row exactly when their trees are equal, that is
         # when they hold the same distinct subtrees
-        _, roots = _levels(trees, vocab)
+        roots = _levels(trees, vocab).roots
         forms = [frozenset(distinct_subtrees([t], vocab)) for t in trees]
         for i in range(len(trees)):
             for j in range(i):
@@ -354,8 +426,9 @@ def node_count(trees):
 class TestCostGates:
     """Exact, machine-independent costs of the fold, pinned against regressions."""
 
-    # 10 distinct trees of 103 nodes on 5 levels; `sep_loss_per_pair` records 8,740
-    PRETRAIN_BATCH_OPS = 160
+    # 10 distinct trees of 103 nodes on 5 levels, folded as one op;
+    # `sep_loss_per_pair` records 8,740
+    PRETRAIN_BATCH_OPS = 12
     # the fold's rows: the distinct subtrees of those 103 nodes
     PRETRAIN_BATCH_ROWS = 48
 
@@ -387,7 +460,8 @@ class TestCostGates:
             encode_trees(small, params)
         with Tape() as tape_large:
             encode_trees(large, params)
-        assert len(tape_small.nodes) == len(tape_large.nodes)
+        # the whole fold is one op, at any height and node count
+        assert len(tape_small.nodes) == len(tape_large.nodes) == 1
 
     @pytest.mark.parametrize("shape", ["chain", "star"])
     def test_large_trees_fold_in_linear_memory(self, shape):
@@ -395,13 +469,18 @@ class TestCostGates:
         tree = (chain_tree(["ABC"[i % 3] for i in range(2000)]) if shape == "chain"
                 else star_tree(2000))
         params = make_params(size=size)
-        with Tape() as tape:
-            emb = encode_tree(tree, params)
-            loss = ad.sum_(ad.mul(emb, emb))
-            floats = sum(node.out().data.size for node in tape.nodes
-                         if node.out() is not None)
-            backward(tape, loss)
-        assert floats <= 40 * node_count([tree]) * size
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                emb = encode_tree(tree, params)
+                loss = ad.sum_(ad.mul(emb, emb))
+                backward(tape, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # everything allocated over forward and backward, the plan and the
+        # arrays the op keeps included, as float64s per node and unit of width
+        assert peak <= 40 * node_count([tree]) * size * 8
         assert np.all(np.isfinite(params.u_f.grad))
 
     def test_step_leaves_no_reference_cycles(self):
