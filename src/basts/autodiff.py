@@ -327,9 +327,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, blocks) -> Tensor:
     out = np.empty((heads, n, d))
     probs = []
     for qs, ks, block in spans:
-        z = (qh[:, qs] @ kh[:, ks].transpose(0, 2, 1)) * scale + block
-        e = np.exp(z - z.max(axis=2, keepdims=True))
-        p = e / e.sum(axis=2, keepdims=True)
+        # the masked softmax, in place: scale, mask, shift by the row max, exp, normalize
+        p = qh[:, qs] @ kh[:, ks].transpose(0, 2, 1)
+        p *= scale
+        p += block
+        p -= np.maximum.reduce(p, axis=2, keepdims=True)
+        np.exp(p, out=p)
+        p /= np.add.reduce(p, axis=2, keepdims=True)
         out[:, qs] = p @ vh[:, ks]
         probs.append(p)
 
@@ -339,9 +343,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, blocks) -> Tensor:
         dk, dv = np.zeros((heads, m, d)), np.zeros((heads, m, d))
         for (qs, ks, _), p in zip(spans, probs):
             gs = gh[:, qs]
-            dp = gs @ vh[:, ks].transpose(0, 2, 1)
             dv[:, ks] = p.transpose(0, 2, 1) @ gs
-            dz = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * scale
+            # dz = p * (dp - rowsum(dp * p)) * scale for dp = g @ v^T, in dp's buffer
+            dz = gs @ vh[:, ks].transpose(0, 2, 1)
+            dz -= np.add.reduce(dz * p, axis=2, keepdims=True)
+            dz *= p
+            dz *= scale
             dq[:, qs] = dz @ kh[:, ks]
             dk[:, ks] = dz.transpose(0, 2, 1) @ qh[:, qs]
         return join(dq), join(dk), join(dv)
@@ -427,24 +434,27 @@ def segment_sum(x: Tensor, ids, n: int) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Row-wise normalization of a matrix, then affine scale and shift."""
+    """Row-wise normalization of a matrix, then affine scale and shift.
+
+    The row means and variances are the `np.add.reduce` sums, divided by
+    the width, that `np.mean` and `np.var` take behind their wrappers, so
+    the values are theirs bit for bit.
+    """
     if not (x.ndim == 2 and gain.shape == (x.shape[1],) and bias.shape == (x.shape[1],)):
         raise ShapeError(f"layer_norm shapes differ: {x.shape}, {gain.shape}, {bias.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    width = x.shape[1]
+    centered = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / width
+    var = np.add.reduce(centered * centered, axis=1, keepdims=True) / width
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centered * inv
 
     def back(g):
-        dgain = (g * xhat).sum(axis=0)
-        dbias = g.sum(axis=0)
         dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-        )
-        return dx, dgain, dbias
+        dx = dxhat - np.add.reduce(dxhat, axis=1, keepdims=True) / width
+        dxhat *= xhat
+        dx -= xhat * (np.add.reduce(dxhat, axis=1, keepdims=True) / width)
+        dx *= inv
+        return dx, np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0)
 
     return _emit(xhat * gain.data + bias.data, (x, gain, bias), back)
 

@@ -19,8 +19,12 @@ size, and no attention array spans two examples. Each example's rows
 follow from the shape of its mask block; `attention_mask` builds and
 checks a batch's blocks once, for the encoder, the decoder's
 self-attention and its cross-attention, and every layer reuses them.
+The decoder's cross-attention keys and values depend on the encoder
+output alone, so `memory_kv` projects them once per batch, before the
+decoder runs, and every decoder layer takes its own pair.
 `encode`, `decoder_logits` and `greedy_decode` run the same code on a
-batch of one, so decoding builds its masks once per step.
+batch of one. Decoding builds its masks and memory keys and values once
+per comment; each step passes views of the mask blocks.
 """
 
 from __future__ import annotations
@@ -261,19 +265,36 @@ def attention_mask(allowed_blocks) -> list[np.ndarray]:
     return [np.where(block, 0.0, -np.inf) for block in allowed_blocks]
 
 
-def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: AttentionParams,
-                         heads: int, mask) -> Tensor:
-    """Scaled dot-product attention over `heads` column slices.
+def multi_head_attention(x: Tensor, params: AttentionParams, heads: int, mask,
+                         kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    """Scaled dot-product attention of the rows of x over `heads` column slices.
 
-    `mask` holds one additive block per example packed into the rows, as
+    Without `kv` this is self-attention: the keys and values are projected
+    from x, after its queries. Otherwise `kv` holds the projected keys and
+    values of another sequence, as `memory_kv` makes them. `mask` holds
+    one additive block per example packed into the rows, as
     `attention_mask` builds them; each block's shape gives its example's
-    query and key rows. Five tape ops at any head count and batch size:
-    three projections, `autodiff.attention` and the output projection.
+    query and key rows. Self-attention is five tape ops at any head count
+    and batch size: three projections, `autodiff.attention` and the output
+    projection; attention over given keys and values is three.
     """
-    q = ad.matmul(x_q, params.wq)
-    k = ad.matmul(x_kv, params.wk)
-    v = ad.matmul(x_kv, params.wv)
-    return ad.matmul(ad.attention(q, k, v, heads, mask), params.wo)
+    q = ad.matmul(x, params.wq)
+    if kv is None:
+        kv = ad.matmul(x, params.wk), ad.matmul(x, params.wv)
+    return ad.matmul(ad.attention(q, *kv, heads, mask), params.wo)
+
+
+def memory_kv(memory: Tensor, model: SummarizerModel) -> list[tuple[Tensor, Tensor]]:
+    """Each decoder layer's cross-attention keys and values of `memory`.
+
+    They depend on the encoder output alone, so they are projected once
+    per batch or decoded comment, not once per decoder step. The
+    projections are recorded layer by layer, K before V, the order in
+    which the layers would make them, so the memory's gradient sums its
+    parts in the same order.
+    """
+    return [(ad.matmul(memory, layer.cross_attn.wk), ad.matmul(memory, layer.cross_attn.wv))
+            for layer in model.transformer.dec]
 
 
 def _feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
@@ -283,18 +304,18 @@ def _feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
 
 def _encoder_layer(x: Tensor, layer: EncoderLayerParams, heads: int,
                    self_mask) -> Tensor:
-    attended = multi_head_attention(x, x, layer.attn, heads, self_mask)
+    attended = multi_head_attention(x, layer.attn, heads, self_mask)
     x = ad.layer_norm(ad.add(x, attended), layer.ln1.gain, layer.ln1.bias)
     x = ad.layer_norm(ad.add(x, _feed_forward(x, layer.ffn)),
                       layer.ln2.gain, layer.ln2.bias)
     return x
 
 
-def _decoder_layer(y: Tensor, memory: Tensor, layer: DecoderLayerParams,
+def _decoder_layer(y: Tensor, kv: tuple[Tensor, Tensor], layer: DecoderLayerParams,
                    heads: int, self_mask, cross_mask) -> Tensor:
-    attended = multi_head_attention(y, y, layer.self_attn, heads, self_mask)
+    attended = multi_head_attention(y, layer.self_attn, heads, self_mask)
     y = ad.layer_norm(ad.add(y, attended), layer.ln1.gain, layer.ln1.bias)
-    crossed = multi_head_attention(y, memory, layer.cross_attn, heads, cross_mask)
+    crossed = multi_head_attention(y, layer.cross_attn, heads, cross_mask, kv)
     y = ad.layer_norm(ad.add(y, crossed), layer.ln2.gain, layer.ln2.bias)
     y = ad.layer_norm(ad.add(y, _feed_forward(y, layer.ffn)),
                       layer.ln3.gain, layer.ln3.bias)
@@ -367,30 +388,39 @@ def encode(example: SummarizationExample, model: SummarizerModel) -> Tensor:
     return encode_batch([example], model)
 
 
-def decoder_logits(target_ids, memory: Tensor, keys_ok, model: SummarizerModel) -> Tensor:
-    """Word logits at every target position under the causal mask.
+def decoder_masks(target_ids, keys_ok) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The decoder's additive self- and cross-attention blocks of a packed batch.
 
-    For a packed batch, `target_ids` holds each example's decoder input
-    ids and `keys_ok` each example's key mask; the masks' lengths cut
-    `memory` into the examples' rows, as `encode_batch` packs them. The
+    Example b's self block is the causal mask over `target_ids[b]`; its
+    cross block lets every target position see the keys `keys_ok[b]`
+    marks, one per memory row of example b.
+    """
+    self_mask = attention_mask([_causal_mask(ids) for ids in target_ids])
+    cross_mask = attention_mask([np.broadcast_to(ok, (len(ids), len(ok)))
+                                 for ids, ok in zip(target_ids, keys_ok)])
+    return self_mask, cross_mask
+
+
+def decoder_logits(target_ids, kv, masks, model: SummarizerModel) -> Tensor:
+    """Word logits at every target position of a packed batch, under the causal mask.
+
+    `target_ids` holds each example's decoder input ids; `kv` is
+    `memory_kv` of the batch's packed memory, and `masks` the pair of
+    mask block lists `decoder_masks` builds, whose key columns cut the
+    memory into the examples' rows as `encode_batch` packs them. The
     [Σs, V] result holds example b's rows in order. Each example's
     self-attention and cross-attention stay within its own rows, so every
-    decoder layer runs once for the whole batch. One example may be
-    passed bare: its id list, its [n, L] memory and its [n] key mask.
+    decoder layer runs once for the whole batch.
     """
-    if isinstance(keys_ok, np.ndarray):
-        target_ids, keys_ok = [target_ids], [keys_ok]
     t = model.transformer
+    self_mask, cross_mask = masks
     lengths = [len(ids) for ids in target_ids]
     y = ad.add(
         ad.embedding_lookup(t.word_embedding, [i for ids in target_ids for i in ids]),
         Tensor(_positions(lengths, t.size)),
     )
-    self_mask = attention_mask([_causal_mask(ids) for ids in target_ids])
-    cross_mask = attention_mask([np.broadcast_to(ok, (s, len(ok)))
-                                 for s, ok in zip(lengths, keys_ok)])
-    for layer in t.dec:
-        y = _decoder_layer(y, memory, layer, t.heads, self_mask, cross_mask)
+    for layer, layer_kv in zip(t.dec, kv):
+        y = _decoder_layer(y, layer_kv, layer, t.heads, self_mask, cross_mask)
     return ad.add_rowvec(ad.matmul(y, t.out_w), t.out_b)
 
 
@@ -398,15 +428,17 @@ def train_step(batch: list[SummarizationExample], model: SummarizerModel,
                opt: Adam, freeze_tree: bool = False) -> float:
     """One teacher-forced step: mean token cross entropy, one Adam update.
 
-    The whole batch is packed: one encoder pass, one decoder pass and one
+    The whole batch is packed: one encoder pass, one projection of the
+    memory's cross-attention keys and values, one decoder pass and one
     cross entropy over every target token of the batch.
     """
     if not batch:
         raise EmptyInputError("train_step needs a non-empty batch")
     with Tape() as tape:
         memory = encode_batch(batch, model, freeze_tree)
-        logits = decoder_logits([example.comment_ids[:-1] for example in batch], memory,
-                                [source_mask(example) for example in batch], model)
+        inputs = [example.comment_ids[:-1] for example in batch]
+        masks = decoder_masks(inputs, [source_mask(example) for example in batch])
+        logits = decoder_logits(inputs, memory_kv(memory, model), masks, model)
         targets = [i for example in batch for i in example.comment_ids[1:]]
         loss = ad.cross_entropy_logits(logits, targets)
         if not np.isfinite(loss.data):
@@ -426,14 +458,24 @@ def greedy_decode(example: SummarizationExample, model: SummarizerModel,
 
     PAD and BOS are never candidates; argmax ties break toward the lowest
     eligible id. EOS stops generation and is not part of the result.
+
+    Each step runs the whole prefix through `decoder_logits`. What does
+    not change between steps is made once per comment: the encoding, its
+    cross-attention keys and values, and the mask blocks. Decoded ids are
+    never PAD, so step s's blocks are the leading s rows (and, for the
+    causal block, columns) of blocks with `max_len + 1` rows.
     """
     with no_grad():
         memory = encode(example, model)
-        keys_ok = source_mask(example)
+        kv = memory_kv(memory, model)
+        rows = max(max_len, 0) + 1  # a max_len below 1 runs no step, but the masks build
+        (causal,), (cross,) = decoder_masks([[Vocab.BOS] * rows], [source_mask(example)])
         out = [Vocab.BOS]
         content: list[int] = []
         for _ in range(max_len):
-            logits = decoder_logits(out, memory, keys_ok, model).data[-1].copy()
+            s = len(out)
+            masks = [causal[:s, :s]], [cross[:s]]
+            logits = decoder_logits([out], kv, masks, model).data[-1].copy()
             logits[Vocab.PAD] = -np.inf
             logits[Vocab.BOS] = -np.inf
             nxt = int(np.argmax(logits))

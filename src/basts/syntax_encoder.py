@@ -402,16 +402,20 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
              config: PretrainConfig) -> tuple[SepModel, list[EpochStats]]:
     """Train the next-split classifier; returns the model and loss history.
 
+    After each epoch's steps, an accuracy pass scores every pair without
+    a tape, one method's pairs per `encode_trees` call, so every tree is
+    folded once (a method without pairs is skipped).
+
     A corpus with no multi-split methods produces no pairs and the
     initialized parameters come back untouched.
     """
     config.validate()
     seeds = np.random.SeedSequence(config.seed).spawn(len(corpus) + 2)
     model = SepModel.init(params, np.random.default_rng(seeds[0]))
-    pairs: list[PairExample] = []
-    for method_splits, seq in zip(corpus, seeds[2:]):
-        method_seed = int(seq.generate_state(1)[0])
-        pairs.extend(generate_pairs(method_splits, config.neg_ratio, method_seed))
+    # each method's pairs are one chunk of the accuracy pass; no tree is in two methods
+    chunks = [generate_pairs(method_splits, config.neg_ratio, int(seq.generate_state(1)[0]))
+              for method_splits, seq in zip(corpus, seeds[2:])]
+    pairs = [pair for chunk in chunks for pair in chunk]
     if not pairs:
         return model, []
 
@@ -431,8 +435,7 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
             opt.zero_grad()
             epoch_loss += loss.item() * len(batch)
         with ad.no_grad():
-            for lo in range(0, len(pairs), config.batch_size):
-                chunk = pairs[lo : lo + config.batch_size]
+            for chunk in filter(None, chunks):
                 predicted = _pair_scores(chunk, model).data > 0.5
                 correct += int(np.sum(predicted == [p.label == 1 for p in chunk]))
         history.append(EpochStats(epoch_loss / len(pairs), correct / len(pairs)))

@@ -14,6 +14,10 @@ vector expression;
 `reachable_tensors` finds by brute force what `autodiff.Params.named_params`
 walks by dataclass field.
 
+`attention_reference` and `layer_norm_reference` are `autodiff.attention`
+and `autodiff.layer_norm` written with a fresh array at every step and the
+`mean`, `var`, `max` and `sum` methods; the package ops, which run in
+place and reduce through `np.add.reduce`, must match them bit for bit.
 `row_softmax` and `attention_per_head` are the one-op-per-head form of
 `autodiff.attention`, and `multi_head_attention_per_head` the matching
 form of `summarizer.multi_head_attention`, one mask block of packed rows
@@ -103,6 +107,78 @@ def row_softmax(x: Tensor, additive_mask: np.ndarray | None = None) -> Tensor:
     return ad._emit(y, (x,), back)
 
 
+def attention_reference(q: Tensor, k: Tensor, v: Tensor, heads: int, blocks) -> Tensor:
+    """`autodiff.attention` with a fresh array at every step of its softmax and backward.
+
+    The row reductions go through the `max` and `sum` methods; the package
+    op, which works in place, must equal this bit for bit.
+    """
+    n, size = q.shape
+    m = k.shape[0]
+    spans, q_end, k_end = [], 0, 0
+    for block in blocks:
+        block = np.asarray(block, dtype=np.float64)
+        qs = slice(q_end, q_end + block.shape[0])
+        ks = slice(k_end, k_end + block.shape[1])
+        q_end, k_end = qs.stop, ks.stop
+        if qs.stop > qs.start:
+            spans.append((qs, ks, block))
+    d = size // heads
+    scale = 1.0 / math.sqrt(d)
+
+    def split(x):  # [rows, L] -> [heads, rows, d]
+        return x.reshape(x.shape[0], heads, d).transpose(1, 0, 2)
+
+    def join(x):  # [heads, rows, d] -> [rows, L]
+        return x.transpose(1, 0, 2).reshape(x.shape[1], size)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    out = np.empty((heads, n, d))
+    probs = []
+    for qs, ks, block in spans:
+        z = (qh[:, qs] @ kh[:, ks].transpose(0, 2, 1)) * scale + block
+        e = np.exp(z - z.max(axis=2, keepdims=True))
+        p = e / e.sum(axis=2, keepdims=True)
+        out[:, qs] = p @ vh[:, ks]
+        probs.append(p)
+
+    def back(g):
+        gh = split(g)
+        dq = np.empty((heads, n, d))
+        dk, dv = np.zeros((heads, m, d)), np.zeros((heads, m, d))
+        for (qs, ks, _), p in zip(spans, probs):
+            gs = gh[:, qs]
+            dp = gs @ vh[:, ks].transpose(0, 2, 1)
+            dv[:, ks] = p.transpose(0, 2, 1) @ gs
+            dz = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * scale
+            dq[:, qs] = dz @ kh[:, ks]
+            dk[:, ks] = dz.transpose(0, 2, 1) @ qh[:, qs]
+        return join(dq), join(dk), join(dv)
+
+    return ad._emit(join(out), (q, k, v), back)
+
+
+def layer_norm_reference(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+    """`autodiff.layer_norm` with its row statistics taken by `mean` and `var`."""
+    mu = x.data.mean(axis=1, keepdims=True)
+    var = x.data.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+
+    def back(g):
+        dgain = (g * xhat).sum(axis=0)
+        dbias = g.sum(axis=0)
+        dxhat = g * gain.data
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+        )
+        return dx, dgain, dbias
+
+    return ad._emit(xhat * gain.data + bias.data, (x, gain, bias), back)
+
+
 def attention_per_head(q: Tensor, k: Tensor, v: Tensor, heads: int,
                        additive_mask: np.ndarray) -> Tensor:
     """Scaled dot-product attention, one column slice of q, k, v per head."""
@@ -120,10 +196,11 @@ def attention_per_head(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return contexts[0] if heads == 1 else ad.concat(contexts, axis=1)
 
 
-def multi_head_attention_per_head(x_q: Tensor, x_kv: Tensor, params: AttentionParams,
-                                  heads: int, allowed) -> Tensor:
+def multi_head_attention_per_head(x: Tensor, params: AttentionParams, heads: int,
+                                  allowed, kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """`summarizer.multi_head_attention` with `attention_per_head` inside.
 
+    As there, keys and values are projected from x unless `kv` gives them.
     `allowed` holds one boolean block per example, where the package code
     takes the additive blocks `summarizer.attention_mask` builds; it is
     checked here on its own. Packed rows are attended one block at a time:
@@ -136,9 +213,8 @@ def multi_head_attention_per_head(x_q: Tensor, x_kv: Tensor, params: AttentionPa
             bad = int(np.flatnonzero(~rows_ok)[0])
             raise MaskError(f"example {b} of the batch: query position {bad} "
                             f"has every key masked")
-    q = ad.matmul(x_q, params.wq)
-    k = ad.matmul(x_kv, params.wk)
-    v = ad.matmul(x_kv, params.wv)
+    q = ad.matmul(x, params.wq)
+    k, v = (ad.matmul(x, params.wk), ad.matmul(x, params.wv)) if kv is None else kv
     q_off = np.cumsum([0] + [block.shape[0] for block in allowed])
     k_off = np.cumsum([0] + [block.shape[1] for block in allowed])
     contexts = []
@@ -154,7 +230,7 @@ def multi_head_attention_per_head(x_q: Tensor, x_kv: Tensor, params: AttentionPa
 def encoder_layer_per_example(x: Tensor, layer: EncoderLayerParams, heads: int,
                               allowed: list[np.ndarray]) -> Tensor:
     """One encoder layer over one example's rows, attention per head."""
-    attended = multi_head_attention_per_head(x, x, layer.attn, heads, allowed)
+    attended = multi_head_attention_per_head(x, layer.attn, heads, allowed)
     x = ad.layer_norm(ad.add(x, attended), layer.ln1.gain, layer.ln1.bias)
     x = ad.layer_norm(ad.add(x, _feed_forward(x, layer.ffn)),
                       layer.ln2.gain, layer.ln2.bias)
@@ -164,11 +240,15 @@ def encoder_layer_per_example(x: Tensor, layer: EncoderLayerParams, heads: int,
 def decoder_layer_per_example(y: Tensor, memory: Tensor, layer: DecoderLayerParams,
                               heads: int, self_allowed: list[np.ndarray],
                               cross_allowed: list[np.ndarray]) -> Tensor:
-    """One decoder layer over one example's rows, attention per head."""
-    attended = multi_head_attention_per_head(y, y, layer.self_attn, heads, self_allowed)
+    """One decoder layer over one example's rows, attention per head.
+
+    The layer projects its cross-attention keys and values of `memory`
+    itself, where the package projects every layer's once, up front.
+    """
+    attended = multi_head_attention_per_head(y, layer.self_attn, heads, self_allowed)
     y = ad.layer_norm(ad.add(y, attended), layer.ln1.gain, layer.ln1.bias)
-    crossed = multi_head_attention_per_head(y, memory, layer.cross_attn, heads,
-                                            cross_allowed)
+    kv = ad.matmul(memory, layer.cross_attn.wk), ad.matmul(memory, layer.cross_attn.wv)
+    crossed = multi_head_attention_per_head(y, layer.cross_attn, heads, cross_allowed, kv)
     y = ad.layer_norm(ad.add(y, crossed), layer.ln2.gain, layer.ln2.bias)
     y = ad.layer_norm(ad.add(y, _feed_forward(y, layer.ffn)),
                       layer.ln3.gain, layer.ln3.bias)

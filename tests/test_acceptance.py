@@ -31,8 +31,10 @@ from basts.summarizer import (
     TransformerParams,
     attention_mask,
     decoder_logits,
+    decoder_masks,
     encode,
     greedy_decode,
+    memory_kv,
     multi_head_attention,
     positional_matrix,
     source_mask,
@@ -161,9 +163,9 @@ def test_criterion_3_gradient_fidelity():
 
     def summarizer_loss(_):
         memory = encode(example, model)
-        logits = decoder_logits(
-            example.comment_ids[:-1], memory, source_mask(example), model
-        )
+        inputs = [example.comment_ids[:-1]]
+        logits = decoder_logits(inputs, memory_kv(memory, model),
+                                decoder_masks(inputs, [source_mask(example)]), model)
         return ad.cross_entropy_logits(logits, example.comment_ids[1:])
 
     worst["summarizer"] = max(
@@ -309,8 +311,9 @@ def test_criterion_8_attention_invariants():
     row = rng.normal(size=size)
     x_kv = Tensor(np.tile(row, (5, 1)))
     x_q = Tensor(rng.normal(size=(3, size)))
+    kv = ad.matmul(x_kv, params.wk), ad.matmul(x_kv, params.wv)
     out = multi_head_attention(
-        x_q, x_kv, params, 2, attention_mask([np.ones((3, 5), dtype=bool)])
+        x_q, params, 2, attention_mask([np.ones((3, 5), dtype=bool)]), kv
     )
     expected = row @ params.wv.data
     value_ok = bool(np.max(np.abs(out.data - expected)) <= 1e-12)
@@ -329,12 +332,15 @@ def test_criterion_8_attention_invariants():
         n_words = int(rng.integers(3, 7))
         ids = [1] + [int(rng.integers(4, 12)) for _ in range(n_words)]
         example = SummarizationExample([7, 8, 9], [ast], ids + [2])
-        memory = encode(example, model)
-        base = decoder_logits(ids, memory, source_mask(example), model).data
+        kv = memory_kv(encode(example, model), model)
+        base = decoder_logits([ids], kv, decoder_masks([ids], [source_mask(example)]),
+                              model).data
         s = int(rng.integers(1, len(ids)))
         perturbed = list(ids)
         perturbed[s] = 4 if ids[s] != 4 else 5
-        after = decoder_logits(perturbed, memory, source_mask(example), model).data
+        after = decoder_logits([perturbed], kv,
+                               decoder_masks([perturbed], [source_mask(example)]),
+                               model).data
         if not np.array_equal(base[:s], after[:s]):
             causal_ok = False
             break

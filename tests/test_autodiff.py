@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basts import autodiff as ad
 from basts.autodiff import Adam, GraphError, ShapeError, Tape, Tensor, backward
-from oracles import attention_per_head, row_softmax
+from oracles import attention_per_head, attention_reference, layer_norm_reference, row_softmax
 
 
 class TestForwardOps:
@@ -386,6 +388,53 @@ class TestSegmentedAttention:
         blocks[1] = np.zeros(shape)
         with pytest.raises(ShapeError, match=r"block 1 must be a matrix"):
             ad.attention(q, k, v, 2, blocks)
+
+
+# one mask block: its query rows (0 and 1 included), key rows and mask kind
+_BLOCKS = st.tuples(st.integers(0, 5), st.integers(1, 6),
+                    st.sampled_from(["none", "causal", "padding", "causal+padding"]))
+
+
+class TestBitIdentity:
+    """`attention` and `layer_norm` equal their pre-in-place forms bit for bit."""
+
+    # 300 draws of 1 to 4 blocks; about 2 s
+    @settings(max_examples=300)
+    @given(heads=st.sampled_from([1, 2, 4]), width=st.integers(1, 3),
+           blocks=st.lists(_BLOCKS, min_size=1, max_size=4),
+           magnitude=st.integers(-3, 3), seed=st.integers(0, 2**32 - 1))
+    def test_attention_matches_reference(self, heads, width, blocks, magnitude, seed):
+        q_lengths, k_lengths, kinds = (list(column) for column in zip(*blocks))
+        q, k, v, weights, _, masks = _packed(q_lengths, k_lengths, kinds,
+                                             size=heads * width, seed=seed)
+        q.data *= 10.0 ** magnitude
+        out, grads = _attention_grads(ad.attention, q, k, v, heads, masks, weights)
+        ref, ref_grads = _attention_grads(attention_reference, q, k, v, heads, masks,
+                                          weights)
+        assert np.array_equal(out, ref)
+        for g, r in zip(grads, ref_grads):
+            assert np.array_equal(g, r)
+
+    # 300 draws; about 1 s
+    @settings(max_examples=300)
+    @given(rows=st.integers(1, 7), width=st.integers(1, 70),
+           magnitude=st.integers(-3, 3), seed=st.integers(0, 2**32 - 1))
+    def test_layer_norm_matches_reference(self, rows, width, magnitude, seed):
+        rng = np.random.default_rng(seed)
+        x, gain, bias = (Tensor(rng.normal(size=shape) * 10.0 ** magnitude,
+                                requires_grad=True)
+                         for shape in ((rows, width), (width,), (width,)))
+        weights = Tensor(rng.normal(size=(rows, width)))
+        results = []
+        for fn in (ad.layer_norm, layer_norm_reference):
+            with Tape() as tape:
+                out = fn(x, gain, bias)
+                backward(tape, ad.sum_(ad.mul(out, weights)))
+            results.append([out.data] + [t.grad for t in (x, gain, bias)])
+            for t in (x, gain, bias):
+                t.zero_grad()
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
 
 
 class TestScatterRows:

@@ -23,9 +23,11 @@ from basts.summarizer import (
     Vocab,
     attention_mask,
     decoder_logits,
+    decoder_masks,
     encode,
     encode_batch,
     greedy_decode,
+    memory_kv,
     multi_head_attention,
     positional_matrix,
     source_mask,
@@ -174,8 +176,9 @@ class TestMultiHeadAttention:
         row = np.linspace(-1.0, 1.0, size)
         x_kv = Tensor(np.tile(row, (4, 1)))
         x_q = Tensor(np.random.default_rng(1).normal(size=(3, size)))
-        out = multi_head_attention(x_q, x_kv, params, heads=2,
-                                   mask=attention_mask([np.ones((3, 4), dtype=bool)]))
+        kv = ad.matmul(x_kv, params.wk), ad.matmul(x_kv, params.wv)
+        out = multi_head_attention(x_q, params, heads=2,
+                                   mask=attention_mask([np.ones((3, 4), dtype=bool)]), kv=kv)
         expected = row @ params.wv.data
         for r in out.data:
             assert np.allclose(r, expected, atol=1e-12)
@@ -184,7 +187,7 @@ class TestMultiHeadAttention:
         size = 4
         params = self._params(size, wo_identity=True)
         x = Tensor(np.random.default_rng(2).normal(size=(1, size)))
-        out = multi_head_attention(x, x, params, heads=1,
+        out = multi_head_attention(x, params, heads=1,
                                    mask=attention_mask([np.ones((1, 1), dtype=bool)]))
         assert np.array_equal(out.data, x.data @ params.wv.data)
 
@@ -200,7 +203,7 @@ class TestMultiHeadAttention:
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
         expected = (attn @ v) @ params.wo.data
-        out = multi_head_attention(Tensor(x), Tensor(x), params, heads=1,
+        out = multi_head_attention(Tensor(x), params, heads=1,
                                    mask=attention_mask([np.ones((2, 2), dtype=bool)]))
         assert np.allclose(out.data, expected, atol=1e-14)
 
@@ -473,9 +476,9 @@ class TestTrainStep:
 
         def f(_):
             memory = encode(ex, model)
-            logits = decoder_logits(
-                ex.comment_ids[:-1], memory, source_mask(ex), model
-            )
+            inputs = [ex.comment_ids[:-1]]
+            logits = decoder_logits(inputs, memory_kv(memory, model),
+                                    decoder_masks(inputs, [source_mask(ex)]), model)
             return ad.cross_entropy_logits(logits, ex.comment_ids[1:])
 
         targets = {
@@ -516,7 +519,7 @@ class TestCostGates:
         params = AttentionParams.init(8, np.random.default_rng(heads))
         x = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
         with ad.Tape() as tape:
-            multi_head_attention(x, x, params, heads,
+            multi_head_attention(x, params, heads,
                                  attention_mask([np.tril(np.ones((5, 5), dtype=bool))]))
         assert len(tape.nodes) == 5
 
@@ -527,7 +530,7 @@ class TestCostGates:
         x = Tensor(np.random.default_rng(0).normal(size=(sum(lengths), 8)))
         mask = attention_mask([np.tril(np.ones((n, n), dtype=bool)) for n in lengths])
         with ad.Tape() as tape:
-            multi_head_attention(x, x, params, 2, mask)
+            multi_head_attention(x, params, 2, mask)
         assert len(tape.nodes) == 5
 
     @pytest.mark.parametrize("enc,dec", [(1, 1), (3, 2)])
@@ -545,6 +548,38 @@ class TestCostGates:
         train_step(batch, model, Adam(model.all_params()))
         assert calls == [2, 2, 2]
 
+    @pytest.mark.parametrize("max_len", [1, 12])
+    def test_greedy_decode_builds_masks_and_memory_kv_once(self, monkeypatch, max_len):
+        model = make_model(enc=1, dec=2, seed=13)
+        model.transformer.out_b.data[Vocab.EOS] = -1e9  # every step runs
+        cross_weights = {id(w) for layer in model.transformer.dec
+                         for w in (layer.cross_attn.wk, layer.cross_attn.wv)}
+        masks, projections, steps = [], [], []
+
+        def counting_attention_mask(allowed_blocks):
+            masks.append(len(allowed_blocks))
+            return attention_mask(allowed_blocks)
+
+        def counting_matmul(a, b, matmul=ad.matmul):
+            if id(b) in cross_weights:
+                projections.append(id(b))
+            return matmul(a, b)
+
+        def counting_decoder_logits(*args, decoder_logits=decoder_logits):
+            steps.append(1)
+            return decoder_logits(*args)
+
+        monkeypatch.setattr(summarizer, "attention_mask", counting_attention_mask)
+        monkeypatch.setattr(ad, "matmul", counting_matmul)
+        monkeypatch.setattr(summarizer, "decoder_logits", counting_decoder_logits)
+        assert len(greedy_decode(make_example(), model, max_len=max_len)) == max_len
+        assert len(steps) == max_len
+        # the encoder's mask, then the decoder's self and cross masks, once each
+        assert masks == [1, 1, 1]
+        # each decoder layer's K and V, projected once, layer by layer
+        assert projections == [id(w) for layer in model.transformer.dec
+                               for w in (layer.cross_attn.wk, layer.cross_attn.wv)]
+
 
 class TestCausality:
     def test_future_target_perturbation_is_invisible(self):
@@ -552,14 +587,15 @@ class TestCausality:
         for trial in range(5):
             model = make_model(seed=trial)
             ex = make_example()
-            memory = encode(ex, model)
+            kv = memory_kv(encode(ex, model), model)
             ids = [1, 7, 8, 9, 7]
-            base = decoder_logits(ids, memory, source_mask(ex), model).data
+            base = decoder_logits([ids], kv, decoder_masks([ids], [source_mask(ex)]),
+                                  model).data
             s = int(rng.integers(1, len(ids)))
             perturbed_ids = list(ids)
             perturbed_ids[s] = 4 if ids[s] != 4 else 5
             perturbed = decoder_logits(
-                perturbed_ids, memory, source_mask(ex), model
+                [perturbed_ids], kv, decoder_masks([perturbed_ids], [source_mask(ex)]), model
             ).data
             assert np.array_equal(base[:s], perturbed[:s])
             assert not np.array_equal(base[s:], perturbed[s:])
@@ -582,6 +618,9 @@ class TestGreedyDecode:
         model = make_model(seed=13)
         out = greedy_decode(make_example(), model, max_len=1)
         assert len(out) <= 1
+        # no step runs, and the masks, built with max_len + 1 rows, still build
+        assert greedy_decode(make_example(), model, max_len=0) == []
+        assert greedy_decode(make_example(), model, max_len=-3) == []
 
     def test_deterministic(self):
         model = make_model(seed=17)

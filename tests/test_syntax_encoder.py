@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import basts.autodiff as ad
+from basts import syntax_encoder
 from basts.autodiff import Tape, Tensor, backward
 from basts.frontend import AstNode, iter_nodes
 from basts.splitter import SplitAst, split_method
@@ -673,6 +674,33 @@ class TestPretrain:
             return [h.loss for h in history]
 
         assert run() == run()
+
+    @pytest.mark.parametrize("batch_size", [4, 16])
+    def test_accuracy_pass_folds_each_tree_once(self, monkeypatch, batch_size):
+        corpus = [split_method(parse_source(src)) for src in PRETRAIN_SOURCES]
+        vocab = build_type_value_vocab([a.root for ms in corpus for a in ms.asts])
+        params = TreeLstmParams.init(vocab, 4, np.random.default_rng(0))
+        stepping, folded = [], []
+
+        def step_loss(pairs, model):
+            stepping.append(True)
+            try:
+                return sep_loss(pairs, model)
+            finally:
+                stepping.pop()
+
+        def counting_encode_trees(trees, tree_params):
+            if not stepping:  # a fold of the accuracy pass
+                folded.extend(id(t) for t in trees)
+            return encode_trees(trees, tree_params)
+
+        monkeypatch.setattr(syntax_encoder, "sep_loss", step_loss)
+        monkeypatch.setattr(syntax_encoder, "encode_trees", counting_encode_trees)
+        _, history = pretrain(corpus, params, PretrainConfig(epochs=1, batch_size=batch_size))
+        assert len(history) == 1
+        # the 37 trees of the toy methods' pairs; chunks of `batch_size` pairs that
+        # straddle methods fold some trees twice: 74 folds at 4, 40 at 16
+        assert len(folded) == len(set(folded)) == 37
 
     def test_rejects_bad_config(self, diamond_method):
         corpus = [split_method(diamond_method)]
