@@ -4,7 +4,9 @@ One graph node per simple statement; if/while/for headers are their own
 nodes and block bodies are inlined. Start and end nodes are virtual. The
 for construct is wired init -> header -> body -> update -> header, and
 the header always carries an exit edge so every node lies on some
-start-to-end path.
+start-to-end path. A while is wired as a for without init or update.
+`break` edges to the loop exit; `continue` edges to the update if the
+loop has one, else to the header (JLS 14.16).
 """
 
 from __future__ import annotations
@@ -69,9 +71,10 @@ class _Builder:
     def wire_sequence(self, stmts: list[Statement], loop) -> tuple[int | None, list[int]]:
         """Wire a statement list; returns (head node, dangling exits).
 
-        `loop` is (header node, break sink list) of the innermost loop, or
-        None outside loops. A head of None means the sequence is empty; an
-        empty exit list means control never falls through.
+        `loop` maps BREAK and CONTINUE to the jump nodes collected so far
+        in the innermost loop, or is None outside loops. A head of None
+        means the sequence is empty; an empty exit list means control
+        never falls through.
         """
         head: int | None = None
         exits: list[int] = []
@@ -105,69 +108,38 @@ class _Builder:
             node = self.new_node(stmt)
             self.edge(node, 1)
             return node, []
-        if k is StmtKind.BREAK:
+        if k is StmtKind.BREAK or k is StmtKind.CONTINUE:
             if loop is None:
-                raise CfgError(f"break outside a loop (statement {stmt.stmt_id})")
+                raise CfgError(f"{k.value} outside a loop (statement {stmt.stmt_id})")
             node = self.new_node(stmt)
-            loop[1].append(node)
-            return node, []
-        if k is StmtKind.CONTINUE:
-            if loop is None:
-                raise CfgError(f"continue outside a loop (statement {stmt.stmt_id})")
-            node = self.new_node(stmt)
-            self.edge(node, loop[0])
+            loop[k].append(node)  # wired when the innermost loop closes
             return node, []
         if k is StmtKind.IF:
             header = self.new_node(stmt)
-            then_head, then_exits = self.wire_sequence(stmt.body, loop)
             exits = []
-            if then_head is None:
-                exits.append(header)  # empty branch falls through the header
-            else:
-                self.edge(header, then_head)
-                exits.extend(then_exits)
-            if stmt.orelse:
-                else_head, else_exits = self.wire_sequence(stmt.orelse, loop)
-                if else_head is None:
-                    exits.append(header)
+            for branch in (stmt.body, stmt.orelse):
+                head, branch_exits = self.wire_sequence(branch, loop)
+                if head is None:
+                    exits.append(header)  # an empty or missing branch falls through the header
                 else:
-                    self.edge(header, else_head)
-                    exits.extend(else_exits)
-            else:
-                exits.append(header)  # fall-through edge when no else branch
+                    self.edge(header, head)
+                    exits.extend(branch_exits)
             return header, exits
-        if k is StmtKind.WHILE:
-            header = self.new_node(stmt)
-            breaks: list[int] = []
-            body_head, body_exits = self.wire_sequence(stmt.body, (header, breaks))
-            if body_head is None:
-                self.edge(header, header)
-            else:
-                self.edge(header, body_head)
-                for e in body_exits:
-                    self.edge(e, header)
-            return header, [header] + breaks
-        if k is StmtKind.FOR:
-            init = self.new_node(stmt.init) if stmt.init is not None else None
-            header = self.new_node(stmt)
-            if init is not None:
-                self.edge(init, header)
-            breaks: list[int] = []
-            body_head, body_exits = self.wire_sequence(stmt.body, (header, breaks))
-            update = self.new_node(stmt.update) if stmt.update is not None else None
-            back_target = header
-            if update is not None:
-                self.edge(update, header)
-                back_target = update
-            if body_head is None:
-                self.edge(header, back_target)
-            else:
-                self.edge(header, body_head)
-                for e in body_exits:
-                    self.edge(e, back_target)
-            entry = init if init is not None else header
-            return entry, [header] + breaks
-        raise CfgError(f"cannot wire statement kind {k}")
+        # WHILE or FOR; a while is a for without init or update.
+        init = self.new_node(stmt.init) if stmt.init is not None else None
+        header = self.new_node(stmt)
+        if init is not None:
+            self.edge(init, header)
+        jumps = {StmtKind.BREAK: [], StmtKind.CONTINUE: []}
+        body_head, body_exits = self.wire_sequence(stmt.body, jumps)
+        back = header
+        if stmt.update is not None:
+            back = self.new_node(stmt.update)
+            self.edge(back, header)
+        self.edge(header, back if body_head is None else body_head)
+        for e in body_exits + jumps[StmtKind.CONTINUE]:
+            self.edge(e, back)
+        return (header if init is None else init), [header] + jumps[StmtKind.BREAK]
 
 
 def build_cfg(method: Method) -> Cfg:

@@ -18,6 +18,7 @@ identical bytes, which is what the reproducibility checks compare.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -84,7 +85,13 @@ class _Reader:
         return self.take(1)[0]
 
     def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"string at payload offset {self.pos - len(raw)} is not UTF-8"
+            ) from None
 
     def str_list(self) -> list[str]:
         return [self.text() for _ in range(self.u32())]
@@ -93,8 +100,12 @@ class _Reader:
         name = self.text()
         rank = self.u8()
         shape = tuple(self.u64() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(self.take(count * 8), dtype="<f8").reshape(shape)
+        count = math.prod(shape)  # exact, so huge dims read as truncation, not overflow
+        data = np.frombuffer(self.take(count * 8), dtype="<f8")
+        try:
+            data = data.reshape(shape)
+        except ValueError as err:  # rank past numpy's limit, or a dim past int64
+            raise CheckpointError(f"blob {name!r} has unusable shape: {err}") from None
         return name, data.astype(np.float64)
 
 
@@ -206,6 +217,8 @@ def deserialize(raw: bytes) -> Checkpoint:
             np.random.default_rng(0),
         )
         _fill(out.transformer.named_params(), dict(r.blob() for _ in range(r.u32())))
+    if r.pos != len(payload):
+        raise CheckpointError(f"extra bytes after the last section ({len(payload) - r.pos})")
     return out
 
 

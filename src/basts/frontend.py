@@ -166,7 +166,7 @@ class StmtKind(Enum):
 
 @dataclass
 class Expr:
-    kind: str  # literal | name | binary | unary | call | field
+    kind: str  # the AST node type: Literal, MemberReference, BinaryOperation, ...
     value: str | None
     children: list["Expr"] = field(default_factory=list)
 
@@ -258,25 +258,10 @@ class _Parser:
         start = self.i
         rtype = self._expect_ident("return type").text
         name = self._expect_ident("method name").text
-        self._expect("(")
-        params: list[tuple[str, str]] = []
-        if not self._at(")"):
-            while True:
-                ptype = self._expect_ident("parameter type").text
-                pname = self._expect_ident("parameter name").text
-                params.append((ptype, pname))
-                if not self._at(","):
-                    break
-                self._expect(",")
-        self._expect(")")
+        params = self._parse_list(lambda: (self._expect_ident("parameter type").text,
+                                           self._expect_ident("parameter name").text))
         declaration = self.toks[start : self.i]
-        self._expect("{")
-        body = []
-        while not self._at("}"):
-            if self._peek() is None:
-                self._fail(["'}'", "statement"])
-            body.append(self.parse_statement())
-        self._expect("}")
+        body = self._parse_braced()
         return Method(
             name=name,
             return_type=rtype,
@@ -300,38 +285,51 @@ class _Parser:
         t = self._peek()
         if t is None:
             self._fail(["statement"])
-        if t.text == "{":
-            start = self.i
-            self._expect("{")
-            inner = []
-            while not self._at("}"):
-                if self._peek() is None:
-                    self._fail(["'}'", "statement"])
-                inner.append(self.parse_statement())
-            self._expect("}")
-            return self._new_stmt(StmtKind.BLOCK, (start, self.i), body=inner)
-        if t.text == "if":
-            return self._parse_if()
-        if t.text == "while":
-            return self._parse_while()
-        if t.text == "for":
+        start = self.i
+        text = t.text
+        if text == "{":
+            body = self._parse_braced()
+            return self._new_stmt(StmtKind.BLOCK, (start, self.i), body=body)
+        if text == "for":
             return self._parse_for()
-        if t.text == "return":
-            start = self.i
-            self._expect("return")
-            value = None if self._at(";") else self.parse_expr()
-            self._expect(";")
-            return self._new_stmt(StmtKind.RETURN, (start, self.i), value=value)
-        if t.text in ("break", "continue"):
-            start = self.i
+        if text == "if" or text == "while":
             self.i += 1
+            self._expect("(")
+            cond, cond_span = self._parse_cond()
+            self._expect(")")
+            body = self._parse_body()
+            orelse: list[Statement] = []
+            if text == "if" and self._at("else"):
+                self.i += 1
+                orelse = self._parse_body()
+            return self._new_stmt(StmtKind(text), (start, self.i), cond=cond,
+                                  cond_span=cond_span, body=body, orelse=orelse)
+        if text in ("return", "break", "continue"):
+            self.i += 1
+            value = None if text != "return" or self._at(";") else self.parse_expr()
             self._expect(";")
-            kind = StmtKind.BREAK if t.text == "break" else StmtKind.CONTINUE
-            return self._new_stmt(kind, (start, self.i))
+            return self._new_stmt(StmtKind(text), (start, self.i), value=value)
         stmt = self._parse_simple()
         self._expect(";")
-        stmt.span = (stmt.span[0], self.i)
+        stmt.span = (start, self.i)
         return stmt
+
+    def _parse_braced(self) -> list[Statement]:
+        """Read `{ statement* }` and return the statements."""
+        self._expect("{")
+        out = []
+        while not self._at("}"):
+            if self._peek() is None:
+                self._fail(["'}'", "statement"])
+            out.append(self.parse_statement())
+        self._expect("}")
+        return out
+
+    def _parse_cond(self) -> tuple[Expr, tuple[int, int]]:
+        """Read a condition; returns it with its token span."""
+        start = self.i
+        cond = self.parse_expr()
+        return cond, (start, self.i)
 
     def _parse_body(self) -> list[Statement]:
         # Braced bodies are flattened; a single statement becomes a one-item list.
@@ -340,53 +338,13 @@ class _Parser:
             return stmt.body
         return [stmt]
 
-    def _parse_if(self) -> Statement:
-        start = self.i
-        self._expect("if")
-        self._expect("(")
-        cond_start = self.i
-        cond = self.parse_expr()
-        cond_span = (cond_start, self.i)
-        self._expect(")")
-        then_body = self._parse_body()
-        orelse: list[Statement] = []
-        if self._at("else"):
-            self._expect("else")
-            orelse = self._parse_body()
-        return self._new_stmt(
-            StmtKind.IF,
-            (start, self.i),
-            cond=cond,
-            cond_span=cond_span,
-            body=then_body,
-            orelse=orelse,
-        )
-
-    def _parse_while(self) -> Statement:
-        start = self.i
-        self._expect("while")
-        self._expect("(")
-        cond_start = self.i
-        cond = self.parse_expr()
-        cond_span = (cond_start, self.i)
-        self._expect(")")
-        body = self._parse_body()
-        return self._new_stmt(
-            StmtKind.WHILE, (start, self.i), cond=cond, cond_span=cond_span, body=body
-        )
-
     def _parse_for(self) -> Statement:
         start = self.i
         self._expect("for")
         self._expect("(")
         init = None if self._at(";") else self._parse_simple()
         self._expect(";")
-        cond = None
-        cond_span = None
-        if not self._at(";"):
-            cond_start = self.i
-            cond = self.parse_expr()
-            cond_span = (cond_start, self.i)
+        cond, cond_span = (None, None) if self._at(";") else self._parse_cond()
         self._expect(";")
         update = None if self._at(")") else self._parse_simple()
         self._expect(")")
@@ -430,7 +388,7 @@ class _Parser:
             )
         expr = self.parse_expr()
         if self._at("="):
-            if expr.kind not in ("name", "field"):
+            if expr.kind not in ("MemberReference", "FieldAccess"):
                 self._fail(["assignable target"])
             self._expect("=")
             value = self.parse_expr()
@@ -468,7 +426,7 @@ class _Parser:
         t = toks[self.i] if self.i < n else None
         if t is not None and t.text in ("!", "-") and t.kind is TokenKind.OPERATOR:
             self.i += 1
-            left = Expr("unary", t.text, [self.parse_expr(self._UNARY)])
+            left = Expr("UnaryOperation", t.text, [self.parse_expr(self._UNARY)])
         else:
             left = self._parse_postfix()
         while self.i < n:
@@ -481,7 +439,7 @@ class _Parser:
             self.i += 1
             self._descend()  # every operator of a chain nests `left` one deeper
             right = self.parse_expr(bp + 1)
-            left = Expr("binary", t.text, [left, right])
+            left = Expr("BinaryOperation", t.text, [left, right])
         self.depth = depth
         return left
 
@@ -494,10 +452,10 @@ class _Parser:
             self.i += 1
             name = self._expect_ident("member name").text
             if self._at("("):
-                args = self._parse_args()
-                expr = Expr("call", name, [expr] + args)
+                args = self._parse_list(self.parse_expr)
+                expr = Expr("MethodInvocation", name, [expr] + args)
             else:
-                expr = Expr("field", name, [expr])
+                expr = Expr("FieldAccess", name, [expr])
         self.depth = depth
         return expr
 
@@ -510,11 +468,11 @@ class _Parser:
         if kind is TokenKind.IDENTIFIER:
             self.i = i + 1
             if i + 1 < self.n and self.toks[i + 1].text == "(":
-                return Expr("call", t.text, self._parse_args())
-            return Expr("name", t.text)
+                return Expr("MethodInvocation", t.text, self._parse_list(self.parse_expr))
+            return Expr("MemberReference", t.text)
         if kind in _LITERAL_KINDS:
             self.i = i + 1
-            return Expr("literal", t.text)
+            return Expr("Literal", t.text)
         if t.text == "(":
             self.i = i + 1
             inner = self.parse_expr()
@@ -522,17 +480,17 @@ class _Parser:
             return inner
         self._fail(["expression"])
 
-    def _parse_args(self) -> list[Expr]:
+    def _parse_list(self, item) -> list:
+        """Read `( [item {"," item}] )`: parameters or call arguments."""
         self._expect("(")
-        args = []
+        out = []
         if not self._at(")"):
-            while True:
-                args.append(self.parse_expr())
-                if not self._at(","):
-                    break
-                self._expect(",")
+            out.append(item())
+            while self._at(","):
+                self.i += 1
+                out.append(item())
         self._expect(")")
-        return args
+        return out
 
 
 def _renumber_statements(method: Method) -> Method:
@@ -601,6 +559,20 @@ def ast_to_json(root: AstNode) -> dict:
     }
 
 
+_STMT_TYPE = {
+    StmtKind.DECL: "LocalVariableDeclaration",
+    StmtKind.ASSIGN: "Assignment",
+    StmtKind.EXPR: "StatementExpression",
+    StmtKind.IF: "IfStatement",
+    StmtKind.WHILE: "WhileStatement",
+    StmtKind.FOR: "ForStatement",
+    StmtKind.RETURN: "ReturnStatement",
+    StmtKind.BREAK: "BreakStatement",
+    StmtKind.CONTINUE: "ContinueStatement",
+}
+_HEADER_KINDS = (StmtKind.IF, StmtKind.WHILE, StmtKind.FOR)
+
+
 class _AstBuilder:
     def __init__(self):
         self._next_id = 0
@@ -611,90 +583,53 @@ class _AstBuilder:
         return n
 
     def expr(self, e: Expr) -> AstNode:
-        if e.kind == "literal":
-            return self.node("Literal", e.value)
-        if e.kind == "name":
-            return self.node("MemberReference", e.value)
-        if e.kind == "field":
-            qualifier = self.node("FieldAccess", e.value)
-            qualifier.children.append(self.expr(e.children[0]))
-            return qualifier
-        if e.kind == "call":
-            call = self.node("MethodInvocation", e.value)
-            call.children.extend(self.expr(c) for c in e.children)
-            return call
-        if e.kind == "unary":
-            op = self.node("UnaryOperation", e.value)
-            op.children.append(self.expr(e.children[0]))
-            return op
-        op = self.node("BinaryOperation", e.value)
-        op.children.append(self.expr(e.children[0]))
-        op.children.append(self.expr(e.children[1]))
-        return op
+        node = self.node(e.kind, e.value)
+        children = node.children
+        for c in e.children:
+            children.append(self.expr(c))
+        return node
 
     def block(self, stmts: list[Statement]) -> AstNode:
         wrapper = self.node("BlockStatement")
-        wrapper.children.extend(self.stmt(s) for s in stmts)
+        children = wrapper.children
+        for s in stmts:
+            children.append(self.stmt(s))
         return wrapper
 
     def stmt(self, s: Statement) -> AstNode:
-        k = s.kind
-        if k is StmtKind.DECL:
-            decl = self.node("LocalVariableDeclaration", s.name)
-            decl.children.append(self.node("BasicType", s.type_name))
-            if s.value is not None:
-                decl.children.append(self.expr(s.value))
-            return decl
-        if k is StmtKind.ASSIGN:
-            node = self.node("Assignment")
-            node.children.append(self.expr(s.target))
-            node.children.append(self.expr(s.value))
-            return node
-        if k is StmtKind.EXPR:
-            node = self.node("StatementExpression")
-            node.children.append(self.expr(s.value))
-            return node
-        if k is StmtKind.IF:
-            node = self.node("IfStatement")
-            node.children.append(self.expr(s.cond))
-            node.children.append(self.block(s.body))
-            if s.orelse:
-                node.children.append(self.block(s.orelse))
-            return node
-        if k is StmtKind.WHILE:
-            node = self.node("WhileStatement")
-            node.children.append(self.expr(s.cond))
-            node.children.append(self.block(s.body))
-            return node
-        if k is StmtKind.FOR:
-            node = self.node("ForStatement")
-            if s.init is not None:
-                node.children.append(self.stmt(s.init))
-            if s.cond is not None:
-                node.children.append(self.expr(s.cond))
-            if s.update is not None:
-                node.children.append(self.stmt(s.update))
-            node.children.append(self.block(s.body))
-            return node
-        if k is StmtKind.RETURN:
-            node = self.node("ReturnStatement")
-            if s.value is not None:
-                node.children.append(self.expr(s.value))
-            return node
-        if k is StmtKind.BREAK:
-            return self.node("BreakStatement")
-        if k is StmtKind.CONTINUE:
-            return self.node("ContinueStatement")
-        return self.block(s.body)  # BLOCK
+        """One node per statement, its children in field order (docs/grammar.md)."""
+        if s.kind is StmtKind.BLOCK:
+            return self.block(s.body)
+        node = self.node(_STMT_TYPE[s.kind], s.name)
+        children = node.children
+        if s.type_name is not None:
+            children.append(self.node("BasicType", s.type_name))
+        if s.init is not None:
+            children.append(self.stmt(s.init))
+        if s.target is not None:
+            children.append(self.expr(s.target))
+        if s.value is not None:
+            children.append(self.expr(s.value))
+        if s.cond is not None:
+            children.append(self.expr(s.cond))
+        if s.update is not None:
+            children.append(self.stmt(s.update))
+        if s.kind in _HEADER_KINDS:
+            children.append(self.block(s.body))
+        if s.orelse:
+            children.append(self.block(s.orelse))
+        return node
 
     def method(self, m: Method, body: list[Statement]) -> AstNode:
         root = self.node("MethodDeclaration", m.name)
-        root.children.append(self.node("BasicType", m.return_type))
+        children = root.children
+        children.append(self.node("BasicType", m.return_type))
         for ptype, pname in m.params:
             param = self.node("FormalParameter", pname)
             param.children.append(self.node("BasicType", ptype))
-            root.children.append(param)
-        root.children.extend(self.stmt(s) for s in body)
+            children.append(param)
+        for s in body:
+            children.append(self.stmt(s))
         return root
 
 

@@ -26,6 +26,15 @@ def _clipped_overlap(hyp_grams: Counter, ref_grams: Counter) -> int:
     return sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
 
 
+def _bleu_counts(hyp: list[str], ref: list[str], max_n: int) -> tuple[list[int], list[int]]:
+    """Clipped n-gram matches and hypothesis n-gram totals, orders 1..max_n."""
+    matches, totals = [], []
+    for n in range(1, max_n + 1):
+        matches.append(_clipped_overlap(_ngrams(hyp, n), _ngrams(ref, n)))
+        totals.append(max(len(hyp) - n + 1, 0))
+    return matches, totals
+
+
 def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
     if hyp_len == 0:
         return 0.0
@@ -42,11 +51,7 @@ def sentence_bleu(hyp, ref, max_n: int = 4, smoothing: bool = True) -> float:
     hyp, ref = _fold(hyp), _fold(ref)
     if not hyp:
         return 0.0
-    matches, totals = [], []
-    for n in range(1, max_n + 1):
-        hg = _ngrams(hyp, n)
-        matches.append(_clipped_overlap(hg, _ngrams(ref, n)))
-        totals.append(max(len(hyp) - n + 1, 0))
+    matches, totals = _bleu_counts(hyp, ref, max_n)
     smooth = smoothing and any(m == 0 for m in matches[1:])
     log_sum = 0.0
     for n, (m, t) in enumerate(zip(matches, totals), start=1):
@@ -76,10 +81,9 @@ def corpus_bleu(pairs, max_n: int = 4) -> float:
         hyp, ref = _fold(hyp), _fold(ref)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hg = _ngrams(hyp, n)
-            matches[n - 1] += _clipped_overlap(hg, _ngrams(ref, n))
-            totals[n - 1] += max(len(hyp) - n + 1, 0)
+        m, t = _bleu_counts(hyp, ref, max_n)
+        matches = [a + b for a, b in zip(matches, m)]
+        totals = [a + b for a, b in zip(totals, t)]
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0

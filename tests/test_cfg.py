@@ -77,6 +77,32 @@ class TestBuildCfg:
         assert cfg.succ[cont] == [hdr]
         assert cfg.succ[brk] == [d]
 
+    def test_continue_in_for_edges_to_update(self):
+        # JLS 14.16: continue in a for runs the update, not the condition first.
+        src = "void f(int n) { for (int i = 0; i < n; i = i + 1) { continue; } }"
+        m = parse_source(src)
+        cfg = build_cfg(m)
+        cont = node_for(cfg, m, "continue").node_id
+        update = node_for(cfg, m, "assign").node_id
+        hdr = node_for(cfg, m, "for").node_id
+        assert cfg.succ[cont] == [update]
+        assert cfg.succ[update] == [hdr]
+
+    def test_continue_in_while_inside_for_edges_to_while_header(self):
+        src = ("void f(int n) { for (int i = 0; i < n; i = i + 1) "
+               "{ while (c) { if (a) { continue; } b; } } }")
+        m = parse_source(src)
+        cfg = build_cfg(m)
+        cont = node_for(cfg, m, "continue").node_id
+        assert cfg.succ[cont] == [node_for(cfg, m, "while").node_id]
+
+    @pytest.mark.parametrize("header", ["int i = 0; i < n;", "; ;"])
+    def test_continue_in_for_without_update_edges_to_header(self, header):
+        m = parse_source(f"void f(int n) {{ for ({header}) {{ if (a) {{ continue; }} b; }} }}")
+        cfg = build_cfg(m)
+        cont = node_for(cfg, m, "continue").node_id
+        assert cfg.succ[cont] == [node_for(cfg, m, "for").node_id]
+
     def test_break_outside_loop_raises(self):
         with pytest.raises(CfgError):
             build_cfg(parse_source("void f() { break; }"))

@@ -263,6 +263,15 @@ class TestPreprocess:
         assert len(corpus.dropped) == 1
         assert corpus.dropped[0][0] == "bad"
 
+    def test_continue_as_whole_for_body_is_kept(self):
+        # The update is reachable only through the continue.
+        source = "void f(int n) { for (int i = 0; i < n; i = i + 1) { continue; } }"
+        records = [CorpusRecord("r", source, "skips"),
+                   CorpusRecord("ok", "void g() { a = 1; }", "fine")]
+        corpus = preprocess(records, self.toy_config())
+        assert corpus.dropped == []
+        assert [r.record_id for r in corpus.records] == ["r", "ok"]
+
     @pytest.mark.parametrize("source", [
         nested_ifs(MAX_NESTING), nested_parens(MAX_NESTING - 1),
     ], ids=["ifs", "parens"])
@@ -518,6 +527,41 @@ class TestCheckpointFormat:
         raw = self._tree_with_blobs(shrink)
         with pytest.raises(CheckpointError, match="blob 'w_i' has shape"):
             deserialize(raw)
+
+    @staticmethod
+    def _resealed(raw: bytes) -> bytes:
+        """`raw` with its checksum recomputed, so only the payload's content is wrong."""
+        return raw[:-4] + struct.pack("<I", zlib.crc32(raw[8:-4]))
+
+    @pytest.mark.parametrize("old, new", [(b"ZQ", b"\xffQ"), (b"score_w", b"\xc3core_w")],
+                             ids=["vocab", "blob-name"])
+    def test_non_utf8_string_is_a_checkpoint_error(self, old, new):
+        tree = TreeLstmParams.init({"<UNK>": 0, "ZQ": 1}, 4, np.random.default_rng(0))
+        raw = serialize(tree=tree, sep=SepModel.init(tree, np.random.default_rng(1)))
+        assert raw.count(old) == 1
+        with pytest.raises(CheckpointError, match="is not UTF-8"):
+            deserialize(self._resealed(raw.replace(old, new)))
+
+    @pytest.mark.parametrize("shape, message", [
+        # 2**32 * 2**32 is 0 in int64 arithmetic; the element count must not wrap
+        (struct.pack("<BQQ", 2, 2**32, 2**32), "truncated checkpoint"),
+        (struct.pack("<BQQ", 2, 0, 2**63), "blob 'embedding' has unusable shape"),
+        (struct.pack("<B", 65) + bytes(65 * 8), "blob 'embedding' has unusable shape"),
+    ], ids=["dims-past-int64", "zero-and-huge-dim", "rank-65"])
+    def test_unusable_blob_shape_is_a_checkpoint_error(self, shape, message):
+        params = TreeLstmParams.init({"<UNK>": 0}, 4, np.random.default_rng(0))
+        raw = serialize(tree=params)
+        rank = raw.index(b"embedding") + len(b"embedding")
+        bad = raw[:rank] + shape + raw[rank + 17:]  # the original rank 2 and two dims
+        with pytest.raises(CheckpointError, match=message):
+            deserialize(self._resealed(bad))
+
+    def test_bytes_after_last_section_rejected(self):
+        params = TreeLstmParams.init({"<UNK>": 0}, 4, np.random.default_rng(0))
+        raw = serialize(tree=params)
+        padded = self._resealed(raw[:-4] + b"\x00" + raw[-4:])
+        with pytest.raises(CheckpointError, match=r"^extra bytes after the last section \(1\)$"):
+            deserialize(padded)
 
     def test_unknown_flag_bits_rejected(self):
         params = TreeLstmParams.init({"<UNK>": 0}, 4, np.random.default_rng(0))

@@ -341,6 +341,37 @@ class TestParseMethod:
         assert methods[1].body[0].kind is StmtKind.RETURN
 
 
+# Every statement kind and expression form; a for with and without its
+# three clauses, an if with and without else, and a nested braced block.
+EVERY_CONSTRUCT_SOURCE = """
+int every(int n, Item q) {
+    int total = 0;
+    int spare;
+    total = total + n * 2 - n / 3 % 4;
+    q.size = -n;
+    log("done", true);
+    q.next().close();
+    if (!(total < n) && total >= 1 || total != 2) { total = q.size; } else { total = 0; }
+    if (total <= n) { total = 1; }
+    while (total > 0) { total = total - 1; if (total == 3) { break; } }
+    for (int i = 0; i < n; i = i + 1) { if (i == 2) { continue; } }
+    for (;;) { break; }
+    { spare = 1; }
+    return total;
+}
+"""
+
+
+def _documented_node_types() -> set[str]:
+    """First column of the "AST node types" table in docs/grammar.md."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "grammar.md").read_text()
+    section = text.split("\n## AST node types\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    types = [row.split("|")[1].strip() for row in rows[2:]]  # past header and rule
+    assert len(types) == len(set(types))
+    return set(types)
+
+
 class TestBuildAst:
     def test_assignment_tree(self):
         m = parse_source("void f() { x = 1; }")
@@ -376,6 +407,12 @@ class TestBuildAst:
             for c in n.children:
                 assert c.node_id not in parents, "child reachable from two parents"
                 parents[c.node_id] = n.node_id
+
+    def test_emitted_node_types_are_the_documented_set(self):
+        m = parse_source(EVERY_CONSTRUCT_SOURCE)
+        assert {s.kind for s in m.statements.values()} == set(StmtKind)
+        emitted = {n.node_type for n in iter_nodes(build_ast(m))}
+        assert emitted == _documented_node_types()
 
     def test_every_statement_contributes_a_node(self, idle_method):
         root = build_ast(idle_method)
