@@ -19,6 +19,7 @@ identical bytes, which is what the reproducibility checks compare.
 from __future__ import annotations
 
 import math
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -147,6 +148,22 @@ def _fill(params: list[tuple[str, Tensor]], blobs: dict[str, np.ndarray]):
         raise CheckpointError(f"unexpected blob {next(iter(blobs))!r}")
 
 
+def _check_size(blobs: dict[str, np.ndarray], name: str, size: int, section: str):
+    """The header's `size` must be the column count of the matrix blob `name`."""
+    if name not in blobs:
+        raise CheckpointError(f"missing blob {name!r}")
+    shape = blobs[name].shape
+    if len(shape) != 2 or shape[1] != size:
+        raise CheckpointError(f"{section} size {size} does not match blob {name!r} "
+                              f"of shape {shape}")
+
+
+def _layer_count(blobs: dict[str, np.ndarray], prefix: str) -> int:
+    """How many layers `<prefix><i>.` the blob names hold."""
+    layer = re.compile(rf"{prefix}(\d+)\.")
+    return len({m[1] for m in map(layer.match, blobs) if m})
+
+
 @dataclass
 class Checkpoint:
     tree: TreeLstmParams | None = None
@@ -201,6 +218,7 @@ def deserialize(raw: bytes) -> Checkpoint:
         size = r.u32()
         vocab = {label: i for i, label in enumerate(r.str_list())}
         blobs = dict(r.blob() for _ in range(r.u32()))
+        _check_size(blobs, "embedding", size, "tree")
         rng = np.random.default_rng(0)
         out.tree = TreeLstmParams.init(vocab, size, rng)
         if "score_w" in blobs:
@@ -212,11 +230,21 @@ def deserialize(raw: bytes) -> Checkpoint:
         word_tokens = r.str_list()
         out.code_vocab = Vocab({t: i for i, t in enumerate(code_tokens)}, code_tokens)
         out.word_vocab = Vocab({t: i for i, t in enumerate(word_tokens)}, word_tokens)
+        blobs = dict(r.blob() for _ in range(r.u32()))
+        _check_size(blobs, "code_embedding", size, "transformer")
+        if heads < 1 or size % heads:
+            raise CheckpointError(f"heads must be at least 1 and divide size {size}, "
+                                  f"got {heads}")
+        for prefix, count in (("enc", n_enc), ("dec", n_dec)):
+            named = _layer_count(blobs, prefix)
+            if count != named:
+                raise CheckpointError(f"header has {count} {prefix} layers, the blobs "
+                                      f"name {named}")
         out.transformer = TransformerParams.init(
             len(code_tokens), len(word_tokens), size, heads, n_enc, n_dec,
             np.random.default_rng(0),
         )
-        _fill(out.transformer.named_params(), dict(r.blob() for _ in range(r.u32())))
+        _fill(out.transformer.named_params(), blobs)
     if r.pos != len(payload):
         raise CheckpointError(f"extra bytes after the last section ({len(payload) - r.pos})")
     return out

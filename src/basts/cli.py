@@ -138,6 +138,8 @@ class RunConfig:
         for name in ("encoder_layers", "decoder_layers"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ConfigError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"

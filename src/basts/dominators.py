@@ -9,7 +9,7 @@ exists so the tree can be cross-checked on random graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from basts.cfg import Cfg
 
@@ -28,21 +28,6 @@ class OracleScaleError(ValueError):
 class DomTree:
     root: int
     idom: dict[int, int]  # node -> immediate dominator; the root has no entry
-    _depth: dict[int, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._depth:
-            self._depth[self.root] = 0
-            remaining = dict(self.idom)
-            while remaining:
-                progressed = False
-                for node, parent in list(remaining.items()):
-                    if parent in self._depth:
-                        self._depth[node] = self._depth[parent] + 1
-                        del remaining[node]
-                        progressed = True
-                if not progressed:
-                    raise DomError("idom map does not form a tree")
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted((p, c) for c, p in self.idom.items())

@@ -2,13 +2,16 @@
 
 The frontend feeds every later stage: abstracted token streams for the
 summarizer, statement-level structure for control-flow analysis, and
-labeled syntax trees for the tree encoder. The grammar, the literal
-abstraction rules, and the closed set of AST node types are documented in
-docs/grammar.md.
+labeled syntax trees for the tree encoder. The parser builds expressions
+as `AstNode`s; a tree adds fresh statement nodes over them, so every tree
+built from one method shares its expression nodes. Nodes carry no ids.
+The grammar, the literal abstraction rules, and the closed set of AST
+node types are documented in docs/grammar.md.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -164,11 +167,16 @@ class StmtKind(Enum):
     BLOCK = "block"
 
 
-@dataclass
-class Expr:
-    kind: str  # the AST node type: Literal, MemberReference, BinaryOperation, ...
-    value: str | None
-    children: list["Expr"] = field(default_factory=list)
+@dataclass(slots=True)
+class AstNode:
+    node_type: str  # MethodDeclaration, IfStatement, BinaryOperation, ... (docs/grammar.md)
+    value: str | None = None
+    children: list["AstNode"] = field(default_factory=list)
+
+    def type_value(self) -> str:
+        if self.value:
+            return f"{self.node_type}_{self.value}"
+        return self.node_type
 
 
 @dataclass
@@ -178,9 +186,9 @@ class Statement:
     span: tuple[int, int]  # half-open token index range of the full extent
     type_name: str | None = None  # DECL: declared type
     name: str | None = None  # DECL: variable name
-    target: Expr | None = None  # ASSIGN
-    value: Expr | None = None  # DECL initializer, ASSIGN rhs, EXPR, RETURN
-    cond: Expr | None = None  # IF / WHILE / FOR
+    target: AstNode | None = None  # ASSIGN
+    value: AstNode | None = None  # DECL initializer, ASSIGN rhs, EXPR, RETURN
+    cond: AstNode | None = None  # IF / WHILE / FOR
     cond_span: tuple[int, int] | None = None
     init: Statement | None = None  # FOR
     update: Statement | None = None  # FOR
@@ -325,7 +333,7 @@ class _Parser:
         self._expect("}")
         return out
 
-    def _parse_cond(self) -> tuple[Expr, tuple[int, int]]:
+    def _parse_cond(self) -> tuple[AstNode, tuple[int, int]]:
         """Read a condition; returns it with its token span."""
         start = self.i
         cond = self.parse_expr()
@@ -388,7 +396,7 @@ class _Parser:
             )
         expr = self.parse_expr()
         if self._at("="):
-            if expr.kind not in ("MemberReference", "FieldAccess"):
+            if expr.node_type not in ("MemberReference", "FieldAccess"):
                 self._fail(["assignable target"])
             self._expect("=")
             value = self.parse_expr()
@@ -419,14 +427,14 @@ class _Parser:
     # The expression methods below index `self.toks` against `self.n`
     # themselves, since they run once per leaf and per operator.
 
-    def parse_expr(self, min_bp: int = 1) -> Expr:
+    def parse_expr(self, min_bp: int = 1) -> AstNode:
         toks, n, binding = self.toks, self.n, self._BINDING
         depth = self.depth
         self._descend()
         t = toks[self.i] if self.i < n else None
         if t is not None and t.text in ("!", "-") and t.kind is TokenKind.OPERATOR:
             self.i += 1
-            left = Expr("UnaryOperation", t.text, [self.parse_expr(self._UNARY)])
+            left = AstNode("UnaryOperation", t.text, [self.parse_expr(self._UNARY)])
         else:
             left = self._parse_postfix()
         while self.i < n:
@@ -439,11 +447,11 @@ class _Parser:
             self.i += 1
             self._descend()  # every operator of a chain nests `left` one deeper
             right = self.parse_expr(bp + 1)
-            left = Expr("BinaryOperation", t.text, [left, right])
+            left = AstNode("BinaryOperation", t.text, [left, right])
         self.depth = depth
         return left
 
-    def _parse_postfix(self) -> Expr:
+    def _parse_postfix(self) -> AstNode:
         toks, n = self.toks, self.n
         depth = self.depth
         expr = self._parse_primary()
@@ -453,13 +461,13 @@ class _Parser:
             name = self._expect_ident("member name").text
             if self._at("("):
                 args = self._parse_list(self.parse_expr)
-                expr = Expr("MethodInvocation", name, [expr] + args)
+                expr = AstNode("MethodInvocation", name, [expr] + args)
             else:
-                expr = Expr("FieldAccess", name, [expr])
+                expr = AstNode("FieldAccess", name, [expr])
         self.depth = depth
         return expr
 
-    def _parse_primary(self) -> Expr:
+    def _parse_primary(self) -> AstNode:
         i = self.i
         if i >= self.n:
             self._fail(["expression"])
@@ -468,11 +476,11 @@ class _Parser:
         if kind is TokenKind.IDENTIFIER:
             self.i = i + 1
             if i + 1 < self.n and self.toks[i + 1].text == "(":
-                return Expr("MethodInvocation", t.text, self._parse_list(self.parse_expr))
-            return Expr("MemberReference", t.text)
+                return AstNode("MethodInvocation", t.text, self._parse_list(self.parse_expr))
+            return AstNode("MemberReference", t.text)
         if kind in _LITERAL_KINDS:
             self.i = i + 1
-            return Expr("Literal", t.text)
+            return AstNode("Literal", t.text)
         if t.text == "(":
             self.i = i + 1
             inner = self.parse_expr()
@@ -527,19 +535,6 @@ def parse_program(source: str) -> list[Method]:
 # --- AST construction -----------------------------------------------------
 
 
-@dataclass(slots=True)
-class AstNode:
-    node_id: int
-    node_type: str
-    value: str | None = None
-    children: list["AstNode"] = field(default_factory=list)
-
-    def type_value(self) -> str:
-        if self.value:
-            return f"{self.node_type}_{self.value}"
-        return self.node_type
-
-
 def iter_nodes(root: AstNode):
     """Yield every node of the tree in preorder."""
     stack = [root]
@@ -550,13 +545,21 @@ def iter_nodes(root: AstNode):
 
 
 def ast_to_json(root: AstNode) -> dict:
-    """Nested {id, type, value, children} form used by the split dump."""
-    return {
-        "id": root.node_id,
-        "type": root.node_type,
-        "value": root.value,
-        "children": [ast_to_json(c) for c in root.children],
-    }
+    """Nested {id, type, value, children} form used by the split dump.
+
+    A node's id is its preorder index within the tree, numbered here.
+    """
+    ids = itertools.count()
+
+    def node_json(node: AstNode) -> dict:
+        return {
+            "id": next(ids),
+            "type": node.node_type,
+            "value": node.value,
+            "children": [node_json(c) for c in node.children],
+        }
+
+    return node_json(root)
 
 
 _STMT_TYPE = {
@@ -573,64 +576,44 @@ _STMT_TYPE = {
 _HEADER_KINDS = (StmtKind.IF, StmtKind.WHILE, StmtKind.FOR)
 
 
-class _AstBuilder:
-    def __init__(self):
-        self._next_id = 0
+def _block_ast(stmts: list[Statement]) -> AstNode:
+    return AstNode("BlockStatement", None, [_stmt_ast(s) for s in stmts])
 
-    def node(self, node_type: str, value: str | None = None) -> AstNode:
-        n = AstNode(self._next_id, node_type, value, [])
-        self._next_id += 1
-        return n
 
-    def expr(self, e: Expr) -> AstNode:
-        node = self.node(e.kind, e.value)
-        children = node.children
-        for c in e.children:
-            children.append(self.expr(c))
-        return node
+def _stmt_ast(s: Statement) -> AstNode:
+    """One node per statement, its children in field order (docs/grammar.md).
 
-    def block(self, stmts: list[Statement]) -> AstNode:
-        wrapper = self.node("BlockStatement")
-        children = wrapper.children
-        for s in stmts:
-            children.append(self.stmt(s))
-        return wrapper
+    Expression children are the parser's own nodes, not copies.
+    """
+    if s.kind is StmtKind.BLOCK:
+        return _block_ast(s.body)
+    children = []
+    if s.type_name is not None:
+        children.append(AstNode("BasicType", s.type_name))
+    if s.init is not None:
+        children.append(_stmt_ast(s.init))
+    if s.target is not None:
+        children.append(s.target)
+    if s.value is not None:
+        children.append(s.value)
+    if s.cond is not None:
+        children.append(s.cond)
+    if s.update is not None:
+        children.append(_stmt_ast(s.update))
+    if s.kind in _HEADER_KINDS:
+        children.append(_block_ast(s.body))
+    if s.orelse:
+        children.append(_block_ast(s.orelse))
+    return AstNode(_STMT_TYPE[s.kind], s.name, children)
 
-    def stmt(self, s: Statement) -> AstNode:
-        """One node per statement, its children in field order (docs/grammar.md)."""
-        if s.kind is StmtKind.BLOCK:
-            return self.block(s.body)
-        node = self.node(_STMT_TYPE[s.kind], s.name)
-        children = node.children
-        if s.type_name is not None:
-            children.append(self.node("BasicType", s.type_name))
-        if s.init is not None:
-            children.append(self.stmt(s.init))
-        if s.target is not None:
-            children.append(self.expr(s.target))
-        if s.value is not None:
-            children.append(self.expr(s.value))
-        if s.cond is not None:
-            children.append(self.expr(s.cond))
-        if s.update is not None:
-            children.append(self.stmt(s.update))
-        if s.kind in _HEADER_KINDS:
-            children.append(self.block(s.body))
-        if s.orelse:
-            children.append(self.block(s.orelse))
-        return node
 
-    def method(self, m: Method, body: list[Statement]) -> AstNode:
-        root = self.node("MethodDeclaration", m.name)
-        children = root.children
-        children.append(self.node("BasicType", m.return_type))
-        for ptype, pname in m.params:
-            param = self.node("FormalParameter", pname)
-            param.children.append(self.node("BasicType", ptype))
-            children.append(param)
-        for s in body:
-            children.append(self.stmt(s))
-        return root
+def method_ast(m: Method, body: list[Statement]) -> AstNode:
+    """The tree of `m`'s declaration over the statements `body`."""
+    children = [AstNode("BasicType", m.return_type)]
+    children += [AstNode("FormalParameter", pname, [AstNode("BasicType", ptype)])
+                 for ptype, pname in m.params]
+    children += [_stmt_ast(s) for s in body]
+    return AstNode("MethodDeclaration", m.name, children)
 
 
 def build_ast(method: Method) -> AstNode:
@@ -638,6 +621,8 @@ def build_ast(method: Method) -> AstNode:
 
     The root is a MethodDeclaration carrying the method name; the return
     type and parameters come first, then one subtree per body statement.
-    Node ids are assigned in construction order and are unique per tree.
+    Statement nodes are new; expression subtrees are the parser's nodes,
+    shared with every other tree built from the method. Nodes carry no
+    ids; `ast_to_json` numbers them in preorder.
     """
-    return _AstBuilder().method(method, method.body)
+    return method_ast(method, method.body)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from basts.cfg import Cfg, NodeKind, build_cfg
 from basts.dominators import DomTree, compute_dominators
-from basts.frontend import AstNode, Method, Statement, StmtKind, Token, TokenKind, _AstBuilder
+from basts.frontend import AstNode, Method, Statement, StmtKind, Token, TokenKind, method_ast
 
 # parse_method and build_ast are not called here but stay reachable
 # (bench/workloads.py wraps them by these names)
@@ -183,10 +183,11 @@ def build_split_asts(splitgraph: SplitGraph, method: Method) -> list[SplitAst]:
 
     The root is the method declaration, followed by one subtree per piece
     of the split. The tree equals what parsing the split's code, with its
-    body braced, would give.
+    body braced, would give. Its expression subtrees are the parser's own
+    nodes: each lies in the one split that holds its statement.
     """
     return [
-        SplitAst(split.split_id, _AstBuilder().method(method, _pieces(split, method)))
+        SplitAst(split.split_id, method_ast(method, _pieces(split, method)))
         for split in splitgraph.splits
     ]
 

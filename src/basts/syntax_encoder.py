@@ -390,6 +390,8 @@ class PretrainConfig:
             raise ConfigError(f"batch size must be positive, got {self.batch_size}")
         if self.neg_ratio <= 0:
             raise ConfigError(f"neg_ratio must be positive, got {self.neg_ratio}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

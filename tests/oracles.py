@@ -376,7 +376,7 @@ def encode_tree_per_node(t: SplitAst, params: TreeLstmParams) -> Tensor:
     Iterative post-order, so tree depth is not bounded by the Python
     recursion limit. Each node is processed exactly once.
     """
-    states: dict[int, tuple[Tensor, Tensor]] = {}
+    states: dict[int, tuple[Tensor, Tensor]] = {}  # keyed by id(node)
     virtual = [(params.virtual_h, params.virtual_m)]
     stack = [(t.root, False)]
     while stack:
@@ -387,11 +387,11 @@ def encode_tree_per_node(t: SplitAst, params: TreeLstmParams) -> Tensor:
             continue
         x_v = embed(params, node.type_value())
         if node.children:
-            children = [states.pop(c.node_id) for c in node.children]
+            children = [states.pop(id(c)) for c in node.children]
         else:
             children = virtual
-        states[node.node_id] = tree_lstm_cell(x_v, children, params)
-    h_root, _ = states[t.root.node_id]
+        states[id(node)] = tree_lstm_cell(x_v, children, params)
+    h_root, _ = states[id(t.root)]
     return h_root
 
 

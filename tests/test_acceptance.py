@@ -124,7 +124,7 @@ def test_criterion_3_gradient_fidelity():
         {"<UNK>": 0, "A": 1, "B": 2, "C": 3}, 4, np.random.default_rng(43)
     )
     labels = ["A", "B", "C", "A", "B", "C", "A", "B", "C", "A"]
-    nodes = [AstNode(i, lab) for i, lab in enumerate(labels)]
+    nodes = [AstNode(lab) for lab in labels]
     for i in range(1, 10):
         nodes[(i - 1) // 2].children.append(nodes[i])
     ten_node_tree = SplitAst(0, nodes[0])
@@ -139,7 +139,7 @@ def test_criterion_3_gradient_fidelity():
 
     # (c) pair loss end to end
     sep = SepModel.init(tree_params, np.random.default_rng(44))
-    other = SplitAst(1, AstNode(0, "B", children=[AstNode(1, "C")]))
+    other = SplitAst(1, AstNode("B", children=[AstNode("C")]))
     pairs = [
         PairExample(ten_node_tree, other, 1),
         PairExample(other, ten_node_tree, 0),
@@ -158,7 +158,7 @@ def test_criterion_3_gradient_fidelity():
         TreeLstmParams.init({"<UNK>": 0, "A": 1, "B": 2, "C": 3}, 8, rng),
         TransformerParams.init(14, 11, 8, 2, 1, 1, rng),
     )
-    ast = SplitAst(0, AstNode(0, "A", children=[AstNode(1, "B"), AstNode(2, "C")]))
+    ast = SplitAst(0, AstNode("A", children=[AstNode("B"), AstNode("C")]))
     example = SummarizationExample([7, 8, 9, 10, 4], [ast], [1, 7, 8, 9, 2])
 
     def summarizer_loss(_):
@@ -328,7 +328,7 @@ def test_criterion_8_attention_invariants():
             TransformerParams.init(14, 12, 8, 2, 1, 1,
                                    np.random.default_rng(100 + trial)),
         )
-        ast = SplitAst(0, AstNode(0, "A"))
+        ast = SplitAst(0, AstNode("A"))
         n_words = int(rng.integers(3, 7))
         ids = [1] + [int(rng.integers(4, 12)) for _ in range(n_words)]
         example = SummarizationExample([7, 8, 9], [ast], ids + [2])

@@ -186,6 +186,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="^heads must be positive, got 0$"):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, command):
+        corpus_path, config_path = _write_toy_setup(tmp_path)
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+            run([command, "--config", str(config_path), "--input", str(corpus_path),
+                 "--seed", "-1", "--output", str(tmp_path / "out.ckpt")])
+
     def test_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("emedding_size = 16\n")
@@ -553,6 +560,37 @@ class TestCheckpointFormat:
         raw = serialize(tree=params)
         rank = raw.index(b"embedding") + len(b"embedding")
         bad = raw[:rank] + shape + raw[rank + 17:]  # the original rank 2 and two dims
+        with pytest.raises(CheckpointError, match=message):
+            deserialize(self._resealed(bad))
+
+    @staticmethod
+    def _one_section(section: str) -> bytes:
+        """A checkpoint of one section: a tree of width 4, or a transformer of
+        width 4 with 2 heads, 2 encoder and 1 decoder layers."""
+        if section == "tree":
+            return serialize(tree=TreeLstmParams.init({"<UNK>": 0}, 4, np.random.default_rng(0)))
+        code_vocab = Vocab.build([["a", "b"]])
+        word_vocab = Vocab.build([["x", "y"]])
+        transformer = TransformerParams.init(len(code_vocab), len(word_vocab), 4, 2, 2, 1,
+                                             np.random.default_rng(0))
+        return serialize(transformer=transformer, code_vocab=code_vocab,
+                         word_vocab=word_vocab)
+
+    @pytest.mark.parametrize("section, field, value, message", [
+        ("tree", 0, 7_864_324,
+         r"^tree size 7864324 does not match blob 'embedding' of shape \(1, 4\)$"),
+        ("transformer", 0, 6,
+         r"^transformer size 6 does not match blob 'code_embedding' of shape \(\d+, 4\)$"),
+        ("transformer", 1, 3, r"^heads must be at least 1 and divide size 4, got 3$"),
+        ("transformer", 1, 0, r"^heads must be at least 1 and divide size 4, got 0$"),
+        ("transformer", 2, 3, r"^header has 3 enc layers, the blobs name 2$"),
+        ("transformer", 3, 0, r"^header has 0 dec layers, the blobs name 1$"),
+    ], ids=["tree-size", "size", "heads", "zero-heads", "n-enc", "n-dec"])
+    def test_header_disagreeing_with_blobs_is_a_checkpoint_error(
+            self, section, field, value, message):
+        raw = self._one_section(section)
+        at = 16 + 4 * field  # the section's u32s follow the magic, version and flags
+        bad = raw[:at] + struct.pack("<I", value) + raw[at + 4:]
         with pytest.raises(CheckpointError, match=message):
             deserialize(self._resealed(bad))
 

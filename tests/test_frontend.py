@@ -13,6 +13,7 @@ from basts.frontend import (
     Token,
     TokenKind,
     abstract_literals,
+    ast_to_json,
     build_ast,
     iter_nodes,
     parse_method,
@@ -400,13 +401,20 @@ class TestBuildAst:
 
     def test_node_ids_unique_and_links_consistent(self, idle_method):
         root = build_ast(idle_method)
-        ids = [n.node_id for n in iter_nodes(root)]
-        assert len(ids) == len(set(ids))
+        nodes = list(iter_nodes(root))
+        assert len({id(n) for n in nodes}) == len(nodes)
         parents = {}
-        for n in iter_nodes(root):
+        for n in nodes:
             for c in n.children:
-                assert c.node_id not in parents, "child reachable from two parents"
-                parents[c.node_id] = n.node_id
+                assert id(c) not in parents, "child reachable from two parents"
+                parents[id(c)] = n
+        # the JSON form numbers the nodes in preorder
+        dumped, stack = [], [ast_to_json(root)]
+        while stack:
+            d = stack.pop()
+            dumped.append(d["id"])
+            stack.extend(reversed(d["children"]))
+        assert dumped == list(range(len(nodes)))
 
     def test_emitted_node_types_are_the_documented_set(self):
         m = parse_source(EVERY_CONSTRUCT_SOURCE)

@@ -203,3 +203,32 @@ class TestSplitAstsEqualReparse:
         for seed in range(1, 21):
             for record in generate_records(label, seed, count, profile):
                 assert_split_asts_equal_reparse(parse_source(record["code"]))
+
+
+def assert_expressions_shared_once(method):
+    """Each statement's cond, value and target is the parser's own node, in one split AST."""
+    trees = [list(iter_nodes(a.root)) for a in split_method(method).asts]
+    for stmt in method.statements.values():
+        for expr in (stmt.cond, stmt.value, stmt.target):
+            if expr is not None:
+                holders = [t for t in trees if any(n is expr for n in t)]
+                assert len(holders) == 1, (stmt.stmt_id, expr.node_type)
+
+
+class TestSplitAstsShareParserNodes:
+    def test_fixture_and_toy_methods(self):
+        sources = [IDLE_CONNECTIONS_SOURCE, DIAMOND_SOURCE, STRAIGHT_LINE_SOURCE]
+        sources += PRETRAIN_SOURCES + [row["code"] for row in SUMMARIZATION_ROWS]
+        sources += EDGE_CASE_SOURCES
+        for source in sources:
+            assert_expressions_shared_once(parse_source(source))
+
+    @pytest.mark.parametrize("label, profile, count", [
+        ("prep-large", PREP_PROFILE, 3),
+        ("pretrain-sep", MEDIUM_PROFILE, 6),
+        ("summarize-small", SMALL_PROFILE, 12),
+    ])
+    def test_generated_methods(self, label, profile, count):
+        for seed in range(1, 21):
+            for record in generate_records(label, seed, count, profile):
+                assert_expressions_shared_once(parse_source(record["code"]))

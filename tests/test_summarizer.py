@@ -58,7 +58,7 @@ def make_model(size=8, heads=2, enc=1, dec=1, code_vocab=12, word_vocab=10, seed
 
 
 def make_example(code_ids=(7, 8, 9, 4), comment_ids=(1, 7, 8, 2)):
-    ast = SplitAst(0, AstNode(0, "A", children=[AstNode(1, "B")]))
+    ast = SplitAst(0, AstNode("A", children=[AstNode("B")]))
     return SummarizationExample(list(code_ids), [ast], list(comment_ids))
 
 

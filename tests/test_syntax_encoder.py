@@ -56,7 +56,7 @@ def zero_params(size=2):
 
 
 def chain_tree(labels):
-    nodes = [AstNode(i, label) for i, label in enumerate(labels)]
+    nodes = [AstNode(label) for label in labels]
     for parent, child in zip(nodes, nodes[1:]):
         parent.children.append(child)
     return SplitAst(0, nodes[0])
@@ -125,7 +125,7 @@ class TestTreeLstmCell:
 class TestEncodeTree:
     def test_single_node_uses_virtual_child(self):
         params = make_params(size=3, seed=7)
-        tree = SplitAst(0, AstNode(0, "A"))
+        tree = SplitAst(0, AstNode("A"))
         emb = encode_tree(tree, params)
         x = embed(params, "A")
         h, _ = tree_lstm_cell(x, [(params.virtual_h, params.virtual_m)], params)
@@ -142,23 +142,10 @@ class TestEncodeTree:
         root = tree_lstm_cell(embed(params, "A"), [mid], params)
         assert np.allclose(emb.data[0], root[0].data, atol=1e-15)
 
-    def test_node_id_permutation_invariance(self):
-        params = make_params(size=3, seed=4)
-        a = chain_tree(["A", "B", "C"])
-        b = chain_tree(["A", "B", "C"])
-        for node, new_id in zip([b.root] + b.root.children, (7, 2)):
-            pass  # ids rewritten below
-        b.root.node_id = 40
-        b.root.children[0].node_id = 17
-        b.root.children[0].children[0].node_id = 5
-        assert np.array_equal(
-            encode_tree(a, params).data, encode_tree(b, params).data
-        )
-
     def test_unknown_labels_fall_to_unk(self):
         params = make_params(size=3, seed=4)
-        seen = encode_tree(SplitAst(0, AstNode(0, "NeverSeen")), params)
-        unk = encode_tree(SplitAst(0, AstNode(0, "<UNK>")), params)
+        seen = encode_tree(SplitAst(0, AstNode("NeverSeen")), params)
+        unk = encode_tree(SplitAst(0, AstNode("<UNK>")), params)
         assert np.array_equal(seen.data, unk.data)
 
     def test_gradients_through_recursion(self):
@@ -175,16 +162,16 @@ class TestEncodeTree:
 
 
 def star_tree(n_leaves, split_id=0):
-    root = AstNode(0, "A")
-    root.children = [AstNode(i + 1, "BC"[i % 2]) for i in range(n_leaves)]
+    root = AstNode("A")
+    root.children = [AstNode("BC"[i % 2]) for i in range(n_leaves)]
     return SplitAst(split_id, root)
 
 
 def random_tree(rng, n_nodes, split_id=0):
     """Each new node hangs under a uniformly chosen earlier node."""
-    nodes = [AstNode(0, "A")]
+    nodes = [AstNode("A")]
     for i in range(1, n_nodes):
-        node = AstNode(i, str(rng.choice(["A", "B", "C", "Unseen"])))
+        node = AstNode(str(rng.choice(["A", "B", "C", "Unseen"])))
         nodes[int(rng.integers(0, i))].children.append(node)
         nodes.append(node)
     return SplitAst(split_id, nodes[0])
@@ -213,7 +200,7 @@ def per_node_fold(trees, params):
 def _shaped_batches():
     rng = np.random.default_rng(21)
     return {
-        "single node": [SplitAst(0, AstNode(0, "A"))],
+        "single node": [SplitAst(0, AstNode("A"))],
         "40-child star": [star_tree(40)],
         "50-deep chain": [chain_tree(["ABC"[i % 3] for i in range(50)])],
         "mixed heights": [random_tree(rng, n, i) for i, n in enumerate((1, 2, 7, 30, 60))]
@@ -238,15 +225,15 @@ def _sharing_batches():
     tree = random_tree(rng, 25)
     method = max((split_method(parse_source(src)) for src in PRETRAIN_SOURCES),
                  key=lambda ms: len(ms.asts))
-    star = AstNode(0, "A", children=[AstNode(i + 1, "B") for i in range(40)])
+    star = AstNode("A", children=[AstNode("B") for _ in range(40)])
     return {
         "same tree twice": ([tree, copy.deepcopy(tree)], make_params(size=5, seed=6)),
         "splits of one method": with_own_vocab(method.asts),
         # both labels fall to UNK, so the two roots are one subtree
         "two unknown labels": ([
-            SplitAst(0, AstNode(0, "A", children=[AstNode(1, "Unseen"), AstNode(2, "B")])),
-            SplitAst(1, AstNode(0, "A", children=[AstNode(1, "Other"), AstNode(2, "B")])),
-            SplitAst(2, AstNode(0, "Other")),
+            SplitAst(0, AstNode("A", children=[AstNode("Unseen"), AstNode("B")])),
+            SplitAst(1, AstNode("A", children=[AstNode("Other"), AstNode("B")])),
+            SplitAst(2, AstNode("Other")),
         ], make_params(size=5, seed=6)),
         "40-child star of identical leaves": ([SplitAst(0, star)],
                                               make_params(size=5, seed=6)),
@@ -307,8 +294,8 @@ class TestEncodeTreesMatchesPerNodeFold:
         trees = [
             chain_tree(["A", "B", "C"]),
             star_tree(3, split_id=1),
-            SplitAst(2, AstNode(0, "C", children=[
-                AstNode(1, "A"), AstNode(2, "B", children=[AstNode(3, "A")])])),
+            SplitAst(2, AstNode("C", children=[
+                AstNode("A"), AstNode("B", children=[AstNode("A")])])),
         ]
 
         def f(_):
@@ -364,10 +351,10 @@ class TestFusedFoldMatchesOracles:
         params = make_params(size=4, seed=12)
         # leaf "A" hangs under "C" and under "B"; "B(A)" under two roots
         trees = [
-            SplitAst(0, AstNode(0, "C", children=[
-                AstNode(1, "A"), AstNode(2, "B", children=[AstNode(3, "A")])])),
-            SplitAst(1, AstNode(0, "A", children=[
-                AstNode(1, "B", children=[AstNode(2, "A")]), AstNode(3, "C")])),
+            SplitAst(0, AstNode("C", children=[
+                AstNode("A"), AstNode("B", children=[AstNode("A")])])),
+            SplitAst(1, AstNode("A", children=[
+                AstNode("B", children=[AstNode("A")]), AstNode("C")])),
             chain_tree(["A", "B", "C"]),
             star_tree(3, split_id=3),
         ]
@@ -450,8 +437,7 @@ class TestCostGates:
         def widened(t):
             # every subtree under the root three times: same levels, ~3x nodes
             children = [copy.deepcopy(c) for _ in range(3) for c in t.root.children]
-            return SplitAst(t.split_id, AstNode(t.root.node_id, t.root.node_type,
-                                                t.root.value, children))
+            return SplitAst(t.split_id, AstNode(t.root.node_type, t.root.value, children))
 
         small = split_method(parse_source(PRETRAIN_SOURCES[0])).asts
         large = [widened(t) for t in small]
@@ -508,8 +494,8 @@ class TestSepScore:
         model = SepModel.init(params, np.random.default_rng(0))
         model.score_w.data[...] = 0.0
         model.score_b.data[...] = 0.0
-        e1 = encode_tree(SplitAst(0, AstNode(0, "A")), params)
-        e2 = encode_tree(SplitAst(1, AstNode(0, "B")), params)
+        e1 = encode_tree(SplitAst(0, AstNode("A")), params)
+        e2 = encode_tree(SplitAst(1, AstNode("B")), params)
         assert sep_score(e1, e2, model).data.tolist() == [0.5]
 
     def test_unit_projection_of_first_coordinate(self):
@@ -551,8 +537,8 @@ class TestSepLoss:
 
     def test_score_half_gives_ln2(self):
         model = self._model_scoring_half()
-        t = SplitAst(0, AstNode(0, "A"))
-        tp = SplitAst(1, AstNode(0, "B"))
+        t = SplitAst(0, AstNode("A"))
+        tp = SplitAst(1, AstNode("B"))
         for label in (0, 1):
             loss = sep_loss([PairExample(t, tp, label)], model)
             assert abs(loss.item() - np.log(2.0)) < 1e-12
@@ -562,8 +548,8 @@ class TestSepLoss:
         from basts.syntax_encoder import SCORE_FLOOR
 
         model = self._model_scoring_half()
-        t = SplitAst(0, AstNode(0, "A"))
-        tp = SplitAst(1, AstNode(0, "B"))
+        t = SplitAst(0, AstNode("A"))
+        tp = SplitAst(1, AstNode("B"))
 
         def bias_for(p):
             return np.log(p / (1.0 - p))
@@ -711,6 +697,10 @@ class TestPretrain:
             pretrain(corpus, params, PretrainConfig(learning_rate=-1.0))
         with pytest.raises(ConfigError):
             pretrain(corpus, params, PretrainConfig(learning_rate=float("nan")))
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -3$"):
+            PretrainConfig(seed=-3).validate()
 
 
 def test_vocab_unk_threshold():
