@@ -21,7 +21,8 @@ refers to its output tensor and to its tape weakly.
 
 Model parameters live in dataclasses that subclass Params, whose one
 walk names every Tensor by field declaration order; that walk is the
-optimizer's parameter list and the checkpoint's blob layout.
+optimizer's parameter list and the checkpoint's blob layout. Each class
+states its tensors' shapes once, in its shape statement (see Params).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from __future__ import annotations
 import math
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +71,38 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def check_width(size: int, heads: int = 1):
+    """The geometry rule of every parameter class and of `attention`: a
+    width `size` of at least 1, split evenly across `heads` >= 1 heads."""
+    if size < 1:
+        raise ShapeError(f"size must be at least 1, got {size}")
+    if heads < 1 or size % heads:
+        raise ShapeError(f"heads must be at least 1 and divide size {size}, got {heads}")
+
+
+class Slot(NamedTuple):
+    """One tensor of a shape statement: its shape, and how `init` fills it.
+
+    A positive `scale` draws uniformly from [-scale, scale]; a zero scale
+    fills every entry with `fill`.
+    """
+
+    shape: tuple[int, ...]
+    scale: float = 0.0
+    fill: float = 0.0
+
+    def draw(self, rng: np.random.Generator) -> Tensor:
+        data = (rng.uniform(-self.scale, self.scale, size=self.shape) if self.scale
+                else np.full(self.shape, self.fill))
+        return Tensor(data, requires_grad=True)
+
+
+def glorot(shape, fans: int | None = None) -> Slot:
+    """A Glorot-uniform slot; `fans` (fan-in plus fan-out) defaults to the sum
+    of the matrix's two dimensions."""
+    return Slot(shape, math.sqrt(6.0 / (fans or sum(shape))))
+
+
 class Params:
     """Base of the parameter dataclasses; one walk names every tensor.
 
@@ -76,13 +110,22 @@ class Params:
     field, a Params field adds "field." to its own names, item i of a
     list field adds "field<i>.", and other fields (sizes, vocabularies)
     hold no parameters. Adam and the checkpoint layout both read this.
+
+    Each class states its tensors once, in its shape statement, the
+    classmethod `statement`: from integer geometry (vocabulary lengths,
+    width, heads, layer counts) it returns an instance of the class whose
+    tensor fields hold `Slot`s in place of tensors, so the same walk names
+    their shapes, and no array is allocated. The statements of the model
+    classes apply `check_width`, the only place the geometry rule lives.
+    `init` draws a statement's slots; the checkpoint loader checks its
+    blobs against a statement and `build`s the parameters from them.
     """
 
-    def named_params(self, prefix: str = "") -> list[tuple[str, Tensor]]:
+    def named_params(self, prefix: str = "") -> list[tuple[str, Tensor | Slot]]:
         out = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, Tensor):
+            if isinstance(value, (Tensor, Slot)):
                 out.append((prefix + f.name, value))
             elif isinstance(value, Params):
                 out.extend(value.named_params(f"{prefix}{f.name}."))
@@ -93,6 +136,29 @@ class Params:
 
     def all_params(self) -> list[Tensor]:
         return [t for _, t in self.named_params()]
+
+    def build(self, make, prefix: str = "") -> "Params":
+        """This statement with each slot replaced by `make(name, slot)`;
+        a part that holds no slot is kept as it is."""
+        made = {}
+        for f in fields(self):
+            value, name = getattr(self, f.name), prefix + f.name
+            if isinstance(value, Slot):
+                made[f.name] = make(name, value)
+            elif isinstance(value, Params):
+                made[f.name] = value.build(make, name + ".")
+            elif isinstance(value, list):
+                made[f.name] = [item.build(make, f"{name}{i}.")
+                                for i, item in enumerate(value)]
+        return replace(self, **made) if made else self
+
+    def draw(self, rng: np.random.Generator, last=()) -> "Params":
+        """This statement's slots drawn from `rng` in `named_params` order,
+        except that the slots named in `last` draw after all the others."""
+        slots = [(name, s) for name, s in self.named_params() if isinstance(s, Slot)]
+        drawn = {name: s.draw(rng)
+                 for name, s in sorted(slots, key=lambda item: item[0] in last)}
+        return self.build(lambda name, _: drawn[name])
 
 
 class _OpNode:
@@ -299,8 +365,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, blocks) -> Tensor:
     if not (k.shape == (m, size) and v.shape == (m, size)):
         raise ShapeError(f"attention needs k and v of shape [m, {size}], "
                          f"got {k.shape} and {v.shape}")
-    if not (heads > 0 and size % heads == 0):
-        raise ShapeError(f"attention width {size} does not split into {heads} heads")
+    check_width(size, heads)
     spans, q_end, k_end = [], 0, 0
     for b, block in enumerate(blocks):
         block = np.asarray(block, dtype=np.float64)
@@ -554,19 +619,3 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
-
-
-def uniform_init(rng: np.random.Generator, shape, scale: float) -> Tensor:
-    """Learnable tensor drawn uniformly from [-scale, scale]."""
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
-
-
-def glorot_init(rng: np.random.Generator, fan_in: int, fan_out: int,
-                shape=None) -> Tensor:
-    scale = math.sqrt(6.0 / (fan_in + fan_out))
-    shape = (fan_out, fan_in) if shape is None else shape
-    return uniform_init(rng, shape, scale)
-
-
-def zeros_init(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)

@@ -14,20 +14,25 @@ the pair-scoring head appended it is a pre-training checkpoint on its
 own. The transformer section adds the two token vocabularies, the layer
 geometry, and its parameter blobs. Identical parameters serialize to
 identical bytes, which is what the reproducibility checks compare.
+
+Loading a section reads its header, vocabularies and blobs, then checks
+the blobs' names and shapes, in order, against the parameter classes'
+shape statements (`Params`), which follow from the header's integers and
+the vocabulary lengths alone. Only then are the parameters built, each
+wrapping its blob's array; no parameter is drawn or allocated first.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from basts.autodiff import Tensor
-from basts.summarizer import SummarizerModel, TransformerParams, Vocab
+from basts.autodiff import Params, ShapeError, Slot, Tensor
+from basts.summarizer import SPECIAL_TOKENS, SummarizerModel, TransformerParams, Vocab
 from basts.syntax_encoder import SepModel, TreeLstmParams
 
 MAGIC = b"BASTSCKP"
@@ -133,35 +138,48 @@ def _pack_transformer(out: bytearray, t: TransformerParams,
     _pack_blobs(out, t.named_params())
 
 
-def _fill(params: list[tuple[str, Tensor]], blobs: dict[str, np.ndarray]):
-    """Move each blob into its named parameter; names and shapes must match."""
-    for name, tensor in params:
-        if name not in blobs:
-            raise CheckpointError(f"missing blob {name!r}")
-        data = blobs.pop(name)
-        if data.shape != tensor.data.shape:
-            raise CheckpointError(
-                f"blob {name!r} has shape {data.shape}, expected {tensor.data.shape}"
-            )
-        tensor.data = data
-    if blobs:
-        raise CheckpointError(f"unexpected blob {next(iter(blobs))!r}")
+def _ids(tokens: list[str], what: str, first=()) -> dict[str, int]:
+    """Each token's id, its index; the list must start with `first`, in
+    order, and hold no entry twice."""
+    for i, token in enumerate(first):
+        if tokens[i:i + 1] != [token]:
+            raise CheckpointError(f"{what} vocabulary lacks {token!r} at id {i}")
+    ids = {}
+    for i, token in enumerate(tokens):
+        if ids.setdefault(token, i) != i:
+            raise CheckpointError(f"{what} vocabulary repeats {token!r} "
+                                  f"(ids {ids[token]} and {i})")
+    return ids
 
 
-def _check_size(blobs: dict[str, np.ndarray], name: str, size: int, section: str):
-    """The header's `size` must be the column count of the matrix blob `name`."""
-    if name not in blobs:
-        raise CheckpointError(f"missing blob {name!r}")
-    shape = blobs[name].shape
-    if len(shape) != 2 or shape[1] != size:
-        raise CheckpointError(f"{section} size {size} does not match blob {name!r} "
-                              f"of shape {shape}")
+def _vocab(tokens: list[str], what: str) -> Vocab:
+    return Vocab(_ids(tokens, what, SPECIAL_TOKENS), tokens)
 
 
-def _layer_count(blobs: dict[str, np.ndarray], prefix: str) -> int:
-    """How many layers `<prefix><i>.` the blob names hold."""
-    layer = re.compile(rf"{prefix}(\d+)\.")
-    return len({m[1] for m in map(layer.match, blobs) if m})
+def _stated(statement, *geometry) -> Params:
+    """`statement(*geometry)`, with a broken geometry rule raised as a
+    CheckpointError."""
+    try:
+        return statement(*geometry)
+    except ShapeError as err:
+        raise CheckpointError(str(err)) from None
+
+
+def _take(statement: list[tuple[str, Slot]], blobs: list[tuple[str, np.ndarray]]):
+    """A `Params.build` maker that wraps the blobs, in order, as the
+    parameters, once their names and shapes are the statement's."""
+    for (name, slot), (found, data) in zip(statement, blobs):
+        if found != name:
+            raise CheckpointError(f"blob {found!r} found where {name!r} belongs")
+        if data.shape != slot.shape:
+            raise CheckpointError(f"blob {name!r} has shape {data.shape}, "
+                                  f"expected {slot.shape}")
+    if len(blobs) < len(statement):
+        raise CheckpointError(f"missing blob {statement[len(blobs)][0]!r}")
+    if len(blobs) > len(statement):
+        raise CheckpointError(f"unexpected blob {blobs[len(statement)][0]!r}")
+    arrays = (data for _, data in blobs)
+    return lambda name, slot: Tensor(next(arrays), requires_grad=True)
 
 
 @dataclass
@@ -216,35 +234,30 @@ def deserialize(raw: bytes) -> Checkpoint:
     out = Checkpoint()
     if flags & _FLAG_TREE:
         size = r.u32()
-        vocab = {label: i for i, label in enumerate(r.str_list())}
-        blobs = dict(r.blob() for _ in range(r.u32()))
-        _check_size(blobs, "embedding", size, "tree")
-        rng = np.random.default_rng(0)
-        out.tree = TreeLstmParams.init(vocab, size, rng)
-        if "score_w" in blobs:
-            out.sep = SepModel.init(out.tree, rng)
-        _fill(_tree_blobs(out.tree, out.sep), blobs)
+        vocab = _ids(r.str_list(), "type_value")
+        blobs = [r.blob() for _ in range(r.u32())]
+        tree = _stated(TreeLstmParams.statement, vocab, size)
+        sep = SepModel.statement(tree) if any(n == "score_w" for n, _ in blobs) else None
+        take = _take(_tree_blobs(tree, sep), blobs)
+        if sep is None:
+            out.tree = tree.build(take)
+        else:
+            out.sep = sep.build(take)
+            out.tree = out.sep.tree
     if flags & _FLAG_TRANSFORMER:
         size, heads, n_enc, n_dec = (r.u32() for _ in range(4))
-        code_tokens = r.str_list()
-        word_tokens = r.str_list()
-        out.code_vocab = Vocab({t: i for i, t in enumerate(code_tokens)}, code_tokens)
-        out.word_vocab = Vocab({t: i for i, t in enumerate(word_tokens)}, word_tokens)
-        blobs = dict(r.blob() for _ in range(r.u32()))
-        _check_size(blobs, "code_embedding", size, "transformer")
-        if heads < 1 or size % heads:
-            raise CheckpointError(f"heads must be at least 1 and divide size {size}, "
-                                  f"got {heads}")
-        for prefix, count in (("enc", n_enc), ("dec", n_dec)):
-            named = _layer_count(blobs, prefix)
-            if count != named:
-                raise CheckpointError(f"header has {count} {prefix} layers, the blobs "
-                                      f"name {named}")
-        out.transformer = TransformerParams.init(
-            len(code_tokens), len(word_tokens), size, heads, n_enc, n_dec,
-            np.random.default_rng(0),
-        )
-        _fill(out.transformer.named_params(), blobs)
+        if out.tree is not None and out.tree.size != size:
+            raise CheckpointError(f"tree width {out.tree.size} differs from "
+                                  f"transformer width {size}")
+        out.code_vocab = _vocab(r.str_list(), "code")
+        out.word_vocab = _vocab(r.str_list(), "word")
+        blobs = [r.blob() for _ in range(r.u32())]
+        if n_enc + n_dec > len(blobs):  # every layer holds a blob
+            raise CheckpointError(f"header has {n_enc} enc and {n_dec} dec layers, "
+                                  f"more than its {len(blobs)} blobs")
+        transformer = _stated(TransformerParams.statement, len(out.code_vocab),
+                              len(out.word_vocab), size, heads, n_enc, n_dec)
+        out.transformer = transformer.build(_take(transformer.named_params(), blobs))
     if r.pos != len(payload):
         raise CheckpointError(f"extra bytes after the last section ({len(payload) - r.pos})")
     return out

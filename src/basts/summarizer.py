@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from basts import autodiff as ad
-from basts.autodiff import Adam, Params, Tape, Tensor, backward, no_grad
+from basts.autodiff import Adam, Params, Slot, Tape, Tensor, backward, glorot, no_grad
 from basts.splitter import SplitAst
 from basts.syntax_encoder import TreeLstmParams, encode_trees
 # encode_tree is also reachable here (bench/workloads.py wraps it by this name)
@@ -110,8 +110,8 @@ class AttentionParams(Params):
     wo: Tensor
 
     @classmethod
-    def init(cls, size, rng):
-        return cls(*(ad.glorot_init(rng, size, size) for _ in range(4)))
+    def statement(cls, size):
+        return cls(*[glorot((size, size))] * 4)
 
 
 @dataclass
@@ -120,8 +120,8 @@ class LayerNormParams(Params):
     bias: Tensor
 
     @classmethod
-    def init(cls, size):
-        return cls(Tensor(np.ones(size), requires_grad=True), ad.zeros_init(size))
+    def statement(cls, size):
+        return cls(Slot((size,), fill=1.0), Slot((size,)))
 
 
 @dataclass
@@ -132,13 +132,9 @@ class FeedForwardParams(Params):
     b2: Tensor
 
     @classmethod
-    def init(cls, size, hidden, rng):
-        return cls(
-            ad.glorot_init(rng, size, hidden, shape=(size, hidden)),
-            ad.zeros_init(hidden),
-            ad.glorot_init(rng, hidden, size, shape=(hidden, size)),
-            ad.zeros_init(size),
-        )
+    def statement(cls, size, hidden):
+        return cls(glorot((size, hidden)), Slot((hidden,)),
+                   glorot((hidden, size)), Slot((size,)))
 
 
 @dataclass
@@ -149,13 +145,10 @@ class EncoderLayerParams(Params):
     ln2: LayerNormParams
 
     @classmethod
-    def init(cls, size, hidden, rng):
-        return cls(
-            AttentionParams.init(size, rng),
-            LayerNormParams.init(size),
-            FeedForwardParams.init(size, hidden, rng),
-            LayerNormParams.init(size),
-        )
+    def statement(cls, size, hidden):
+        norm = LayerNormParams.statement(size)
+        return cls(AttentionParams.statement(size), norm,
+                   FeedForwardParams.statement(size, hidden), norm)
 
 
 @dataclass
@@ -168,15 +161,9 @@ class DecoderLayerParams(Params):
     ln3: LayerNormParams
 
     @classmethod
-    def init(cls, size, hidden, rng):
-        return cls(
-            AttentionParams.init(size, rng),
-            LayerNormParams.init(size),
-            AttentionParams.init(size, rng),
-            LayerNormParams.init(size),
-            FeedForwardParams.init(size, hidden, rng),
-            LayerNormParams.init(size),
-        )
+    def statement(cls, size, hidden):
+        attn, norm = AttentionParams.statement(size), LayerNormParams.statement(size)
+        return cls(attn, norm, attn, norm, FeedForwardParams.statement(size, hidden), norm)
 
 
 @dataclass
@@ -193,27 +180,29 @@ class TransformerParams(Params):
     out_b: Tensor
 
     @classmethod
+    def statement(cls, code_vocab_size: int, word_vocab_size: int, size: int,
+                  heads: int, encoder_layers: int,
+                  decoder_layers: int) -> "TransformerParams":
+        ad.check_width(size, heads)
+        hidden = 2 * size
+        return cls(
+            size, heads,
+            code_embedding=Slot((code_vocab_size, size), 0.1),
+            word_embedding=Slot((word_vocab_size, size), 0.1),
+            fuse_w=glorot((size, 2 * size)),
+            fuse_b=Slot((size,)),
+            enc=[EncoderLayerParams.statement(size, hidden)] * encoder_layers,
+            dec=[DecoderLayerParams.statement(size, hidden)] * decoder_layers,
+            out_w=glorot((size, word_vocab_size)),
+            out_b=Slot((word_vocab_size,)),
+        )
+
+    @classmethod
     def init(cls, code_vocab_size: int, word_vocab_size: int, size: int,
              heads: int, encoder_layers: int, decoder_layers: int,
              rng: np.random.Generator) -> "TransformerParams":
-        if size % heads != 0:
-            raise ValueError(f"size {size} not divisible by {heads} heads")
-        hidden = 2 * size
-        return cls(
-            size=size,
-            heads=heads,
-            code_embedding=ad.uniform_init(rng, (code_vocab_size, size), 0.1),
-            word_embedding=ad.uniform_init(rng, (word_vocab_size, size), 0.1),
-            fuse_w=ad.glorot_init(rng, 2 * size, size, shape=(size, 2 * size)),
-            fuse_b=ad.zeros_init(size),
-            enc=[EncoderLayerParams.init(size, hidden, rng)
-                 for _ in range(encoder_layers)],
-            dec=[DecoderLayerParams.init(size, hidden, rng)
-                 for _ in range(decoder_layers)],
-            out_w=ad.glorot_init(rng, size, word_vocab_size,
-                                 shape=(size, word_vocab_size)),
-            out_b=ad.zeros_init(word_vocab_size),
-        )
+        return cls.statement(code_vocab_size, word_vocab_size, size, heads,
+                             encoder_layers, decoder_layers).draw(rng)
 
 
 @dataclass

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from basts import autodiff as ad
-from basts.autodiff import Adam, Params, Tape, Tensor, backward
+from basts.autodiff import Adam, Params, Slot, Tape, Tensor, backward, glorot
 from basts.frontend import iter_nodes
 from basts.splitter import MethodSplits, SplitAst
 
@@ -82,30 +82,19 @@ class TreeLstmParams(Params):
     virtual_m: Tensor
 
     @classmethod
+    def statement(cls, vocab: dict[str, int], size: int) -> "TreeLstmParams":
+        ad.check_width(size)
+        w, b, virtual = glorot((size, size)), Slot((size,)), Slot((size,), 0.1)
+        # the embedding; w, u and b of the i, f, o and u gates; virtual_h and _m
+        return cls(vocab, size, Slot((len(vocab), size), 0.1), *[w, w, b] * 4,
+                   virtual, virtual)
+
+    @classmethod
     def init(cls, vocab: dict[str, int], size: int,
              rng: np.random.Generator) -> "TreeLstmParams":
-        def gate():
-            return (
-                ad.glorot_init(rng, size, size),
-                ad.glorot_init(rng, size, size),
-                ad.zeros_init(size),
-            )
-
-        w_i, u_i, b_i = gate()
-        w_f, u_f, b_f = gate()
-        w_o, u_o, b_o = gate()
-        w_u, u_u, b_u = gate()
-        return cls(
-            vocab=dict(vocab),
-            size=size,
-            embedding=ad.uniform_init(rng, (len(vocab), size), 0.1),
-            w_i=w_i, u_i=u_i, b_i=b_i,
-            w_f=w_f, u_f=u_f, b_f=b_f,
-            w_o=w_o, u_o=u_o, b_o=b_o,
-            w_u=w_u, u_u=u_u, b_u=b_u,
-            virtual_h=ad.uniform_init(rng, size, 0.1),
-            virtual_m=ad.uniform_init(rng, size, 0.1),
-        )
+        # the gates draw first: the order the golden checkpoints were made in
+        return cls.statement(dict(vocab), size).draw(
+            rng, last=("embedding", "virtual_h", "virtual_m"))
 
 
 class _Plan(NamedTuple):
@@ -297,13 +286,13 @@ class SepModel(Params):
     score_b: Tensor  # scalar bias
 
     @classmethod
-    def init(cls, tree: TreeLstmParams, rng: np.random.Generator) -> "SepModel":
+    def statement(cls, tree: TreeLstmParams) -> "SepModel":
         two_l = 2 * tree.size
-        return cls(
-            tree=tree,
-            score_w=ad.glorot_init(rng, two_l, 1, shape=(two_l,)),
-            score_b=ad.zeros_init(()),
-        )
+        return cls(tree, glorot((two_l,), fans=two_l + 1), Slot(()))
+
+    @classmethod
+    def init(cls, tree: TreeLstmParams, rng: np.random.Generator) -> "SepModel":
+        return cls.statement(tree).draw(rng)
 
 
 @dataclass

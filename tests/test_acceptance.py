@@ -306,7 +306,7 @@ def test_criterion_8_attention_invariants():
 
     # identical value rows pass through attention
     size = 6
-    params = AttentionParams.init(size, rng)
+    params = AttentionParams.statement(size).draw(rng)
     params.wo.data[...] = np.eye(size)
     row = rng.normal(size=size)
     x_kv = Tensor(np.tile(row, (5, 1)))

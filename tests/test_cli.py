@@ -1,13 +1,17 @@
 import gc
 import json
 import struct
+import tracemalloc
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from basts import cli
-from basts.autodiff import Tensor
+from basts.autodiff import Adam, Tensor
 from basts.checkpoint import (
     CheckpointError,
     deserialize,
@@ -24,7 +28,7 @@ from basts.cli import (
     preprocess,
     run,
 )
-from basts.summarizer import TransformerParams, Vocab
+from basts.summarizer import SPECIAL_TOKENS, TransformerParams, Vocab
 from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams
 from basts.frontend import MAX_NESTING, parse_program
 from basts.splitter import split_method
@@ -467,6 +471,44 @@ class TestPreprocessPausesCollector:
             gc.enable()
 
 
+SPECIALS = list(SPECIAL_TOKENS)
+
+
+def summarizer_checkpoint(code_tokens, word_tokens, tree_width=4, width=4) -> bytes:
+    """A tree and transformer checkpoint whose vocabularies hold the tokens as given."""
+    rng = np.random.default_rng(0)
+    tree = TreeLstmParams.init({"<UNK>": 0, "A": 1}, tree_width, rng)
+    transformer = TransformerParams.init(len(code_tokens), len(word_tokens), width, 2,
+                                         1, 1, rng)
+    return serialize(tree=tree, transformer=transformer,
+                     code_vocab=Vocab({}, list(code_tokens)),
+                     word_vocab=Vocab({}, list(word_tokens)))
+
+
+def _small_checkpoints() -> dict[str, bytes]:
+    tree = TreeLstmParams.init({"<UNK>": 0, "A": 1}, 4, np.random.default_rng(0))
+    return {
+        "tree": serialize(tree=tree),
+        "tree+sep": serialize(tree=tree, sep=SepModel.init(tree, np.random.default_rng(1))),
+        "summarizer": summarizer_checkpoint(SPECIALS + ["a"], SPECIALS + ["x", "y"]),
+    }
+
+
+SMALL_CHECKPOINTS = _small_checkpoints()
+
+
+@contextmanager
+def allocation_bound(raw: bytes):
+    """The block's tracemalloc peak must stay within 4 * len(raw) + 256 KiB."""
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak <= 4 * len(raw) + 256 * 1024, f"peak {peak} for {len(raw)} bytes"
+
+
 class TestCheckpointFormat:
     def test_tree_roundtrip_bytes_identical(self):
         params = TreeLstmParams.init(
@@ -578,13 +620,14 @@ class TestCheckpointFormat:
 
     @pytest.mark.parametrize("section, field, value, message", [
         ("tree", 0, 7_864_324,
-         r"^tree size 7864324 does not match blob 'embedding' of shape \(1, 4\)$"),
+         r"^blob 'embedding' has shape \(1, 4\), expected \(1, 7864324\)$"),
         ("transformer", 0, 6,
-         r"^transformer size 6 does not match blob 'code_embedding' of shape \(\d+, 4\)$"),
+         r"^blob 'code_embedding' has shape \((\d+), 4\), expected \(\1, 6\)$"),
         ("transformer", 1, 3, r"^heads must be at least 1 and divide size 4, got 3$"),
         ("transformer", 1, 0, r"^heads must be at least 1 and divide size 4, got 0$"),
-        ("transformer", 2, 3, r"^header has 3 enc layers, the blobs name 2$"),
-        ("transformer", 3, 0, r"^header has 0 dec layers, the blobs name 1$"),
+        # the header's third encoder layer, and its one decoder layer too many
+        ("transformer", 2, 3, r"^blob 'dec0\.self_attn\.wq' found where 'enc2\.attn\.wq' belongs$"),
+        ("transformer", 3, 0, r"^blob 'dec0\.self_attn\.wq' found where 'out_w' belongs$"),
     ], ids=["tree-size", "size", "heads", "zero-heads", "n-enc", "n-dec"])
     def test_header_disagreeing_with_blobs_is_a_checkpoint_error(
             self, section, field, value, message):
@@ -593,6 +636,103 @@ class TestCheckpointFormat:
         bad = raw[:at] + struct.pack("<I", value) + raw[at + 4:]
         with pytest.raises(CheckpointError, match=message):
             deserialize(self._resealed(bad))
+
+    @pytest.mark.parametrize("section", ["tree", "transformer"])
+    def test_zero_width_is_a_checkpoint_error(self, section):
+        # self-consistent: every dimension of the width (4) or hidden size (8) is 0
+        ckpt = deserialize(self._one_section(section))
+        params = ckpt.tree or ckpt.transformer
+        for _, tensor in params.named_params():
+            tensor.data = np.zeros([0 if d in (4, 8) else d for d in tensor.shape])
+        params.size = 0
+        raw = serialize(tree=ckpt.tree, transformer=ckpt.transformer,
+                        code_vocab=ckpt.code_vocab, word_vocab=ckpt.word_vocab)
+        with pytest.raises(CheckpointError, match=r"^size must be at least 1, got 0$"):
+            deserialize(raw)
+
+    def test_tree_and_transformer_widths_must_agree(self):
+        raw = summarizer_checkpoint(SPECIALS + ["a"], SPECIALS + ["x"], tree_width=4, width=8)
+        with pytest.raises(CheckpointError, match=r"^tree width 4 differs from transformer width 8$"):
+            deserialize(raw)
+
+    @pytest.mark.parametrize("code, word, message", [
+        (SPECIALS + ["a", "a"], SPECIALS + ["x"], r"^code vocabulary repeats 'a' \(ids 7 and 8\)$"),
+        (SPECIALS + ["a"], SPECIALS + ["x", "y", "x"],
+         r"^word vocabulary repeats 'x' \(ids 7 and 9\)$"),
+        (SPECIALS + ["a", "<UNK>"], SPECIALS, r"^code vocabulary repeats '<UNK>' \(ids 3 and 8\)$"),
+        (SPECIALS + ["a"], ["<PAD>"], r"^word vocabulary lacks '<BOS>' at id 1$"),
+        (["<PAD>", "<EOS>", "<BOS>"] + SPECIALS[3:], SPECIALS,
+         r"^code vocabulary lacks '<BOS>' at id 1$"),
+    ], ids=["code-repeat", "word-repeat", "special-repeat", "one-token-word", "specials-order"])
+    def test_token_vocabulary_must_be_specials_then_distinct_tokens(self, code, word, message):
+        with pytest.raises(CheckpointError, match=message):
+            deserialize(summarizer_checkpoint(code, word))
+
+    def test_type_value_vocabulary_must_not_repeat_a_label(self):
+        tree = TreeLstmParams.init({"<UNK>": 0, "AA": 1, "BB": 2}, 4, np.random.default_rng(0))
+        raw = serialize(tree=tree)
+        assert raw.count(b"BB") == 1
+        with pytest.raises(CheckpointError,
+                           match=r"^type_value vocabulary repeats 'AA' \(ids 1 and 2\)$"):
+            deserialize(self._resealed(raw.replace(b"BB", b"AA")))
+
+    def _wide_tree_header(self) -> bytes:
+        """A tree checkpoint with an empty vocabulary whose header says width
+        1500, as does its [0, 1500] embedding; every other blob has width 4."""
+        raw = serialize(tree=TreeLstmParams.init({}, 4, np.random.default_rng(0)))
+        dims = raw.index(b"embedding") + len(b"embedding")
+        return self._resealed(raw[:16] + struct.pack("<I", 1500) + raw[20:dims]
+                        + struct.pack("<BQQ", 2, 0, 1500) + raw[dims + 17:])
+
+    @pytest.mark.parametrize("case, message", [
+        ("wide-tree", r"^blob 'w_i' has shape \(4, 4\), expected \(1500, 1500\)$"),
+        ("wide-transformer",
+         r"^blob 'code_embedding' has shape \(9, 4\), expected \(9, 1500\)$"),
+        ("many-enc-layers",
+         r"^header has 4294967295 enc and 1 dec layers, more than its \d+ blobs$"),
+    ], ids=["wide-tree", "wide-transformer", "many-enc-layers"])
+    def test_header_geometry_is_checked_before_any_allocation(self, case, message):
+        if case == "wide-tree":
+            raw = self._wide_tree_header()
+        else:
+            field, value = (0, 1500) if case == "wide-transformer" else (2, 2**32 - 1)
+            raw = self._one_section("transformer")
+            at = 16 + 4 * field
+            raw = self._resealed(raw[:at] + struct.pack("<I", value) + raw[at + 4:])
+        with allocation_bound(raw), pytest.raises(CheckpointError, match=message):
+            deserialize(raw)
+
+    @pytest.mark.parametrize("width", [4, 16, 64])
+    def test_valid_checkpoint_loads_within_allocation_bound(self, width):
+        raw = summarizer_checkpoint(SPECIALS + ["a", "b"], SPECIALS + ["x", "y"],
+                                    tree_width=width, width=width)
+        with allocation_bound(raw):
+            deserialize(raw)
+
+    @given(kind=st.sampled_from(sorted(SMALL_CHECKPOINTS)), data=st.data())
+    def test_single_byte_change_loads_or_raises_checkpoint_error(self, kind, data):
+        raw = SMALL_CHECKPOINTS[kind]
+        at = data.draw(st.integers(8, len(raw) - 5), label="offset")
+        value = (raw[at] + data.draw(st.integers(1, 255), label="delta")) % 256
+        bad = self._resealed(raw[:at] + bytes([value]) + raw[at + 1:])
+        with allocation_bound(bad):
+            try:
+                deserialize(bad)
+            except CheckpointError:
+                pass
+
+    def test_loaded_parameters_own_writable_data_and_train(self):
+        raw = SMALL_CHECKPOINTS["summarizer"]
+        params = deserialize(raw).model().all_params()
+        file_bytes = np.frombuffer(raw, dtype=np.uint8)
+        for p in params:
+            assert p.data.dtype == np.float64 and p.requires_grad
+            assert p.data.flags.writeable and p.data.flags.owndata
+            assert not np.shares_memory(p.data, file_bytes)
+            p.grad = np.ones_like(p.data)
+        before = [p.data.copy() for p in params]
+        Adam(params, lr=0.1).step()
+        assert all(not np.array_equal(old, p.data) for old, p in zip(before, params))
 
     def test_bytes_after_last_section_rejected(self):
         params = TreeLstmParams.init({"<UNK>": 0}, 4, np.random.default_rng(0))

@@ -1,9 +1,11 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
-from basts.autodiff import Params, Tensor
+from basts.autodiff import Params, Slot, Tensor
 from basts.summarizer import SummarizerModel, TransformerParams
 from basts.syntax_encoder import SepModel, TreeLstmParams
 from oracles import reachable_tensors
@@ -75,3 +77,40 @@ class TestParamsWalk:
         model = Hidden(Tensor(0.0), {"v": Tensor(1.0)})
         assert len(model.all_params()) == 1
         assert len(reachable_tensors(model)) == 2
+
+
+class TestShapeStatement:
+    @pytest.mark.parametrize("size, heads, message", [
+        (4, 0, r"^heads must be at least 1 and divide size 4, got 0$"),
+        (4, -2, r"^heads must be at least 1 and divide size 4, got -2$"),
+        (4, 3, r"^heads must be at least 1 and divide size 4, got 3$"),
+        (0, 1, r"^size must be at least 1, got 0$"),
+    ])
+    def test_transformer_init_rejects_a_bad_geometry(self, size, heads, message):
+        with pytest.raises(ValueError, match=message):
+            TransformerParams.init(9, 9, size, heads, 1, 1, np.random.default_rng(0))
+
+    def test_tree_init_rejects_width_zero(self):
+        with pytest.raises(ValueError, match=r"^size must be at least 1, got 0$"):
+            TreeLstmParams.init({"<UNK>": 0}, 0, np.random.default_rng(0))
+
+    def test_init_has_the_statement_names_and_shapes(self):
+        tree = tree_params()
+        pairs = [
+            (tree, TreeLstmParams.statement(tree.vocab, 8)),
+            (SepModel.init(tree, np.random.default_rng(3)), SepModel.statement(tree)),
+            (TransformerParams.init(12, 10, 8, 2, 2, 1, np.random.default_rng(2)),
+             TransformerParams.statement(12, 10, 8, 2, 2, 1)),
+        ]
+        for made, stated in pairs:
+            assert [(name, t.shape) for name, t in made.named_params()] == [
+                (name, s.shape if isinstance(s, Slot) else s.data.shape)
+                for name, s in stated.named_params()]
+
+    def test_statement_allocates_no_array(self):
+        tracemalloc.start()
+        stated = TransformerParams.statement(50_000, 50_000, 4096, 8, 6, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert stated.named_params()[0][1] == Slot((50_000, 4096), 0.1)
+        assert peak < 64 * 1024  # the arrays themselves would take gigabytes

@@ -165,7 +165,7 @@ class TestPositionalEncoding:
 
 class TestMultiHeadAttention:
     def _params(self, size, seed=0, wo_identity=False):
-        params = AttentionParams.init(size, np.random.default_rng(seed))
+        params = AttentionParams.statement(size).draw(np.random.default_rng(seed))
         if wo_identity:
             params.wo.data[...] = np.eye(size)
         return params
@@ -516,7 +516,7 @@ class TestCostGates:
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_attention_is_five_ops_at_any_head_count(self, heads):
-        params = AttentionParams.init(8, np.random.default_rng(heads))
+        params = AttentionParams.statement(8).draw(np.random.default_rng(heads))
         x = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
         with ad.Tape() as tape:
             multi_head_attention(x, params, heads,
@@ -525,7 +525,7 @@ class TestCostGates:
 
     @pytest.mark.parametrize("batch", [1, 3, 16])
     def test_attention_is_five_ops_at_any_batch_size(self, batch):
-        params = AttentionParams.init(8, np.random.default_rng(batch))
+        params = AttentionParams.statement(8).draw(np.random.default_rng(batch))
         lengths = [2 + b % 5 for b in range(batch)]
         x = Tensor(np.random.default_rng(0).normal(size=(sum(lengths), 8)))
         mask = attention_mask([np.tril(np.ones((n, n), dtype=bool)) for n in lengths])
