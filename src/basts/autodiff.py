@@ -586,35 +586,38 @@ def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4) -> GradCheckRep
     return GradCheckReport(max_rel, max_rel < tol, flat.size)
 
 
-class Adam:
-    """Adam optimizer over a fixed parameter list; deterministic updates."""
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adam optimizer over a fixed parameter list; deterministic updates.
+
+    Only the learning rate is set per run; the moment decays and epsilon
+    are the module's ADAM_* constants (Kingma & Ba's defaults).
+    """
+
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         if not (lr > 0 and math.isfinite(lr)):
             raise ValueError(f"learning rate must be positive and finite, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     def zero_grad(self):
         for p in self.params:

@@ -15,11 +15,13 @@ own. The transformer section adds the two token vocabularies, the layer
 geometry, and its parameter blobs. Identical parameters serialize to
 identical bytes, which is what the reproducibility checks compare.
 
-Loading a section reads its header, vocabularies and blobs, then checks
-the blobs' names and shapes, in order, against the parameter classes'
-shape statements (`Params`), which follow from the header's integers and
-the vocabulary lengths alone. Only then are the parameters built, each
-wrapping its blob's array; no parameter is drawn or allocated first.
+Loading reads the file once, front to back, through a memoryview of it.
+A section's blob count is bounded by the bytes left (every blob takes at
+least 5), and each blob is checked as it is read: its name and shape
+against its slot in the parameter classes' shape statements (`Params`),
+which follow from the header's integers and the vocabulary lengths
+alone. Only a blob that passes is copied, once, into its parameter's
+array; nothing else is allocated per blob.
 """
 
 from __future__ import annotations
@@ -63,37 +65,32 @@ def _pack_blobs(out: bytearray, blobs: list[tuple[str, Tensor]]):
     for name, tensor in blobs:
         _pack_str(out, name)
         shape = tensor.data.shape
-        out += struct.pack("<B", len(shape))
-        for dim in shape:
-            out += struct.pack("<Q", dim)
-        out += np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
+        out += struct.pack(f"<B{len(shape)}Q", len(shape), *shape)
+        out += np.ascontiguousarray(tensor.data, dtype="<f8").data
 
 
 class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
+    """Reads a payload front to back from a memoryview; `blobs` counts the
+    current section's blobs not yet read."""
 
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.raw):
+    def __init__(self, view: memoryview):
+        self.view = view
+        self.pos = 0
+        self.blobs = 0
+
+    def take(self, count: int) -> memoryview:
+        if self.pos + count > len(self.view):
             raise CheckpointError("truncated checkpoint")
-        chunk = self.raw[self.pos : self.pos + count]
         self.pos += count
-        return chunk
+        return self.view[self.pos - count : self.pos]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
     def text(self) -> str:
         raw = self.take(self.u32())
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(
                 f"string at payload offset {self.pos - len(raw)} is not UTF-8"
@@ -102,32 +99,41 @@ class _Reader:
     def str_list(self) -> list[str]:
         return [self.text() for _ in range(self.u32())]
 
-    def blob(self) -> tuple[str, np.ndarray]:
-        name = self.text()
-        rank = self.u8()
-        shape = tuple(self.u64() for _ in range(rank))
-        count = math.prod(shape)  # exact, so huge dims read as truncation, not overflow
-        data = np.frombuffer(self.take(count * 8), dtype="<f8")
-        try:
-            data = data.reshape(shape)
-        except ValueError as err:  # rank past numpy's limit, or a dim past int64
-            raise CheckpointError(f"blob {name!r} has unusable shape: {err}") from None
-        return name, data.astype(np.float64)
+    def blob_count(self) -> int:
+        """Starts a section's blobs: their count, at most the bytes left
+        can hold at 5 bytes (a name length and a rank) per blob."""
+        self.blobs, left = self.u32(), len(self.view) - self.pos
+        if 5 * self.blobs > left:
+            raise CheckpointError(f"{self.blobs} blobs cannot fit in the {left} bytes left")
+        return self.blobs
 
+    def blob(self, name: str, slot: Slot) -> Tensor:
+        """The next blob as parameter `name`, once its name and shape are
+        the slot's; the `Params.build` maker of loading."""
+        if not self.blobs:
+            raise CheckpointError(f"missing blob {name!r}")
+        self.blobs -= 1
+        found = self.text()
+        if found != name:
+            raise CheckpointError(f"blob {found!r} found where {name!r} belongs")
+        rank = self.take(1)[0]
+        shape = struct.unpack(f"<{rank}Q", self.take(8 * rank))
+        if shape != slot.shape:
+            raise CheckpointError(f"blob {name!r} has shape {shape}, expected {slot.shape}")
+        data = np.frombuffer(self.take(8 * math.prod(shape)), dtype="<f8")
+        return Tensor(data.reshape(shape).astype(np.float64), requires_grad=True)
 
-def _tree_blobs(tree: TreeLstmParams, sep: SepModel | None):
-    """The tree section's blobs: the tree's, then the pair-scoring head's."""
-    blobs = tree.named_params()
-    if sep is not None:
-        blobs = blobs + [("score_w", sep.score_w), ("score_b", sep.score_b)]
-    return blobs
+    def end_blobs(self):
+        if self.blobs:
+            raise CheckpointError(f"unexpected blob {self.text()!r}")
 
 
 def _pack_tree(out: bytearray, tree: TreeLstmParams, sep: SepModel | None):
     out += struct.pack("<I", tree.size)
     rows = sorted(tree.vocab, key=tree.vocab.get)
     _pack_str_list(out, rows)
-    _pack_blobs(out, _tree_blobs(tree, sep))
+    head = [] if sep is None else [("score_w", sep.score_w), ("score_b", sep.score_b)]
+    _pack_blobs(out, tree.named_params() + head)
 
 
 def _pack_transformer(out: bytearray, t: TransformerParams,
@@ -165,23 +171,6 @@ def _stated(statement, *geometry) -> Params:
         raise CheckpointError(str(err)) from None
 
 
-def _take(statement: list[tuple[str, Slot]], blobs: list[tuple[str, np.ndarray]]):
-    """A `Params.build` maker that wraps the blobs, in order, as the
-    parameters, once their names and shapes are the statement's."""
-    for (name, slot), (found, data) in zip(statement, blobs):
-        if found != name:
-            raise CheckpointError(f"blob {found!r} found where {name!r} belongs")
-        if data.shape != slot.shape:
-            raise CheckpointError(f"blob {name!r} has shape {data.shape}, "
-                                  f"expected {slot.shape}")
-    if len(blobs) < len(statement):
-        raise CheckpointError(f"missing blob {statement[len(blobs)][0]!r}")
-    if len(blobs) > len(statement):
-        raise CheckpointError(f"unexpected blob {blobs[len(statement)][0]!r}")
-    arrays = (data for _, data in blobs)
-    return lambda name, slot: Tensor(next(arrays), requires_grad=True)
-
-
 @dataclass
 class Checkpoint:
     tree: TreeLstmParams | None = None
@@ -200,30 +189,26 @@ def serialize(tree: TreeLstmParams | None = None, sep: SepModel | None = None,
               transformer: TransformerParams | None = None,
               code_vocab: Vocab | None = None,
               word_vocab: Vocab | None = None) -> bytes:
-    flags = 0
-    payload = bytearray()
-    payload += struct.pack("<I", VERSION)
-    flag_pos = len(payload)
-    payload += struct.pack("<I", 0)  # reserved for flags, patched below
+    if transformer is not None and (code_vocab is None or word_vocab is None):
+        raise CheckpointError("transformer section needs both vocabularies")
+    flags = ((_FLAG_TREE if tree is not None else 0)
+             | (_FLAG_TRANSFORMER if transformer is not None else 0))
+    out = bytearray(MAGIC + struct.pack("<II", VERSION, flags))
     if tree is not None:
-        flags |= _FLAG_TREE
-        _pack_tree(payload, tree, sep)
+        _pack_tree(out, tree, sep)
     if transformer is not None:
-        if code_vocab is None or word_vocab is None:
-            raise CheckpointError("transformer section needs both vocabularies")
-        flags |= _FLAG_TRANSFORMER
-        _pack_transformer(payload, transformer, code_vocab, word_vocab)
-    payload[flag_pos : flag_pos + 4] = struct.pack("<I", flags)
-    return MAGIC + bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload)))
+        _pack_transformer(out, transformer, code_vocab, word_vocab)
+    out += struct.pack("<I", zlib.crc32(memoryview(out)[8:]))
+    return bytes(out)
 
 
 def deserialize(raw: bytes) -> Checkpoint:
     if raw[:8] != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    payload, (stored_crc,) = raw[8:-4], struct.unpack("<I", raw[-4:])
-    if zlib.crc32(payload) != stored_crc:
+    view = memoryview(raw)
+    r = _Reader(view[8:-4])
+    if zlib.crc32(r.view) != struct.unpack("<I", view[-4:])[0]:
         raise CheckpointError("checkpoint checksum mismatch")
-    r = _Reader(payload)
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
@@ -235,15 +220,11 @@ def deserialize(raw: bytes) -> Checkpoint:
     if flags & _FLAG_TREE:
         size = r.u32()
         vocab = _ids(r.str_list(), "type_value")
-        blobs = [r.blob() for _ in range(r.u32())]
-        tree = _stated(TreeLstmParams.statement, vocab, size)
-        sep = SepModel.statement(tree) if any(n == "score_w" for n, _ in blobs) else None
-        take = _take(_tree_blobs(tree, sep), blobs)
-        if sep is None:
-            out.tree = tree.build(take)
-        else:
-            out.sep = sep.build(take)
-            out.tree = out.sep.tree
+        r.blob_count()
+        out.tree = _stated(TreeLstmParams.statement, vocab, size).build(r.blob)
+        if r.blobs:  # the pair-scoring head; its tree holds no slot
+            out.sep = SepModel.statement(out.tree).build(r.blob)
+        r.end_blobs()
     if flags & _FLAG_TRANSFORMER:
         size, heads, n_enc, n_dec = (r.u32() for _ in range(4))
         if out.tree is not None and out.tree.size != size:
@@ -251,15 +232,15 @@ def deserialize(raw: bytes) -> Checkpoint:
                                   f"transformer width {size}")
         out.code_vocab = _vocab(r.str_list(), "code")
         out.word_vocab = _vocab(r.str_list(), "word")
-        blobs = [r.blob() for _ in range(r.u32())]
-        if n_enc + n_dec > len(blobs):  # every layer holds a blob
+        if n_enc + n_dec > r.blob_count():  # every layer holds a blob
             raise CheckpointError(f"header has {n_enc} enc and {n_dec} dec layers, "
-                                  f"more than its {len(blobs)} blobs")
+                                  f"more than its {r.blobs} blobs")
         transformer = _stated(TransformerParams.statement, len(out.code_vocab),
                               len(out.word_vocab), size, heads, n_enc, n_dec)
-        out.transformer = transformer.build(_take(transformer.named_params(), blobs))
-    if r.pos != len(payload):
-        raise CheckpointError(f"extra bytes after the last section ({len(payload) - r.pos})")
+        out.transformer = transformer.build(r.blob)
+        r.end_blobs()
+    if r.pos != len(r.view):
+        raise CheckpointError(f"extra bytes after the last section ({len(r.view) - r.pos})")
     return out
 
 

@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import gc
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -108,26 +107,23 @@ _BOOL_VALUES = {"true": True, "1": True, "false": False, "0": False}
 
 
 @dataclass
-class RunConfig:
+class RunConfig(PretrainConfig):
+    """Every setting of a run; the pre-training ones are `PretrainConfig`'s."""
+
     embedding_size: int = 64
     heads: int = 4
     encoder_layers: int = 2
     decoder_layers: int = 2
     max_code_length: int = 100
     max_comment_length: int = 30
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    epochs: int = 50
-    seed: int = 0
-    neg_ratio: int = 1
     freeze_pretrained: bool = False
     bleu_smoothing: bool = True
     type_value_min_freq: int = 2
 
     def validate(self):
+        super().validate()
         for name in ("embedding_size", "heads", "max_code_length",
-                     "max_comment_length", "batch_size", "epochs", "neg_ratio",
-                     "type_value_min_freq"):
+                     "max_comment_length", "type_value_min_freq"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.embedding_size % self.heads != 0:
@@ -138,17 +134,12 @@ class RunConfig:
         for name in ("encoder_layers", "decoder_layers"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ConfigError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
         return self
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        """Parse a key = value config file; '#' starts a comment line."""
+        """Parse a key = value config file; '#' starts a comment line, and
+        each key may appear once."""
         values = {}
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         with open(path, "r", encoding="utf-8") as fh:
@@ -162,6 +153,8 @@ class RunConfig:
                 key, value = key.strip(), value.strip()
                 if key not in defaults:
                     raise FormatError(f"unknown config key {key!r}", line_no)
+                if key in values:
+                    raise FormatError(f"repeated config key {key!r}", line_no)
                 kind = type(defaults[key])  # bool, int or float
                 try:
                     values[key] = _BOOL_VALUES[value.lower()] if kind is bool else kind(value)
@@ -359,17 +352,7 @@ def _init_tree(corpus: PreparedCorpus, config: RunConfig) -> TreeLstmParams:
 
 def cmd_pretrain(args, config: RunConfig) -> int:
     corpus = preprocess(load_corpus(args.input), config)
-    model, history = pretrain(
-        corpus.split_corpus,
-        _init_tree(corpus, config),
-        PretrainConfig(
-            learning_rate=config.learning_rate,
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            seed=config.seed,
-            neg_ratio=config.neg_ratio,
-        ),
-    )
+    model, history = pretrain(corpus.split_corpus, _init_tree(corpus, config), config)
     save_checkpoint(args.output, tree=model.tree, sep=model)
     _write_loss_log(
         args.log,

@@ -369,18 +369,16 @@ class PretrainConfig:
     neg_ratio: int = 1
 
     def validate(self):
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ConfigError(
-                f"learning rate must be positive and finite, got {self.learning_rate}"
-            )
-        if self.epochs <= 0:
-            raise ConfigError(f"epochs must be positive, got {self.epochs}")
-        if self.batch_size <= 0:
-            raise ConfigError(f"batch size must be positive, got {self.batch_size}")
-        if self.neg_ratio <= 0:
-            raise ConfigError(f"neg_ratio must be positive, got {self.neg_ratio}")
+        for name in ("epochs", "batch_size", "neg_ratio"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        return self
 
 
 @dataclass

@@ -566,6 +566,21 @@ class TestAdam:
             opt.zero_grad()
         assert np.all(np.abs(x.data) < 1e-3)
 
+    def test_steps_equal_the_textbook_update_bit_for_bit(self):
+        """beta1 0.9, beta2 0.999 and eps 1e-8, in this operation order."""
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        data, m, v = x.data.copy(), np.zeros((3, 2)), np.zeros((3, 2))
+        opt = Adam([x], lr=0.05)
+        for t in range(1, 6):
+            g = rng.normal(size=(3, 2))
+            x.grad = g.copy()
+            opt.step()
+            m = m * 0.9 + (1.0 - 0.9) * g
+            v = v * 0.999 + (1.0 - 0.999) * (g * g)
+            data -= 0.05 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            assert np.array_equal(x.data, data)
+
     def test_rejects_bad_learning_rate(self):
         with pytest.raises(ValueError):
             Adam([Tensor([1.0], requires_grad=True)], lr=0.0)

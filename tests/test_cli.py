@@ -197,6 +197,13 @@ class TestRunConfig:
             run([command, "--config", str(config_path), "--input", str(corpus_path),
                  "--seed", "-1", "--output", str(tmp_path / "out.ckpt")])
 
+    def test_repeated_key_names_its_second_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("heads = 2\n# width\nembedding_size = 16\nheads = 4\n")
+        with pytest.raises(FormatError, match=r"^line 4: repeated config key 'heads'$") as err:
+            RunConfig.from_file(path)
+        assert err.value.line == 4
+
     def test_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("emedding_size = 16\n")
@@ -498,15 +505,15 @@ SMALL_CHECKPOINTS = _small_checkpoints()
 
 
 @contextmanager
-def allocation_bound(raw: bytes):
-    """The block's tracemalloc peak must stay within 4 * len(raw) + 256 KiB."""
+def allocation_bound(raw: bytes, factor: float = 4):
+    """The block's tracemalloc peak must stay within factor * len(raw) + 256 KiB."""
     tracemalloc.start()
     try:
         yield
     finally:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    assert peak <= 4 * len(raw) + 256 * 1024, f"peak {peak} for {len(raw)} bytes"
+    assert peak <= factor * len(raw) + 256 * 1024, f"peak {peak} for {len(raw)} bytes"
 
 
 class TestCheckpointFormat:
@@ -566,8 +573,21 @@ class TestCheckpointFormat:
         raw = self._tree_with_blobs(
             lambda blobs: blobs + [("bogus", Tensor(np.zeros(4)))]
         )
-        with pytest.raises(CheckpointError, match="unexpected blob 'bogus'"):
+        # a blob after the tree's is read as the pair-scoring head's first
+        with pytest.raises(CheckpointError, match=r"^blob 'bogus' found where 'score_w' belongs$"):
             deserialize(raw)
+
+    @pytest.mark.parametrize("kind, first", [("tree+sep", b"embedding"),
+                                             ("summarizer", b"code_embedding")])
+    def test_blob_after_the_last_slot_is_unexpected(self, kind, first):
+        """The last section's blob count is raised by one and a blob appended."""
+        raw = SMALL_CHECKPOINTS[kind]
+        at = raw.index(first) - 8  # the count precedes the first blob's name length
+        count = struct.unpack_from("<I", raw, at)[0]
+        bogus = struct.pack("<I", 5) + b"bogus" + struct.pack("<BQ", 1, 0)
+        bad = raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:-4] + bogus + raw[-4:]
+        with pytest.raises(CheckpointError, match=r"^unexpected blob 'bogus'$"):
+            deserialize(self._resealed(bad))
 
     def test_blob_shape_mismatch_is_named(self):
         def shrink(blobs):
@@ -592,10 +612,13 @@ class TestCheckpointFormat:
             deserialize(self._resealed(raw.replace(old, new)))
 
     @pytest.mark.parametrize("shape, message", [
-        # 2**32 * 2**32 is 0 in int64 arithmetic; the element count must not wrap
-        (struct.pack("<BQQ", 2, 2**32, 2**32), "truncated checkpoint"),
-        (struct.pack("<BQQ", 2, 0, 2**63), "blob 'embedding' has unusable shape"),
-        (struct.pack("<B", 65) + bytes(65 * 8), "blob 'embedding' has unusable shape"),
+        # shapes numpy cannot hold: refused by the statement before any arithmetic
+        (struct.pack("<BQQ", 2, 2**32, 2**32),
+         r"^blob 'embedding' has shape \(4294967296, 4294967296\), expected \(1, 4\)$"),
+        (struct.pack("<BQQ", 2, 0, 2**63),
+         r"^blob 'embedding' has shape \(0, 9223372036854775808\), expected \(1, 4\)$"),
+        (struct.pack("<B", 65) + bytes(65 * 8),
+         r"^blob 'embedding' has shape \(0(, 0){64}\), expected \(1, 4\)$"),
     ], ids=["dims-past-int64", "zero-and-huge-dim", "rank-65"])
     def test_unusable_blob_shape_is_a_checkpoint_error(self, shape, message):
         params = TreeLstmParams.init({"<UNK>": 0}, 4, np.random.default_rng(0))
@@ -708,6 +731,24 @@ class TestCheckpointFormat:
                                     tree_width=width, width=width)
         with allocation_bound(raw):
             deserialize(raw)
+
+    def test_valid_summarizer_loads_within_its_parameters(self):
+        """Only the parameter arrays, about the file's size, are allocated."""
+        raw = summarizer_checkpoint(SPECIALS + [f"c{i}" for i in range(400)],
+                                    SPECIALS + [f"w{i}" for i in range(400)],
+                                    tree_width=64, width=64)
+        with allocation_bound(raw, factor=1.25):
+            deserialize(raw)
+
+    def test_many_tiny_blobs_fail_within_allocation_bound(self):
+        """100,000 blobs, each an empty name of rank 1 and dim 0 (13 bytes)."""
+        raw = SMALL_CHECKPOINTS["tree"]
+        at = raw.index(b"embedding") - 8  # the blob count
+        blobs = struct.pack("<IBQ", 0, 1, 0) * 100_000
+        bad = self._resealed(raw[:at] + struct.pack("<I", 100_000) + blobs + raw[-4:])
+        with allocation_bound(bad), pytest.raises(
+                CheckpointError, match=r"^blob '' found where 'embedding' belongs$"):
+            deserialize(bad)
 
     @given(kind=st.sampled_from(sorted(SMALL_CHECKPOINTS)), data=st.data())
     def test_single_byte_change_loads_or_raises_checkpoint_error(self, kind, data):
