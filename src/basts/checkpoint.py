@@ -14,6 +14,8 @@ the pair-scoring head appended it is a pre-training checkpoint on its
 own. The transformer section adds the two token vocabularies, the layer
 geometry, and its parameter blobs. Identical parameters serialize to
 identical bytes, which is what the reproducibility checks compare.
+`serialize` builds the file in one bytearray and returns it;
+`save_checkpoint` writes it as is.
 
 Loading reads the file once, front to back, through a memoryview of it.
 A section's blob count is bounded by the bytes left (every blob takes at
@@ -188,7 +190,7 @@ class Checkpoint:
 def serialize(tree: TreeLstmParams | None = None, sep: SepModel | None = None,
               transformer: TransformerParams | None = None,
               code_vocab: Vocab | None = None,
-              word_vocab: Vocab | None = None) -> bytes:
+              word_vocab: Vocab | None = None) -> bytearray:
     if transformer is not None and (code_vocab is None or word_vocab is None):
         raise CheckpointError("transformer section needs both vocabularies")
     flags = ((_FLAG_TREE if tree is not None else 0)
@@ -199,7 +201,7 @@ def serialize(tree: TreeLstmParams | None = None, sep: SepModel | None = None,
     if transformer is not None:
         _pack_transformer(out, transformer, code_vocab, word_vocab)
     out += struct.pack("<I", zlib.crc32(memoryview(out)[8:]))
-    return bytes(out)
+    return out
 
 
 def deserialize(raw: bytes) -> Checkpoint:

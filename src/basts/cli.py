@@ -20,7 +20,7 @@ import numpy as np
 
 from basts.autodiff import Adam
 from basts.cfg import CfgError, build_cfg, cfg_to_dot
-from basts.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from basts.checkpoint import load_checkpoint, save_checkpoint
 from basts.dominators import DomError, compute_dominators, dom_to_dot
 from basts.frontend import (
     LexError,
@@ -365,6 +365,8 @@ def cmd_pretrain(args, config: RunConfig) -> int:
 
 
 def cmd_train(args, config: RunConfig) -> int:
+    if bool(args.checkpoint) == args.from_scratch:
+        raise ConfigError("train needs exactly one of --checkpoint and --from-scratch")
     corpus = preprocess(load_corpus(args.input), config)
     if args.checkpoint:
         tree = load_checkpoint(args.checkpoint).tree
@@ -375,10 +377,8 @@ def cmd_train(args, config: RunConfig) -> int:
                 f"checkpoint width {tree.size} != embedding_size "
                 f"{config.embedding_size}"
             )
-    elif args.from_scratch:
-        tree = _init_tree(corpus, config)
     else:
-        raise ConfigError("train needs --checkpoint or --from-scratch")
+        tree = _init_tree(corpus, config)
     transformer = TransformerParams.init(
         len(corpus.code_vocab),
         len(corpus.word_vocab),

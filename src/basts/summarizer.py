@@ -4,7 +4,7 @@ Each example's split embeddings are average-pooled into one syntax
 vector, concatenated with every code token embedding, and projected
 through a ReLU layer; the result, plus sinusoidal position encodings,
 feeds a standard multi-head encoder/decoder stack (post-sublayer layer
-norm, residual connections, padding and causal masks). Training is
+norm, residual connections, a causal mask in the decoder). Training is
 teacher-forced cross entropy; decoding is greedy.
 
 A training batch is packed: the token rows of all its examples form one
@@ -16,21 +16,22 @@ averaging matrix pools them per example. Every attention call runs all
 of its heads, over every example's own rows, as one `autodiff.attention`
 op, so its tape cost grows with neither the head count nor the batch
 size, and no attention array spans two examples. Each example's rows
-follow from the shape of its mask block; `attention_mask` builds and
-checks a batch's blocks once, for the encoder, the decoder's
-self-attention and its cross-attention, and every layer reuses them.
-The decoder's cross-attention keys and values depend on the encoder
-output alone, so `memory_kv` projects them once per batch, before the
-decoder runs, and every decoder layer takes its own pair.
+follow from the shape of its mask block. Packed batches hold no padding,
+so the encoder's and the cross-attention's blocks are zeros, built once
+per batch and reused by every layer; the decoder's self-attention block
+is the cached `causal_mask`. The decoder's cross-attention keys and
+values depend on the encoder output alone, so `memory_kv` projects them
+once per batch, before the decoder runs, and every decoder layer takes
+its own pair.
 `encode`, `decoder_logits` and `greedy_decode` run the same code on a
-batch of one. Decoding builds its masks and memory keys and values once
-per comment; each step passes views of the mask blocks.
+batch of one. Decoding encodes and projects the memory keys and values
+once per comment.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +44,6 @@ from basts.syntax_encoder import encode_tree  # noqa: F401
 
 
 class EmptyInputError(ValueError):
-    pass
-
-
-class MaskError(ValueError):
     pass
 
 
@@ -238,20 +235,21 @@ def _positions(lengths, size: int) -> np.ndarray:
     return np.concatenate([positional_matrix(n, size) for n in lengths])
 
 
-def attention_mask(allowed_blocks) -> list[np.ndarray]:
-    """Additive mask blocks, as `autodiff.attention` takes them, from boolean ones.
+_CAUSAL_CACHE: dict[int, np.ndarray] = {}
 
-    `allowed_blocks[b][i, j]` marks whether query position i of example b
-    may look at its key position j. A query row with no allowed key raises
-    MaskError naming its example and position.
+
+def causal_mask(s: int) -> np.ndarray:
+    """The additive [s, s] decoder self-attention block: -inf above the diagonal.
+
+    Position i sees positions 0..i. The block is read-only and cached per
+    s, so a decode step does not rebuild it.
     """
-    for b, block in enumerate(allowed_blocks):
-        rows_ok = block.any(axis=1)
-        if not rows_ok.all():
-            bad = int(np.flatnonzero(~rows_ok)[0])
-            raise MaskError(f"example {b} of the batch: query position {bad} "
-                            f"has every key masked")
-    return [np.where(block, 0.0, -np.inf) for block in allowed_blocks]
+    cached = _CAUSAL_CACHE.get(s)
+    if cached is None:
+        cached = np.triu(np.full((s, s), -np.inf), k=1)
+        cached.setflags(write=False)
+        _CAUSAL_CACHE[s] = cached
+    return cached
 
 
 def multi_head_attention(x: Tensor, params: AttentionParams, heads: int, mask,
@@ -262,10 +260,11 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int, mask,
     from x, after its queries. Otherwise `kv` holds the projected keys and
     values of another sequence, as `memory_kv` makes them. `mask` holds
     one additive block per example packed into the rows, as
-    `attention_mask` builds them; each block's shape gives its example's
-    query and key rows. Self-attention is five tape ops at any head count
-    and batch size: three projections, `autodiff.attention` and the output
-    projection; attention over given keys and values is three.
+    `autodiff.attention` takes them; each block's shape gives its
+    example's query and key rows. Self-attention is five tape ops at any
+    head count and batch size: three projections, `autodiff.attention`
+    and the output projection; attention over given keys and values is
+    three.
     """
     q = ad.matmul(x, params.wq)
     if kv is None:
@@ -311,19 +310,6 @@ def _decoder_layer(y: Tensor, kv: tuple[Tensor, Tensor], layer: DecoderLayerPara
     return y
 
 
-def source_mask(example: SummarizationExample) -> np.ndarray:
-    """True at non-PAD code positions."""
-    return np.asarray(example.code_ids) != Vocab.PAD
-
-
-def _causal_mask(target_ids: list[int]) -> np.ndarray:
-    """Decoder self-attention: each position sees itself and earlier non-PAD ones."""
-    s = len(target_ids)
-    allowed = np.tril(np.ones((s, s), dtype=bool)) & (np.asarray(target_ids) != Vocab.PAD)
-    np.fill_diagonal(allowed, True)  # a position may always see itself
-    return allowed
-
-
 def encode_batch(batch: list[SummarizationExample], model: SummarizerModel,
                  freeze_tree: bool = False) -> Tensor:
     """Source encodings of a batch, packed into one [Σn, L] matrix.
@@ -334,14 +320,15 @@ def encode_batch(batch: list[SummarizationExample], model: SummarizerModel,
     into row b of a [B, L] matrix, and one lookup takes row b once per
     code token of example b. The fused inputs, with
     positions restarting at each example, go through each encoder layer
-    once for the whole batch; attention stays within an example and
-    skips its PAD keys.
+    once for the whole batch; attention stays within an example.
     """
     t = model.transformer
     trees, spans = [], []
     for b, example in enumerate(batch):
         if not example.split_asts:
             raise EmptyInputError(f"example {b} of the batch has no split ASTs")
+        if not example.code_ids:
+            raise EmptyInputError(f"example {b} of the batch has no code tokens")
         spans.append((len(trees), len(trees) + len(example.split_asts)))
         trees += example.split_asts
     pool = np.zeros((len(batch), len(trees)))
@@ -361,8 +348,7 @@ def encode_batch(batch: list[SummarizationExample], model: SummarizerModel,
     joint = ad.concat([syntax, tokens], axis=1)
     fused = ad.relu(ad.add_rowvec(ad.matmul(joint, ad.transpose(t.fuse_w)), t.fuse_b))
     x = ad.add(fused, Tensor(_positions(lengths, t.size)))
-    self_mask = attention_mask([np.broadcast_to(source_mask(example), (n, n))
-                                for example, n in zip(batch, lengths)])
+    self_mask = [np.zeros((n, n)) for n in lengths]
     for layer in t.enc:
         x = _encoder_layer(x, layer, t.heads, self_mask)
     return x
@@ -377,33 +363,20 @@ def encode(example: SummarizationExample, model: SummarizerModel) -> Tensor:
     return encode_batch([example], model)
 
 
-def decoder_masks(target_ids, keys_ok) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The decoder's additive self- and cross-attention blocks of a packed batch.
-
-    Example b's self block is the causal mask over `target_ids[b]`; its
-    cross block lets every target position see the keys `keys_ok[b]`
-    marks, one per memory row of example b.
-    """
-    self_mask = attention_mask([_causal_mask(ids) for ids in target_ids])
-    cross_mask = attention_mask([np.broadcast_to(ok, (len(ids), len(ok)))
-                                 for ids, ok in zip(target_ids, keys_ok)])
-    return self_mask, cross_mask
-
-
-def decoder_logits(target_ids, kv, masks, model: SummarizerModel) -> Tensor:
+def decoder_logits(target_ids, kv, memory_lengths, model: SummarizerModel) -> Tensor:
     """Word logits at every target position of a packed batch, under the causal mask.
 
     `target_ids` holds each example's decoder input ids; `kv` is
-    `memory_kv` of the batch's packed memory, and `masks` the pair of
-    mask block lists `decoder_masks` builds, whose key columns cut the
-    memory into the examples' rows as `encode_batch` packs them. The
-    [Σs, V] result holds example b's rows in order. Each example's
+    `memory_kv` of the batch's packed memory, and `memory_lengths[b]`
+    the number of memory rows of example b, as `encode_batch` packs them.
+    The [Σs, V] result holds example b's rows in order. Each example's
     self-attention and cross-attention stay within its own rows, so every
     decoder layer runs once for the whole batch.
     """
     t = model.transformer
-    self_mask, cross_mask = masks
     lengths = [len(ids) for ids in target_ids]
+    self_mask = [causal_mask(s) for s in lengths]
+    cross_mask = [np.zeros((s, m)) for s, m in zip(lengths, memory_lengths)]
     y = ad.add(
         ad.embedding_lookup(t.word_embedding, [i for ids in target_ids for i in ids]),
         Tensor(_positions(lengths, t.size)),
@@ -426,8 +399,8 @@ def train_step(batch: list[SummarizationExample], model: SummarizerModel,
     with Tape() as tape:
         memory = encode_batch(batch, model, freeze_tree)
         inputs = [example.comment_ids[:-1] for example in batch]
-        masks = decoder_masks(inputs, [source_mask(example) for example in batch])
-        logits = decoder_logits(inputs, memory_kv(memory, model), masks, model)
+        logits = decoder_logits(inputs, memory_kv(memory, model),
+                                [len(example.code_ids) for example in batch], model)
         targets = [i for example in batch for i in example.comment_ids[1:]]
         loss = ad.cross_entropy_logits(logits, targets)
         if not np.isfinite(loss.data):
@@ -449,22 +422,16 @@ def greedy_decode(example: SummarizationExample, model: SummarizerModel,
     eligible id. EOS stops generation and is not part of the result.
 
     Each step runs the whole prefix through `decoder_logits`. What does
-    not change between steps is made once per comment: the encoding, its
-    cross-attention keys and values, and the mask blocks. Decoded ids are
-    never PAD, so step s's blocks are the leading s rows (and, for the
-    causal block, columns) of blocks with `max_len + 1` rows.
+    not change between steps is made once per comment: the encoding and
+    its cross-attention keys and values.
     """
     with no_grad():
-        memory = encode(example, model)
-        kv = memory_kv(memory, model)
-        rows = max(max_len, 0) + 1  # a max_len below 1 runs no step, but the masks build
-        (causal,), (cross,) = decoder_masks([[Vocab.BOS] * rows], [source_mask(example)])
+        kv = memory_kv(encode(example, model), model)
+        memory_lengths = [len(example.code_ids)]
         out = [Vocab.BOS]
         content: list[int] = []
         for _ in range(max_len):
-            s = len(out)
-            masks = [causal[:s, :s]], [cross[:s]]
-            logits = decoder_logits([out], kv, masks, model).data[-1].copy()
+            logits = decoder_logits([out], kv, memory_lengths, model).data[-1].copy()
             logits[Vocab.PAD] = -np.inf
             logits[Vocab.BOS] = -np.inf
             nxt = int(np.argmax(logits))

@@ -21,10 +21,10 @@ place and reduce through `np.add.reduce`, must match them bit for bit.
 `row_softmax` and `attention_per_head` are the one-op-per-head form of
 `autodiff.attention`, and `multi_head_attention_per_head` the matching
 form of `summarizer.multi_head_attention`, one mask block of packed rows
-at a time, with each block's rows counted from its shape and its own
-check for fully masked rows. `avg_pool`, `encode_per_example`,
-`encoder_layer_per_example`, `decoder_layer_per_example`,
-`decoder_logits_per_example` and `train_loss_per_example` are the
+at a time, with each block's rows counted from its shape. `avg_pool`,
+`encode_per_example`, `encoder_layer_per_example`,
+`decoder_layer_per_example`, `decoder_logits_per_example` and
+`train_loss_per_example` are the
 one-example-at-a-time form of `summarizer.train_step`'s loss: each
 example gets its own tree fold, its own encoder and decoder passes with
 per-head attention, and its own cross entropy, where the step packs the
@@ -60,14 +60,11 @@ from basts.summarizer import (
     DecoderLayerParams,
     EmptyInputError,
     EncoderLayerParams,
-    MaskError,
     SummarizationExample,
     SummarizerModel,
     TransformerParams,
-    Vocab,
     _feed_forward,
     positional_matrix,
-    source_mask,
 )
 from basts.syntax_encoder import (
     SCORE_FLOOR,
@@ -202,17 +199,10 @@ def multi_head_attention_per_head(x: Tensor, params: AttentionParams, heads: int
 
     As there, keys and values are projected from x unless `kv` gives them.
     `allowed` holds one boolean block per example, where the package code
-    takes the additive blocks `summarizer.attention_mask` builds; it is
-    checked here on its own. Packed rows are attended one block at a time:
+    takes additive blocks. Packed rows are attended one block at a time:
     block b's query and key rows, which its shape counts, are gathered,
     attended on their own and stacked again.
     """
-    for b, block in enumerate(allowed):
-        rows_ok = block.any(axis=1)
-        if not rows_ok.all():
-            bad = int(np.flatnonzero(~rows_ok)[0])
-            raise MaskError(f"example {b} of the batch: query position {bad} "
-                            f"has every key masked")
     q = ad.matmul(x, params.wq)
     k, v = (ad.matmul(x, params.wk), ad.matmul(x, params.wv)) if kv is None else kv
     q_off = np.cumsum([0] + [block.shape[0] for block in allowed])
@@ -255,7 +245,7 @@ def decoder_layer_per_example(y: Tensor, memory: Tensor, layer: DecoderLayerPara
     return y
 
 
-def decoder_logits_per_example(target_ids: list[int], memory: Tensor, keys_ok: np.ndarray,
+def decoder_logits_per_example(target_ids: list[int], memory: Tensor,
                                model: SummarizerModel) -> Tensor:
     """Word logits of one example at every target position under the causal mask."""
     t = model.transformer
@@ -264,11 +254,8 @@ def decoder_logits_per_example(target_ids: list[int], memory: Tensor, keys_ok: n
         ad.embedding_lookup(t.word_embedding, target_ids),
         Tensor(positional_matrix(s, t.size)),
     )
-    target_ok = np.asarray(target_ids) != Vocab.PAD
-    causal = np.tril(np.ones((s, s), dtype=bool))
-    self_allowed = causal & target_ok
-    np.fill_diagonal(self_allowed, True)  # a position may always see itself
-    cross_allowed = np.broadcast_to(keys_ok, (s, memory.shape[0]))
+    self_allowed = np.tril(np.ones((s, s), dtype=bool))
+    cross_allowed = np.ones((s, memory.shape[0]), dtype=bool)
     for layer in t.dec:
         y = decoder_layer_per_example(y, memory, layer, t.heads, [self_allowed],
                                       [cross_allowed])
@@ -298,7 +285,7 @@ def encode_per_example(example: SummarizationExample, model: SummarizerModel,
     joint = ad.concat([ad.repeat_row(pooled, n), tokens], axis=1)
     fused = ad.relu(ad.add_rowvec(ad.matmul(joint, ad.transpose(t.fuse_w)), t.fuse_b))
     x = ad.add(fused, Tensor(positional_matrix(n, t.size)))
-    allowed = np.broadcast_to(source_mask(example), (n, n))
+    allowed = np.ones((n, n), dtype=bool)
     for layer in t.enc:
         x = encoder_layer_per_example(x, layer, t.heads, [allowed])
     return x
@@ -317,8 +304,7 @@ def train_loss_per_example(batch: list[SummarizationExample], model: SummarizerM
     for example in batch:
         memory = encode_per_example(example, model, freeze_tree)
         targets = example.comment_ids[1:]
-        logits = decoder_logits_per_example(example.comment_ids[:-1], memory,
-                                            source_mask(example), model)
+        logits = decoder_logits_per_example(example.comment_ids[:-1], memory, model)
         ce = ad.scalar_mul(ad.cross_entropy_logits(logits, targets), len(targets) / count)
         total = ce if total is None else ad.add(total, ce)
     return total

@@ -740,6 +740,18 @@ class TestCheckpointFormat:
         with allocation_bound(raw, factor=1.25):
             deserialize(raw)
 
+    def test_save_holds_one_copy_of_the_checkpoint(self, tmp_path):
+        """The bytes `serialize` builds are written as they are, not copied first."""
+        raw = summarizer_checkpoint(SPECIALS + [f"c{i}" for i in range(400)],
+                                    SPECIALS + [f"w{i}" for i in range(400)],
+                                    tree_width=64, width=64)
+        ckpt = deserialize(raw)
+        path = tmp_path / "model.ckpt"
+        with allocation_bound(raw, factor=1.25):
+            save_checkpoint(path, tree=ckpt.tree, transformer=ckpt.transformer,
+                            code_vocab=ckpt.code_vocab, word_vocab=ckpt.word_vocab)
+        assert path.read_bytes() == raw
+
     def test_many_tiny_blobs_fail_within_allocation_bound(self):
         """100,000 blobs, each an empty name of rank 1 and dim 0 (13 bytes)."""
         raw = SMALL_CHECKPOINTS["tree"]
@@ -902,8 +914,22 @@ class TestCliCommands:
 
     def test_train_without_checkpoint_or_scratch_fails(self, tmp_path, capsys):
         corpus_path, config_path = _write_toy_setup(tmp_path)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^train needs exactly one of --checkpoint "
+                                              "and --from-scratch$"):
             run([
                 "train", "--config", str(config_path), "--input", str(corpus_path),
                 "--output", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.csv"),
             ])
+
+    def test_train_with_checkpoint_and_scratch_fails(self, tmp_path, capsys):
+        corpus_path, config_path = _write_toy_setup(tmp_path)
+        tree = TreeLstmParams.init({"<UNK>": 0}, 16, np.random.default_rng(0))
+        save_checkpoint(tmp_path / "sep.ckpt", tree=tree)
+        with pytest.raises(ConfigError, match="^train needs exactly one of --checkpoint "
+                                              "and --from-scratch$"):
+            run([
+                "train", "--config", str(config_path), "--input", str(corpus_path),
+                "--checkpoint", str(tmp_path / "sep.ckpt"), "--from-scratch",
+                "--output", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.csv"),
+            ])
+        assert not (tmp_path / "m.ckpt").exists()

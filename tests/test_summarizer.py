@@ -16,21 +16,18 @@ from basts.splitter import SplitAst
 from basts.summarizer import (
     AttentionParams,
     EmptyInputError,
-    MaskError,
     SummarizationExample,
     SummarizerModel,
     TransformerParams,
     Vocab,
-    attention_mask,
+    causal_mask,
     decoder_logits,
-    decoder_masks,
     encode,
     encode_batch,
     greedy_decode,
     memory_kv,
     multi_head_attention,
     positional_matrix,
-    source_mask,
     train_step,
 )
 from basts.syntax_encoder import TreeLstmParams, build_type_value_vocab, encode_trees
@@ -46,7 +43,7 @@ from toydata import SUMMARIZATION_ROWS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from minigen import generate_records  # noqa: E402
-from workloads import SMALL_PROFILE  # noqa: E402
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
 
 
 def make_model(size=8, heads=2, enc=1, dec=1, code_vocab=12, word_vocab=10, seed=0):
@@ -177,8 +174,7 @@ class TestMultiHeadAttention:
         x_kv = Tensor(np.tile(row, (4, 1)))
         x_q = Tensor(np.random.default_rng(1).normal(size=(3, size)))
         kv = ad.matmul(x_kv, params.wk), ad.matmul(x_kv, params.wv)
-        out = multi_head_attention(x_q, params, heads=2,
-                                   mask=attention_mask([np.ones((3, 4), dtype=bool)]), kv=kv)
+        out = multi_head_attention(x_q, params, heads=2, mask=[np.zeros((3, 4))], kv=kv)
         expected = row @ params.wv.data
         for r in out.data:
             assert np.allclose(r, expected, atol=1e-12)
@@ -187,8 +183,7 @@ class TestMultiHeadAttention:
         size = 4
         params = self._params(size, wo_identity=True)
         x = Tensor(np.random.default_rng(2).normal(size=(1, size)))
-        out = multi_head_attention(x, params, heads=1,
-                                   mask=attention_mask([np.ones((1, 1), dtype=bool)]))
+        out = multi_head_attention(x, params, heads=1, mask=[np.zeros((1, 1))])
         assert np.array_equal(out.data, x.data @ params.wv.data)
 
     def test_two_by_two_single_head_hand_computed(self):
@@ -203,8 +198,7 @@ class TestMultiHeadAttention:
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
         expected = (attn @ v) @ params.wo.data
-        out = multi_head_attention(Tensor(x), params, heads=1,
-                                   mask=attention_mask([np.ones((2, 2), dtype=bool)]))
+        out = multi_head_attention(Tensor(x), params, heads=1, mask=[np.zeros((2, 2))])
         assert np.allclose(out.data, expected, atol=1e-14)
 
     def test_attention_rows_sum_to_one(self):
@@ -214,24 +208,15 @@ class TestMultiHeadAttention:
         attn = row_softmax(scores)
         assert np.max(np.abs(attn.data.sum(axis=1) - 1.0)) <= 1e-12
 
-    def test_fully_masked_row_raises(self):
-        allowed = np.array([[True, True], [False, False]])
-        with pytest.raises(MaskError):
-            attention_mask([allowed])
-
-    def test_fully_masked_row_names_its_example_and_position(self):
-        allowed = [np.ones((2, 2), dtype=bool), np.tril(np.ones((3, 3), dtype=bool))]
-        allowed[1][2] = False
-        with pytest.raises(MaskError, match="^example 1 of the batch: query position 2 "
-                                            "has every key masked$"):
-            attention_mask(allowed)
-
-    def test_mask_is_zero_where_allowed_and_minus_inf_elsewhere(self):
-        allowed = [np.array([[True, False, True]]), np.tril(np.ones((2, 2), dtype=bool))]
-        mask = attention_mask(allowed)
-        assert [block.dtype for block in mask] == [np.float64, np.float64]
-        assert np.array_equal(mask[0], [[0.0, -np.inf, 0.0]])
-        assert np.array_equal(mask[1], [[0.0, -np.inf], [0.0, 0.0]])
+    def test_causal_mask_blocks_keys_above_the_diagonal(self):
+        block = causal_mask(3)
+        assert block.dtype == np.float64
+        assert np.array_equal(block, [[0.0, -np.inf, -np.inf],
+                                      [0.0, 0.0, -np.inf],
+                                      [0.0, 0.0, 0.0]])
+        assert not np.signbit(block[np.isfinite(block)]).any()  # +0.0, not -0.0
+        assert not block.flags.writeable
+        assert causal_mask(3) is block
 
 
 class TestEncode:
@@ -285,14 +270,6 @@ class TestEncode:
         out = encode(ex, model)
         assert np.allclose(out.data, x, atol=1e-12)
 
-    def test_padding_invariance(self):
-        model = make_model(enc=2, dec=1)
-        base = make_example(code_ids=(7, 8, 9, 4))
-        padded = make_example(code_ids=(7, 8, 9, 4, Vocab.PAD, Vocab.PAD))
-        out_base = encode(base, model).data
-        out_padded = encode(padded, model).data[:4]
-        assert np.max(np.abs(out_base - out_padded)) <= 1e-10
-
 
 def corpus_and_model(records, config):
     """Records {id, code, comment}, preprocessed, and a fresh model at `config`."""
@@ -315,6 +292,31 @@ def corpus_and_model(records, config):
 def toy_corpus_and_model():
     """The 16 toy rows, preprocessed, and a fresh model at the default config."""
     return corpus_and_model(SUMMARIZATION_ROWS, RunConfig())
+
+
+class TestPreprocessedExamples:
+    """Packed batches carry no padding masks, which rests on what `preprocess` yields."""
+
+    # seeds 1-5 of each bench profile; about 1.5 s in all
+    @pytest.mark.parametrize("label, profile, count", [
+        ("toy", None, None),
+        ("prep-large", PREP_PROFILE, 20),
+        ("pretrain-sep", MEDIUM_PROFILE, 60),
+        ("summarize-small", SMALL_PROFILE, 60),
+    ], ids=["toy", "prep-large", "pretrain-sep", "summarize-small"])
+    def test_no_pad_ids_and_no_empty_code(self, label, profile, count):
+        if profile is None:
+            records = SUMMARIZATION_ROWS
+        else:
+            records = [r for seed in range(1, 6)
+                       for r in generate_records(label, seed, count, profile)]
+        corpus = preprocess(
+            [CorpusRecord(r["id"], r["code"], r["comment"]) for r in records], RunConfig())
+        assert len(corpus.examples) == len(records)
+        for example in corpus.examples:
+            assert example.code_ids
+            assert Vocab.PAD not in example.code_ids
+            assert Vocab.PAD not in example.comment_ids
 
 
 class GradientRecorder:
@@ -374,14 +376,9 @@ class TestBatchedEncode:
     @pytest.mark.parametrize("freeze_tree", [False, True])
     @pytest.mark.parametrize("picks", [[14], [8, 14, 6]])
     def test_small_batches_match_per_example_oracle(self, picks, freeze_tree):
-        # code lengths 13, 57 and 18 (plus 3 PADs), comment lengths 7, 7 and 8
+        # code lengths 13, 57 and 18, comment lengths 7, 7 and 8
         corpus, model = toy_corpus_and_model()
-        batch = [corpus.examples[i] for i in picks]
-        if len(batch) > 1:
-            padded = batch[2]
-            batch[2] = SummarizationExample(padded.code_ids + [Vocab.PAD] * 3,
-                                            padded.split_asts, padded.comment_ids)
-        assert_step_matches_oracle(batch, model, freeze_tree)
+        assert_step_matches_oracle([corpus.examples[i] for i in picks], model, freeze_tree)
 
     # 60 batches of 1 to 16 methods, repeats allowed; about 4 s
     @settings(max_examples=60)
@@ -398,10 +395,12 @@ class TestBatchedEncode:
         for _ in range(3):
             train_step(corpus.examples, model, opt)
         decoded = [greedy_decode(ex, model, max_len=12) for ex in corpus.examples]
-        monkeypatch.setattr(summarizer, "multi_head_attention",
-                            multi_head_attention_per_head)
-        # the oracle takes the boolean blocks and checks them itself
-        monkeypatch.setattr(summarizer, "attention_mask", list)
+
+        def per_head(x, params, heads, mask, kv=None):  # additive blocks to boolean
+            return multi_head_attention_per_head(x, params, heads,
+                                                 [block == 0.0 for block in mask], kv)
+
+        monkeypatch.setattr(summarizer, "multi_head_attention", per_head)
         assert decoded == [greedy_decode(ex, model, max_len=12) for ex in corpus.examples]
         assert len({tuple(ids) for ids in decoded}) > 1
 
@@ -424,11 +423,10 @@ class TestBatchedEncode:
             train_step([make_example(), empty], model, Adam(model.all_params()))
 
     def test_fully_masked_example_is_named_by_its_batch_index(self):
+        # without code tokens, the comment's cross-attention would have no key
         model = make_model(enc=1, dec=1)
-        batch = [make_example(), make_example(code_ids=(9, 4, 7)),
-                 make_example(code_ids=(Vocab.PAD,) * 3)]
-        with pytest.raises(MaskError, match="^example 2 of the batch: query position 0 "
-                                            "has every key masked$"):
+        batch = [make_example(), make_example(code_ids=(9, 4, 7)), make_example(code_ids=())]
+        with pytest.raises(EmptyInputError, match="^example 2 of the batch has no code tokens$"):
             train_step(batch, model, Adam(model.all_params()))
         assert all(p.grad is None for p in model.all_params())
 
@@ -477,8 +475,8 @@ class TestTrainStep:
         def f(_):
             memory = encode(ex, model)
             inputs = [ex.comment_ids[:-1]]
-            logits = decoder_logits(inputs, memory_kv(memory, model),
-                                    decoder_masks(inputs, [source_mask(ex)]), model)
+            logits = decoder_logits(inputs, memory_kv(memory, model), [len(ex.code_ids)],
+                                    model)
             return ad.cross_entropy_logits(logits, ex.comment_ids[1:])
 
         targets = {
@@ -519,8 +517,7 @@ class TestCostGates:
         params = AttentionParams.statement(8).draw(np.random.default_rng(heads))
         x = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
         with ad.Tape() as tape:
-            multi_head_attention(x, params, heads,
-                                 attention_mask([np.tril(np.ones((5, 5), dtype=bool))]))
+            multi_head_attention(x, params, heads, [causal_mask(5)])
         assert len(tape.nodes) == 5
 
     @pytest.mark.parametrize("batch", [1, 3, 16])
@@ -528,25 +525,9 @@ class TestCostGates:
         params = AttentionParams.statement(8).draw(np.random.default_rng(batch))
         lengths = [2 + b % 5 for b in range(batch)]
         x = Tensor(np.random.default_rng(0).normal(size=(sum(lengths), 8)))
-        mask = attention_mask([np.tril(np.ones((n, n), dtype=bool)) for n in lengths])
         with ad.Tape() as tape:
-            multi_head_attention(x, params, 2, mask)
+            multi_head_attention(x, params, 2, [causal_mask(n) for n in lengths])
         assert len(tape.nodes) == 5
-
-    @pytest.mark.parametrize("enc,dec", [(1, 1), (3, 2)])
-    def test_train_step_builds_three_masks_at_any_depth(self, monkeypatch, enc, dec):
-        # one for the encoder, one each for the decoder's self- and cross-attention
-        calls = []
-
-        def counting_attention_mask(allowed_blocks):
-            calls.append(len(allowed_blocks))
-            return attention_mask(allowed_blocks)
-
-        monkeypatch.setattr(summarizer, "attention_mask", counting_attention_mask)
-        model = make_model(enc=enc, dec=dec)
-        batch = [make_example(), make_example(code_ids=(9, 4, 7))]
-        train_step(batch, model, Adam(model.all_params()))
-        assert calls == [2, 2, 2]
 
     @pytest.mark.parametrize("max_len", [1, 12])
     def test_greedy_decode_builds_masks_and_memory_kv_once(self, monkeypatch, max_len):
@@ -554,11 +535,7 @@ class TestCostGates:
         model.transformer.out_b.data[Vocab.EOS] = -1e9  # every step runs
         cross_weights = {id(w) for layer in model.transformer.dec
                          for w in (layer.cross_attn.wk, layer.cross_attn.wv)}
-        masks, projections, steps = [], [], []
-
-        def counting_attention_mask(allowed_blocks):
-            masks.append(len(allowed_blocks))
-            return attention_mask(allowed_blocks)
+        projections, steps = [], []
 
         def counting_matmul(a, b, matmul=ad.matmul):
             if id(b) in cross_weights:
@@ -569,16 +546,20 @@ class TestCostGates:
             steps.append(1)
             return decoder_logits(*args)
 
-        monkeypatch.setattr(summarizer, "attention_mask", counting_attention_mask)
         monkeypatch.setattr(ad, "matmul", counting_matmul)
         monkeypatch.setattr(summarizer, "decoder_logits", counting_decoder_logits)
+        monkeypatch.setattr(summarizer, "_CAUSAL_CACHE", {})
         assert len(greedy_decode(make_example(), model, max_len=max_len)) == max_len
         assert len(steps) == max_len
-        # the encoder's mask, then the decoder's self and cross masks, once each
-        assert masks == [1, 1, 1]
         # each decoder layer's K and V, projected once, layer by layer
         assert projections == [id(w) for layer in model.transformer.dec
                                for w in (layer.cross_attn.wk, layer.cross_attn.wv)]
+        # step s's causal block is built once, and a second comment reuses it
+        built = dict(summarizer._CAUSAL_CACHE)
+        assert sorted(built) == list(range(1, max_len + 1))
+        greedy_decode(make_example(), model, max_len=max_len)
+        assert all(summarizer._CAUSAL_CACHE[s] is block for s, block in built.items())
+        assert len(summarizer._CAUSAL_CACHE) == max_len
 
 
 class TestCausality:
@@ -589,14 +570,11 @@ class TestCausality:
             ex = make_example()
             kv = memory_kv(encode(ex, model), model)
             ids = [1, 7, 8, 9, 7]
-            base = decoder_logits([ids], kv, decoder_masks([ids], [source_mask(ex)]),
-                                  model).data
+            base = decoder_logits([ids], kv, [len(ex.code_ids)], model).data
             s = int(rng.integers(1, len(ids)))
             perturbed_ids = list(ids)
             perturbed_ids[s] = 4 if ids[s] != 4 else 5
-            perturbed = decoder_logits(
-                [perturbed_ids], kv, decoder_masks([perturbed_ids], [source_mask(ex)]), model
-            ).data
+            perturbed = decoder_logits([perturbed_ids], kv, [len(ex.code_ids)], model).data
             assert np.array_equal(base[:s], perturbed[:s])
             assert not np.array_equal(base[s:], perturbed[s:])
 
@@ -618,7 +596,7 @@ class TestGreedyDecode:
         model = make_model(seed=13)
         out = greedy_decode(make_example(), model, max_len=1)
         assert len(out) <= 1
-        # no step runs, and the masks, built with max_len + 1 rows, still build
+        # no step runs
         assert greedy_decode(make_example(), model, max_len=0) == []
         assert greedy_decode(make_example(), model, max_len=-3) == []
 
