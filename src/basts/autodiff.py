@@ -10,8 +10,10 @@ Python bookkeeping per recorded op, not arithmetic, bounds the speed of
 a step, so larger composites are single ops with hand-written
 backwards: `attention` runs every head of a multi-head attention, for
 every sequence packed into its rows, as one op of batched products,
-masked softmaxes and weighted sums; each sequence's rows follow from the
-shape of its mask block. `syntax_encoder.encode_trees` records a whole
+softmaxes and weighted sums. Each sequence is a (query rows, key rows)
+pair, and one flag makes every sequence causal; the causal triangle is
+the op's own cached constant, the only mask there is, so a call that is
+not causal masks nothing. `syntax_encoder.encode_trees` records a whole
 Tree-LSTM fold the same way, through `_emit`.
 
 The graph holds no reference cycles, so reference counting frees a
@@ -31,6 +33,7 @@ import math
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -311,23 +314,9 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     return _emit(m.data + v.data, (m, v), lambda g: (g, g.sum(axis=0)))
 
 
-def repeat_row(v: Tensor, n: int) -> Tensor:
-    """Stack n copies of a vector into an [n, L] matrix."""
-    if v.ndim != 1:
-        raise ShapeError(f"repeat_row expects a vector, got {v.shape}")
-    return _emit(
-        np.tile(v.data, (n, 1)), (v,), lambda g: (g.sum(axis=0),)
-    )
-
-
 def sigmoid(x: Tensor) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-x.data))
     return _emit(y, (x,), lambda g: (g * y * (1.0 - y),))
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    return _emit(y, (x,), lambda g: (g * (1.0 - y * y),))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -342,21 +331,34 @@ def log(x: Tensor, floor: float = 0.0) -> Tensor:
     return _emit(np.log(xd), (x,), lambda g: (g * inside / xd,))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, blocks) -> Tensor:
+@cache
+def _causal(s: int) -> np.ndarray:
+    """The additive [s, s] causal block: -inf above the diagonal, so query
+    i sees keys 0..i. Read-only and cached per s, so a decode step does
+    not rebuild it."""
+    block = np.triu(np.full((s, s), -np.inf), k=1)
+    block.setflags(write=False)
+    return block
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths,
+              causal: bool = False) -> Tensor:
     """Scaled dot-product attention of every head at once, as one op.
 
     q is [n, L], k and v are [m, L]; head h owns columns [h*d, (h+1)*d)
     of each, d = L / heads. The [n, L] result holds head h's contexts in
     its columns, as the heads' outputs side by side.
 
-    Rows may pack several independent sequences, one constant additive
-    mask block each. Block b, of shape [n_b, m_b], covers the next n_b
-    rows of q and the next m_b rows of k and v, so the blocks must cover
-    exactly n query and m key rows; a query sees only its own block's
-    keys. A block holds 0 where query i may look at key j and -inf where
-    it may not; a masked key gets weight exactly 0 and no gradient. A
-    query row must keep at least one key. Each block's scores, softmax
-    and weighted sum are taken on their own, so no [n, m] array is built.
+    Rows may pack several independent sequences. `lengths` holds each
+    one's (query rows, key rows): sequence b covers the next n_b rows of
+    q and the next m_b rows of k and v, so the counts must add up to
+    exactly n and m, and a query sees only its own sequence's keys. A
+    sequence with queries needs keys; one without queries may have keys,
+    which no query sees. With `causal`, every sequence is square and its
+    query i sees its keys 0..i; a key hidden from a query gets weight
+    exactly 0 and no gradient from it. Without `causal`, nothing is
+    added to the scores. Each sequence's scores, softmax and weighted sum
+    are taken on their own, so no [n, m] array is built.
     """
     if not (q.ndim == 2 and k.ndim == 2 and v.ndim == 2):
         raise ShapeError(f"attention expects matrices, got {q.shape}, {k.shape}, {v.shape}")
@@ -367,17 +369,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, blocks) -> Tensor:
                          f"got {k.shape} and {v.shape}")
     check_width(size, heads)
     spans, q_end, k_end = [], 0, 0
-    for b, block in enumerate(blocks):
-        block = np.asarray(block, dtype=np.float64)
-        if block.ndim != 2:
-            raise ShapeError(f"attention mask block {b} must be a matrix, got {block.shape}")
-        qs = slice(q_end, q_end + block.shape[0])
-        ks = slice(k_end, k_end + block.shape[1])
+    for b, (rows, keys) in enumerate(lengths):
+        if min(rows, keys) < 0 or (rows and not keys) or (causal and rows != keys):
+            raise ShapeError(f"attention sequence {b} cannot have {rows} query and "
+                             f"{keys} key rows{' when causal' if causal else ''}")
+        qs, ks = slice(q_end, q_end + rows), slice(k_end, k_end + keys)
         q_end, k_end = qs.stop, ks.stop
-        if qs.stop > qs.start:  # a block without queries has no output or gradient
-            spans.append((qs, ks, block))
+        if rows:  # a sequence without queries has no output or gradient
+            spans.append((qs, ks))
     if (q_end, k_end) != (n, m):
-        raise ShapeError(f"attention mask blocks cover {q_end} query and {k_end} key "
+        raise ShapeError(f"attention sequences cover {q_end} query and {k_end} key "
                          f"rows, not {n} and {m}")
     d = size // heads
     scale = 1.0 / math.sqrt(d)
@@ -391,11 +392,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, blocks) -> Tensor:
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     out = np.empty((heads, n, d))
     probs = []
-    for qs, ks, block in spans:
-        # the masked softmax, in place: scale, mask, shift by the row max, exp, normalize
+    for qs, ks in spans:
+        # the softmax, in place: scale, causal mask, shift by the row max, exp, normalize
         p = qh[:, qs] @ kh[:, ks].transpose(0, 2, 1)
         p *= scale
-        p += block
+        if causal:
+            p += _causal(qs.stop - qs.start)
         p -= np.maximum.reduce(p, axis=2, keepdims=True)
         np.exp(p, out=p)
         p /= np.add.reduce(p, axis=2, keepdims=True)
@@ -406,7 +408,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, blocks) -> Tensor:
         gh = split(g)
         dq = np.empty((heads, n, d))
         dk, dv = np.zeros((heads, m, d)), np.zeros((heads, m, d))
-        for (qs, ks, _), p in zip(spans, probs):
+        for (qs, ks), p in zip(spans, probs):
             gs = gh[:, qs]
             dv[:, ks] = p.transpose(0, 2, 1) @ gs
             # dz = p * (dp - rowsum(dp * p)) * scale for dp = g @ v^T, in dp's buffer
@@ -433,19 +435,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return _emit(out, tuple(tensors), back)
 
 
-def col_slice(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Columns [lo, hi) of a matrix."""
-    if x.ndim != 2:
-        raise ShapeError(f"col_slice expects a matrix, got {x.shape}")
-
-    def back(g):
-        full = np.zeros_like(x.data)
-        full[:, lo:hi] = g
-        return (full,)
-
-    return _emit(x.data[:, lo:hi].copy(), (x,), back)
-
-
 def transpose(x: Tensor) -> Tensor:
     if x.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got {x.shape}")
@@ -459,9 +448,10 @@ def sum_(x: Tensor) -> Tensor:
 def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """[n, ...] sums of the rows of `rows` by id; rows add in their order.
 
-    Equal to `np.add.at(zeros, idx, rows)`, bit for bit: one `np.bincount`
-    over the flat ids `idx * width + column`, which accumulates its weights
-    in input order. Ids must lie in [0, n).
+    It is the table gradient of `embedding_lookup`, whose ids may repeat
+    or go unused. Equal to `np.add.at(zeros, idx, rows)`, bit for bit: one
+    `np.bincount` over the flat ids `idx * width + column`, which
+    accumulates its weights in input order. Ids must lie in [0, n).
     """
     tail = rows.shape[1:]
     width = math.prod(tail)
@@ -482,20 +472,6 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     _require_ids(idx_array, n, "embedding indices")
     return _emit(table.data[idx_array], (table,),
                  lambda g: (_scatter_rows(idx_array, g, n),))
-
-
-def segment_sum(x: Tensor, ids, n: int) -> Tensor:
-    """Row i of the [n, ...] result is the sum of the rows of x labelled i.
-
-    `ids` holds one label in [0, n) per row of x; labels may repeat or go
-    unused (an unused label gives a zero row). Rows add in their order in x.
-    """
-    seg = np.asarray(ids, dtype=np.intp)
-    if not (x.ndim >= 1 and seg.shape == (x.shape[0],)):
-        raise ShapeError(
-            f"segment_sum needs one segment id per row: {seg.shape} ids for {x.shape}")
-    _require_ids(seg, n, "segment_sum ids")
-    return _emit(_scatter_rows(seg, x.data, n), (x,), lambda g: (g[seg],))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from basts.autodiff import Adam
+from basts.autodiff import Adam, ShapeError, check_width
 from basts.cfg import CfgError, build_cfg, cfg_to_dot
 from basts.checkpoint import load_checkpoint, save_checkpoint
 from basts.dominators import DomError, compute_dominators, dom_to_dot
@@ -122,18 +122,16 @@ class RunConfig(PretrainConfig):
 
     def validate(self):
         super().validate()
-        for name in ("embedding_size", "heads", "max_code_length",
-                     "max_comment_length", "type_value_min_freq"):
+        try:
+            check_width(self.embedding_size, self.heads)
+        except ShapeError as err:
+            raise ConfigError(str(err)) from err
+        for name in ("max_code_length", "max_comment_length", "type_value_min_freq"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.embedding_size % self.heads != 0:
-            raise ConfigError(
-                f"embedding_size {self.embedding_size} not divisible by "
-                f"heads {self.heads}"
-            )
         for name in ("encoder_layers", "decoder_layers"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         return self
 
     @classmethod

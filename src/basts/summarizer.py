@@ -15,14 +15,13 @@ call folds every split AST of the batch, and one matmul with a constant
 averaging matrix pools them per example. Every attention call runs all
 of its heads, over every example's own rows, as one `autodiff.attention`
 op, so its tape cost grows with neither the head count nor the batch
-size, and no attention array spans two examples. Each example's rows
-follow from the shape of its mask block. Packed batches hold no padding,
-so the encoder's and the cross-attention's blocks are zeros, built once
-per batch and reused by every layer; the decoder's self-attention block
-is the cached `causal_mask`. The decoder's cross-attention keys and
-values depend on the encoder output alone, so `memory_kv` projects them
-once per batch, before the decoder runs, and every decoder layer takes
-its own pair.
+size, and no attention array spans two examples. Each call names every
+example's (query rows, key rows); packed batches hold no padding, so the
+only mask is the decoder's causal one, which its self-attention asks of
+`autodiff.attention` by a flag, and the summarizer builds no mask. The
+decoder's cross-attention keys and values depend on the encoder output
+alone, so `memory_kv` projects them once per batch, before the decoder
+runs, and every decoder layer takes its own pair.
 `encode`, `decoder_logits` and `greedy_decode` run the same code on a
 batch of one. Decoding encodes and projects the memory keys and values
 once per comment.
@@ -235,33 +234,17 @@ def _positions(lengths, size: int) -> np.ndarray:
     return np.concatenate([positional_matrix(n, size) for n in lengths])
 
 
-_CAUSAL_CACHE: dict[int, np.ndarray] = {}
-
-
-def causal_mask(s: int) -> np.ndarray:
-    """The additive [s, s] decoder self-attention block: -inf above the diagonal.
-
-    Position i sees positions 0..i. The block is read-only and cached per
-    s, so a decode step does not rebuild it.
-    """
-    cached = _CAUSAL_CACHE.get(s)
-    if cached is None:
-        cached = np.triu(np.full((s, s), -np.inf), k=1)
-        cached.setflags(write=False)
-        _CAUSAL_CACHE[s] = cached
-    return cached
-
-
-def multi_head_attention(x: Tensor, params: AttentionParams, heads: int, mask,
-                         kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+def multi_head_attention(x: Tensor, params: AttentionParams, heads: int, lengths,
+                         kv: tuple[Tensor, Tensor] | None = None,
+                         causal: bool = False) -> Tensor:
     """Scaled dot-product attention of the rows of x over `heads` column slices.
 
     Without `kv` this is self-attention: the keys and values are projected
     from x, after its queries. Otherwise `kv` holds the projected keys and
-    values of another sequence, as `memory_kv` makes them. `mask` holds
-    one additive block per example packed into the rows, as
-    `autodiff.attention` takes them; each block's shape gives its
-    example's query and key rows. Self-attention is five tape ops at any
+    values of another sequence, as `memory_kv` makes them. `lengths`
+    holds the (query rows, key rows) of each example packed into the
+    rows, and with `causal` an example's query i sees its keys 0..i only,
+    as in `autodiff.attention`. Self-attention is five tape ops at any
     head count and batch size: three projections, `autodiff.attention`
     and the output projection; attention over given keys and values is
     three.
@@ -269,7 +252,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int, mask,
     q = ad.matmul(x, params.wq)
     if kv is None:
         kv = ad.matmul(x, params.wk), ad.matmul(x, params.wv)
-    return ad.matmul(ad.attention(q, *kv, heads, mask), params.wo)
+    return ad.matmul(ad.attention(q, *kv, heads, lengths, causal), params.wo)
 
 
 def memory_kv(memory: Tensor, model: SummarizerModel) -> list[tuple[Tensor, Tensor]]:
@@ -291,8 +274,8 @@ def _feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
 
 
 def _encoder_layer(x: Tensor, layer: EncoderLayerParams, heads: int,
-                   self_mask) -> Tensor:
-    attended = multi_head_attention(x, layer.attn, heads, self_mask)
+                   lengths) -> Tensor:
+    attended = multi_head_attention(x, layer.attn, heads, lengths)
     x = ad.layer_norm(ad.add(x, attended), layer.ln1.gain, layer.ln1.bias)
     x = ad.layer_norm(ad.add(x, _feed_forward(x, layer.ffn)),
                       layer.ln2.gain, layer.ln2.bias)
@@ -300,10 +283,10 @@ def _encoder_layer(x: Tensor, layer: EncoderLayerParams, heads: int,
 
 
 def _decoder_layer(y: Tensor, kv: tuple[Tensor, Tensor], layer: DecoderLayerParams,
-                   heads: int, self_mask, cross_mask) -> Tensor:
-    attended = multi_head_attention(y, layer.self_attn, heads, self_mask)
+                   heads: int, self_lengths, cross_lengths) -> Tensor:
+    attended = multi_head_attention(y, layer.self_attn, heads, self_lengths, causal=True)
     y = ad.layer_norm(ad.add(y, attended), layer.ln1.gain, layer.ln1.bias)
-    crossed = multi_head_attention(y, layer.cross_attn, heads, cross_mask, kv)
+    crossed = multi_head_attention(y, layer.cross_attn, heads, cross_lengths, kv)
     y = ad.layer_norm(ad.add(y, crossed), layer.ln2.gain, layer.ln2.bias)
     y = ad.layer_norm(ad.add(y, _feed_forward(y, layer.ffn)),
                       layer.ln3.gain, layer.ln3.bias)
@@ -348,9 +331,9 @@ def encode_batch(batch: list[SummarizationExample], model: SummarizerModel,
     joint = ad.concat([syntax, tokens], axis=1)
     fused = ad.relu(ad.add_rowvec(ad.matmul(joint, ad.transpose(t.fuse_w)), t.fuse_b))
     x = ad.add(fused, Tensor(_positions(lengths, t.size)))
-    self_mask = [np.zeros((n, n)) for n in lengths]
+    self_lengths = [(n, n) for n in lengths]
     for layer in t.enc:
-        x = _encoder_layer(x, layer, t.heads, self_mask)
+        x = _encoder_layer(x, layer, t.heads, self_lengths)
     return x
 
 
@@ -375,14 +358,14 @@ def decoder_logits(target_ids, kv, memory_lengths, model: SummarizerModel) -> Te
     """
     t = model.transformer
     lengths = [len(ids) for ids in target_ids]
-    self_mask = [causal_mask(s) for s in lengths]
-    cross_mask = [np.zeros((s, m)) for s, m in zip(lengths, memory_lengths)]
+    self_lengths = [(s, s) for s in lengths]
+    cross_lengths = list(zip(lengths, memory_lengths))
     y = ad.add(
         ad.embedding_lookup(t.word_embedding, [i for ids in target_ids for i in ids]),
         Tensor(_positions(lengths, t.size)),
     )
     for layer, layer_kv in zip(t.dec, kv):
-        y = _decoder_layer(y, layer_kv, layer, t.heads, self_mask, cross_mask)
+        y = _decoder_layer(y, layer_kv, layer, t.heads, self_lengths, cross_lengths)
     return ad.add_rowvec(ad.matmul(y, t.out_w), t.out_b)
 
 

@@ -18,17 +18,20 @@ walks by dataclass field.
 and `autodiff.layer_norm` written with a fresh array at every step and the
 `mean`, `var`, `max` and `sum` methods; the package ops, which run in
 place and reduce through `np.add.reduce`, must match them bit for bit.
-`row_softmax` and `attention_per_head` are the one-op-per-head form of
-`autodiff.attention`, and `multi_head_attention_per_head` the matching
-form of `summarizer.multi_head_attention`, one mask block of packed rows
-at a time, with each block's rows counted from its shape. `avg_pool`,
-`encode_per_example`, `encoder_layer_per_example`,
+`autodiff.attention` takes each packed sequence as its (query rows, key
+rows) and one causal flag; the attention oracles take explicit masks
+instead, one additive or boolean block per sequence, with the block's
+rows counted from its shape, and `allowed_block` builds the boolean block
+of an (n, m) sequence. `row_softmax` and `attention_per_head` are the
+one-op-per-head form of `autodiff.attention`, and
+`multi_head_attention_per_head` the matching form of
+`summarizer.multi_head_attention`, one block of packed rows at a time.
+`avg_pool`, `encode_per_example`, `encoder_layer_per_example`,
 `decoder_layer_per_example`, `decoder_logits_per_example` and
-`train_loss_per_example` are the
-one-example-at-a-time form of `summarizer.train_step`'s loss: each
-example gets its own tree fold, its own encoder and decoder passes with
-per-head attention, and its own cross entropy, where the step packs the
-whole batch into one pass.
+`train_loss_per_example` are the one-example-at-a-time form of
+`summarizer.train_step`'s loss: each example gets its own tree fold, its
+own encoder and decoder passes with per-head attention, and its own cross
+entropy, where the step packs the whole batch into one pass.
 
 `split_asts_by_reparse` is the token form of `splitter.build_split_asts`:
 it parses each split's code, with its body braced, instead of building
@@ -36,6 +39,9 @@ the tree from the method's parsed statements.
 
 `tokenize_per_char` is the one-branch-chain-per-character form of
 `frontend.tokenize`, which walks one compiled regular expression.
+
+`repeat_row`, `tanh`, `col_slice` and `segment_sum` are tape ops that
+only these oracles use; the package has no caller for them.
 """
 
 import math
@@ -74,6 +80,54 @@ from basts.syntax_encoder import (
     _levels,
     encode_trees,
 )
+
+
+def repeat_row(v: Tensor, n: int) -> Tensor:
+    """Stack n copies of a vector into an [n, L] matrix."""
+    if v.ndim != 1:
+        raise ad.ShapeError(f"repeat_row expects a vector, got {v.shape}")
+    return ad._emit(
+        np.tile(v.data, (n, 1)), (v,), lambda g: (g.sum(axis=0),)
+    )
+
+
+def tanh(x: Tensor) -> Tensor:
+    y = np.tanh(x.data)
+    return ad._emit(y, (x,), lambda g: (g * (1.0 - y * y),))
+
+
+def col_slice(x: Tensor, lo: int, hi: int) -> Tensor:
+    """Columns [lo, hi) of a matrix."""
+    if x.ndim != 2:
+        raise ad.ShapeError(f"col_slice expects a matrix, got {x.shape}")
+
+    def back(g):
+        full = np.zeros_like(x.data)
+        full[:, lo:hi] = g
+        return (full,)
+
+    return ad._emit(x.data[:, lo:hi].copy(), (x,), back)
+
+
+def segment_sum(x: Tensor, ids, n: int) -> Tensor:
+    """Row i of the [n, ...] result is the sum of the rows of x labelled i.
+
+    `ids` holds one label in [0, n) per row of x; labels may repeat or go
+    unused (an unused label gives a zero row). Rows add in their order in x.
+    """
+    seg = np.asarray(ids, dtype=np.intp)
+    if not (x.ndim >= 1 and seg.shape == (x.shape[0],)):
+        raise ad.ShapeError(
+            f"segment_sum needs one segment id per row: {seg.shape} ids for {x.shape}")
+    ad._require_ids(seg, n, "segment_sum ids")
+    return ad._emit(ad._scatter_rows(seg, x.data, n), (x,), lambda g: (g[seg],))
+
+
+def allowed_block(n: int, m: int, causal: bool = False) -> np.ndarray:
+    """The boolean [n, m] block of a sequence of n queries and m keys: every
+    key, or with `causal` (n == m) keys 0..i for query i."""
+    allowed = np.ones((n, m), dtype=bool)
+    return np.tril(allowed) if causal else allowed
 
 
 def fuse(pooled: Tensor, token_embedding: Tensor, params: TransformerParams) -> Tensor:
@@ -185,11 +239,11 @@ def attention_per_head(q: Tensor, k: Tensor, v: Tensor, heads: int,
     for h in range(heads):
         lo, hi = h * width, (h + 1) * width
         scores = ad.scalar_mul(
-            ad.matmul(ad.col_slice(q, lo, hi), ad.transpose(ad.col_slice(k, lo, hi))),
+            ad.matmul(col_slice(q, lo, hi), ad.transpose(col_slice(k, lo, hi))),
             scale,
         )
         attn = row_softmax(scores, additive_mask)
-        contexts.append(ad.matmul(attn, ad.col_slice(v, lo, hi)))
+        contexts.append(ad.matmul(attn, col_slice(v, lo, hi)))
     return contexts[0] if heads == 1 else ad.concat(contexts, axis=1)
 
 
@@ -198,8 +252,8 @@ def multi_head_attention_per_head(x: Tensor, params: AttentionParams, heads: int
     """`summarizer.multi_head_attention` with `attention_per_head` inside.
 
     As there, keys and values are projected from x unless `kv` gives them.
-    `allowed` holds one boolean block per example, where the package code
-    takes additive blocks. Packed rows are attended one block at a time:
+    `allowed` holds one boolean block per example, where the package takes
+    each example's (query rows, key rows) and a causal flag. Packed rows are attended one block at a time:
     block b's query and key rows, which its shape counts, are gathered,
     attended on their own and stacked again.
     """
@@ -254,8 +308,8 @@ def decoder_logits_per_example(target_ids: list[int], memory: Tensor,
         ad.embedding_lookup(t.word_embedding, target_ids),
         Tensor(positional_matrix(s, t.size)),
     )
-    self_allowed = np.tril(np.ones((s, s), dtype=bool))
-    cross_allowed = np.ones((s, memory.shape[0]), dtype=bool)
+    self_allowed = allowed_block(s, s, causal=True)
+    cross_allowed = allowed_block(s, memory.shape[0])
     for layer in t.dec:
         y = decoder_layer_per_example(y, memory, layer, t.heads, [self_allowed],
                                       [cross_allowed])
@@ -282,10 +336,10 @@ def encode_per_example(example: SummarizationExample, model: SummarizerModel,
     pooled = avg_pool(roots)
     n = len(example.code_ids)
     tokens = ad.embedding_lookup(t.code_embedding, example.code_ids)
-    joint = ad.concat([ad.repeat_row(pooled, n), tokens], axis=1)
+    joint = ad.concat([repeat_row(pooled, n), tokens], axis=1)
     fused = ad.relu(ad.add_rowvec(ad.matmul(joint, ad.transpose(t.fuse_w)), t.fuse_b))
     x = ad.add(fused, Tensor(positional_matrix(n, t.size)))
-    allowed = np.ones((n, n), dtype=bool)
+    allowed = allowed_block(n, n)
     for layer in t.enc:
         x = encoder_layer_per_example(x, layer, t.heads, [allowed])
     return x
@@ -345,14 +399,14 @@ def tree_lstm_cell(x_v: Tensor, children: list[tuple[Tensor, Tensor]],
 
     i = ad.sigmoid(gate(params.w_i, params.u_i, params.b_i, h_tilde))
     o = ad.sigmoid(gate(params.w_o, params.u_o, params.b_o, h_tilde))
-    u = ad.tanh(gate(params.w_u, params.u_u, params.b_u, h_tilde))
+    u = tanh(gate(params.w_u, params.u_u, params.b_u, h_tilde))
 
     wfx = ad.add(ad.matmul(params.w_f, x_v), params.b_f)
     m = ad.mul(i, u)
     for h_c, m_c in children:
         f_c = ad.sigmoid(ad.add(wfx, ad.matmul(params.u_f, h_c)))
         m = ad.add(m, ad.mul(f_c, m_c))
-    h = ad.mul(o, ad.tanh(m))
+    h = ad.mul(o, tanh(m))
     return h, m
 
 
@@ -404,7 +458,7 @@ def encode_trees_per_level(trees: list[SplitAst], params: TreeLstmParams) -> Ten
     f_w, f_u = ad.transpose(params.w_f), ad.transpose(params.u_f)
     # states[0] is the virtual child, states[k + 1] the rows of height k
     firsts = np.array([0] + [lo for lo, _, _, _ in plan.heights])
-    states = [(ad.repeat_row(params.virtual_h, 1), ad.repeat_row(params.virtual_m, 1))]
+    states = [(repeat_row(params.virtual_h, 1), repeat_row(params.virtual_m, 1))]
 
     def locate(rows):  # plan rows -> (index into states, row within it)
         k = np.searchsorted(firsts, rows, side="right") - 1
@@ -425,18 +479,18 @@ def encode_trees_per_level(trees: list[SplitAst], params: TreeLstmParams) -> Ten
         m_kids = m_parts[0] if len(m_parts) == 1 else ad.concat(m_parts)
 
         x = ad.embedding_lookup(params.embedding, plan.labels[lo:hi])
-        h_tilde = ad.segment_sum(h_kids, parents, n)
+        h_tilde = segment_sum(h_kids, parents, n)
         iou = ad.add_rowvec(ad.matmul(ad.concat([x, h_tilde], axis=1), iou_w), iou_b)
         gates = ad.sigmoid(iou)
-        i = ad.col_slice(gates, 0, size)
-        o = ad.col_slice(gates, size, 2 * size)
-        u = ad.tanh(ad.col_slice(iou, 2 * size, 3 * size))
+        i = col_slice(gates, 0, size)
+        o = col_slice(gates, size, 2 * size)
+        u = tanh(col_slice(iou, 2 * size, 3 * size))
 
         wfx = ad.add_rowvec(ad.matmul(x, f_w), params.b_f)
         f = ad.sigmoid(ad.add(ad.embedding_lookup(wfx, parents),
                               ad.matmul(h_kids, f_u)))
-        m = ad.add(ad.mul(i, u), ad.segment_sum(ad.mul(f, m_kids), parents, n))
-        states.append((ad.mul(o, ad.tanh(m)), m))
+        m = ad.add(ad.mul(i, u), segment_sum(ad.mul(f, m_kids), parents, n))
+        states.append((ad.mul(o, tanh(m)), m))
     # one gather of the root rows from the heights that hold roots, stacked
     held, root_rows = locate(plan.roots)
     present = sorted(set(held.tolist()))

@@ -309,7 +309,7 @@ def test_criterion_8_attention_invariants():
     x_kv = Tensor(np.tile(row, (5, 1)))
     x_q = Tensor(rng.normal(size=(3, size)))
     kv = ad.matmul(x_kv, params.wk), ad.matmul(x_kv, params.wv)
-    out = multi_head_attention(x_q, params, 2, [np.zeros((3, 5))], kv)
+    out = multi_head_attention(x_q, params, 2, [(3, 5)], kv)
     expected = row @ params.wv.data
     value_ok = bool(np.max(np.abs(out.data - expected)) <= 1e-12)
 

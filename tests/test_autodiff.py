@@ -5,7 +5,16 @@ from hypothesis import strategies as st
 
 from basts import autodiff as ad
 from basts.autodiff import Adam, GraphError, ShapeError, Tape, Tensor, backward
-from oracles import attention_per_head, attention_reference, layer_norm_reference, row_softmax
+from oracles import (
+    allowed_block,
+    attention_per_head,
+    attention_reference,
+    col_slice,
+    layer_norm_reference,
+    row_softmax,
+    segment_sum,
+    tanh,
+)
 
 
 class TestForwardOps:
@@ -39,7 +48,7 @@ class TestForwardOps:
         a = Tensor(np.arange(6.0).reshape(2, 3))
         b = Tensor(np.arange(4.0).reshape(2, 2))
         joined = ad.concat([a, b], axis=1)
-        assert np.array_equal(ad.col_slice(joined, 3, 5).data, b.data)
+        assert np.array_equal(col_slice(joined, 3, 5).data, b.data)
 
     def test_embedding_lookup(self):
         table = Tensor(np.arange(12.0).reshape(4, 3))
@@ -113,7 +122,7 @@ class TestBackward:
 
         def loss_wrt(param):
             def f(_):
-                h = ad.tanh(ad.matmul(w1, x))
+                h = tanh(ad.matmul(w1, x))
                 out = ad.sigmoid(ad.matmul(w2, h))
                 return ad.sum_(ad.mul(out, out))
             return f
@@ -175,7 +184,7 @@ class TestCompositeGradients:
 
         def f(t):
             # rows 1 and 4 repeat, row 2 is never read
-            return ad.sum_(ad.mul(ad.tanh(ad.embedding_lookup(t, [1, 4, 0, 1, 4, 1])), weights))
+            return ad.sum_(ad.mul(tanh(ad.embedding_lookup(t, [1, 4, 0, 1, 4, 1])), weights))
 
         report = ad.grad_check(f, table)
         assert report.passed, report
@@ -207,22 +216,35 @@ class TestCompositeGradients:
 
 
 def _masks(n, m, kind):
-    """An additive [n, m] mask: none, causal (n == m), padding, or both."""
-    allowed = np.ones((n, m), dtype=bool)
-    if kind in ("causal", "causal+padding"):
-        allowed &= np.tril(np.ones((n, m), dtype=bool))
-    if kind in ("padding", "causal+padding"):
+    """The oracles' additive [n, m] block of a sequence: none, causal (n == m),
+    or padding, whose last two keys no query sees."""
+    allowed = allowed_block(n, m, causal=kind == "causal")
+    if kind == "padding":
         allowed[:, m - 2:] = False
-        allowed[:, 0] = True
     return np.where(allowed, 0.0, -np.inf)
 
 
-def _attention_grads(fn, q, k, v, heads, mask, weights):
-    """Output and (dq, dk, dv) of sum(fn(q, k, v) * weights)."""
+def _layout(q_lengths, k_lengths, kinds):
+    """`attention`'s lengths and causal flag for packed sequences of these kinds.
+
+    A padding sequence's last two keys are packed as a sequence of their
+    own, which has no queries, so no query sees them. The causal flag is
+    one per call, so causal sequences are not packed with others.
+    """
+    causal = kinds[0] == "causal"
+    assert all((kind == "causal") == causal for kind in kinds)
+    lengths = []
+    for n, m, kind in zip(q_lengths, k_lengths, kinds):
+        lengths += [(n, m - 2), (0, 2)] if kind == "padding" else [(n, m)]
+    return lengths, causal
+
+
+def _attention_grads(fn, q, k, v, weights, *args):
+    """Output and (dq, dk, dv) of sum(fn(q, k, v, *args) * weights)."""
     for t in (q, k, v):
         t.zero_grad()
     with Tape() as tape:
-        out = fn(q, k, v, heads, mask)
+        out = fn(q, k, v, *args)
         backward(tape, ad.sum_(ad.mul(out, weights)))
     grads = [t.grad.copy() for t in (q, k, v)]
     for t in (q, k, v):
@@ -231,10 +253,10 @@ def _attention_grads(fn, q, k, v, heads, mask, weights):
 
 
 class TestAttention:
-    CASES = [  # heads, query rows, key rows, mask
+    CASES = [  # heads, query rows, key rows, kind
         (1, 5, 5, "none"),
         (2, 5, 5, "causal"),
-        (4, 6, 6, "causal+padding"),
+        (4, 6, 6, "causal"),
         (1, 3, 7, "padding"),
         (2, 4, 6, "padding"),
         (4, 7, 3, "none"),
@@ -250,9 +272,10 @@ class TestAttention:
     @pytest.mark.parametrize("heads,n,m,kind", CASES)
     def test_matches_per_head_oracle(self, heads, n, m, kind):
         q, k, v, weights = self._inputs(n, m, seed=heads * 10 + n)
-        mask = _masks(n, m, kind)
-        out, grads = _attention_grads(ad.attention, q, k, v, heads, [mask], weights)
-        ref, ref_grads = _attention_grads(attention_per_head, q, k, v, heads, mask, weights)
+        out, grads = _attention_grads(ad.attention, q, k, v, weights, heads,
+                                      *_layout([n], [m], [kind]))
+        ref, ref_grads = _attention_grads(attention_per_head, q, k, v, weights, heads,
+                                          _masks(n, m, kind))
         assert np.max(np.abs(out - ref)) <= 1e-12
         for g, r in zip(grads, ref_grads):
             assert np.max(np.abs(g - r)) <= 1e-10 * np.max(np.abs(r))
@@ -260,10 +283,10 @@ class TestAttention:
     @pytest.mark.parametrize("heads,n,m,kind", CASES)
     def test_grad_check_q_k_v(self, heads, n, m, kind):
         q, k, v, weights = self._inputs(n, m, seed=heads + n + m)
-        mask = _masks(n, m, kind)
+        lengths, causal = _layout([n], [m], [kind])
 
         def f(_):
-            return ad.sum_(ad.mul(ad.attention(q, k, v, heads, [mask]), weights))
+            return ad.sum_(ad.mul(ad.attention(q, k, v, heads, lengths, causal), weights))
 
         for target in (q, k, v):
             report = ad.grad_check(f, target)
@@ -271,146 +294,170 @@ class TestAttention:
 
     def test_masked_key_has_weight_exactly_zero(self):
         q, k, v, _ = self._inputs(4, 6)
-        mask = [_masks(4, 6, "padding")]  # keys 4 and 5 are masked for every query
-        base = ad.attention(q, k, v, 2, mask).data
+        lengths = [(4, 4), (0, 2)]  # keys 4 and 5 are a sequence without queries
+        base = ad.attention(q, k, v, 2, lengths).data
         v.data[4:] += 1e3
         k.data[5] -= 7.0
-        assert np.array_equal(ad.attention(q, k, v, 2, mask).data, base)
+        assert np.array_equal(ad.attention(q, k, v, 2, lengths).data, base)
 
     def test_masked_key_gets_no_gradient(self):
         q, k, v, weights = self._inputs(4, 6)
-        _, (_, dk, dv) = _attention_grads(ad.attention, q, k, v, 2,
-                                          [_masks(4, 6, "padding")], weights)
+        _, (_, dk, dv) = _attention_grads(ad.attention, q, k, v, weights, 2,
+                                          [(4, 4), (0, 2)])
         assert not dk[4:].any() and not dv[4:].any()
+
+    def test_only_a_causal_call_adds_a_mask(self, monkeypatch):
+        q, k, v, _ = self._inputs(4, 4)
+        built = []
+
+        def counting_causal(s, causal=ad._causal):
+            built.append(s)
+            return causal(s)
+
+        monkeypatch.setattr(ad, "_causal", counting_causal)
+        ad.attention(q, k, v, 2, [(1, 1), (3, 3)])
+        assert built == []
+        ad.attention(q, k, v, 2, [(1, 1), (3, 3)], causal=True)
+        assert built == [1, 3]
+
+    # a sequence's (query rows, key rows) is the shape of its block of the scores
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2)])
+    def test_mask_shape_must_be_queries_by_keys(self, shape):
+        q, k, v, _ = self._inputs(2, 3)
+        with pytest.raises(ShapeError, match="cover"):
+            ad.attention(q, k, v, 2, [shape])
 
     @pytest.mark.parametrize("heads", [0, 3, 16])
     def test_head_count_must_split_the_width(self, heads):
         q, k, v, _ = self._inputs(2, 2)
         with pytest.raises(ShapeError):
-            ad.attention(q, k, v, heads, [np.zeros((2, 2))])
-
-    @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (3,), (1, 2, 3)])
-    def test_mask_shape_must_be_queries_by_keys(self, shape):
-        q, k, v, _ = self._inputs(2, 3)
-        with pytest.raises(ShapeError):
-            ad.attention(q, k, v, 2, [np.zeros(shape)])
+            ad.attention(q, k, v, heads, [(2, 2)])
 
     def test_k_and_v_rows_must_match(self):
         q, k, _, _ = self._inputs(2, 3)
         _, _, v, _ = self._inputs(2, 4)
         with pytest.raises(ShapeError):
-            ad.attention(q, k, v, 2, [np.zeros((2, 3))])
+            ad.attention(q, k, v, 2, [(2, 3)])
 
     def test_widths_must_match(self):
         q, _, _, _ = self._inputs(2, 3)
         _, k, v, _ = self._inputs(2, 3, size=6)
         with pytest.raises(ShapeError):
-            ad.attention(q, k, v, 2, [np.zeros((2, 3))])
+            ad.attention(q, k, v, 2, [(2, 3)])
 
 
-def _packed(q_lengths, k_lengths, kinds, size=8, seed=0):
-    """Random packed q, k, v, output weights, (q, k) row offsets and mask blocks.
+def _packed(q_lengths, k_lengths, size=8, seed=0):
+    """Random packed q, k, v, output weights and (q, k) row offsets.
 
     The offsets are for the tests' own slicing; `autodiff.attention` counts
-    each block's rows from its shape.
+    each sequence's rows from its lengths.
     """
     q_off, k_off = np.cumsum([0] + q_lengths), np.cumsum([0] + k_lengths)
     rng = np.random.default_rng(seed)
     q, k, v = (Tensor(rng.normal(size=(rows, size)), requires_grad=True)
                for rows in (q_off[-1], k_off[-1], k_off[-1]))
     weights = Tensor(rng.normal(size=(q_off[-1], size)))
-    blocks = [_masks(n, m, kind) for n, m, kind in zip(q_lengths, k_lengths, kinds)]
-    return q, k, v, weights, (q_off, k_off), blocks
+    return q, k, v, weights, (q_off, k_off)
 
 
 class TestSegmentedAttention:
-    """Packed rows: each mask block's queries see only its own keys, in one op."""
+    """Packed rows: each sequence's queries see only its own keys, in one op."""
 
-    CASES = [  # heads, query rows, key rows and mask of each block
+    CASES = [  # heads, query rows, key rows and kind of each sequence
         (2, [3, 1, 5], [4, 6, 2], ["none", "padding", "none"]),
-        (4, [4, 2], [4, 2], ["causal", "causal+padding"]),
-        (1, [2, 0, 3], [3, 2, 3], ["padding", "none", "causal"]),
+        (4, [4, 2], [4, 2], ["causal", "causal"]),
+        (1, [2, 0, 3], [3, 2, 3], ["padding", "none", "none"]),
     ]
 
     @pytest.mark.parametrize("heads,q_lengths,k_lengths,kinds", CASES)
     def test_bit_equal_to_separate_one_segment_calls(self, heads, q_lengths, k_lengths,
                                                     kinds):
-        q, k, v, weights, (q_off, k_off), blocks = _packed(q_lengths, k_lengths, kinds)
-        out, grads = _attention_grads(ad.attention, q, k, v, heads, blocks, weights)
-        for b, block in enumerate(blocks):
+        q, k, v, weights, (q_off, k_off) = _packed(q_lengths, k_lengths)
+        out, grads = _attention_grads(ad.attention, q, k, v, weights, heads,
+                                      *_layout(q_lengths, k_lengths, kinds))
+        for b, (n, m, kind) in enumerate(zip(q_lengths, k_lengths, kinds)):
             qs, ks = slice(q_off[b], q_off[b + 1]), slice(k_off[b], k_off[b + 1])
             parts = [Tensor(t.data[s], requires_grad=True)
                      for t, s in ((q, qs), (k, ks), (v, ks))]
-            ref, ref_grads = _attention_grads(ad.attention, *parts, heads, [block],
-                                              Tensor(weights.data[qs]))
+            ref, ref_grads = _attention_grads(ad.attention, *parts, Tensor(weights.data[qs]),
+                                              heads, *_layout([n], [m], [kind]))
             assert np.array_equal(out[qs], ref)
             for g, r, s in zip(grads, ref_grads, (qs, ks, ks)):
                 assert np.array_equal(g[s], r)
 
     @pytest.mark.parametrize("heads,q_lengths,k_lengths,kinds", CASES)
     def test_grad_check_q_k_v(self, heads, q_lengths, k_lengths, kinds):
-        q, k, v, weights, _, blocks = _packed(q_lengths, k_lengths, kinds, seed=3)
+        q, k, v, weights, _ = _packed(q_lengths, k_lengths, seed=3)
+        lengths, causal = _layout(q_lengths, k_lengths, kinds)
 
         def f(_):
-            out = ad.attention(q, k, v, heads, blocks)
+            out = ad.attention(q, k, v, heads, lengths, causal)
             return ad.sum_(ad.mul(out, weights))
 
         for target in (q, k, v):
             report = ad.grad_check(f, target)
             assert report.passed, report
 
-    # 5 query and 5 key rows; each case gives the row offsets where its blocks end
+    # 5 query and 5 key rows; each case gives the row offsets where its sequences end
     @pytest.mark.parametrize("q_off,k_off", [
-        ([0, 2, 4], [0, 3, 5]),  # the blocks cover too few query rows
+        ([0, 2, 4], [0, 3, 5]),  # the sequences cover too few query rows
         ([0, 2, 6], [0, 3, 5]),  # too many query rows
         ([0, 2, 5], [0, 3, 4]),  # too few key rows
         ([0, 2, 5], [0, 3, 6]),  # too many key rows
-        ([0], [0]),  # no block at all
-        ([0, 2, 5, 6], [0, 3, 5, 5]),  # one block too many
+        ([0], [0]),  # no sequence at all
+        ([0, 2, 5, 6], [0, 3, 5, 6]),  # one sequence too many
     ])
     def test_segments_must_tile_the_rows(self, q_off, k_off):
-        q, k, v, _, _, _ = _packed([2, 3], [3, 2], ["none", "none"])
-        blocks = [np.zeros((q_off[b + 1] - q_off[b], k_off[b + 1] - k_off[b]))
-                  for b in range(len(q_off) - 1)]
+        q, k, v, _, _ = _packed([2, 3], [3, 2])
+        lengths = [(q_off[b + 1] - q_off[b], k_off[b + 1] - k_off[b])
+                   for b in range(len(q_off) - 1)]
         with pytest.raises(ShapeError, match=f"cover {q_off[-1]} query and "
                                              f"{k_off[-1]} key rows, not 5 and 5"):
-            ad.attention(q, k, v, 2, blocks)
+            ad.attention(q, k, v, 2, lengths)
 
     def test_mask_block_must_match_its_segment(self):
-        q, k, v, _, _, blocks = _packed([2, 3], [3, 2], ["none", "none"])
-        blocks[1] = np.zeros((3, 3))
+        q, k, v, _, _ = _packed([2, 3], [3, 2])
         with pytest.raises(ShapeError, match="cover 5 query and 6 key rows"):
-            ad.attention(q, k, v, 2, blocks)
+            ad.attention(q, k, v, 2, [(2, 3), (3, 3)])
 
-    @pytest.mark.parametrize("shape", [(3,), (1, 3, 2), ()])
-    def test_mask_block_must_be_a_matrix(self, shape):
-        q, k, v, _, _, blocks = _packed([2, 3], [3, 2], ["none", "none"])
-        blocks[1] = np.zeros(shape)
-        with pytest.raises(ShapeError, match=r"block 1 must be a matrix"):
-            ad.attention(q, k, v, 2, blocks)
+    # 5 query and 5 key rows, as above
+    @pytest.mark.parametrize("lengths,causal,fault", [
+        ([(2, 3), (3, 0)], False, "sequence 1 cannot have 3 query and 0 key rows"),
+        ([(3, 3), (-1, 1), (3, 1)], False, "sequence 1 cannot have -1 query and 1 key rows"),
+        ([(2, 6), (3, -1)], False, "sequence 1 cannot have 3 query and -1 key rows"),
+        ([(2, 3), (3, 2)], True, "sequence 0 cannot have 2 query and 3 key rows when causal"),
+    ])
+    def test_malformed_lengths_name_the_sequence(self, lengths, causal, fault):
+        q, k, v, _, _ = _packed([2, 3], [3, 2])
+        with pytest.raises(ShapeError, match=f"^attention {fault}$"):
+            ad.attention(q, k, v, 2, lengths, causal)
 
 
-# one mask block: its query rows (0 and 1 included), key rows and mask kind
-_BLOCKS = st.tuples(st.integers(0, 5), st.integers(1, 6),
-                    st.sampled_from(["none", "causal", "padding", "causal+padding"]))
+# packed sequences: each one's query rows (0 and 1 included) and key rows
+_SEQUENCES = st.lists(st.tuples(st.integers(0, 5), st.integers(1, 6)),
+                      min_size=1, max_size=4)
 
 
 class TestBitIdentity:
     """`attention` and `layer_norm` equal their pre-in-place forms bit for bit."""
 
-    # 300 draws of 1 to 4 blocks; about 2 s
+    # 300 draws of 1 to 4 sequences; about 2 s
     @settings(max_examples=300)
     @given(heads=st.sampled_from([1, 2, 4]), width=st.integers(1, 3),
-           blocks=st.lists(_BLOCKS, min_size=1, max_size=4),
+           sequences=_SEQUENCES, causal=st.booleans(),
            magnitude=st.integers(-3, 3), seed=st.integers(0, 2**32 - 1))
-    def test_attention_matches_reference(self, heads, width, blocks, magnitude, seed):
-        q_lengths, k_lengths, kinds = (list(column) for column in zip(*blocks))
-        q, k, v, weights, _, masks = _packed(q_lengths, k_lengths, kinds,
-                                             size=heads * width, seed=seed)
+    def test_attention_matches_reference(self, heads, width, sequences, causal, magnitude,
+                                         seed):
+        if causal:  # a causal sequence is square
+            sequences = [(n, n) for n, _ in sequences]
+        q_lengths, k_lengths = (list(column) for column in zip(*sequences))
+        q, k, v, weights, _ = _packed(q_lengths, k_lengths, size=heads * width, seed=seed)
         q.data *= 10.0 ** magnitude
-        out, grads = _attention_grads(ad.attention, q, k, v, heads, masks, weights)
-        ref, ref_grads = _attention_grads(attention_reference, q, k, v, heads, masks,
-                                          weights)
+        blocks = [_masks(n, m, "causal" if causal else "none") for n, m in sequences]
+        out, grads = _attention_grads(ad.attention, q, k, v, weights, heads, sequences,
+                                      causal)
+        ref, ref_grads = _attention_grads(attention_reference, q, k, v, weights, heads,
+                                          blocks)
         assert np.array_equal(out, ref)
         for g, r in zip(grads, ref_grads):
             assert np.array_equal(g, r)
@@ -438,7 +485,7 @@ class TestBitIdentity:
 
 
 class TestScatterRows:
-    """The `np.bincount` scatter behind `embedding_lookup` and `segment_sum`."""
+    """The `np.bincount` scatter behind `embedding_lookup` and the oracles' `segment_sum`."""
 
     @pytest.mark.parametrize("tail", [(), (5,), (3, 4)])
     def test_bit_equal_to_add_at(self, tail):
@@ -464,13 +511,13 @@ class TestScatterRows:
 class TestSegmentSum:
     def test_sums_rows_into_their_segments(self):
         x = Tensor(np.arange(8.0).reshape(4, 2))
-        y = ad.segment_sum(x, [2, 0, 2, 0], 4)
+        y = segment_sum(x, [2, 0, 2, 0], 4)
         assert np.array_equal(y.data, [[8.0, 10.0], [0.0, 0.0], [4.0, 6.0], [0.0, 0.0]])
 
     def test_rows_add_in_their_order(self):
         # 1e16 + 1 rounds back to 1e16, so only the row order gives 0.0 here
         x = Tensor([[1e16], [1.0], [-1e16], [1.0]])
-        y = ad.segment_sum(x, [0, 0, 0, 1], 2)
+        y = segment_sum(x, [0, 0, 0, 1], 2)
         assert y.data[0, 0] == ((1e16 + 1.0) - 1e16) == 0.0
         assert y.data[1, 0] == 1.0
 
@@ -480,7 +527,7 @@ class TestSegmentSum:
         weights = Tensor(rng.normal(size=(4, 2, 3)))
 
         def f(t):
-            return ad.sum_(ad.mul(ad.segment_sum(t, [2, 0, 2, 3, 0, 2], 4), weights))
+            return ad.sum_(ad.mul(segment_sum(t, [2, 0, 2, 3, 0, 2], 4), weights))
 
         report = ad.grad_check(f, x)
         assert report.passed, report
@@ -492,7 +539,7 @@ class TestSegmentSum:
 
         def f(t):
             # ids 1 and 3 repeat, id 2 is unused
-            return ad.sum_(ad.mul(ad.segment_sum(t, [3, 1, 0, 1, 3], 4), weights))
+            return ad.sum_(ad.mul(segment_sum(t, [3, 1, 0, 1, 3], 4), weights))
 
         report = ad.grad_check(f, x)
         assert report.passed, report
@@ -500,15 +547,15 @@ class TestSegmentSum:
     def test_one_id_per_row(self):
         x = Tensor(np.zeros((3, 2)))
         with pytest.raises(ShapeError):
-            ad.segment_sum(x, [0, 1], 2)
+            segment_sum(x, [0, 1], 2)
         with pytest.raises(ShapeError):
-            ad.segment_sum(x, [0, 1, 1, 0], 2)
+            segment_sum(x, [0, 1, 1, 0], 2)
 
     @pytest.mark.parametrize("bad_id", [-1, 2, 7])
     def test_ids_outside_range_are_rejected(self, bad_id):
         x = Tensor(np.zeros((3, 2)))
         with pytest.raises(ShapeError):
-            ad.segment_sum(x, [0, bad_id, 1], 2)
+            segment_sum(x, [0, bad_id, 1], 2)
 
 
 class TestAddScalarTensor:
@@ -527,7 +574,7 @@ class TestAddScalarTensor:
 
         def f(_):
             total = ad.add(m, b) if side == "right" else ad.add(b, m)
-            return ad.sum_(ad.mul(ad.tanh(total), weights))
+            return ad.sum_(ad.mul(tanh(total), weights))
 
         for target in (m, b):
             report = ad.grad_check(f, target)

@@ -181,13 +181,24 @@ class TestRunConfig:
             RunConfig.from_file(path)
 
     def test_rejects_indivisible_heads(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^heads must be at least 1 and divide size 10, "
+                                              "got 4$"):
             RunConfig(embedding_size=10, heads=4).validate()
+
+    def test_zero_embedding_size_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^size must be at least 1, got 0$"):
+            RunConfig(embedding_size=0).validate()
+
+    @pytest.mark.parametrize("name", ["encoder_layers", "decoder_layers"])
+    def test_negative_layer_count_names_its_value(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be non-negative, got -1$"):
+            RunConfig(**{name: -1}).validate()
 
     def test_zero_heads_is_a_config_error(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("heads = 0\n")
-        with pytest.raises(ConfigError, match="^heads must be positive, got 0$"):
+        with pytest.raises(ConfigError,
+                           match="^heads must be at least 1 and divide size 64, got 0$"):
             RunConfig.from_file(path)
 
     @pytest.mark.parametrize("command", ["train", "pretrain"])

@@ -20,7 +20,6 @@ from basts.summarizer import (
     SummarizerModel,
     TransformerParams,
     Vocab,
-    causal_mask,
     decoder_logits,
     encode,
     encode_batch,
@@ -32,6 +31,7 @@ from basts.summarizer import (
 )
 from basts.syntax_encoder import TreeLstmParams, build_type_value_vocab, encode_trees
 from oracles import (
+    allowed_block,
     avg_pool,
     fuse,
     multi_head_attention_per_head,
@@ -174,7 +174,7 @@ class TestMultiHeadAttention:
         x_kv = Tensor(np.tile(row, (4, 1)))
         x_q = Tensor(np.random.default_rng(1).normal(size=(3, size)))
         kv = ad.matmul(x_kv, params.wk), ad.matmul(x_kv, params.wv)
-        out = multi_head_attention(x_q, params, heads=2, mask=[np.zeros((3, 4))], kv=kv)
+        out = multi_head_attention(x_q, params, heads=2, lengths=[(3, 4)], kv=kv)
         expected = row @ params.wv.data
         for r in out.data:
             assert np.allclose(r, expected, atol=1e-12)
@@ -183,7 +183,7 @@ class TestMultiHeadAttention:
         size = 4
         params = self._params(size, wo_identity=True)
         x = Tensor(np.random.default_rng(2).normal(size=(1, size)))
-        out = multi_head_attention(x, params, heads=1, mask=[np.zeros((1, 1))])
+        out = multi_head_attention(x, params, heads=1, lengths=[(1, 1)])
         assert np.array_equal(out.data, x.data @ params.wv.data)
 
     def test_two_by_two_single_head_hand_computed(self):
@@ -198,7 +198,7 @@ class TestMultiHeadAttention:
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
         expected = (attn @ v) @ params.wo.data
-        out = multi_head_attention(Tensor(x), params, heads=1, mask=[np.zeros((2, 2))])
+        out = multi_head_attention(Tensor(x), params, heads=1, lengths=[(2, 2)])
         assert np.allclose(out.data, expected, atol=1e-14)
 
     def test_attention_rows_sum_to_one(self):
@@ -209,14 +209,24 @@ class TestMultiHeadAttention:
         assert np.max(np.abs(attn.data.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_causal_mask_blocks_keys_above_the_diagonal(self):
-        block = causal_mask(3)
-        assert block.dtype == np.float64
+        params = self._params(4, seed=3)
+        x = np.random.default_rng(4).normal(size=(5, 4))
+        lengths = [(2, 2), (3, 3)]
+        base = multi_head_attention(Tensor(x), params, 2, lengths, causal=True).data
+        # row i of each sequence sees rows 0..i of that sequence only
+        for later, earlier in ((1, [0]), (3, [2]), (4, [2, 3])):
+            moved = x.copy()
+            moved[later] += 5.0
+            out = multi_head_attention(Tensor(moved), params, 2, lengths, causal=True).data
+            assert np.array_equal(out[earlier], base[earlier])
+            assert not np.array_equal(out[later], base[later])
+        block = ad._causal(3)
         assert np.array_equal(block, [[0.0, -np.inf, -np.inf],
                                       [0.0, 0.0, -np.inf],
                                       [0.0, 0.0, 0.0]])
         assert not np.signbit(block[np.isfinite(block)]).any()  # +0.0, not -0.0
         assert not block.flags.writeable
-        assert causal_mask(3) is block
+        assert ad._causal(3) is block
 
 
 class TestEncode:
@@ -396,9 +406,9 @@ class TestBatchedEncode:
             train_step(corpus.examples, model, opt)
         decoded = [greedy_decode(ex, model, max_len=12) for ex in corpus.examples]
 
-        def per_head(x, params, heads, mask, kv=None):  # additive blocks to boolean
-            return multi_head_attention_per_head(x, params, heads,
-                                                 [block == 0.0 for block in mask], kv)
+        def per_head(x, params, heads, lengths, kv=None, causal=False):  # lengths to blocks
+            return multi_head_attention_per_head(
+                x, params, heads, [allowed_block(n, m, causal) for n, m in lengths], kv)
 
         monkeypatch.setattr(summarizer, "multi_head_attention", per_head)
         assert decoded == [greedy_decode(ex, model, max_len=12) for ex in corpus.examples]
@@ -517,7 +527,7 @@ class TestCostGates:
         params = AttentionParams.statement(8).draw(np.random.default_rng(heads))
         x = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
         with ad.Tape() as tape:
-            multi_head_attention(x, params, heads, [causal_mask(5)])
+            multi_head_attention(x, params, heads, [(5, 5)], causal=True)
         assert len(tape.nodes) == 5
 
     @pytest.mark.parametrize("batch", [1, 3, 16])
@@ -526,7 +536,7 @@ class TestCostGates:
         lengths = [2 + b % 5 for b in range(batch)]
         x = Tensor(np.random.default_rng(0).normal(size=(sum(lengths), 8)))
         with ad.Tape() as tape:
-            multi_head_attention(x, params, 2, [causal_mask(n) for n in lengths])
+            multi_head_attention(x, params, 2, [(n, n) for n in lengths], causal=True)
         assert len(tape.nodes) == 5
 
     @pytest.mark.parametrize("max_len", [1, 12])
@@ -548,18 +558,18 @@ class TestCostGates:
 
         monkeypatch.setattr(ad, "matmul", counting_matmul)
         monkeypatch.setattr(summarizer, "decoder_logits", counting_decoder_logits)
-        monkeypatch.setattr(summarizer, "_CAUSAL_CACHE", {})
+        ad._causal.cache_clear()
         assert len(greedy_decode(make_example(), model, max_len=max_len)) == max_len
         assert len(steps) == max_len
         # each decoder layer's K and V, projected once, layer by layer
         assert projections == [id(w) for layer in model.transformer.dec
                                for w in (layer.cross_attn.wk, layer.cross_attn.wv)]
-        # step s's causal block is built once, and a second comment reuses it
-        built = dict(summarizer._CAUSAL_CACHE)
-        assert sorted(built) == list(range(1, max_len + 1))
+        # step s's causal block is built once, on the step's first decoder
+        # layer, and a second comment reuses every one
+        info = ad._causal.cache_info()
+        assert (info.misses, info.currsize) == (max_len, max_len)
         greedy_decode(make_example(), model, max_len=max_len)
-        assert all(summarizer._CAUSAL_CACHE[s] is block for s, block in built.items())
-        assert len(summarizer._CAUSAL_CACHE) == max_len
+        assert ad._causal.cache_info().misses == max_len
 
 
 class TestCausality:

@@ -33,6 +33,7 @@ from oracles import (
     embed,
     encode_tree_per_node,
     encode_trees_per_level,
+    repeat_row,
     sep_loss_per_pair,
     tree_lstm_cell,
 )
@@ -194,7 +195,7 @@ def tree_grads(trees, params, fold):
 
 def per_node_fold(trees, params):
     """The oracle's root vectors stacked as the rows of one matrix."""
-    return ad.concat([ad.repeat_row(encode_tree_per_node(t, params), 1) for t in trees])
+    return ad.concat([repeat_row(encode_tree_per_node(t, params), 1) for t in trees])
 
 
 def _shaped_batches():
