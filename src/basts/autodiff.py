@@ -30,6 +30,7 @@ states its tensors' shapes once, in its shape statement (see Params).
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -74,13 +75,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def check_width(size: int, heads: int = 1):
+def check_width(size: int, heads: int = 1, name: str = "size"):
     """The geometry rule of every parameter class and of `attention`: a
-    width `size` of at least 1, split evenly across `heads` >= 1 heads."""
+    width `size` of at least 1, split evenly across `heads` >= 1 heads.
+    The error calls the width `name`, as the caller's user wrote it."""
     if size < 1:
-        raise ShapeError(f"size must be at least 1, got {size}")
+        raise ShapeError(f"{name} must be at least 1, got {size}")
     if heads < 1 or size % heads:
-        raise ShapeError(f"heads must be at least 1 and divide size {size}, got {heads}")
+        raise ShapeError(f"heads must be at least 1 and divide {name} {size}, got {heads}")
 
 
 class Slot(NamedTuple):
@@ -213,9 +215,14 @@ def _tracked(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
+def _recording(inputs) -> bool:
+    """Whether an op on these inputs lands on a tape, so its backward can run."""
+    return bool(_TAPE_STACK) and any(_tracked(t) for t in inputs)
+
+
 def _emit(out_data, inputs, backward_fn) -> Tensor:
     out = Tensor(out_data)
-    if _TAPE_STACK and any(_tracked(t) for t in inputs):
+    if _recording(inputs):
         tape = _TAPE_STACK[-1]
         node = _OpNode(inputs, backward_fn, out, tape)
         out.node = node
@@ -369,7 +376,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths,
                          f"got {k.shape} and {v.shape}")
     check_width(size, heads)
     spans, q_end, k_end = [], 0, 0
-    for b, (rows, keys) in enumerate(lengths):
+    for b, pair in enumerate(lengths):
+        try:
+            rows, keys = map(operator.index, pair)
+        except (TypeError, ValueError):
+            raise ShapeError(f"attention sequence {b} must be a pair of row counts, "
+                             f"got {pair!r}") from None
         if min(rows, keys) < 0 or (rows and not keys) or (causal and rows != keys):
             raise ShapeError(f"attention sequence {b} cannot have {rows} query and "
                              f"{keys} key rows{' when causal' if causal else ''}")

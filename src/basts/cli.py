@@ -123,7 +123,7 @@ class RunConfig(PretrainConfig):
     def validate(self):
         super().validate()
         try:
-            check_width(self.embedding_size, self.heads)
+            check_width(self.embedding_size, self.heads, "embedding_size")
         except ShapeError as err:
             raise ConfigError(str(err)) from err
         for name in ("max_code_length", "max_comment_length", "type_value_min_freq"):

@@ -14,10 +14,14 @@ in dynamic batching (Looks et al., ICLR 2017): one cell application per
 height covers every node of that height in every tree of the batch.
 Equal subtrees (the same label over the same children, in order) are
 hash-consed into one row, so the batch is folded as a DAG: rows follow
-the distinct subtrees, and every row lives in one [R, 2L] h|m buffer.
-Each height gathers its child rows from that buffer once, sums child h
-into the parents, gives each child edge its own forget gate row, and
-writes its own rows. The tape holds one op per fold, whatever the trees.
+the distinct subtrees. A `SubtreeIndex` interns each tree once, the
+first time a fold holds it, and builds every later batch's plan from
+cached arrays, so pre-training, which folds the same trees every epoch,
+walks each tree once per run. The gates are gate-major, one [4, R, L]
+block per call, so each elementwise op of the cell runs on contiguous
+rows. Each height gathers its child rows once, sums child h into the
+parents, gives each child edge its own forget gate row, and writes its
+own rows. The tape holds one op per fold, whatever the trees.
 
 Pre-training scores ordered pairs of split embeddings with a logistic
 head and minimizes binary cross entropy against the block successor
@@ -114,164 +118,252 @@ class _Plan(NamedTuple):
     heights: list[tuple[int, int, int, int]]
 
 
-def _levels(trees: list[SplitAst], vocab: dict[str, int]) -> _Plan:
-    """The batch's `_Plan`: one row per distinct subtree, grouped by height.
+class SubtreeIndex:
+    """Every distinct subtree of the trees it has seen, each interned once.
 
     Subtrees are hash-consed (Filliâtre & Conchon, ML Workshop 2006): a
-    node is keyed by its embedding row and the (height, row) of each child
-    in order, and a node's state depends on nothing else. The first node
-    with a key takes a row at height 1 + its tallest child (0 for a leaf,
-    whose one child is the virtual state); every later node with that key,
-    in any tree, reuses that row. So the heights follow the tallest tree and
-    the rows follow the distinct subtrees, not the node count.
+    node is keyed by its embedding row and its children's ids, in order,
+    and a node's state depends on nothing else. Id 0 is the virtual child,
+    at height -1; each new key takes the next id, at height 1 + its tallest
+    child, so a leaf, whose one child is id 0, is at height 0. Each id keeps
+    its label, its height and its children, sorted stably by height, so a
+    row's child sums add lower heights first.
 
-    Loops only, so tree depth is not bounded by the Python recursion
-    limit. Each tree is walked in reverse breadth-first order, which puts
-    a node's children before it.
+    `plan` interns a tree the first time it sees it, walking it in reverse
+    breadth-first order, which puts a node's children before it, with loops
+    only, so depth is not bounded by the Python recursion limit. For each
+    tree the index keeps the tree object itself, its ids in first-occurrence
+    order, and its root id, under `id(tree)`; holding the tree means no
+    other object can take that id while the entry lives. A tree must not
+    change after it is interned. A batch's plan then comes from the cached
+    arrays alone, so a tree folded again, as pre-training folds every tree
+    once or more per epoch, costs no Python work per node.
     """
-    levels: list[list[tuple]] = []  # the keys of each height, in row order
-    found: dict[tuple, tuple[int, int]] = {}  # key -> (height, row in height)
-    roots: list[tuple[int, int]] = []
-    for t in trees:
-        nodes, first = [t.root], []
+
+    def __init__(self, vocab: dict[str, int]):
+        self.vocab = vocab
+        self._ids: dict[tuple, int] = {}  # (embedding row, child ids) -> id
+        self._trees: dict[int, tuple[SplitAst, np.ndarray, int]] = {}
+        # per id: label and height; id i's children are kids[ptr[i]:ptr[i + 1]]
+        self._lists = ([0], [-1], [0, 0], [])  # label, height, ptr, kids
+        self._arrays = tuple(np.array(values, dtype=np.intp) for values in self._lists)
+
+    def _intern(self, tree: SplitAst) -> tuple[SplitAst, np.ndarray, int]:
+        label, height, ptr, kids = self._lists
+        known, row_of = self._ids, self.vocab.get
+        nodes, first = [tree.root], []
         for node in nodes:  # the list grows breadth-first; siblings are adjacent
             first.append(len(nodes))
             nodes.extend(node.children)
-        ids = [None] * len(nodes)  # (height, row) of each node's subtree
+        ids = [0] * len(nodes)
         for j in range(len(nodes) - 1, -1, -1):
             node = nodes[j]
-            kids = tuple(ids[first[j]:first[j] + len(node.children)])
-            key = (vocab.get(node.type_value(), 0), kids)
-            hit = found.get(key)
-            if hit is None:
-                height = 1 + max(kids)[0] if kids else 0  # kids are (height, row)
-                if height == len(levels):
-                    levels.append([])
-                hit = found[key] = (height, len(levels[height]))
-                levels[height].append(key)
-            ids[j] = hit
-        roots.append(ids[0])
-    # (height, row) -> buffer row: base[height + 1] + row, the virtual
-    # child being (-1, 0)
-    offset = np.cumsum([0, 1] + [len(level) for level in levels])
-    base = offset.tolist()
-    keys = [key for level in levels for key in level]
-    counts = [len(kids) or 1 for _, kids in keys]
-    children = np.array([base[h + 1] + r for _, kids in keys for h, r in kids or ((-1, 0),)],
-                        dtype=np.intp)
-    parents = np.repeat(np.arange(1, len(keys) + 1), counts)
-    # a row's edges go lower heights first, stably: its child sums then add
-    # in the order of a fold that gathers one lower height at a time
-    order = np.lexsort((np.searchsorted(offset, children, side="right"), parents))
-    ends = np.cumsum([0] + counts).tolist()  # ends[r - 1] is row r's first edge
-    return _Plan(
-        labels=np.array([0] + [label for label, _ in keys], dtype=np.intp),
-        children=children[order],
-        parents=parents,
-        roots=np.array([base[h + 1] + r for h, r in roots], dtype=np.intp),
-        heights=[(lo, hi, ends[lo - 1], ends[hi - 1]) for lo, hi in zip(base[1:], base[2:])],
-    )
+            key = (row_of(node.type_value(), 0),
+                   tuple(ids[first[j]:first[j] + len(node.children)]))
+            found = known.get(key)
+            if found is None:
+                found = known[key] = len(height)
+                ordered = sorted(key[1], key=height.__getitem__) if key[1] else (0,)
+                label.append(key[0])
+                height.append(1 + height[ordered[-1]])
+                kids.extend(ordered)
+                ptr.append(len(kids))
+            ids[j] = found
+        order = np.fromiter(dict.fromkeys(reversed(ids)), dtype=np.intp)
+        entry = self._trees[id(tree)] = (tree, order, ids[0])
+        return entry
+
+    def plan(self, trees: list[SplitAst]) -> _Plan:
+        """The batch's `_Plan`: one row per distinct subtree, grouped by height.
+
+        The heights follow the tallest tree and the rows follow the distinct
+        subtrees of the batch, not its node count. Rows come in the order
+        their subtrees first occur, walking the trees in turn, each in
+        reverse breadth-first order, then sorted stably by height.
+        """
+        entries = [self._trees.get(id(t)) or self._intern(t) for t in trees]
+        if len(self._arrays[1]) < len(self._lists[1]):  # new ids since the last plan
+            self._arrays = tuple(np.concatenate((a, np.array(values[len(a):], dtype=np.intp)))
+                                 for a, values in zip(self._arrays, self._lists))
+        label, height, ptr, kids = self._arrays
+        ids = np.concatenate([order for _, order, _ in entries])
+        _, first = np.unique(ids, return_index=True)
+        ids = ids[np.sort(first)]  # each id once, where it first occurs
+        ids = ids[np.argsort(height[ids], kind="stable")]
+        rows = len(ids) + 1
+        local = np.empty(len(height), dtype=np.intp)  # id -> row
+        local[0] = 0
+        local[ids] = np.arange(1, rows)
+        # row r's edges are its id's children, kids[ptr[id]:ptr[id + 1]]
+        starts = ptr[ids]
+        counts = ptr[ids + 1] - starts
+        ends = np.cumsum(counts)  # ends[r - 1] is the end of row r's edges
+        in_kids = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+        levels = height[ids]
+        lo = np.searchsorted(levels, np.arange(levels[-1] + 2)) + 1  # first row per height
+        e = np.concatenate(([0], ends))[lo - 1].tolist()
+        lo = lo.tolist()
+        return _Plan(
+            labels=np.concatenate(([0], label[ids])),
+            children=local[kids[in_kids]],
+            parents=np.repeat(np.arange(1, rows), counts),
+            roots=local[[root for _, _, root in entries]],
+            heights=list(zip(lo, lo[1:], e, e[1:])),
+        )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_(x: np.ndarray):
+    """x <- 1 / (1 + exp(-x)), in place."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
 
 
-def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
+def encode_trees(trees: list[SplitAst], params: TreeLstmParams,
+                 index: SubtreeIndex | None = None) -> Tensor:
     """Child-Sum Tree-LSTM fold: row i of the [T, L] result is trees[i]'s root h.
 
-    The whole fold is one tape op with a hand-written backward. `_levels`
-    gives every distinct subtree of the batch one row of an [R, 2L] h|m
-    buffer, height by height, with the virtual child state in row 0. Each
-    height's rows go through the cell as one matrix: one gather of their
-    child rows, child h summed into each parent for the input, output and
-    update gates, a forget gate per child edge, and the gated child m
-    summed likewise; then the height writes its own rows. A subtree that
-    occurs more than once in the batch is one row, read by every parent
-    that holds it, so its gradient is the sum over its occurrences.
+    The whole fold is one tape op with a hand-written backward. `index`
+    (a fresh `SubtreeIndex` when None) plans the batch: every distinct
+    subtree is one row of the [R, L] h and m buffers, height by height,
+    with the virtual child state in row 0. A subtree that occurs more than
+    once in the batch is one row, read by every parent that holds it, so
+    its gradient is the sum over its occurrences.
+
+    Gates are gate-major: a height's [4, n, L] block holds i, o, u and
+    tanh(m), so every elementwise op runs on contiguous [n, L] rows. The
+    label part of all four gates' pre-activations is one batched product
+    over the batch's distinct labels, before the heights. Each height
+    gathers its rows' label parts and its child rows, gives each child
+    edge its own forget gate, sums child h and the gated child m into the
+    parents with one `np.bincount` each, over flat ids computed once per
+    plan, adds the children's part of i, o and u in one batched product,
+    and writes its own rows. A recorded fold keeps every height's gates in
+    one [4, R, L] buffer, with the forget gates and child-h sums, for its
+    backward; when no tape records the op, as under `no_grad`, only h and
+    m are kept.
 
     The backward walks the heights top-down. Each height turns its rows'
     h and m gradients into gate pre-activation gradients and sends the
-    gradients of its edges to their child rows, summed per child, so its
-    cost follows its own edges. Every weight gradient is then one product
-    over all rows or all edges. The op takes the 15 `TreeLstmParams`
-    tensors as they are; its tape cost is one op, whatever the trees.
+    gradients of its edges to their child rows, summed per distinct child
+    by one `np.bincount` each over ids computed once per backward, so its
+    cost follows its own edges, with no `np.unique` per height. Every
+    weight gradient is then one product over all rows, all edges or the
+    distinct labels. The op takes the 15 `TreeLstmParams` tensors as they
+    are; its tape cost is one op, whatever the trees.
     """
     size = params.size
     if not trees:
         return Tensor(np.zeros((0, size)))
-    labels, children, parents, roots, heights = _levels(trees, params.vocab)
-    rows = len(labels)
+    if index is None:
+        index = SubtreeIndex(params.vocab)
+    elif index.vocab is not params.vocab and index.vocab != params.vocab:
+        raise ValueError("the subtree index was made for another vocabulary")
+    labels, children, parents, roots, heights = index.plan(trees)
     p = params
-    # x @ w_x + b gives every row's i, o, u and f pre-activations from its
-    # label, h_sum @ u_iou adds the children's part of i, o and u
-    w_x = np.concatenate([p.w_i.data, p.w_o.data, p.w_u.data, p.w_f.data]).T
-    b = np.concatenate([p.b_i.data, p.b_o.data, p.b_u.data, p.b_f.data])
-    u_iou = np.concatenate([p.u_i.data, p.u_o.data, p.u_u.data]).T
-    u_f = p.u_f.data
-    state = np.empty((rows, 2 * size))  # h | m
-    state[0, :size], state[0, size:] = p.virtual_h.data, p.virtual_m.data
-    h_sum = np.empty((rows, size))
-    gates = np.empty((rows, 4 * size))  # i | o | u | tanh(m)
-    forget = np.empty((len(children), size))
-    for lo, hi, e0, e1 in heights:
-        up = parents[e0:e1] - lo  # each edge's parent, counted within the height
-        pre = p.embedding.data[labels[lo:hi]] @ w_x + b
-        kids = state[children[e0:e1]]  # child h | m, then child h | f * m
-        f = forget[e0:e1] = _sigmoid(pre[up, 3 * size:] + kids[:, :size] @ u_f.T)
-        kids[:, size:] *= f
-        sums = ad._scatter_rows(up, kids, hi - lo)
-        h_sum[lo:hi] = sums[:, :size]
-        gate = gates[lo:hi]  # i | o | u | tanh(m) of the height's rows
-        iou = pre[:, :3 * size] + sums[:, :size] @ u_iou
-        i = gate[:, :size] = _sigmoid(iou[:, :size])
-        o = gate[:, size:2 * size] = _sigmoid(iou[:, size:2 * size])
-        u = gate[:, 2 * size:3 * size] = np.tanh(iou[:, 2 * size:])
-        m = state[lo:hi, size:] = i * u + sums[:, size:]
-        tanh_m = gate[:, 3 * size:] = np.tanh(m)
-        state[lo:hi, :size] = o * tanh_m
-
-    def back(g):
-        grad = np.zeros((rows, 2 * size))  # d h | d m, then d h_sum | d m
-        np.add.at(grad[:, :size], roots, g)
-        d_pre = np.zeros((rows, 4 * size))
-        d_fpre = np.empty((len(children), size))
-        for lo, hi, e0, e1 in reversed(heights):
-            gate = gates[lo:hi]
-            i, o = gate[:, :size], gate[:, size:2 * size]
-            u, tanh_m = gate[:, 2 * size:3 * size], gate[:, 3 * size:]
-            d_h, d_m = grad[lo:hi, :size], grad[lo:hi, size:]
-            d_m += d_h * o * (1.0 - tanh_m * tanh_m)
-            d_iou = d_pre[lo:hi, :3 * size]
-            d_iou[:, :size] = d_m * u * i * (1.0 - i)
-            d_iou[:, size:2 * size] = d_h * tanh_m * o * (1.0 - o)
-            d_iou[:, 2 * size:] = d_m * i * (1.0 - u * u)
-            d_h[...] = d_iou @ u_iou.T
-            # each edge takes its parent's d h_sum and d m
-            kids, f = children[e0:e1], forget[e0:e1]
-            d_edge = grad[parents[e0:e1]]
-            d_fpre[e0:e1] = d_edge[:, size:] * state[kids, size:] * f * (1.0 - f)
-            d_edge[:, :size] += d_fpre[e0:e1] @ u_f
-            d_edge[:, size:] *= f
-            # summed per child row, for the distinct child rows only
-            kids, inverse = np.unique(kids, return_inverse=True)
-            grad[kids] += ad._scatter_rows(inverse, d_edge, len(kids))
-        d_pre[1:, 3 * size:] = ad._scatter_rows(parents - 1, d_fpre, rows - 1)
-        x = p.embedding.data[labels[1:]]
-        d_w_x = (x.T @ d_pre[1:]).T  # rows: w_i, w_o, w_u, w_f
-        d_b = d_pre.sum(axis=0)
-        d_embedding = ad._scatter_rows(labels[1:], d_pre[1:] @ w_x.T, len(p.embedding.data))
-        d_u_iou = (h_sum[1:].T @ d_pre[1:, :3 * size]).T  # rows: u_i, u_o, u_u
-        d_u_f = d_fpre.T @ state[children, :size]
-        return (d_embedding, d_w_x[:size], d_u_iou[:size], d_b[:size],
-                d_w_x[3 * size:], d_u_f, d_b[3 * size:],
-                d_w_x[size:2 * size], d_u_iou[size:2 * size], d_b[size:2 * size],
-                d_w_x[2 * size:3 * size], d_u_iou[2 * size:], d_b[2 * size:3 * size],
-                grad[0, :size].copy(), grad[0, size:].copy())
-
     inputs = (p.embedding, p.w_i, p.u_i, p.b_i, p.w_f, p.u_f, p.b_f,
               p.w_o, p.u_o, p.b_o, p.w_u, p.u_u, p.b_u, p.virtual_h, p.virtual_m)
-    return ad._emit(state[roots, :size], inputs, back)
+    keep = ad._recording(inputs)  # the backward's buffers, only if it can run
+    rows, edges = len(labels), len(children)
+    # gate g of a row is x @ w_x[g] + b[g], plus h_sum @ u_iou[g] for i, o, u;
+    # the label part is taken once per distinct label of the batch
+    w_x = np.stack([p.w_i.data.T, p.w_o.data.T, p.w_u.data.T, p.w_f.data.T])
+    b = np.stack([p.b_i.data, p.b_o.data, p.b_u.data, p.b_f.data])[:, None]
+    u_iou = np.stack([p.u_i.data.T, p.u_o.data.T, p.u_u.data.T])
+    u_f = p.u_f.data
+    used, label_of = np.unique(labels[1:], return_inverse=True)
+    x = p.embedding.data[used]
+    label_pre = x @ w_x + b  # [4, labels, L]
+    h, m = np.empty((rows, size)), np.empty((rows, size))
+    h[0], m[0] = p.virtual_h.data, p.virtual_m.data
+    # each edge's parent, counted within its height, as flat ids into [n, L]
+    spans = [e1 - e0 for _, _, e0, e1 in heights]
+    up = parents - np.repeat([lo for lo, _, _, _ in heights], spans)
+    flat = up[:, None] * size + np.arange(size)
+    if keep:
+        gates = np.empty((4, rows, size))  # i, o, u, tanh(m)
+        forget, h_sum = np.empty((edges, size)), np.empty((rows, size))
+    for lo, hi, e0, e1 in heights:
+        n = hi - lo
+        # the rows' label parts, then each edge's parent's forget gate part;
+        # the ids are the plan's own, and "clip" writes `out` unbuffered
+        gate = gates[:, lo:hi] if keep else np.empty((4, n, size))
+        np.take(label_pre, label_of[lo - 1:hi - 1], axis=1, out=gate, mode="clip")
+        f = forget[e0:e1] if keep else np.empty((e1 - e0, size))
+        np.take(gate[3], up[e0:e1], axis=0, out=f, mode="clip")
+        kids, ids = children[e0:e1], flat[e0:e1].ravel()
+        kid_h, kid_m = h[kids], m[kids]
+        f += kid_h @ u_f.T
+        _sigmoid_(f)
+        kid_m *= f
+        sums = np.bincount(ids, kid_h.ravel(), n * size).reshape(n, size)
+        gate[:3] += sums @ u_iou
+        _sigmoid_(gate[:2])
+        np.tanh(gate[2], out=gate[2])
+        m_rows = m[lo:hi]
+        np.multiply(gate[0], gate[2], out=m_rows)
+        m_rows += np.bincount(ids, kid_m.ravel(), n * size).reshape(n, size)
+        np.tanh(m_rows, out=gate[3])
+        np.multiply(gate[1], gate[3], out=h[lo:hi])
+        if keep:
+            h_sum[lo:hi] = sums
+
+    def back(g):
+        # the op's one backward turns `gates` into the gate pre-activation
+        # gradients, height by height, and `forget` into the forget gate's
+        d_h, d_m = np.zeros((rows, size)), np.zeros((rows, size))
+        np.add.at(d_h, roots, g)
+        # each height's distinct child rows, and each edge's place among them
+        level = np.repeat(np.arange(len(heights)), spans)
+        distinct, place = np.unique(level * rows + children, return_inverse=True)
+        bounds = np.searchsorted(distinct, np.arange(len(heights) + 1) * rows)
+        place -= np.repeat(bounds[:-1], spans)
+        to_kid = place[:, None] * size + np.arange(size)
+        distinct %= rows
+        bounds = bounds.tolist()
+        u_hsum = u_iou.transpose(0, 2, 1)
+        for k in range(len(heights) - 1, -1, -1):
+            lo, hi, e0, e1 = heights[k]
+            n = hi - lo
+            d = gates[:, lo:hi]
+            i, o, u, tanh_m = d
+            dh, dm = d_h[lo:hi], d_m[lo:hi]
+            dm += dh * o * (1.0 - tanh_m * tanh_m)
+            d_i = dm * u * i * (1.0 - i)
+            d[1] = dh * tanh_m * o * (1.0 - o)
+            d[2] = dm * i * (1.0 - u * u)
+            d[0] = d_i
+            # each edge takes its parent's d h_sum and d m
+            up_e, f, ids = up[e0:e1], forget[e0:e1], flat[e0:e1].ravel()
+            d_edge_h = (d[:3] @ u_hsum).sum(axis=0)[up_e]
+            d_edge_m = dm[up_e]
+            d_f = d_edge_m * m[children[e0:e1]] * f * (1.0 - f)
+            d_edge_h += d_f @ u_f
+            d_edge_m *= f
+            f[...] = d_f
+            d[3] = np.bincount(ids, d_f.ravel(), n * size).reshape(n, size)
+            # summed per distinct child row
+            kids, ids = distinct[bounds[k]:bounds[k + 1]], to_kid[e0:e1].ravel()
+            cells = len(kids) * size
+            d_h[kids] += np.bincount(ids, d_edge_h.ravel(), cells).reshape(-1, size)
+            d_m[kids] += np.bincount(ids, d_edge_m.ravel(), cells).reshape(-1, size)
+        d = gates[:, 1:]
+        d_u = d[:3].transpose(0, 2, 1) @ h_sum[1:]
+        d_u_f = forget.T @ h[children]
+        # the label parts, summed per distinct label first
+        to_label = (label_of[:, None] * size + np.arange(size)).ravel()
+        d_label = np.stack([np.bincount(to_label, d_g.ravel(), len(used) * size)
+                            for d_g in d]).reshape(4, len(used), size)
+        d_w = d_label.transpose(0, 2, 1) @ x
+        d_b = d_label.sum(axis=1)
+        d_embedding = np.zeros_like(p.embedding.data)
+        d_embedding[used] = (d_label @ w_x.transpose(0, 2, 1)).sum(axis=0)
+        return (d_embedding, d_w[0], d_u[0], d_b[0], d_w[3], d_u_f, d_b[3],
+                d_w[1], d_u[1], d_b[1], d_w[2], d_u[2], d_b[2],
+                d_h[0].copy(), d_m[0].copy())
+
+    return ad._emit(h[roots], inputs, back)
 
 
 def encode_tree(t: SplitAst, params: TreeLstmParams) -> Tensor:
@@ -308,11 +400,12 @@ def sep_score(left: Tensor, right: Tensor, model: SepModel) -> Tensor:
     return ad.sigmoid(ad.add(ad.matmul(joint, model.score_w), model.score_b))
 
 
-def _pair_scores(pairs: list[PairExample], model: SepModel) -> Tensor:
+def _pair_scores(pairs: list[PairExample], model: SepModel,
+                 index: SubtreeIndex | None = None) -> Tensor:
     """Scores of every pair, shape [P]; each distinct tree is folded once."""
     trees = list({id(t): t for p in pairs for t in (p.t, p.t_prime)}.values())
     row = {id(t): i for i, t in enumerate(trees)}
-    roots = encode_trees(trees, model.tree)
+    roots = encode_trees(trees, model.tree, index)
     left = ad.embedding_lookup(roots, [row[id(p.t)] for p in pairs])
     right = ad.embedding_lookup(roots, [row[id(p.t_prime)] for p in pairs])
     return sep_score(left, right, model)
@@ -321,11 +414,15 @@ def _pair_scores(pairs: list[PairExample], model: SepModel) -> Tensor:
 SCORE_FLOOR = 1e-12
 
 
-def sep_loss(pairs: list[PairExample], model: SepModel) -> Tensor:
-    """Mean binary cross entropy of pair scores against successor labels."""
+def sep_loss(pairs: list[PairExample], model: SepModel,
+             index: SubtreeIndex | None = None) -> Tensor:
+    """Mean binary cross entropy of pair scores against successor labels.
+
+    `index` plans the fold, as in `encode_trees`.
+    """
     if not pairs:
         raise ValueError("sep_loss needs at least one pair")
-    scores = _pair_scores(pairs, model)
+    scores = _pair_scores(pairs, model, index)
     y = np.array([p.label for p in pairs], dtype=np.float64)
     # the probability given to the observed label: s for 1, 1 - s for 0
     observed = ad.add(ad.mul(scores, Tensor(2.0 * y - 1.0)), Tensor(1.0 - y))
@@ -391,9 +488,11 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
              config: PretrainConfig) -> tuple[SepModel, list[EpochStats]]:
     """Train the next-split classifier; returns the model and loss history.
 
-    After each epoch's steps, an accuracy pass scores every pair without
-    a tape, one method's pairs per `encode_trees` call, so every tree is
-    folded once (a method without pairs is skipped).
+    One `SubtreeIndex` plans every fold of the run, so each tree is walked
+    once, the first time a batch holds it, and each later fold of it takes
+    its plan from cached arrays. After each epoch's steps, an accuracy pass
+    scores every pair without a tape, in one `encode_trees` call over every
+    pair's trees, so every tree is folded once.
 
     A corpus with no multi-split methods produces no pairs and the
     initialized parameters come back untouched.
@@ -401,31 +500,30 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
     config.validate()
     seeds = np.random.SeedSequence(config.seed).spawn(len(corpus) + 2)
     model = SepModel.init(params, np.random.default_rng(seeds[0]))
-    # each method's pairs are one chunk of the accuracy pass; no tree is in two methods
-    chunks = [generate_pairs(method_splits, config.neg_ratio, int(seq.generate_state(1)[0]))
-              for method_splits, seq in zip(corpus, seeds[2:])]
-    pairs = [pair for chunk in chunks for pair in chunk]
+    pairs = [pair for method_splits, seq in zip(corpus, seeds[2:])
+             for pair in generate_pairs(method_splits, config.neg_ratio,
+                                        int(seq.generate_state(1)[0]))]
     if not pairs:
         return model, []
 
+    index = SubtreeIndex(params.vocab)
+    successors = np.array([p.label == 1 for p in pairs])
     opt = Adam(model.all_params(), lr=config.learning_rate)
     shuffle_rng = np.random.default_rng(seeds[1])
     history = []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(len(pairs))
         epoch_loss = 0.0
-        correct = 0
         for lo in range(0, len(pairs), config.batch_size):
             batch = [pairs[i] for i in order[lo : lo + config.batch_size]]
             with Tape() as tape:
-                loss = sep_loss(batch, model)
+                loss = sep_loss(batch, model, index)
                 backward(tape, loss)
             opt.step()
             opt.zero_grad()
             epoch_loss += loss.item() * len(batch)
         with ad.no_grad():
-            for chunk in filter(None, chunks):
-                predicted = _pair_scores(chunk, model).data > 0.5
-                correct += int(np.sum(predicted == [p.label == 1 for p in chunk]))
+            predicted = _pair_scores(pairs, model, index).data > 0.5
+        correct = int(np.sum(predicted == successors))
         history.append(EpochStats(epoch_loss / len(pairs), correct / len(pairs)))
     return model, history

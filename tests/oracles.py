@@ -7,8 +7,10 @@ of trees as one tape op with a hand-written backward; `tree_lstm_cell` and
 `encode_tree_per_node` are its one-cell-per-node form, and
 `encode_trees_per_level` its one-height-at-a-time form, about 20 primitive
 ops per height with their own backwards, over the same hash-consed rows;
-`distinct_subtrees` is the recursive canonical form of the hash-consing
-in `syntax_encoder._levels`; `sep_loss_per_pair` is the per-pair score
+`_levels` is the plan oracle: it hash-conses a batch's trees afresh, node
+by node, into the `_Plan` that `syntax_encoder.SubtreeIndex.plan` builds
+from its cached arrays; `distinct_subtrees` is the recursive canonical
+form of that hash-consing; `sep_loss_per_pair` is the per-pair score
 and cross-entropy loop that `syntax_encoder.sep_loss` computes as one
 vector expression;
 `reachable_tensors` finds by brute force what `autodiff.Params.named_params`
@@ -77,7 +79,7 @@ from basts.syntax_encoder import (
     PairExample,
     SepModel,
     TreeLstmParams,
-    _levels,
+    _Plan,
     encode_trees,
 )
 
@@ -435,10 +437,72 @@ def encode_tree_per_node(t: SplitAst, params: TreeLstmParams) -> Tensor:
     return h_root
 
 
+def _levels(trees: list[SplitAst], vocab: dict[str, int]) -> _Plan:
+    """The batch's `_Plan`: one row per distinct subtree, grouped by height.
+
+    `syntax_encoder.SubtreeIndex.plan` must return exactly this plan, array
+    for array, for any batch and any trees the index saw before.
+
+    Subtrees are hash-consed (Filliâtre & Conchon, ML Workshop 2006): a
+    node is keyed by its embedding row and the (height, row) of each child
+    in order, and a node's state depends on nothing else. The first node
+    with a key takes a row at height 1 + its tallest child (0 for a leaf,
+    whose one child is the virtual state); every later node with that key,
+    in any tree, reuses that row. So the heights follow the tallest tree and
+    the rows follow the distinct subtrees, not the node count.
+
+    Loops only, so tree depth is not bounded by the Python recursion
+    limit. Each tree is walked in reverse breadth-first order, which puts
+    a node's children before it.
+    """
+    levels: list[list[tuple]] = []  # the keys of each height, in row order
+    found: dict[tuple, tuple[int, int]] = {}  # key -> (height, row in height)
+    roots: list[tuple[int, int]] = []
+    for t in trees:
+        nodes, first = [t.root], []
+        for node in nodes:  # the list grows breadth-first; siblings are adjacent
+            first.append(len(nodes))
+            nodes.extend(node.children)
+        ids = [None] * len(nodes)  # (height, row) of each node's subtree
+        for j in range(len(nodes) - 1, -1, -1):
+            node = nodes[j]
+            kids = tuple(ids[first[j]:first[j] + len(node.children)])
+            key = (vocab.get(node.type_value(), 0), kids)
+            hit = found.get(key)
+            if hit is None:
+                height = 1 + max(kids)[0] if kids else 0  # kids are (height, row)
+                if height == len(levels):
+                    levels.append([])
+                hit = found[key] = (height, len(levels[height]))
+                levels[height].append(key)
+            ids[j] = hit
+        roots.append(ids[0])
+    # (height, row) -> buffer row: base[height + 1] + row, the virtual
+    # child being (-1, 0)
+    offset = np.cumsum([0, 1] + [len(level) for level in levels])
+    base = offset.tolist()
+    keys = [key for level in levels for key in level]
+    counts = [len(kids) or 1 for _, kids in keys]
+    children = np.array([base[h + 1] + r for _, kids in keys for h, r in kids or ((-1, 0),)],
+                        dtype=np.intp)
+    parents = np.repeat(np.arange(1, len(keys) + 1), counts)
+    # a row's edges go lower heights first, stably: its child sums then add
+    # in the order of a fold that gathers one lower height at a time
+    order = np.lexsort((np.searchsorted(offset, children, side="right"), parents))
+    ends = np.cumsum([0] + counts).tolist()  # ends[r - 1] is row r's first edge
+    return _Plan(
+        labels=np.array([0] + [label for label, _ in keys], dtype=np.intp),
+        children=children[order],
+        parents=parents,
+        roots=np.array([base[h + 1] + r for h, r in roots], dtype=np.intp),
+        heights=[(lo, hi, ends[lo - 1], ends[hi - 1]) for lo, hi in zip(base[1:], base[2:])],
+    )
+
+
 def encode_trees_per_level(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
     """Root h of each tree as the rows of a [T, L] matrix, one height at a time.
 
-    Folds the rows of `syntax_encoder._levels`, each height as one matrix
+    Folds the rows of `_levels`, each height as one matrix
     through primitive ops: it gathers the (h, m) rows of its children from
     every lower height that holds them, sums child h into the parents with
     `segment_sum`, applies the forget gate once per child edge and sums the

@@ -432,6 +432,15 @@ class TestSegmentedAttention:
         with pytest.raises(ShapeError, match=f"^attention {fault}$"):
             ad.attention(q, k, v, 2, lengths, causal)
 
+    @pytest.mark.parametrize("entry,shown", [((3,), r"\(3,\)"), ((1, 2, 3), r"\(1, 2, 3\)"),
+                                             (5, "5")],
+                             ids=["one count", "three counts", "bare int"])
+    def test_a_sequence_that_is_not_a_pair_is_named(self, entry, shown):
+        q, k, v, _, _ = _packed([2, 3], [3, 2])
+        with pytest.raises(ShapeError, match=f"^attention sequence 1 must be a pair of "
+                                             f"row counts, got {shown}$"):
+            ad.attention(q, k, v, 2, [(2, 3), entry])
+
 
 # packed sequences: each one's query rows (0 and 1 included) and key rows
 _SEQUENCES = st.lists(st.tuples(st.integers(0, 5), st.integers(1, 6)),

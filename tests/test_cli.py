@@ -181,12 +181,12 @@ class TestRunConfig:
             RunConfig.from_file(path)
 
     def test_rejects_indivisible_heads(self):
-        with pytest.raises(ConfigError, match="^heads must be at least 1 and divide size 10, "
+        with pytest.raises(ConfigError, match="^heads must be at least 1 and divide embedding_size 10, "
                                               "got 4$"):
             RunConfig(embedding_size=10, heads=4).validate()
 
     def test_zero_embedding_size_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="^size must be at least 1, got 0$"):
+        with pytest.raises(ConfigError, match="^embedding_size must be at least 1, got 0$"):
             RunConfig(embedding_size=0).validate()
 
     @pytest.mark.parametrize("name", ["encoder_layers", "decoder_layers"])
@@ -198,7 +198,8 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text("heads = 0\n")
         with pytest.raises(ConfigError,
-                           match="^heads must be at least 1 and divide size 64, got 0$"):
+                           match="^heads must be at least 1 and divide embedding_size 64, "
+                                 "got 0$"):
             RunConfig.from_file(path)
 
     @pytest.mark.parametrize("command", ["train", "pretrain"])

@@ -1,4 +1,5 @@
 import copy
+import functools
 import gc
 import sys
 import tracemalloc
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import basts.autodiff as ad
 from basts import syntax_encoder
@@ -14,10 +17,10 @@ from basts.frontend import AstNode, iter_nodes
 from basts.splitter import SplitAst, split_method
 from basts.syntax_encoder import (
     ConfigError,
-    _levels,
     PairExample,
     PretrainConfig,
     SepModel,
+    SubtreeIndex,
     TreeLstmParams,
     build_type_value_vocab,
     encode_tree,
@@ -29,6 +32,7 @@ from basts.syntax_encoder import (
 )
 from conftest import parse_source
 from oracles import (
+    _levels,
     distinct_subtrees,
     embed,
     encode_tree_per_node,
@@ -41,7 +45,7 @@ from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from minigen import generate_records  # noqa: E402
-from workloads import MEDIUM_PROFILE  # noqa: E402
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
 
 
 def make_params(size=4, seed=0, vocab=None):
@@ -243,7 +247,7 @@ def _sharing_batches():
 
 def row_count(trees, vocab):
     # every row of the plan but the virtual child's
-    return len(_levels(trees, vocab).labels) - 1
+    return len(SubtreeIndex(vocab).plan(trees).labels) - 1
 
 
 def assert_fold_matches(trees, params, oracle):
@@ -310,7 +314,7 @@ class TestEncodeTreesMatchesPerNodeFold:
 
 def rows_with_several_parents(trees, vocab):
     """Plan rows, other than the virtual child, that two or more rows hold."""
-    plan = _levels(trees, vocab)
+    plan = SubtreeIndex(vocab).plan(trees)
     holders = {}
     for child, parent in zip(plan.children.tolist(), plan.parents.tolist()):
         holders.setdefault(child, set()).add(parent)
@@ -372,8 +376,57 @@ class TestFusedFoldMatchesOracles:
             assert report.passed, (name, report)
 
 
+# each profile's methods per corpus, so that every corpus holds a few dozen trees
+PLAN_CORPORA = {"small": (SMALL_PROFILE, 24), "medium": (MEDIUM_PROFILE, 6),
+                "prep": (PREP_PROFILE, 2)}
+
+
+@functools.cache
+def plan_corpus(profile, seed):
+    """The split ASTs of one generated corpus, and their vocabulary."""
+    shape, methods = PLAN_CORPORA[profile]
+    records = generate_records(f"plans/{profile}", seed, methods, shape)
+    trees = tuple(a for r in records for a in split_method(parse_source(r["code"])).asts)
+    return trees, build_type_value_vocab([t.root for t in trees])
+
+
+def assert_same_plan(got, want):
+    assert got.heights == want.heights
+    for name in ("labels", "children", "parents", "roots"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestSubtreeIndex:
+    """Plans from the index's cached arrays equal the hash-consing walk's."""
+
+    @settings(max_examples=120)
+    @given(profile=st.sampled_from(sorted(PLAN_CORPORA)), seed=st.integers(1, 3),
+           data=st.data())
+    def test_every_plan_equals_the_oracle(self, profile, seed, data):
+        trees, vocab = plan_corpus(profile, seed)
+        index = SubtreeIndex(vocab)
+        for _ in range(data.draw(st.integers(2, 5), label="plans")):
+            order = data.draw(st.permutations(range(len(trees))), label="shuffle")
+            batch = [trees[i] for i in order[:data.draw(st.integers(1, len(trees)))]]
+            if data.draw(st.booleans(), label="repeat a tree"):
+                batch.insert(data.draw(st.integers(0, len(batch))),
+                             batch[data.draw(st.integers(0, len(batch) - 1))])
+            assert_same_plan(index.plan(batch), _levels(batch, vocab))
+            # a fresh tree, planned and then dropped: a later object at its
+            # address must not hit its cache entry
+            fresh = [copy.deepcopy(trees[data.draw(st.integers(0, len(trees) - 1))])]
+            assert_same_plan(index.plan(fresh), _levels(fresh, vocab))
+            del fresh
+
+    def test_another_vocabulary_is_refused(self):
+        trees, vocab = plan_corpus("small", 1)
+        params = TreeLstmParams.init(vocab, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="another vocabulary"):
+            encode_trees(list(trees), params, SubtreeIndex({"<UNK>": 0}))
+
+
 class TestHashConsedLevels:
-    """`_levels` keeps one row per distinct subtree, by the recursive oracle."""
+    """A plan keeps one row per distinct subtree, by the recursive oracle."""
 
     def _assert_one_row_per_subtree(self, trees):
         vocab = build_type_value_vocab([t.root for t in trees], min_freq=2)
@@ -381,7 +434,7 @@ class TestHashConsedLevels:
         assert row_count(trees, vocab) < node_count(trees)
         # two roots share a row exactly when their trees are equal, that is
         # when they hold the same distinct subtrees
-        roots = _levels(trees, vocab).roots
+        roots = SubtreeIndex(vocab).plan(trees).roots
         forms = [frozenset(distinct_subtrees([t], vocab)) for t in trees]
         for i in range(len(trees)):
             for j in range(i):
@@ -470,6 +523,28 @@ class TestCostGates:
         # arrays the op keeps included, as float64s per node and unit of width
         assert peak <= 40 * node_count([tree]) * size * 8
         assert np.all(np.isfinite(params.u_f.grad))
+
+    def test_no_grad_fold_keeps_no_backward_buffers(self):
+        trees, params = with_own_vocab(medium_trees(1, methods=8)[:60], size=64)
+        assert len(trees) == 60
+        index = SubtreeIndex(params.vocab)
+        rows = len(index.plan(trees).labels)
+
+        def peak(recorded):
+            tracemalloc.start()
+            try:
+                if recorded:
+                    with Tape():
+                        encode_trees(trees, params, index)
+                else:
+                    with ad.no_grad():
+                        encode_trees(trees, params, index)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the recorded fold keeps its [4, R, L] gate buffer, and more
+        assert peak(False) + 4 * rows * params.size * 8 <= peak(True)
 
     def test_step_leaves_no_reference_cycles(self):
         batch, model = toy_pretrain_batch()
@@ -669,25 +744,27 @@ class TestPretrain:
         params = TreeLstmParams.init(vocab, 4, np.random.default_rng(0))
         stepping, folded = [], []
 
-        def step_loss(pairs, model):
+        def step_loss(*args):
             stepping.append(True)
             try:
-                return sep_loss(pairs, model)
+                return sep_loss(*args)
             finally:
                 stepping.pop()
 
-        def counting_encode_trees(trees, tree_params):
+        def counting_encode_trees(trees, *args):
             if not stepping:  # a fold of the accuracy pass
-                folded.extend(id(t) for t in trees)
-            return encode_trees(trees, tree_params)
+                folded.append([id(t) for t in trees])
+            return encode_trees(trees, *args)
 
         monkeypatch.setattr(syntax_encoder, "sep_loss", step_loss)
         monkeypatch.setattr(syntax_encoder, "encode_trees", counting_encode_trees)
         _, history = pretrain(corpus, params, PretrainConfig(epochs=1, batch_size=batch_size))
         assert len(history) == 1
-        # the 37 trees of the toy methods' pairs; chunks of `batch_size` pairs that
-        # straddle methods fold some trees twice: 74 folds at 4, 40 at 16
-        assert len(folded) == len(set(folded)) == 37
+        # the 37 trees of the toy methods' pairs, in one call; chunks of
+        # `batch_size` pairs that straddle methods fold some trees twice: 74
+        # folds at 4, 40 at 16
+        assert len(folded) == 1
+        assert len(folded[0]) == len(set(folded[0])) == 37
 
     def test_rejects_bad_config(self, diamond_method):
         corpus = [split_method(diamond_method)]
