@@ -8,42 +8,3 @@ ASTs are encoded by a Child-Sum Tree-LSTM whose parameters are pre-trained
 on next-split prediction, and a fusion Transformer combines the pooled
 syntax encoding with the token sequence to generate comment text.
 """
-
-from basts.frontend import (
-    AstNode,
-    LexError,
-    Method,
-    ParseError,
-    Statement,
-    StmtKind,
-    Token,
-    TokenKind,
-    abstract_literals,
-    build_ast,
-    parse_method,
-    parse_program,
-    split_identifier,
-    tokenize,
-    tokenize_comment,
-)
-from basts.cfg import Cfg, CfgError, CfgNode, NodeKind, build_cfg, cfg_to_dot
-from basts.dominators import (
-    DomError,
-    DomTree,
-    OracleScaleError,
-    brute_force_dominators,
-    compute_dominators,
-    dom_to_dot,
-)
-from basts.splitter import (
-    CodeSplit,
-    MethodSplits,
-    SplitAst,
-    SplitGraph,
-    build_split_asts,
-    make_split_code,
-    partition_blocks,
-    split_method,
-)
-
-__version__ = "0.1.0"

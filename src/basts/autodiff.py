@@ -33,7 +33,7 @@ import math
 import operator
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from functools import cache
 from typing import NamedTuple
 
@@ -113,8 +113,9 @@ class Params:
 
     Names follow field declaration order: a Tensor field is named by its
     field, a Params field adds "field." to its own names, item i of a
-    list field adds "field<i>.", and other fields (sizes, vocabularies)
-    hold no parameters. Adam and the checkpoint layout both read this.
+    list field adds "field<i>.", and other fields (sizes, vocabularies,
+    the tree encoder's subtree index) hold no parameters. Adam and the
+    checkpoint layout both read this.
 
     Each class states its tensors once, in its shape statement, the
     classmethod `statement`: from integer geometry (vocabulary lengths,
@@ -532,46 +533,7 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
     return _emit(nll.sum() * scale, (logits,), back)
 
 
-# --- gradient checking and optimization -------------------------------------
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    passed: bool
-    checked: int
-
-
-def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Compare backward gradients of scalar f(x) to central differences.
-
-    The per-component error is |analytic - numeric| relative to
-    max(|analytic|, |numeric|, 1e-4), so near-zero gradients are judged
-    on an absolute scale.
-    """
-    x.zero_grad()
-    with Tape() as tape:
-        loss = f(x)
-        backward(tape, loss)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    x.zero_grad()
-
-    numeric = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = float(f(x).data)
-            flat[i] = orig - h
-            lo = float(f(x).data)
-            flat[i] = orig
-            num_flat[i] = (hi - lo) / (2.0 * h)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
-    max_rel = float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0
-    return GradCheckReport(max_rel, max_rel < tol, flat.size)
+# --- optimization -----------------------------------------------------------
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

@@ -14,14 +14,18 @@ in dynamic batching (Looks et al., ICLR 2017): one cell application per
 height covers every node of that height in every tree of the batch.
 Equal subtrees (the same label over the same children, in order) are
 hash-consed into one row, so the batch is folded as a DAG: rows follow
-the distinct subtrees. A `SubtreeIndex` interns each tree once, the
-first time a fold holds it, and builds every later batch's plan from
-cached arrays, so pre-training, which folds the same trees every epoch,
-walks each tree once per run. The gates are gate-major, one [4, R, L]
-block per call, so each elementwise op of the cell runs on contiguous
-rows. Each height gathers its child rows once, sums child h into the
-parents, gives each child edge its own forget gate row, and writes its
-own rows. The tape holds one op per fold, whatever the trees.
+the distinct subtrees. Each `TreeLstmParams` owns a `SubtreeIndex`,
+which interns each tree once, the first time a fold with those
+parameters holds it, and builds every later batch's plan from cached
+arrays. So pre-training and summarizer training, which fold the same
+trees every epoch, and decoding, which folds an example's trees once
+per call, walk each tree once per tree encoder. The index lives as long
+as its parameters and keeps every tree they have folded. The gates are
+gate-major, one [4, R, L] block per call, so each elementwise op of the
+cell runs on contiguous rows. Each height gathers its child rows once,
+sums child h into the parents, gives each child edge its own forget
+gate row, and writes its own rows. The tape holds one op per fold,
+whatever the trees.
 
 Pre-training scores ordered pairs of split embeddings with a logistic
 head and minimizes binary cross entropy against the block successor
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +71,16 @@ def build_type_value_vocab(roots, min_freq: int = 2) -> dict[str, int]:
 
 @dataclass
 class TreeLstmParams(Params):
+    """The Tree-LSTM's tensors, with the `SubtreeIndex` that plans its folds.
+
+    The index is made from `vocab` with the parameters, however they are
+    made (`init`, `statement`, `build` or the checkpoint loader), and is no
+    parameter. It lives as long as they do and keeps every tree they have
+    folded, so each tree is interned once per tree encoder, the first time
+    `encode_trees` holds it, and every later fold of it is planned from
+    cached arrays.
+    """
+
     vocab: dict[str, int]
     size: int
     embedding: Tensor  # |vocab| x L rows of type_value embeddings
@@ -84,6 +98,10 @@ class TreeLstmParams(Params):
     b_u: Tensor
     virtual_h: Tensor  # shared learnable state standing in for leaf children
     virtual_m: Tensor
+    index: SubtreeIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.index = SubtreeIndex(self.vocab)
 
     @classmethod
     def statement(cls, vocab: dict[str, int], size: int) -> "TreeLstmParams":
@@ -220,12 +238,11 @@ def _sigmoid_(x: np.ndarray):
     np.reciprocal(x, out=x)
 
 
-def encode_trees(trees: list[SplitAst], params: TreeLstmParams,
-                 index: SubtreeIndex | None = None) -> Tensor:
+def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
     """Child-Sum Tree-LSTM fold: row i of the [T, L] result is trees[i]'s root h.
 
-    The whole fold is one tape op with a hand-written backward. `index`
-    (a fresh `SubtreeIndex` when None) plans the batch: every distinct
+    The whole fold is one tape op with a hand-written backward. The
+    parameters' own `params.index` plans the batch: every distinct
     subtree is one row of the [R, L] h and m buffers, height by height,
     with the virtual child state in row 0. A subtree that occurs more than
     once in the batch is one row, read by every parent that holds it, so
@@ -256,11 +273,7 @@ def encode_trees(trees: list[SplitAst], params: TreeLstmParams,
     size = params.size
     if not trees:
         return Tensor(np.zeros((0, size)))
-    if index is None:
-        index = SubtreeIndex(params.vocab)
-    elif index.vocab is not params.vocab and index.vocab != params.vocab:
-        raise ValueError("the subtree index was made for another vocabulary")
-    labels, children, parents, roots, heights = index.plan(trees)
+    labels, children, parents, roots, heights = params.index.plan(trees)
     p = params
     inputs = (p.embedding, p.w_i, p.u_i, p.b_i, p.w_f, p.u_f, p.b_f,
               p.w_o, p.u_o, p.b_o, p.w_u, p.u_u, p.b_u, p.virtual_h, p.virtual_m)
@@ -400,12 +413,11 @@ def sep_score(left: Tensor, right: Tensor, model: SepModel) -> Tensor:
     return ad.sigmoid(ad.add(ad.matmul(joint, model.score_w), model.score_b))
 
 
-def _pair_scores(pairs: list[PairExample], model: SepModel,
-                 index: SubtreeIndex | None = None) -> Tensor:
+def _pair_scores(pairs: list[PairExample], model: SepModel) -> Tensor:
     """Scores of every pair, shape [P]; each distinct tree is folded once."""
     trees = list({id(t): t for p in pairs for t in (p.t, p.t_prime)}.values())
     row = {id(t): i for i, t in enumerate(trees)}
-    roots = encode_trees(trees, model.tree, index)
+    roots = encode_trees(trees, model.tree)
     left = ad.embedding_lookup(roots, [row[id(p.t)] for p in pairs])
     right = ad.embedding_lookup(roots, [row[id(p.t_prime)] for p in pairs])
     return sep_score(left, right, model)
@@ -414,15 +426,15 @@ def _pair_scores(pairs: list[PairExample], model: SepModel,
 SCORE_FLOOR = 1e-12
 
 
-def sep_loss(pairs: list[PairExample], model: SepModel,
-             index: SubtreeIndex | None = None) -> Tensor:
+def sep_loss(pairs: list[PairExample], model: SepModel) -> Tensor:
     """Mean binary cross entropy of pair scores against successor labels.
 
-    `index` plans the fold, as in `encode_trees`.
+    Each distinct tree of the pairs is folded once, in one `encode_trees`
+    call planned by the tree parameters' own index.
     """
     if not pairs:
         raise ValueError("sep_loss needs at least one pair")
-    scores = _pair_scores(pairs, model, index)
+    scores = _pair_scores(pairs, model)
     y = np.array([p.label for p in pairs], dtype=np.float64)
     # the probability given to the observed label: s for 1, 1 - s for 0
     observed = ad.add(ad.mul(scores, Tensor(2.0 * y - 1.0)), Tensor(1.0 - y))
@@ -488,11 +500,12 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
              config: PretrainConfig) -> tuple[SepModel, list[EpochStats]]:
     """Train the next-split classifier; returns the model and loss history.
 
-    One `SubtreeIndex` plans every fold of the run, so each tree is walked
-    once, the first time a batch holds it, and each later fold of it takes
-    its plan from cached arrays. After each epoch's steps, an accuracy pass
-    scores every pair without a tape, in one `encode_trees` call over every
-    pair's trees, so every tree is folded once.
+    The index of `params` plans every fold, so each tree is walked once,
+    the first time a batch holds it, and each later fold of it, in this
+    run or in a later use of the same parameters, takes its plan from
+    cached arrays. After each epoch's steps, an accuracy pass scores every
+    pair without a tape, in one `encode_trees` call over every pair's
+    trees, so every tree is folded once.
 
     A corpus with no multi-split methods produces no pairs and the
     initialized parameters come back untouched.
@@ -506,7 +519,6 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
     if not pairs:
         return model, []
 
-    index = SubtreeIndex(params.vocab)
     successors = np.array([p.label == 1 for p in pairs])
     opt = Adam(model.all_params(), lr=config.learning_rate)
     shuffle_rng = np.random.default_rng(seeds[1])
@@ -517,13 +529,13 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
         for lo in range(0, len(pairs), config.batch_size):
             batch = [pairs[i] for i in order[lo : lo + config.batch_size]]
             with Tape() as tape:
-                loss = sep_loss(batch, model, index)
+                loss = sep_loss(batch, model)
                 backward(tape, loss)
             opt.step()
             opt.zero_grad()
             epoch_loss += loss.item() * len(batch)
         with ad.no_grad():
-            predicted = _pair_scores(pairs, model, index).data > 0.5
+            predicted = _pair_scores(pairs, model).data > 0.5
         correct = int(np.sum(predicted == successors))
         history.append(EpochStats(epoch_loss / len(pairs), correct / len(pairs)))
     return model, history

@@ -44,10 +44,15 @@ the tree from the method's parsed statements.
 
 `repeat_row`, `tanh`, `col_slice` and `segment_sum` are tape ops that
 only these oracles use; the package has no caller for them.
+
+`grad_check` is the reference for every hand-written backward: it
+compares a tape's gradient of a scalar function with central
+differences, and the tests of every op and model call it.
 """
 
 import math
 import string
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,6 +128,45 @@ def segment_sum(x: Tensor, ids, n: int) -> Tensor:
             f"segment_sum needs one segment id per row: {seg.shape} ids for {x.shape}")
     ad._require_ids(seg, n, "segment_sum ids")
     return ad._emit(ad._scatter_rows(seg, x.data, n), (x,), lambda g: (g[seg],))
+
+
+@dataclass
+class GradCheckReport:
+    max_rel_error: float
+    passed: bool
+    checked: int
+
+
+def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+    """Compare backward gradients of scalar f(x) to central differences.
+
+    The per-component error is |analytic - numeric| relative to
+    max(|analytic|, |numeric|, 1e-4), so near-zero gradients are judged
+    on an absolute scale.
+    """
+    x.zero_grad()
+    with ad.Tape() as tape:
+        loss = f(x)
+        ad.backward(tape, loss)
+    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+    x.zero_grad()
+
+    numeric = np.zeros_like(x.data)
+    flat = x.data.reshape(-1)
+    num_flat = numeric.reshape(-1)
+    with ad.no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = float(f(x).data)
+            flat[i] = orig - h
+            lo = float(f(x).data)
+            flat[i] = orig
+            num_flat[i] = (hi - lo) / (2.0 * h)
+
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
+    max_rel = float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0
+    return GradCheckReport(max_rel, max_rel < tol, flat.size)
 
 
 def allowed_block(n: int, m: int, causal: bool = False) -> np.ndarray:

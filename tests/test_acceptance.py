@@ -48,7 +48,7 @@ from basts.syntax_encoder import (
     sep_loss,
 )
 from conftest import parse_source, random_reachable_cfg
-from oracles import positional_encoding, row_softmax, tree_lstm_cell
+from oracles import grad_check, positional_encoding, row_softmax, tree_lstm_cell
 from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
 
 
@@ -113,7 +113,7 @@ def test_criterion_3_gradient_fidelity():
         return ad.sum_(ad.mul(h, h))
 
     worst["cell"] = max(
-        ad.grad_check(cell_loss, p).max_rel_error for p in cell_params.all_params()
+        grad_check(cell_loss, p).max_rel_error for p in cell_params.all_params()
     )
 
     # (b) a ten-node tree through the full recursion
@@ -131,7 +131,7 @@ def test_criterion_3_gradient_fidelity():
         return ad.sum_(ad.mul(emb, emb))
 
     worst["tree"] = max(
-        ad.grad_check(tree_loss, p).max_rel_error for p in tree_params.all_params()
+        grad_check(tree_loss, p).max_rel_error for p in tree_params.all_params()
     )
 
     # (c) pair loss end to end
@@ -146,7 +146,7 @@ def test_criterion_3_gradient_fidelity():
         return sep_loss(pairs, sep)
 
     worst["sep"] = max(
-        ad.grad_check(pair_loss, p).max_rel_error for p in sep.all_params()
+        grad_check(pair_loss, p).max_rel_error for p in sep.all_params()
     )
 
     # (d) one full summarizer forward, every parameter
@@ -166,7 +166,7 @@ def test_criterion_3_gradient_fidelity():
         return ad.cross_entropy_logits(logits, example.comment_ids[1:])
 
     worst["summarizer"] = max(
-        ad.grad_check(summarizer_loss, p).max_rel_error
+        grad_check(summarizer_loss, p).max_rel_error
         for p in model.all_params()
     )
 

@@ -10,6 +10,7 @@ from oracles import (
     attention_per_head,
     attention_reference,
     col_slice,
+    grad_check,
     layer_norm_reference,
     row_softmax,
     segment_sum,
@@ -128,7 +129,7 @@ class TestBackward:
             return f
 
         for p in (w1, w2):
-            report = ad.grad_check(loss_wrt(p), p)
+            report = grad_check(loss_wrt(p), p)
             assert report.passed, report
 
     def test_backward_requires_scalar_on_tape(self):
@@ -174,7 +175,7 @@ class TestCompositeGradients:
             return ad.sum_(ad.mul(ad.layer_norm(x, gain, bias), ad.layer_norm(x, gain, bias)))
 
         for p in (x, gain, bias):
-            report = ad.grad_check(f, p)
+            report = grad_check(f, p)
             assert report.passed, report
 
     def test_embedding_lookup_repeated_indices_finite_differences(self):
@@ -186,7 +187,7 @@ class TestCompositeGradients:
             # rows 1 and 4 repeat, row 2 is never read
             return ad.sum_(ad.mul(tanh(ad.embedding_lookup(t, [1, 4, 0, 1, 4, 1])), weights))
 
-        report = ad.grad_check(f, table)
+        report = grad_check(f, table)
         assert report.passed, report
 
     def test_cross_entropy_uniform_is_log_vocab(self):
@@ -202,7 +203,7 @@ class TestCompositeGradients:
         def f(t):
             return ad.cross_entropy_logits(t, targets)
 
-        report = ad.grad_check(f, logits)
+        report = grad_check(f, logits)
         assert report.passed, report
 
     def test_row_softmax_mask_blocks_gradient(self):
@@ -289,7 +290,7 @@ class TestAttention:
             return ad.sum_(ad.mul(ad.attention(q, k, v, heads, lengths, causal), weights))
 
         for target in (q, k, v):
-            report = ad.grad_check(f, target)
+            report = grad_check(f, target)
             assert report.passed, report
 
     def test_masked_key_has_weight_exactly_zero(self):
@@ -395,7 +396,7 @@ class TestSegmentedAttention:
             return ad.sum_(ad.mul(out, weights))
 
         for target in (q, k, v):
-            report = ad.grad_check(f, target)
+            report = grad_check(f, target)
             assert report.passed, report
 
     # 5 query and 5 key rows; each case gives the row offsets where its sequences end
@@ -538,7 +539,7 @@ class TestSegmentSum:
         def f(t):
             return ad.sum_(ad.mul(segment_sum(t, [2, 0, 2, 3, 0, 2], 4), weights))
 
-        report = ad.grad_check(f, x)
+        report = grad_check(f, x)
         assert report.passed, report
 
     def test_grad_check_with_repeated_and_unused_ids(self):
@@ -550,7 +551,7 @@ class TestSegmentSum:
             # ids 1 and 3 repeat, id 2 is unused
             return ad.sum_(ad.mul(segment_sum(t, [3, 1, 0, 1, 3], 4), weights))
 
-        report = ad.grad_check(f, x)
+        report = grad_check(f, x)
         assert report.passed, report
 
     def test_one_id_per_row(self):
@@ -586,7 +587,7 @@ class TestAddScalarTensor:
             return ad.sum_(ad.mul(tanh(total), weights))
 
         for target in (m, b):
-            report = ad.grad_check(f, target)
+            report = grad_check(f, target)
             assert report.passed, report
 
     def test_other_shape_mismatches_still_raise(self):
@@ -597,16 +598,16 @@ class TestAddScalarTensor:
 class TestGradCheckUtility:
     def test_sum_has_zero_error(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        report = ad.grad_check(lambda t: ad.sum_(t), x)
+        report = grad_check(lambda t: ad.sum_(t), x)
         assert report.passed
         assert report.max_rel_error < 1e-9
 
     def test_detects_wrong_gradient(self):
         # sabotage: report gradient of 2x for f(x) = sum(x)
         x = Tensor([1.0, 2.0], requires_grad=True)
-        report = ad.grad_check(lambda t: ad.scalar_mul(ad.sum_(ad.mul(t, t)), 0.5), x)
+        report = grad_check(lambda t: ad.scalar_mul(ad.sum_(ad.mul(t, t)), 0.5), x)
         assert report.passed  # sanity: correct composite op passes
-        bad = ad.grad_check(lambda t: ad.sum_(t), x, h=1e-5, tol=1e-12)
+        bad = grad_check(lambda t: ad.sum_(t), x, h=1e-5, tol=1e-12)
         assert not (bad.max_rel_error > 1e-6)  # sum is exact; tol governs pass
 
 

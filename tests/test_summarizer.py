@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import basts.autodiff as ad
 from basts import summarizer
 from basts.autodiff import Adam, Tensor
-from basts.cli import CorpusRecord, RunConfig, preprocess
+from basts.cli import CorpusRecord, RunConfig, preprocess, train_summarizer
 from basts.frontend import AstNode
 from basts.splitter import SplitAst
 from basts.summarizer import (
@@ -29,11 +29,17 @@ from basts.summarizer import (
     positional_matrix,
     train_step,
 )
-from basts.syntax_encoder import TreeLstmParams, build_type_value_vocab, encode_trees
+from basts.syntax_encoder import (
+    SubtreeIndex,
+    TreeLstmParams,
+    build_type_value_vocab,
+    encode_trees,
+)
 from oracles import (
     allowed_block,
     avg_pool,
     fuse,
+    grad_check,
     multi_head_attention_per_head,
     positional_encoding,
     row_softmax,
@@ -498,7 +504,7 @@ class TestTrainStep:
             "virtual_h": model.tree.virtual_h,
         }
         for name, param in targets.items():
-            report = ad.grad_check(f, param)
+            report = grad_check(f, param)
             assert report.passed, (name, report)
 
 
@@ -570,6 +576,38 @@ class TestCostGates:
         assert (info.misses, info.currsize) == (max_len, max_len)
         greedy_decode(make_example(), model, max_len=max_len)
         assert ad._causal.cache_info().misses == max_len
+
+    @staticmethod
+    def interned_trees(monkeypatch) -> list[int]:
+        """The `id` of every tree a `SubtreeIndex` interns from now on."""
+        interned = []
+
+        def counting_intern(index, tree, intern=SubtreeIndex._intern):
+            interned.append(id(tree))
+            return intern(index, tree)
+
+        monkeypatch.setattr(SubtreeIndex, "_intern", counting_intern)
+        return interned
+
+    def test_training_interns_each_split_ast_once(self, monkeypatch):
+        config = RunConfig(embedding_size=8, heads=2, encoder_layers=1,
+                           decoder_layers=1, batch_size=4, epochs=3)
+        corpus, model = corpus_and_model(SUMMARIZATION_ROWS, config)
+        interned = self.interned_trees(monkeypatch)
+        assert len(train_summarizer(corpus.examples, model, config)) == 3
+        # 12 steps fold every tree three times; the tree encoder's index
+        # walks each one once
+        trees = [id(t) for ex in corpus.examples for t in ex.split_asts]
+        assert sorted(interned) == sorted(trees)
+
+    def test_decoding_twice_interns_the_trees_once(self, monkeypatch):
+        corpus, model = corpus_and_model(SUMMARIZATION_ROWS, RunConfig(
+            embedding_size=8, heads=2, encoder_layers=1, decoder_layers=1))
+        example = max(corpus.examples, key=lambda ex: len(ex.split_asts))
+        assert len(example.split_asts) >= 3
+        interned = self.interned_trees(monkeypatch)
+        assert greedy_decode(example, model, 4) == greedy_decode(example, model, 4)
+        assert interned == [id(t) for t in example.split_asts]
 
 
 class TestCausality:

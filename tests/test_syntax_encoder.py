@@ -37,6 +37,7 @@ from oracles import (
     embed,
     encode_tree_per_node,
     encode_trees_per_level,
+    grad_check,
     repeat_row,
     sep_loss_per_pair,
     tree_lstm_cell,
@@ -123,7 +124,7 @@ class TestTreeLstmCell:
             h, _m = tree_lstm_cell(x, [kid], params)
             return ad.sum_(ad.mul(h, h))
 
-        report = ad.grad_check(f, params.w_i)
+        report = grad_check(f, params.w_i)
         assert report.passed, report
 
 
@@ -162,7 +163,7 @@ class TestEncodeTree:
             return ad.sum_(ad.mul(emb, emb))
 
         for target in (params.u_f, params.embedding, params.virtual_m):
-            report = ad.grad_check(f, target)
+            report = grad_check(f, target)
             assert report.passed, report
 
 
@@ -308,7 +309,7 @@ class TestEncodeTreesMatchesPerNodeFold:
             return ad.sum_(ad.mul(roots, roots))
 
         for name, tensor in params.named_params():
-            report = ad.grad_check(f, tensor)
+            report = grad_check(f, tensor)
             assert report.passed, (name, report)
 
 
@@ -372,7 +373,7 @@ class TestFusedFoldMatchesOracles:
         named = params.named_params()
         assert len(named) == 15
         for name, tensor in named:
-            report = ad.grad_check(f, tensor)
+            report = grad_check(f, tensor)
             assert report.passed, (name, report)
 
 
@@ -417,12 +418,6 @@ class TestSubtreeIndex:
             fresh = [copy.deepcopy(trees[data.draw(st.integers(0, len(trees) - 1))])]
             assert_same_plan(index.plan(fresh), _levels(fresh, vocab))
             del fresh
-
-    def test_another_vocabulary_is_refused(self):
-        trees, vocab = plan_corpus("small", 1)
-        params = TreeLstmParams.init(vocab, 4, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="another vocabulary"):
-            encode_trees(list(trees), params, SubtreeIndex({"<UNK>": 0}))
 
 
 class TestHashConsedLevels:
@@ -527,18 +522,18 @@ class TestCostGates:
     def test_no_grad_fold_keeps_no_backward_buffers(self):
         trees, params = with_own_vocab(medium_trees(1, methods=8)[:60], size=64)
         assert len(trees) == 60
-        index = SubtreeIndex(params.vocab)
-        rows = len(index.plan(trees).labels)
+        # the first plan interns the trees; both folds plan from cached arrays
+        rows = len(params.index.plan(trees).labels)
 
         def peak(recorded):
             tracemalloc.start()
             try:
                 if recorded:
                     with Tape():
-                        encode_trees(trees, params, index)
+                        encode_trees(trees, params)
                 else:
                     with ad.no_grad():
-                        encode_trees(trees, params, index)
+                        encode_trees(trees, params)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -649,7 +644,7 @@ class TestSepLoss:
             return sep_loss(pairs, model)
 
         for target in (model.score_w, params.w_o):
-            report = ad.grad_check(f, target)
+            report = grad_check(f, target)
             assert report.passed, report
 
 
