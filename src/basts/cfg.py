@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from basts.frontend import Method, Statement, StmtKind
 
@@ -27,8 +28,7 @@ class NodeKind(Enum):
     STMT = "stmt"
 
 
-@dataclass(frozen=True)
-class CfgNode:
+class CfgNode(NamedTuple):
     node_id: int
     kind: NodeKind
     stmt_id: int | None = None  # present exactly when kind is STMT
@@ -36,7 +36,7 @@ class CfgNode:
 
 @dataclass
 class Cfg:
-    nodes: list[CfgNode]
+    nodes: list[CfgNode]  # node i has node_id i
     edges: list[tuple[int, int]]
     entry: int
     exit: int

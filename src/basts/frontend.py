@@ -90,6 +90,7 @@ def tokenize(source: str) -> list[Token]:
     """Lex source text into tokens, skipping whitespace and comments."""
     out: list[Token] = []
     append = out.append
+    new = tuple.__new__  # Token's own __new__ is a Python-level call per token
     identifier = TokenKind.IDENTIFIER
     for m in _LEXEME_RE.finditer(source):
         group = m.lastindex
@@ -97,9 +98,9 @@ def tokenize(source: str) -> list[Token]:
             continue
         text = m[group]
         if group == 3:
-            append(Token(text, _WORD_KIND.get(text, identifier), m.start()))
+            append(new(Token, (text, _WORD_KIND.get(text, identifier), m.start())))
         elif group < 6:
-            append(Token(text, _GROUP_KIND[group], m.start()))
+            append(new(Token, (text, _GROUP_KIND[group], m.start())))
         elif text == '"':  # the string alternative found no closing quote
             raise LexError("unterminated string literal", m.start())
         elif text == "/":  # only "/*" without "*/" gets here
@@ -213,6 +214,7 @@ _LITERAL_KINDS = (TokenKind.NUMBER_LIT, TokenKind.STRING_LIT, TokenKind.BOOL_LIT
 # Deepest nesting the parser accepts (docs/grammar.md, "Nesting limit"); it keeps
 # the recursive AST, CFG and JSON builders under Python's default recursion limit.
 MAX_NESTING = 100
+_TOO_DEEP = f"nesting at most {MAX_NESTING} deep"
 
 
 class _Parser:
@@ -245,7 +247,7 @@ class _Parser:
     def _descend(self):
         self.depth += 1
         if self.depth > MAX_NESTING:
-            self._fail([f"nesting at most {MAX_NESTING} deep"])
+            self._fail([_TOO_DEEP])
 
     def _expect_ident(self, what: str = "identifier") -> Token:
         t = self._peek()
@@ -425,12 +427,15 @@ class _Parser:
     _UNARY = 7  # a unary operand binds tighter than any binary operator
 
     # The expression methods below index `self.toks` against `self.n`
-    # themselves, since they run once per leaf and per operator.
+    # themselves, and `parse_expr` does `_descend`'s check inline, since
+    # they run once per leaf and per operator.
 
     def parse_expr(self, min_bp: int = 1) -> AstNode:
         toks, n, binding = self.toks, self.n, self._BINDING
         depth = self.depth
-        self._descend()
+        level = self.depth = depth + 1
+        if level > MAX_NESTING:
+            self._fail([_TOO_DEEP])
         t = toks[self.i] if self.i < n else None
         if t is not None and t.text in ("!", "-") and t.kind is TokenKind.OPERATOR:
             self.i += 1
@@ -445,7 +450,9 @@ class _Parser:
             if bp is None or bp < min_bp:
                 break
             self.i += 1
-            self._descend()  # every operator of a chain nests `left` one deeper
+            level = self.depth = level + 1  # every operator of a chain nests `left` one deeper
+            if level > MAX_NESTING:
+                self._fail([_TOO_DEEP])
             right = self.parse_expr(bp + 1)
             left = AstNode("BinaryOperation", t.text, [left, right])
         self.depth = depth

@@ -12,7 +12,7 @@ as pre-training labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from basts.cfg import Cfg, NodeKind, build_cfg
 from basts.dominators import DomTree, compute_dominators
@@ -55,58 +55,41 @@ def partition_blocks(domtree: DomTree, cfg: Cfg) -> SplitGraph:
     still has a carrier. Statement ids follow source order, so they double
     as ordering keys.
     """
-    stmt_of = {
-        n.node_id: n.stmt_id for n in cfg.nodes if n.kind is NodeKind.STMT
-    }
-    real = sorted(stmt_of)
+    stmt_of = [n.stmt_id if n.kind is NodeKind.STMT else None for n in cfg.nodes]
+    real = [v for v, s in enumerate(stmt_of) if s is not None]
     if not real:
         return SplitGraph([CodeSplit(0, [])], [])
 
-    real_set = set(real)
-    parent = {
-        v: domtree.idom[v] for v in real if domtree.idom.get(v) in real_set
-    }
-    out_degree = {v: 0 for v in real}
-    for par in parent.values():
-        out_degree[par] += 1
-
-    kept: list[tuple[int, int]] = []
-    removed: list[tuple[int, int]] = []
-    for child in real:
-        par = parent.get(child)
-        if par is None:
-            continue
-        if out_degree[par] > 1:
-            removed.append((par, child))
-        else:
-            kept.append((par, child))
-
-    # Components of the kept forest, via union-find.
-    comp = {v: v for v in real}
-
-    def find(v: int) -> int:
-        while comp[v] != v:
-            comp[v] = comp[comp[v]]
-            v = comp[v]
-        return v
-
-    for a, b in kept:
-        comp[find(a)] = find(b)
-
-    members: dict[int, list[int]] = {}
+    parent = [-1] * len(stmt_of)  # dominator-tree parent among real nodes
+    fanout = [0] * len(stmt_of)
     for v in real:
-        members.setdefault(find(v), []).append(v)
+        p = domtree.idom.get(v)
+        if p is not None and stmt_of[p] is not None:
+            parent[v] = p
+            fanout[p] += 1
 
-    ordered = sorted(members.values(), key=lambda ms: min(stmt_of[v] for v in ms))
-    split_of_node: dict[int, int] = {}
-    splits = []
-    for sid, ms in enumerate(ordered):
-        stmt_ids = sorted(stmt_of[v] for v in ms)
-        splits.append(CodeSplit(sid, stmt_ids))
-        for v in ms:
-            split_of_node[v] = sid
+    # A tree edge survives when its parent has one child, so a node is in
+    # its parent's block then and heads a block of its own otherwise.
+    head = [-1] * len(stmt_of)
+    for v in real:
+        chain, u = [], v
+        while head[u] < 0:
+            p = parent[u]
+            if p < 0 or fanout[p] > 1:
+                head[u] = u
+                break
+            chain.append(u)
+            u = p
+        for w in chain:
+            head[w] = head[u]
 
-    edges = sorted({(split_of_node[a], split_of_node[b]) for a, b in removed})
+    blocks: dict[int, list[int]] = {}
+    for v in real:
+        blocks.setdefault(head[v], []).append(stmt_of[v])
+    heads = sorted(blocks, key=lambda h: min(blocks[h]))
+    split_of = {h: sid for sid, h in enumerate(heads)}
+    splits = [CodeSplit(sid, sorted(blocks[h])) for sid, h in enumerate(heads)]
+    edges = sorted({(split_of[head[parent[h]]], split_of[h]) for h in heads if parent[h] >= 0})
     return SplitGraph(splits, edges)
 
 
@@ -129,14 +112,13 @@ def _pieces(split: CodeSplit, method: Method) -> list[Statement]:
     for sid in split.statements:
         stmt = method.statements[sid]
         k = stmt.kind
-        if k is StmtKind.IF or k is StmtKind.WHILE:
-            stmt = replace(stmt, body=[], orelse=[])
-        elif k is StmtKind.FOR:
-            init, update = stmt.init, stmt.update
+        if k is StmtKind.IF or k is StmtKind.WHILE or k is StmtKind.FOR:
+            init, update = stmt.init, stmt.update  # None unless k is FOR
             init = init if init is not None and init.stmt_id in ids else None
             update = update if update is not None and update.stmt_id in ids else None
             absorbed.update(c.stmt_id for c in (init, update) if c is not None)
-            stmt = replace(stmt, body=[], init=init, update=update)
+            stmt = Statement(sid, k, stmt.span, cond=stmt.cond, cond_span=stmt.cond_span,
+                             init=init, update=update)
         out.append(stmt)
     return [s for s in out if s.stmt_id not in absorbed]
 

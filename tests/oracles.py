@@ -37,7 +37,10 @@ entropy, where the step packs the whole batch into one pass.
 
 `split_asts_by_reparse` is the token form of `splitter.build_split_asts`:
 it parses each split's code, with its body braced, instead of building
-the tree from the method's parsed statements.
+the tree from the method's parsed statements. `partition_blocks_reference`
+is `splitter.partition_blocks` over dicts, joining the blocks of the kept
+dominator-tree edges by union-find where the package follows each node's
+parent.
 
 `tokenize_per_char` is the one-branch-chain-per-character form of
 `frontend.tokenize`, which walks one compiled regular expression.
@@ -58,6 +61,8 @@ import numpy as np
 
 import basts.autodiff as ad
 from basts.autodiff import Tensor
+from basts.cfg import Cfg, NodeKind
+from basts.dominators import DomTree
 from basts.frontend import (
     KEYWORDS,
     LexError,
@@ -67,7 +72,7 @@ from basts.frontend import (
     build_ast,
     parse_method,
 )
-from basts.splitter import SplitAst, SplitGraph, make_split_code
+from basts.splitter import CodeSplit, SplitAst, SplitGraph, make_split_code
 from basts.summarizer import (
     AttentionParams,
     DecoderLayerParams,
@@ -675,6 +680,62 @@ def split_asts_by_reparse(graph: SplitGraph, method: Method) -> list[SplitAst]:
                   + [Token("}", TokenKind.PUNCT)])
         out.append(SplitAst(split.split_id, build_ast(parse_method(tokens))))
     return out
+
+
+def partition_blocks_reference(domtree: DomTree, cfg: Cfg) -> SplitGraph:
+    """Code splits of a method's dominator tree, its blocks joined by union-find."""
+    stmt_of = {
+        n.node_id: n.stmt_id for n in cfg.nodes if n.kind is NodeKind.STMT
+    }
+    real = sorted(stmt_of)
+    if not real:
+        return SplitGraph([CodeSplit(0, [])], [])
+
+    real_set = set(real)
+    parent = {
+        v: domtree.idom[v] for v in real if domtree.idom.get(v) in real_set
+    }
+    out_degree = {v: 0 for v in real}
+    for par in parent.values():
+        out_degree[par] += 1
+
+    kept: list[tuple[int, int]] = []
+    removed: list[tuple[int, int]] = []
+    for child in real:
+        par = parent.get(child)
+        if par is None:
+            continue
+        if out_degree[par] > 1:
+            removed.append((par, child))
+        else:
+            kept.append((par, child))
+
+    comp = {v: v for v in real}
+
+    def find(v: int) -> int:
+        while comp[v] != v:
+            comp[v] = comp[comp[v]]
+            v = comp[v]
+        return v
+
+    for a, b in kept:
+        comp[find(a)] = find(b)
+
+    members: dict[int, list[int]] = {}
+    for v in real:
+        members.setdefault(find(v), []).append(v)
+
+    ordered = sorted(members.values(), key=lambda ms: min(stmt_of[v] for v in ms))
+    split_of_node: dict[int, int] = {}
+    splits = []
+    for sid, ms in enumerate(ordered):
+        stmt_ids = sorted(stmt_of[v] for v in ms)
+        splits.append(CodeSplit(sid, stmt_ids))
+        for v in ms:
+            split_of_node[v] = sid
+
+    edges = sorted({(split_of_node[a], split_of_node[b]) for a, b in removed})
+    return SplitGraph(splits, edges)
 
 
 _TWO_CHAR_OPS = ("==", "!=", "<=", ">=", "&&", "||")

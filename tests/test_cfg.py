@@ -1,6 +1,6 @@
 import pytest
 
-from basts.cfg import CfgError, NodeKind, build_cfg, cfg_to_dot
+from basts.cfg import CfgError, CfgNode, NodeKind, build_cfg, cfg_to_dot
 from conftest import parse_source
 
 
@@ -15,6 +15,26 @@ def node_for(cfg, method, kind_value, index=0):
         if method.statements[n.stmt_id].kind.value == kind_value
     ]
     return matches[index]
+
+
+class TestCfgNodeContract:
+    def test_immutable(self):
+        node = CfgNode(2, NodeKind.STMT, 0)
+        with pytest.raises(AttributeError):
+            node.stmt_id = 1
+        with pytest.raises(AttributeError):
+            node.extra = 1
+
+    def test_hashes_by_value(self):
+        a = CfgNode(2, NodeKind.STMT, 0)
+        assert hash(a) == hash(CfgNode(2, NodeKind.STMT, 0))
+        assert len({a, CfgNode(2, NodeKind.STMT, 0), CfgNode(2, NodeKind.STMT, 1)}) == 2
+
+    def test_stmt_id_defaults_to_none(self):
+        assert CfgNode(0, NodeKind.START).stmt_id is None
+
+    def test_equals_the_plain_tuple_of_its_fields(self):
+        assert CfgNode(0, NodeKind.START) == (0, NodeKind.START, None)
 
 
 class TestBuildCfg:

@@ -30,7 +30,7 @@ from basts.cli import (
 )
 from basts.summarizer import SPECIAL_TOKENS, TransformerParams, Vocab
 from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams
-from basts.frontend import MAX_NESTING, parse_program
+from basts.frontend import MAX_NESTING, Token, TokenKind, iter_nodes, parse_program
 from basts.splitter import split_method
 from conftest import (
     DIAMOND_SOURCE,
@@ -474,6 +474,47 @@ class TestPreprocessPausesCollector:
         loop = events[stages[0] : stages[-1] + 1]
         assert loop.count("record") == 24 and loop.count("split") == 12
         assert "collection" not in loop
+
+    @staticmethod
+    def kept_objects(corpus):
+        """The records, tokens, statements and AST nodes the record loop kept."""
+        out = []
+        for r in corpus.records:
+            method = r.splits.method
+            out += [r, *method.tokens, *method.statements.values()]
+            for split_ast in r.splits.asts:
+                out += iter_nodes(split_ast.root)
+        return out
+
+    @contextmanager
+    def collector_on(self):
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            yield
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_kept_objects_are_tenured(self):
+        assert gc.get_freeze_count() == 0
+        with self.collector_on():
+            corpus = preprocess(fixture_records_with_rejects(), self.config)
+            young = {id(obj) for g in (0, 1) for obj in gc.get_objects(generation=g)}
+        kept = self.kept_objects(corpus)
+        assert len(kept) > 200
+        assert not [obj for obj in kept if id(obj) in young]
+
+    def test_objects_the_caller_froze_stay_frozen(self):
+        frozen = [Token("x", TokenKind.IDENTIFIER, 0)]
+        gc.freeze()
+        try:
+            count = gc.get_freeze_count()
+            with self.collector_on():
+                preprocess(fixture_records_with_rejects(), self.config)
+            assert gc.get_freeze_count() == count
+            assert id(frozen) not in {id(obj) for obj in gc.get_objects()}
+        finally:
+            gc.unfreeze()
 
     def test_leaves_no_reference_cycles(self):
         gc.collect()

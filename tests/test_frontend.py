@@ -167,6 +167,12 @@ class TestTokenContract:
     def test_offset_defaults_to_minus_one(self):
         assert Token("{", TokenKind.PUNCT).offset == -1
 
+    def test_tokenize_returns_exactly_tokens(self):
+        toks = tokenize(IDLE_CONNECTIONS_SOURCE + ' int g() { return "s" + 1.5 != true; }')
+        assert {t.kind for t in toks} == set(TokenKind)
+        assert all(type(t) is Token for t in toks)
+        assert toks[0] == Token("void", TokenKind.IDENTIFIER, IDLE_CONNECTIONS_SOURCE.index("void"))
+
     def test_repr(self):
         assert repr(Token("x", TokenKind.IDENTIFIER)) == (
             "Token(text='x', kind=<TokenKind.IDENTIFIER: 'identifier'>, offset=-1)"

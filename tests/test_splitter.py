@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from basts.cfg import build_cfg
@@ -13,8 +14,9 @@ from conftest import (
     STRAIGHT_LINE_SOURCE,
     nested_ifs,
     parse_source,
+    random_reachable_cfg,
 )
-from oracles import split_asts_by_reparse
+from oracles import partition_blocks_reference, split_asts_by_reparse
 from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -93,6 +95,36 @@ def _topological(n, edges):
                 if indeg[b] == 0:
                     ready.append(b)
     return order if len(order) == n else None
+
+
+class TestPartitionEqualsReference:
+    """`partition_blocks` gives the union-find oracle's splits and successor edges."""
+
+    @staticmethod
+    def assert_same_partition(cfg):
+        domtree = compute_dominators(cfg)
+        graph = partition_blocks(domtree, cfg)
+        reference = partition_blocks_reference(domtree, cfg)
+        assert graph.splits == reference.splits
+        assert graph.successor_edges == reference.successor_edges
+
+    @pytest.mark.parametrize("label, profile, count", [
+        ("prep-large", PREP_PROFILE, 3),
+        ("pretrain-sep", MEDIUM_PROFILE, 6),
+        ("summarize-small", SMALL_PROFILE, 12),
+    ])
+    def test_generated_methods(self, label, profile, count):
+        for seed in range(1, 21):
+            for record in generate_records(label, seed, count, profile):
+                self.assert_same_partition(build_cfg(parse_source(record["code"])))
+
+    # unlike a built Cfg, these put a statement under the end node in the
+    # dominator tree, and a parent's id may exceed its child's
+    @pytest.mark.parametrize("max_nodes", [15, 40])
+    def test_random_graphs(self, max_nodes):
+        rng = np.random.default_rng(20240517 + max_nodes)
+        for _ in range(200):
+            self.assert_same_partition(random_reachable_cfg(rng, max_nodes))
 
 
 class TestMakeSplitCode:
