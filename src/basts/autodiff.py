@@ -16,10 +16,16 @@ the op's own cached constant, the only mask there is, so a call that is
 not causal masks nothing. `syntax_encoder.encode_trees` records a whole
 Tree-LSTM fold the same way, through `_emit`.
 
-The graph holds no reference cycles, so reference counting frees a
-step's arrays as soon as its tape and loss are dropped. Strong references
-run one way only: tape -> node -> input tensors -> their nodes; a node
-refers to its output tensor and to its tape weakly.
+The tape holds what backward reads and no more. A node keeps, for each
+input, the node that produced it on the same tape, the tensor itself if
+it is a tracked leaf (a parameter, or an output of another tape), or
+None if it is untracked. It keeps no output of its own tape, and refers
+to its tape weakly. Strong references run one way only: from an output
+tensor, or from the tape, to a node, and from a node to its backward
+closure's saved arrays, its producer nodes and its leaves. So the graph
+holds no reference cycles, an op output that no backward saves is freed
+as soon as the forward drops it, and the rest goes when the tape and
+the loss are dropped.
 
 Model parameters live in dataclasses that subclass Params, whose one
 walk names every Tensor by field declaration order; that walk is the
@@ -168,14 +174,15 @@ class Params:
 
 
 class _OpNode:
-    """One recorded op; `out` and `tape` are weak references."""
+    """One recorded op. Each of `inputs` is the input's producer node on
+    this op's tape, the input itself if it is a tracked leaf, or None if
+    it is untracked; `tape` is a weak reference."""
 
-    __slots__ = ("inputs", "backward_fn", "out", "tape")
+    __slots__ = ("inputs", "backward_fn", "tape")
 
-    def __init__(self, inputs, backward_fn, out, tape):
+    def __init__(self, inputs, backward_fn, tape):
         self.inputs = inputs
         self.backward_fn = backward_fn
-        self.out = weakref.ref(out)
         self.tape = weakref.ref(tape)
 
 
@@ -221,11 +228,18 @@ def _recording(inputs) -> bool:
     return bool(_TAPE_STACK) and any(_tracked(t) for t in inputs)
 
 
+def _source(t: Tensor, tape: Tape):
+    """What a node on `tape` keeps of its input `t` (see `_OpNode`)."""
+    if t.node is not None and t.node.tape() is tape:
+        return t.node
+    return t if _tracked(t) else None
+
+
 def _emit(out_data, inputs, backward_fn) -> Tensor:
     out = Tensor(out_data)
     if _recording(inputs):
         tape = _TAPE_STACK[-1]
-        node = _OpNode(inputs, backward_fn, out, tape)
+        node = _OpNode(tuple(_source(t, tape) for t in inputs), backward_fn, tape)
         out.node = node
         tape.nodes.append(node)
     return out
@@ -241,27 +255,18 @@ def backward(tape: Tape, loss: Tensor):
         raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
     tape.used = True
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[int, Tensor] = {}
+    # keyed by the source itself: a producer node, or a leaf tensor
+    grads = {loss.node: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        out = node.out()
-        # an output that is gone fed no later op, so no gradient reaches it
-        g = None if out is None else grads.pop(id(out), None)
-        if g is None:
+        g = grads.pop(node, None)
+        if g is None:  # its output fed no later op
             continue
-        for t, gt in zip(node.inputs, node.backward_fn(g)):
-            if gt is None or not _tracked(t):
+        for source, gt in zip(node.inputs, node.backward_fn(g)):
+            if gt is None or source is None:
                 continue
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gt
-            else:
-                grads[key] = gt
-            if t.node is None or t.node.tape() is not tape:
-                leaves[key] = t
-    for key, t in leaves.items():
+            grads[source] = grads[source] + gt if source in grads else gt
+    for t, g in grads.items():  # only leaves are left
         if t.requires_grad:
-            g = grads[key]
             t.grad = g if t.grad is None else t.grad + g
 
 
@@ -296,8 +301,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of same-shape tensors; a 0-d operand is broadcast."""
     if a.ndim == 0 or b.ndim == 0:
+        a_nd, b_nd = a.ndim, b.ndim
+
         def back(g):
-            return (g if a.ndim else g.sum()), (g if b.ndim else g.sum())
+            return (g if a_nd else g.sum()), (g if b_nd else g.sum())
         return _emit(a.data + b.data, (a, b), back)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
@@ -307,7 +314,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    ad, bd = a.data, b.data
+    return _emit(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scalar_mul(a: Tensor, s: float) -> Tensor:
@@ -455,7 +463,8 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def sum_(x: Tensor) -> Tensor:
-    return _emit(x.data.sum(), (x,), lambda g: (np.full_like(x.data, float(g)),))
+    shape = x.shape
+    return _emit(x.data.sum(), (x,), lambda g: (np.full(shape, float(g)),))
 
 
 def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -501,16 +510,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     var = np.add.reduce(centered * centered, axis=1, keepdims=True) / width
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
+    scale = gain.data
 
     def back(g):
-        dxhat = g * gain.data
+        dxhat = g * scale
         dx = dxhat - np.add.reduce(dxhat, axis=1, keepdims=True) / width
         dxhat *= xhat
         dx -= xhat * (np.add.reduce(dxhat, axis=1, keepdims=True) / width)
         dx *= inv
         return dx, np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0)
 
-    return _emit(xhat * gain.data + bias.data, (x, gain, bias), back)
+    return _emit(xhat * scale + bias.data, (x, gain, bias), back)
 
 
 def cross_entropy_logits(logits: Tensor, targets) -> Tensor:

@@ -1,3 +1,6 @@
+import inspect
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,9 @@ from hypothesis import strategies as st
 
 from basts import autodiff as ad
 from basts.autodiff import Adam, GraphError, ShapeError, Tape, Tensor, backward
+from basts.frontend import AstNode
+from basts.splitter import SplitAst
+from basts.syntax_encoder import TreeLstmParams, encode_trees
 from oracles import (
     allowed_block,
     attention_per_head,
@@ -162,6 +168,148 @@ class TestBackward:
         l2, g2 = run()
         assert np.array_equal(l1, l2)
         assert np.array_equal(g1, g2)
+
+
+def _tree_fold(_):
+    """`encode_trees` over two small trees; its inputs are the parameters."""
+    root = AstNode("A", children=[AstNode("B"), AstNode("A", children=[AstNode("B")])])
+    params = TreeLstmParams.init({"<UNK>": 0, "A": 1, "B": 2}, 4, np.random.default_rng(1))
+    return encode_trees([SplitAst(0, root), SplitAst(1, AstNode("B"))], params)
+
+
+# one call of every public op and of the tree fold; `produced(*shape)` is a
+# tensor that an op made on the recording tape, so a closure that kept an
+# input tensor would keep an op output
+OP_CALLS = {
+    "matmul": lambda p: ad.matmul(p(3, 4), p(4, 2)),
+    "matmul-vector": lambda p: ad.matmul(p(3, 4), p(4)),
+    "add": lambda p: ad.add(p(3, 4), p(3, 4)),
+    "add-0d-left": lambda p: ad.add(p(), p(3, 4)),
+    "add-0d-right": lambda p: ad.add(p(3, 4), p()),
+    "mul": lambda p: ad.mul(p(3, 4), p(3, 4)),
+    "scalar_mul": lambda p: ad.scalar_mul(p(3, 4), 0.5),
+    "add_rowvec": lambda p: ad.add_rowvec(p(3, 4), p(4)),
+    "sigmoid": lambda p: ad.sigmoid(p(3, 4)),
+    "relu": lambda p: ad.relu(p(3, 4)),
+    "log": lambda p: ad.log(p(3, 4), floor=0.1),
+    "attention": lambda p: ad.attention(p(5, 4), p(6, 4), p(6, 4), 2, [(2, 2), (3, 4)]),
+    "attention-causal": lambda p: ad.attention(p(5, 4), p(5, 4), p(5, 4), 2, [(2, 2), (3, 3)],
+                                               causal=True),
+    "concat": lambda p: ad.concat([p(2, 4), p(3, 4)]),
+    "concat-columns": lambda p: ad.concat([p(3, 2), p(3, 4)], axis=1),
+    "transpose": lambda p: ad.transpose(p(3, 4)),
+    "sum_": lambda p: ad.sum_(p(3, 4)),
+    "embedding_lookup": lambda p: ad.embedding_lookup(p(5, 4), [1, 4, 1]),
+    "layer_norm": lambda p: ad.layer_norm(p(3, 4), p(4), p(4)),
+    "cross_entropy_logits": lambda p: ad.cross_entropy_logits(p(3, 5), [0, 4, 2]),
+    "encode_trees": _tree_fold,
+}
+
+
+def _captured(fn):
+    """Every object a function's closure reaches through closures of nested
+    functions and items of lists and tuples."""
+    found, stack = [], [fn]
+    while stack:
+        obj = stack.pop()
+        if any(obj is seen for seen in found):
+            continue
+        if inspect.isfunction(obj):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        found.append(obj)
+    return found
+
+
+class TestTapeKeeps:
+    """A node keeps its producers and leaves, and a backward only what it reads."""
+
+    def test_op_calls_cover_every_public_op(self):
+        public = {name for name, f in vars(ad).items()
+                  if inspect.isfunction(f) and not name.startswith("_")
+                  and f.__module__ == ad.__name__ and f.__annotations__.get("return") == "Tensor"}
+        assert public | {"encode_trees"} == {name.split("-")[0] for name in OP_CALLS}
+
+    @pytest.mark.parametrize("name", OP_CALLS)
+    def test_no_backward_closure_holds_an_op_output(self, name):
+        rng = np.random.default_rng(0)
+
+        def produced(*shape):
+            leaf = Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=True)
+            return ad.scalar_mul(leaf, 1.0)
+
+        with Tape() as tape:
+            OP_CALLS[name](produced)
+        held = [obj for node in tape.nodes for obj in _captured(node.backward_fn)
+                if isinstance(obj, Tensor) and obj.node is not None]
+        assert held == []
+
+    @pytest.mark.parametrize("producer", ["add", "add_rowvec", "concat", "matmul"])
+    def test_an_output_no_backward_saves_is_freed_while_its_tape_lives(self, producer):
+        rng = np.random.default_rng(4)
+        m = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        v = Tensor(rng.normal(size=3), requires_grad=True)
+        make = {"add": lambda: ad.add(m, m), "add_rowvec": lambda: ad.add_rowvec(m, v),
+                "concat": lambda: ad.concat([m, m]), "matmul": lambda: ad.matmul(m, m)}[producer]
+
+        def grads(keep):
+            m.zero_grad(), v.zero_grad()
+            with Tape() as tape:
+                out = make()
+                dropped = weakref.ref(out)
+                loss = ad.sum_(ad.relu(out))  # relu saves its mask, not its input
+                if not keep:
+                    del out
+                assert (dropped() is None) is not keep
+                backward(tape, loss)
+            return m.grad, v.grad
+
+        assert all(np.array_equal(a, b) for a, b in zip(grads(False), grads(True)))
+
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_an_outer_tapes_output_is_a_leaf_on_an_inner_tape(self, requires_grad):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        with Tape() as outer:
+            y = ad.scalar_mul(x, 2.0)
+            y.requires_grad = requires_grad
+            with Tape() as inner:
+                z = ad.sum_(ad.mul(y, y))
+            assert inner.nodes[0].inputs == (y, y)
+            backward(inner, z)
+            # the inner backward ends at y, which has a grad only if it asks for one
+            assert x.grad is None
+            assert (y.grad is not None) is requires_grad
+            if requires_grad:
+                assert np.array_equal(y.grad, 2.0 * y.data)
+            backward(outer, ad.sum_(y))
+        assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("source", ["leaf", "op output"])
+    def test_consumers_add_gradients_in_reverse_tape_order(self, source):
+        x = Tensor(np.ones(2), requires_grad=True)
+        weights = [np.array([1.0, 3.0]), np.array([1e16, 1e16]), np.array([-1e16, -1e16])]
+        with Tape() as tape:
+            y = x if source == "leaf" else ad.scalar_mul(x, 1.0)
+            parts = [ad.sum_(ad.mul(y, Tensor(w))) for w in weights]
+            backward(tape, ad.add(ad.add(parts[0], parts[1]), parts[2]))
+        # each consumer's gradient is its weight; the last consumer's comes first
+        w0, w1, w2 = weights
+        assert np.array_equal(x.grad, (w2 + w1) + w0)
+        assert not np.array_equal(x.grad, (w0 + w1) + w2)  # so the order shows
+
+    @pytest.mark.parametrize("untracked", [0, 1])
+    def test_an_untracked_input_gets_no_gradient(self, untracked):
+        pair = [Tensor([1.0, 2.0]), Tensor([3.0, -4.0])]
+        tracked = pair[1 - untracked]
+        tracked.requires_grad = True
+        with Tape() as tape:
+            loss = ad.sum_(ad.mul(*pair))
+            kept = tape.nodes[0].inputs
+            assert kept[untracked] is None and kept[1 - untracked] is tracked
+            backward(tape, loss)
+        assert pair[untracked].grad is None
+        assert np.array_equal(tracked.grad, pair[untracked].data)
 
 
 class TestCompositeGradients:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -509,11 +510,26 @@ class TestTrainStep:
 
 
 class TestCostGates:
-    """The exact, machine-independent op count of one step, pinned against regressions."""
+    """The exact, machine-independent op count of one step, and its
+    allocation peak, pinned against regressions."""
 
     # the 16 toy rows as one packed batch at the default config: L=64, 4 heads,
     # 2+2 layers; one of them is the tree fold of all the batch's split ASTs
     TRAIN_STEP_OPS = 85
+    # the tracemalloc peak of that step, in MiB: it reads 12.7 when each node
+    # keeps only what its backward reads, 19.0 when nodes keep their inputs
+    TRAIN_STEP_PEAK_MIB = 14
+
+    def test_train_step_peak_memory(self):
+        corpus, model = toy_corpus_and_model()
+        optimizer = Adam(model.all_params())
+        tracemalloc.start()
+        try:
+            train_step(corpus.examples, model, optimizer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.TRAIN_STEP_PEAK_MIB * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_train_step_op_count(self, monkeypatch):
         corpus, model = toy_corpus_and_model()
