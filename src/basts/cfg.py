@@ -40,16 +40,15 @@ class Cfg:
     edges: list[tuple[int, int]]
     entry: int
     exit: int
-    succ: dict[int, list[int]] = field(default_factory=dict)
-    pred: dict[int, list[int]] = field(default_factory=dict)
+    succ: dict[int, list[int]] = field(init=False)  # derived from the edges
+    pred: dict[int, list[int]] = field(init=False)
 
     def __post_init__(self):
-        if not self.succ:
-            self.succ = {n.node_id: [] for n in self.nodes}
-            self.pred = {n.node_id: [] for n in self.nodes}
-            for a, b in self.edges:
-                self.succ[a].append(b)
-                self.pred[b].append(a)
+        self.succ = {n.node_id: [] for n in self.nodes}
+        self.pred = {n.node_id: [] for n in self.nodes}
+        for a, b in self.edges:
+            self.succ[a].append(b)
+            self.pred[b].append(a)
 
 
 class _Builder:
@@ -74,26 +73,19 @@ class _Builder:
         `loop` maps BREAK and CONTINUE to the jump nodes collected so far
         in the innermost loop, or is None outside loops. A head of None
         means the sequence is empty; an empty exit list means control
-        never falls through.
+        never falls through, so the next statement gets no edge in and
+        `build_cfg` reports it.
         """
         head: int | None = None
         exits: list[int] = []
-        first = True
         for stmt in stmts:
             s_head, s_exits = self.wire_statement(stmt, loop)
             if s_head is None:
                 continue  # empty block contributes nothing
-            if first:
+            if head is None:
                 head = s_head
-                first = False
-            else:
-                if not exits:
-                    raise CfgError(
-                        f"unreachable statement (id {stmt.stmt_id}): "
-                        "no control path falls through to it"
-                    )
-                for e in exits:
-                    self.edge(e, s_head)
+            for e in exits:
+                self.edge(e, s_head)
             exits = s_exits
         return head, exits
 
@@ -146,7 +138,8 @@ def build_cfg(method: Method) -> Cfg:
     """Build the statement-level control flow graph of a method.
 
     Raises CfgError for break/continue outside a loop and for statements
-    no control path can reach (dead code after return/break/continue).
+    no control path can reach: code after return/break/continue, and a
+    for update that the body never falls or continues through to.
     """
     b = _Builder()
     head, exits = b.wire_sequence(method.body, None)
@@ -157,22 +150,18 @@ def build_cfg(method: Method) -> Cfg:
         for e in exits:
             b.edge(e, 1)
     cfg = Cfg(b.nodes, b.edges, entry=0, exit=1)
-    unreachable = _unreachable_from(cfg, cfg.entry)
-    if unreachable:
-        raise CfgError(f"unreachable nodes {sorted(unreachable)}")
-    return cfg
-
-
-def _unreachable_from(cfg: Cfg, start: int) -> set[int]:
-    seen = {start}
-    frontier = [start]
+    seen = {cfg.entry}
+    frontier = [cfg.entry]
     while frontier:
-        u = frontier.pop()
-        for v in cfg.succ[u]:
+        for v in cfg.succ[frontier.pop()]:
             if v not in seen:
                 seen.add(v)
                 frontier.append(v)
-    return {n.node_id for n in cfg.nodes} - seen
+    if len(seen) < len(cfg.nodes):
+        # the end node is always reached, so every node missed is a statement's
+        dead = sorted(n.stmt_id for n in cfg.nodes if n.node_id not in seen)
+        raise CfgError(f"unreachable statements {dead}: no control path reaches them")
+    return cfg
 
 
 def cfg_to_dot(cfg: Cfg, method: Method | None = None) -> str:

@@ -206,7 +206,7 @@ class Method:
     body: list[Statement]
     tokens: list[Token]  # the token list all spans index into
     span: tuple[int, int]  # half-open range of this method's own tokens
-    statements: dict[int, Statement]  # every statement, nested ones included
+    statements: dict[int, Statement]  # every statement, nested ones included, by id
 
 
 _LITERAL_KINDS = (TokenKind.NUMBER_LIT, TokenKind.STRING_LIT, TokenKind.BOOL_LIT)
@@ -216,55 +216,64 @@ _LITERAL_KINDS = (TokenKind.NUMBER_LIT, TokenKind.STRING_LIT, TokenKind.BOOL_LIT
 MAX_NESTING = 100
 _TOO_DEEP = f"nesting at most {MAX_NESTING} deep"
 
+# Read after the caller's last token. It matches no grammar rule, so no
+# read runs past it and an error there is found at '<eof>'.
+_EOF = Token("<eof>", TokenKind.PUNCT)
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.toks = tokens
-        self.n = len(tokens)
+        self.tokens = tokens  # the caller's list, which spans index into
+        self.toks = tokens + [_EOF]
+        self.end = len(tokens)  # the index of _EOF
         self.i = 0
         self.statements: dict[int, Statement] = {}
-        self._next_id = 0
         self.depth = 0  # current nesting level, see MAX_NESTING
 
-    def _peek(self, k: int = 0) -> Token | None:
-        j = self.i + k
-        return self.toks[j] if j < self.n else None
-
     def _fail(self, expected: list[str]):
-        t = self._peek()
-        raise ParseError(self.i, expected, t.text if t else "<eof>")
+        raise ParseError(self.i, expected, self.toks[self.i].text)
 
     def _at(self, text: str) -> bool:
-        return self.i < self.n and self.toks[self.i].text == text
+        return self.toks[self.i].text == text
 
     def _expect(self, text: str) -> Token:
-        i = self.i
-        if i >= self.n or self.toks[i].text != text:
+        t = self.toks[self.i]
+        if t.text != text:
             self._fail([repr(text)])
-        self.i = i + 1
-        return self.toks[i]
+        self.i += 1
+        return t
 
     def _descend(self):
         self.depth += 1
         if self.depth > MAX_NESTING:
             self._fail([_TOO_DEEP])
 
-    def _expect_ident(self, what: str = "identifier") -> Token:
-        t = self._peek()
-        if t is None or t.kind is not TokenKind.IDENTIFIER:
+    def _expect_ident(self, what: str) -> Token:
+        t = self.toks[self.i]
+        if t.kind is not TokenKind.IDENTIFIER:
             self._fail([what])
         self.i += 1
         return t
 
-    def _new_stmt(self, kind: StmtKind, span, **parts) -> Statement:
-        stmt = Statement(self._next_id, kind, span, **parts)
-        self._next_id += 1
-        self.statements[stmt.stmt_id] = stmt
+    def _open(self) -> int:
+        """The id of the statement whose first token is next.
+
+        Ids are given as statements start, so they follow source order;
+        the id's entry holds its place until `_close` fills it.
+        """
+        sid = len(self.statements)
+        self.statements[sid] = None
+        return sid
+
+    def _close(self, sid: int, kind: StmtKind, start: int, **parts) -> Statement:
+        stmt = self.statements[sid] = Statement(sid, kind, (start, self.i), **parts)
         return stmt
 
     # --- declarations -----------------------------------------------------
 
     def parse_method(self) -> Method:
+        """Parse the method that starts at the next token; its ids start at 0."""
+        self.statements = {}
         start = self.i
         rtype = self._expect_ident("return type").text
         name = self._expect_ident("method name").text
@@ -278,7 +287,7 @@ class _Parser:
             params=params,
             declaration_tokens=declaration,
             body=body,
-            tokens=self.toks,
+            tokens=self.tokens,
             span=(start, self.i),
             statements=self.statements,
         )
@@ -292,16 +301,16 @@ class _Parser:
         return stmt
 
     def _parse_statement(self) -> Statement:
-        t = self._peek()
-        if t is None:
-            self._fail(["statement"])
         start = self.i
-        text = t.text
+        if start == self.end:
+            self._fail(["statement"])
+        sid = self._open()
+        text = self.toks[start].text
         if text == "{":
             body = self._parse_braced()
-            return self._new_stmt(StmtKind.BLOCK, (start, self.i), body=body)
+            return self._close(sid, StmtKind.BLOCK, start, body=body)
         if text == "for":
-            return self._parse_for()
+            return self._parse_for(sid)
         if text == "if" or text == "while":
             self.i += 1
             self._expect("(")
@@ -312,14 +321,14 @@ class _Parser:
             if text == "if" and self._at("else"):
                 self.i += 1
                 orelse = self._parse_body()
-            return self._new_stmt(StmtKind(text), (start, self.i), cond=cond,
-                                  cond_span=cond_span, body=body, orelse=orelse)
+            return self._close(sid, StmtKind(text), start, cond=cond, cond_span=cond_span,
+                               body=body, orelse=orelse)
         if text in ("return", "break", "continue"):
             self.i += 1
             value = None if text != "return" or self._at(";") else self.parse_expr()
             self._expect(";")
-            return self._new_stmt(StmtKind(text), (start, self.i), value=value)
-        stmt = self._parse_simple()
+            return self._close(sid, StmtKind(text), start, value=value)
+        stmt = self._parse_simple(sid)
         self._expect(";")
         stmt.span = (start, self.i)
         return stmt
@@ -329,7 +338,7 @@ class _Parser:
         self._expect("{")
         out = []
         while not self._at("}"):
-            if self._peek() is None:
+            if self.i == self.end:
                 self._fail(["'}'", "statement"])
             out.append(self.parse_statement())
         self._expect("}")
@@ -348,64 +357,44 @@ class _Parser:
             return stmt.body
         return [stmt]
 
-    def _parse_for(self) -> Statement:
+    def _parse_for(self, sid: int) -> Statement:
         start = self.i
-        self._expect("for")
+        self.i += 1  # "for"
         self._expect("(")
-        init = None if self._at(";") else self._parse_simple()
+        init = None if self._at(";") else self._parse_simple(self._open())
         self._expect(";")
         cond, cond_span = (None, None) if self._at(";") else self._parse_cond()
         self._expect(";")
-        update = None if self._at(")") else self._parse_simple()
+        update = None if self._at(")") else self._parse_simple(self._open())
         self._expect(")")
         body = self._parse_body()
-        return self._new_stmt(
-            StmtKind.FOR,
-            (start, self.i),
-            cond=cond,
-            cond_span=cond_span,
-            init=init,
-            update=update,
-            body=body,
-        )
+        return self._close(sid, StmtKind.FOR, start, cond=cond, cond_span=cond_span,
+                           init=init, update=update, body=body)
 
-    def _parse_simple(self) -> Statement:
+    def _parse_simple(self, sid: int) -> Statement:
         """Parse a declaration, assignment, or expression statement.
 
         The trailing ';' is consumed by the caller, so the same parse
         serves both free-standing statements and for-loop clauses.
         """
         start = self.i
-        t, t1 = self._peek(), self._peek(1)
-        if (
-            t is not None
-            and t.kind is TokenKind.IDENTIFIER
-            and t1 is not None
-            and t1.kind is TokenKind.IDENTIFIER
-        ):
-            type_name = self._expect_ident().text
-            name = self._expect_ident().text
+        toks = self.toks
+        if toks[start].kind is TokenKind.IDENTIFIER and toks[start + 1].kind is TokenKind.IDENTIFIER:
+            self.i = start + 2
             value = None
             if self._at("="):
-                self._expect("=")
+                self.i += 1
                 value = self.parse_expr()
-            return self._new_stmt(
-                StmtKind.DECL,
-                (start, self.i),
-                type_name=type_name,
-                name=name,
-                value=value,
-            )
+            return self._close(sid, StmtKind.DECL, start, type_name=toks[start].text,
+                               name=toks[start + 1].text, value=value)
         expr = self.parse_expr()
         if self._at("="):
             if expr.node_type not in ("MemberReference", "FieldAccess"):
                 self._fail(["assignable target"])
-            self._expect("=")
+            self.i += 1
             value = self.parse_expr()
-            return self._new_stmt(
-                StmtKind.ASSIGN, (start, self.i), target=expr, value=value
-            )
-        return self._new_stmt(StmtKind.EXPR, (start, self.i), value=expr)
+            return self._close(sid, StmtKind.ASSIGN, start, target=expr, value=value)
+        return self._close(sid, StmtKind.EXPR, start, value=expr)
 
     # --- expressions ------------------------------------------------------
 
@@ -426,23 +415,22 @@ class _Parser:
     }
     _UNARY = 7  # a unary operand binds tighter than any binary operator
 
-    # The expression methods below index `self.toks` against `self.n`
-    # themselves, and `parse_expr` does `_descend`'s check inline, since
-    # they run once per leaf and per operator.
+    # `parse_expr` does `_descend`'s check inline, since it runs once per
+    # leaf and per operator.
 
     def parse_expr(self, min_bp: int = 1) -> AstNode:
-        toks, n, binding = self.toks, self.n, self._BINDING
+        toks, binding = self.toks, self._BINDING
         depth = self.depth
         level = self.depth = depth + 1
         if level > MAX_NESTING:
             self._fail([_TOO_DEEP])
-        t = toks[self.i] if self.i < n else None
-        if t is not None and t.text in ("!", "-") and t.kind is TokenKind.OPERATOR:
+        t = toks[self.i]
+        if t.text in ("!", "-") and t.kind is TokenKind.OPERATOR:
             self.i += 1
             left = AstNode("UnaryOperation", t.text, [self.parse_expr(self._UNARY)])
         else:
             left = self._parse_postfix()
-        while self.i < n:
+        while True:
             t = toks[self.i]
             if t.kind is not TokenKind.OPERATOR:
                 break
@@ -459,10 +447,10 @@ class _Parser:
         return left
 
     def _parse_postfix(self) -> AstNode:
-        toks, n = self.toks, self.n
+        toks = self.toks
         depth = self.depth
         expr = self._parse_primary()
-        while self.i < n and toks[self.i].text == ".":
+        while toks[self.i].text == ".":
             self._descend()  # every member access nests `expr` one deeper
             self.i += 1
             name = self._expect_ident("member name").text
@@ -476,13 +464,11 @@ class _Parser:
 
     def _parse_primary(self) -> AstNode:
         i = self.i
-        if i >= self.n:
-            self._fail(["expression"])
         t = self.toks[i]
         kind = t.kind
         if kind is TokenKind.IDENTIFIER:
             self.i = i + 1
-            if i + 1 < self.n and self.toks[i + 1].text == "(":
+            if self.toks[i + 1].text == "(":
                 return AstNode("MethodInvocation", t.text, self._parse_list(self.parse_expr))
             return AstNode("MemberReference", t.text)
         if kind in _LITERAL_KINDS:
@@ -508,34 +494,21 @@ class _Parser:
         return out
 
 
-def _renumber_statements(method: Method) -> Method:
-    # Ids are assigned in parse-completion order; re-key them by source
-    # position so statement id order equals source order.
-    ordered = sorted(method.statements.values(), key=lambda s: s.span[0])
-    for new_id, stmt in enumerate(ordered):
-        stmt.stmt_id = new_id
-    method.statements = {s.stmt_id: s for s in ordered}
-    return method
-
-
 def parse_method(tokens: list[Token]) -> Method:
     """Parse one method from a token list; raises ParseError on violation."""
     parser = _Parser(tokens)
     method = parser.parse_method()
-    if parser.i != len(tokens):
+    if parser.i != parser.end:
         parser._fail(["<eof>"])
-    return _renumber_statements(method)
+    return method
 
 
 def parse_program(source: str) -> list[Method]:
     """Lex, abstract literals, and parse every method in a source file."""
-    tokens = abstract_literals(tokenize(source))
+    parser = _Parser(abstract_literals(tokenize(source)))
     methods = []
-    parser = _Parser(tokens)
-    while parser.i < len(tokens):
-        methods.append(_renumber_statements(parser.parse_method()))
-        parser.statements = {}
-        parser._next_id = 0
+    while parser.i != parser.end:
+        methods.append(parser.parse_method())
     return methods
 
 

@@ -36,8 +36,6 @@ def _bleu_counts(hyp: list[str], ref: list[str], max_n: int) -> tuple[list[int],
 
 
 def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
-    if hyp_len == 0:
-        return 0.0
     return min(1.0, math.exp(1.0 - ref_len / hyp_len))
 
 
@@ -87,7 +85,7 @@ def corpus_bleu(pairs, max_n: int = 4) -> float:
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
-    levels = 0
+    levels = 0  # ends at 1 or more: a corpus with words has unigrams
     for m, t in zip(matches, totals):
         if t == 0:
             continue
@@ -95,8 +93,6 @@ def corpus_bleu(pairs, max_n: int = 4) -> float:
             return 0.0
         levels += 1
         log_sum += math.log(m / t)
-    if levels == 0:
-        return 0.0
     return _brevity_penalty(hyp_len, ref_len) * math.exp(log_sum / levels)
 
 

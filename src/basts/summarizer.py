@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -212,21 +213,14 @@ class SummarizerModel(Params):
 # --- building blocks --------------------------------------------------------
 
 
-_POS_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@cache
 def positional_matrix(n_positions: int, size: int) -> np.ndarray:
-    key = (n_positions, size)
-    cached = _POS_CACHE.get(key)
-    if cached is None:
-        coords = np.arange(size, dtype=np.float64)
-        angles = np.arange(n_positions, dtype=np.float64)[:, None] / (
-            10000.0 ** (coords / size)
-        )
-        cached = np.where(coords % 2 == 0, np.sin(angles), np.cos(angles))
-        cached.setflags(write=False)
-        _POS_CACHE[key] = cached
-    return cached
+    """Sinusoidal position encodings, [n_positions, size]; read-only and cached."""
+    coords = np.arange(size, dtype=np.float64)
+    angles = np.arange(n_positions, dtype=np.float64)[:, None] / (10000.0 ** (coords / size))
+    out = np.where(coords % 2 == 0, np.sin(angles), np.cos(angles))
+    out.setflags(write=False)
+    return out
 
 
 def _positions(lengths, size: int) -> np.ndarray:

@@ -86,6 +86,51 @@ class TestForwardOps:
         assert np.array_equal(table.grad, [[0, 0, 0], [1, 1, 1], [0, 0, 0], [0, 0, 0]])
 
 
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+class TestShapeErrors:
+    @pytest.mark.parametrize("op, message", [
+        (lambda: ad.matmul(_zeros(2, 3, 4), _zeros(4, 2)),
+         "matmul needs 2D@2D, 2D@1D or 1D@2D, got (2, 3, 4) @ (4, 2)"),
+        (lambda: ad.matmul(_zeros(3), _zeros(3)),
+         "matmul needs 2D@2D, 2D@1D or 1D@2D, got (3,) @ (3,)"),
+        (lambda: ad.mul(_zeros(2, 3), _zeros(3, 2)), "mul shapes differ: (2, 3) vs (3, 2)"),
+        (lambda: ad.add_rowvec(_zeros(2, 3), _zeros(2)), "add_rowvec shapes differ: (2, 3) vs (2,)"),
+        (lambda: ad.add_rowvec(_zeros(3), _zeros(3)), "add_rowvec shapes differ: (3,) vs (3,)"),
+        (lambda: ad.attention(_zeros(2, 4), _zeros(2, 4, 1), _zeros(2, 4), 1, [(2, 2)]),
+         "attention expects matrices, got (2, 4), (2, 4, 1), (2, 4)"),
+        (lambda: ad.transpose(_zeros(3)), "transpose expects a matrix, got (3,)"),
+        (lambda: ad.embedding_lookup(_zeros(4), [1]), "embedding table must be 2D, got (4,)"),
+        (lambda: ad.embedding_lookup(_zeros(4, 3, 2), [1]),
+         "embedding table must be 2D, got (4, 3, 2)"),
+        (lambda: ad.layer_norm(_zeros(2, 3), _zeros(2), _zeros(3)),
+         "layer_norm shapes differ: (2, 3), (2,), (3,)"),
+        (lambda: ad.layer_norm(_zeros(3), _zeros(3), _zeros(3)),
+         "layer_norm shapes differ: (3,), (3,), (3,)"),
+        (lambda: ad.cross_entropy_logits(_zeros(2, 5), [1, 2, 3]),
+         "cross entropy shapes differ: (2, 5) vs (3,)"),
+        (lambda: ad.cross_entropy_logits(_zeros(5), [1]),
+         "cross entropy shapes differ: (5,) vs (1,)"),
+    ], ids=["matmul 3-D", "matmul 1-D@1-D", "mul", "add_rowvec width", "add_rowvec vector",
+            "attention", "transpose", "embedding vector table", "embedding 3-D table",
+            "layer_norm gain", "layer_norm vector", "cross entropy targets",
+            "cross entropy vector"])
+    def test_exact_message(self, op, message):
+        with pytest.raises(ShapeError) as err:
+            op()
+        assert str(err.value) == message
+
+    def test_backward_of_a_non_scalar_loss(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            y = ad.mul(x, x)
+        with pytest.raises(GraphError, match=r"^loss must be scalar, got shape \(2,\)$"):
+            backward(tape, y)
+        assert x.grad is None and not tape.used
+
+
 class TestBackward:
     def test_grad_of_sum_is_ones(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)

@@ -131,6 +131,30 @@ class TestBuildCfg:
         with pytest.raises(CfgError):
             build_cfg(parse_source("int f() { return 1; a = 2; }"))
 
+    # Ids count every statement in source order: a for's init and update,
+    # and a braced body's block, each have one. javac accepts the loops
+    # whose update no path reaches (JLS 14.22 checks no for update).
+    @pytest.mark.parametrize("source, dead", [
+        ("int f() { return 1; a = 2; }", [1]),
+        ("void f() { if (a) { return; } else { return; } x = 1; y = 2; }", [5, 6]),
+        ("void f() { { return; } { } x = 1; }", [3]),
+        ("int f() { while (a) { break; b = 1; } return 1; }", [3]),
+        ("void f() { while (a) { for (; b; i = i + 1) { continue; break; } } }", [6]),
+        ("int f(int n) { for (int i = 0; i < n; i = i + 1) { return i; } }", [2]),
+        ("void f() { for (;; i = 1) { break; } }", [1]),
+        ("void f() { for (; a; i = i + 1) { if (b) { return; } else { break; } } }", [1]),
+    ], ids=["after return", "after both branches", "after a block", "after break",
+            "after continue", "for update after return", "for update after break",
+            "for update after both branches"])
+    def test_unreachable_statements_are_named_by_id(self, source, dead):
+        with pytest.raises(CfgError) as err:
+            build_cfg(parse_source(source))
+        assert str(err.value) == f"unreachable statements {dead}: no control path reaches them"
+
+    def test_break_outside_a_loop_is_reported_after_dead_code(self):
+        with pytest.raises(CfgError, match=r"^break outside a loop \(statement 2\)$"):
+            build_cfg(parse_source("void f() { return; a = 1; break; }"))
+
     def test_empty_body_start_to_end(self):
         cfg = build_cfg(parse_source("void f() { }"))
         assert len(cfg.nodes) == 2

@@ -856,6 +856,27 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="unknown flag bits 0x4"):
             deserialize(bytes(raw))
 
+    @pytest.mark.parametrize("act, message", [
+        (lambda: deserialize(b"NOTBASTS" + SMALL_CHECKPOINTS["tree"][8:]),
+         "not a checkpoint file (bad magic)"),
+        (lambda: deserialize(b""), "not a checkpoint file (bad magic)"),
+        (lambda: serialize(transformer=deserialize(SMALL_CHECKPOINTS["summarizer"]).transformer,
+                           code_vocab=Vocab({}, SPECIALS + ["a"])),
+         "transformer section needs both vocabularies"),
+        (lambda: deserialize(SMALL_CHECKPOINTS["tree+sep"]).model(),
+         "checkpoint does not hold a full summarizer"),
+        (lambda: deserialize(serialize(
+            transformer=deserialize(SMALL_CHECKPOINTS["summarizer"]).transformer,
+            code_vocab=Vocab({}, SPECIALS + ["a"]),
+            word_vocab=Vocab({}, SPECIALS + ["x", "y"]))).model(),
+         "checkpoint does not hold a full summarizer"),
+    ], ids=["bad magic", "empty file", "transformer without a vocabulary",
+            "model of a tree checkpoint", "model of a transformer checkpoint"])
+    def test_exact_checkpoint_error(self, act, message):
+        with pytest.raises(CheckpointError) as err:
+            act()
+        assert str(err.value) == message
+
 
 def _write_toy_setup(tmp_path, epochs=3):
     corpus_path = tmp_path / "train.jsonl"
@@ -986,3 +1007,134 @@ class TestCliCommands:
                 "--output", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.csv"),
             ])
         assert not (tmp_path / "m.ckpt").exists()
+
+
+def _transformer_only_checkpoint(path):
+    transformer = TransformerParams.init(len(SPECIALS) + 1, len(SPECIALS) + 1, 16, 2, 1, 1,
+                                         np.random.default_rng(0))
+    save_checkpoint(path, transformer=transformer, code_vocab=Vocab({}, SPECIALS + ["a"]),
+                    word_vocab=Vocab({}, SPECIALS + ["x"]))
+
+
+def _tree_checkpoint(path, width):
+    save_checkpoint(path, tree=TreeLstmParams.init({"<UNK>": 0}, width,
+                                                   np.random.default_rng(0)))
+
+
+def _corpus_with_a_line(tmp_path, line):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(toy_rows()[0]) + "\n" + line + "\n")
+    return ["train", "--input", str(path), "--from-scratch", "--output", str(tmp_path / "m.ckpt")]
+
+
+def _config_with_a_line(tmp_path, line):
+    corpus_path, _ = _write_toy_setup(tmp_path)
+    path = tmp_path / "run.cfg"
+    path.write_text("heads = 2\n" + line + "\n")
+    return ["train", "--config", str(path), "--input", str(corpus_path), "--from-scratch"]
+
+
+def _train_from(tmp_path, write_checkpoint):
+    corpus_path, config_path = _write_toy_setup(tmp_path)
+    write_checkpoint(tmp_path / "in.ckpt")
+    return ["train", "--config", str(config_path), "--input", str(corpus_path),
+            "--checkpoint", str(tmp_path / "in.ckpt"), "--output", str(tmp_path / "m.ckpt"),
+            "--log", str(tmp_path / "l.csv")]
+
+
+def _eval_files(tmp_path, hyp, ref):
+    (tmp_path / "hyp.txt").write_text(hyp)
+    (tmp_path / "ref.txt").write_text(ref)
+    return ["eval", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt")]
+
+
+class TestCliErrors:
+    """Typed errors of the command line, each with its exact text."""
+
+    @pytest.mark.parametrize("argv, error, message", [
+        (lambda p: _corpus_with_a_line(p, "{not json"), FormatError,
+         "line 2: invalid JSON (Expecting property name enclosed in double quotes)"),
+        (lambda p: _config_with_a_line(p, "embedding_size 16"), FormatError,
+         "line 2: expected key = value"),
+        (lambda p: _config_with_a_line(p, "max_code_length = 0"), ConfigError,
+         "max_code_length must be positive, got 0"),
+        (lambda p: _train_from(p, _transformer_only_checkpoint), ConfigError,
+         "{p}/in.ckpt has no tree section"),
+        (lambda p: _train_from(p, lambda path: _tree_checkpoint(path, 8)), ConfigError,
+         "checkpoint width 8 != embedding_size 16"),
+        (lambda p: _eval_files(p, "a b\nc\n", "a b\n"), ConfigError,
+         "hypothesis count 2 != reference count 1"),
+        (lambda p: ["eval"], ConfigError,
+         "eval needs --hyp/--ref files or --input with --checkpoint"),
+        (lambda p: ["eval", "--input", str(p / "c.jsonl")], ConfigError,
+         "eval needs --hyp/--ref files or --input with --checkpoint"),
+    ], ids=["corpus line not JSON", "config line without =", "zero max_code_length",
+            "checkpoint without a tree", "checkpoint of another width",
+            "unequal hyp and ref counts", "eval with neither mode", "eval input alone"])
+    def test_exact_error(self, tmp_path, argv, error, message):
+        with pytest.raises(error) as err:
+            run(argv(tmp_path))
+        assert type(err.value) is error
+        assert str(err.value) == message.format(p=tmp_path)
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_blank_lines_of_a_corpus_are_skipped(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        rows = [json.dumps(row) for row in toy_rows()]
+        path.write_text("\n" + rows[0] + "\n  \n\t\n" + rows[1] + "\n\n" + rows[2] + "\n")
+        assert [r.record_id for r in load_corpus(path)] == ["m1", "m2", "m3"]
+
+    def test_main_prints_the_error_and_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["basts", *_eval_files(tmp_path, "a\nb\n", "a\n")])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "basts: error: hypothesis count 2 != reference count 1\n"
+
+    def test_main_exits_0_on_success(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["basts", *_eval_files(tmp_path, "a b\n", "a b\n")])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestEvalDedupe:
+    def test_dedupe_train_scores_only_records_not_in_training(self, tmp_path, capsys):
+        corpus_path, config_path = _write_toy_setup(tmp_path, epochs=1)
+        model_path = tmp_path / "model.ckpt"
+        assert run([
+            "train", "--config", str(config_path), "--input", str(corpus_path),
+            "--from-scratch", "--output", str(model_path), "--log", str(tmp_path / "t.csv"),
+        ]) == 0
+        rows = toy_rows()
+        train_path, kept_path = tmp_path / "seen.jsonl", tmp_path / "kept.jsonl"
+        # m1's code, spaced differently, is still a training record's code
+        write_corpus(train_path, [dict(rows[0], id="t1",
+                                       code="int add(int a, int b) {  return a+b; }")])
+        write_corpus(kept_path, rows[1:])
+        reports = []
+        for extra, corpus in (
+            (["--dedupe-train", str(train_path)], corpus_path),
+            ([], kept_path),
+        ):
+            json_path = tmp_path / "report.json"
+            assert run(["eval", "--config", str(config_path), "--input", str(corpus),
+                        "--checkpoint", str(model_path), "--json", str(json_path),
+                        *extra]) == 0
+            reports.append(json_path.read_text())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+
+    def test_dedupe_train_of_every_record_leaves_nothing_to_score(self, tmp_path, capsys):
+        corpus_path, config_path = _write_toy_setup(tmp_path, epochs=1)
+        model_path = tmp_path / "model.ckpt"
+        assert run([
+            "train", "--config", str(config_path), "--input", str(corpus_path),
+            "--from-scratch", "--output", str(model_path), "--log", str(tmp_path / "t.csv"),
+        ]) == 0
+        with pytest.raises(ValueError, match="^evaluate_corpus needs at least one pair$"):
+            run(["eval", "--config", str(config_path), "--input", str(corpus_path),
+                 "--checkpoint", str(model_path), "--dedupe-train", str(corpus_path)])

@@ -320,6 +320,75 @@ class TestParseMethod:
             parse_source(source)
         assert (err.value.index, err.value.expected, err.value.found) == (index, expected, found)
 
+    # Error paths at the end of input, after the method and in
+    # `parse_expr`'s operator loop; texts recorded before the parser read
+    # past its last token into an end-of-input token.
+    @pytest.mark.parametrize("source, index, expected, found", [
+        ("void f() { if (a)", 9, ["statement"], "<eof>"),
+        ("void f() { a = 1;", 9, ["'}'", "statement"], "<eof>"),
+        ("void f() {", 5, ["'}'", "statement"], "<eof>"),
+        ("void f() { for (", 7, ["expression"], "<eof>"),
+        ("void f(", 3, ["parameter type"], "<eof>"),
+        ("void", 1, ["method name"], "<eof>"),
+        ("", 0, ["return type"], "<eof>"),
+        ("void f() { g() = 1; }", 8, ["assignable target"], "="),
+        ("void f() { a.g() = 1; }", 10, ["assignable target"], "="),
+        ("void f() { } x", 6, ["<eof>"], "x"),
+        ("void f() { } }", 6, ["<eof>"], "}"),
+        # `a + b` in 97 parentheses: the `+` is at level 100, `b` one past
+        (nested_parens(97).replace("(a)", "(a + b)"), 105,
+         [f"nesting at most {MAX_NESTING} deep"], "b"),
+        # ... in 98: the `+` itself is one past, checked in the operator loop
+        (nested_parens(98).replace("(a)", "(a + b)"), 106,
+         [f"nesting at most {MAX_NESTING} deep"], "b"),
+    ], ids=["eof at a statement", "missing brace", "eof after open brace",
+            "eof in for header", "eof in parameters", "eof after return type",
+            "empty input", "assignment to a call", "assignment to a member call",
+            "token after the method", "brace after the method",
+            "operand past the bound", "operator past the bound"])
+    def test_exact_parse_errors_at_the_edges(self, source, index, expected, found):
+        with pytest.raises(ParseError) as err:
+            parse_source(source)
+        assert (err.value.index, err.value.expected, err.value.found) == (index, expected, found)
+        assert str(err.value) == (f"at token {index}: expected {' or '.join(expected)}, "
+                                  f"found {found!r}")
+
+    def test_operator_one_short_of_the_bound_parses(self):
+        parse_source(nested_parens(96).replace("(a)", "(a + b)"))
+
+    @pytest.mark.parametrize("source, index, expected, found", [
+        ("void f() { } x", 7, ["method name"], "<eof>"),
+        ("void f() { } int g", 8, ["'('"], "<eof>"),
+        ("void f() { } }", 6, ["return type"], "}"),
+    ], ids=["a lone word", "a declaration cut short", "a stray brace"])
+    def test_tokens_after_a_method_start_the_next(self, source, index, expected, found):
+        with pytest.raises(ParseError) as err:
+            parse_program(source)
+        assert (err.value.index, err.value.expected, err.value.found) == (index, expected, found)
+
+    def test_every_method_of_a_file_numbers_its_statements_from_zero(self):
+        methods = parse_program("void f() { a = 1; b = 2; }\nvoid g() { if (a) { c = 3; } }")
+        assert [list(m.statements) for m in methods] == [[0, 1], [0, 1, 2]]
+        # a braced body keeps its block statement, though its statements are flattened
+        assert [s.kind for s in methods[1].statements.values()] == [
+            StmtKind.IF, StmtKind.BLOCK, StmtKind.ASSIGN]
+
+    def test_statement_ids_are_source_order_keys_of_every_statement(self):
+        m = parse_source(EVERY_CONSTRUCT_SOURCE)
+        stmts = m.statements
+        assert list(stmts) == list(range(len(stmts)))
+        assert all(stmts[i].stmt_id == i for i in stmts)
+        starts = [s.span[0] for s in stmts.values()]
+        assert starts == sorted(set(starts))
+        loop = next(s for s in stmts.values() if s.kind is StmtKind.FOR)
+        assert loop.stmt_id < loop.init.stmt_id < loop.update.stmt_id < loop.body[0].stmt_id
+
+    def test_method_tokens_are_the_callers_list(self):
+        toks = abstract_literals(tokenize("void f() { a = 1; }"))
+        m = parse_method(toks)
+        assert m.tokens is toks
+        assert m.span == (0, len(toks))
+
     @pytest.mark.parametrize("source", [
         "int f() { return " + "!" * 98 + "a; }",
         "int f() { return a" + " + a" * 97 + "; }",

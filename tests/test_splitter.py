@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -264,3 +266,39 @@ class TestSplitAstsShareParserNodes:
         for seed in range(1, 21):
             for record in generate_records(label, seed, count, profile):
                 assert_expressions_shared_once(parse_source(record["code"]))
+
+
+# sha256 over the generated methods below, one JSON line per method
+GENERATED_SPLITS_SHA256 = (
+    "3c893d85463a037e177019181dea9d572805cb0bfa30c9bdcc7a433299547700"
+)
+
+
+class TestSplitDigest:
+    """Every split of 420 generated methods, byte for byte.
+
+    Each method adds one line: each split's statement ids, the successor
+    edges, `ast_to_json` of each split AST and the texts of each split's
+    code tokens. A frontend, CFG or splitter change that moves any of them
+    changes the digest.
+    """
+
+    def test_generated_methods(self):
+        digest = hashlib.sha256()
+        for label, profile, count in [
+            ("prep-large", PREP_PROFILE, 3),
+            ("pretrain-sep", MEDIUM_PROFILE, 6),
+            ("summarize-small", SMALL_PROFILE, 12),
+        ]:
+            for seed in range(1, 21):
+                for record in generate_records(label, seed, count, profile):
+                    result = split_method(parse_source(record["code"]))
+                    line = json.dumps({
+                        "statements": [s.statements for s in result.graph.splits],
+                        "edges": result.graph.successor_edges,
+                        "asts": [ast_to_json(a.root) for a in result.asts],
+                        "code": [[t.text for t in make_split_code(s, result.method)]
+                                 for s in result.graph.splits],
+                    })
+                    digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == GENERATED_SPLITS_SHA256

@@ -13,10 +13,12 @@ from basts import summarizer
 from basts.autodiff import Adam, Tensor
 from basts.cli import CorpusRecord, RunConfig, preprocess, train_summarizer
 from basts.frontend import AstNode
+from basts.metrics import corpus_bleu
 from basts.splitter import SplitAst
 from basts.summarizer import (
     AttentionParams,
     EmptyInputError,
+    NaNError,
     SummarizationExample,
     SummarizerModel,
     TransformerParams,
@@ -31,10 +33,12 @@ from basts.summarizer import (
     train_step,
 )
 from basts.syntax_encoder import (
+    SepModel,
     SubtreeIndex,
     TreeLstmParams,
     build_type_value_vocab,
     encode_trees,
+    sep_loss,
 )
 from oracles import (
     allowed_block,
@@ -446,6 +450,44 @@ class TestBatchedEncode:
         with pytest.raises(EmptyInputError, match="^example 2 of the batch has no code tokens$"):
             train_step(batch, model, Adam(model.all_params()))
         assert all(p.grad is None for p in model.all_params())
+
+
+def _non_finite_step():
+    model = make_model()
+    model.transformer.out_b.data[...] = np.nan
+    with np.errstate(invalid="ignore"):
+        train_step([make_example()], model, Adam(model.all_params(), lr=1e-3))
+
+
+def _no_pairs_sep_loss():
+    tree = TreeLstmParams.init({"<UNK>": 0}, 4, np.random.default_rng(0))
+    sep_loss([], SepModel.init(tree, np.random.default_rng(1)))
+
+
+class TestEmptyAndNonFiniteInputs:
+    @pytest.mark.parametrize("act, error, message", [
+        (lambda: train_step([], make_model(), Adam(make_model().all_params(), lr=1e-3)),
+         EmptyInputError, "train_step needs a non-empty batch"),
+        (_non_finite_step, NaNError, "non-finite loss nan on batch of 1 (first code length 4)"),
+        (_no_pairs_sep_loss, ValueError, "sep_loss needs at least one pair"),
+        (lambda: corpus_bleu([]), ValueError, "corpus_bleu needs at least one pair"),
+    ], ids=["empty batch", "non-finite loss", "sep_loss on no pairs",
+            "corpus_bleu on no pairs"])
+    def test_exact_error(self, act, error, message):
+        with pytest.raises(error) as err:
+            act()
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_a_non_finite_loss_updates_no_parameter(self):
+        model = make_model()
+        model.transformer.out_b.data[0] = np.inf
+        before = [p.data.copy() for p in model.all_params()]
+        opt = Adam(model.all_params(), lr=1e-3)
+        with pytest.raises(NaNError), np.errstate(invalid="ignore"):
+            train_step([make_example()], model, opt)
+        for old, p in zip(before, model.all_params()):
+            assert np.array_equal(old, p.data, equal_nan=True)
 
 
 class TestTrainStep:
