@@ -27,6 +27,12 @@ holds no reference cycles, an op output that no backward saves is freed
 as soon as the forward drops it, and the rest goes when the tape and
 the loss are dropped.
 
+`backward` is the one non-finite gate of training: it raises NaNError
+when the loss is not finite, or when a gradient it would write to a leaf
+is not, before it writes any .grad. Every training step runs backward
+before its optimizer step, so a step that raises changes no parameter,
+optimizer moment or gradient.
+
 Model parameters live in dataclasses that subclass Params, whose one
 walk names every Tensor by field declaration order; that walk is the
 optimizer's parameter list and the checkpoint's blob layout. Each class
@@ -51,6 +57,10 @@ class ShapeError(ValueError):
 
 
 class GraphError(RuntimeError):
+    pass
+
+
+class NaNError(RuntimeError):
     pass
 
 
@@ -246,13 +256,20 @@ def _emit(out_data, inputs, backward_fn) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor):
-    """Populate .grad on every tracked leaf with d(loss)/d(leaf)."""
+    """Add d(loss)/d(leaf) to .grad on every leaf that requires grad.
+
+    The module's one non-finite gate: a loss that is not finite, or a
+    leaf gradient that would not be, raises NaNError before any .grad is
+    written, so the caller's optimizer step never runs.
+    """
     if tape.used:
         raise GraphError("tape already used for a backward pass")
     if loss.node is None or loss.node.tape() is not tape:
         raise GraphError("loss was not produced on this tape")
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
+    if not np.isfinite(loss.data):
+        raise NaNError(f"non-finite loss {loss.data}")
     tape.used = True
 
     # keyed by the source itself: a producer node, or a leaf tensor
@@ -265,9 +282,14 @@ def backward(tape: Tape, loss: Tensor):
             if gt is None or source is None:
                 continue
             grads[source] = grads[source] + gt if source in grads else gt
-    for t, g in grads.items():  # only leaves are left
-        if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
+    # only leaves are left; every new .grad is checked before any is written
+    new = [(t, g if t.grad is None else t.grad + g)
+           for t, g in grads.items() if t.requires_grad]
+    for t, g in new:
+        if not np.isfinite(g).all():
+            raise NaNError(f"non-finite gradient of a leaf of shape {t.shape}")
+    for t, g in new:
+        t.grad = g
 
 
 def _require_ids(ids: np.ndarray, n: int, what: str):

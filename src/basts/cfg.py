@@ -55,7 +55,6 @@ class _Builder:
     def __init__(self):
         self.nodes = [CfgNode(0, NodeKind.START), CfgNode(1, NodeKind.END)]
         self.edges: list[tuple[int, int]] = []
-        self._edge_set: set[tuple[int, int]] = set()
 
     def new_node(self, stmt: Statement) -> int:
         node_id = len(self.nodes)
@@ -63,9 +62,7 @@ class _Builder:
         return node_id
 
     def edge(self, a: int, b: int):
-        if (a, b) not in self._edge_set:
-            self._edge_set.add((a, b))
-            self.edges.append((a, b))
+        self.edges.append((a, b))
 
     def wire_sequence(self, stmts: list[Statement], loop) -> tuple[int | None, list[int]]:
         """Wire a statement list; returns (head node, dangling exits).
@@ -111,11 +108,11 @@ class _Builder:
             exits = []
             for branch in (stmt.body, stmt.orelse):
                 head, branch_exits = self.wire_sequence(branch, loop)
-                if head is None:
-                    exits.append(header)  # an empty or missing branch falls through the header
-                else:
+                if head is not None:
                     self.edge(header, head)
                     exits.extend(branch_exits)
+                elif header not in exits:  # an empty or missing branch falls through the header
+                    exits.append(header)
             return header, exits
         # WHILE or FOR; a while is a for without init or update.
         init = self.new_node(stmt.init) if stmt.init is not None else None

@@ -21,7 +21,7 @@ import numpy as np
 from basts.autodiff import Adam, ShapeError, check_width
 from basts.cfg import CfgError, build_cfg, cfg_to_dot
 from basts.checkpoint import load_checkpoint, save_checkpoint
-from basts.dominators import DomError, compute_dominators, dom_to_dot
+from basts.dominators import compute_dominators, dom_to_dot
 from basts.frontend import (
     LexError,
     ParseError,
@@ -244,7 +244,7 @@ def preprocess(records: list[CorpusRecord], config: RunConfig,
         for record in records:
             try:
                 prepared.append(_prepare_one(record, config))
-            except (LexError, ParseError, CfgError, DomError) as err:
+            except (LexError, ParseError, CfgError) as err:
                 dropped.append((record.record_id, f"{type(err).__name__}: {err}"))
     finally:
         if collecting:

@@ -47,10 +47,6 @@ class EmptyInputError(ValueError):
     pass
 
 
-class NaNError(RuntimeError):
-    pass
-
-
 SPECIAL_TOKENS = ("<PAD>", "<BOS>", "<EOS>", "<UNK>", "<NUM>", "<STR>", "<BOOL>")
 
 
@@ -370,6 +366,10 @@ def train_step(batch: list[SummarizationExample], model: SummarizerModel,
     The whole batch is packed: one encoder pass, one projection of the
     memory's cross-attention keys and values, one decoder pass and one
     cross entropy over every target token of the batch.
+
+    A loss or parameter gradient that is not finite raises
+    `autodiff.NaNError` from `backward`, before the Adam update, so the
+    step changes no parameter, moment or gradient.
     """
     if not batch:
         raise EmptyInputError("train_step needs a non-empty batch")
@@ -380,11 +380,6 @@ def train_step(batch: list[SummarizationExample], model: SummarizerModel,
                                 [len(example.code_ids) for example in batch], model)
         targets = [i for example in batch for i in example.comment_ids[1:]]
         loss = ad.cross_entropy_logits(logits, targets)
-        if not np.isfinite(loss.data):
-            raise NaNError(
-                f"non-finite loss {loss.data} on batch of {len(batch)} "
-                f"(first code length {len(batch[0].code_ids)})"
-            )
         backward(tape, loss)
     opt.step()
     opt.zero_grad()

@@ -508,7 +508,9 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
     trees, so every tree is folded once.
 
     A corpus with no multi-split methods produces no pairs and the
-    initialized parameters come back untouched.
+    initialized parameters come back untouched. A step whose loss or
+    parameter gradient is not finite raises `autodiff.NaNError` from
+    `backward`, before its Adam update.
     """
     config.validate()
     seeds = np.random.SeedSequence(config.seed).spawn(len(corpus) + 2)

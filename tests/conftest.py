@@ -1,3 +1,6 @@
+import copy
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -54,6 +57,19 @@ def nested_ifs(n: int) -> str:
 def nested_parens(n: int) -> str:
     """A return of a name in n parentheses; the name sits n + 2 levels deep."""
     return "int f() { return " + "(" * n + "a" + ")" * n + "; }"
+
+
+def optimizer_state(opt) -> list:
+    """Copies of all that an Adam step reads or writes: its step count,
+    then each parameter's value, gradient and two moments."""
+    return [opt.t] + [copy.deepcopy(x) for p, m, v in zip(opt.params, opt._m, opt._v)
+                      for x in (p.data, p.grad, m, v)]
+
+
+def assert_same_state(before: list, after: list):
+    assert before[0] == after[0] and len(before) == len(after)
+    for old, new in zip(before[1:], after[1:]):
+        assert (old is None and new is None) or np.array_equal(old, new, equal_nan=True)
 
 
 def make_cfg(n_nodes, edges, entry=0, exit_=None):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basts import autodiff as ad
-from basts.autodiff import Adam, GraphError, ShapeError, Tape, Tensor, backward
+from basts.autodiff import Adam, GraphError, NaNError, ShapeError, Tape, Tensor, backward
 from basts.frontend import AstNode
 from basts.splitter import SplitAst
 from basts.syntax_encoder import TreeLstmParams, encode_trees
@@ -129,6 +129,38 @@ class TestShapeErrors:
         with pytest.raises(GraphError, match=r"^loss must be scalar, got shape \(2,\)$"):
             backward(tape, y)
         assert x.grad is None and not tape.used
+
+
+class TestNonFiniteGate:
+    @pytest.mark.parametrize("held", [None, 0.5], ids=["no grads", "held grads"])
+    def test_a_nan_in_one_leaf_gradient_writes_no_grad(self, held):
+        # relu hides the NaN input from the loss and from b's gradient, not from w's
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        for leaf in (w, b):
+            leaf.grad = None if held is None else np.full(leaf.shape, held)
+        before = [None if leaf.grad is None else leaf.grad.copy() for leaf in (w, b)]
+        x = Tensor(np.full((4, 3), np.nan))
+        with Tape() as tape:
+            loss = ad.sum_(ad.relu(ad.add_rowvec(ad.matmul(x, w), b)))
+            assert loss.item() == 0.0
+            with pytest.raises(NaNError) as err:
+                backward(tape, loss)
+        assert str(err.value) == "non-finite gradient of a leaf of shape (3, 2)"
+        for leaf, old in zip((w, b), before):
+            assert (leaf.grad is None) if old is None else np.array_equal(leaf.grad, old)
+
+    def test_an_infinite_loss_with_finite_gradients_raises(self):
+        # a target logit at -inf: the loss is inf, yet the logits' gradient
+        # is finite, so only the loss check stops the step
+        logits = Tensor([[0.0, -np.inf]], requires_grad=True)
+        with Tape() as tape:
+            loss = ad.cross_entropy_logits(logits, [1])
+        (grad,) = loss.node.backward_fn(np.float64(1.0))
+        assert np.array_equal(grad, [[1.0, -1.0]])
+        with pytest.raises(NaNError, match="^non-finite loss inf$"):
+            backward(tape, loss)
+        assert logits.grad is None
 
 
 class TestBackward:

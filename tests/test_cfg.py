@@ -1,7 +1,14 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from basts.cfg import CfgError, CfgNode, NodeKind, build_cfg, cfg_to_dot
 from conftest import parse_source
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from minigen import generate_records  # noqa: E402
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
 
 
 def stmt_nodes(cfg):
@@ -154,6 +161,24 @@ class TestBuildCfg:
     def test_break_outside_a_loop_is_reported_after_dead_code(self):
         with pytest.raises(CfgError, match=r"^break outside a loop \(statement 2\)$"):
             build_cfg(parse_source("void f() { return; a = 1; break; }"))
+
+    # an if whose branches add no node falls through its header once
+    @pytest.mark.parametrize("source, edges", [
+        ("void f() { if (a) { } else { } b = 1; }", [(2, 3), (0, 2), (3, 1)]),
+        ("void f() { if (a) { } else { { } } }", [(0, 2), (2, 1)]),
+        ("void f() { while (c) { if (a) { } } }", [(2, 3), (3, 2), (0, 2), (2, 1)]),
+    ], ids=["both branches empty", "else an empty block", "in a loop"])
+    def test_an_if_without_branch_nodes_adds_each_edge_once(self, source, edges):
+        assert build_cfg(parse_source(source)).edges == edges
+
+    def test_every_edge_is_added_once(self):
+        for label, profile, count in [("prep-large", PREP_PROFILE, 3),
+                                      ("pretrain-sep", MEDIUM_PROFILE, 6),
+                                      ("summarize-small", SMALL_PROFILE, 12)]:
+            for seed in range(1, 21):
+                for record in generate_records(label, seed, count, profile):
+                    edges = build_cfg(parse_source(record["code"])).edges
+                    assert len(set(edges)) == len(edges), record["id"]
 
     def test_empty_body_start_to_end(self):
         cfg = build_cfg(parse_source("void f() { }"))

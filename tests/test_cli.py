@@ -28,6 +28,7 @@ from basts.cli import (
     preprocess,
     run,
 )
+from basts.dominators import DomError
 from basts.summarizer import SPECIAL_TOKENS, TransformerParams, Vocab
 from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams
 from basts.frontend import MAX_NESTING, Token, TokenKind, iter_nodes, parse_program
@@ -328,12 +329,15 @@ class TestPreprocess:
         assert run(["split", "--input", str(src), "--output", str(out)]) == 0
         assert json.loads(out.read_text())["methods"][0]["splits"]
 
-    def test_program_fault_is_not_a_dropped_record(self, monkeypatch):
+    # build_cfg rejects every graph with a node no path reaches, so a
+    # DomError from the dominator pass is a fault too
+    @pytest.mark.parametrize("fault", [KeyError, DomError])
+    def test_program_fault_is_not_a_dropped_record(self, monkeypatch, fault):
         def broken_split(method):
-            raise KeyError("a bug, not bad input")
+            raise fault("a bug, not bad input")
 
         monkeypatch.setattr(cli, "split_method", broken_split)
-        with pytest.raises(KeyError):
+        with pytest.raises(fault):
             preprocess([CorpusRecord("r", "void g() { a = 1; }", "fine")],
                        self.toy_config())
 

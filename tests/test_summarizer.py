@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import basts.autodiff as ad
 from basts import summarizer
-from basts.autodiff import Adam, Tensor
+from basts.autodiff import Adam, NaNError, Tensor
 from basts.cli import CorpusRecord, RunConfig, preprocess, train_summarizer
 from basts.frontend import AstNode
 from basts.metrics import corpus_bleu
@@ -18,7 +18,6 @@ from basts.splitter import SplitAst
 from basts.summarizer import (
     AttentionParams,
     EmptyInputError,
-    NaNError,
     SummarizationExample,
     SummarizerModel,
     TransformerParams,
@@ -40,6 +39,7 @@ from basts.syntax_encoder import (
     encode_trees,
     sep_loss,
 )
+from conftest import assert_same_state, optimizer_state
 from oracles import (
     allowed_block,
     avg_pool,
@@ -468,7 +468,7 @@ class TestEmptyAndNonFiniteInputs:
     @pytest.mark.parametrize("act, error, message", [
         (lambda: train_step([], make_model(), Adam(make_model().all_params(), lr=1e-3)),
          EmptyInputError, "train_step needs a non-empty batch"),
-        (_non_finite_step, NaNError, "non-finite loss nan on batch of 1 (first code length 4)"),
+        (_non_finite_step, NaNError, "non-finite loss nan"),
         (_no_pairs_sep_loss, ValueError, "sep_loss needs at least one pair"),
         (lambda: corpus_bleu([]), ValueError, "corpus_bleu needs at least one pair"),
     ], ids=["empty batch", "non-finite loss", "sep_loss on no pairs",
@@ -488,6 +488,21 @@ class TestEmptyAndNonFiniteInputs:
             train_step([make_example()], model, opt)
         for old, p in zip(before, model.all_params()):
             assert np.array_equal(old, p.data, equal_nan=True)
+
+    @pytest.mark.parametrize("steps_before", [0, 1])
+    def test_a_nan_code_embedding_stops_the_step(self, steps_before):
+        # relu maps the NaN fused rows to 0, so the loss stays finite, but
+        # the NaN inputs reach the fuse_w gradient
+        model = make_model()
+        opt = Adam(model.all_params(), lr=1e-3)
+        for _ in range(steps_before):
+            train_step([make_example()], model, opt)
+        model.transformer.code_embedding.data[...] = np.nan
+        before = optimizer_state(opt)
+        with pytest.raises(NaNError) as err:
+            train_step([make_example()], model, opt)
+        assert str(err.value) == "non-finite gradient of a leaf of shape (8, 16)"
+        assert_same_state(before, optimizer_state(opt))
 
 
 class TestTrainStep:

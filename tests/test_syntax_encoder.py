@@ -30,7 +30,7 @@ from basts.syntax_encoder import (
     sep_loss,
     sep_score,
 )
-from conftest import parse_source
+from conftest import assert_same_state, optimizer_state, parse_source
 from oracles import (
     _levels,
     distinct_subtrees,
@@ -760,6 +760,31 @@ class TestPretrain:
         # folds at 4, 40 at 16
         assert len(folded) == 1
         assert len(folded[0]) == len(set(folded[0])) == 37
+
+    def test_a_nan_embedding_row_stops_the_first_step(self, monkeypatch):
+        corpus = [split_method(parse_source(src)) for src in PRETRAIN_SOURCES]
+        vocab = build_type_value_vocab([a.root for ms in corpus for a in ms.asts])
+        params = TreeLstmParams.init(vocab, 4, np.random.default_rng(0))
+        params.embedding.data[1] = np.nan  # the most frequent label's row
+        made, steps = [], []
+
+        class RecordedAdam(ad.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append((self, optimizer_state(self)))
+
+        def counted_sep_loss(*args):
+            steps.append(True)
+            return sep_loss(*args)
+
+        monkeypatch.setattr(syntax_encoder, "Adam", RecordedAdam)
+        monkeypatch.setattr(syntax_encoder, "sep_loss", counted_sep_loss)
+        with pytest.raises(ad.NaNError, match="^non-finite loss nan$"):
+            pretrain(corpus, params, PretrainConfig(epochs=1))
+        assert len(steps) == 1 and len(made) == 1
+        opt, before = made[0]
+        assert any(p is params.embedding for p in opt.params)
+        assert_same_state(before, optimizer_state(opt))
 
     def test_rejects_bad_config(self, diamond_method):
         corpus = [split_method(diamond_method)]
