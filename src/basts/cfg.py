@@ -7,6 +7,10 @@ the header always carries an exit edge so every node lies on some
 start-to-end path. A while is wired as a for without init or update.
 `break` edges to the loop exit; `continue` edges to the update if the
 loop has one, else to the header (JLS 14.16).
+
+A `Cfg` is reachable by construction: building one with a node that no
+path from the entry reaches raises CfgError. Its one walk from the entry
+is kept as `order`, which the dominator pass iterates.
 """
 
 from __future__ import annotations
@@ -36,12 +40,20 @@ class CfgNode(NamedTuple):
 
 @dataclass
 class Cfg:
+    """A control flow graph whose every node the entry reaches.
+
+    `succ`, `pred` and `order` are derived from the edges: `order` holds
+    each node once, in reverse postorder from the entry. Construction
+    raises CfgError when some node is not reached.
+    """
+
     nodes: list[CfgNode]  # node i has node_id i
     edges: list[tuple[int, int]]
     entry: int
     exit: int
-    succ: dict[int, list[int]] = field(init=False)  # derived from the edges
+    succ: dict[int, list[int]] = field(init=False)
     pred: dict[int, list[int]] = field(init=False)
+    order: list[int] = field(init=False)
 
     def __post_init__(self):
         self.succ = {n.node_id: [] for n in self.nodes}
@@ -49,6 +61,25 @@ class Cfg:
         for a, b in self.edges:
             self.succ[a].append(b)
             self.pred[b].append(a)
+        seen = {self.entry}
+        self.order = []
+        stack = [(self.entry, iter(self.succ[self.entry]))]
+        while stack:
+            node, children = stack[-1]
+            for nxt in children:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(self.succ[nxt])))
+                    break
+            else:
+                self.order.append(node)
+                stack.pop()
+        self.order.reverse()
+        if len(self.order) < len(self.nodes):
+            if self.exit not in seen:
+                raise CfgError(f"unreachable end node {self.exit}: no control path reaches it")
+            dead = sorted(n.stmt_id for n in self.nodes if n.node_id not in seen)
+            raise CfgError(f"unreachable statements {dead}: no control path reaches them")
 
 
 class _Builder:
@@ -71,7 +102,7 @@ class _Builder:
         in the innermost loop, or is None outside loops. A head of None
         means the sequence is empty; an empty exit list means control
         never falls through, so the next statement gets no edge in and
-        `build_cfg` reports it.
+        the `Cfg` reports it.
         """
         head: int | None = None
         exits: list[int] = []
@@ -146,19 +177,7 @@ def build_cfg(method: Method) -> Cfg:
         b.edge(0, head)
         for e in exits:
             b.edge(e, 1)
-    cfg = Cfg(b.nodes, b.edges, entry=0, exit=1)
-    seen = {cfg.entry}
-    frontier = [cfg.entry]
-    while frontier:
-        for v in cfg.succ[frontier.pop()]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    if len(seen) < len(cfg.nodes):
-        # the end node is always reached, so every node missed is a statement's
-        dead = sorted(n.stmt_id for n in cfg.nodes if n.node_id not in seen)
-        raise CfgError(f"unreachable statements {dead}: no control path reaches them")
-    return cfg
+    return Cfg(b.nodes, b.edges, entry=0, exit=1)
 
 
 def cfg_to_dot(cfg: Cfg, method: Method | None = None) -> str:

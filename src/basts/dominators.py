@@ -16,10 +16,6 @@ from basts.cfg import Cfg
 ORACLE_NODE_CAP = 64
 
 
-class DomError(ValueError):
-    pass
-
-
 class OracleScaleError(ValueError):
     pass
 
@@ -40,39 +36,15 @@ class DomTree:
         return out
 
 
-def _reverse_postorder(cfg: Cfg) -> list[int]:
-    seen = {cfg.entry}
-    order: list[int] = []
-    stack: list[tuple[int, int]] = [(cfg.entry, 0)]
-    while stack:
-        node, child_idx = stack[-1]
-        succ = cfg.succ[node]
-        if child_idx < len(succ):
-            stack[-1] = (node, child_idx + 1)
-            nxt = succ[child_idx]
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, 0))
-        else:
-            order.append(node)
-            stack.pop()
-    order.reverse()
-    return order
-
-
 def compute_dominators(cfg: Cfg) -> DomTree:
-    """Immediate dominators for every node reachable from the entry.
+    """Immediate dominators for every node of the graph.
 
-    Raises DomError when some node is unreachable; build_cfg guarantees
-    reachability, so that signals a malformed graph.
+    Iterates the graph's own reverse postorder, `cfg.order`; a `Cfg`
+    holds only nodes the entry reaches, so every node gets a dominator.
     """
-    order = _reverse_postorder(cfg)
-    if len(order) != len(cfg.nodes):
-        missing = sorted({n.node_id for n in cfg.nodes} - set(order))
-        raise DomError(f"nodes unreachable from entry: {missing}")
-    rpo_number = {node: i for i, node in enumerate(order)}
+    rpo_number = {node: i for i, node in enumerate(cfg.order)}
 
-    idom: dict[int, int | None] = {node: None for node in order}
+    idom: dict[int, int | None] = {node: None for node in cfg.order}
     idom[cfg.entry] = cfg.entry
 
     def intersect(a: int, b: int) -> int:
@@ -86,7 +58,7 @@ def compute_dominators(cfg: Cfg) -> DomTree:
     changed = True
     while changed:
         changed = False
-        for node in order:
+        for node in cfg.order:
             if node == cfg.entry:
                 continue
             new_idom = None

@@ -37,6 +37,7 @@ import numpy as np
 
 from basts import autodiff as ad
 from basts.autodiff import Adam, Params, Slot, Tape, Tensor, backward, glorot, no_grad
+from basts.frontend import BOOL_TOKEN, NUM_TOKEN, STR_TOKEN
 from basts.splitter import SplitAst
 from basts.syntax_encoder import TreeLstmParams, encode_trees
 # encode_tree is also reachable here (bench/workloads.py wraps it by this name)
@@ -47,7 +48,7 @@ class EmptyInputError(ValueError):
     pass
 
 
-SPECIAL_TOKENS = ("<PAD>", "<BOS>", "<EOS>", "<UNK>", "<NUM>", "<STR>", "<BOOL>")
+SPECIAL_TOKENS = ("<PAD>", "<BOS>", "<EOS>", "<UNK>", NUM_TOKEN, STR_TOKEN, BOOL_TOKEN)
 
 
 @dataclass

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from basts.cfg import CfgError, CfgNode, NodeKind, build_cfg, cfg_to_dot
-from conftest import parse_source
+from conftest import make_cfg, parse_source
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from minigen import generate_records  # noqa: E402
@@ -42,6 +42,22 @@ class TestCfgNodeContract:
 
     def test_equals_the_plain_tuple_of_its_fields(self):
         assert CfgNode(0, NodeKind.START) == (0, NodeKind.START, None)
+
+
+class TestCfgReachability:
+    # a hand-built graph meets the same walk as one build_cfg wires
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (1, 3), (2, 3)], "unreachable statements [2]: no control path reaches them"),
+        ([(0, 1), (1, 2)], "unreachable end node 3: no control path reaches it"),
+    ], ids=["statement node", "end node"])
+    def test_an_unreached_node_fails_construction(self, edges, message):
+        with pytest.raises(CfgError) as err:
+            make_cfg(4, edges)
+        assert str(err.value) == message
+
+    def test_order_is_the_postorder_from_the_entry_reversed(self):
+        cfg = make_cfg(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 1), (4, 5)])
+        assert cfg.order == [0, 1, 3, 2, 4, 5]
 
 
 class TestBuildCfg:

@@ -28,7 +28,6 @@ from basts.cli import (
     preprocess,
     run,
 )
-from basts.dominators import DomError
 from basts.summarizer import SPECIAL_TOKENS, TransformerParams, Vocab
 from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams
 from basts.frontend import MAX_NESTING, Token, TokenKind, iter_nodes, parse_program
@@ -329,15 +328,12 @@ class TestPreprocess:
         assert run(["split", "--input", str(src), "--output", str(out)]) == 0
         assert json.loads(out.read_text())["methods"][0]["splits"]
 
-    # build_cfg rejects every graph with a node no path reaches, so a
-    # DomError from the dominator pass is a fault too
-    @pytest.mark.parametrize("fault", [KeyError, DomError])
-    def test_program_fault_is_not_a_dropped_record(self, monkeypatch, fault):
+    def test_program_fault_is_not_a_dropped_record(self, monkeypatch):
         def broken_split(method):
-            raise fault("a bug, not bad input")
+            raise KeyError("a bug, not bad input")
 
         monkeypatch.setattr(cli, "split_method", broken_split)
-        with pytest.raises(fault):
+        with pytest.raises(KeyError):
             preprocess([CorpusRecord("r", "void g() { a = 1; }", "fine")],
                        self.toy_config())
 
