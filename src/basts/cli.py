@@ -1,10 +1,14 @@
 """Corpus ingestion, configuration, pipeline orchestration, and the CLI.
 
 Subcommands: split, pretrain, train, eval, summarize, plus `cfg dump` and
-`dom dump` for DOT output. Corpora are JSON Lines records with id/code/
-comment fields; configs are key = value text. Runs are reproducible from
-(config, seed): identical invocations write byte-identical checkpoints
-and loss logs.
+`dom dump` for DOT output. Each command is one row of a table: its
+subparser names its handler with `set_defaults(run=...)`, and `run`
+calls that handler with the parsed arguments and the config. Corpus
+records and summarize's methods share one per-method preparation, and
+`eval --input` and `summarize` share one decode loop, `_summaries`.
+Corpora are JSON Lines records with id/code/comment fields; configs are
+key = value text. Runs are reproducible from (config, seed): identical
+invocations write byte-identical checkpoints and loss logs.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import gc
 import json
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +39,7 @@ from basts.frontend import (
     tokenize,
     tokenize_comment,
 )
-from basts.metrics import EvalReport, evaluate_corpus
+from basts.metrics import evaluate_corpus
 from basts.splitter import MethodSplits, make_split_code, split_method
 from basts.summarizer import (
     SummarizationExample,
@@ -189,24 +194,39 @@ class PreparedRecord:
 
 @dataclass
 class PreparedCorpus:
-    examples: list[SummarizationExample]
+    """Prepared records and the vocabularies that encode them.
+
+    `examples` holds each record's model input, in record order; it is
+    derived from the records here, once.
+    """
+
     records: list[PreparedRecord]
     code_vocab: Vocab
     word_vocab: Vocab
     dropped: list[tuple[str, str]] = field(default_factory=list)
+    examples: list[SummarizationExample] = field(init=False)
+
+    def __post_init__(self):
+        self.examples = [
+            SummarizationExample(
+                code_ids=self.code_vocab.encode(r.code_tokens),
+                split_asts=r.splits.asts,
+                comment_ids=[Vocab.BOS] + self.word_vocab.encode(r.comment_words) + [Vocab.EOS],
+            )
+            for r in self.records
+        ]
 
     @property
     def split_corpus(self) -> list[MethodSplits]:
         return [r.splits for r in self.records]
 
 
-def _prepare_one(record: CorpusRecord, config: RunConfig) -> PreparedRecord:
-    tokens = abstract_literals(tokenize(record.code))
-    method = parse_method(tokens)
+def _prepare(record_id: str, method, comment: str, config: RunConfig) -> PreparedRecord:
+    """One parsed method's model-facing tokens, comment words and splits."""
     return PreparedRecord(
-        record_id=record.record_id,
+        record_id=record_id,
         code_tokens=code_token_texts(method, config.max_code_length),
-        comment_words=tokenize_comment(record.comment)[: config.max_comment_length],
+        comment_words=tokenize_comment(comment)[: config.max_comment_length],
         splits=split_method(method),
     )
 
@@ -243,7 +263,8 @@ def preprocess(records: list[CorpusRecord], config: RunConfig,
     try:
         for record in records:
             try:
-                prepared.append(_prepare_one(record, config))
+                method = parse_method(abstract_literals(tokenize(record.code)))
+                prepared.append(_prepare(record.record_id, method, record.comment, config))
             except (LexError, ParseError, CfgError) as err:
                 dropped.append((record.record_id, f"{type(err).__name__}: {err}"))
     finally:
@@ -260,15 +281,7 @@ def preprocess(records: list[CorpusRecord], config: RunConfig,
     if word_vocab is None:
         word_vocab = Vocab.build([r.comment_words for r in prepared])
 
-    examples = [
-        SummarizationExample(
-            code_ids=code_vocab.encode(r.code_tokens),
-            split_asts=r.splits.asts,
-            comment_ids=[Vocab.BOS] + word_vocab.encode(r.comment_words) + [Vocab.EOS],
-        )
-        for r in prepared
-    ]
-    return PreparedCorpus(examples, prepared, code_vocab, word_vocab, dropped)
+    return PreparedCorpus(prepared, code_vocab, word_vocab, dropped)
 
 
 def dedupe_against(prepared: PreparedCorpus, train_records) -> PreparedCorpus:
@@ -276,18 +289,12 @@ def dedupe_against(prepared: PreparedCorpus, train_records) -> PreparedCorpus:
     train_codes = {" ".join(r.code_tokens) for r in train_records}
     keep = []
     dropped = list(prepared.dropped)
-    for i, r in enumerate(prepared.records):
+    for r in prepared.records:
         if " ".join(r.code_tokens) in train_codes:
             dropped.append((r.record_id, "duplicate of a training record"))
         else:
-            keep.append(i)
-    return PreparedCorpus(
-        [prepared.examples[i] for i in keep],
-        [prepared.records[i] for i in keep],
-        prepared.code_vocab,
-        prepared.word_vocab,
-        dropped,
-    )
+            keep.append(r)
+    return PreparedCorpus(keep, prepared.code_vocab, prepared.word_vocab, dropped)
 
 
 def train_summarizer(examples: list[SummarizationExample], model: SummarizerModel,
@@ -319,11 +326,14 @@ def _write_loss_log(path, rows, header):
 # --- subcommands ------------------------------------------------------------
 
 
-def cmd_split(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        methods = parse_program(fh.read())
+def _read_methods(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_program(fh.read())
+
+
+def cmd_split(args, config: RunConfig) -> int:
     out = {"methods": []}
-    for method in methods:
+    for method in _read_methods(args.input):
         splits = split_method(method)
         out["methods"].append({
             "method": method.name,
@@ -414,88 +424,69 @@ def cmd_train(args, config: RunConfig) -> int:
     return 0
 
 
-def _report_text(report: EvalReport) -> str:
-    scaled = report.scaled()
-    names = {
-        "s_bleu": "S-BLEU", "c_bleu": "C-BLEU", "meteor": "METEOR",
-        "rouge1_f": "ROUGE-1", "rouge2_f": "ROUGE-2", "rougeL_f": "ROUGE-L",
-    }
-    lines = ["metric    score", "-" * 16]
-    for key, label in names.items():
-        lines.append(f"{label:<9} {scaled[key]:6.2f}")
-    return "\n".join(lines)
-
-
-def _emit_report(report: EvalReport, json_path) -> None:
-    print(_report_text(report))
-    payload = json.dumps(report.scaled(), indent=2)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+def _summaries(corpus: PreparedCorpus, model: SummarizerModel,
+               config: RunConfig) -> list[list[str]]:
+    """The greedy-decoded words of every example of the corpus, in order."""
+    return [corpus.word_vocab.decode(
+                greedy_decode(example, model, max_len=config.max_comment_length))
+            for example in corpus.examples]
 
 
 def cmd_eval(args, config: RunConfig) -> int:
     if args.hyp and args.ref:
-        with open(args.hyp, "r", encoding="utf-8") as fh:
-            hyps = [line.split() for line in fh.read().splitlines()]
-        with open(args.ref, "r", encoding="utf-8") as fh:
-            refs = [line.split() for line in fh.read().splitlines()]
+        hyps, refs = ([line.split() for line in Path(path).read_text("utf-8").splitlines()]
+                      for path in (args.hyp, args.ref))
         if len(hyps) != len(refs):
             raise ConfigError(
                 f"hypothesis count {len(hyps)} != reference count {len(refs)}"
             )
-        pairs = list(zip(hyps, refs))
     elif args.input and args.checkpoint:
         ckpt = load_checkpoint(args.checkpoint)
         model = ckpt.model()
-        corpus = preprocess(
-            load_corpus(args.input), config,
-            code_vocab=ckpt.code_vocab, word_vocab=ckpt.word_vocab,
-        )
+
+        def prepared(path):  # encoded with the checkpoint's vocabularies
+            return preprocess(load_corpus(path), config,
+                              code_vocab=ckpt.code_vocab, word_vocab=ckpt.word_vocab)
+
+        corpus = prepared(args.input)
         if args.dedupe_train:
-            train_corpus = preprocess(
-                load_corpus(args.dedupe_train), config,
-                code_vocab=ckpt.code_vocab, word_vocab=ckpt.word_vocab,
-            )
-            corpus = dedupe_against(corpus, train_corpus.records)
-        pairs = []
-        for example, record in zip(corpus.examples, corpus.records):
-            ids = greedy_decode(example, model, max_len=config.max_comment_length)
-            pairs.append((ckpt.word_vocab.decode(ids), record.comment_words))
+            corpus = dedupe_against(corpus, prepared(args.dedupe_train).records)
+        hyps = _summaries(corpus, model, config)
+        refs = [r.comment_words for r in corpus.records]
     else:
         raise ConfigError("eval needs --hyp/--ref files or --input with --checkpoint")
-    report = evaluate_corpus(pairs, bleu_smoothing=config.bleu_smoothing)
-    _emit_report(report, args.json)
+    scaled = evaluate_corpus(list(zip(hyps, refs)),
+                             bleu_smoothing=config.bleu_smoothing).scaled()
+    labels = {
+        "s_bleu": "S-BLEU", "c_bleu": "C-BLEU", "meteor": "METEOR",
+        "rouge1_f": "ROUGE-1", "rouge2_f": "ROUGE-2", "rougeL_f": "ROUGE-L",
+    }
+    print("metric    score\n" + "-" * 16)
+    for key, label in labels.items():
+        print(f"{label:<9} {scaled[key]:6.2f}")
+    payload = json.dumps(scaled, indent=2)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
+    else:
+        print(payload)
     return 0
 
 
 def cmd_summarize(args, config: RunConfig) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = ckpt.model()
-    with open(args.input, "r", encoding="utf-8") as fh:
-        methods = parse_program(fh.read())
-    for method in methods:
-        splits = split_method(method)
-        example = SummarizationExample(
-            code_ids=ckpt.code_vocab.encode(
-                code_token_texts(method, config.max_code_length)
-            ),
-            split_asts=splits.asts,
-            comment_ids=[Vocab.BOS, Vocab.EOS],
-        )
-        ids = greedy_decode(example, model, max_len=config.max_comment_length)
-        print(" ".join(ckpt.word_vocab.decode(ids)))
+    records = [_prepare(m.name, m, "", config) for m in _read_methods(args.input)]
+    corpus = PreparedCorpus(records, ckpt.code_vocab, ckpt.word_vocab)
+    for words in _summaries(corpus, model, config):
+        print(" ".join(words))
     return 0
 
 
-def cmd_dump(args, which: str) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        methods = parse_program(fh.read())
-    for method in methods:
+def cmd_dump(args, config: RunConfig) -> int:
+    for method in _read_methods(args.input):
         cfg = build_cfg(method)
-        if which == "cfg":
+        if args.command == "cfg":
             print(cfg_to_dot(cfg, method))
         else:
             print(dom_to_dot(compute_dominators(cfg)))
@@ -520,15 +511,18 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checkpoint", help="checkpoint path to load")
 
     p = sub.add_parser("split", help="dump code splits as JSON")
+    p.set_defaults(run=cmd_split)
     p.add_argument("--input", required=True)
     p.add_argument("--output", help="write JSON here instead of stdout")
 
     p = sub.add_parser("pretrain", help="pre-train split embeddings")
+    p.set_defaults(run=cmd_pretrain)
     common(p)
     p.add_argument("--output", default="sep.ckpt", help="checkpoint to write")
     p.add_argument("--log", default="pretrain_loss.csv", help="loss CSV to write")
 
     p = sub.add_parser("train", help="train the summarizer")
+    p.set_defaults(run=cmd_train)
     common(p, checkpoint=True)
     p.add_argument("--from-scratch", action="store_true",
                    help="initialize the tree encoder instead of loading one")
@@ -536,6 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default="train_loss.csv", help="loss CSV to write")
 
     p = sub.add_parser("eval", help="score hypotheses against references")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--input", help="corpus to summarize and score")
     p.add_argument("--seed", type=int)
@@ -547,10 +542,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the JSON report here")
 
     p = sub.add_parser("summarize", help="generate comments for source methods")
+    p.set_defaults(run=cmd_summarize)
     common(p, checkpoint=True)
 
     for name in ("cfg", "dom"):
         p = sub.add_parser(name, help=f"{name} tooling")
+        p.set_defaults(run=cmd_dump)
         p.add_argument("action", choices=["dump"])
         p.add_argument("--input", required=True)
     return parser
@@ -563,17 +560,7 @@ def run(argv=None) -> int:
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     config.validate()
-    if args.command == "split":
-        return cmd_split(args)
-    if args.command == "pretrain":
-        return cmd_pretrain(args, config)
-    if args.command == "train":
-        return cmd_train(args, config)
-    if args.command == "eval":
-        return cmd_eval(args, config)
-    if args.command == "summarize":
-        return cmd_summarize(args, config)
-    return cmd_dump(args, args.command)
+    return args.run(args, config)
 
 
 def main():
@@ -582,3 +569,7 @@ def main():
     except Exception as err:  # uniform nonzero exit with a diagnostic
         print(f"basts: error: {err}", file=sys.stderr)
         sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

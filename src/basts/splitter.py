@@ -60,28 +60,21 @@ def partition_blocks(domtree: DomTree, cfg: Cfg) -> SplitGraph:
     if not real:
         return SplitGraph([CodeSplit(0, [])], [])
 
-    parent = [-1] * len(stmt_of)  # dominator-tree parent among real nodes
-    fanout = [0] * len(stmt_of)
+    idom = domtree.idom
+    fanout = [0] * len(stmt_of)  # dominator-tree children among real nodes
     for v in real:
-        p = domtree.idom.get(v)
-        if p is not None and stmt_of[p] is not None:
-            parent[v] = p
-            fanout[p] += 1
+        if stmt_of[idom[v]] is not None:
+            fanout[idom[v]] += 1
 
-    # A tree edge survives when its parent has one child, so a node is in
-    # its parent's block then and heads a block of its own otherwise.
+    # A tree edge survives when its parent is real and has one child, so a
+    # node is in its parent's block then and heads a block of its own
+    # otherwise. Reverse postorder puts every node's immediate dominator
+    # before it, so one pass over `cfg.order` finds every head.
     head = [-1] * len(stmt_of)
-    for v in real:
-        chain, u = [], v
-        while head[u] < 0:
-            p = parent[u]
-            if p < 0 or fanout[p] > 1:
-                head[u] = u
-                break
-            chain.append(u)
-            u = p
-        for w in chain:
-            head[w] = head[u]
+    for v in cfg.order:
+        if stmt_of[v] is not None:
+            p = idom[v]
+            head[v] = head[p] if stmt_of[p] is not None and fanout[p] == 1 else v
 
     blocks: dict[int, list[int]] = {}
     for v in real:
@@ -89,7 +82,8 @@ def partition_blocks(domtree: DomTree, cfg: Cfg) -> SplitGraph:
     heads = sorted(blocks, key=lambda h: min(blocks[h]))
     split_of = {h: sid for sid, h in enumerate(heads)}
     splits = [CodeSplit(sid, sorted(blocks[h])) for sid, h in enumerate(heads)]
-    edges = sorted({(split_of[head[parent[h]]], split_of[h]) for h in heads if parent[h] >= 0})
+    edges = sorted({(split_of[head[idom[h]]], split_of[h])
+                    for h in heads if stmt_of[idom[h]] is not None})
     return SplitGraph(splits, edges)
 
 

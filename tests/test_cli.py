@@ -1,9 +1,13 @@
 import gc
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +34,8 @@ from basts.cli import (
 )
 from basts.summarizer import SPECIAL_TOKENS, TransformerParams, Vocab
 from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams
-from basts.frontend import MAX_NESTING, Token, TokenKind, iter_nodes, parse_program
+from basts.frontend import (MAX_NESTING, Token, TokenKind, iter_nodes, parse_program,
+                            tokenize_comment)
 from basts.splitter import split_method
 from conftest import (
     DIAMOND_SOURCE,
@@ -1100,6 +1105,21 @@ class TestCliErrors:
         assert exit_info.value.code == 0
         assert capsys.readouterr().err == ""
 
+    def test_python_dash_m_runs_the_command_line(self, tmp_path):
+        """`python -m basts.cli` works in a checkout where no console script is installed."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def basts(argv):
+            return subprocess.run([sys.executable, "-m", "basts.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        ok = basts(_eval_files(tmp_path, "a b\n", "a b\n"))
+        assert ok.returncode == 0 and "S-BLEU" in ok.stdout
+        missing = basts(["eval", "--hyp", str(tmp_path / "none.txt"),
+                         "--ref", str(tmp_path / "ref.txt")])
+        assert missing.returncode == 1
+        assert missing.stderr.startswith("basts: error:")
+
 
 class TestEvalDedupe:
     def test_dedupe_train_scores_only_records_not_in_training(self, tmp_path, capsys):
@@ -1138,3 +1158,35 @@ class TestEvalDedupe:
         with pytest.raises(ValueError, match="^evaluate_corpus needs at least one pair$"):
             run(["eval", "--config", str(config_path), "--input", str(corpus_path),
                  "--checkpoint", str(model_path), "--dedupe-train", str(corpus_path)])
+
+
+def test_eval_of_summarize_output_matches_eval_of_the_corpus(tmp_path, capsys):
+    """Both eval modes decode through one loop, so they score alike.
+
+    `summarize` over the corpus's methods, scored by `eval --hyp/--ref`
+    against the comments' words, writes the same report as
+    `eval --input --checkpoint` over the corpus.
+    """
+    corpus_path, config_path = _write_toy_setup(tmp_path, epochs=30)
+    model_path = tmp_path / "model.ckpt"
+    config = ["--config", str(config_path)]
+    assert run(["train", *config, "--input", str(corpus_path), "--from-scratch",
+                "--output", str(model_path), "--log", str(tmp_path / "t.csv")]) == 0
+    methods = tmp_path / "methods.mini"
+    methods.write_text("\n".join(row["code"] for row in toy_rows()))
+    capsys.readouterr()
+    assert run(["summarize", *config, "--input", str(methods),
+                "--checkpoint", str(model_path)]) == 0
+    hyps = capsys.readouterr().out
+    assert len(set(hyps.splitlines())) == len(toy_rows())  # the summaries tell methods apart
+    (tmp_path / "hyp.txt").write_text(hyps)
+    (tmp_path / "ref.txt").write_text(
+        "".join(" ".join(tokenize_comment(row["comment"])) + "\n" for row in toy_rows()))
+    reports = []
+    for mode in (["--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt")],
+                 [*config, "--input", str(corpus_path), "--checkpoint", str(model_path)]):
+        json_path = tmp_path / "report.json"
+        assert run(["eval", *mode, "--json", str(json_path)]) == 0
+        reports.append(json_path.read_text())
+    capsys.readouterr()
+    assert reports[0] == reports[1]

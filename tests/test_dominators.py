@@ -112,8 +112,10 @@ class TestOracleEquivalence:
     def test_generated_methods_agree(self):
         """The split digest's 420 methods and the empty-block shapes.
 
-        Every graph's `order` starts at the entry and holds each node
-        once; every graph within the oracle's cap has its dominators.
+        Every graph's `order` starts at the entry, holds each node once
+        and lists each node's immediate dominator before it, as
+        `splitter.partition_blocks` relies on; every graph within the
+        oracle's cap has its dominators.
         """
         sources = list(EMPTY_BLOCK_SOURCES)
         for label, profile, count in [("prep-large", PREP_PROFILE, 3),
@@ -126,8 +128,10 @@ class TestOracleEquivalence:
             cfg = build_cfg(parse_source(source))
             assert cfg.order[0] == cfg.entry
             assert sorted(cfg.order) == [n.node_id for n in cfg.nodes]
+            tree = compute_dominators(cfg)
+            rank = {v: i for i, v in enumerate(cfg.order)}
+            assert all(rank[d] < rank[v] for v, d in tree.idom.items()), source
             if len(cfg.nodes) <= ORACLE_NODE_CAP:
-                tree = compute_dominators(cfg)
                 oracle = brute_force_dominators(cfg)
                 assert all(tree.dominator_set(v) == oracle[v] for v in oracle), source
                 checked += 1
