@@ -27,6 +27,8 @@ class CfgError(ValueError):
 
 
 class NodeKind(Enum):
+    __hash__ = object.__hash__  # members are singletons, so hash in C by identity
+
     START = "start"
     END = "end"
     STMT = "stmt"
@@ -56,8 +58,8 @@ class Cfg:
     order: list[int] = field(init=False)
 
     def __post_init__(self):
-        self.succ = {n.node_id: [] for n in self.nodes}
-        self.pred = {n.node_id: [] for n in self.nodes}
+        self.succ = {i: [] for i in range(len(self.nodes))}
+        self.pred = {i: [] for i in range(len(self.nodes))}
         for a, b in self.edges:
             self.succ[a].append(b)
             self.pred[b].append(a)
@@ -89,7 +91,8 @@ class _Builder:
 
     def new_node(self, stmt: Statement) -> int:
         node_id = len(self.nodes)
-        self.nodes.append(CfgNode(node_id, NodeKind.STMT, stmt.stmt_id))
+        # tuple.__new__ skips CfgNode's Python-level __new__, as `tokenize` does for tokens
+        self.nodes.append(tuple.__new__(CfgNode, (node_id, NodeKind.STMT, stmt.stmt_id)))
         return node_id
 
     def edge(self, a: int, b: int):

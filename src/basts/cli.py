@@ -20,6 +20,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -284,8 +285,37 @@ def preprocess(records: list[CorpusRecord], config: RunConfig,
     return PreparedCorpus(prepared, code_vocab, word_vocab, dropped)
 
 
+class CodeTokens(NamedTuple):
+    """A record's model-facing code tokens, read by the frontend alone."""
+
+    record_id: str
+    code_tokens: list[str]
+
+
+def read_code_tokens(records: list[CorpusRecord], config: RunConfig) -> list[CodeTokens]:
+    """Each record's `code_tokens`, as `preprocess` gives them, with no CFG or splits.
+
+    A record that fails to lex or parse is left out, as `preprocess` drops
+    it; one that parses but has no CFG is kept.
+    """
+    out = []
+    for record in records:
+        try:
+            method = parse_method(abstract_literals(tokenize(record.code)))
+        except (LexError, ParseError):
+            continue
+        out.append(CodeTokens(record.record_id, code_token_texts(method, config.max_code_length)))
+    if not out:
+        raise ConfigError("no records survived preprocessing")
+    return out
+
+
 def dedupe_against(prepared: PreparedCorpus, train_records) -> PreparedCorpus:
-    """Drop evaluation records whose abstracted code string occurs in training."""
+    """Drop evaluation records whose abstracted code string occurs in training.
+
+    A training record needs only its `code_tokens`: a `PreparedRecord` or
+    a `CodeTokens`.
+    """
     train_codes = {" ".join(r.code_tokens) for r in train_records}
     keep = []
     dropped = list(prepared.dropped)
@@ -444,13 +474,11 @@ def cmd_eval(args, config: RunConfig) -> int:
         ckpt = load_checkpoint(args.checkpoint)
         model = ckpt.model()
 
-        def prepared(path):  # encoded with the checkpoint's vocabularies
-            return preprocess(load_corpus(path), config,
-                              code_vocab=ckpt.code_vocab, word_vocab=ckpt.word_vocab)
-
-        corpus = prepared(args.input)
+        corpus = preprocess(load_corpus(args.input), config,
+                            code_vocab=ckpt.code_vocab, word_vocab=ckpt.word_vocab)
         if args.dedupe_train:
-            corpus = dedupe_against(corpus, prepared(args.dedupe_train).records)
+            corpus = dedupe_against(corpus, read_code_tokens(load_corpus(args.dedupe_train),
+                                                             config))
         hyps = _summaries(corpus, model, config)
         refs = [r.comment_words for r in corpus.records]
     else:

@@ -4,7 +4,8 @@ The frontend feeds every later stage: abstracted token streams for the
 summarizer, statement-level structure for control-flow analysis, and
 labeled syntax trees for the tree encoder. The parser builds expressions
 as `AstNode`s; a tree adds fresh statement nodes over them, so every tree
-built from one method shares its expression nodes. Nodes carry no ids.
+built from one method shares its expression nodes. Nodes carry no ids,
+and nothing changes a node once it is built, so trees may share them.
 The grammar, the literal abstraction rules, and the closed set of AST
 node types are documented in docs/grammar.md.
 """
@@ -39,6 +40,8 @@ class ParseError(ValueError):
 
 
 class TokenKind(Enum):
+    __hash__ = object.__hash__  # members are singletons, so hash in C by identity
+
     IDENTIFIER = "identifier"
     KEYWORD = "keyword"
     NUMBER_LIT = "number"
@@ -60,28 +63,27 @@ NUM_TOKEN = "<NUM>"
 STR_TOKEN = "<STR>"
 BOOL_TOKEN = "<BOOL>"
 
-# One alternative per lexeme class, tried in this order at each offset
-# (docs/grammar.md, "Lexical rules"). Only the skip alternative has no
-# group, so `lastindex` names the class of every token; the last group
-# matches any character no other alternative takes there. Letters and
-# digits are spelled out because \w and \d also accept "é", "²" and "٣".
+# Each match skips whitespace and comments, then takes one lexeme
+# (docs/grammar.md, "Lexical rules"), so every token is one match and
+# `lastindex` names its class; a match with no group is trailing skipped
+# text. The lexeme alternatives start with disjoint characters, so their
+# order only decides speed, and words, the commonest, come first. The one
+# order that matters is that comments, in the skip part, come before the
+# `/` operator. The last group matches any character no other alternative
+# takes there. Letters and digits are spelled out because \w and \d also
+# accept "é", "²" and "٣".
 _LEXEME_RE = re.compile(
-    r"(?:\s+|//[^\n]*|/\*[\s\S]*?\*/)"  # whitespace and comments
-    r"|([0-9]+(?:\.[0-9]+)?)"  # 1: number
-    r'|("[^"\\]*(?:\\[\s\S][^"\\]*)*")'  # 2: string with backslash escapes
-    r"|([A-Za-z_][A-Za-z0-9_]*)"  # 3: word
-    r"|(==|!=|<=|>=|&&|\|\||[=<>+\-*%!]|/(?!\*))"  # 4: operator
-    r"|([(){};,.])"  # 5: punct
-    r"|([\s\S])"  # 6: anything else
+    r"(?:\s+|//[^\n]*|/\*[\s\S]*?\*/)*"  # whitespace and comments, skipped
+    r"(?:([A-Za-z_][A-Za-z0-9_]*)"  # 1: word
+    r"|(==|!=|<=|>=|&&|\|\||[=<>+\-*%!]|/(?!\*))"  # 2: operator
+    r"|([(){};,.])"  # 3: punct
+    r"|([0-9]+(?:\.[0-9]+)?)"  # 4: number
+    r'|("[^"\\]*(?:\\[\s\S][^"\\]*)*")'  # 5: string with backslash escapes
+    r"|([\s\S]))?"  # 6: anything else
 )
-_GROUP_KIND = (
-    None,
-    TokenKind.NUMBER_LIT,
-    TokenKind.STRING_LIT,
-    None,
-    TokenKind.OPERATOR,
-    TokenKind.PUNCT,
-)
+# The kind of each group's tokens; a word's kind comes from `_WORD_KIND`.
+_GROUP_KIND = (None, None, TokenKind.OPERATOR, TokenKind.PUNCT, TokenKind.NUMBER_LIT,
+               TokenKind.STRING_LIT)
 _WORD_KIND = {word: TokenKind.KEYWORD for word in KEYWORDS}
 _WORD_KIND.update(true=TokenKind.BOOL_LIT, false=TokenKind.BOOL_LIT)
 
@@ -94,20 +96,25 @@ def tokenize(source: str) -> list[Token]:
     identifier = TokenKind.IDENTIFIER
     for m in _LEXEME_RE.finditer(source):
         group = m.lastindex
-        if group is None:
+        if group == 1:
+            text = m[1]
+            append(new(Token, (text, _WORD_KIND.get(text, identifier), m.start(1))))
+        elif group is None:
             continue
-        text = m[group]
-        if group == 3:
-            append(new(Token, (text, _WORD_KIND.get(text, identifier), m.start())))
         elif group < 6:
-            append(new(Token, (text, _GROUP_KIND[group], m.start())))
-        elif text == '"':  # the string alternative found no closing quote
-            raise LexError("unterminated string literal", m.start())
-        elif text == "/":  # only "/*" without "*/" gets here
-            raise LexError("unterminated block comment", m.start())
+            append(new(Token, (m[group], _GROUP_KIND[group], m.start(group))))
         else:
-            raise LexError(f"unrecognized character {text!r}", m.start())
+            text, offset = m[6], m.start(6)
+            if text == '"':  # the string alternative found no closing quote
+                raise LexError("unterminated string literal", offset)
+            if text == "/":  # only "/*" without "*/" gets here
+                raise LexError("unterminated block comment", offset)
+            raise LexError(f"unrecognized character {text!r}", offset)
     return out
+
+
+_PLACEHOLDER = {TokenKind.NUMBER_LIT: NUM_TOKEN, TokenKind.STRING_LIT: STR_TOKEN,
+                TokenKind.BOOL_LIT: BOOL_TOKEN}
 
 
 def abstract_literals(tokens: list[Token]) -> list[Token]:
@@ -115,22 +122,9 @@ def abstract_literals(tokens: list[Token]) -> list[Token]:
 
     Kinds and list length are preserved, so the operation is idempotent.
     """
-    number, string, boolean = TokenKind.NUMBER_LIT, TokenKind.STRING_LIT, TokenKind.BOOL_LIT
-    out = []
-    append = out.append
-    for t in tokens:
-        kind = t.kind
-        if kind is number:
-            text = NUM_TOKEN
-        elif kind is string:
-            text = STR_TOKEN
-        elif kind is boolean:
-            text = BOOL_TOKEN
-        else:
-            append(t)
-            continue
-        append(t if t.text == text else Token(text, kind, t.offset))
-    return out
+    placeholder = _PLACEHOLDER.get
+    return [t if (text := placeholder(t.kind)) is None or text == t.text
+            else Token(text, t.kind, t.offset) for t in tokens]
 
 
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
@@ -156,6 +150,8 @@ def tokenize_comment(text: str) -> list[str]:
 
 
 class StmtKind(Enum):
+    __hash__ = object.__hash__  # as TokenKind's
+
     DECL = "decl"
     ASSIGN = "assign"
     EXPR = "expr"
@@ -180,7 +176,7 @@ class AstNode:
         return self.node_type
 
 
-@dataclass
+@dataclass(slots=True)
 class Statement:
     stmt_id: int
     kind: StmtKind
@@ -209,7 +205,10 @@ class Method:
     statements: dict[int, Statement]  # every statement, nested ones included, by id
 
 
-_LITERAL_KINDS = (TokenKind.NUMBER_LIT, TokenKind.STRING_LIT, TokenKind.BOOL_LIT)
+# The kind of statement each of these first tokens opens; any other
+# first token opens a declaration, assignment or expression statement.
+_OPENS = {"{": StmtKind.BLOCK, "for": StmtKind.FOR, "if": StmtKind.IF, "while": StmtKind.WHILE,
+          "return": StmtKind.RETURN, "break": StmtKind.BREAK, "continue": StmtKind.CONTINUE}
 
 # Deepest nesting the parser accepts (docs/grammar.md, "Nesting limit"); it keeps
 # the recursive AST, CFG and JSON builders under Python's default recursion limit.
@@ -296,52 +295,48 @@ class _Parser:
 
     def parse_statement(self) -> Statement:
         self._descend()
-        stmt = self._parse_statement()
-        self.depth -= 1
-        return stmt
-
-    def _parse_statement(self) -> Statement:
         start = self.i
         if start == self.end:
             self._fail(["statement"])
         sid = self._open()
-        text = self.toks[start].text
-        if text == "{":
-            body = self._parse_braced()
-            return self._close(sid, StmtKind.BLOCK, start, body=body)
-        if text == "for":
-            return self._parse_for(sid)
-        if text == "if" or text == "while":
+        kind = _OPENS.get(self.toks[start].text)
+        if kind is None:
+            stmt = self._parse_simple(sid)
+            self._expect(";")
+            stmt.span = (start, self.i)
+        elif kind is StmtKind.BLOCK:
+            stmt = self._close(sid, kind, start, body=self._parse_braced())
+        elif kind is StmtKind.FOR:
+            stmt = self._parse_for(sid)
+        elif kind is StmtKind.IF or kind is StmtKind.WHILE:
             self.i += 1
             self._expect("(")
             cond, cond_span = self._parse_cond()
             self._expect(")")
             body = self._parse_body()
             orelse: list[Statement] = []
-            if text == "if" and self._at("else"):
+            if kind is StmtKind.IF and self._at("else"):
                 self.i += 1
                 orelse = self._parse_body()
-            return self._close(sid, StmtKind(text), start, cond=cond, cond_span=cond_span,
+            stmt = self._close(sid, kind, start, cond=cond, cond_span=cond_span,
                                body=body, orelse=orelse)
-        if text in ("return", "break", "continue"):
+        else:  # return, break or continue
             self.i += 1
-            value = None if text != "return" or self._at(";") else self.parse_expr()
+            value = None if kind is not StmtKind.RETURN or self._at(";") else self.parse_expr()
             self._expect(";")
-            return self._close(sid, StmtKind(text), start, value=value)
-        stmt = self._parse_simple(sid)
-        self._expect(";")
-        stmt.span = (start, self.i)
+            stmt = self._close(sid, kind, start, value=value)
+        self.depth -= 1
         return stmt
 
     def _parse_braced(self) -> list[Statement]:
         """Read `{ statement* }` and return the statements."""
         self._expect("{")
-        out = []
-        while not self._at("}"):
+        toks, out = self.toks, []
+        while toks[self.i].text != "}":
             if self.i == self.end:
                 self._fail(["'}'", "statement"])
             out.append(self.parse_statement())
-        self._expect("}")
+        self.i += 1
         return out
 
     def _parse_cond(self) -> tuple[AstNode, tuple[int, int]]:
@@ -382,13 +377,13 @@ class _Parser:
         if toks[start].kind is TokenKind.IDENTIFIER and toks[start + 1].kind is TokenKind.IDENTIFIER:
             self.i = start + 2
             value = None
-            if self._at("="):
+            if toks[self.i].text == "=":
                 self.i += 1
                 value = self.parse_expr()
             return self._close(sid, StmtKind.DECL, start, type_name=toks[start].text,
                                name=toks[start + 1].text, value=value)
         expr = self.parse_expr()
-        if self._at("="):
+        if toks[self.i].text == "=":
             if expr.node_type not in ("MemberReference", "FieldAccess"):
                 self._fail(["assignable target"])
             self.i += 1
@@ -416,7 +411,8 @@ class _Parser:
     _UNARY = 7  # a unary operand binds tighter than any binary operator
 
     # `parse_expr` does `_descend`'s check inline, since it runs once per
-    # leaf and per operator.
+    # leaf and per operator. It reads each leaf, a primary or a unary
+    # operation, itself; the member accesses after a leaf are one call.
 
     def parse_expr(self, min_bp: int = 1) -> AstNode:
         toks, binding = self.toks, self._BINDING
@@ -424,12 +420,29 @@ class _Parser:
         level = self.depth = depth + 1
         if level > MAX_NESTING:
             self._fail([_TOO_DEEP])
-        t = toks[self.i]
-        if t.text in ("!", "-") and t.kind is TokenKind.OPERATOR:
-            self.i += 1
+        i = self.i
+        t = toks[i]
+        kind = t.kind
+        if kind is TokenKind.IDENTIFIER:
+            self.i = i + 1
+            if toks[i + 1].text == "(":
+                left = AstNode("MethodInvocation", t.text, self._parse_list(self.parse_expr))
+            else:
+                left = AstNode("MemberReference", t.text)
+        elif kind in _PLACEHOLDER:  # a literal
+            self.i = i + 1
+            left = AstNode("Literal", t.text)
+        elif t.text == "(":
+            self.i = i + 1
+            left = self.parse_expr()
+            self._expect(")")
+        elif t.text in ("!", "-") and kind is TokenKind.OPERATOR:
+            self.i = i + 1
             left = AstNode("UnaryOperation", t.text, [self.parse_expr(self._UNARY)])
         else:
-            left = self._parse_postfix()
+            self._fail(["expression"])
+        if toks[self.i].text == ".":  # never after a unary operation, whose operand took it
+            left = self._parse_members(left)
         while True:
             t = toks[self.i]
             if t.kind is not TokenKind.OPERATOR:
@@ -446,48 +459,28 @@ class _Parser:
         self.depth = depth
         return left
 
-    def _parse_postfix(self) -> AstNode:
+    def _parse_members(self, expr: AstNode) -> AstNode:
+        """Read the field accesses and method calls on `expr`, each after a '.'."""
         toks = self.toks
         depth = self.depth
-        expr = self._parse_primary()
         while toks[self.i].text == ".":
             self._descend()  # every member access nests `expr` one deeper
             self.i += 1
             name = self._expect_ident("member name").text
-            if self._at("("):
-                args = self._parse_list(self.parse_expr)
-                expr = AstNode("MethodInvocation", name, [expr] + args)
+            if toks[self.i].text == "(":
+                expr = AstNode("MethodInvocation", name, [expr] + self._parse_list(self.parse_expr))
             else:
                 expr = AstNode("FieldAccess", name, [expr])
         self.depth = depth
         return expr
 
-    def _parse_primary(self) -> AstNode:
-        i = self.i
-        t = self.toks[i]
-        kind = t.kind
-        if kind is TokenKind.IDENTIFIER:
-            self.i = i + 1
-            if self.toks[i + 1].text == "(":
-                return AstNode("MethodInvocation", t.text, self._parse_list(self.parse_expr))
-            return AstNode("MemberReference", t.text)
-        if kind in _LITERAL_KINDS:
-            self.i = i + 1
-            return AstNode("Literal", t.text)
-        if t.text == "(":
-            self.i = i + 1
-            inner = self.parse_expr()
-            self._expect(")")
-            return inner
-        self._fail(["expression"])
-
     def _parse_list(self, item) -> list:
         """Read `( [item {"," item}] )`: parameters or call arguments."""
         self._expect("(")
-        out = []
-        if not self._at(")"):
+        toks, out = self.toks, []
+        if toks[self.i].text != ")":
             out.append(item())
-            while self._at(","):
+            while toks[self.i].text == ",":
                 self.i += 1
                 out.append(item())
         self._expect(")")
@@ -553,47 +546,49 @@ _STMT_TYPE = {
     StmtKind.BREAK: "BreakStatement",
     StmtKind.CONTINUE: "ContinueStatement",
 }
-_HEADER_KINDS = (StmtKind.IF, StmtKind.WHILE, StmtKind.FOR)
+_HEADER_KINDS = frozenset((StmtKind.IF, StmtKind.WHILE, StmtKind.FOR))
 
 
 def _block_ast(stmts: list[Statement]) -> AstNode:
-    return AstNode("BlockStatement", None, [_stmt_ast(s) for s in stmts])
+    return AstNode("BlockStatement", None, [stmt_ast(s) for s in stmts])
 
 
-def _stmt_ast(s: Statement) -> AstNode:
+def stmt_ast(s: Statement, clauses: tuple | None = None) -> AstNode:
     """One node per statement, its children in field order (docs/grammar.md).
 
-    Expression children are the parser's own nodes, not copies.
+    Expression children are the parser's own nodes, not copies. Given
+    `clauses`, an (init, update) pair, a control header stands alone as a
+    split holds it: with those for clauses, its condition and an empty body.
     """
-    if s.kind is StmtKind.BLOCK:
+    k = s.kind
+    if k is StmtKind.BLOCK:
         return _block_ast(s.body)
-    children = []
-    if s.type_name is not None:
-        children.append(AstNode("BasicType", s.type_name))
-    if s.init is not None:
-        children.append(_stmt_ast(s.init))
-    if s.target is not None:
-        children.append(s.target)
-    if s.value is not None:
-        children.append(s.value)
+    if k not in _HEADER_KINDS:
+        children = [] if s.type_name is None else [AstNode("BasicType", s.type_name)]
+        if s.target is not None:
+            children.append(s.target)
+        if s.value is not None:
+            children.append(s.value)
+        return AstNode(_STMT_TYPE[k], s.name, children)
+    init, update = (s.init, s.update) if clauses is None else clauses
+    children = [] if init is None else [stmt_ast(init)]
     if s.cond is not None:
         children.append(s.cond)
-    if s.update is not None:
-        children.append(_stmt_ast(s.update))
-    if s.kind in _HEADER_KINDS:
+    if update is not None:
+        children.append(stmt_ast(update))
+    if clauses is not None:
+        children.append(AstNode("BlockStatement", None, []))
+    else:
         children.append(_block_ast(s.body))
-    if s.orelse:
-        children.append(_block_ast(s.orelse))
-    return AstNode(_STMT_TYPE[s.kind], s.name, children)
+        if s.orelse:
+            children.append(_block_ast(s.orelse))
+    return AstNode(_STMT_TYPE[k], None, children)
 
 
-def method_ast(m: Method, body: list[Statement]) -> AstNode:
-    """The tree of `m`'s declaration over the statements `body`."""
-    children = [AstNode("BasicType", m.return_type)]
-    children += [AstNode("FormalParameter", pname, [AstNode("BasicType", ptype)])
-                 for ptype, pname in m.params]
-    children += [_stmt_ast(s) for s in body]
-    return AstNode("MethodDeclaration", m.name, children)
+def declaration_ast(m: Method) -> list[AstNode]:
+    """The nodes of `m`'s return type and parameters; every tree of `m` may share them."""
+    return [AstNode("BasicType", m.return_type)] + [
+        AstNode("FormalParameter", pname, [AstNode("BasicType", ptype)]) for ptype, pname in m.params]
 
 
 def build_ast(method: Method) -> AstNode:
@@ -605,4 +600,5 @@ def build_ast(method: Method) -> AstNode:
     shared with every other tree built from the method. Nodes carry no
     ids; `ast_to_json` numbers them in preorder.
     """
-    return method_ast(method, method.body)
+    return AstNode("MethodDeclaration", method.name,
+                   declaration_ast(method) + [stmt_ast(s) for s in method.body])

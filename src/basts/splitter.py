@@ -5,9 +5,10 @@ dominator-tree edge out of a node with more than one child is cut; each
 surviving connected component is one block of consecutive statements. A
 block is materialized as split code by prepending the method declaration.
 Each split's AST is built from the method's parsed statements and equals
-what re-parsing the split's code would give. Removed edges,
-lifted to the blocks they join, form the successor relation later used
-as pre-training labels.
+what re-parsing the split's code would give. A method's split trees
+share its declaration nodes, built once, as they share the parser's
+expression nodes. Removed edges, lifted to the blocks they join, form
+the successor relation later used as pre-training labels.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 
 from basts.cfg import Cfg, NodeKind, build_cfg
 from basts.dominators import DomTree, compute_dominators
-from basts.frontend import AstNode, Method, Statement, StmtKind, Token, TokenKind, method_ast
+from basts.frontend import (AstNode, Method, Statement, StmtKind, Token, TokenKind,
+                            declaration_ast, stmt_ast)
 
 # parse_method and build_ast are not called here but stay reachable
 # (bench/workloads.py wraps them by these names)
@@ -87,70 +89,70 @@ def partition_blocks(domtree: DomTree, cfg: Cfg) -> SplitGraph:
     return SplitGraph(splits, edges)
 
 
-def _punct(text: str) -> Token:
-    return Token(text, TokenKind.PUNCT, -1)
+_OPEN, _SEMI = Token("(", TokenKind.PUNCT), Token(";", TokenKind.PUNCT)
+_EMPTY_BODY = [Token(")", TokenKind.PUNCT), Token("{", TokenKind.PUNCT), Token("}", TokenKind.PUNCT)]
 
 
-def _pieces(split: CodeSplit, method: Method) -> list[Statement]:
+def _pieces(split: CodeSplit, method: Method) -> list[tuple[Statement, tuple | None]]:
     """The split's statement-level pieces in source order, as its code holds them.
 
-    A control header's body statements are pieces of their own or lie in
-    other splits, so the header gets an empty body and an if loses its
-    else part. A for keeps the init/update clauses that live in the same
-    split, and they belong to its piece; a clause stranded in another
-    split is a standalone piece there.
+    Each piece is a statement and, for a control header, the (init, update)
+    clauses it keeps; None for any other statement. A header's body
+    statements are pieces of their own or lie in other splits, so the
+    header gets an empty body and an if loses its else part. A for keeps
+    the clauses that live in the same split, and they belong to its
+    piece; a clause stranded in another split is a standalone piece there.
+    Ids follow source order, so a for comes before its clauses.
     """
     ids = set(split.statements)
     absorbed = set()
     out = []
     for sid in split.statements:
+        if sid in absorbed:
+            continue
         stmt = method.statements[sid]
-        k = stmt.kind
+        k, clauses = stmt.kind, None
         if k is StmtKind.IF or k is StmtKind.WHILE or k is StmtKind.FOR:
-            init, update = stmt.init, stmt.update  # None unless k is FOR
-            init = init if init is not None and init.stmt_id in ids else None
-            update = update if update is not None and update.stmt_id in ids else None
-            absorbed.update(c.stmt_id for c in (init, update) if c is not None)
-            stmt = Statement(sid, k, stmt.span, cond=stmt.cond, cond_span=stmt.cond_span,
-                             init=init, update=update)
-        out.append(stmt)
-    return [s for s in out if s.stmt_id not in absorbed]
+            clauses = tuple(c if c is not None and c.stmt_id in ids else None
+                            for c in (stmt.init, stmt.update))  # both None unless a for
+            absorbed.update(c.stmt_id for c in clauses if c is not None)
+        out.append((stmt, clauses))
+    return out
 
 
-def _render_piece(method: Method, stmt: Statement) -> list[Token]:
+def _render_piece(method: Method, stmt: Statement, clauses: tuple | None) -> list[Token]:
     """Tokens for one piece of a split, as `_pieces` gives it.
 
     Control-flow headers are completed with an empty block so the split
     code stays parseable.
     """
     toks = method.tokens
-    k = stmt.kind
-    if k is StmtKind.IF or k is StmtKind.WHILE:
-        lo, hi = stmt.cond_span
-        keyword = toks[stmt.span[0]]
-        return [keyword, _punct("(")] + toks[lo:hi] + [_punct(")"), _punct("{"), _punct("}")]
-    if k is StmtKind.FOR:
-        out = [toks[stmt.span[0]], _punct("(")]
-        if stmt.init is not None:
-            out += toks[stmt.init.span[0] : stmt.init.span[1]]
-        out.append(_punct(";"))
+    if clauses is None:
+        out = toks[stmt.span[0] : stmt.span[1]]
+        if out and out[-1].text != ";":
+            out.append(_SEMI)  # for-loop clause rendered standalone
+        return out
+    out = [toks[stmt.span[0]], _OPEN]
+    if stmt.kind is StmtKind.FOR:
+        init, update = clauses
+        if init is not None:
+            out += toks[init.span[0] : init.span[1]]
+        out.append(_SEMI)
         if stmt.cond_span is not None:
             out += toks[stmt.cond_span[0] : stmt.cond_span[1]]
-        out.append(_punct(";"))
-        if stmt.update is not None:
-            out += toks[stmt.update.span[0] : stmt.update.span[1]]
-        return out + [_punct(")"), _punct("{"), _punct("}")]
-    out = list(toks[stmt.span[0] : stmt.span[1]])
-    if out and out[-1].text != ";":
-        out.append(_punct(";"))  # for-loop clause rendered standalone
-    return out
+        out.append(_SEMI)
+        if update is not None:
+            out += toks[update.span[0] : update.span[1]]
+    else:
+        out += toks[stmt.cond_span[0] : stmt.cond_span[1]]
+    return out + _EMPTY_BODY
 
 
 def make_split_code(split: CodeSplit, method: Method) -> list[Token]:
     """Declaration tokens followed by the split's statements in source order."""
     out = list(method.declaration_tokens)
-    for piece in _pieces(split, method):
-        out.extend(_render_piece(method, piece))
+    for stmt, clauses in _pieces(split, method):
+        out.extend(_render_piece(method, stmt, clauses))
     return out
 
 
@@ -159,11 +161,15 @@ def build_split_asts(splitgraph: SplitGraph, method: Method) -> list[SplitAst]:
 
     The root is the method declaration, followed by one subtree per piece
     of the split. The tree equals what parsing the split's code, with its
-    body braced, would give. Its expression subtrees are the parser's own
-    nodes: each lies in the one split that holds its statement.
+    body braced, would give. Every tree of the method shares its
+    declaration nodes, built once here. Its expression subtrees are the
+    parser's own nodes: each lies in the one split that holds its
+    statement.
     """
+    declaration = declaration_ast(method)
     return [
-        SplitAst(split.split_id, method_ast(method, _pieces(split, method)))
+        SplitAst(split.split_id, AstNode("MethodDeclaration", method.name, declaration + [
+            stmt_ast(stmt, clauses) for stmt, clauses in _pieces(split, method)]))
         for split in splitgraph.splits
     ]
 

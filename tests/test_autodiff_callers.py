@@ -15,7 +15,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "basts"
 # (module, name) -> why it has no reader in the package
 EXEMPT = {
     ("frontend", "build_ast"): "the bench's `build_ast_s` wraps it; it goes once "
-                               "the bench wraps `frontend.method_ast` instead",
+                               "the bench drops that span",
     ("syntax_encoder", "encode_tree"): "the bench's `encode_tree_s` and `trees_folded` "
                                        "wrap it; it goes once the bench wraps "
                                        "`encode_trees` instead",

@@ -1160,6 +1160,49 @@ class TestEvalDedupe:
                  "--checkpoint", str(model_path), "--dedupe-train", str(corpus_path)])
 
 
+def _dedupe_setup(tmp_path):
+    """A toy model, its corpus, and a training corpus that repeats one of its
+    records, holds one that fails to parse and one that is new."""
+    corpus_path, config_path = _write_toy_setup(tmp_path, epochs=30)
+    model_path = tmp_path / "model.ckpt"
+    assert run(["train", "--config", str(config_path), "--input", str(corpus_path),
+                "--from-scratch", "--output", str(model_path),
+                "--log", str(tmp_path / "t.csv")]) == 0
+    train_path = tmp_path / "seen.jsonl"
+    write_corpus(train_path, [
+        dict(toy_rows()[0], id="t1"),
+        {"id": "t2", "code": "int f( { return; }", "comment": "broken"},
+        {"id": "t3", "code": "int sub(int a, int b) { return a - b; }", "comment": "subtracts"},
+    ])
+    return ["eval", "--config", str(config_path), "--input", str(corpus_path),
+            "--checkpoint", str(model_path), "--dedupe-train", str(train_path)]
+
+
+class TestEvalDedupeFrontendOnly:
+    """`eval --dedupe-train` reads the training corpus's code tokens only."""
+
+    # the report as it read when the training corpus went through `preprocess`
+    REPORT = (
+        '{\n  "s_bleu": 44.07,\n  "c_bleu": 0.0,\n  "meteor": 50.12,\n'
+        '  "rouge1_f": 61.9,\n  "rouge2_f": 34.29,\n  "rougeL_f": 61.9\n}\n'
+    )
+
+    def test_the_training_corpus_never_reaches_split_method(self, tmp_path, capsys,
+                                                              monkeypatch):
+        argv = _dedupe_setup(tmp_path)
+        split, real = [], cli.split_method
+        monkeypatch.setattr(cli, "split_method", lambda m: split.append(m.name) or real(m))
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert split == ["add", "reset", "max"]
+
+    def test_report_is_unchanged(self, tmp_path, capsys):
+        json_path = tmp_path / "report.json"
+        assert run(_dedupe_setup(tmp_path) + ["--json", str(json_path)]) == 0
+        capsys.readouterr()
+        assert json_path.read_text() == self.REPORT
+
+
 def test_eval_of_summarize_output_matches_eval_of_the_corpus(tmp_path, capsys):
     """Both eval modes decode through one loop, so they score alike.
 

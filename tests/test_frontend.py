@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 from pathlib import Path
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from basts.cfg import NodeKind
 from basts.frontend import (
     MAX_NESTING,
     LexError,
@@ -177,6 +180,19 @@ class TestTokenContract:
         assert repr(Token("x", TokenKind.IDENTIFIER)) == (
             "Token(text='x', kind=<TokenKind.IDENTIFIER: 'identifier'>, offset=-1)"
         )
+
+
+class TestKindsHashByIdentity:
+    """Kind members are singletons, so they hash by identity, in C."""
+
+    @pytest.mark.parametrize("kinds", [TokenKind, StmtKind, NodeKind])
+    def test_members_survive_pickle_and_deepcopy(self, kinds):
+        by_member = {member: member.value for member in kinds}
+        for member in kinds:
+            assert hash(member) == object.__hash__(member)
+            for same in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member)):
+                assert same is member
+                assert by_member[same] == member.value
 
 
 class TestAbstractLiterals:

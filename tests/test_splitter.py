@@ -8,8 +8,8 @@ import pytest
 
 from basts.cfg import build_cfg
 from basts.dominators import compute_dominators
-from basts.frontend import StmtKind, ast_to_json, build_ast, iter_nodes, parse_program
-from basts.splitter import make_split_code, partition_blocks, split_method
+from basts.frontend import Statement, StmtKind, ast_to_json, build_ast, iter_nodes, parse_program
+from basts.splitter import build_split_asts, make_split_code, partition_blocks, split_method
 from conftest import (
     DIAMOND_SOURCE,
     IDLE_CONNECTIONS_SOURCE,
@@ -266,6 +266,61 @@ class TestSplitAstsShareParserNodes:
         for seed in range(1, 21):
             for record in generate_records(label, seed, count, profile):
                 assert_expressions_shared_once(parse_source(record["code"]))
+
+
+DIGEST_METHODS = [
+    ("prep-large", PREP_PROFILE, 3),
+    ("pretrain-sep", MEDIUM_PROFILE, 6),
+    ("summarize-small", SMALL_PROFILE, 12),
+]
+
+
+def declaration_shared_by_every_tree(method) -> list:
+    """The split ASTs of `method`, after checking they hold one set of declaration nodes."""
+    asts = split_method(method).asts
+    heads = [a.root.children[: 1 + len(method.params)] for a in asts]
+    for head in heads[1:]:
+        assert all(n is first for n, first in zip(head, heads[0], strict=True))
+    return asts
+
+
+class TestSplitAstsShareDeclarationNodes:
+    """A method's split trees share its return type and parameter nodes."""
+
+    # distinct AstNode objects across the split ASTs of the 420 digest
+    # methods; 68,418 when each split tree built its own declaration nodes
+    DISTINCT_NODES = 56511
+
+    def test_fixture_and_toy_methods(self):
+        sources = [IDLE_CONNECTIONS_SOURCE, DIAMOND_SOURCE, STRAIGHT_LINE_SOURCE]
+        sources += PRETRAIN_SOURCES + [row["code"] for row in SUMMARIZATION_ROWS]
+        sources += EDGE_CASE_SOURCES
+        for source in sources:
+            declaration_shared_by_every_tree(parse_source(source))
+
+    def test_distinct_nodes_of_the_digest_methods(self):
+        distinct = 0
+        for label, profile, count in DIGEST_METHODS:
+            for seed in range(1, 21):
+                for record in generate_records(label, seed, count, profile):
+                    asts = declaration_shared_by_every_tree(parse_source(record["code"]))
+                    distinct += len({id(n) for a in asts for n in iter_nodes(a.root)})
+        assert distinct == self.DISTINCT_NODES
+
+    def test_build_split_asts_makes_no_statement(self, monkeypatch, idle_method):
+        made = []
+        init = Statement.__init__
+        monkeypatch.setattr(Statement, "__init__",
+                            lambda self, *args, **kw: made.append(args) or init(self, *args, **kw))
+        Statement(0, StmtKind.BREAK, (0, 2))
+        assert len(made) == 1  # the probe sees every Statement made
+        cfg = build_cfg(idle_method)
+        graph = partition_blocks(compute_dominators(cfg), cfg)
+        kinds = {idle_method.statements[sid].kind for split in graph.splits
+                 for sid in split.statements}
+        assert {StmtKind.FOR, StmtKind.IF} <= kinds  # header pieces are built
+        build_split_asts(graph, idle_method)
+        assert len(made) == 1
 
 
 # sha256 over the generated methods below, one JSON line per method
