@@ -1,10 +1,16 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Forward values live in numpy arrays; every operation run while a Tape is
-active records a node whose backward closure turns an output gradient
-into input gradients. A tape supports one backward pass. There is no
-broadcasting beyond scalars and the few row-wise composites defined here;
-shapes are checked eagerly and mismatches raise ShapeError.
+Forward values live in numpy arrays. Recording happens only inside a
+Tape: an operation run while a tape is active, on at least one tracked
+input, records a node whose backward closure turns an output gradient
+into input gradients. A tracked input is a tensor that requires grad or
+an output of a recorded op; any other tensor is a constant. An op on
+constants alone records nothing, and a constant gets no .grad, so a
+parameter with `requires_grad = False` is frozen: `Adam.step` leaves it
+as it is. Outside a tape nothing records at all. A tape supports one
+backward pass. There is no broadcasting beyond scalars and the few
+row-wise composites defined here; shapes are checked eagerly and
+mismatches raise ShapeError.
 
 Python bookkeeping per recorded op, not arithmetic, bounds the speed of
 a step, so larger composites are single ops with hand-written
@@ -44,7 +50,6 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from contextlib import contextmanager
 from dataclasses import fields, replace
 from functools import cache
 from typing import NamedTuple
@@ -216,17 +221,6 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self
         return False
-
-
-@contextmanager
-def no_grad():
-    """Suspend recording; forwards run but nothing lands on a tape."""
-    saved = list(_TAPE_STACK)
-    _TAPE_STACK.clear()
-    try:
-        yield
-    finally:
-        _TAPE_STACK.extend(saved)
 
 
 def _tracked(t: Tensor) -> bool:

@@ -7,8 +7,10 @@ calls that handler with the parsed arguments and the config. Corpus
 records and summarize's methods share one per-method preparation, and
 `eval --input` and `summarize` share one decode loop, `_summaries`.
 Corpora are JSON Lines records with id/code/comment fields; configs are
-key = value text. Runs are reproducible from (config, seed): identical
-invocations write byte-identical checkpoints and loss logs.
+key = value text. Every text input is read by `read_lines`, so invalid
+UTF-8 is a FormatError naming its line. Runs are reproducible from
+(config, seed): identical invocations write byte-identical checkpoints
+and loss logs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import gc
 import json
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,38 +74,44 @@ class CorpusRecord:
     comment: str
 
 
-def load_corpus(path) -> list[CorpusRecord]:
-    """Read JSON Lines records with id/code/comment fields, in file order.
+def read_lines(path):
+    """Yield (line number, text) for each line of a UTF-8 text file.
 
-    Each line is decoded on its own, so invalid UTF-8 is reported with its
-    line number.
+    Lines end at a line feed only, and keep it. Each line is decoded on its
+    own, so invalid UTF-8 is a FormatError that names its line.
     """
-    records = []
-    seen = set()
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as err:
                 raise FormatError(f"invalid UTF-8 at byte {err.start}", line_no) from err
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise FormatError(f"invalid JSON ({err.msg})", line_no) from err
-            if not isinstance(obj, dict):
-                raise FormatError("record is not a JSON object", line_no)
-            for key in ("id", "code", "comment"):
-                if key not in obj:
-                    raise FormatError(f"missing field {key!r}", line_no)
-                if not isinstance(obj[key], str):
-                    raise FormatError(f"field {key!r} is not a string", line_no)
-            rid = obj["id"]
-            if rid in seen:
-                raise FormatError(f"duplicate record id {rid!r}", line_no)
-            seen.add(rid)
-            records.append(CorpusRecord(rid, obj["code"], obj["comment"]))
+            yield line_no, line
+
+
+def load_corpus(path) -> list[CorpusRecord]:
+    """Read JSON Lines records with id/code/comment fields, in file order."""
+    records = []
+    seen = set()
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise FormatError(f"invalid JSON ({err.msg})", line_no) from err
+        if not isinstance(obj, dict):
+            raise FormatError("record is not a JSON object", line_no)
+        for key in ("id", "code", "comment"):
+            if key not in obj:
+                raise FormatError(f"missing field {key!r}", line_no)
+            if not isinstance(obj[key], str):
+                raise FormatError(f"field {key!r} is not a string", line_no)
+        rid = obj["id"]
+        if rid in seen:
+            raise FormatError(f"duplicate record id {rid!r}", line_no)
+        seen.add(rid)
+        records.append(CorpusRecord(rid, obj["code"], obj["comment"]))
     return records
 
 
@@ -146,24 +152,23 @@ class RunConfig(PretrainConfig):
         each key may appear once."""
         values = {}
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                if "=" not in text:
-                    raise FormatError("expected key = value", line_no)
-                key, _, value = text.partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in defaults:
-                    raise FormatError(f"unknown config key {key!r}", line_no)
-                if key in values:
-                    raise FormatError(f"repeated config key {key!r}", line_no)
-                kind = type(defaults[key])  # bool, int or float
-                try:
-                    values[key] = _BOOL_VALUES[value.lower()] if kind is bool else kind(value)
-                except (KeyError, ValueError) as err:
-                    raise FormatError(f"bad value for {key}: {value!r}", line_no) from err
+        for line_no, line in read_lines(path):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            if "=" not in text:
+                raise FormatError("expected key = value", line_no)
+            key, _, value = text.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in defaults:
+                raise FormatError(f"unknown config key {key!r}", line_no)
+            if key in values:
+                raise FormatError(f"repeated config key {key!r}", line_no)
+            kind = type(defaults[key])  # bool, int or float
+            try:
+                values[key] = _BOOL_VALUES[value.lower()] if kind is bool else kind(value)
+            except (KeyError, ValueError) as err:
+                raise FormatError(f"bad value for {key}: {value!r}", line_no) from err
         return cls(**values).validate()
 
 
@@ -285,38 +290,28 @@ def preprocess(records: list[CorpusRecord], config: RunConfig,
     return PreparedCorpus(prepared, code_vocab, word_vocab, dropped)
 
 
-class CodeTokens(NamedTuple):
-    """A record's model-facing code tokens, read by the frontend alone."""
-
-    record_id: str
-    code_tokens: list[str]
-
-
-def read_code_tokens(records: list[CorpusRecord], config: RunConfig) -> list[CodeTokens]:
-    """Each record's `code_tokens`, as `preprocess` gives them, with no CFG or splits.
+def read_code_tokens(records: list[CorpusRecord], config: RunConfig) -> set[str]:
+    """The records' code strings: each one's `code_tokens`, as `preprocess`
+    gives them, joined by spaces. No CFG or split is built.
 
     A record that fails to lex or parse is left out, as `preprocess` drops
     it; one that parses but has no CFG is kept.
     """
-    out = []
+    codes = set()
     for record in records:
         try:
             method = parse_method(abstract_literals(tokenize(record.code)))
         except (LexError, ParseError):
             continue
-        out.append(CodeTokens(record.record_id, code_token_texts(method, config.max_code_length)))
-    if not out:
+        codes.add(" ".join(code_token_texts(method, config.max_code_length)))
+    if not codes:
         raise ConfigError("no records survived preprocessing")
-    return out
+    return codes
 
 
-def dedupe_against(prepared: PreparedCorpus, train_records) -> PreparedCorpus:
-    """Drop evaluation records whose abstracted code string occurs in training.
-
-    A training record needs only its `code_tokens`: a `PreparedRecord` or
-    a `CodeTokens`.
-    """
-    train_codes = {" ".join(r.code_tokens) for r in train_records}
+def dedupe_against(prepared: PreparedCorpus, train_codes: set[str]) -> PreparedCorpus:
+    """Drop evaluation records whose code string is one of `train_codes`,
+    the training corpus's strings as `read_code_tokens` gives them."""
     keep = []
     dropped = list(prepared.dropped)
     for r in prepared.records:
@@ -329,7 +324,14 @@ def dedupe_against(prepared: PreparedCorpus, train_records) -> PreparedCorpus:
 
 def train_summarizer(examples: list[SummarizationExample], model: SummarizerModel,
                      config: RunConfig) -> list[float]:
-    """Teacher-forced training loop; returns per-epoch mean losses."""
+    """Teacher-forced training loop; returns per-epoch mean losses.
+
+    With `freeze_pretrained` the tree encoder's parameters stop requiring
+    grad, so each step treats them as constants: the fold records no op
+    and keeps no backward buffers, and Adam leaves them as they are.
+    """
+    for p in model.tree.all_params():
+        p.requires_grad = not config.freeze_pretrained
     opt = Adam(model.all_params(), lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     history = []
@@ -338,8 +340,7 @@ def train_summarizer(examples: list[SummarizationExample], model: SummarizerMode
         epoch_loss = 0.0
         for lo in range(0, len(examples), config.batch_size):
             batch = [examples[i] for i in order[lo : lo + config.batch_size]]
-            loss = train_step(batch, model, opt,
-                              freeze_tree=config.freeze_pretrained)
+            loss = train_step(batch, model, opt)
             epoch_loss += loss * len(batch)
         history.append(epoch_loss / len(examples))
     return history
@@ -356,15 +357,24 @@ def _write_loss_log(path, rows, header):
 # --- subcommands ------------------------------------------------------------
 
 
-def _read_methods(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read())
+def _each_method(path, prepare):
+    """Yield (method, prepare(method)) for each method of a source file.
+
+    A CfgError from `prepare` names the method and the line it starts on.
+    """
+    source = "".join(line for _, line in read_lines(path))
+    for method in parse_program(source):
+        try:
+            prepared = prepare(method)
+        except CfgError as err:
+            line = source.count("\n", 0, method.tokens[method.span[0]].offset) + 1
+            raise CfgError(f"method {method.name!r} (line {line}): {err}") from err
+        yield method, prepared
 
 
 def cmd_split(args, config: RunConfig) -> int:
     out = {"methods": []}
-    for method in _read_methods(args.input):
-        splits = split_method(method)
+    for method, splits in _each_method(args.input, split_method):
         out["methods"].append({
             "method": method.name,
             "splits": [
@@ -464,7 +474,7 @@ def _summaries(corpus: PreparedCorpus, model: SummarizerModel,
 
 def cmd_eval(args, config: RunConfig) -> int:
     if args.hyp and args.ref:
-        hyps, refs = ([line.split() for line in Path(path).read_text("utf-8").splitlines()]
+        hyps, refs = ([line.split() for _, line in read_lines(path)]
                       for path in (args.hyp, args.ref))
         if len(hyps) != len(refs):
             raise ConfigError(
@@ -504,7 +514,8 @@ def cmd_eval(args, config: RunConfig) -> int:
 def cmd_summarize(args, config: RunConfig) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = ckpt.model()
-    records = [_prepare(m.name, m, "", config) for m in _read_methods(args.input)]
+    records = [record for _, record in
+               _each_method(args.input, lambda m: _prepare(m.name, m, "", config))]
     corpus = PreparedCorpus(records, ckpt.code_vocab, ckpt.word_vocab)
     for words in _summaries(corpus, model, config):
         print(" ".join(words))
@@ -512,8 +523,7 @@ def cmd_summarize(args, config: RunConfig) -> int:
 
 
 def cmd_dump(args, config: RunConfig) -> int:
-    for method in _read_methods(args.input):
-        cfg = build_cfg(method)
+    for method, cfg in _each_method(args.input, build_cfg):
         if args.command == "cfg":
             print(cfg_to_dot(cfg, method))
         else:

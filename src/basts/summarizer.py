@@ -36,7 +36,7 @@ from functools import cache
 import numpy as np
 
 from basts import autodiff as ad
-from basts.autodiff import Adam, Params, Slot, Tape, Tensor, backward, glorot, no_grad
+from basts.autodiff import Adam, Params, Slot, Tape, Tensor, backward, glorot
 from basts.frontend import BOOL_TOKEN, NUM_TOKEN, STR_TOKEN
 from basts.splitter import SplitAst
 from basts.syntax_encoder import TreeLstmParams, encode_trees
@@ -284,8 +284,7 @@ def _decoder_layer(y: Tensor, kv: tuple[Tensor, Tensor], layer: DecoderLayerPara
     return y
 
 
-def encode_batch(batch: list[SummarizationExample], model: SummarizerModel,
-                 freeze_tree: bool = False) -> Tensor:
+def encode_batch(batch: list[SummarizationExample], model: SummarizerModel) -> Tensor:
     """Source encodings of a batch, packed into one [Σn, L] matrix.
 
     Example b's code tokens follow those of examples 0..b-1. Every split
@@ -308,11 +307,7 @@ def encode_batch(batch: list[SummarizationExample], model: SummarizerModel,
     pool = np.zeros((len(batch), len(trees)))
     for b, (lo, hi) in enumerate(spans):
         pool[b, lo:hi] = 1.0 / (hi - lo)
-    if freeze_tree:
-        with no_grad():
-            roots = encode_trees(trees, model.tree)
-    else:
-        roots = encode_trees(trees, model.tree)
+    roots = encode_trees(trees, model.tree)
     pooled = ad.matmul(Tensor(pool), roots)
 
     lengths = [len(example.code_ids) for example in batch]
@@ -360,13 +355,14 @@ def decoder_logits(target_ids, kv, memory_lengths, model: SummarizerModel) -> Te
     return ad.add_rowvec(ad.matmul(y, t.out_w), t.out_b)
 
 
-def train_step(batch: list[SummarizationExample], model: SummarizerModel,
-               opt: Adam, freeze_tree: bool = False) -> float:
+def train_step(batch: list[SummarizationExample], model: SummarizerModel, opt: Adam) -> float:
     """One teacher-forced step: mean token cross entropy, one Adam update.
 
     The whole batch is packed: one encoder pass, one projection of the
     memory's cross-attention keys and values, one decoder pass and one
-    cross entropy over every target token of the batch.
+    cross entropy over every target token of the batch. A parameter that
+    does not require grad, such as a frozen tree encoder's, is a constant
+    of the step: its ops record nothing and Adam leaves it as it is.
 
     A loss or parameter gradient that is not finite raises
     `autodiff.NaNError` from `backward`, before the Adam update, so the
@@ -375,7 +371,7 @@ def train_step(batch: list[SummarizationExample], model: SummarizerModel,
     if not batch:
         raise EmptyInputError("train_step needs a non-empty batch")
     with Tape() as tape:
-        memory = encode_batch(batch, model, freeze_tree)
+        memory = encode_batch(batch, model)
         inputs = [example.comment_ids[:-1] for example in batch]
         logits = decoder_logits(inputs, memory_kv(memory, model),
                                 [len(example.code_ids) for example in batch], model)
@@ -396,20 +392,20 @@ def greedy_decode(example: SummarizationExample, model: SummarizerModel,
 
     Each step runs the whole prefix through `decoder_logits`. What does
     not change between steps is made once per comment: the encoding and
-    its cross-attention keys and values.
+    its cross-attention keys and values. Decoding runs outside any tape,
+    so nothing records and the tree fold keeps no backward buffers.
     """
-    with no_grad():
-        kv = memory_kv(encode(example, model), model)
-        memory_lengths = [len(example.code_ids)]
-        out = [Vocab.BOS]
-        content: list[int] = []
-        for _ in range(max_len):
-            logits = decoder_logits([out], kv, memory_lengths, model).data[-1].copy()
-            logits[Vocab.PAD] = -np.inf
-            logits[Vocab.BOS] = -np.inf
-            nxt = int(np.argmax(logits))
-            if nxt == Vocab.EOS:
-                break
-            content.append(nxt)
-            out.append(nxt)
+    kv = memory_kv(encode(example, model), model)
+    memory_lengths = [len(example.code_ids)]
+    out = [Vocab.BOS]
+    content: list[int] = []
+    for _ in range(max_len):
+        logits = decoder_logits([out], kv, memory_lengths, model).data[-1].copy()
+        logits[Vocab.PAD] = -np.inf
+        logits[Vocab.BOS] = -np.inf
+        nxt = int(np.argmax(logits))
+        if nxt == Vocab.EOS:
+            break
+        content.append(nxt)
+        out.append(nxt)
     return content

@@ -258,8 +258,8 @@ def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
     plan, adds the children's part of i, o and u in one batched product,
     and writes its own rows. A recorded fold keeps every height's gates in
     one [4, R, L] buffer, with the forget gates and child-h sums, for its
-    backward; when no tape records the op, as under `no_grad`, only h and
-    m are kept.
+    backward; when no tape records the op, outside a tape or when no
+    parameter requires grad (a frozen encoder), only h and m are kept.
 
     The backward walks the heights top-down. Each height turns its rows'
     h and m gradients into gate pre-activation gradients and sends the
@@ -536,8 +536,7 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
             opt.step()
             opt.zero_grad()
             epoch_loss += loss.item() * len(batch)
-        with ad.no_grad():
-            predicted = _pair_scores(pairs, model).data > 0.5
+        predicted = _pair_scores(pairs, model).data > 0.5
         correct = int(np.sum(predicted == successors))
         history.append(EpochStats(epoch_loss / len(pairs), correct / len(pairs)))
     return model, history

@@ -159,15 +159,14 @@ def grad_check(f, x: Tensor, h: float = 1e-5, tol: float = 1e-4) -> GradCheckRep
     numeric = np.zeros_like(x.data)
     flat = x.data.reshape(-1)
     num_flat = numeric.reshape(-1)
-    with ad.no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = float(f(x).data)
-            flat[i] = orig - h
-            lo = float(f(x).data)
-            flat[i] = orig
-            num_flat[i] = (hi - lo) / (2.0 * h)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = float(f(x).data)
+        flat[i] = orig - h
+        lo = float(f(x).data)
+        flat[i] = orig
+        num_flat[i] = (hi - lo) / (2.0 * h)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
     max_rel = float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0
@@ -375,15 +374,10 @@ def avg_pool(roots: Tensor) -> Tensor:
     return ad.matmul(Tensor(np.full(n, 1.0 / n)), roots)
 
 
-def encode_per_example(example: SummarizationExample, model: SummarizerModel,
-                       freeze_tree: bool = False) -> Tensor:
+def encode_per_example(example: SummarizationExample, model: SummarizerModel) -> Tensor:
     """Source encoding of one example, with a tree fold of its own."""
     t = model.transformer
-    if freeze_tree:
-        with ad.no_grad():
-            roots = encode_trees(example.split_asts, model.tree)
-    else:
-        roots = encode_trees(example.split_asts, model.tree)
+    roots = encode_trees(example.split_asts, model.tree)
     pooled = avg_pool(roots)
     n = len(example.code_ids)
     tokens = ad.embedding_lookup(t.code_embedding, example.code_ids)
@@ -396,8 +390,7 @@ def encode_per_example(example: SummarizationExample, model: SummarizerModel,
     return x
 
 
-def train_loss_per_example(batch: list[SummarizationExample], model: SummarizerModel,
-                           freeze_tree: bool = False) -> Tensor:
+def train_loss_per_example(batch: list[SummarizationExample], model: SummarizerModel) -> Tensor:
     """The mean token cross entropy `summarizer.train_step` minimizes.
 
     Each example is encoded, decoded and scored on its own; each mean
@@ -407,7 +400,7 @@ def train_loss_per_example(batch: list[SummarizationExample], model: SummarizerM
     count = sum(len(example.comment_ids) - 1 for example in batch)
     total = None
     for example in batch:
-        memory = encode_per_example(example, model, freeze_tree)
+        memory = encode_per_example(example, model)
         targets = example.comment_ids[1:]
         logits = decoder_logits_per_example(example.comment_ids[:-1], memory, model)
         ce = ad.scalar_mul(ad.cross_entropy_logits(logits, targets), len(targets) / count)

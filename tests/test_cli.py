@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from basts import cli
 from basts.autodiff import Adam, Tensor
+from basts.cfg import CfgError
 from basts.checkpoint import (
     CheckpointError,
     deserialize,
@@ -30,6 +31,7 @@ from basts.cli import (
     dedupe_against,
     load_corpus,
     preprocess,
+    read_code_tokens,
     run,
 )
 from basts.summarizer import SPECIAL_TOKENS, TransformerParams, Vocab
@@ -379,10 +381,8 @@ class TestPreprocess:
         config = self.toy_config()
         shared = "int add(int a, int b) { return a + b; }"
         shared2 = "void reset(Counter c) { c.set(0); }"
-        train = preprocess(
-            [CorpusRecord("t", shared, "adds"), CorpusRecord("t2", shared2, "resets")],
-            config,
-        )
+        train_records = [CorpusRecord("t", shared, "adds"), CorpusRecord("t2", shared2, "resets")]
+        train = preprocess(train_records, config)
         test_corpus = preprocess(
             [
                 CorpusRecord("dup", shared, "adds again"),
@@ -397,7 +397,9 @@ class TestPreprocess:
             code_vocab=train.code_vocab,
             word_vocab=train.word_vocab,
         )
-        deduped = dedupe_against(test_corpus, train.records)
+        train_codes = read_code_tokens(train_records, config)
+        assert train_codes == {" ".join(r.code_tokens) for r in train.records}
+        deduped = dedupe_against(test_corpus, train_codes)
         assert [r.record_id for r in deduped.records] == ["new", "new2"]
         assert len(deduped.examples) == 2
         assert [rid for rid, _ in deduped.dropped] == ["bad", "dup", "dup2"]
@@ -959,6 +961,31 @@ class TestCliCommands:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1  # one output line per method, possibly empty
 
+    def test_freeze_pretrained_trains_the_transformer_alone(self, tmp_path, capsys):
+        corpus_path, config_path = _write_toy_setup(tmp_path)
+        with open(config_path, "a", encoding="utf-8") as fh:
+            fh.write("freeze_pretrained = true\n")
+        config = RunConfig.from_file(config_path)
+        sep_path, model_path = tmp_path / "sep.ckpt", tmp_path / "model.ckpt"
+        assert run(["pretrain", "--config", str(config_path), "--input", str(corpus_path),
+                    "--output", str(sep_path), "--log", str(tmp_path / "p.csv")]) == 0
+        assert run(["train", "--config", str(config_path), "--input", str(corpus_path),
+                    "--checkpoint", str(sep_path), "--output", str(model_path),
+                    "--log", str(tmp_path / "t.csv")]) == 0
+        capsys.readouterr()
+        pretrained, trained = load_checkpoint(sep_path), load_checkpoint(model_path)
+        for (name, before), (_, after) in zip(pretrained.tree.named_params(),
+                                              trained.tree.named_params()):
+            assert np.array_equal(before.data, after.data), name
+        # the transformer as `train` initializes it, before its first step
+        initial = TransformerParams.init(
+            len(trained.code_vocab), len(trained.word_vocab), config.embedding_size,
+            config.heads, config.encoder_layers, config.decoder_layers,
+            np.random.default_rng(config.seed + 1))
+        for (name, before), (_, after) in zip(initial.named_params(),
+                                              trained.transformer.named_params()):
+            assert not np.array_equal(before.data, after.data), name
+
     def test_eval_corpus_mode(self, tmp_path, capsys):
         corpus_path, config_path = _write_toy_setup(tmp_path)
         model_path = tmp_path / "model.ckpt"
@@ -1119,6 +1146,62 @@ class TestCliErrors:
                          "--ref", str(tmp_path / "ref.txt")])
         assert missing.returncode == 1
         assert missing.stderr.startswith("basts: error:")
+
+
+class TestInvalidUtf8NamesItsLine:
+    """Every text input reads invalid UTF-8 as a FormatError naming its line."""
+
+    def assert_names_line(self, argv, line, byte):
+        with pytest.raises(FormatError) as err:
+            run(argv)
+        assert type(err.value) is FormatError
+        assert str(err.value) == f"line {line}: invalid UTF-8 at byte {byte}"
+        assert err.value.line == line
+
+    def test_config_file(self, tmp_path):
+        argv = _config_with_a_line(tmp_path, "epochs = 1")
+        (tmp_path / "run.cfg").write_bytes(b"heads = 2\n# caf\xe9\nepochs = 1\n")
+        self.assert_names_line(argv, 2, 5)
+
+    def test_mini_source(self, tmp_path):
+        src = tmp_path / "m.mini"
+        src.write_bytes(b'void f() { }\n\nvoid g() { s = "\xff"; }\n')
+        self.assert_names_line(["split", "--input", str(src)], 3, 16)
+
+    @pytest.mark.parametrize("which", ["hyp", "ref"])
+    def test_eval_hypotheses_and_references(self, tmp_path, which):
+        argv = _eval_files(tmp_path, "a b\nc d\n", "a b\nc d\n")
+        (tmp_path / f"{which}.txt").write_bytes(b"a b\nc \xe9d\n")
+        self.assert_names_line(argv, 2, 2)
+
+
+# a method that fails `build_cfg`, after one that passes and a blank line
+_BAD_SECOND_METHOD = "void g() { return; }\n\n  int h(int a) {\n    continue; }\n"
+
+
+class TestMiniCommandsNameTheFailingMethod:
+    """A CfgError of a `.mini` command names its method and the line it starts on."""
+
+    @pytest.mark.parametrize("command", [["split"], ["cfg", "dump"], ["dom", "dump"],
+                                         ["summarize"]],
+                             ids=["split", "cfg dump", "dom dump", "summarize"])
+    @pytest.mark.parametrize("source, message", [
+        ("void f() { break; }\nvoid g() { return; }",
+         "method 'f' (line 1): break outside a loop (statement 0)"),
+        (_BAD_SECOND_METHOD, "method 'h' (line 3): continue outside a loop (statement 0)"),
+    ], ids=["first method", "third line"])
+    def test_exact_error(self, tmp_path, capsys, command, source, message):
+        src = tmp_path / "m.mini"
+        src.write_text(source)
+        argv = [*command, "--input", str(src)]
+        if command == ["summarize"]:
+            ckpt = tmp_path / "model.ckpt"
+            ckpt.write_bytes(SMALL_CHECKPOINTS["summarizer"])
+            argv += ["--checkpoint", str(ckpt)]
+        with pytest.raises(CfgError) as err:
+            run(argv)
+        assert type(err.value) is CfgError
+        assert str(err.value) == message
 
 
 class TestEvalDedupe:

@@ -246,12 +246,11 @@ class TestEncode:
         ex = make_example()
         out = encode(ex, model)
         t = model.transformer
-        with ad.no_grad():
-            pooled = avg_pool(encode_trees(ex.split_asts, model.tree))
-            rows = []
-            for cid in ex.code_ids:
-                token = Tensor(ad.embedding_lookup(t.code_embedding, [cid]).data[0])
-                rows.append(fuse(pooled, token, t).data)
+        pooled = avg_pool(encode_trees(ex.split_asts, model.tree))
+        rows = []
+        for cid in ex.code_ids:
+            token = Tensor(ad.embedding_lookup(t.code_embedding, [cid]).data[0])
+            rows.append(fuse(pooled, token, t).data)
         expected = np.stack(rows) + positional_matrix(len(ex.code_ids), t.size)
         assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -267,8 +266,7 @@ class TestEncode:
         t = model.transformer
         layer = t.enc[0]
 
-        with ad.no_grad():
-            pooled = avg_pool(encode_trees(ex.split_asts, model.tree)).data
+        pooled = avg_pool(encode_trees(ex.split_asts, model.tree)).data
         tok = t.code_embedding.data[np.asarray(ex.code_ids)]
         joint = np.concatenate([np.tile(pooled, (3, 1)), tok], axis=1)
         x = np.maximum(joint @ t.fuse_w.data.T + t.fuse_b.data, 0.0)
@@ -358,15 +356,23 @@ class GradientRecorder:
 def assert_step_matches_oracle(batch, model, freeze_tree):
     """The packed `train_step` against `train_loss_per_example`.
 
-    The loss agrees within 1e-10 relative and every gradient within 1e-10
-    of its largest entry. The model is left as it was: no update, no grads.
+    With `freeze_tree` the tree's parameters do not require grad over
+    both. The loss agrees within 1e-10 relative and every gradient within
+    1e-10 of its largest entry. The model is left as it was: no update,
+    no grads, every parameter requiring grad.
     """
     params = model.all_params()
     recorder = GradientRecorder(params)
-    loss = train_step(batch, model, recorder, freeze_tree=freeze_tree)
-    with ad.Tape() as tape:
-        ref = train_loss_per_example(batch, model, freeze_tree)
-        ad.backward(tape, ref)
+    for p in model.tree.all_params():
+        p.requires_grad = not freeze_tree
+    try:
+        loss = train_step(batch, model, recorder)
+        with ad.Tape() as tape:
+            ref = train_loss_per_example(batch, model)
+            ad.backward(tape, ref)
+    finally:
+        for p in model.tree.all_params():
+            p.requires_grad = True
     ref_grads = [p.grad for p in params]
     recorder.zero_grad()
 
@@ -534,9 +540,11 @@ class TestTrainStep:
     def test_freeze_tree_leaves_tree_params_untouched(self):
         model = make_model()
         before = model.tree.embedding.data.copy()
+        for p in model.tree.all_params():
+            p.requires_grad = False
         opt = Adam(model.all_params(), lr=1e-2)
         for _ in range(3):
-            train_step([make_example()], model, opt, freeze_tree=True)
+            train_step([make_example()], model, opt)
         assert np.array_equal(model.tree.embedding.data, before)
         assert not np.array_equal(
             model.transformer.code_embedding.data.copy(), np.zeros((12, 8))
@@ -573,6 +581,9 @@ class TestCostGates:
     # the 16 toy rows as one packed batch at the default config: L=64, 4 heads,
     # 2+2 layers; one of them is the tree fold of all the batch's split ASTs
     TRAIN_STEP_OPS = 85
+    # the same step with the tree's parameters not requiring grad: the fold
+    # and the two ops that carry its roots into the fused inputs record nothing
+    TRAIN_STEP_FROZEN_OPS = 82
     # the tracemalloc peak of that step, in MiB: it reads 12.7 when each node
     # keeps only what its backward reads, 19.0 when nodes keep their inputs
     TRAIN_STEP_PEAK_MIB = 14
@@ -600,6 +611,23 @@ class TestCostGates:
         train_step(corpus.examples, model, Adam(model.all_params()))
         assert len(corpus.examples) == 16
         assert recorded == [self.TRAIN_STEP_OPS]
+
+    def test_frozen_train_step_op_count(self, monkeypatch):
+        corpus, model = toy_corpus_and_model()
+        for p in model.tree.all_params():
+            p.requires_grad = False
+        before = [p.data.copy() for p in model.tree.all_params()]
+        recorded = []
+
+        def counting_backward(tape, loss):
+            recorded.append(len(tape.nodes))
+            ad.backward(tape, loss)
+
+        monkeypatch.setattr(summarizer, "backward", counting_backward)
+        train_step(corpus.examples, model, Adam(model.all_params()))
+        assert recorded == [self.TRAIN_STEP_FROZEN_OPS]
+        for p, data in zip(model.tree.all_params(), before):
+            assert p.grad is None and np.array_equal(p.data, data)
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_attention_is_five_ops_at_any_head_count(self, heads):

@@ -531,9 +531,8 @@ class TestCostGates:
                 if recorded:
                     with Tape():
                         encode_trees(trees, params)
-                else:
-                    with ad.no_grad():
-                        encode_trees(trees, params)
+                else:  # outside any tape nothing records
+                    encode_trees(trees, params)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
