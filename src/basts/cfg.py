@@ -10,7 +10,11 @@ loop has one, else to the header (JLS 14.16).
 
 A `Cfg` is reachable by construction: building one with a node that no
 path from the entry reaches raises CfgError. Its one walk from the entry
-is kept as `order`, which the dominator pass iterates.
+is kept as `order`, which the dominator pass iterates. Node ids are
+0..n-1, so the adjacency `succ`/`pred`, and the per-node state of the
+dominator and partition passes, are lists indexed by node id.
+`build_cfg` appends nodes and edges to two flat lists as it walks the
+statements.
 """
 
 from __future__ import annotations
@@ -44,125 +48,122 @@ class CfgNode(NamedTuple):
 class Cfg:
     """A control flow graph whose every node the entry reaches.
 
-    `succ`, `pred` and `order` are derived from the edges: `order` holds
-    each node once, in reverse postorder from the entry. Construction
-    raises CfgError when some node is not reached.
+    `succ`, `pred` and `order` are derived from the edges. `succ[v]` and
+    `pred[v]` are lists indexed by node id: v's successors and
+    predecessors, in edge order. `order` holds each node once, in reverse
+    postorder from the entry. Construction raises CfgError when some node
+    is not reached.
     """
 
     nodes: list[CfgNode]  # node i has node_id i
     edges: list[tuple[int, int]]
     entry: int
     exit: int
-    succ: dict[int, list[int]] = field(init=False)
-    pred: dict[int, list[int]] = field(init=False)
+    succ: list[list[int]] = field(init=False)  # indexed by node id
+    pred: list[list[int]] = field(init=False)  # indexed by node id
     order: list[int] = field(init=False)
 
     def __post_init__(self):
-        self.succ = {i: [] for i in range(len(self.nodes))}
-        self.pred = {i: [] for i in range(len(self.nodes))}
+        n = len(self.nodes)
+        succ = self.succ = [[] for _ in range(n)]
+        pred = self.pred = [[] for _ in range(n)]
         for a, b in self.edges:
-            self.succ[a].append(b)
-            self.pred[b].append(a)
-        seen = {self.entry}
-        self.order = []
-        stack = [(self.entry, iter(self.succ[self.entry]))]
+            succ[a].append(b)
+            pred[b].append(a)
+        seen = [False] * n
+        seen[self.entry] = True
+        order = self.order = []
+        stack = [(self.entry, iter(succ[self.entry]))]
         while stack:
             node, children = stack[-1]
             for nxt in children:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(self.succ[nxt])))
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append((nxt, iter(succ[nxt])))
                     break
             else:
-                self.order.append(node)
+                order.append(node)
                 stack.pop()
-        self.order.reverse()
-        if len(self.order) < len(self.nodes):
-            if self.exit not in seen:
+        order.reverse()
+        if len(order) < n:
+            if not seen[self.exit]:
                 raise CfgError(f"unreachable end node {self.exit}: no control path reaches it")
-            dead = sorted(n.stmt_id for n in self.nodes if n.node_id not in seen)
+            dead = sorted(node.stmt_id for node in self.nodes if not seen[node.node_id])
             raise CfgError(f"unreachable statements {dead}: no control path reaches them")
 
 
-class _Builder:
-    def __init__(self):
-        self.nodes = [CfgNode(0, NodeKind.START), CfgNode(1, NodeKind.END)]
-        self.edges: list[tuple[int, int]] = []
+_SIMPLE = frozenset((StmtKind.DECL, StmtKind.ASSIGN, StmtKind.EXPR))
+_JUMPS = frozenset((StmtKind.RETURN, StmtKind.BREAK, StmtKind.CONTINUE))
+# Enum members read as globals, as in `basts.frontend`'s parser
+_BLOCK, _IF, _RETURN, _CONTINUE = StmtKind.BLOCK, StmtKind.IF, StmtKind.RETURN, StmtKind.CONTINUE
+_STMT = NodeKind.STMT
+_new = tuple.__new__  # makes a CfgNode without its Python-level __new__, as `tokenize` does tokens
 
-    def new_node(self, stmt: Statement) -> int:
-        node_id = len(self.nodes)
-        # tuple.__new__ skips CfgNode's Python-level __new__, as `tokenize` does for tokens
-        self.nodes.append(tuple.__new__(CfgNode, (node_id, NodeKind.STMT, stmt.stmt_id)))
-        return node_id
 
-    def edge(self, a: int, b: int):
-        self.edges.append((a, b))
+def _wire(stmts: list[Statement], loop, nodes: list[CfgNode],
+          edges: list[tuple[int, int]]) -> tuple[int | None, list[int]]:
+    """Wire a statement list into `nodes` and `edges`; returns (head node, dangling exits).
 
-    def wire_sequence(self, stmts: list[Statement], loop) -> tuple[int | None, list[int]]:
-        """Wire a statement list; returns (head node, dangling exits).
-
-        `loop` maps BREAK and CONTINUE to the jump nodes collected so far
-        in the innermost loop, or is None outside loops. A head of None
-        means the sequence is empty; an empty exit list means control
-        never falls through, so the next statement gets no edge in and
-        the `Cfg` reports it.
-        """
-        head: int | None = None
-        exits: list[int] = []
-        for stmt in stmts:
-            s_head, s_exits = self.wire_statement(stmt, loop)
+    `loop` is the innermost loop's (breaks, continues) jump nodes
+    collected so far, or None outside loops. A head of None means the
+    sequence is empty; an empty exit list means control never falls
+    through, so the next statement gets no edge in and the `Cfg`
+    reports it.
+    """
+    add_node, edge = nodes.append, edges.append
+    head: int | None = None
+    exits: list[int] = []
+    for stmt in stmts:
+        k = stmt.kind
+        if k is _BLOCK:
+            s_head, s_exits = _wire(stmt.body, loop, nodes, edges)
             if s_head is None:
                 continue  # empty block contributes nothing
-            if head is None:
-                head = s_head
-            for e in exits:
-                self.edge(e, s_head)
-            exits = s_exits
-        return head, exits
-
-    def wire_statement(self, stmt: Statement, loop) -> tuple[int | None, list[int]]:
-        k = stmt.kind
-        if k is StmtKind.BLOCK:
-            return self.wire_sequence(stmt.body, loop)
-        if k in (StmtKind.DECL, StmtKind.ASSIGN, StmtKind.EXPR):
-            node = self.new_node(stmt)
-            return node, [node]
-        if k is StmtKind.RETURN:
-            node = self.new_node(stmt)
-            self.edge(node, 1)
-            return node, []
-        if k is StmtKind.BREAK or k is StmtKind.CONTINUE:
-            if loop is None:
-                raise CfgError(f"{k.value} outside a loop (statement {stmt.stmt_id})")
-            node = self.new_node(stmt)
-            loop[k].append(node)  # wired when the innermost loop closes
-            return node, []
-        if k is StmtKind.IF:
-            header = self.new_node(stmt)
-            exits = []
-            for branch in (stmt.body, stmt.orelse):
-                head, branch_exits = self.wire_sequence(branch, loop)
-                if head is not None:
-                    self.edge(header, head)
-                    exits.extend(branch_exits)
-                elif header not in exits:  # an empty or missing branch falls through the header
-                    exits.append(header)
-            return header, exits
-        # WHILE or FOR; a while is a for without init or update.
-        init = self.new_node(stmt.init) if stmt.init is not None else None
-        header = self.new_node(stmt)
-        if init is not None:
-            self.edge(init, header)
-        jumps = {StmtKind.BREAK: [], StmtKind.CONTINUE: []}
-        body_head, body_exits = self.wire_sequence(stmt.body, jumps)
-        back = header
-        if stmt.update is not None:
-            back = self.new_node(stmt.update)
-            self.edge(back, header)
-        self.edge(header, back if body_head is None else body_head)
-        for e in body_exits + jumps[StmtKind.CONTINUE]:
-            self.edge(e, back)
-        return (header if init is None else init), [header] + jumps[StmtKind.BREAK]
+        else:
+            if stmt.init is not None:  # a for's init gets its node before the header
+                add_node(_new(CfgNode, (len(nodes), _STMT, stmt.init.stmt_id)))
+            node = s_head = len(nodes)
+            add_node(_new(CfgNode, (node, _STMT, stmt.stmt_id)))
+            if k in _SIMPLE:
+                s_exits = [node]
+            elif k is _IF:
+                s_exits = []
+                for branch in (stmt.body, stmt.orelse):
+                    b_head, b_exits = _wire(branch, loop, nodes, edges)
+                    if b_head is not None:
+                        edge((node, b_head))
+                        s_exits += b_exits
+                    elif node not in s_exits:  # an empty or missing branch falls through the header
+                        s_exits.append(node)
+            elif k in _JUMPS:
+                if k is _RETURN:
+                    edge((node, 1))
+                elif loop is None:
+                    raise CfgError(f"{k.value} outside a loop (statement {stmt.stmt_id})")
+                else:
+                    loop[k is _CONTINUE].append(node)  # wired when the innermost loop closes
+                s_exits = []
+            else:  # while or for; a while is a for without init or update
+                if stmt.init is not None:
+                    s_head = node - 1
+                    edge((s_head, node))
+                jumps = ([], [])
+                body_head, body_exits = _wire(stmt.body, jumps, nodes, edges)
+                back = node
+                if stmt.update is not None:
+                    back = len(nodes)
+                    add_node(_new(CfgNode, (back, _STMT, stmt.update.stmt_id)))
+                    edge((back, node))
+                edge((node, back if body_head is None else body_head))
+                for e in body_exits + jumps[1]:
+                    edge((e, back))
+                s_exits = [node] + jumps[0]
+        if head is None:
+            head = s_head
+        for e in exits:
+            edge((e, s_head))
+        exits = s_exits
+    return head, exits
 
 
 def build_cfg(method: Method) -> Cfg:
@@ -172,15 +173,15 @@ def build_cfg(method: Method) -> Cfg:
     no control path can reach: code after return/break/continue, and a
     for update that the body never falls or continues through to.
     """
-    b = _Builder()
-    head, exits = b.wire_sequence(method.body, None)
+    nodes = [CfgNode(0, NodeKind.START), CfgNode(1, NodeKind.END)]
+    edges: list[tuple[int, int]] = []
+    head, exits = _wire(method.body, None, nodes, edges)
     if head is None:
-        b.edge(0, 1)
+        edges.append((0, 1))
     else:
-        b.edge(0, head)
-        for e in exits:
-            b.edge(e, 1)
-    return Cfg(b.nodes, b.edges, entry=0, exit=1)
+        edges.append((0, head))
+        edges += [(e, 1) for e in exits]
+    return Cfg(nodes, edges, entry=0, exit=1)
 
 
 def cfg_to_dot(cfg: Cfg, method: Method | None = None) -> str:

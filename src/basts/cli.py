@@ -357,17 +357,56 @@ def _write_loss_log(path, rows, header):
 # --- subcommands ------------------------------------------------------------
 
 
+def _line(source: str, offset: int) -> int:
+    return source.count("\n", 0, offset) + 1
+
+
+def _where(source: str, tokens: list, index: int, offset: int) -> str:
+    """The line of a failure at character `offset`, past `tokens[:index]`.
+
+    The failure's method comes first once its name has been read. The
+    methods before it parsed, so their braces balance: it starts after
+    the last '}' that brings the depth back to 0.
+    """
+    start = depth = 0
+    for i, t in enumerate(tokens[:index]):
+        if t.text == "{":
+            depth += 1
+        elif t.text == "}":
+            depth -= 1
+            if depth == 0:
+                start = i + 1
+    where = f"line {_line(source, offset)}"
+    if start + 1 < index:
+        name, line = tokens[start + 1].text, _line(source, tokens[start].offset)
+        where = f"method {name!r} (line {line}): {where}"
+    return where
+
+
 def _each_method(path, prepare):
     """Yield (method, prepare(method)) for each method of a source file.
 
-    A CfgError from `prepare` names the method and the line it starts on.
+    A LexError or ParseError gives its line, and its method once the
+    method's name is read; it keeps its type. A CfgError from `prepare`
+    names the method and the line it starts on.
     """
     source = "".join(line for _, line in read_lines(path))
-    for method in parse_program(source):
+    try:
+        methods = parse_program(source)
+    except LexError as err:
+        before = tokenize(source[: err.offset])  # lexes: the failure starts at err.offset
+        err.args = (f"{_where(source, before, len(before), err.offset)}: {err}",)
+        raise
+    except ParseError as err:
+        tokens = tokenize(source)
+        offset = tokens[err.index].offset if err.index < len(tokens) else len(source.rstrip())
+        err.args = (f"{_where(source, tokens, err.index, offset)}: {err}",)
+        raise
+    for method in methods:
         try:
             prepared = prepare(method)
         except CfgError as err:
-            line = source.count("\n", 0, method.tokens[method.span[0]].offset) + 1
+            line = _line(source, method.tokens[method.span[0]].offset)
             raise CfgError(f"method {method.name!r} (line {line}): {err}") from err
         yield method, prepared
 
@@ -472,10 +511,21 @@ def _summaries(corpus: PreparedCorpus, model: SummarizerModel,
             for example in corpus.examples]
 
 
+def _read_words(path) -> list[list[str]]:
+    """The words of each line of a hypothesis or reference file.
+
+    A FormatError names the file, since eval reads two.
+    """
+    try:
+        return [line.split() for _, line in read_lines(path)]
+    except FormatError as err:
+        err.args = (f"{path}: {err}",)
+        raise
+
+
 def cmd_eval(args, config: RunConfig) -> int:
     if args.hyp and args.ref:
-        hyps, refs = ([line.split() for _, line in read_lines(path)]
-                      for path in (args.hyp, args.ref))
+        hyps, refs = (_read_words(path) for path in (args.hyp, args.ref))
         if len(hyps) != len(refs):
             raise ConfigError(
                 f"hypothesis count {len(hyps)} != reference count {len(refs)}"

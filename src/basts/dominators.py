@@ -1,10 +1,14 @@
 """Dominator tree computation plus a literal set-based oracle.
 
-The fast path is the classic iterative dataflow scheme over reverse
-postorder with the two-finger intersection; our graphs are small, so it
-converges in a handful of sweeps. The oracle implements the definition
-directly (u dominates v iff removing u disconnects the entry from v) and
-exists so the tree can be cross-checked on random graphs.
+The fast path is the iterative dataflow scheme of Cooper, Harvey and
+Kennedy ("A Simple, Fast Dominance Algorithm", 2001) over the graph's
+reverse postorder, with the two-finger intersection inline; it works on
+any graph the entry reaches, and ours are small, so it converges in a
+handful of sweeps. Ranks and immediate dominators are kept in lists
+indexed by node id, as `Cfg.succ` and `Cfg.pred` are; the result,
+`DomTree.idom`, is a dict. The oracle implements the definition directly
+(u dominates v iff removing u disconnects the entry from v) and exists
+so the tree can be cross-checked on random graphs.
 """
 
 from __future__ import annotations
@@ -41,39 +45,38 @@ def compute_dominators(cfg: Cfg) -> DomTree:
 
     Iterates the graph's own reverse postorder, `cfg.order`; a `Cfg`
     holds only nodes the entry reaches, so every node gets a dominator.
+    `rank` and `idom` are indexed by node id; `idom` reads -1 until a
+    sweep first reaches the node. A node's parent in the walk comes
+    before it in the order, so the first sweep gives every node one.
     """
-    rpo_number = {node: i for i, node in enumerate(cfg.order)}
-
-    idom: dict[int, int | None] = {node: None for node in cfg.order}
-    idom[cfg.entry] = cfg.entry
-
-    def intersect(a: int, b: int) -> int:
-        while a != b:
-            while rpo_number[a] > rpo_number[b]:
-                a = idom[a]
-            while rpo_number[b] > rpo_number[a]:
-                b = idom[b]
-        return a
-
+    order = cfg.order
+    rank = [0] * len(cfg.nodes)
+    for r, v in enumerate(order):
+        rank[v] = r
+    pred, entry = cfg.pred, cfg.entry
+    idom = [-1] * len(rank)
+    idom[entry] = entry
+    rest = order[1:]  # the entry comes first
     changed = True
     while changed:
         changed = False
-        for node in cfg.order:
-            if node == cfg.entry:
-                continue
-            new_idom = None
-            for p in cfg.pred[node]:
-                if idom[p] is None:
+        for v in rest:
+            new = -1
+            for p in pred[v]:
+                if idom[p] == -1:
                     continue
-                new_idom = p if new_idom is None else intersect(p, new_idom)
-            if new_idom is not None and idom[node] != new_idom:
-                idom[node] = new_idom
+                if new == -1:
+                    new = p
+                    continue
+                while p != new:  # the two-finger intersection
+                    while rank[p] > rank[new]:
+                        p = idom[p]
+                    while rank[new] > rank[p]:
+                        new = idom[new]
+            if idom[v] != new:
+                idom[v] = new
                 changed = True
-
-    return DomTree(
-        root=cfg.entry,
-        idom={n: d for n, d in idom.items() if n != cfg.entry},
-    )
+    return DomTree(root=entry, idom={v: idom[v] for v in rest})
 
 
 def brute_force_dominators(cfg: Cfg) -> dict[int, set[int]]:

@@ -57,6 +57,10 @@ class Token(NamedTuple):
     offset: int = -1  # character offset in the source; -1 for synthesized tokens
 
 
+# Hot paths read Enum members as module globals: on Python 3.11 a member read
+# off its class runs through EnumType's __getattr__ hook, ten times slower.
+_IDENTIFIER, _OPERATOR = TokenKind.IDENTIFIER, TokenKind.OPERATOR
+
 KEYWORDS = frozenset({"if", "else", "while", "for", "return", "break", "continue"})
 
 NUM_TOKEN = "<NUM>"
@@ -164,6 +168,12 @@ class StmtKind(Enum):
     BLOCK = "block"
 
 
+_DECL, _ASSIGN, _EXPR, _IF, _FOR = (StmtKind.DECL, StmtKind.ASSIGN, StmtKind.EXPR, StmtKind.IF,
+                                    StmtKind.FOR)
+_RETURN, _BLOCK = StmtKind.RETURN, StmtKind.BLOCK
+_JUMPS = frozenset((StmtKind.RETURN, StmtKind.BREAK, StmtKind.CONTINUE))
+
+
 @dataclass(slots=True)
 class AstNode:
     node_type: str  # MethodDeclaration, IfStatement, BinaryOperation, ... (docs/grammar.md)
@@ -232,9 +242,6 @@ class _Parser:
     def _fail(self, expected: list[str]):
         raise ParseError(self.i, expected, self.toks[self.i].text)
 
-    def _at(self, text: str) -> bool:
-        return self.toks[self.i].text == text
-
     def _expect(self, text: str) -> Token:
         t = self.toks[self.i]
         if t.text != text:
@@ -242,31 +249,12 @@ class _Parser:
         self.i += 1
         return t
 
-    def _descend(self):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self._fail([_TOO_DEEP])
-
     def _expect_ident(self, what: str) -> Token:
         t = self.toks[self.i]
-        if t.kind is not TokenKind.IDENTIFIER:
+        if t.kind is not _IDENTIFIER:
             self._fail([what])
         self.i += 1
         return t
-
-    def _open(self) -> int:
-        """The id of the statement whose first token is next.
-
-        Ids are given as statements start, so they follow source order;
-        the id's entry holds its place until `_close` fills it.
-        """
-        sid = len(self.statements)
-        self.statements[sid] = None
-        return sid
-
-    def _close(self, sid: int, kind: StmtKind, start: int, **parts) -> Statement:
-        stmt = self.statements[sid] = Statement(sid, kind, (start, self.i), **parts)
-        return stmt
 
     # --- declarations -----------------------------------------------------
 
@@ -293,39 +281,57 @@ class _Parser:
 
     # --- statements -------------------------------------------------------
 
+    # Statement ids are given as statements start, so they follow source
+    # order. A compound statement holds its id's place in `statements` with
+    # None until it ends; any other holds no statement inside, so it is
+    # entered when it ends.
+
     def parse_statement(self) -> Statement:
-        self._descend()
-        start = self.i
+        depth = self.depth = self.depth + 1
+        if depth > MAX_NESTING:
+            self._fail([_TOO_DEEP])
+        toks, start, statements = self.toks, self.i, self.statements
         if start == self.end:
             self._fail(["statement"])
-        sid = self._open()
-        kind = _OPENS.get(self.toks[start].text)
+        kind = _OPENS.get(toks[start].text)
         if kind is None:
-            stmt = self._parse_simple(sid)
-            self._expect(";")
+            stmt = self._parse_simple()
+            if toks[self.i].text != ";":
+                self._fail(["';'"])
+            self.i += 1
             stmt.span = (start, self.i)
-        elif kind is StmtKind.BLOCK:
-            stmt = self._close(sid, kind, start, body=self._parse_braced())
-        elif kind is StmtKind.FOR:
-            stmt = self._parse_for(sid)
-        elif kind is StmtKind.IF or kind is StmtKind.WHILE:
+        elif kind in _JUMPS:
+            sid = len(statements)
             self.i += 1
-            self._expect("(")
-            cond, cond_span = self._parse_cond()
-            self._expect(")")
-            body = self._parse_body()
-            orelse: list[Statement] = []
-            if kind is StmtKind.IF and self._at("else"):
+            value = None
+            if kind is _RETURN and toks[self.i].text != ";":
+                value = self.parse_expr()
+            if toks[self.i].text != ";":
+                self._fail(["';'"])
+            self.i += 1
+            stmt = statements[sid] = Statement(sid, kind, (start, self.i), value=value)
+        else:
+            sid = len(statements)
+            statements[sid] = None
+            if kind is _BLOCK:
+                body = self._parse_braced()
+                stmt = Statement(sid, kind, (start, self.i), body=body)
+            elif kind is _FOR:
+                stmt = self._parse_for(sid)
+            else:  # if or while
                 self.i += 1
-                orelse = self._parse_body()
-            stmt = self._close(sid, kind, start, cond=cond, cond_span=cond_span,
-                               body=body, orelse=orelse)
-        else:  # return, break or continue
-            self.i += 1
-            value = None if kind is not StmtKind.RETURN or self._at(";") else self.parse_expr()
-            self._expect(";")
-            stmt = self._close(sid, kind, start, value=value)
-        self.depth -= 1
+                self._expect("(")
+                cond, cond_span = self._parse_cond()
+                self._expect(")")
+                body = self._parse_body()
+                orelse: list[Statement] = []
+                if kind is _IF and toks[self.i].text == "else":
+                    self.i += 1
+                    orelse = self._parse_body()
+                stmt = Statement(sid, kind, (start, self.i), cond=cond, cond_span=cond_span,
+                                 body=body, orelse=orelse)
+            statements[sid] = stmt
+        self.depth = depth - 1
         return stmt
 
     def _parse_braced(self) -> list[Statement]:
@@ -348,48 +354,51 @@ class _Parser:
     def _parse_body(self) -> list[Statement]:
         # Braced bodies are flattened; a single statement becomes a one-item list.
         stmt = self.parse_statement()
-        if stmt.kind is StmtKind.BLOCK:
+        if stmt.kind is _BLOCK:
             return stmt.body
         return [stmt]
 
     def _parse_for(self, sid: int) -> Statement:
-        start = self.i
+        start, toks = self.i, self.toks
         self.i += 1  # "for"
         self._expect("(")
-        init = None if self._at(";") else self._parse_simple(self._open())
+        init = None if toks[self.i].text == ";" else self._parse_simple()
         self._expect(";")
-        cond, cond_span = (None, None) if self._at(";") else self._parse_cond()
+        cond, cond_span = (None, None) if toks[self.i].text == ";" else self._parse_cond()
         self._expect(";")
-        update = None if self._at(")") else self._parse_simple(self._open())
+        update = None if toks[self.i].text == ")" else self._parse_simple()
         self._expect(")")
         body = self._parse_body()
-        return self._close(sid, StmtKind.FOR, start, cond=cond, cond_span=cond_span,
-                           init=init, update=update, body=body)
+        return Statement(sid, _FOR, (start, self.i), cond=cond, cond_span=cond_span,
+                         init=init, update=update, body=body)
 
-    def _parse_simple(self, sid: int) -> Statement:
+    def _parse_simple(self) -> Statement:
         """Parse a declaration, assignment, or expression statement.
 
         The trailing ';' is consumed by the caller, so the same parse
         serves both free-standing statements and for-loop clauses.
         """
-        start = self.i
-        toks = self.toks
-        if toks[start].kind is TokenKind.IDENTIFIER and toks[start + 1].kind is TokenKind.IDENTIFIER:
+        start, toks, sid = self.i, self.toks, len(self.statements)
+        if toks[start].kind is _IDENTIFIER and toks[start + 1].kind is _IDENTIFIER:
             self.i = start + 2
             value = None
             if toks[self.i].text == "=":
                 self.i += 1
                 value = self.parse_expr()
-            return self._close(sid, StmtKind.DECL, start, type_name=toks[start].text,
-                               name=toks[start + 1].text, value=value)
-        expr = self.parse_expr()
-        if toks[self.i].text == "=":
-            if expr.node_type not in ("MemberReference", "FieldAccess"):
-                self._fail(["assignable target"])
-            self.i += 1
-            value = self.parse_expr()
-            return self._close(sid, StmtKind.ASSIGN, start, target=expr, value=value)
-        return self._close(sid, StmtKind.EXPR, start, value=expr)
+            stmt = Statement(sid, _DECL, (start, self.i), type_name=toks[start].text,
+                             name=toks[start + 1].text, value=value)
+        else:
+            expr = self.parse_expr()
+            if toks[self.i].text == "=":
+                if expr.node_type not in ("MemberReference", "FieldAccess"):
+                    self._fail(["assignable target"])
+                self.i += 1
+                value = self.parse_expr()
+                stmt = Statement(sid, _ASSIGN, (start, self.i), target=expr, value=value)
+            else:
+                stmt = Statement(sid, _EXPR, (start, self.i), value=expr)
+        self.statements[sid] = stmt
+        return stmt
 
     # --- expressions ------------------------------------------------------
 
@@ -410,9 +419,10 @@ class _Parser:
     }
     _UNARY = 7  # a unary operand binds tighter than any binary operator
 
-    # `parse_expr` does `_descend`'s check inline, since it runs once per
-    # leaf and per operator. It reads each leaf, a primary or a unary
-    # operation, itself; the member accesses after a leaf are one call.
+    # The nesting bound counts one level per statement, unary operator,
+    # binary operator and member access. `parse_expr` runs once per leaf
+    # and per operator; it reads each leaf, a primary or a unary operation,
+    # itself, and the member accesses after a leaf are one call.
 
     def parse_expr(self, min_bp: int = 1) -> AstNode:
         toks, binding = self.toks, self._BINDING
@@ -423,7 +433,7 @@ class _Parser:
         i = self.i
         t = toks[i]
         kind = t.kind
-        if kind is TokenKind.IDENTIFIER:
+        if kind is _IDENTIFIER:
             self.i = i + 1
             if toks[i + 1].text == "(":
                 left = AstNode("MethodInvocation", t.text, self._parse_list(self.parse_expr))
@@ -436,7 +446,7 @@ class _Parser:
             self.i = i + 1
             left = self.parse_expr()
             self._expect(")")
-        elif t.text in ("!", "-") and kind is TokenKind.OPERATOR:
+        elif t.text in ("!", "-") and kind is _OPERATOR:
             self.i = i + 1
             left = AstNode("UnaryOperation", t.text, [self.parse_expr(self._UNARY)])
         else:
@@ -445,7 +455,7 @@ class _Parser:
             left = self._parse_members(left)
         while True:
             t = toks[self.i]
-            if t.kind is not TokenKind.OPERATOR:
+            if t.kind is not _OPERATOR:
                 break
             bp = binding.get(t.text)
             if bp is None or bp < min_bp:
@@ -462,28 +472,38 @@ class _Parser:
     def _parse_members(self, expr: AstNode) -> AstNode:
         """Read the field accesses and method calls on `expr`, each after a '.'."""
         toks = self.toks
-        depth = self.depth
+        depth = level = self.depth
         while toks[self.i].text == ".":
-            self._descend()  # every member access nests `expr` one deeper
+            level = self.depth = level + 1  # every member access nests `expr` one deeper
+            if level > MAX_NESTING:
+                self._fail([_TOO_DEEP])
             self.i += 1
-            name = self._expect_ident("member name").text
+            name = toks[self.i]
+            if name.kind is not _IDENTIFIER:
+                self._fail(["member name"])
+            self.i += 1
             if toks[self.i].text == "(":
-                expr = AstNode("MethodInvocation", name, [expr] + self._parse_list(self.parse_expr))
+                expr = AstNode("MethodInvocation", name.text,
+                               [expr] + self._parse_list(self.parse_expr))
             else:
-                expr = AstNode("FieldAccess", name, [expr])
+                expr = AstNode("FieldAccess", name.text, [expr])
         self.depth = depth
         return expr
 
     def _parse_list(self, item) -> list:
         """Read `( [item {"," item}] )`: parameters or call arguments."""
-        self._expect("(")
         toks, out = self.toks, []
+        if toks[self.i].text != "(":
+            self._fail(["'('"])
+        self.i += 1
         if toks[self.i].text != ")":
             out.append(item())
             while toks[self.i].text == ",":
                 self.i += 1
                 out.append(item())
-        self._expect(")")
+        if toks[self.i].text != ")":
+            self._fail(["')'"])
+        self.i += 1
         return out
 
 
@@ -561,7 +581,7 @@ def stmt_ast(s: Statement, clauses: tuple | None = None) -> AstNode:
     split holds it: with those for clauses, its condition and an empty body.
     """
     k = s.kind
-    if k is StmtKind.BLOCK:
+    if k is _BLOCK:
         return _block_ast(s.body)
     if k not in _HEADER_KINDS:
         children = [] if s.type_name is None else [AstNode("BasicType", s.type_name)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from basts.cfg import Cfg, NodeKind, build_cfg
+from basts.cfg import Cfg, build_cfg
 from basts.dominators import DomTree, compute_dominators
 from basts.frontend import (AstNode, Method, Statement, StmtKind, Token, TokenKind,
                             declaration_ast, stmt_ast)
@@ -57,39 +57,42 @@ def partition_blocks(domtree: DomTree, cfg: Cfg) -> SplitGraph:
     still has a carrier. Statement ids follow source order, so they double
     as ordering keys.
     """
-    stmt_of = [n.stmt_id if n.kind is NodeKind.STMT else None for n in cfg.nodes]
-    real = [v for v, s in enumerate(stmt_of) if s is not None]
-    if not real:
-        return SplitGraph([CodeSplit(0, [])], [])
-
+    stmt_of = [n.stmt_id for n in cfg.nodes]  # None for the start and end nodes
     idom = domtree.idom
     fanout = [0] * len(stmt_of)  # dominator-tree children among real nodes
-    for v in real:
-        if stmt_of[idom[v]] is not None:
-            fanout[idom[v]] += 1
+    for v, p in idom.items():
+        if stmt_of[v] is not None and stmt_of[p] is not None:
+            fanout[p] += 1
 
     # A tree edge survives when its parent is real and has one child, so a
     # node is in its parent's block then and heads a block of its own
     # otherwise. Reverse postorder puts every node's immediate dominator
     # before it, so one pass over `cfg.order` finds every head.
     head = [-1] * len(stmt_of)
-    for v in cfg.order:
-        if stmt_of[v] is not None:
-            p = idom[v]
-            head[v] = head[p] if stmt_of[p] is not None and fanout[p] == 1 else v
-
     blocks: dict[int, list[int]] = {}
-    for v in real:
-        blocks.setdefault(head[v], []).append(stmt_of[v])
-    heads = sorted(blocks, key=lambda h: min(blocks[h]))
-    split_of = {h: sid for sid, h in enumerate(heads)}
-    splits = [CodeSplit(sid, sorted(blocks[h])) for sid, h in enumerate(heads)]
+    for v in cfg.order:
+        s = stmt_of[v]
+        if s is not None:
+            p = idom[v]
+            if stmt_of[p] is not None and fanout[p] == 1:
+                h = head[v] = head[p]
+                blocks[h].append(s)
+            else:
+                head[v] = v
+                blocks[v] = [s]
+    if not blocks:
+        return SplitGraph([CodeSplit(0, [])], [])
+    # blocks are disjoint, so sorting on their sorted statements orders them by first statement
+    ordered = sorted((sorted(stmts), h) for h, stmts in blocks.items())
+    split_of = {h: sid for sid, (_, h) in enumerate(ordered)}
+    splits = [CodeSplit(sid, stmts) for sid, (stmts, _) in enumerate(ordered)]
     edges = sorted({(split_of[head[idom[h]]], split_of[h])
-                    for h in heads if stmt_of[idom[h]] is not None})
+                    for _, h in ordered if stmt_of[idom[h]] is not None})
     return SplitGraph(splits, edges)
 
 
 _OPEN, _SEMI = Token("(", TokenKind.PUNCT), Token(";", TokenKind.PUNCT)
+_HEADERS = frozenset((StmtKind.IF, StmtKind.WHILE, StmtKind.FOR))
 _EMPTY_BODY = [Token(")", TokenKind.PUNCT), Token("{", TokenKind.PUNCT), Token("}", TokenKind.PUNCT)]
 
 
@@ -104,18 +107,17 @@ def _pieces(split: CodeSplit, method: Method) -> list[tuple[Statement, tuple | N
     piece; a clause stranded in another split is a standalone piece there.
     Ids follow source order, so a for comes before its clauses.
     """
-    ids = set(split.statements)
-    absorbed = set()
+    ids = split.statements  # a handful, so scanning the list beats building a set
+    absorbed: list[int] = []
     out = []
-    for sid in split.statements:
+    for sid in ids:
         if sid in absorbed:
             continue
-        stmt = method.statements[sid]
-        k, clauses = stmt.kind, None
-        if k is StmtKind.IF or k is StmtKind.WHILE or k is StmtKind.FOR:
+        stmt, clauses = method.statements[sid], None
+        if stmt.kind in _HEADERS:
             clauses = tuple(c if c is not None and c.stmt_id in ids else None
                             for c in (stmt.init, stmt.update))  # both None unless a for
-            absorbed.update(c.stmt_id for c in clauses if c is not None)
+            absorbed += [c.stmt_id for c in clauses if c is not None]
         out.append((stmt, clauses))
     return out
 

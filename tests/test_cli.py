@@ -36,8 +36,8 @@ from basts.cli import (
 )
 from basts.summarizer import SPECIAL_TOKENS, TransformerParams, Vocab
 from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams
-from basts.frontend import (MAX_NESTING, Token, TokenKind, iter_nodes, parse_program,
-                            tokenize_comment)
+from basts.frontend import (MAX_NESTING, LexError, ParseError, Token, TokenKind, iter_nodes,
+                            parse_program, tokenize_comment)
 from basts.splitter import split_method
 from conftest import (
     DIAMOND_SOURCE,
@@ -1151,11 +1151,11 @@ class TestCliErrors:
 class TestInvalidUtf8NamesItsLine:
     """Every text input reads invalid UTF-8 as a FormatError naming its line."""
 
-    def assert_names_line(self, argv, line, byte):
+    def assert_names_line(self, argv, line, byte, prefix=""):
         with pytest.raises(FormatError) as err:
             run(argv)
         assert type(err.value) is FormatError
-        assert str(err.value) == f"line {line}: invalid UTF-8 at byte {byte}"
+        assert str(err.value) == f"{prefix}line {line}: invalid UTF-8 at byte {byte}"
         assert err.value.line == line
 
     def test_config_file(self, tmp_path):
@@ -1171,8 +1171,9 @@ class TestInvalidUtf8NamesItsLine:
     @pytest.mark.parametrize("which", ["hyp", "ref"])
     def test_eval_hypotheses_and_references(self, tmp_path, which):
         argv = _eval_files(tmp_path, "a b\nc d\n", "a b\nc d\n")
-        (tmp_path / f"{which}.txt").write_bytes(b"a b\nc \xe9d\n")
-        self.assert_names_line(argv, 2, 2)
+        bad = tmp_path / f"{which}.txt"
+        bad.write_bytes(b"a b\nc \xe9d\n")
+        self.assert_names_line(argv, 2, 2, prefix=f"{bad}: ")
 
 
 # a method that fails `build_cfg`, after one that passes and a blank line
@@ -1180,17 +1181,28 @@ _BAD_SECOND_METHOD = "void g() { return; }\n\n  int h(int a) {\n    continue; }\
 
 
 class TestMiniCommandsNameTheFailingMethod:
-    """A CfgError of a `.mini` command names its method and the line it starts on."""
+    """A `.mini` command's CfgError names its method and the line it starts on.
+
+    A LexError or ParseError keeps its type and gives its own line, after
+    the method once the method's name is read.
+    """
 
     @pytest.mark.parametrize("command", [["split"], ["cfg", "dump"], ["dom", "dump"],
                                          ["summarize"]],
                              ids=["split", "cfg dump", "dom dump", "summarize"])
-    @pytest.mark.parametrize("source, message", [
-        ("void f() { break; }\nvoid g() { return; }",
+    @pytest.mark.parametrize("source, error, message", [
+        ("void f() { break; }\nvoid g() { return; }", CfgError,
          "method 'f' (line 1): break outside a loop (statement 0)"),
-        (_BAD_SECOND_METHOD, "method 'h' (line 3): continue outside a loop (statement 0)"),
-    ], ids=["first method", "third line"])
-    def test_exact_error(self, tmp_path, capsys, command, source, message):
+        (_BAD_SECOND_METHOD, CfgError,
+         "method 'h' (line 3): continue outside a loop (statement 0)"),
+        ("void f() { return; }\n\nvoid g() {\n  x = #; }", LexError,
+         "method 'g' (line 3): line 4: unrecognized character '#' at offset 39"),
+        ("void f() { return; }\n\nvoid g() {\n  x = ; }", ParseError,
+         "method 'g' (line 3): line 4: at token 15: expected expression, found ';'"),
+        ("void f() { return; }\n}\n", ParseError,
+         "line 2: at token 8: expected return type, found '}'"),
+    ], ids=["first method", "third line", "lex error", "parse error", "before a method"])
+    def test_exact_error(self, tmp_path, capsys, command, source, error, message):
         src = tmp_path / "m.mini"
         src.write_text(source)
         argv = [*command, "--input", str(src)]
@@ -1198,9 +1210,9 @@ class TestMiniCommandsNameTheFailingMethod:
             ckpt = tmp_path / "model.ckpt"
             ckpt.write_bytes(SMALL_CHECKPOINTS["summarizer"])
             argv += ["--checkpoint", str(ckpt)]
-        with pytest.raises(CfgError) as err:
+        with pytest.raises(error) as err:
             run(argv)
-        assert type(err.value) is CfgError
+        assert type(err.value) is error
         assert str(err.value) == message
 
 

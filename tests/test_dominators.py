@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -32,6 +34,17 @@ EMPTY_BLOCK_SOURCES = [
     "void f() { while (c) { if (a) { continue; } else { } } }",
     "void f() { for (;;) { if (a) { break; } else { } } x = 1; }",
 ]
+
+
+def digest_sources() -> list[str]:
+    """The empty-block shapes, then the split digest's 420 generated methods."""
+    sources = list(EMPTY_BLOCK_SOURCES)
+    for label, profile, count in [("prep-large", PREP_PROFILE, 3),
+                                  ("pretrain-sep", MEDIUM_PROFILE, 6),
+                                  ("summarize-small", SMALL_PROFILE, 12)]:
+        for seed in range(1, 21):
+            sources += [r["code"] for r in generate_records(label, seed, count, profile)]
+    return sources
 
 
 class TestComputeDominators:
@@ -117,14 +130,8 @@ class TestOracleEquivalence:
         `splitter.partition_blocks` relies on; every graph within the
         oracle's cap has its dominators.
         """
-        sources = list(EMPTY_BLOCK_SOURCES)
-        for label, profile, count in [("prep-large", PREP_PROFILE, 3),
-                                      ("pretrain-sep", MEDIUM_PROFILE, 6),
-                                      ("summarize-small", SMALL_PROFILE, 12)]:
-            for seed in range(1, 21):
-                sources += [r["code"] for r in generate_records(label, seed, count, profile)]
         checked = 0
-        for source in sources:
+        for source in digest_sources():
             cfg = build_cfg(parse_source(source))
             assert cfg.order[0] == cfg.entry
             assert sorted(cfg.order) == [n.node_id for n in cfg.nodes]
@@ -136,6 +143,32 @@ class TestOracleEquivalence:
                 assert all(tree.dominator_set(v) == oracle[v] for v in oracle), source
                 checked += 1
         assert checked == 380 + len(EMPTY_BLOCK_SOURCES)
+
+
+# sha256 over `digest_sources()`, one JSON line per method
+CFG_SHA256 = "f7880201108f2bd7276553c561fa46ba4da7f241469a84d12ac4dce1d55d557b"
+
+
+class TestCfgDigest:
+    """Every graph and dominator tree of the digest sources, byte for byte.
+
+    Each method adds one line: the graph's nodes, edges and `order`, and
+    its immediate dominators sorted by node. It pins the CFG and dominator
+    passes below the split digest, which sees only the splits they yield.
+    """
+
+    def test_digest_sources(self):
+        digest = hashlib.sha256()
+        for source in digest_sources():
+            cfg = build_cfg(parse_source(source))
+            line = json.dumps({
+                "nodes": [[n.node_id, n.kind.value, n.stmt_id] for n in cfg.nodes],
+                "edges": cfg.edges,
+                "order": cfg.order,
+                "idom": sorted(compute_dominators(cfg).idom.items()),
+            })
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == CFG_SHA256
 
 
 def test_dom_to_dot_lists_tree_edges(diamond_method):
