@@ -1,9 +1,11 @@
 """Control flow graph construction over parsed methods.
 
 One graph node per simple statement; if/while/for headers are their own
-nodes and block bodies are inlined. Start and end nodes are virtual. The
-for construct is wired init -> header -> body -> update -> header, and
-the header always carries an exit edge so every node lies on some
+nodes and block bodies are inlined. A node is its id and its statement's
+id. The start and end nodes are virtual: they are the two nodes with no
+statement, and `Cfg.entry` and `Cfg.exit` tell them apart. The for
+construct is wired init -> header -> body -> update -> header, and the
+header always carries an exit edge so every node lies on some
 start-to-end path. A while is wired as a for without init or update.
 `break` edges to the loop exit; `continue` edges to the update if the
 loop has one, else to the header (JLS 14.16).
@@ -20,28 +22,20 @@ statements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NamedTuple
 
-from basts.frontend import Method, Statement, StmtKind
+from basts.frontend import JUMPS, Method, Statement, StmtKind
 
 
 class CfgError(ValueError):
     pass
 
 
-class NodeKind(Enum):
-    __hash__ = object.__hash__  # members are singletons, so hash in C by identity
-
-    START = "start"
-    END = "end"
-    STMT = "stmt"
-
-
 class CfgNode(NamedTuple):
+    """A graph node; the start and end nodes are the two with no statement."""
+
     node_id: int
-    kind: NodeKind
-    stmt_id: int | None = None  # present exactly when kind is STMT
+    stmt_id: int | None = None
 
 
 @dataclass
@@ -93,10 +87,8 @@ class Cfg:
 
 
 _SIMPLE = frozenset((StmtKind.DECL, StmtKind.ASSIGN, StmtKind.EXPR))
-_JUMPS = frozenset((StmtKind.RETURN, StmtKind.BREAK, StmtKind.CONTINUE))
 # Enum members read as globals, as in `basts.frontend`'s parser
 _BLOCK, _IF, _RETURN, _CONTINUE = StmtKind.BLOCK, StmtKind.IF, StmtKind.RETURN, StmtKind.CONTINUE
-_STMT = NodeKind.STMT
 _new = tuple.__new__  # makes a CfgNode without its Python-level __new__, as `tokenize` does tokens
 
 
@@ -121,9 +113,9 @@ def _wire(stmts: list[Statement], loop, nodes: list[CfgNode],
                 continue  # empty block contributes nothing
         else:
             if stmt.init is not None:  # a for's init gets its node before the header
-                add_node(_new(CfgNode, (len(nodes), _STMT, stmt.init.stmt_id)))
+                add_node(_new(CfgNode, (len(nodes), stmt.init.stmt_id)))
             node = s_head = len(nodes)
-            add_node(_new(CfgNode, (node, _STMT, stmt.stmt_id)))
+            add_node(_new(CfgNode, (node, stmt.stmt_id)))
             if k in _SIMPLE:
                 s_exits = [node]
             elif k is _IF:
@@ -135,7 +127,7 @@ def _wire(stmts: list[Statement], loop, nodes: list[CfgNode],
                         s_exits += b_exits
                     elif node not in s_exits:  # an empty or missing branch falls through the header
                         s_exits.append(node)
-            elif k in _JUMPS:
+            elif k in JUMPS:
                 if k is _RETURN:
                     edge((node, 1))
                 elif loop is None:
@@ -152,7 +144,7 @@ def _wire(stmts: list[Statement], loop, nodes: list[CfgNode],
                 back = node
                 if stmt.update is not None:
                     back = len(nodes)
-                    add_node(_new(CfgNode, (back, _STMT, stmt.update.stmt_id)))
+                    add_node(_new(CfgNode, (back, stmt.update.stmt_id)))
                     edge((back, node))
                 edge((node, back if body_head is None else body_head))
                 for e in body_exits + jumps[1]:
@@ -173,7 +165,7 @@ def build_cfg(method: Method) -> Cfg:
     no control path can reach: code after return/break/continue, and a
     for update that the body never falls or continues through to.
     """
-    nodes = [CfgNode(0, NodeKind.START), CfgNode(1, NodeKind.END)]
+    nodes = [CfgNode(0), CfgNode(1)]
     edges: list[tuple[int, int]] = []
     head, exits = _wire(method.body, None, nodes, edges)
     if head is None:
@@ -188,10 +180,8 @@ def cfg_to_dot(cfg: Cfg, method: Method | None = None) -> str:
     """Render the graph in DOT form, nodes and edges ordered by id."""
     lines = ["digraph cfg {"]
     for n in cfg.nodes:
-        if n.kind is NodeKind.START:
-            label = "start"
-        elif n.kind is NodeKind.END:
-            label = "end"
+        if n.stmt_id is None:
+            label = "start" if n.node_id == cfg.entry else "end"
         else:
             label = f"s{n.stmt_id}"
             if method is not None:

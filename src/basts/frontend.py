@@ -2,10 +2,14 @@
 
 The frontend feeds every later stage: abstracted token streams for the
 summarizer, statement-level structure for control-flow analysis, and
-labeled syntax trees for the tree encoder. The parser builds expressions
-as `AstNode`s; a tree adds fresh statement nodes over them, so every tree
-built from one method shares its expression nodes. Nodes carry no ids,
-and nothing changes a node once it is built, so trees may share them.
+labeled syntax trees for the tree encoder. The parser builds the
+`AstNode`s of expressions, of each simple statement (`Statement.node`)
+and of the method's return type and parameters (`Method.declaration`). A
+tree adds only header, block and `MethodDeclaration` nodes over them, so
+every tree built from one method shares the parser's nodes. Nodes carry
+no ids, and nothing changes a node once it is built, so trees may share
+them. `JUMPS` and `HEADERS` name the statement kinds that transfer
+control and those that head a control construct, for every later stage.
 The grammar, the literal abstraction rules, and the closed set of AST
 node types are documented in docs/grammar.md.
 """
@@ -171,7 +175,13 @@ class StmtKind(Enum):
 _DECL, _ASSIGN, _EXPR, _IF, _FOR = (StmtKind.DECL, StmtKind.ASSIGN, StmtKind.EXPR, StmtKind.IF,
                                     StmtKind.FOR)
 _RETURN, _BLOCK = StmtKind.RETURN, StmtKind.BLOCK
-_JUMPS = frozenset((StmtKind.RETURN, StmtKind.BREAK, StmtKind.CONTINUE))
+# The statements that transfer control, and those that head a control construct
+JUMPS = frozenset((StmtKind.RETURN, StmtKind.BREAK, StmtKind.CONTINUE))
+HEADERS = frozenset((StmtKind.IF, StmtKind.WHILE, StmtKind.FOR))
+# The AST node type of each jump and header statement (docs/grammar.md)
+_STMT_TYPE = {StmtKind.IF: "IfStatement", StmtKind.WHILE: "WhileStatement",
+              StmtKind.FOR: "ForStatement", StmtKind.RETURN: "ReturnStatement",
+              StmtKind.BREAK: "BreakStatement", StmtKind.CONTINUE: "ContinueStatement"}
 
 
 @dataclass(slots=True)
@@ -191,10 +201,7 @@ class Statement:
     stmt_id: int
     kind: StmtKind
     span: tuple[int, int]  # half-open token index range of the full extent
-    type_name: str | None = None  # DECL: declared type
-    name: str | None = None  # DECL: variable name
-    target: AstNode | None = None  # ASSIGN
-    value: AstNode | None = None  # DECL initializer, ASSIGN rhs, EXPR, RETURN
+    node: AstNode | None = None  # its AST node; None for a header or block (see `stmt_ast`)
     cond: AstNode | None = None  # IF / WHILE / FOR
     cond_span: tuple[int, int] | None = None
     init: Statement | None = None  # FOR
@@ -206,8 +213,7 @@ class Statement:
 @dataclass
 class Method:
     name: str
-    return_type: str
-    params: list[tuple[str, str]]  # (type, name) pairs
+    declaration: list[AstNode]  # return type and parameter nodes, shared by the method's trees
     declaration_tokens: list[Token]  # return type through the closing ')'
     body: list[Statement]
     tokens: list[Token]  # the token list all spans index into
@@ -262,22 +268,24 @@ class _Parser:
         """Parse the method that starts at the next token; its ids start at 0."""
         self.statements = {}
         start = self.i
-        rtype = self._expect_ident("return type").text
+        declaration = [AstNode("BasicType", self._expect_ident("return type").text)]
         name = self._expect_ident("method name").text
-        params = self._parse_list(lambda: (self._expect_ident("parameter type").text,
-                                           self._expect_ident("parameter name").text))
-        declaration = self.toks[start : self.i]
+        declaration += self._parse_list(self._parse_param)
+        declaration_tokens = self.toks[start : self.i]
         body = self._parse_braced()
         return Method(
             name=name,
-            return_type=rtype,
-            params=params,
-            declaration_tokens=declaration,
+            declaration=declaration,
+            declaration_tokens=declaration_tokens,
             body=body,
             tokens=self.tokens,
             span=(start, self.i),
             statements=self.statements,
         )
+
+    def _parse_param(self) -> AstNode:
+        ptype = AstNode("BasicType", self._expect_ident("parameter type").text)
+        return AstNode("FormalParameter", self._expect_ident("parameter name").text, [ptype])
 
     # --- statements -------------------------------------------------------
 
@@ -300,16 +308,16 @@ class _Parser:
                 self._fail(["';'"])
             self.i += 1
             stmt.span = (start, self.i)
-        elif kind in _JUMPS:
+        elif kind in JUMPS:
             sid = len(statements)
             self.i += 1
-            value = None
+            node = AstNode(_STMT_TYPE[kind])
             if kind is _RETURN and toks[self.i].text != ";":
-                value = self.parse_expr()
+                node.children.append(self.parse_expr())
             if toks[self.i].text != ";":
                 self._fail(["';'"])
             self.i += 1
-            stmt = statements[sid] = Statement(sid, kind, (start, self.i), value=value)
+            stmt = statements[sid] = Statement(sid, kind, (start, self.i), node)
         else:
             sid = len(statements)
             statements[sid] = None
@@ -381,22 +389,23 @@ class _Parser:
         start, toks, sid = self.i, self.toks, len(self.statements)
         if toks[start].kind is _IDENTIFIER and toks[start + 1].kind is _IDENTIFIER:
             self.i = start + 2
-            value = None
+            node = AstNode("LocalVariableDeclaration", toks[start + 1].text,
+                           [AstNode("BasicType", toks[start].text)])
             if toks[self.i].text == "=":
                 self.i += 1
-                value = self.parse_expr()
-            stmt = Statement(sid, _DECL, (start, self.i), type_name=toks[start].text,
-                             name=toks[start + 1].text, value=value)
+                node.children.append(self.parse_expr())
+            stmt = Statement(sid, _DECL, (start, self.i), node)
         else:
             expr = self.parse_expr()
             if toks[self.i].text == "=":
                 if expr.node_type not in ("MemberReference", "FieldAccess"):
                     self._fail(["assignable target"])
                 self.i += 1
-                value = self.parse_expr()
-                stmt = Statement(sid, _ASSIGN, (start, self.i), target=expr, value=value)
+                node = AstNode("Assignment", None, [expr, self.parse_expr()])
+                stmt = Statement(sid, _ASSIGN, (start, self.i), node)
             else:
-                stmt = Statement(sid, _EXPR, (start, self.i), value=expr)
+                node = AstNode("StatementExpression", None, [expr])
+                stmt = Statement(sid, _EXPR, (start, self.i), node)
         self.statements[sid] = stmt
         return stmt
 
@@ -555,60 +564,35 @@ def ast_to_json(root: AstNode) -> dict:
     return node_json(root)
 
 
-_STMT_TYPE = {
-    StmtKind.DECL: "LocalVariableDeclaration",
-    StmtKind.ASSIGN: "Assignment",
-    StmtKind.EXPR: "StatementExpression",
-    StmtKind.IF: "IfStatement",
-    StmtKind.WHILE: "WhileStatement",
-    StmtKind.FOR: "ForStatement",
-    StmtKind.RETURN: "ReturnStatement",
-    StmtKind.BREAK: "BreakStatement",
-    StmtKind.CONTINUE: "ContinueStatement",
-}
-_HEADER_KINDS = frozenset((StmtKind.IF, StmtKind.WHILE, StmtKind.FOR))
-
-
 def _block_ast(stmts: list[Statement]) -> AstNode:
     return AstNode("BlockStatement", None, [stmt_ast(s) for s in stmts])
 
 
 def stmt_ast(s: Statement, clauses: tuple | None = None) -> AstNode:
-    """One node per statement, its children in field order (docs/grammar.md).
+    """The node of a statement (docs/grammar.md).
 
-    Expression children are the parser's own nodes, not copies. Given
+    A simple statement's node is the parser's own, `s.node`. A header or
+    block gets a new node over the parser's nodes, not copies. Given
     `clauses`, an (init, update) pair, a control header stands alone as a
     split holds it: with those for clauses, its condition and an empty body.
     """
-    k = s.kind
-    if k is _BLOCK:
+    if s.node is not None:
+        return s.node
+    if s.kind is _BLOCK:
         return _block_ast(s.body)
-    if k not in _HEADER_KINDS:
-        children = [] if s.type_name is None else [AstNode("BasicType", s.type_name)]
-        if s.target is not None:
-            children.append(s.target)
-        if s.value is not None:
-            children.append(s.value)
-        return AstNode(_STMT_TYPE[k], s.name, children)
     init, update = (s.init, s.update) if clauses is None else clauses
-    children = [] if init is None else [stmt_ast(init)]
+    children = [] if init is None else [init.node]
     if s.cond is not None:
         children.append(s.cond)
     if update is not None:
-        children.append(stmt_ast(update))
+        children.append(update.node)
     if clauses is not None:
         children.append(AstNode("BlockStatement", None, []))
     else:
         children.append(_block_ast(s.body))
         if s.orelse:
             children.append(_block_ast(s.orelse))
-    return AstNode(_STMT_TYPE[k], None, children)
-
-
-def declaration_ast(m: Method) -> list[AstNode]:
-    """The nodes of `m`'s return type and parameters; every tree of `m` may share them."""
-    return [AstNode("BasicType", m.return_type)] + [
-        AstNode("FormalParameter", pname, [AstNode("BasicType", ptype)]) for ptype, pname in m.params]
+    return AstNode(_STMT_TYPE[s.kind], None, children)
 
 
 def build_ast(method: Method) -> AstNode:
@@ -616,9 +600,9 @@ def build_ast(method: Method) -> AstNode:
 
     The root is a MethodDeclaration carrying the method name; the return
     type and parameters come first, then one subtree per body statement.
-    Statement nodes are new; expression subtrees are the parser's nodes,
-    shared with every other tree built from the method. Nodes carry no
-    ids; `ast_to_json` numbers them in preorder.
+    The root, header and block nodes are new; the rest are the parser's
+    nodes, shared with every other tree built from the method. Nodes
+    carry no ids; `ast_to_json` numbers them in preorder.
     """
     return AstNode("MethodDeclaration", method.name,
-                   declaration_ast(method) + [stmt_ast(s) for s in method.body])
+                   method.declaration + [stmt_ast(s) for s in method.body])

@@ -5,9 +5,10 @@ dominator-tree edge out of a node with more than one child is cut; each
 surviving connected component is one block of consecutive statements. A
 block is materialized as split code by prepending the method declaration.
 Each split's AST is built from the method's parsed statements and equals
-what re-parsing the split's code would give. A method's split trees
-share its declaration nodes, built once, as they share the parser's
-expression nodes. Removed edges, lifted to the blocks they join, form
+what re-parsing the split's code would give. A split tree is the
+parser's declaration and statement nodes under header, block and
+`MethodDeclaration` nodes of its own, so a method's split trees share the
+declaration nodes. Removed edges, lifted to the blocks they join, form
 the successor relation later used as pre-training labels.
 """
 
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 
 from basts.cfg import Cfg, build_cfg
 from basts.dominators import DomTree, compute_dominators
-from basts.frontend import (AstNode, Method, Statement, StmtKind, Token, TokenKind,
-                            declaration_ast, stmt_ast)
+from basts.frontend import (HEADERS, AstNode, Method, Statement, StmtKind, Token, TokenKind,
+                            stmt_ast)
 
 # parse_method and build_ast are not called here but stay reachable
 # (bench/workloads.py wraps them by these names)
@@ -92,7 +93,6 @@ def partition_blocks(domtree: DomTree, cfg: Cfg) -> SplitGraph:
 
 
 _OPEN, _SEMI = Token("(", TokenKind.PUNCT), Token(";", TokenKind.PUNCT)
-_HEADERS = frozenset((StmtKind.IF, StmtKind.WHILE, StmtKind.FOR))
 _EMPTY_BODY = [Token(")", TokenKind.PUNCT), Token("{", TokenKind.PUNCT), Token("}", TokenKind.PUNCT)]
 
 
@@ -114,7 +114,7 @@ def _pieces(split: CodeSplit, method: Method) -> list[tuple[Statement, tuple | N
         if sid in absorbed:
             continue
         stmt, clauses = method.statements[sid], None
-        if stmt.kind in _HEADERS:
+        if stmt.kind in HEADERS:
             clauses = tuple(c if c is not None and c.stmt_id in ids else None
                             for c in (stmt.init, stmt.update))  # both None unless a for
             absorbed += [c.stmt_id for c in clauses if c is not None]
@@ -163,14 +163,12 @@ def build_split_asts(splitgraph: SplitGraph, method: Method) -> list[SplitAst]:
 
     The root is the method declaration, followed by one subtree per piece
     of the split. The tree equals what parsing the split's code, with its
-    body braced, would give. Every tree of the method shares its
-    declaration nodes, built once here. Its expression subtrees are the
-    parser's own nodes: each lies in the one split that holds its
-    statement.
+    body braced, would give. Every tree of the method shares the parser's
+    declaration nodes. Its simple statement nodes are the parser's own
+    too: each lies in the one split that holds its statement.
     """
-    declaration = declaration_ast(method)
     return [
-        SplitAst(split.split_id, AstNode("MethodDeclaration", method.name, declaration + [
+        SplitAst(split.split_id, AstNode("MethodDeclaration", method.name, method.declaration + [
             stmt_ast(stmt, clauses) for stmt, clauses in _pieces(split, method)]))
         for split in splitgraph.splits
     ]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from basts.cfg import Cfg, CfgNode, NodeKind
+from basts.cfg import Cfg, CfgNode
 from basts.frontend import abstract_literals, parse_method, tokenize
 
 # Every property test runs under this one profile: the same examples on
@@ -75,14 +75,7 @@ def assert_same_state(before: list, after: list):
 def make_cfg(n_nodes, edges, entry=0, exit_=None):
     """Assemble a Cfg directly; node 0 is start, the last node is end."""
     exit_ = n_nodes - 1 if exit_ is None else exit_
-    nodes = []
-    for i in range(n_nodes):
-        if i == entry:
-            nodes.append(CfgNode(i, NodeKind.START))
-        elif i == exit_:
-            nodes.append(CfgNode(i, NodeKind.END))
-        else:
-            nodes.append(CfgNode(i, NodeKind.STMT, i))
+    nodes = [CfgNode(i) if i in (entry, exit_) else CfgNode(i, i) for i in range(n_nodes)]
     return Cfg(nodes, list(edges), entry, exit_)
 
 

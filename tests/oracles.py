@@ -61,7 +61,7 @@ import numpy as np
 
 import basts.autodiff as ad
 from basts.autodiff import Tensor
-from basts.cfg import Cfg, NodeKind
+from basts.cfg import Cfg
 from basts.dominators import DomTree
 from basts.frontend import (
     KEYWORDS,
@@ -678,7 +678,7 @@ def split_asts_by_reparse(graph: SplitGraph, method: Method) -> list[SplitAst]:
 def partition_blocks_reference(domtree: DomTree, cfg: Cfg) -> SplitGraph:
     """Code splits of a method's dominator tree, its blocks joined by union-find."""
     stmt_of = {
-        n.node_id: n.stmt_id for n in cfg.nodes if n.kind is NodeKind.STMT
+        n.node_id: n.stmt_id for n in cfg.nodes if n.stmt_id is not None
     }
     real = sorted(stmt_of)
     if not real:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from basts.cfg import CfgError, CfgNode, NodeKind, build_cfg, cfg_to_dot
+from basts.cfg import CfgError, CfgNode, build_cfg, cfg_to_dot
 from conftest import make_cfg, parse_source
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -12,7 +12,7 @@ from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
 
 
 def stmt_nodes(cfg):
-    return [n for n in cfg.nodes if n.kind is NodeKind.STMT]
+    return [n for n in cfg.nodes if n.stmt_id is not None]
 
 
 def node_for(cfg, method, kind_value, index=0):
@@ -26,22 +26,22 @@ def node_for(cfg, method, kind_value, index=0):
 
 class TestCfgNodeContract:
     def test_immutable(self):
-        node = CfgNode(2, NodeKind.STMT, 0)
+        node = CfgNode(2, 0)
         with pytest.raises(AttributeError):
             node.stmt_id = 1
         with pytest.raises(AttributeError):
             node.extra = 1
 
     def test_hashes_by_value(self):
-        a = CfgNode(2, NodeKind.STMT, 0)
-        assert hash(a) == hash(CfgNode(2, NodeKind.STMT, 0))
-        assert len({a, CfgNode(2, NodeKind.STMT, 0), CfgNode(2, NodeKind.STMT, 1)}) == 2
+        a = CfgNode(2, 0)
+        assert hash(a) == hash(CfgNode(2, 0))
+        assert len({a, CfgNode(2, 0), CfgNode(2, 1)}) == 2
 
     def test_stmt_id_defaults_to_none(self):
-        assert CfgNode(0, NodeKind.START).stmt_id is None
+        assert CfgNode(0).stmt_id is None
 
     def test_equals_the_plain_tuple_of_its_fields(self):
-        assert CfgNode(0, NodeKind.START) == (0, NodeKind.START, None)
+        assert CfgNode(0) == (0, None)
 
 
 class TestCfgReachability:

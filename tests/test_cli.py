@@ -30,6 +30,7 @@ from basts.cli import (
     RunConfig,
     dedupe_against,
     load_corpus,
+    method_key,
     preprocess,
     read_code_tokens,
     run,
@@ -397,8 +398,8 @@ class TestPreprocess:
             code_vocab=train.code_vocab,
             word_vocab=train.word_vocab,
         )
-        train_codes = read_code_tokens(train_records, config)
-        assert train_codes == {" ".join(r.code_tokens) for r in train.records}
+        train_codes = read_code_tokens(train_records)
+        assert train_codes == {method_key(r.splits.method) for r in train.records}
         deduped = dedupe_against(test_corpus, train_codes)
         assert [r.record_id for r in deduped.records] == ["new", "new2"]
         assert len(deduped.examples) == 2
@@ -1096,13 +1097,16 @@ class TestCliErrors:
          "checkpoint width 8 != embedding_size 16"),
         (lambda p: _eval_files(p, "a b\nc\n", "a b\n"), ConfigError,
          "hypothesis count 2 != reference count 1"),
+        (lambda p: _eval_files(p, "", ""), ConfigError,
+         "nothing to score: {p}/hyp.txt and {p}/ref.txt are both empty"),
         (lambda p: ["eval"], ConfigError,
          "eval needs --hyp/--ref files or --input with --checkpoint"),
         (lambda p: ["eval", "--input", str(p / "c.jsonl")], ConfigError,
          "eval needs --hyp/--ref files or --input with --checkpoint"),
     ], ids=["corpus line not JSON", "config line without =", "zero max_code_length",
             "checkpoint without a tree", "checkpoint of another width",
-            "unequal hyp and ref counts", "eval with neither mode", "eval input alone"])
+            "unequal hyp and ref counts", "empty hyp and ref", "eval with neither mode",
+            "eval input alone"])
     def test_exact_error(self, tmp_path, argv, error, message):
         with pytest.raises(error) as err:
             run(argv(tmp_path))
@@ -1250,9 +1254,33 @@ class TestEvalDedupe:
             "train", "--config", str(config_path), "--input", str(corpus_path),
             "--from-scratch", "--output", str(model_path), "--log", str(tmp_path / "t.csv"),
         ]) == 0
-        with pytest.raises(ValueError, match="^evaluate_corpus needs at least one pair$"):
+        with pytest.raises(ConfigError) as err:
             run(["eval", "--config", str(config_path), "--input", str(corpus_path),
                  "--checkpoint", str(model_path), "--dedupe-train", str(corpus_path)])
+        assert type(err.value) is ConfigError
+        assert str(err.value) == ("nothing to score: all 3 records that survived "
+                                  "preprocessing are duplicates of training records")
+
+    def test_a_method_that_differs_past_max_code_length_is_no_duplicate(self, tmp_path,
+                                                                          capsys):
+        """The key is the whole method, not the model's first `max_code_length` subtokens."""
+        body = "int total = 0; " + "total = total + v; " * 30
+        train = tmp_path / "seen.jsonl"
+        write_corpus(train, [{"id": "t", "code": f"int f(int v) {{ {body}return total; }}",
+                              "comment": "sums"}])
+        near = {"id": "near", "code": f"int f(int v) {{ {body}return v; }}", "comment": "x y"}
+        dup = {"id": "dup", "code": f"int  f(int v) {{{body} return total;}}", "comment": "y"}
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(SMALL_CHECKPOINTS["summarizer"])
+        reports = []
+        for rows, extra in (([near, dup], ["--dedupe-train", str(train)]), ([near], [])):
+            corpus, report = tmp_path / "eval.jsonl", tmp_path / "report.json"
+            write_corpus(corpus, rows)
+            assert run(["eval", "--input", str(corpus), "--checkpoint", str(ckpt),
+                        "--json", str(report), *extra]) == 0
+            reports.append(report.read_text())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
 
 
 def _dedupe_setup(tmp_path):

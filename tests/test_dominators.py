@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from basts.cfg import Cfg, CfgNode, NodeKind, build_cfg
+from basts.cfg import Cfg, CfgNode, build_cfg
 from basts.dominators import (
     ORACLE_NODE_CAP,
     OracleScaleError,
@@ -64,7 +64,7 @@ class TestComputeDominators:
         tree = compute_dominators(cfg)
         by_kind = {}
         for n in cfg.nodes:
-            if n.kind is NodeKind.STMT:
+            if n.stmt_id is not None:
                 stmt = m.statements[n.stmt_id]
                 by_kind.setdefault(stmt.kind.value, []).append(n.node_id)
         outer_if, inner_if = by_kind["if"]
@@ -102,7 +102,7 @@ class TestBruteForce:
         assert dom[4] == {0, 1, 4}
 
     def test_single_node(self):
-        cfg = Cfg([CfgNode(0, NodeKind.START)], [], 0, 0)
+        cfg = Cfg([CfgNode(0)], [], 0, 0)
         assert brute_force_dominators(cfg) == {0: {0}}
 
     def test_scale_cap(self):
@@ -161,8 +161,9 @@ class TestCfgDigest:
         digest = hashlib.sha256()
         for source in digest_sources():
             cfg = build_cfg(parse_source(source))
+            kind = {cfg.entry: "start", cfg.exit: "end"}
             line = json.dumps({
-                "nodes": [[n.node_id, n.kind.value, n.stmt_id] for n in cfg.nodes],
+                "nodes": [[n.node_id, kind.get(n.node_id, "stmt"), n.stmt_id] for n in cfg.nodes],
                 "edges": cfg.edges,
                 "order": cfg.order,
                 "idom": sorted(compute_dominators(cfg).idom.items()),

@@ -240,10 +240,10 @@ class TestSplitAstsEqualReparse:
 
 
 def assert_expressions_shared_once(method):
-    """Each statement's cond, value and target is the parser's own node, in one split AST."""
+    """Each statement's cond and node children are the parser's own nodes, each in one split AST."""
     trees = [list(iter_nodes(a.root)) for a in split_method(method).asts]
     for stmt in method.statements.values():
-        for expr in (stmt.cond, stmt.value, stmt.target):
+        for expr in [stmt.cond] + (stmt.node.children if stmt.node else []):
             if expr is not None:
                 holders = [t for t in trees if any(n is expr for n in t)]
                 assert len(holders) == 1, (stmt.stmt_id, expr.node_type)
@@ -278,7 +278,7 @@ DIGEST_METHODS = [
 def declaration_shared_by_every_tree(method) -> list:
     """The split ASTs of `method`, after checking they hold one set of declaration nodes."""
     asts = split_method(method).asts
-    heads = [a.root.children[: 1 + len(method.params)] for a in asts]
+    heads = [a.root.children[: len(method.declaration)] for a in asts]
     for head in heads[1:]:
         assert all(n is first for n, first in zip(head, heads[0], strict=True))
     return asts
