@@ -37,6 +37,7 @@ from basts.frontend import (
     parse_method,
     parse_program,
     split_identifier,
+    token_offsets,
     tokenize,
     tokenize_comment,
 )
@@ -311,8 +312,6 @@ def read_code_tokens(records: list[CorpusRecord]) -> set[tuple[str, ...]]:
         except (LexError, ParseError):
             continue
         codes.add(method_key(method))
-    if not codes:
-        raise ConfigError("no records survived preprocessing")
     return codes
 
 
@@ -374,15 +373,16 @@ def _line(source: str, offset: int) -> int:
     return source.count("\n", 0, offset) + 1
 
 
-def _where(source: str, tokens: list, index: int, offset: int) -> str:
-    """The line of a failure at character `offset`, past `tokens[:index]`.
+def _where(source: str, tokens: list, offsets: list[int], offset: int) -> str:
+    """The line of a failure at character `offset`, past `tokens`, which
+    start at `offsets`.
 
     The failure's method comes first once its name has been read. The
     methods before it parsed, so their braces balance: it starts after
     the last '}' that brings the depth back to 0.
     """
     start = depth = 0
-    for i, t in enumerate(tokens[:index]):
+    for i, t in enumerate(tokens):
         if t.text == "{":
             depth += 1
         elif t.text == "}":
@@ -390,8 +390,8 @@ def _where(source: str, tokens: list, index: int, offset: int) -> str:
             if depth == 0:
                 start = i + 1
     where = f"line {_line(source, offset)}"
-    if start + 1 < index:
-        name, line = tokens[start + 1].text, _line(source, tokens[start].offset)
+    if start + 1 < len(tokens):
+        name, line = tokens[start + 1].text, _line(source, offsets[start])
         where = f"method {name!r} (line {line}): {where}"
     return where
 
@@ -401,25 +401,26 @@ def _each_method(path, prepare):
 
     A LexError or ParseError gives its line, and its method once the
     method's name is read; it keeps its type. A CfgError from `prepare`
-    names the method and the line it starts on.
+    names the method and the line it starts on. Token offsets are found
+    only on these error paths.
     """
     source = "".join(line for _, line in read_lines(path))
     try:
         methods = parse_program(source)
     except LexError as err:
-        before = tokenize(source[: err.offset])  # lexes: the failure starts at err.offset
-        err.args = (f"{_where(source, before, len(before), err.offset)}: {err}",)
+        lexed = source[: err.offset]  # lexes: the failure starts at err.offset
+        err.args = (f"{_where(source, tokenize(lexed), token_offsets(lexed), err.offset)}: {err}",)
         raise
     except ParseError as err:
-        tokens = tokenize(source)
-        offset = tokens[err.index].offset if err.index < len(tokens) else len(source.rstrip())
-        err.args = (f"{_where(source, tokens, err.index, offset)}: {err}",)
+        offsets = token_offsets(source)
+        offset = offsets[err.index] if err.index < len(offsets) else len(source.rstrip())
+        err.args = (f"{_where(source, tokenize(source)[: err.index], offsets, offset)}: {err}",)
         raise
     for method in methods:
         try:
             prepared = prepare(method)
         except CfgError as err:
-            line = _line(source, method.tokens[method.span[0]].offset)
+            line = _line(source, token_offsets(source)[method.span[0]])
             raise CfgError(f"method {method.name!r} (line {line}): {err}") from err
         yield method, prepared
 
@@ -552,7 +553,9 @@ def cmd_eval(args, config: RunConfig) -> int:
         corpus = preprocess(load_corpus(args.input), config,
                             code_vocab=ckpt.code_vocab, word_vocab=ckpt.word_vocab)
         if args.dedupe_train:
-            corpus = dedupe_against(corpus, read_code_tokens(load_corpus(args.dedupe_train)))
+            if not (train_codes := read_code_tokens(load_corpus(args.dedupe_train))):
+                raise ConfigError(f"--dedupe-train {args.dedupe_train}: no record lexes and parses")
+            corpus = dedupe_against(corpus, train_codes)
         hyps = _summaries(corpus, model, config)
         refs = [r.comment_words for r in corpus.records]
     else:

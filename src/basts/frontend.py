@@ -2,7 +2,9 @@
 
 The frontend feeds every later stage: abstracted token streams for the
 summarizer, statement-level structure for control-flow analysis, and
-labeled syntax trees for the tree encoder. The parser builds the
+labeled syntax trees for the tree encoder. A token is its text and kind
+only; `token_offsets` recovers where each token starts from the source,
+which only error messages need. The parser builds the
 `AstNode`s of expressions, of each simple statement (`Statement.node`)
 and of the method's return type and parameters (`Method.declaration`). A
 tree adds only header, block and `MethodDeclaration` nodes over them, so
@@ -18,8 +20,10 @@ from __future__ import annotations
 
 import itertools
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -56,9 +60,10 @@ class TokenKind(Enum):
 
 
 class Token(NamedTuple):
+    """One lexeme: its text and kind. `token_offsets` gives where tokens start."""
+
     text: str
     kind: TokenKind
-    offset: int = -1  # character offset in the source; -1 for synthesized tokens
 
 
 # Hot paths read Enum members as module globals: on Python 3.11 a member read
@@ -71,54 +76,64 @@ NUM_TOKEN = "<NUM>"
 STR_TOKEN = "<STR>"
 BOOL_TOKEN = "<BOOL>"
 
-# Each match skips whitespace and comments, then takes one lexeme
-# (docs/grammar.md, "Lexical rules"), so every token is one match and
-# `lastindex` names its class; a match with no group is trailing skipped
-# text. The lexeme alternatives start with disjoint characters, so their
-# order only decides speed, and words, the commonest, come first. The one
-# order that matters is that comments, in the skip part, come before the
-# `/` operator. The last group matches any character no other alternative
-# takes there. Letters and digits are spelled out because \w and \d also
-# accept "é", "²" and "٣".
-_LEXEME_RE = re.compile(
-    r"(?:\s+|//[^\n]*|/\*[\s\S]*?\*/)*"  # whitespace and comments, skipped
-    r"(?:([A-Za-z_][A-Za-z0-9_]*)"  # 1: word
-    r"|(==|!=|<=|>=|&&|\|\||[=<>+\-*%!]|/(?!\*))"  # 2: operator
-    r"|([(){};,.])"  # 3: punct
-    r"|([0-9]+(?:\.[0-9]+)?)"  # 4: number
-    r'|("[^"\\]*(?:\\[\s\S][^"\\]*)*")'  # 5: string with backslash escapes
-    r"|([\s\S]))?"  # 6: anything else
+# Each match is one lexeme, one comment, an unterminated "/*" or any other
+# non-space character (docs/grammar.md, "Lexical rules"); whitespace is
+# skipped because no alternative matches it. Alternatives start with
+# disjoint characters, so their order only decides speed, except that
+# comments must come before the "/" operator. Letters and digits are
+# spelled out because \w and \d also accept "é", "²" and "٣".
+_TOKEN_RE = re.compile(
+    r"[A-Za-z_][A-Za-z0-9_]*"  # word
+    r"|[(){};,.]"  # punct
+    r"|==|!=|<=|>=|&&|\|\||[=<>+\-*%!]"  # operator other than "/"
+    r"|[0-9]+(?:\.[0-9]+)?"  # number
+    r'|"[^"\\]*(?:\\[\s\S][^"\\]*)*"'  # string with backslash escapes
+    r"|//[^\n]*|/\*[\s\S]*?\*/"  # comments
+    r"|/\*?"  # the "/" operator, or "/*" with no closing "*/"
+    r"|\S"  # anything else
 )
-# The kind of each group's tokens; a word's kind comes from `_WORD_KIND`.
-_GROUP_KIND = (None, None, TokenKind.OPERATOR, TokenKind.PUNCT, TokenKind.NUMBER_LIT,
-               TokenKind.STRING_LIT)
-_WORD_KIND = {word: TokenKind.KEYWORD for word in KEYWORDS}
-_WORD_KIND.update(true=TokenKind.BOOL_LIT, false=TokenKind.BOOL_LIT)
+_COMMENT = "comment"  # the kind of a comment's match, which is no token
+# The kind of each match is its text's entry in `_TEXT_KIND`, else its first
+# character's in `_FIRST_KIND`. None marks a match that can only be an error:
+# a lone quote (a string alternative that found no closing quote), "/*", a
+# lone "&" or "|", or a first character no lexeme starts with.
+_TEXT_KIND = {word: TokenKind.KEYWORD for word in KEYWORDS}
+_TEXT_KIND.update({"true": TokenKind.BOOL_LIT, "false": TokenKind.BOOL_LIT, "/": _OPERATOR,
+                   '"': None, "/*": None, "&": None, "|": None})
+_FIRST_KIND = dict.fromkeys("=<>+-*%!&|", _OPERATOR)
+_FIRST_KIND.update(dict.fromkeys("(){};,.", TokenKind.PUNCT))
+_FIRST_KIND.update(dict.fromkeys("0123456789", TokenKind.NUMBER_LIT))
+_FIRST_KIND.update(dict.fromkeys(string.ascii_letters + "_", _IDENTIFIER))
+_FIRST_KIND.update({'"': TokenKind.STRING_LIT, "/": _COMMENT})
+_ERROR_OR_COMMENT = frozenset((None, _COMMENT))
+_LEX_ERRORS = {'"': "unterminated string literal", "/*": "unterminated block comment"}
 
 
 def tokenize(source: str) -> list[Token]:
-    """Lex source text into tokens, skipping whitespace and comments."""
-    out: list[Token] = []
-    append = out.append
-    new = tuple.__new__  # Token's own __new__ is a Python-level call per token
-    identifier = TokenKind.IDENTIFIER
-    for m in _LEXEME_RE.finditer(source):
-        group = m.lastindex
-        if group == 1:
-            text = m[1]
-            append(new(Token, (text, _WORD_KIND.get(text, identifier), m.start(1))))
-        elif group is None:
-            continue
-        elif group < 6:
-            append(new(Token, (m[group], _GROUP_KIND[group], m.start(group))))
-        else:
-            text, offset = m[6], m.start(6)
-            if text == '"':  # the string alternative found no closing quote
-                raise LexError("unterminated string literal", offset)
-            if text == "/":  # only "/*" without "*/" gets here
-                raise LexError("unterminated block comment", offset)
-            raise LexError(f"unrecognized character {text!r}", offset)
-    return out
+    """Lex source text into (text, kind) tokens, skipping whitespace and comments.
+
+    Tokens carry no offset; `token_offsets` finds them for error messages.
+    """
+    texts = _TOKEN_RE.findall(source)
+    kinds = list(map(_TEXT_KIND.get, texts, map(_FIRST_KIND.get, map(itemgetter(0), texts))))
+    tokens = list(map(tuple.__new__, itertools.repeat(Token), zip(texts, kinds)))
+    if not _ERROR_OR_COMMENT.isdisjoint(kinds):
+        return _drop_comments(source, tokens)
+    return tokens
+
+
+def _drop_comments(source: str, tokens: list[Token]) -> list[Token]:
+    """The tokens without comments; raises the LexError of the first error match."""
+    for i, (text, kind) in enumerate(tokens):
+        if kind is None:
+            offset = next(itertools.islice(_TOKEN_RE.finditer(source), i, None)).start()
+            raise LexError(_LEX_ERRORS.get(text, f"unrecognized character {text!r}"), offset)
+    return [token for token in tokens if token.kind is not _COMMENT]
+
+
+def token_offsets(source: str) -> list[int]:
+    """The character offset of each token of a source that lexes."""
+    return [m.start() for m in _TOKEN_RE.finditer(source) if not m[0].startswith(("//", "/*"))]
 
 
 _PLACEHOLDER = {TokenKind.NUMBER_LIT: NUM_TOKEN, TokenKind.STRING_LIT: STR_TOKEN,
@@ -132,7 +147,7 @@ def abstract_literals(tokens: list[Token]) -> list[Token]:
     """
     placeholder = _PLACEHOLDER.get
     return [t if (text := placeholder(t.kind)) is None or text == t.text
-            else Token(text, t.kind, t.offset) for t in tokens]
+            else Token(text, t.kind) for t in tokens]
 
 
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")

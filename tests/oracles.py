@@ -43,7 +43,8 @@ dominator-tree edges by union-find where the package follows each node's
 parent.
 
 `tokenize_per_char` is the one-branch-chain-per-character form of
-`frontend.tokenize`, which walks one compiled regular expression.
+`frontend.tokenize` and `frontend.token_offsets`, which take the matches
+of one compiled regular expression.
 
 `repeat_row`, `tanh`, `col_slice` and `segment_sum` are tape ops that
 only these oracles use; the package has no caller for them.
@@ -741,9 +742,13 @@ _IDENT_START = frozenset(string.ascii_letters + "_")
 _IDENT_CHARS = _IDENT_START | _DIGITS
 
 
-def tokenize_per_char(source: str) -> list[Token]:
-    """Lex source text into tokens, skipping whitespace and comments."""
+def tokenize_per_char(source: str) -> tuple[list[Token], list[int]]:
+    """Lex source text into tokens, skipping whitespace and comments.
+
+    Returns the tokens and the character offset of each.
+    """
     out: list[Token] = []
+    offsets: list[int] = []
     i, n = 0, len(source)
     while i < n:
         c = source[i]
@@ -768,7 +773,8 @@ def tokenize_per_char(source: str) -> list[Token]:
                 j += 1
                 while j < n and source[j] in _DIGITS:
                     j += 1
-            out.append(Token(source[i:j], TokenKind.NUMBER_LIT, i))
+            out.append(Token(source[i:j], TokenKind.NUMBER_LIT))
+            offsets.append(i)
             i = j
             continue
         if c == '"':
@@ -777,7 +783,8 @@ def tokenize_per_char(source: str) -> list[Token]:
                 j += 2 if source[j] == "\\" else 1
             if j >= n:
                 raise LexError("unterminated string literal", i)
-            out.append(Token(source[i : j + 1], TokenKind.STRING_LIT, i))
+            out.append(Token(source[i : j + 1], TokenKind.STRING_LIT))
+            offsets.append(i)
             i = j + 1
             continue
         if c in _IDENT_START:
@@ -791,21 +798,25 @@ def tokenize_per_char(source: str) -> list[Token]:
                 kind = TokenKind.KEYWORD
             else:
                 kind = TokenKind.IDENTIFIER
-            out.append(Token(text, kind, i))
+            out.append(Token(text, kind))
+            offsets.append(i)
             i = j
             continue
         two = source[i : i + 2]
         if two in _TWO_CHAR_OPS:
-            out.append(Token(two, TokenKind.OPERATOR, i))
+            out.append(Token(two, TokenKind.OPERATOR))
+            offsets.append(i)
             i += 2
             continue
         if c in _ONE_CHAR_OPS:
-            out.append(Token(c, TokenKind.OPERATOR, i))
+            out.append(Token(c, TokenKind.OPERATOR))
+            offsets.append(i)
             i += 1
             continue
         if c in _PUNCT:
-            out.append(Token(c, TokenKind.PUNCT, i))
+            out.append(Token(c, TokenKind.PUNCT))
+            offsets.append(i)
             i += 1
             continue
         raise LexError(f"unrecognized character {c!r}", i)
-    return out
+    return out, offsets

@@ -513,7 +513,7 @@ class TestPreprocessPausesCollector:
         assert not [obj for obj in kept if id(obj) in young]
 
     def test_objects_the_caller_froze_stay_frozen(self):
-        frozen = [Token("x", TokenKind.IDENTIFIER, 0)]
+        frozen = [Token("x", TokenKind.IDENTIFIER)]
         gc.freeze()
         try:
             count = gc.get_freeze_count()
@@ -1260,6 +1260,17 @@ class TestEvalDedupe:
         assert type(err.value) is ConfigError
         assert str(err.value) == ("nothing to score: all 3 records that survived "
                                   "preprocessing are duplicates of training records")
+
+    def test_a_training_corpus_with_no_parseable_record_is_named(self, tmp_path):
+        train, corpus, ckpt = (tmp_path / name for name in ("train.jsonl", "eval.jsonl",
+                                                            "model.ckpt"))
+        write_corpus(train, [{"id": "t", "code": "int f( {", "comment": "broken"}])
+        write_corpus(corpus, toy_rows()[:1])
+        ckpt.write_bytes(SMALL_CHECKPOINTS["summarizer"])
+        with pytest.raises(ConfigError) as err:
+            run(["eval", "--input", str(corpus), "--checkpoint", str(ckpt),
+                 "--dedupe-train", str(train)])
+        assert str(err.value) == f"--dedupe-train {train}: no record lexes and parses"
 
     def test_a_method_that_differs_past_max_code_length_is_no_duplicate(self, tmp_path,
                                                                           capsys):
