@@ -27,10 +27,11 @@ void closeIdleConnections(long timeMillis) {
 }
 """
 
-# 1. Lex and abstract literals: numbers, strings, and booleans become
-#    placeholder tokens before anything downstream sees them.
+# 1. Lex and abstract literals: a token is its text, and numbers, strings,
+#    and booleans become placeholder tokens before anything downstream
+#    sees them.
 tokens = abstract_literals(tokenize(SOURCE))
-print("first 12 tokens:", " ".join(t.text for t in tokens[:12]))
+print("first 12 tokens:", " ".join(tokens[:12]))
 
 # 2. Parse into a statement-level method.
 method = parse_method(tokens)
@@ -55,7 +56,7 @@ splits = split_method(method)
 print(f"\n{len(splits.graph.splits)} splits, "
       f"successor edges {splits.graph.successor_edges}")
 for split in splits.graph.splits:
-    code = " ".join(t.text for t in make_split_code(split, method))
+    code = " ".join(make_split_code(split, method))
     print(f"\nsplit {split.split_id}: statements {split.statements}")
     print(f"  {code}")
 

@@ -8,7 +8,9 @@ construct is wired init -> header -> body -> update -> header, and the
 header always carries an exit edge so every node lies on some
 start-to-end path. A while is wired as a for without init or update.
 `break` edges to the loop exit; `continue` edges to the update if the
-loop has one, else to the header (JLS 14.16).
+loop has one, else to the header (JLS 14.16). Statement kinds are the
+plain strings of `basts.frontend` ("if", "for", ...), and `cfg_to_dot`
+prints them as they are.
 
 A `Cfg` is reachable by construction: building one with a node that no
 path from the entry reaches raises CfgError. Its one walk from the entry
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from basts.frontend import JUMPS, Method, Statement, StmtKind
+from basts.frontend import JUMPS, Method, Statement
 
 
 class CfgError(ValueError):
@@ -86,10 +88,8 @@ class Cfg:
             raise CfgError(f"unreachable statements {dead}: no control path reaches them")
 
 
-_SIMPLE = frozenset((StmtKind.DECL, StmtKind.ASSIGN, StmtKind.EXPR))
-# Enum members read as globals, as in `basts.frontend`'s parser
-_BLOCK, _IF, _RETURN, _CONTINUE = StmtKind.BLOCK, StmtKind.IF, StmtKind.RETURN, StmtKind.CONTINUE
-_new = tuple.__new__  # makes a CfgNode without its Python-level __new__, as `tokenize` does tokens
+_SIMPLE = frozenset(("decl", "assign", "expr"))
+_new = tuple.__new__  # makes a CfgNode without its Python-level __new__
 
 
 def _wire(stmts: list[Statement], loop, nodes: list[CfgNode],
@@ -107,7 +107,7 @@ def _wire(stmts: list[Statement], loop, nodes: list[CfgNode],
     exits: list[int] = []
     for stmt in stmts:
         k = stmt.kind
-        if k is _BLOCK:
+        if k == "block":
             s_head, s_exits = _wire(stmt.body, loop, nodes, edges)
             if s_head is None:
                 continue  # empty block contributes nothing
@@ -118,7 +118,7 @@ def _wire(stmts: list[Statement], loop, nodes: list[CfgNode],
             add_node(_new(CfgNode, (node, stmt.stmt_id)))
             if k in _SIMPLE:
                 s_exits = [node]
-            elif k is _IF:
+            elif k == "if":
                 s_exits = []
                 for branch in (stmt.body, stmt.orelse):
                     b_head, b_exits = _wire(branch, loop, nodes, edges)
@@ -128,12 +128,12 @@ def _wire(stmts: list[Statement], loop, nodes: list[CfgNode],
                     elif node not in s_exits:  # an empty or missing branch falls through the header
                         s_exits.append(node)
             elif k in JUMPS:
-                if k is _RETURN:
+                if k == "return":
                     edge((node, 1))
                 elif loop is None:
-                    raise CfgError(f"{k.value} outside a loop (statement {stmt.stmt_id})")
+                    raise CfgError(f"{k} outside a loop (statement {stmt.stmt_id})")
                 else:
-                    loop[k is _CONTINUE].append(node)  # wired when the innermost loop closes
+                    loop[k == "continue"].append(node)  # wired when the innermost loop closes
                 s_exits = []
             else:  # while or for; a while is a for without init or update
                 if stmt.init is not None:
@@ -186,7 +186,7 @@ def cfg_to_dot(cfg: Cfg, method: Method | None = None) -> str:
             label = f"s{n.stmt_id}"
             if method is not None:
                 stmt = method.statements[n.stmt_id]
-                label = f"s{n.stmt_id}:{stmt.kind.value}"
+                label = f"s{n.stmt_id}:{stmt.kind}"
         lines.append(f'  n{n.node_id} [label="{label}"];')
     for a, b in sorted(cfg.edges):
         lines.append(f"  n{a} -> n{b};")

@@ -7,10 +7,12 @@ calls that handler with the parsed arguments and the config. Corpus
 records and summarize's methods share one per-method preparation, and
 `eval --input` and `summarize` share one decode loop, `_summaries`.
 Corpora are JSON Lines records with id/code/comment fields; configs are
-key = value text. Every text input is read by `read_lines`, so invalid
-UTF-8 is a FormatError naming its line. Runs are reproducible from
-(config, seed): identical invocations write byte-identical checkpoints
-and loss logs.
+key = value text. A token is its text: `code_token_texts` finds the
+identifiers among a method's tokens with `frontend.token_kinds`, and
+`method_key` is the tuple of the method's own tokens. Every text input
+is read by `read_lines`, so invalid UTF-8 is a FormatError naming its
+line. Runs are reproducible from (config, seed): identical invocations
+write byte-identical checkpoints and loss logs.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from basts.dominators import compute_dominators, dom_to_dot
 from basts.frontend import (
     LexError,
     ParseError,
-    TokenKind,
     abstract_literals,
     ast_to_json,
     parse_method,
     parse_program,
     split_identifier,
+    token_kinds,
     token_offsets,
     tokenize,
     tokenize_comment,
@@ -181,14 +183,17 @@ def code_token_texts(method, max_len: int) -> list[str]:
     """
     out: list[str] = []
     lo, hi = method.span
-    identifier = TokenKind.IDENTIFIER  # read once: a read off the Enum class is ten times slower
-    for tok in method.tokens[lo:hi]:
-        if len(out) >= max_len:
-            break
-        if tok.kind is identifier:
-            out.extend(split_identifier(tok.text))
-        else:
-            out.append(tok.text)
+    while lo < hi and len(out) < max_len:
+        # kinds for up to `max_len` tokens at a time, as the walk often stops early
+        tokens = method.tokens[lo : min(hi, lo + max_len)]
+        lo += len(tokens)
+        for tok, kind in zip(tokens, token_kinds(tokens)):
+            if len(out) >= max_len:
+                break
+            if kind == "identifier":
+                out.extend(split_identifier(tok))
+            else:
+                out.append(tok)
     return out[:max_len]
 
 
@@ -296,7 +301,7 @@ def method_key(method) -> tuple[str, ...]:
     """What `eval --dedupe-train` compares: the texts of all of the method's
     own tokens, literals abstracted."""
     lo, hi = method.span
-    return tuple(tok.text for tok in method.tokens[lo:hi])
+    return tuple(method.tokens[lo:hi])
 
 
 def read_code_tokens(records: list[CorpusRecord]) -> set[tuple[str, ...]]:
@@ -383,15 +388,15 @@ def _where(source: str, tokens: list, offsets: list[int], offset: int) -> str:
     """
     start = depth = 0
     for i, t in enumerate(tokens):
-        if t.text == "{":
+        if t == "{":
             depth += 1
-        elif t.text == "}":
+        elif t == "}":
             depth -= 1
             if depth == 0:
                 start = i + 1
     where = f"line {_line(source, offset)}"
     if start + 1 < len(tokens):
-        name, line = tokens[start + 1].text, _line(source, offsets[start])
+        name, line = tokens[start + 1], _line(source, offsets[start])
         where = f"method {name!r} (line {line}): {where}"
     return where
 
@@ -433,9 +438,7 @@ def cmd_split(args, config: RunConfig) -> int:
             "splits": [
                 {
                     "id": s.split_id,
-                    "code": " ".join(
-                        t.text for t in make_split_code(s, method)
-                    ),
+                    "code": " ".join(make_split_code(s, method)),
                     "ast": ast_to_json(splits.asts[s.split_id].root),
                 }
                 for s in splits.graph.splits
@@ -538,6 +541,11 @@ def _read_words(path) -> list[list[str]]:
 
 
 def cmd_eval(args, config: RunConfig) -> int:
+    corpus_flags = [flag for flag, value in (("--input", args.input),
+                                             ("--checkpoint", args.checkpoint),
+                                             ("--dedupe-train", args.dedupe_train)) if value]
+    if (args.hyp or args.ref) and corpus_flags:
+        raise ConfigError(f"eval --hyp/--ref cannot be combined with {' '.join(corpus_flags)}")
     if args.hyp and args.ref:
         hyps, refs = (_read_words(path) for path in (args.hyp, args.ref))
         if len(hyps) != len(refs):

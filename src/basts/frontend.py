@@ -2,9 +2,10 @@
 
 The frontend feeds every later stage: abstracted token streams for the
 summarizer, statement-level structure for control-flow analysis, and
-labeled syntax trees for the tree encoder. A token is its text and kind
-only; `token_offsets` recovers where each token starts from the source,
-which only error messages need. The parser builds the
+labeled syntax trees for the tree encoder. A token is its text, a `str`,
+and token and statement kinds are plain strings. `token_kinds` gives
+each text's kind, and `token_offsets` recovers where each token starts
+from the source, which only error messages need. The parser builds the
 `AstNode`s of expressions, of each simple statement (`Statement.node`)
 and of the method's return type and parameters (`Method.declaration`). A
 tree adds only header, block and `MethodDeclaration` nodes over them, so
@@ -22,9 +23,7 @@ import itertools
 import re
 import string
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import itemgetter
-from typing import NamedTuple
 
 
 class LexError(ValueError):
@@ -46,29 +45,6 @@ class ParseError(ValueError):
         self.expected = expected
         self.found = found
 
-
-class TokenKind(Enum):
-    __hash__ = object.__hash__  # members are singletons, so hash in C by identity
-
-    IDENTIFIER = "identifier"
-    KEYWORD = "keyword"
-    NUMBER_LIT = "number"
-    STRING_LIT = "string"
-    BOOL_LIT = "bool"
-    OPERATOR = "operator"
-    PUNCT = "punct"
-
-
-class Token(NamedTuple):
-    """One lexeme: its text and kind. `token_offsets` gives where tokens start."""
-
-    text: str
-    kind: TokenKind
-
-
-# Hot paths read Enum members as module globals: on Python 3.11 a member read
-# off its class runs through EnumType's __getattr__ hook, ten times slower.
-_IDENTIFIER, _OPERATOR = TokenKind.IDENTIFIER, TokenKind.OPERATOR
 
 KEYWORDS = frozenset({"if", "else", "while", "for", "return", "break", "continue"})
 
@@ -92,43 +68,52 @@ _TOKEN_RE = re.compile(
     r"|/\*?"  # the "/" operator, or "/*" with no closing "*/"
     r"|\S"  # anything else
 )
-_COMMENT = "comment"  # the kind of a comment's match, which is no token
-# The kind of each match is its text's entry in `_TEXT_KIND`, else its first
-# character's in `_FIRST_KIND`. None marks a match that can only be an error:
-# a lone quote (a string alternative that found no closing quote), "/*", a
-# lone "&" or "|", or a first character no lexeme starts with.
-_TEXT_KIND = {word: TokenKind.KEYWORD for word in KEYWORDS}
-_TEXT_KIND.update({"true": TokenKind.BOOL_LIT, "false": TokenKind.BOOL_LIT, "/": _OPERATOR,
+# The kind of a text is its entry in `_TEXT_KIND`, else its first
+# character's in `_FIRST_KIND` (docs/grammar.md, "Lexical rules"). A
+# placeholder keeps its literal's kind, and the parser's "<eof>" reads as
+# punct. A comment's match gets "comment", though it is no token. None
+# marks a match that can only be an error: a lone quote (a string
+# alternative that found no closing quote), "/*", a lone "&" or "|", or a
+# first character no lexeme starts with.
+_TEXT_KIND = dict.fromkeys(KEYWORDS, "keyword")
+_TEXT_KIND.update({"true": "bool", "false": "bool", "/": "operator", NUM_TOKEN: "number",
+                   STR_TOKEN: "string", BOOL_TOKEN: "bool", "<eof>": "punct",
                    '"': None, "/*": None, "&": None, "|": None})
-_FIRST_KIND = dict.fromkeys("=<>+-*%!&|", _OPERATOR)
-_FIRST_KIND.update(dict.fromkeys("(){};,.", TokenKind.PUNCT))
-_FIRST_KIND.update(dict.fromkeys("0123456789", TokenKind.NUMBER_LIT))
-_FIRST_KIND.update(dict.fromkeys(string.ascii_letters + "_", _IDENTIFIER))
-_FIRST_KIND.update({'"': TokenKind.STRING_LIT, "/": _COMMENT})
-_ERROR_OR_COMMENT = frozenset((None, _COMMENT))
+_FIRST_KIND = dict.fromkeys("=<>+-*%!&|", "operator")
+_FIRST_KIND.update(dict.fromkeys("(){};,.", "punct"))
+_FIRST_KIND.update(dict.fromkeys("0123456789", "number"))
+_FIRST_KIND.update(dict.fromkeys(string.ascii_letters + "_", "identifier"))
+_FIRST_KIND.update({'"': "string", "/": "comment"})
+_ERROR_OR_COMMENT = frozenset((None, "comment"))
 _LEX_ERRORS = {'"': "unterminated string literal", "/*": "unterminated block comment"}
 
 
-def tokenize(source: str) -> list[Token]:
-    """Lex source text into (text, kind) tokens, skipping whitespace and comments.
+def token_kinds(texts: list[str]) -> list[str | None]:
+    """The kind of each token text: "identifier", "keyword", "number",
+    "string", "bool", "operator" or "punct" (docs/grammar.md)."""
+    return list(map(_TEXT_KIND.get, texts, map(_FIRST_KIND.get, map(itemgetter(0), texts))))
 
-    Tokens carry no offset; `token_offsets` finds them for error messages.
+
+def tokenize(source: str) -> list[str]:
+    """Lex source text into token texts, skipping whitespace and comments.
+
+    Kinds are found here only to spot comments and errors; `token_offsets`
+    finds where tokens start, for error messages.
     """
     texts = _TOKEN_RE.findall(source)
-    kinds = list(map(_TEXT_KIND.get, texts, map(_FIRST_KIND.get, map(itemgetter(0), texts))))
-    tokens = list(map(tuple.__new__, itertools.repeat(Token), zip(texts, kinds)))
+    kinds = token_kinds(texts)
     if not _ERROR_OR_COMMENT.isdisjoint(kinds):
-        return _drop_comments(source, tokens)
-    return tokens
+        return _drop_comments(source, texts, kinds)
+    return texts
 
 
-def _drop_comments(source: str, tokens: list[Token]) -> list[Token]:
-    """The tokens without comments; raises the LexError of the first error match."""
-    for i, (text, kind) in enumerate(tokens):
+def _drop_comments(source: str, texts: list[str], kinds: list[str | None]) -> list[str]:
+    """The texts without comments; raises the LexError of the first error match."""
+    for i, (text, kind) in enumerate(zip(texts, kinds)):
         if kind is None:
             offset = next(itertools.islice(_TOKEN_RE.finditer(source), i, None)).start()
             raise LexError(_LEX_ERRORS.get(text, f"unrecognized character {text!r}"), offset)
-    return [token for token in tokens if token.kind is not _COMMENT]
+    return [text for text, kind in zip(texts, kinds) if kind != "comment"]
 
 
 def token_offsets(source: str) -> list[int]:
@@ -136,18 +121,21 @@ def token_offsets(source: str) -> list[int]:
     return [m.start() for m in _TOKEN_RE.finditer(source) if not m[0].startswith(("//", "/*"))]
 
 
-_PLACEHOLDER = {TokenKind.NUMBER_LIT: NUM_TOKEN, TokenKind.STRING_LIT: STR_TOKEN,
-                TokenKind.BOOL_LIT: BOOL_TOKEN}
+# A number starts with a digit and a string with a quote; true and false
+# are the bools
+_LITERAL_BY_FIRST = dict.fromkeys("0123456789", NUM_TOKEN)
+_LITERAL_BY_FIRST['"'] = STR_TOKEN
+_LITERAL_BY_TEXT = {"true": BOOL_TOKEN, "false": BOOL_TOKEN}
 
 
-def abstract_literals(tokens: list[Token]) -> list[Token]:
-    """Replace every literal token's text with its placeholder token.
+def abstract_literals(tokens: list[str]) -> list[str]:
+    """Replace every literal token with its placeholder token.
 
-    Kinds and list length are preserved, so the operation is idempotent.
+    Kinds and list length are preserved, so the operation is idempotent;
+    any other token comes back as the same object.
     """
-    placeholder = _PLACEHOLDER.get
-    return [t if (text := placeholder(t.kind)) is None or text == t.text
-            else Token(text, t.kind) for t in tokens]
+    by_first = map(_LITERAL_BY_FIRST.get, map(itemgetter(0), tokens), tokens)
+    return list(map(_LITERAL_BY_TEXT.get, tokens, by_first))
 
 
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
@@ -172,31 +160,15 @@ def tokenize_comment(text: str) -> list[str]:
     return re.findall(r"[a-z0-9]+|[^\sa-z0-9]", text.lower())
 
 
-class StmtKind(Enum):
-    __hash__ = object.__hash__  # as TokenKind's
-
-    DECL = "decl"
-    ASSIGN = "assign"
-    EXPR = "expr"
-    IF = "if"
-    WHILE = "while"
-    FOR = "for"
-    RETURN = "return"
-    BREAK = "break"
-    CONTINUE = "continue"
-    BLOCK = "block"
-
-
-_DECL, _ASSIGN, _EXPR, _IF, _FOR = (StmtKind.DECL, StmtKind.ASSIGN, StmtKind.EXPR, StmtKind.IF,
-                                    StmtKind.FOR)
-_RETURN, _BLOCK = StmtKind.RETURN, StmtKind.BLOCK
-# The statements that transfer control, and those that head a control construct
-JUMPS = frozenset((StmtKind.RETURN, StmtKind.BREAK, StmtKind.CONTINUE))
-HEADERS = frozenset((StmtKind.IF, StmtKind.WHILE, StmtKind.FOR))
+# Statement kinds are "decl", "assign", "expr", "if", "while", "for",
+# "return", "break", "continue" and "block". The statements that transfer
+# control, and those that head a control construct:
+JUMPS = frozenset(("return", "break", "continue"))
+HEADERS = frozenset(("if", "while", "for"))
 # The AST node type of each jump and header statement (docs/grammar.md)
-_STMT_TYPE = {StmtKind.IF: "IfStatement", StmtKind.WHILE: "WhileStatement",
-              StmtKind.FOR: "ForStatement", StmtKind.RETURN: "ReturnStatement",
-              StmtKind.BREAK: "BreakStatement", StmtKind.CONTINUE: "ContinueStatement"}
+_STMT_TYPE = {"if": "IfStatement", "while": "WhileStatement", "for": "ForStatement",
+              "return": "ReturnStatement", "break": "BreakStatement",
+              "continue": "ContinueStatement"}
 
 
 @dataclass(slots=True)
@@ -214,7 +186,7 @@ class AstNode:
 @dataclass(slots=True)
 class Statement:
     stmt_id: int
-    kind: StmtKind
+    kind: str  # "decl", "if", "block", ...
     span: tuple[int, int]  # half-open token index range of the full extent
     node: AstNode | None = None  # its AST node; None for a header or block (see `stmt_ast`)
     cond: AstNode | None = None  # IF / WHILE / FOR
@@ -229,17 +201,17 @@ class Statement:
 class Method:
     name: str
     declaration: list[AstNode]  # return type and parameter nodes, shared by the method's trees
-    declaration_tokens: list[Token]  # return type through the closing ')'
+    declaration_tokens: list[str]  # return type through the closing ')'
     body: list[Statement]
-    tokens: list[Token]  # the token list all spans index into
+    tokens: list[str]  # the token list all spans index into
     span: tuple[int, int]  # half-open range of this method's own tokens
     statements: dict[int, Statement]  # every statement, nested ones included, by id
 
 
 # The kind of statement each of these first tokens opens; any other
 # first token opens a declaration, assignment or expression statement.
-_OPENS = {"{": StmtKind.BLOCK, "for": StmtKind.FOR, "if": StmtKind.IF, "while": StmtKind.WHILE,
-          "return": StmtKind.RETURN, "break": StmtKind.BREAK, "continue": StmtKind.CONTINUE}
+_OPENS = {"{": "block", "for": "for", "if": "if", "while": "while", "return": "return",
+          "break": "break", "continue": "continue"}
 
 # Deepest nesting the parser accepts (docs/grammar.md, "Nesting limit"); it keeps
 # the recursive AST, CFG and JSON builders under Python's default recursion limit.
@@ -248,34 +220,34 @@ _TOO_DEEP = f"nesting at most {MAX_NESTING} deep"
 
 # Read after the caller's last token. It matches no grammar rule, so no
 # read runs past it and an error there is found at '<eof>'.
-_EOF = Token("<eof>", TokenKind.PUNCT)
+_EOF = "<eof>"
+_LITERALS = frozenset(("number", "string", "bool"))
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[str]):
         self.tokens = tokens  # the caller's list, which spans index into
         self.toks = tokens + [_EOF]
+        self.kinds = token_kinds(self.toks)  # read only where an identifier may stand
         self.end = len(tokens)  # the index of _EOF
         self.i = 0
         self.statements: dict[int, Statement] = {}
         self.depth = 0  # current nesting level, see MAX_NESTING
 
     def _fail(self, expected: list[str]):
-        raise ParseError(self.i, expected, self.toks[self.i].text)
+        raise ParseError(self.i, expected, self.toks[self.i])
 
-    def _expect(self, text: str) -> Token:
-        t = self.toks[self.i]
-        if t.text != text:
+    def _expect(self, text: str):
+        if self.toks[self.i] != text:
             self._fail([repr(text)])
         self.i += 1
-        return t
 
-    def _expect_ident(self, what: str) -> Token:
-        t = self.toks[self.i]
-        if t.kind is not _IDENTIFIER:
+    def _expect_ident(self, what: str) -> str:
+        i = self.i
+        if self.kinds[i] != "identifier":
             self._fail([what])
-        self.i += 1
-        return t
+        self.i = i + 1
+        return self.toks[i]
 
     # --- declarations -----------------------------------------------------
 
@@ -283,8 +255,8 @@ class _Parser:
         """Parse the method that starts at the next token; its ids start at 0."""
         self.statements = {}
         start = self.i
-        declaration = [AstNode("BasicType", self._expect_ident("return type").text)]
-        name = self._expect_ident("method name").text
+        declaration = [AstNode("BasicType", self._expect_ident("return type"))]
+        name = self._expect_ident("method name")
         declaration += self._parse_list(self._parse_param)
         declaration_tokens = self.toks[start : self.i]
         body = self._parse_braced()
@@ -299,8 +271,8 @@ class _Parser:
         )
 
     def _parse_param(self) -> AstNode:
-        ptype = AstNode("BasicType", self._expect_ident("parameter type").text)
-        return AstNode("FormalParameter", self._expect_ident("parameter name").text, [ptype])
+        ptype = AstNode("BasicType", self._expect_ident("parameter type"))
+        return AstNode("FormalParameter", self._expect_ident("parameter name"), [ptype])
 
     # --- statements -------------------------------------------------------
 
@@ -316,10 +288,10 @@ class _Parser:
         toks, start, statements = self.toks, self.i, self.statements
         if start == self.end:
             self._fail(["statement"])
-        kind = _OPENS.get(toks[start].text)
+        kind = _OPENS.get(toks[start])
         if kind is None:
             stmt = self._parse_simple()
-            if toks[self.i].text != ";":
+            if toks[self.i] != ";":
                 self._fail(["';'"])
             self.i += 1
             stmt.span = (start, self.i)
@@ -327,19 +299,19 @@ class _Parser:
             sid = len(statements)
             self.i += 1
             node = AstNode(_STMT_TYPE[kind])
-            if kind is _RETURN and toks[self.i].text != ";":
+            if kind == "return" and toks[self.i] != ";":
                 node.children.append(self.parse_expr())
-            if toks[self.i].text != ";":
+            if toks[self.i] != ";":
                 self._fail(["';'"])
             self.i += 1
             stmt = statements[sid] = Statement(sid, kind, (start, self.i), node)
         else:
             sid = len(statements)
             statements[sid] = None
-            if kind is _BLOCK:
+            if kind == "block":
                 body = self._parse_braced()
                 stmt = Statement(sid, kind, (start, self.i), body=body)
-            elif kind is _FOR:
+            elif kind == "for":
                 stmt = self._parse_for(sid)
             else:  # if or while
                 self.i += 1
@@ -348,7 +320,7 @@ class _Parser:
                 self._expect(")")
                 body = self._parse_body()
                 orelse: list[Statement] = []
-                if kind is _IF and toks[self.i].text == "else":
+                if kind == "if" and toks[self.i] == "else":
                     self.i += 1
                     orelse = self._parse_body()
                 stmt = Statement(sid, kind, (start, self.i), cond=cond, cond_span=cond_span,
@@ -361,7 +333,7 @@ class _Parser:
         """Read `{ statement* }` and return the statements."""
         self._expect("{")
         toks, out = self.toks, []
-        while toks[self.i].text != "}":
+        while toks[self.i] != "}":
             if self.i == self.end:
                 self._fail(["'}'", "statement"])
             out.append(self.parse_statement())
@@ -377,7 +349,7 @@ class _Parser:
     def _parse_body(self) -> list[Statement]:
         # Braced bodies are flattened; a single statement becomes a one-item list.
         stmt = self.parse_statement()
-        if stmt.kind is _BLOCK:
+        if stmt.kind == "block":
             return stmt.body
         return [stmt]
 
@@ -385,14 +357,14 @@ class _Parser:
         start, toks = self.i, self.toks
         self.i += 1  # "for"
         self._expect("(")
-        init = None if toks[self.i].text == ";" else self._parse_simple()
+        init = None if toks[self.i] == ";" else self._parse_simple()
         self._expect(";")
-        cond, cond_span = (None, None) if toks[self.i].text == ";" else self._parse_cond()
+        cond, cond_span = (None, None) if toks[self.i] == ";" else self._parse_cond()
         self._expect(";")
-        update = None if toks[self.i].text == ")" else self._parse_simple()
+        update = None if toks[self.i] == ")" else self._parse_simple()
         self._expect(")")
         body = self._parse_body()
-        return Statement(sid, _FOR, (start, self.i), cond=cond, cond_span=cond_span,
+        return Statement(sid, "for", (start, self.i), cond=cond, cond_span=cond_span,
                          init=init, update=update, body=body)
 
     def _parse_simple(self) -> Statement:
@@ -401,26 +373,26 @@ class _Parser:
         The trailing ';' is consumed by the caller, so the same parse
         serves both free-standing statements and for-loop clauses.
         """
-        start, toks, sid = self.i, self.toks, len(self.statements)
-        if toks[start].kind is _IDENTIFIER and toks[start + 1].kind is _IDENTIFIER:
+        start, toks, kinds, sid = self.i, self.toks, self.kinds, len(self.statements)
+        if kinds[start] == "identifier" and kinds[start + 1] == "identifier":
             self.i = start + 2
-            node = AstNode("LocalVariableDeclaration", toks[start + 1].text,
-                           [AstNode("BasicType", toks[start].text)])
-            if toks[self.i].text == "=":
+            node = AstNode("LocalVariableDeclaration", toks[start + 1],
+                           [AstNode("BasicType", toks[start])])
+            if toks[self.i] == "=":
                 self.i += 1
                 node.children.append(self.parse_expr())
-            stmt = Statement(sid, _DECL, (start, self.i), node)
+            stmt = Statement(sid, "decl", (start, self.i), node)
         else:
             expr = self.parse_expr()
-            if toks[self.i].text == "=":
+            if toks[self.i] == "=":
                 if expr.node_type not in ("MemberReference", "FieldAccess"):
                     self._fail(["assignable target"])
                 self.i += 1
                 node = AstNode("Assignment", None, [expr, self.parse_expr()])
-                stmt = Statement(sid, _ASSIGN, (start, self.i), node)
+                stmt = Statement(sid, "assign", (start, self.i), node)
             else:
                 node = AstNode("StatementExpression", None, [expr])
-                stmt = Statement(sid, _EXPR, (start, self.i), node)
+                stmt = Statement(sid, "expr", (start, self.i), node)
         self.statements[sid] = stmt
         return stmt
 
@@ -456,32 +428,30 @@ class _Parser:
             self._fail([_TOO_DEEP])
         i = self.i
         t = toks[i]
-        kind = t.kind
-        if kind is _IDENTIFIER:
+        kind = self.kinds[i]
+        if kind == "identifier":
             self.i = i + 1
-            if toks[i + 1].text == "(":
-                left = AstNode("MethodInvocation", t.text, self._parse_list(self.parse_expr))
+            if toks[i + 1] == "(":
+                left = AstNode("MethodInvocation", t, self._parse_list(self.parse_expr))
             else:
-                left = AstNode("MemberReference", t.text)
-        elif kind in _PLACEHOLDER:  # a literal
+                left = AstNode("MemberReference", t)
+        elif kind in _LITERALS:
             self.i = i + 1
-            left = AstNode("Literal", t.text)
-        elif t.text == "(":
+            left = AstNode("Literal", t)
+        elif t == "(":
             self.i = i + 1
             left = self.parse_expr()
             self._expect(")")
-        elif t.text in ("!", "-") and kind is _OPERATOR:
+        elif t in ("!", "-"):
             self.i = i + 1
-            left = AstNode("UnaryOperation", t.text, [self.parse_expr(self._UNARY)])
+            left = AstNode("UnaryOperation", t, [self.parse_expr(self._UNARY)])
         else:
             self._fail(["expression"])
-        if toks[self.i].text == ".":  # never after a unary operation, whose operand took it
+        if toks[self.i] == ".":  # never after a unary operation, whose operand took it
             left = self._parse_members(left)
         while True:
             t = toks[self.i]
-            if t.kind is not _OPERATOR:
-                break
-            bp = binding.get(t.text)
+            bp = binding.get(t)
             if bp is None or bp < min_bp:
                 break
             self.i += 1
@@ -489,7 +459,7 @@ class _Parser:
             if level > MAX_NESTING:
                 self._fail([_TOO_DEEP])
             right = self.parse_expr(bp + 1)
-            left = AstNode("BinaryOperation", t.text, [left, right])
+            left = AstNode("BinaryOperation", t, [left, right])
         self.depth = depth
         return left
 
@@ -497,41 +467,41 @@ class _Parser:
         """Read the field accesses and method calls on `expr`, each after a '.'."""
         toks = self.toks
         depth = level = self.depth
-        while toks[self.i].text == ".":
+        while toks[self.i] == ".":
             level = self.depth = level + 1  # every member access nests `expr` one deeper
             if level > MAX_NESTING:
                 self._fail([_TOO_DEEP])
             self.i += 1
-            name = toks[self.i]
-            if name.kind is not _IDENTIFIER:
+            if self.kinds[self.i] != "identifier":
                 self._fail(["member name"])
+            name = toks[self.i]
             self.i += 1
-            if toks[self.i].text == "(":
-                expr = AstNode("MethodInvocation", name.text,
+            if toks[self.i] == "(":
+                expr = AstNode("MethodInvocation", name,
                                [expr] + self._parse_list(self.parse_expr))
             else:
-                expr = AstNode("FieldAccess", name.text, [expr])
+                expr = AstNode("FieldAccess", name, [expr])
         self.depth = depth
         return expr
 
     def _parse_list(self, item) -> list:
         """Read `( [item {"," item}] )`: parameters or call arguments."""
         toks, out = self.toks, []
-        if toks[self.i].text != "(":
+        if toks[self.i] != "(":
             self._fail(["'('"])
         self.i += 1
-        if toks[self.i].text != ")":
+        if toks[self.i] != ")":
             out.append(item())
-            while toks[self.i].text == ",":
+            while toks[self.i] == ",":
                 self.i += 1
                 out.append(item())
-        if toks[self.i].text != ")":
+        if toks[self.i] != ")":
             self._fail(["')'"])
         self.i += 1
         return out
 
 
-def parse_method(tokens: list[Token]) -> Method:
+def parse_method(tokens: list[str]) -> Method:
     """Parse one method from a token list; raises ParseError on violation."""
     parser = _Parser(tokens)
     method = parser.parse_method()
@@ -593,7 +563,7 @@ def stmt_ast(s: Statement, clauses: tuple | None = None) -> AstNode:
     """
     if s.node is not None:
         return s.node
-    if s.kind is _BLOCK:
+    if s.kind == "block":
         return _block_ast(s.body)
     init, update = (s.init, s.update) if clauses is None else clauses
     children = [] if init is None else [init.node]

@@ -3,7 +3,8 @@
 Virtual start/end nodes are dropped first. Following the paper, every
 dominator-tree edge out of a node with more than one child is cut; each
 surviving connected component is one block of consecutive statements. A
-block is materialized as split code by prepending the method declaration.
+block is materialized as split code, a list of token texts, by
+prepending the method declaration.
 Each split's AST is built from the method's parsed statements and equals
 what re-parsing the split's code would give. A split tree is the
 parser's declaration and statement nodes under header, block and
@@ -18,8 +19,7 @@ from dataclasses import dataclass, field
 
 from basts.cfg import Cfg, build_cfg
 from basts.dominators import DomTree, compute_dominators
-from basts.frontend import (HEADERS, AstNode, Method, Statement, StmtKind, Token, TokenKind,
-                            stmt_ast)
+from basts.frontend import HEADERS, AstNode, Method, Statement, stmt_ast
 
 # parse_method and build_ast are not called here but stay reachable
 # (bench/workloads.py wraps them by these names)
@@ -92,8 +92,8 @@ def partition_blocks(domtree: DomTree, cfg: Cfg) -> SplitGraph:
     return SplitGraph(splits, edges)
 
 
-_OPEN, _SEMI = Token("(", TokenKind.PUNCT), Token(";", TokenKind.PUNCT)
-_EMPTY_BODY = [Token(")", TokenKind.PUNCT), Token("{", TokenKind.PUNCT), Token("}", TokenKind.PUNCT)]
+_OPEN, _SEMI = "(", ";"
+_EMPTY_BODY = [")", "{", "}"]
 
 
 def _pieces(split: CodeSplit, method: Method) -> list[tuple[Statement, tuple | None]]:
@@ -122,7 +122,7 @@ def _pieces(split: CodeSplit, method: Method) -> list[tuple[Statement, tuple | N
     return out
 
 
-def _render_piece(method: Method, stmt: Statement, clauses: tuple | None) -> list[Token]:
+def _render_piece(method: Method, stmt: Statement, clauses: tuple | None) -> list[str]:
     """Tokens for one piece of a split, as `_pieces` gives it.
 
     Control-flow headers are completed with an empty block so the split
@@ -131,11 +131,11 @@ def _render_piece(method: Method, stmt: Statement, clauses: tuple | None) -> lis
     toks = method.tokens
     if clauses is None:
         out = toks[stmt.span[0] : stmt.span[1]]
-        if out and out[-1].text != ";":
+        if out and out[-1] != ";":
             out.append(_SEMI)  # for-loop clause rendered standalone
         return out
     out = [toks[stmt.span[0]], _OPEN]
-    if stmt.kind is StmtKind.FOR:
+    if stmt.kind == "for":
         init, update = clauses
         if init is not None:
             out += toks[init.span[0] : init.span[1]]
@@ -150,7 +150,7 @@ def _render_piece(method: Method, stmt: Statement, clauses: tuple | None) -> lis
     return out + _EMPTY_BODY
 
 
-def make_split_code(split: CodeSplit, method: Method) -> list[Token]:
+def make_split_code(split: CodeSplit, method: Method) -> list[str]:
     """Declaration tokens followed by the split's statements in source order."""
     out = list(method.declaration_tokens)
     for stmt, clauses in _pieces(split, method):

@@ -68,8 +68,6 @@ from basts.frontend import (
     KEYWORDS,
     LexError,
     Method,
-    Token,
-    TokenKind,
     build_ast,
     parse_method,
 )
@@ -670,8 +668,7 @@ def split_asts_by_reparse(graph: SplitGraph, method: Method) -> list[SplitAst]:
     out = []
     for split in graph.splits:
         code = make_split_code(split, method)
-        tokens = (code[:n] + [Token("{", TokenKind.PUNCT)] + code[n:]
-                  + [Token("}", TokenKind.PUNCT)])
+        tokens = code[:n] + ["{"] + code[n:] + ["}"]
         out.append(SplitAst(split.split_id, build_ast(parse_method(tokens))))
     return out
 
@@ -742,12 +739,12 @@ _IDENT_START = frozenset(string.ascii_letters + "_")
 _IDENT_CHARS = _IDENT_START | _DIGITS
 
 
-def tokenize_per_char(source: str) -> tuple[list[Token], list[int]]:
-    """Lex source text into tokens, skipping whitespace and comments.
+def tokenize_per_char(source: str) -> tuple[list[tuple[str, str]], list[int]]:
+    """Lex source text into (text, kind) pairs, skipping whitespace and comments.
 
-    Returns the tokens and the character offset of each.
+    Returns the pairs and the character offset of each.
     """
-    out: list[Token] = []
+    out: list[tuple[str, str]] = []
     offsets: list[int] = []
     i, n = 0, len(source)
     while i < n:
@@ -773,7 +770,7 @@ def tokenize_per_char(source: str) -> tuple[list[Token], list[int]]:
                 j += 1
                 while j < n and source[j] in _DIGITS:
                     j += 1
-            out.append(Token(source[i:j], TokenKind.NUMBER_LIT))
+            out.append((source[i:j], "number"))
             offsets.append(i)
             i = j
             continue
@@ -783,7 +780,7 @@ def tokenize_per_char(source: str) -> tuple[list[Token], list[int]]:
                 j += 2 if source[j] == "\\" else 1
             if j >= n:
                 raise LexError("unterminated string literal", i)
-            out.append(Token(source[i : j + 1], TokenKind.STRING_LIT))
+            out.append((source[i : j + 1], "string"))
             offsets.append(i)
             i = j + 1
             continue
@@ -793,30 +790,39 @@ def tokenize_per_char(source: str) -> tuple[list[Token], list[int]]:
                 j += 1
             text = source[i:j]
             if text in ("true", "false"):
-                kind = TokenKind.BOOL_LIT
+                kind = "bool"
             elif text in KEYWORDS:
-                kind = TokenKind.KEYWORD
+                kind = "keyword"
             else:
-                kind = TokenKind.IDENTIFIER
-            out.append(Token(text, kind))
+                kind = "identifier"
+            out.append((text, kind))
             offsets.append(i)
             i = j
             continue
         two = source[i : i + 2]
         if two in _TWO_CHAR_OPS:
-            out.append(Token(two, TokenKind.OPERATOR))
+            out.append((two, "operator"))
             offsets.append(i)
             i += 2
             continue
         if c in _ONE_CHAR_OPS:
-            out.append(Token(c, TokenKind.OPERATOR))
+            out.append((c, "operator"))
             offsets.append(i)
             i += 1
             continue
         if c in _PUNCT:
-            out.append(Token(c, TokenKind.PUNCT))
+            out.append((c, "punct"))
             offsets.append(i)
             i += 1
             continue
         raise LexError(f"unrecognized character {c!r}", i)
     return out, offsets
+
+
+LITERAL_PLACEHOLDERS = {"number": "<NUM>", "string": "<STR>", "bool": "<BOOL>"}
+
+
+def abstract_literals_per_token(tokens: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """Each literal's text replaced by its kind's placeholder, one (text,
+    kind) pair at a time; kinds are kept."""
+    return [(LITERAL_PLACEHOLDERS.get(kind, text), kind) for text, kind in tokens]

@@ -19,7 +19,7 @@ def node_for(cfg, method, kind_value, index=0):
     matches = [
         n
         for n in stmt_nodes(cfg)
-        if method.statements[n.stmt_id].kind.value == kind_value
+        if method.statements[n.stmt_id].kind == kind_value
     ]
     return matches[index]
 
@@ -96,7 +96,7 @@ class TestBuildCfg:
         update = next(
             n.node_id
             for n in stmt_nodes(cfg)
-            if m.statements[n.stmt_id].kind.value == "assign"
+            if m.statements[n.stmt_id].kind == "assign"
         )
         assert cfg.succ[update] == [loop_hdr], "back edge through the update node"
 

@@ -37,8 +37,8 @@ from basts.cli import (
 )
 from basts.summarizer import SPECIAL_TOKENS, TransformerParams, Vocab
 from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams
-from basts.frontend import (MAX_NESTING, LexError, ParseError, Token, TokenKind, iter_nodes,
-                            parse_program, tokenize_comment)
+from basts.frontend import (MAX_NESTING, LexError, ParseError, iter_nodes, parse_program,
+                            tokenize_comment)
 from basts.splitter import split_method
 from conftest import (
     DIAMOND_SOURCE,
@@ -249,6 +249,21 @@ class TestCodeTokenTexts:
         assert cli.code_token_texts(method, 0) == []
         assert cli.code_token_texts(method, 100) == [
             "void", "close", "idle", "connections", "(", ")", "{", "}"]
+
+    def test_only_identifiers_split_into_subtokens(self):
+        method = parse_source('String getHTTPUrl2(int _tmp) { if (_tmp >= 10 && !false) '
+                              '{ return "a" + getHTTPUrl2(_tmp - 1.5); } '
+                              'while (true) { break; } return x_; }')
+        assert cli.code_token_texts(method, 100) == [
+            "string", "get", "http", "url", "2", "(", "int", "tmp", ")", "{",
+            "if", "(", "tmp", ">=", "<NUM>", "&&", "!", "<BOOL>", ")", "{",
+            "return", "<STR>", "+", "get", "http", "url", "2", "(", "tmp", "-", "<NUM>", ")",
+            ";", "}", "while", "(", "<BOOL>", ")", "{", "break", ";", "}",
+            "return", "x", ";", "}"]
+        # an identifier of underscores alone has no subtoken
+        method = parse_source("void _() { __ = ___; }")
+        assert cli.code_token_texts(method, 4) == ["void", "(", ")", "{"]
+        assert cli.code_token_texts(method, 100) == ["void", "(", ")", "{", "=", ";", "}"]
 
     def test_summarize_feeds_each_method_its_own_code(self, tmp_path, monkeypatch, capsys):
         code_vocab = Vocab.build([cli.code_token_texts(m, 100)
@@ -513,7 +528,7 @@ class TestPreprocessPausesCollector:
         assert not [obj for obj in kept if id(obj) in young]
 
     def test_objects_the_caller_froze_stay_frozen(self):
-        frozen = [Token("x", TokenKind.IDENTIFIER)]
+        frozen = ["x"]
         gc.freeze()
         try:
             count = gc.get_freeze_count()
@@ -1103,10 +1118,19 @@ class TestCliErrors:
          "eval needs --hyp/--ref files or --input with --checkpoint"),
         (lambda p: ["eval", "--input", str(p / "c.jsonl")], ConfigError,
          "eval needs --hyp/--ref files or --input with --checkpoint"),
+        (lambda p: _eval_files(p, "a\n", "a\n") + ["--dedupe-train", str(p / "none.jsonl"),
+                                                   "--checkpoint", str(p / "none.ckpt")],
+         ConfigError, "eval --hyp/--ref cannot be combined with --checkpoint --dedupe-train"),
+        (lambda p: _eval_files(p, "a\n", "a\n") + ["--input", str(p / "c.jsonl")], ConfigError,
+         "eval --hyp/--ref cannot be combined with --input"),
+        (lambda p: ["eval", "--hyp", str(p / "h.txt"), "--input", str(p / "c.jsonl"),
+                    "--checkpoint", str(p / "m.ckpt")], ConfigError,
+         "eval --hyp/--ref cannot be combined with --input --checkpoint"),
     ], ids=["corpus line not JSON", "config line without =", "zero max_code_length",
             "checkpoint without a tree", "checkpoint of another width",
             "unequal hyp and ref counts", "empty hyp and ref", "eval with neither mode",
-            "eval input alone"])
+            "eval input alone", "eval files with corpus-mode flags", "eval files with an input",
+            "eval input with a stray hyp"])
     def test_exact_error(self, tmp_path, argv, error, message):
         with pytest.raises(error) as err:
             run(argv(tmp_path))

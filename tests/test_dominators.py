@@ -66,7 +66,7 @@ class TestComputeDominators:
         for n in cfg.nodes:
             if n.stmt_id is not None:
                 stmt = m.statements[n.stmt_id]
-                by_kind.setdefault(stmt.kind.value, []).append(n.node_id)
+                by_kind.setdefault(stmt.kind, []).append(n.node_id)
         outer_if, inner_if = by_kind["if"]
         update = by_kind["assign"][0]
         close_call, shutdown_call, set_call = by_kind["expr"]

@@ -1,5 +1,3 @@
-import copy
-import pickle
 import sys
 from pathlib import Path
 
@@ -11,9 +9,6 @@ from basts.frontend import (
     MAX_NESTING,
     LexError,
     ParseError,
-    StmtKind,
-    Token,
-    TokenKind,
     abstract_literals,
     ast_to_json,
     build_ast,
@@ -21,12 +16,13 @@ from basts.frontend import (
     parse_method,
     parse_program,
     split_identifier,
+    token_kinds,
     token_offsets,
     tokenize,
     tokenize_comment,
 )
 from conftest import IDLE_CONNECTIONS_SOURCE, nested_ifs, nested_parens, parse_source
-from oracles import tokenize_per_char
+from oracles import abstract_literals_per_token, tokenize_per_char
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from minigen import generate_records  # noqa: E402
@@ -37,15 +33,16 @@ def lex(source):
     return tokenize(source)
 
 
+TOKEN_KINDS = {"identifier", "keyword", "number", "string", "bool", "operator", "punct"}
+STMT_KINDS = {"decl", "assign", "expr", "if", "while", "for", "return", "break", "continue",
+              "block"}
+
+
 class TestTokenize:
     def test_four_lexemes(self):
         toks = lex("x = 42;")
-        assert [(t.text, t.kind) for t in toks] == [
-            ("x", TokenKind.IDENTIFIER),
-            ("=", TokenKind.OPERATOR),
-            ("42", TokenKind.NUMBER_LIT),
-            (";", TokenKind.PUNCT),
-        ]
+        assert toks == ["x", "=", "42", ";"]
+        assert token_kinds(toks) == ["identifier", "operator", "number", "punct"]
 
     def test_empty_input(self):
         assert lex("") == []
@@ -53,20 +50,19 @@ class TestTokenize:
     def test_if_return_true(self):
         toks = lex("if (flag) { return true; }")
         assert len(toks) == 9
-        assert [t.text for t in toks] == [
-            "if", "(", "flag", ")", "{", "return", "true", ";", "}",
-        ]
-        assert toks[6].kind is TokenKind.BOOL_LIT
-        assert toks[0].kind is TokenKind.KEYWORD
+        assert toks == ["if", "(", "flag", ")", "{", "return", "true", ";", "}"]
+        kinds = token_kinds(toks)
+        assert kinds[6] == "bool"
+        assert kinds[0] == "keyword"
 
     def test_string_and_comments(self):
         toks = lex('s = "hi // not a comment"; // trailing\n/* block */ y')
-        assert [t.text for t in toks] == ["s", "=", '"hi // not a comment"', ";", "y"]
-        assert toks[2].kind is TokenKind.STRING_LIT
+        assert toks == ["s", "=", '"hi // not a comment"', ";", "y"]
+        assert token_kinds(toks)[2] == "string"
 
     def test_two_char_operators(self):
         toks = lex("a <= b && c != d || e >= f == g")
-        ops = [t.text for t in toks if t.kind is TokenKind.OPERATOR]
+        ops = [t for t, kind in zip(toks, token_kinds(toks)) if kind == "operator"]
         assert ops == ["<=", "&&", "!=", "||", ">=", "=="]
 
     def test_lex_error_carries_offset(self):
@@ -89,7 +85,7 @@ class TestTokenize:
 
     def test_roundtrip_lexical_content(self):
         src = "int x = 3 ; x = x + 1 ; f ( x , \"s\" ) ;"
-        assert " ".join(t.text for t in lex(src)) == src
+        assert " ".join(lex(src)) == src
 
     @pytest.mark.parametrize("src, message, offset", [
         ('x = "abc;', "unterminated string literal", 4),
@@ -111,13 +107,15 @@ class TestTokenize:
         assert len(lex(without)) == 13
 
     def test_slash_before_star_and_slash(self):
-        assert [t.text for t in lex("a / b // c\n/* d */ e /f")] == [
+        assert lex("a / b // c\n/* d */ e /f") == [
             "a", "/", "b", "e", "/", "f",
         ]
 
 
 def tokens_and_offsets(source):
-    return tokenize(source), token_offsets(source)
+    """The lexer's (text, kind) pairs and offsets, as `tokenize_per_char` gives them."""
+    toks = tokenize(source)
+    return list(zip(toks, token_kinds(toks))), token_offsets(source)
 
 
 def lex_outcome(lexer, source):
@@ -162,75 +160,71 @@ class TestTokenizeMatchesPerCharOracle:
 
 
 class TestTokenContract:
-    def test_immutable(self):
-        tok = Token("x", TokenKind.IDENTIFIER)
-        with pytest.raises(AttributeError):
-            tok.text = "y"
-        with pytest.raises(AttributeError):
-            tok.extra = 1
-
-    def test_hashes_by_value(self):
-        a = Token("x", TokenKind.IDENTIFIER)
-        assert hash(a) == hash(Token("x", TokenKind.IDENTIFIER))
-        assert len({a, Token("x", TokenKind.IDENTIFIER), Token("x", TokenKind.KEYWORD)}) == 2
-
-    def test_equals_the_plain_tuple_of_its_fields(self):
-        assert Token("x", TokenKind.IDENTIFIER) == ("x", TokenKind.IDENTIFIER)
-
     def test_tokenize_returns_exactly_tokens(self):
         toks = tokenize(IDLE_CONNECTIONS_SOURCE + ' int g() { return "s" + 1.5 != true; }')
-        assert {t.kind for t in toks} == set(TokenKind)
-        assert all(type(t) is Token for t in toks)
-        assert toks[0] == Token("void", TokenKind.IDENTIFIER)
+        assert all(type(t) is str for t in toks)
+        assert set(token_kinds(toks)) == TOKEN_KINDS
+        assert toks[0] == "void"
 
-    def test_repr(self):
-        assert repr(Token("x", TokenKind.IDENTIFIER)) == (
-            "Token(text='x', kind=<TokenKind.IDENTIFIER: 'identifier'>)"
-        )
+    def test_placeholders_keep_their_literals_kinds_and_eof_is_punct(self):
+        assert token_kinds(["<NUM>", "<STR>", "<BOOL>", "<eof>"]) == [
+            "number", "string", "bool", "punct"]
 
 
-class TestKindsHashByIdentity:
-    """Kind members are singletons, so they hash by identity, in C."""
+def abstracted_pairs(source):
+    """`abstract_literals` of the lexer's tokens, as (text, kind) pairs."""
+    toks = abstract_literals(tokenize(source))
+    return list(zip(toks, token_kinds(toks)))
 
-    @pytest.mark.parametrize("kinds", [TokenKind, StmtKind])
-    def test_members_survive_pickle_and_deepcopy(self, kinds):
-        by_member = {member: member.value for member in kinds}
-        for member in kinds:
-            assert hash(member) == object.__hash__(member)
-            for same in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member)):
-                assert same is member
-                assert by_member[same] == member.value
+
+class TestAbstractLiteralsMatchesPerTokenOracle:
+    @given(lex_sources)
+    def test_random_text(self, source):
+        try:
+            pairs, _ = tokenize_per_char(source)
+        except LexError:
+            return
+        assert abstracted_pairs(source) == abstract_literals_per_token(pairs)
+        toks = tokenize(source)
+        assert token_kinds(abstract_literals(toks)) == token_kinds(toks)
+
+    @pytest.mark.parametrize("label, profile, count", [
+        ("prep-large", PREP_PROFILE, 3),
+        ("pretrain-sep", MEDIUM_PROFILE, 6),
+        ("summarize-small", SMALL_PROFILE, 12),
+    ])
+    def test_generated_methods(self, label, profile, count):
+        for seed in range(1, 21):
+            for record in generate_records(label, seed, count, profile):
+                pairs, _ = tokenize_per_char(record["code"])
+                assert abstracted_pairs(record["code"]) == abstract_literals_per_token(pairs)
 
 
 class TestAbstractLiterals:
     def test_number_becomes_placeholder(self):
-        (tok,) = abstract_literals(lex("42"))
-        assert tok.text == "<NUM>" and tok.kind is TokenKind.NUMBER_LIT
+        toks = abstract_literals(lex("42"))
+        assert toks == ["<NUM>"] and token_kinds(toks) == ["number"]
 
     def test_non_literal_unchanged(self):
-        (tok,) = abstract_literals(lex("x"))
-        assert tok.text == "x"
+        assert abstract_literals(lex("x")) == ["x"]
 
     def test_string_and_bool(self):
-        toks = abstract_literals(lex('"hi" true'))
-        assert [t.text for t in toks] == ["<STR>", "<BOOL>"]
+        assert abstract_literals(lex('"hi" true')) == ["<STR>", "<BOOL>"]
 
     def test_idempotent_and_length_preserving(self):
         toks = lex('f(1, "a", false, x);')
         once = abstract_literals(toks)
         assert len(once) == len(toks)
         assert abstract_literals(once) == once
-        assert [t.kind for t in once] == [t.kind for t in toks]
+        assert token_kinds(once) == token_kinds(toks)
 
     def test_keeps_token_objects_it_does_not_change(self):
-        toks = lex('f(1, "a", false, x);')
+        toks = lex('call(12, "ab", false, xs) <= 3.5;')
         once = abstract_literals(toks)
-        placeholder = {TokenKind.NUMBER_LIT: "<NUM>", TokenKind.STRING_LIT: "<STR>",
-                       TokenKind.BOOL_LIT: "<BOOL>"}
+        assert once == ["call", "(", "<NUM>", ",", "<STR>", ",", "<BOOL>", ",", "xs", ")",
+                        "<=", "<NUM>", ";"]
         for before, after in zip(toks, once):
-            if before.kind in placeholder:
-                assert (after.text, after.kind) == (placeholder[before.kind], before.kind)
-            else:
+            if after == before:
                 assert after is before
         assert all(a is b for a, b in zip(abstract_literals(once), once))
 
@@ -276,7 +270,7 @@ class TestParseMethod:
     def test_three_assignments(self):
         m = parse_source("void f() { a = 1; b = 2; c = 3; }")
         assert len(m.body) == 3
-        assert all(s.kind is StmtKind.ASSIGN for s in m.body)
+        assert all(s.kind == "assign" for s in m.body)
 
     def test_idle_connections_structure(self, idle_method):
         m = idle_method
@@ -284,19 +278,19 @@ class TestParseMethod:
         assert [(p.children[0].value, p.value) for p in m.declaration[1:]] == [
             ("long", "timeMillis")]
         kinds = [s.kind for s in m.body]
-        assert kinds == [StmtKind.DECL, StmtKind.FOR]
+        assert kinds == ["decl", "for"]
         loop = m.body[1]
         assert loop.init is not None and loop.update is not None
         outer_if = loop.body[1]
-        assert outer_if.kind is StmtKind.IF
+        assert outer_if.kind == "if"
         inner_if = outer_if.body[0]
-        assert inner_if.kind is StmtKind.IF
+        assert inner_if.kind == "if"
         assert inner_if.orelse, "inner conditional keeps its else branch"
 
     def test_empty_body(self):
         m = parse_source("void f() { }")
         assert m.body == []
-        assert [t.text for t in m.declaration_tokens] == ["void", "f", "(", ")"]
+        assert m.declaration_tokens == ["void", "f", "(", ")"]
 
     def test_parse_error_reports_index_and_expected(self):
         toks = abstract_literals(tokenize("void f() { if x }"))
@@ -396,8 +390,7 @@ class TestParseMethod:
         methods = parse_program("void f() { a = 1; b = 2; }\nvoid g() { if (a) { c = 3; } }")
         assert [list(m.statements) for m in methods] == [[0, 1], [0, 1, 2]]
         # a braced body keeps its block statement, though its statements are flattened
-        assert [s.kind for s in methods[1].statements.values()] == [
-            StmtKind.IF, StmtKind.BLOCK, StmtKind.ASSIGN]
+        assert [s.kind for s in methods[1].statements.values()] == ["if", "block", "assign"]
 
     def test_statement_ids_are_source_order_keys_of_every_statement(self):
         m = parse_source(EVERY_CONSTRUCT_SOURCE)
@@ -406,7 +399,7 @@ class TestParseMethod:
         assert all(stmts[i].stmt_id == i for i in stmts)
         starts = [s.span[0] for s in stmts.values()]
         assert starts == sorted(set(starts))
-        loop = next(s for s in stmts.values() if s.kind is StmtKind.FOR)
+        loop = next(s for s in stmts.values() if s.kind == "for")
         assert loop.stmt_id < loop.init.stmt_id < loop.update.stmt_id < loop.body[0].stmt_id
 
     def test_method_tokens_are_the_callers_list(self):
@@ -440,7 +433,7 @@ class TestParseMethod:
     def test_parse_program_multiple_methods(self):
         methods = parse_program("void f() { a = 1; }\nint g() { return 2; }")
         assert [m.name for m in methods] == ["f", "g"]
-        assert methods[1].body[0].kind is StmtKind.RETURN
+        assert methods[1].body[0].kind == "return"
 
 
 # Every statement kind and expression form; a for with and without its
@@ -519,7 +512,7 @@ class TestBuildAst:
 
     def test_emitted_node_types_are_the_documented_set(self):
         m = parse_source(EVERY_CONSTRUCT_SOURCE)
-        assert {s.kind for s in m.statements.values()} == set(StmtKind)
+        assert {s.kind for s in m.statements.values()} == STMT_KINDS
         emitted = {n.node_type for n in iter_nodes(build_ast(m))}
         assert emitted == _documented_node_types()
 

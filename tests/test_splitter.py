@@ -8,7 +8,7 @@ import pytest
 
 from basts.cfg import build_cfg
 from basts.dominators import compute_dominators
-from basts.frontend import Statement, StmtKind, ast_to_json, build_ast, iter_nodes, parse_program
+from basts.frontend import Statement, ast_to_json, build_ast, iter_nodes, parse_program
 from basts.splitter import build_split_asts, make_split_code, partition_blocks, split_method
 from conftest import (
     DIAMOND_SOURCE,
@@ -58,7 +58,7 @@ class TestPartitionBlocks:
             expected = sorted(
                 s.stmt_id
                 for s in method.statements.values()
-                if s.kind is not StmtKind.BLOCK
+                if s.kind != "block"
             )
             assert sorted(seen) == expected
             assert len(seen) == len(set(seen))
@@ -135,12 +135,12 @@ class TestMakeSplitCode:
         result = split_method(method)
         (split,) = result.graph.splits
         tokens = make_split_code(split, method)
-        assert [t.text for t in tokens] == ["void", "f", "(", ")"]
+        assert tokens == ["void", "f", "(", ")"]
 
     def test_diamond_then_branch(self, diamond_method):
         graph = split_method(diamond_method).graph
         texts = [
-            [t.text for t in make_split_code(s, diamond_method)]
+            make_split_code(s, diamond_method)
             for s in graph.splits
         ]
         assert texts[1] == ["void", "f", "(", ")", "a", ";"]
@@ -149,9 +149,7 @@ class TestMakeSplitCode:
 
     def test_idle_first_split_keeps_loop_header(self, idle_method):
         graph = split_method(idle_method).graph
-        first = " ".join(
-            t.text for t in make_split_code(graph.splits[0], idle_method)
-        )
+        first = " ".join(make_split_code(graph.splits[0], idle_method))
         assert "for ( int i = <NUM> ; i < connections . size ( ) ; ) { }" in first
         assert "idleTimeout = System . currentTimeMillis ( ) - timeMillis" in first
         assert first.endswith("if ( conn . getLastUse ( ) < idleTimeout ) { }")
@@ -159,7 +157,7 @@ class TestMakeSplitCode:
     def test_update_split_renders_standalone(self, idle_method):
         graph = split_method(idle_method).graph
         update_split = graph.splits[1]
-        text = " ".join(t.text for t in make_split_code(update_split, idle_method))
+        text = " ".join(make_split_code(update_split, idle_method))
         assert text.endswith("i = i + <NUM> ;")
 
 
@@ -312,13 +310,13 @@ class TestSplitAstsShareDeclarationNodes:
         init = Statement.__init__
         monkeypatch.setattr(Statement, "__init__",
                             lambda self, *args, **kw: made.append(args) or init(self, *args, **kw))
-        Statement(0, StmtKind.BREAK, (0, 2))
+        Statement(0, "break", (0, 2))
         assert len(made) == 1  # the probe sees every Statement made
         cfg = build_cfg(idle_method)
         graph = partition_blocks(compute_dominators(cfg), cfg)
         kinds = {idle_method.statements[sid].kind for split in graph.splits
                  for sid in split.statements}
-        assert {StmtKind.FOR, StmtKind.IF} <= kinds  # header pieces are built
+        assert {"for", "if"} <= kinds  # header pieces are built
         build_split_asts(graph, idle_method)
         assert len(made) == 1
 
@@ -352,7 +350,7 @@ class TestSplitDigest:
                         "statements": [s.statements for s in result.graph.splits],
                         "edges": result.graph.successor_edges,
                         "asts": [ast_to_json(a.root) for a in result.asts],
-                        "code": [[t.text for t in make_split_code(s, result.method)]
+                        "code": [make_split_code(s, result.method)
                                  for s in result.graph.splits],
                     })
                     digest.update(line.encode() + b"\n")
