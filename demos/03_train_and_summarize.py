@@ -10,14 +10,8 @@ then reproduces the gold comments.
 import numpy as np
 
 from basts.autodiff import Adam
-from basts.cli import CorpusRecord, RunConfig, preprocess
-from basts.summarizer import (
-    SummarizerModel,
-    TransformerParams,
-    greedy_decode,
-    train_step,
-)
-from basts.syntax_encoder import TreeLstmParams, build_type_value_vocab
+from basts.cli import CorpusRecord, RunConfig, build_model, preprocess, summaries
+from basts.summarizer import train_step
 
 ROWS = [
     ("add", "int add(int a, int b) { return a + b; }",
@@ -40,26 +34,16 @@ ROWS = [
 #    split into blocks, and build both vocabularies.
 records = [CorpusRecord(rid, code, comment) for rid, code, comment in ROWS]
 config = RunConfig(embedding_size=32, heads=4, encoder_layers=1,
-                   decoder_layers=1, seed=1)
+                   decoder_layers=1, type_value_min_freq=1, seed=1)
 corpus = preprocess(records, config)
 print(f"{len(corpus.examples)} examples; code vocab {len(corpus.code_vocab)}, "
       f"word vocab {len(corpus.word_vocab)}")
 print("code tokens of the first example:",
       " ".join(corpus.records[0].code_tokens))
 
-# 2. Build the model: tree encoder over split ASTs plus the Transformer.
-vocab = build_type_value_vocab(
-    [a.root for r in corpus.records for a in r.splits.asts], min_freq=1
-)
-model = SummarizerModel(
-    TreeLstmParams.init(vocab, config.embedding_size, np.random.default_rng(1)),
-    TransformerParams.init(
-        len(corpus.code_vocab), len(corpus.word_vocab),
-        config.embedding_size, config.heads,
-        config.encoder_layers, config.decoder_layers,
-        np.random.default_rng(2),
-    ),
-)
+# 2. Build the model: a tree encoder over split ASTs (seeded `seed`) plus
+#    the Transformer (seeded `seed + 1`), as `basts train --from-scratch` does.
+model = build_model(corpus, config)
 
 # 3. Teacher-forced training until the corpus is memorized.
 opt = Adam(model.all_params(), lr=3e-3)
@@ -74,7 +58,6 @@ for epoch in range(1, 301):
 
 # 4. Greedy decoding: start from BOS, append the argmax word, stop at EOS.
 print("\ngenerated versus gold:")
-for example, (rid, _, comment) in zip(corpus.examples, ROWS):
-    out = corpus.word_vocab.decode(greedy_decode(example, model))
-    print(f"  {rid:7s} generated: {' '.join(out)}")
+for words, (rid, _, comment) in zip(summaries(corpus, model, config), ROWS):
+    print(f"  {rid:7s} generated: {' '.join(words)}")
     print(f"  {'':7s} gold:      {comment}")

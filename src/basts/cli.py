@@ -4,8 +4,10 @@ Subcommands: split, pretrain, train, eval, summarize, plus `cfg dump` and
 `dom dump` for DOT output. Each command is one row of a table: its
 subparser names its handler with `set_defaults(run=...)`, and `run`
 calls that handler with the parsed arguments and the config. Corpus
-records and summarize's methods share one per-method preparation, and
-`eval --input` and `summarize` share one decode loop, `_summaries`.
+records and summarize's methods share one per-method preparation.
+`train` builds its model with `build_model`, whose fresh tree encoder
+is `init_tree`'s, the one `pretrain` starts from too; `eval --input` and
+`summarize` share one decode loop, `summaries`.
 Corpora are JSON Lines records with id/code/comment fields; configs are
 key = value text. A token is its text: `code_token_texts` finds the
 identifiers among a method's tokens with `frontend.token_kinds`, and
@@ -454,8 +456,9 @@ def cmd_split(args, config: RunConfig) -> int:
     return 0
 
 
-def _init_tree(corpus: PreparedCorpus, config: RunConfig) -> TreeLstmParams:
-    """Fresh tree encoder over the corpus's type_value vocabulary."""
+def init_tree(corpus: PreparedCorpus, config: RunConfig) -> TreeLstmParams:
+    """Fresh tree encoder over the corpus's type_value vocabulary, seeded
+    `config.seed`."""
     roots = [a.root for r in corpus.records for a in r.splits.asts]
     vocab = build_type_value_vocab(roots, min_freq=config.type_value_min_freq)
     return TreeLstmParams.init(
@@ -463,9 +466,21 @@ def _init_tree(corpus: PreparedCorpus, config: RunConfig) -> TreeLstmParams:
     )
 
 
+def build_model(corpus: PreparedCorpus, config: RunConfig,
+                tree: TreeLstmParams | None = None) -> SummarizerModel:
+    """`tree`, or a fresh `init_tree`, plus a fresh Transformer over the
+    corpus's vocabularies, seeded `config.seed + 1`."""
+    if tree is None:
+        tree = init_tree(corpus, config)
+    return SummarizerModel(tree, TransformerParams.init(
+        len(corpus.code_vocab), len(corpus.word_vocab), config.embedding_size,
+        config.heads, config.encoder_layers, config.decoder_layers,
+        np.random.default_rng(config.seed + 1)))
+
+
 def cmd_pretrain(args, config: RunConfig) -> int:
     corpus = preprocess(load_corpus(args.input), config)
-    model, history = pretrain(corpus.split_corpus, _init_tree(corpus, config), config)
+    model, history = pretrain(corpus.split_corpus, init_tree(corpus, config), config)
     save_checkpoint(args.output, tree=model.tree, sep=model)
     _write_loss_log(
         args.log,
@@ -481,6 +496,7 @@ def cmd_train(args, config: RunConfig) -> int:
     if bool(args.checkpoint) == args.from_scratch:
         raise ConfigError("train needs exactly one of --checkpoint and --from-scratch")
     corpus = preprocess(load_corpus(args.input), config)
+    tree = None
     if args.checkpoint:
         tree = load_checkpoint(args.checkpoint).tree
         if tree is None:
@@ -490,18 +506,7 @@ def cmd_train(args, config: RunConfig) -> int:
                 f"checkpoint width {tree.size} != embedding_size "
                 f"{config.embedding_size}"
             )
-    else:
-        tree = _init_tree(corpus, config)
-    transformer = TransformerParams.init(
-        len(corpus.code_vocab),
-        len(corpus.word_vocab),
-        config.embedding_size,
-        config.heads,
-        config.encoder_layers,
-        config.decoder_layers,
-        np.random.default_rng(config.seed + 1),
-    )
-    model = SummarizerModel(tree, transformer)
+    model = build_model(corpus, config, tree)
     history = train_summarizer(corpus.examples, model, config)
     save_checkpoint(
         args.output,
@@ -513,15 +518,14 @@ def cmd_train(args, config: RunConfig) -> int:
     _write_loss_log(
         args.log, [(i + 1, loss) for i, loss in enumerate(history)], "epoch,loss"
     )
-    final = history[-1] if history else float("nan")
     print(f"trained {config.epochs} epochs on {len(corpus.examples)} examples "
-          f"({len(corpus.dropped)} dropped); final loss {final:.4f}; "
+          f"({len(corpus.dropped)} dropped); final loss {history[-1]:.4f}; "
           f"checkpoint: {args.output}")
     return 0
 
 
-def _summaries(corpus: PreparedCorpus, model: SummarizerModel,
-               config: RunConfig) -> list[list[str]]:
+def summaries(corpus: PreparedCorpus, model: SummarizerModel,
+              config: RunConfig) -> list[list[str]]:
     """The greedy-decoded words of every example of the corpus, in order."""
     return [corpus.word_vocab.decode(
                 greedy_decode(example, model, max_len=config.max_comment_length))
@@ -564,7 +568,7 @@ def cmd_eval(args, config: RunConfig) -> int:
             if not (train_codes := read_code_tokens(load_corpus(args.dedupe_train))):
                 raise ConfigError(f"--dedupe-train {args.dedupe_train}: no record lexes and parses")
             corpus = dedupe_against(corpus, train_codes)
-        hyps = _summaries(corpus, model, config)
+        hyps = summaries(corpus, model, config)
         refs = [r.comment_words for r in corpus.records]
     else:
         raise ConfigError("eval needs --hyp/--ref files or --input with --checkpoint")
@@ -592,7 +596,7 @@ def cmd_summarize(args, config: RunConfig) -> int:
     records = [record for _, record in
                _each_method(args.input, lambda m: _prepare(m.name, m, "", config))]
     corpus = PreparedCorpus(records, ckpt.code_vocab, ckpt.word_vocab)
-    for words in _summaries(corpus, model, config):
+    for words in summaries(corpus, model, config):
         print(" ".join(words))
     return 0
 

@@ -25,6 +25,13 @@ runs, and every decoder layer takes its own pair.
 `encode`, `decoder_logits` and `greedy_decode` run the same code on a
 batch of one. Decoding encodes and projects the memory keys and values
 once per comment.
+
+Memory rows are stated once: `encode_batch` returns the packed memory
+with `lengths`, where `lengths[b]` is the number of memory rows of
+example b (today one per code token), and `train_step` hands those
+counts to `decoder_logits`. `greedy_decode` encodes a batch of one,
+which owns every row. So an encoder that adds rows, such as one row per
+split, replaces `encode_batch` alone.
 """
 
 from __future__ import annotations
@@ -284,14 +291,16 @@ def _decoder_layer(y: Tensor, kv: tuple[Tensor, Tensor], layer: DecoderLayerPara
     return y
 
 
-def encode_batch(batch: list[SummarizationExample], model: SummarizerModel) -> Tensor:
-    """Source encodings of a batch, packed into one [Σn, L] matrix.
+def encode_batch(batch: list[SummarizationExample],
+                 model: SummarizerModel) -> tuple[Tensor, list[int]]:
+    """Source encodings of a batch, packed into one [Σn, L] matrix, and
+    `lengths`, where `lengths[b]` is the number of memory rows of example b.
 
-    Example b's code tokens follow those of examples 0..b-1. Every split
-    AST of the batch is folded in one `encode_trees` call; one matmul
-    with a constant [B, T] averaging matrix pools each example's roots
-    into row b of a [B, L] matrix, and one lookup takes row b once per
-    code token of example b. The fused inputs, with
+    Example b's code tokens, one row each, follow those of examples
+    0..b-1. Every split AST of the batch is folded in one `encode_trees`
+    call; one matmul with a constant [B, T] averaging matrix pools each
+    example's roots into row b of a [B, L] matrix, and one lookup takes
+    row b once per code token of example b. The fused inputs, with
     positions restarting at each example, go through each encoder layer
     once for the whole batch; attention stays within an example.
     """
@@ -320,7 +329,7 @@ def encode_batch(batch: list[SummarizationExample], model: SummarizerModel) -> T
     self_lengths = [(n, n) for n in lengths]
     for layer in t.enc:
         x = _encoder_layer(x, layer, t.heads, self_lengths)
-    return x
+    return x, lengths
 
 
 def encode(example: SummarizationExample, model: SummarizerModel) -> Tensor:
@@ -329,7 +338,7 @@ def encode(example: SummarizationExample, model: SummarizerModel) -> Tensor:
     With zero encoder layers the result is exactly the fused inputs plus
     position encodings.
     """
-    return encode_batch([example], model)
+    return encode_batch([example], model)[0]
 
 
 def decoder_logits(target_ids, kv, memory_lengths, model: SummarizerModel) -> Tensor:
@@ -337,7 +346,7 @@ def decoder_logits(target_ids, kv, memory_lengths, model: SummarizerModel) -> Te
 
     `target_ids` holds each example's decoder input ids; `kv` is
     `memory_kv` of the batch's packed memory, and `memory_lengths[b]`
-    the number of memory rows of example b, as `encode_batch` packs them.
+    the number of memory rows of example b, as `encode_batch` returns it.
     The [Σs, V] result holds example b's rows in order. Each example's
     self-attention and cross-attention stay within its own rows, so every
     decoder layer runs once for the whole batch.
@@ -371,10 +380,9 @@ def train_step(batch: list[SummarizationExample], model: SummarizerModel, opt: A
     if not batch:
         raise EmptyInputError("train_step needs a non-empty batch")
     with Tape() as tape:
-        memory = encode_batch(batch, model)
+        memory, lengths = encode_batch(batch, model)
         inputs = [example.comment_ids[:-1] for example in batch]
-        logits = decoder_logits(inputs, memory_kv(memory, model),
-                                [len(example.code_ids) for example in batch], model)
+        logits = decoder_logits(inputs, memory_kv(memory, model), lengths, model)
         targets = [i for example in batch for i in example.comment_ids[1:]]
         loss = ad.cross_entropy_logits(logits, targets)
         backward(tape, loss)
@@ -392,11 +400,13 @@ def greedy_decode(example: SummarizationExample, model: SummarizerModel,
 
     Each step runs the whole prefix through `decoder_logits`. What does
     not change between steps is made once per comment: the encoding and
-    its cross-attention keys and values. Decoding runs outside any tape,
-    so nothing records and the tree fold keeps no backward buffers.
+    its cross-attention keys and values. A batch of one owns every memory
+    row, so the memory's height is its row count. Decoding runs outside
+    any tape, so nothing records and the tree fold keeps no backward
+    buffers.
     """
-    kv = memory_kv(encode(example, model), model)
-    memory_lengths = [len(example.code_ids)]
+    memory = encode(example, model)
+    kv, memory_lengths = memory_kv(memory, model), [memory.shape[0]]
     out = [Vocab.BOS]
     content: list[int] = []
     for _ in range(max_len):

@@ -28,6 +28,7 @@ from basts.cli import (
     CorpusRecord,
     FormatError,
     RunConfig,
+    build_model,
     dedupe_against,
     load_corpus,
     method_key,
@@ -48,6 +49,10 @@ from conftest import (
     nested_parens,
     parse_source,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from minigen import write_jsonl  # noqa: E402
+from workloads import SummarizeSmall  # noqa: E402
 
 
 def write_corpus(path, rows):
@@ -899,6 +904,33 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError) as err:
             act()
         assert str(err.value) == message
+
+
+class TestBuildModel:
+    def test_matches_the_bench_fresh_model_blob_for_blob(self, tmp_path):
+        # summarize-small builds its model with its own copy of the formula
+        workload = SummarizeSmall()
+        paths = {"checkpoint": tmp_path / "model.ckpt"}
+        for stem, records in workload.inputs(3).items():
+            paths[stem] = tmp_path / f"{stem}.jsonl"
+            write_jsonl(paths[stem], records)
+        workload.setup(paths, 3)
+        built, bench = build_model(workload.train, workload.config), workload.fresh_model()
+        assert built.tree.vocab == bench.tree.vocab
+        assert [n for n, _ in built.named_params()] == [n for n, _ in bench.named_params()]
+        for (name, a), (_, b) in zip(built.named_params(), bench.named_params()):
+            assert np.array_equal(a.data, b.data), name
+
+    def test_keeps_a_given_tree(self):
+        config = RunConfig(embedding_size=8, heads=2, seed=4)
+        corpus = preprocess([CorpusRecord(r["id"], r["code"], r["comment"])
+                             for r in toy_rows()], config)
+        tree = TreeLstmParams.init({"<UNK>": 0}, 8, np.random.default_rng(0))
+        fresh, given_tree = build_model(corpus, config), build_model(corpus, config, tree)
+        assert given_tree.tree is tree
+        for (name, a), (_, b) in zip(fresh.transformer.named_params(),
+                                     given_tree.transformer.named_params()):
+            assert np.array_equal(a.data, b.data), name
 
 
 def _write_toy_setup(tmp_path, epochs=3):

@@ -436,8 +436,9 @@ class TestBatchedEncode:
         batch = [make_example(), make_example(code_ids=(9, 4, 7)),
                  make_example(code_ids=(8, 8, 10, 11, 4))]
         batch[1].split_asts = batch[1].split_asts * 3
-        memory = encode_batch(batch, model)
+        memory, lengths = encode_batch(batch, model)
         offsets = [0, 4, 7, 12]
+        assert lengths == [4, 3, 5]
         assert memory.shape == (12, 8)
         for b, ex in enumerate(batch):
             rows = memory.data[offsets[b]:offsets[b + 1]]
@@ -726,6 +727,48 @@ class TestCausality:
             perturbed = decoder_logits([perturbed_ids], kv, [len(ex.code_ids)], model).data
             assert np.array_equal(base[:s], perturbed[:s])
             assert not np.array_equal(base[s:], perturbed[s:])
+
+
+class TestMemoryRowSeam:
+    """`encode_batch` states each example's memory rows once, so an encoder
+    that adds rows replaces it alone: `train_step` and `greedy_decode`
+    hand the decoder the row counts it returns."""
+
+    @staticmethod
+    def one_zero_row_more(encode_rows):
+        """`encode_rows` with one zero row appended to each example's memory."""
+
+        def encode_batch(batch, model):
+            memory, lengths = encode_rows(batch, model)
+            table = ad.concat([memory, Tensor(np.zeros((1, memory.shape[1])))])
+            ends = np.cumsum(lengths)
+            rows = [i for end, n in zip(ends, lengths)
+                    for i in [*range(end - n, end), memory.shape[0]]]
+            return ad.embedding_lookup(table, rows), [n + 1 for n in lengths]
+
+        return encode_batch
+
+    def test_added_rows_reach_every_decoder_call(self, monkeypatch):
+        batch = [make_example(), make_example(code_ids=(9, 4, 7))]
+        model, twin = make_model(enc=1, dec=2, seed=5), make_model(enc=1, dec=2, seed=5)
+        plain = train_step(batch, twin, Adam(twin.all_params(), lr=3e-3))
+        seen = []
+
+        def spy(target_ids, kv, memory_lengths, model):
+            seen.append((len(target_ids), list(memory_lengths), kv[0][0].shape[0]))
+            return decoder_logits(target_ids, kv, memory_lengths, model)
+
+        monkeypatch.setattr(summarizer, "encode_batch",
+                            self.one_zero_row_more(summarizer.encode_batch))
+        monkeypatch.setattr(summarizer, "decoder_logits", spy)
+        loss = train_step(batch, model, Adam(model.all_params(), lr=3e-3))
+        assert seen == [(2, [5, 4], 9)]
+        assert math.isfinite(loss) and loss != plain  # the zero rows were attended
+
+        seen.clear()
+        out = greedy_decode(batch[1], model, max_len=3)
+        assert len(seen) == min(len(out) + 1, 3)
+        assert all(rows == [4] and total == 4 for _, rows, total in seen)
 
 
 class TestGreedyDecode:
