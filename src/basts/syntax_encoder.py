@@ -31,6 +31,9 @@ Pre-training scores ordered pairs of split embeddings with a logistic
 head and minimizes binary cross entropy against the block successor
 relation; the trained tree parameters are what the summarizer later
 fine-tunes. Pairs are scored as rows of two gathered embedding matrices.
+Each epoch's pair accuracy is counted from the scores its steps already
+compute, so pre-training folds only its batches and its memory follows
+the batch, not the corpus.
 """
 
 from __future__ import annotations
@@ -413,33 +416,29 @@ def sep_score(left: Tensor, right: Tensor, model: SepModel) -> Tensor:
     return ad.sigmoid(ad.add(ad.matmul(joint, model.score_w), model.score_b))
 
 
-def _pair_scores(pairs: list[PairExample], model: SepModel) -> Tensor:
-    """Scores of every pair, shape [P]; each distinct tree is folded once."""
-    trees = list({id(t): t for p in pairs for t in (p.t, p.t_prime)}.values())
-    row = {id(t): i for i, t in enumerate(trees)}
-    roots = encode_trees(trees, model.tree)
-    left = ad.embedding_lookup(roots, [row[id(p.t)] for p in pairs])
-    right = ad.embedding_lookup(roots, [row[id(p.t_prime)] for p in pairs])
-    return sep_score(left, right, model)
-
-
 SCORE_FLOOR = 1e-12
 
 
-def sep_loss(pairs: list[PairExample], model: SepModel) -> Tensor:
+def sep_loss(pairs: list[PairExample], model: SepModel) -> tuple[Tensor, np.ndarray]:
     """Mean binary cross entropy of pair scores against successor labels.
 
+    Returns the loss and the [P] scores it was taken from, as an array.
     Each distinct tree of the pairs is folded once, in one `encode_trees`
     call planned by the tree parameters' own index.
     """
     if not pairs:
         raise ValueError("sep_loss needs at least one pair")
-    scores = _pair_scores(pairs, model)
+    trees = list({id(t): t for p in pairs for t in (p.t, p.t_prime)}.values())
+    row = {id(t): i for i, t in enumerate(trees)}
+    roots = encode_trees(trees, model.tree)
+    left = ad.embedding_lookup(roots, [row[id(p.t)] for p in pairs])
+    right = ad.embedding_lookup(roots, [row[id(p.t_prime)] for p in pairs])
+    scores = sep_score(left, right, model)
     y = np.array([p.label for p in pairs], dtype=np.float64)
     # the probability given to the observed label: s for 1, 1 - s for 0
     observed = ad.add(ad.mul(scores, Tensor(2.0 * y - 1.0)), Tensor(1.0 - y))
     total = ad.sum_(ad.log(observed, floor=SCORE_FLOOR))
-    return ad.scalar_mul(total, -1.0 / len(pairs))
+    return ad.scalar_mul(total, -1.0 / len(pairs)), scores.data
 
 
 def generate_pairs(splits: MethodSplits, neg_ratio: int = 1,
@@ -503,9 +502,11 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
     The index of `params` plans every fold, so each tree is walked once,
     the first time a batch holds it, and each later fold of it, in this
     run or in a later use of the same parameters, takes its plan from
-    cached arrays. After each epoch's steps, an accuracy pass scores every
-    pair without a tape, in one `encode_trees` call over every pair's
-    trees, so every tree is folded once.
+    cached arrays. Every fold is a step's: an epoch's loss and pair
+    accuracy are counted from the scores each step's `sep_loss` takes
+    before its update, so an epoch's accuracy is the share of its pairs
+    scored on their label's side of 0.5, and memory follows the batch,
+    not the corpus.
 
     A corpus with no multi-split methods produces no pairs and the
     initialized parameters come back untouched. A step whose loss or
@@ -527,16 +528,15 @@ def pretrain(corpus: list[MethodSplits], params: TreeLstmParams,
     history = []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(len(pairs))
-        epoch_loss = 0.0
+        epoch_loss, correct = 0.0, 0
         for lo in range(0, len(pairs), config.batch_size):
-            batch = [pairs[i] for i in order[lo : lo + config.batch_size]]
+            idx = order[lo : lo + config.batch_size]
             with Tape() as tape:
-                loss = sep_loss(batch, model)
+                loss, scores = sep_loss([pairs[i] for i in idx], model)
                 backward(tape, loss)
             opt.step()
             opt.zero_grad()
-            epoch_loss += loss.item() * len(batch)
-        predicted = _pair_scores(pairs, model).data > 0.5
-        correct = int(np.sum(predicted == successors))
+            epoch_loss += loss.item() * len(idx)
+            correct += int(np.count_nonzero((scores > 0.5) == successors[idx]))
         history.append(EpochStats(epoch_loss / len(pairs), correct / len(pairs)))
     return model, history

@@ -143,7 +143,7 @@ def test_criterion_3_gradient_fidelity():
     ]
 
     def pair_loss(_):
-        return sep_loss(pairs, sep)
+        return sep_loss(pairs, sep)[0]
 
     worst["sep"] = max(
         grad_check(pair_loss, p).max_rel_error for p in sep.all_params()

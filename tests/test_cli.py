@@ -37,7 +37,7 @@ from basts.cli import (
     run,
 )
 from basts.summarizer import SPECIAL_TOKENS, TransformerParams, Vocab
-from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams
+from basts.syntax_encoder import ConfigError, SepModel, TreeLstmParams, pretrain
 from basts.frontend import (MAX_NESTING, LexError, ParseError, iter_nodes, parse_program,
                             tokenize_comment)
 from basts.splitter import split_method
@@ -1008,6 +1008,29 @@ class TestCliCommands:
         ]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1  # one output line per method, possibly empty
+
+    def test_pretrain_log_writes_each_epochs_accuracy_as_a_float(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        corpus_path, config_path = _write_toy_setup(tmp_path)
+        histories = []
+
+        def spied_pretrain(*args):
+            model, history = pretrain(*args)
+            histories.append(history)
+            return model, history
+
+        monkeypatch.setattr(cli, "pretrain", spied_pretrain)
+        log = tmp_path / "p.csv"
+        assert run(["pretrain", "--config", str(config_path), "--input", str(corpus_path),
+                    "--output", str(tmp_path / "sep.ckpt"), "--log", str(log)]) == 0
+        capsys.readouterr()
+        header, *rows = log.read_text().splitlines()
+        assert header == "epoch,loss,pair_accuracy"
+        (history,) = histories
+        assert len(rows) == len(history) == 3
+        for row, stats in zip(rows, history):
+            accuracy = float(row.split(",")[2])
+            assert accuracy == stats.accuracy and 0.0 <= accuracy <= 1.0
 
     def test_freeze_pretrained_trains_the_transformer_alone(self, tmp_path, capsys):
         corpus_path, config_path = _write_toy_setup(tmp_path)

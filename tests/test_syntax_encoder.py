@@ -472,7 +472,7 @@ class TestCostGates:
     def test_pretrain_batch_op_count(self):
         batch, model = toy_pretrain_batch()
         with Tape() as tape:
-            loss = sep_loss(batch, model)
+            loss, _ = sep_loss(batch, model)
             backward(tape, loss)
         assert len(tape.nodes) == self.PRETRAIN_BATCH_OPS
 
@@ -546,7 +546,7 @@ class TestCostGates:
         gc.disable()
         try:
             with Tape() as tape:
-                loss = sep_loss(batch, model)
+                loss, _ = sep_loss(batch, model)
                 backward(tape, loss)
             del tape, loss
             assert gc.collect() == 0
@@ -610,7 +610,7 @@ class TestSepLoss:
         t = SplitAst(0, AstNode("A"))
         tp = SplitAst(1, AstNode("B"))
         for label in (0, 1):
-            loss = sep_loss([PairExample(t, tp, label)], model)
+            loss, _ = sep_loss([PairExample(t, tp, label)], model)
             assert abs(loss.item() - np.log(2.0)) < 1e-12
 
     def test_hand_computed_two_pair_loss(self):
@@ -625,9 +625,9 @@ class TestSepLoss:
             return np.log(p / (1.0 - p))
 
         model.score_b.data[...] = bias_for(0.9)
-        loss1 = sep_loss([PairExample(t, tp, 1)], model).item()
+        loss1 = sep_loss([PairExample(t, tp, 1)], model)[0].item()
         model.score_b.data[...] = bias_for(0.2)
-        loss0 = sep_loss([PairExample(t, tp, 0)], model).item()
+        loss0 = sep_loss([PairExample(t, tp, 0)], model)[0].item()
         combined = (loss1 + loss0) / 2.0
         assert abs(combined - (-np.log(0.9) - np.log(0.8)) / 2.0) < 1e-9
 
@@ -637,10 +637,10 @@ class TestSepLoss:
         t = chain_tree(["A", "B"])
         tp = chain_tree(["C", "A"])
         pairs = [PairExample(t, tp, 1), PairExample(tp, t, 0)]
-        assert sep_loss(pairs, model).item() >= 0.0
+        assert sep_loss(pairs, model)[0].item() >= 0.0
 
         def f(_):
-            return sep_loss(pairs, model)
+            return sep_loss(pairs, model)[0]
 
         for target in (model.score_w, params.w_o):
             report = grad_check(f, target)
@@ -668,7 +668,7 @@ class TestSepLossMatchesPerPairOracle:
         if labels != "toy":
             label = 1 if labels == "all positive" else 0
             batch = [PairExample(p.t, p.t_prime, label) for p in batch]
-        got_loss, got_g = pair_loss_grads(sep_loss, batch, model)
+        got_loss, got_g = pair_loss_grads(lambda b, m: sep_loss(b, m)[0], batch, model)
         want_loss, want_g = pair_loss_grads(sep_loss_per_pair, batch, model)
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         for name, want in want_g.items():
@@ -732,33 +732,61 @@ class TestPretrain:
         assert run() == run()
 
     @pytest.mark.parametrize("batch_size", [4, 16])
-    def test_accuracy_pass_folds_each_tree_once(self, monkeypatch, batch_size):
+    def test_every_fold_is_inside_a_step(self, monkeypatch, batch_size):
         corpus = [split_method(parse_source(src)) for src in PRETRAIN_SOURCES]
         vocab = build_type_value_vocab([a.root for ms in corpus for a in ms.asts])
         params = TreeLstmParams.init(vocab, 4, np.random.default_rng(0))
-        stepping, folded = [], []
+        stepping, steps, folds = [], [], []
 
         def step_loss(*args):
             stepping.append(True)
+            steps.append(len(args[0]))
             try:
                 return sep_loss(*args)
             finally:
                 stepping.pop()
 
-        def counting_encode_trees(trees, *args):
-            if not stepping:  # a fold of the accuracy pass
-                folded.append([id(t) for t in trees])
+        def spied_encode_trees(trees, *args):
+            folds.append(bool(stepping))
             return encode_trees(trees, *args)
 
         monkeypatch.setattr(syntax_encoder, "sep_loss", step_loss)
-        monkeypatch.setattr(syntax_encoder, "encode_trees", counting_encode_trees)
-        _, history = pretrain(corpus, params, PretrainConfig(epochs=1, batch_size=batch_size))
-        assert len(history) == 1
-        # the 37 trees of the toy methods' pairs, in one call; chunks of
-        # `batch_size` pairs that straddle methods fold some trees twice: 74
-        # folds at 4, 40 at 16
-        assert len(folded) == 1
-        assert len(folded[0]) == len(set(folded[0])) == 37
+        monkeypatch.setattr(syntax_encoder, "encode_trees", spied_encode_trees)
+        _, history = pretrain(corpus, params, PretrainConfig(epochs=2, batch_size=batch_size))
+        assert len(history) == 2
+        # the toy methods give 58 pairs: 15 steps an epoch at 4, 4 at 16
+        assert sum(steps) == 2 * 58
+        assert len(steps) == 2 * -(-58 // batch_size)
+        # one fold per step, and none outside a step
+        assert folds == [True] * len(steps)
+
+    @pytest.mark.parametrize("batch_size", [4, 16])
+    def test_accuracy_counts_each_steps_scores(self, monkeypatch, batch_size):
+        corpus = [split_method(parse_source(src)) for src in PRETRAIN_SOURCES]
+        vocab = build_type_value_vocab([a.root for ms in corpus for a in ms.asts])
+        params = TreeLstmParams.init(vocab, 4, np.random.default_rng(0))
+        steps = []
+
+        def spied_sep_loss(batch, *args):
+            loss, scores = sep_loss(batch, *args)
+            steps.append((batch, scores.copy()))
+            return loss, scores
+
+        monkeypatch.setattr(syntax_encoder, "sep_loss", spied_sep_loss)
+        epochs = 3
+        _, history = pretrain(corpus, params,
+                              PretrainConfig(epochs=epochs, batch_size=batch_size))
+        assert len(history) == epochs and len(steps) % epochs == 0
+        per_epoch = len(steps) // epochs
+        for e in range(epochs):
+            epoch = steps[e * per_epoch:(e + 1) * per_epoch]
+            pairs = sum(len(batch) for batch, _ in epoch)
+            # a pair is right when its step's score, before the update, is
+            # on its label's side of 0.5; a score of 0.5 predicts no successor
+            right = sum((score > 0.5) == (pair.label == 1)
+                        for batch, scores in epoch for pair, score in zip(batch, scores))
+            assert type(history[e].accuracy) is float
+            assert history[e].accuracy == right / pairs
 
     def test_a_nan_embedding_row_stops_the_first_step(self, monkeypatch):
         corpus = [split_method(parse_source(src)) for src in PRETRAIN_SOURCES]
