@@ -12,7 +12,7 @@ Corpora are JSON Lines records with id/code/comment fields; configs are
 key = value text. A token is its text: `code_token_texts` finds the
 identifiers among a method's tokens with `frontend.token_kinds`, and
 `method_key` is the tuple of the method's own tokens. Every text input
-is read by `read_lines`, so invalid UTF-8 is a FormatError naming its
+is read by `read_lines`, and a FormatError names the file, then the
 line. Runs are reproducible from (config, seed): identical invocations
 write byte-identical checkpoints and loss logs.
 """
@@ -65,11 +65,11 @@ from basts.syntax_encoder import (
 
 
 class FormatError(ValueError):
-    """Malformed corpus or config content; carries the offending line."""
+    """Malformed text input; names its file, then the offending line."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    def __init__(self, path, line: int, message: str):
+        super().__init__(f"{path}: line {line}: {message}")
+        self.path, self.line = path, line
 
 
 @dataclass
@@ -83,14 +83,14 @@ def read_lines(path):
     """Yield (line number, text) for each line of a UTF-8 text file.
 
     Lines end at a line feed only, and keep it. Each line is decoded on its
-    own, so invalid UTF-8 is a FormatError that names its line.
+    own, so invalid UTF-8 is a FormatError that names the file and line.
     """
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as err:
-                raise FormatError(f"invalid UTF-8 at byte {err.start}", line_no) from err
+                raise FormatError(path, line_no, f"invalid UTF-8 at byte {err.start}") from err
             yield line_no, line
 
 
@@ -104,17 +104,17 @@ def load_corpus(path) -> list[CorpusRecord]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as err:
-            raise FormatError(f"invalid JSON ({err.msg})", line_no) from err
+            raise FormatError(path, line_no, f"invalid JSON ({err.msg})") from err
         if not isinstance(obj, dict):
-            raise FormatError("record is not a JSON object", line_no)
+            raise FormatError(path, line_no, "record is not a JSON object")
         for key in ("id", "code", "comment"):
             if key not in obj:
-                raise FormatError(f"missing field {key!r}", line_no)
+                raise FormatError(path, line_no, f"missing field {key!r}")
             if not isinstance(obj[key], str):
-                raise FormatError(f"field {key!r} is not a string", line_no)
+                raise FormatError(path, line_no, f"field {key!r} is not a string")
         rid = obj["id"]
         if rid in seen:
-            raise FormatError(f"duplicate record id {rid!r}", line_no)
+            raise FormatError(path, line_no, f"duplicate record id {rid!r}")
         seen.add(rid)
         records.append(CorpusRecord(rid, obj["code"], obj["comment"]))
     return records
@@ -162,18 +162,18 @@ class RunConfig(PretrainConfig):
             if not text or text.startswith("#"):
                 continue
             if "=" not in text:
-                raise FormatError("expected key = value", line_no)
+                raise FormatError(path, line_no, "expected key = value")
             key, _, value = text.partition("=")
             key, value = key.strip(), value.strip()
             if key not in defaults:
-                raise FormatError(f"unknown config key {key!r}", line_no)
+                raise FormatError(path, line_no, f"unknown config key {key!r}")
             if key in values:
-                raise FormatError(f"repeated config key {key!r}", line_no)
+                raise FormatError(path, line_no, f"repeated config key {key!r}")
             kind = type(defaults[key])  # bool, int or float
             try:
                 values[key] = _BOOL_VALUES[value.lower()] if kind is bool else kind(value)
             except (KeyError, ValueError) as err:
-                raise FormatError(f"bad value for {key}: {value!r}", line_no) from err
+                raise FormatError(path, line_no, f"bad value for {key}: {value!r}") from err
         return cls(**values).validate()
 
 
@@ -432,6 +432,16 @@ def _each_method(path, prepare):
         yield method, prepared
 
 
+def _write_json(obj, path) -> None:
+    """Write obj as indented JSON and a newline to path, or print it."""
+    text = json.dumps(obj, indent=2)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def cmd_split(args, config: RunConfig) -> int:
     out = {"methods": []}
     for method, splits in _each_method(args.input, split_method):
@@ -447,12 +457,7 @@ def cmd_split(args, config: RunConfig) -> int:
             ],
             "edges": [list(e) for e in splits.graph.successor_edges],
         })
-    text = json.dumps(out, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(out, args.output)
     return 0
 
 
@@ -533,15 +538,8 @@ def summaries(corpus: PreparedCorpus, model: SummarizerModel,
 
 
 def _read_words(path) -> list[list[str]]:
-    """The words of each line of a hypothesis or reference file.
-
-    A FormatError names the file, since eval reads two.
-    """
-    try:
-        return [line.split() for _, line in read_lines(path)]
-    except FormatError as err:
-        err.args = (f"{path}: {err}",)
-        raise
+    """The words of each line of a hypothesis or reference file."""
+    return [line.split() for _, line in read_lines(path)]
 
 
 def cmd_eval(args, config: RunConfig) -> int:
@@ -581,12 +579,7 @@ def cmd_eval(args, config: RunConfig) -> int:
     print("metric    score\n" + "-" * 16)
     for key, label in labels.items():
         print(f"{label:<9} {scaled[key]:6.2f}")
-    payload = json.dumps(scaled, indent=2)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _write_json(scaled, args.json)
     return 0
 
 

@@ -265,13 +265,13 @@ def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
     parameter requires grad (a frozen encoder), only h and m are kept.
 
     The backward walks the heights top-down. Each height turns its rows'
-    h and m gradients into gate pre-activation gradients and sends the
-    gradients of its edges to their child rows, summed per distinct child
-    by one `np.bincount` each over ids computed once per backward, so its
-    cost follows its own edges, with no `np.unique` per height. Every
-    weight gradient is then one product over all rows, all edges or the
-    distinct labels. The op takes the 15 `TreeLstmParams` tensors as they
-    are; its tape cost is one op, whatever the trees.
+    h and m gradients into gate pre-activation gradients and scatters its
+    edges' gradients into the rows below it, where all its children lie,
+    by one `np.bincount` each over child ids computed once per backward;
+    its cost follows those rows, not its own edges. Every weight gradient
+    is then one product over all rows, all edges or the distinct labels.
+    The op takes the 15 `TreeLstmParams` tensors as they are; its tape
+    cost is one op, whatever the trees.
     """
     size = params.size
     if not trees:
@@ -330,14 +330,8 @@ def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
         # gradients, height by height, and `forget` into the forget gate's
         d_h, d_m = np.zeros((rows, size)), np.zeros((rows, size))
         np.add.at(d_h, roots, g)
-        # each height's distinct child rows, and each edge's place among them
-        level = np.repeat(np.arange(len(heights)), spans)
-        distinct, place = np.unique(level * rows + children, return_inverse=True)
-        bounds = np.searchsorted(distinct, np.arange(len(heights) + 1) * rows)
-        place -= np.repeat(bounds[:-1], spans)
-        to_kid = place[:, None] * size + np.arange(size)
-        distinct %= rows
-        bounds = bounds.tolist()
+        # each edge's child, as flat ids into the rows below its height
+        to_kid = children[:, None] * size + np.arange(size)
         u_hsum = u_iou.transpose(0, 2, 1)
         for k in range(len(heights) - 1, -1, -1):
             lo, hi, e0, e1 = heights[k]
@@ -359,11 +353,11 @@ def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
             d_edge_m *= f
             f[...] = d_f
             d[3] = np.bincount(ids, d_f.ravel(), n * size).reshape(n, size)
-            # summed per distinct child row
-            kids, ids = distinct[bounds[k]:bounds[k + 1]], to_kid[e0:e1].ravel()
-            cells = len(kids) * size
-            d_h[kids] += np.bincount(ids, d_edge_h.ravel(), cells).reshape(-1, size)
-            d_m[kids] += np.bincount(ids, d_edge_m.ravel(), cells).reshape(-1, size)
+            # rows are sorted by height, so every child, virtual row 0
+            # included, lies below row lo
+            ids = to_kid[e0:e1].ravel()
+            d_h[:lo] += np.bincount(ids, d_edge_h.ravel(), lo * size).reshape(lo, size)
+            d_m[:lo] += np.bincount(ids, d_edge_m.ravel(), lo * size).reshape(lo, size)
         d = gates[:, 1:]
         d_u = d[:3].transpose(0, 2, 1) @ h_sum[1:]
         d_u_f = forget.T @ h[children]

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -116,7 +117,8 @@ class TestLoadCorpus:
         rows = toy_rows()
         rows[1][field] = value
         write_corpus(path, rows)
-        with pytest.raises(FormatError, match=f"^line 2: field '{field}' is not a string$"):
+        with pytest.raises(FormatError,
+                           match=f"^{re.escape(str(path))}: line 2: field '{field}' is not a string$"):
             load_corpus(path)
 
     def test_number_id_is_rejected_not_renamed(self, tmp_path):
@@ -125,10 +127,11 @@ class TestLoadCorpus:
         path = tmp_path / "c.jsonl"
         rows = [dict(toy_rows()[0], id=rid) for rid in (None, [1], 3, "3")]
         write_corpus(path, rows)
-        with pytest.raises(FormatError, match="^line 1: field 'id' is not a string$"):
+        message = f"^{re.escape(str(path))}: line 1: field 'id' is not a string$"
+        with pytest.raises(FormatError, match=message):
             load_corpus(path)
         write_corpus(path, rows[2:])
-        with pytest.raises(FormatError, match="^line 1: field 'id' is not a string$"):
+        with pytest.raises(FormatError, match=message):
             load_corpus(path)
         write_corpus(path, rows[3:])
         assert [r.record_id for r in load_corpus(path)] == ["3"]
@@ -225,7 +228,8 @@ class TestRunConfig:
     def test_repeated_key_names_its_second_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("heads = 2\n# width\nembedding_size = 16\nheads = 4\n")
-        with pytest.raises(FormatError, match=r"^line 4: repeated config key 'heads'$") as err:
+        with pytest.raises(FormatError,
+                           match=rf"^{re.escape(str(path))}: line 4: repeated config key 'heads'$") as err:
             RunConfig.from_file(path)
         assert err.value.line == 4
 
@@ -1156,9 +1160,11 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("argv, error, message", [
         (lambda p: _corpus_with_a_line(p, "{not json"), FormatError,
-         "line 2: invalid JSON (Expecting property name enclosed in double quotes)"),
+         "{p}/c.jsonl: line 2: invalid JSON (Expecting property name enclosed in double quotes)"),
         (lambda p: _config_with_a_line(p, "embedding_size 16"), FormatError,
-         "line 2: expected key = value"),
+         "{p}/run.cfg: line 2: expected key = value"),
+        (lambda p: _config_with_a_line(p, "heads = 4"), FormatError,
+         "{p}/run.cfg: line 2: repeated config key 'heads'"),
         (lambda p: _config_with_a_line(p, "max_code_length = 0"), ConfigError,
          "max_code_length must be positive, got 0"),
         (lambda p: _train_from(p, _transformer_only_checkpoint), ConfigError,
@@ -1181,7 +1187,8 @@ class TestCliErrors:
         (lambda p: ["eval", "--hyp", str(p / "h.txt"), "--input", str(p / "c.jsonl"),
                     "--checkpoint", str(p / "m.ckpt")], ConfigError,
          "eval --hyp/--ref cannot be combined with --input --checkpoint"),
-    ], ids=["corpus line not JSON", "config line without =", "zero max_code_length",
+    ], ids=["corpus line not JSON", "config line without =", "repeated config key",
+            "zero max_code_length",
             "checkpoint without a tree", "checkpoint of another width",
             "unequal hyp and ref counts", "empty hyp and ref", "eval with neither mode",
             "eval input alone", "eval files with corpus-mode flags", "eval files with an input",
@@ -1232,31 +1239,31 @@ class TestCliErrors:
 
 
 class TestInvalidUtf8NamesItsLine:
-    """Every text input reads invalid UTF-8 as a FormatError naming its line."""
+    """Every text input reads invalid UTF-8 as a FormatError naming its file and line."""
 
-    def assert_names_line(self, argv, line, byte, prefix=""):
+    def assert_names_line(self, argv, path, line, byte):
         with pytest.raises(FormatError) as err:
             run(argv)
         assert type(err.value) is FormatError
-        assert str(err.value) == f"{prefix}line {line}: invalid UTF-8 at byte {byte}"
+        assert str(err.value) == f"{path}: line {line}: invalid UTF-8 at byte {byte}"
         assert err.value.line == line
 
     def test_config_file(self, tmp_path):
         argv = _config_with_a_line(tmp_path, "epochs = 1")
         (tmp_path / "run.cfg").write_bytes(b"heads = 2\n# caf\xe9\nepochs = 1\n")
-        self.assert_names_line(argv, 2, 5)
+        self.assert_names_line(argv, tmp_path / "run.cfg", 2, 5)
 
     def test_mini_source(self, tmp_path):
         src = tmp_path / "m.mini"
         src.write_bytes(b'void f() { }\n\nvoid g() { s = "\xff"; }\n')
-        self.assert_names_line(["split", "--input", str(src)], 3, 16)
+        self.assert_names_line(["split", "--input", str(src)], src, 3, 16)
 
     @pytest.mark.parametrize("which", ["hyp", "ref"])
     def test_eval_hypotheses_and_references(self, tmp_path, which):
         argv = _eval_files(tmp_path, "a b\nc d\n", "a b\nc d\n")
         bad = tmp_path / f"{which}.txt"
         bad.write_bytes(b"a b\nc \xe9d\n")
-        self.assert_names_line(argv, 2, 2, prefix=f"{bad}: ")
+        self.assert_names_line(argv, bad, 2, 2)
 
 
 # a method that fails `build_cfg`, after one that passes and a blank line
@@ -1350,6 +1357,19 @@ class TestEvalDedupe:
             run(["eval", "--input", str(corpus), "--checkpoint", str(ckpt),
                  "--dedupe-train", str(train)])
         assert str(err.value) == f"--dedupe-train {train}: no record lexes and parses"
+
+    def test_a_malformed_training_corpus_is_named(self, tmp_path):
+        """A bad line of the `--dedupe-train` corpus does not read as one of `--input`."""
+        train, corpus, ckpt = (tmp_path / name for name in ("train.jsonl", "eval.jsonl",
+                                                            "model.ckpt"))
+        train.write_text(json.dumps(toy_rows()[0]) + "\nnot json\n")
+        write_corpus(corpus, toy_rows()[:1])
+        ckpt.write_bytes(SMALL_CHECKPOINTS["summarizer"])
+        with pytest.raises(FormatError) as err:
+            run(["eval", "--input", str(corpus), "--checkpoint", str(ckpt),
+                 "--dedupe-train", str(train)])
+        assert str(err.value) == f"{train}: line 2: invalid JSON (Expecting value)"
+        assert (err.value.path, err.value.line) == (str(train), 2)
 
     def test_a_method_that_differs_past_max_code_length_is_no_duplicate(self, tmp_path,
                                                                           capsys):

@@ -322,9 +322,17 @@ def rows_with_several_parents(trees, vocab):
     return [child for child, parents in holders.items() if child and len(parents) > 1]
 
 
-def medium_trees(seed, methods=4):
-    records = generate_records("pretrain-sep", seed, methods, MEDIUM_PROFILE)
+def generated_trees(seed, methods=4, profile=MEDIUM_PROFILE):
+    records = generate_records("pretrain-sep", seed, methods, profile)
     return [a for r in records for a in split_method(parse_source(r["code"])).asts]
+
+
+def longest_edge(trees, vocab):
+    """The most heights between a plan edge's parent row and its child row."""
+    plan = SubtreeIndex(vocab).plan(trees)
+    height = np.repeat(np.arange(len(plan.heights)), [hi - lo for lo, hi, _, _ in plan.heights])
+    real = plan.children > 0  # the virtual child, row 0, has no height
+    return int(np.max(height[plan.parents[real] - 1] - height[plan.children[real] - 1]))
 
 
 ORACLES = {"per level": encode_trees_per_level, "per node": per_node_fold}
@@ -339,11 +347,16 @@ class TestFusedFoldMatchesOracles:
         trees = list({id(t): t for p in batch for t in (p.t, p.t_prime)}.values())
         assert_fold_matches(trees, model.tree, ORACLES[oracle])
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    # the prep profile's deep nesting reaches children many heights down
+    @pytest.mark.parametrize("profile, methods, seed",
+                             [(MEDIUM_PROFILE, 4, 1), (MEDIUM_PROFILE, 4, 2),
+                              (MEDIUM_PROFILE, 4, 3), (PREP_PROFILE, 2, 1)],
+                             ids=["1", "2", "3", "prep-1"])
     @pytest.mark.parametrize("oracle", list(ORACLES))
-    def test_medium_generated_batches(self, oracle, seed):
-        trees, params = with_own_vocab(medium_trees(seed), size=8, seed=seed)
+    def test_medium_generated_batches(self, oracle, profile, methods, seed):
+        trees, params = with_own_vocab(generated_trees(seed, methods, profile), size=8, seed=seed)
         assert rows_with_several_parents(trees, params.vocab)
+        assert longest_edge(trees, params.vocab) >= 3
         assert_fold_matches(trees, params, ORACLES[oracle])
 
     @pytest.mark.parametrize("shape", ["chain", "star"])
@@ -520,7 +533,7 @@ class TestCostGates:
         assert np.all(np.isfinite(params.u_f.grad))
 
     def test_no_grad_fold_keeps_no_backward_buffers(self):
-        trees, params = with_own_vocab(medium_trees(1, methods=8)[:60], size=64)
+        trees, params = with_own_vocab(generated_trees(1, methods=8)[:60], size=64)
         assert len(trees) == 60
         # the first plan interns the trees; both folds plan from cached arrays
         rows = len(params.index.plan(trees).labels)
