@@ -4,7 +4,8 @@ One graph node per simple statement; if/while/for headers are their own
 nodes and block bodies are inlined. A node is its id and its statement's
 id. The start and end nodes are virtual: they are the two nodes with no
 statement, and `Cfg.entry` and `Cfg.exit` tell them apart. The for
-construct is wired init -> header -> body -> update -> header, and the
+construct is wired init -> header -> body -> update -> header, the
+update only when the body falls or continues through to it, and the
 header always carries an exit edge so every node lies on some
 start-to-end path. A while is wired as a for without init or update.
 `break` edges to the loop exit; `continue` edges to the update if the
@@ -142,7 +143,8 @@ def _wire(stmts: list[Statement], loop, nodes: list[CfgNode],
                 jumps = ([], [])
                 body_head, body_exits = _wire(stmt.body, jumps, nodes, edges)
                 back = node
-                if stmt.update is not None:
+                # an update gets a node only when control reaches it (JLS 14.22 checks none)
+                if stmt.update is not None and (body_head is None or body_exits or jumps[1]):
                     back = len(nodes)
                     add_node(_new(CfgNode, (back, stmt.update.stmt_id)))
                     edge((back, node))
@@ -162,8 +164,9 @@ def build_cfg(method: Method) -> Cfg:
     """Build the statement-level control flow graph of a method.
 
     Raises CfgError for break/continue outside a loop and for statements
-    no control path can reach: code after return/break/continue, and a
-    for update that the body never falls or continues through to.
+    no control path can reach: code after return/break/continue. A for
+    update that the body never falls or continues through to never runs,
+    so it gets no node, as javac accepts such a loop.
     """
     nodes = [CfgNode(0), CfgNode(1)]
     edges: list[tuple[int, int]] = []

@@ -10,11 +10,12 @@ is `init_tree`'s, the one `pretrain` starts from too; `eval --input` and
 `summarize` share one decode loop, `summaries`.
 Corpora are JSON Lines records with id/code/comment fields; configs are
 key = value text. A token is its text: `code_token_texts` finds the
-identifiers among a method's tokens with `frontend.token_kinds`, and
-`method_key` is the tuple of the method's own tokens. Every text input
-is read by `read_lines`, and a FormatError names the file, then the
-line. Runs are reproducible from (config, seed): identical invocations
-write byte-identical checkpoints and loss logs.
+identifiers among a method's tokens by the kinds the parser kept,
+`Method.kinds`, and `method_key` is the tuple of the method's own
+tokens. Every text input is read by `read_lines`, and a FormatError
+names the file, then the line. Runs are reproducible from (config,
+seed): identical invocations write byte-identical checkpoints and loss
+logs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from basts.frontend import (
     parse_method,
     parse_program,
     split_identifier,
-    token_kinds,
     token_offsets,
     tokenize,
     tokenize_comment,
@@ -185,17 +185,13 @@ def code_token_texts(method, max_len: int) -> list[str]:
     """
     out: list[str] = []
     lo, hi = method.span
-    while lo < hi and len(out) < max_len:
-        # kinds for up to `max_len` tokens at a time, as the walk often stops early
-        tokens = method.tokens[lo : min(hi, lo + max_len)]
-        lo += len(tokens)
-        for tok, kind in zip(tokens, token_kinds(tokens)):
-            if len(out) >= max_len:
-                break
-            if kind == "identifier":
-                out.extend(split_identifier(tok))
-            else:
-                out.append(tok)
+    for tok, kind in zip(method.tokens[lo:hi], method.kinds[lo:hi]):
+        if len(out) >= max_len:
+            break
+        if kind == "identifier":
+            out.extend(split_identifier(tok))
+        else:
+            out.append(tok)
     return out[:max_len]
 
 

@@ -4,8 +4,10 @@ The frontend feeds every later stage: abstracted token streams for the
 summarizer, statement-level structure for control-flow analysis, and
 labeled syntax trees for the tree encoder. A token is its text, a `str`,
 and token and statement kinds are plain strings. `token_kinds` gives
-each text's kind, and `token_offsets` recovers where each token starts
-from the source, which only error messages need. The parser builds the
+each text's kind; the parser computes it once over its token list and
+keeps it as `Method.kinds`, so later stages read a token's kind there.
+`token_offsets` recovers where each token starts from the source, which
+only error messages need. The parser builds the
 `AstNode`s of expressions, of each simple statement (`Statement.node`)
 and of the method's return type and parameters (`Method.declaration`). A
 tree adds only header, block and `MethodDeclaration` nodes over them, so
@@ -203,7 +205,8 @@ class Method:
     declaration: list[AstNode]  # return type and parameter nodes, shared by the method's trees
     declaration_tokens: list[str]  # return type through the closing ')'
     body: list[Statement]
-    tokens: list[str]  # the token list all spans index into
+    tokens: list[str]  # the token list all spans index into, shared by a file's methods
+    kinds: list[str | None]  # the parser's kind of each token, then "<eof>"'s; shared as tokens is
     span: tuple[int, int]  # half-open range of this method's own tokens
     statements: dict[int, Statement]  # every statement, nested ones included, by id
 
@@ -228,7 +231,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens  # the caller's list, which spans index into
         self.toks = tokens + [_EOF]
-        self.kinds = token_kinds(self.toks)  # read only where an identifier may stand
+        self.kinds = token_kinds(self.toks)  # kept by every Method parsed here
         self.end = len(tokens)  # the index of _EOF
         self.i = 0
         self.statements: dict[int, Statement] = {}
@@ -266,6 +269,7 @@ class _Parser:
             declaration_tokens=declaration_tokens,
             body=body,
             tokens=self.tokens,
+            kinds=self.kinds,
             span=(start, self.i),
             statements=self.statements,
         )

@@ -44,7 +44,10 @@ parent.
 
 `tokenize_per_char` is the one-branch-chain-per-character form of
 `frontend.tokenize` and `frontend.token_offsets`, which take the matches
-of one compiled regular expression.
+of one compiled regular expression. `code_token_texts_per_token` is
+`cli.code_token_texts` with every token of the method classified afresh
+by `frontend.token_kinds` and the cut made once at the end, where the
+package reads the kinds the parser kept and stops at `max_len`.
 
 `repeat_row`, `tanh`, `col_slice` and `segment_sum` are tape ops that
 only these oracles use; the package has no caller for them.
@@ -70,6 +73,8 @@ from basts.frontend import (
     Method,
     build_ast,
     parse_method,
+    split_identifier,
+    token_kinds,
 )
 from basts.splitter import CodeSplit, SplitAst, SplitGraph, make_split_code
 from basts.summarizer import (
@@ -826,3 +831,14 @@ def abstract_literals_per_token(tokens: list[tuple[str, str]]) -> list[tuple[str
     """Each literal's text replaced by its kind's placeholder, one (text,
     kind) pair at a time; kinds are kept."""
     return [(LITERAL_PLACEHOLDERS.get(kind, text), kind) for text, kind in tokens]
+
+
+def code_token_texts_per_token(method: Method, max_len: int) -> list[str]:
+    """The method's own tokens, each identifier expanded to its subtokens,
+    cut at `max_len` texts."""
+    lo, hi = method.span
+    tokens = method.tokens[lo:hi]
+    out: list[str] = []
+    for text, kind in zip(tokens, token_kinds(tokens)):
+        out += split_identifier(text) if kind == "identifier" else [text]
+    return out[:max_len]

@@ -4,7 +4,11 @@ from pathlib import Path
 import pytest
 
 from basts.cfg import CfgError, CfgNode, build_cfg, cfg_to_dot
+from basts.cli import CorpusRecord, RunConfig, preprocess, run
+from basts.frontend import ast_to_json
+from basts.splitter import make_split_code, split_method
 from conftest import make_cfg, parse_source
+from oracles import split_asts_by_reparse
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from minigen import generate_records  # noqa: E402
@@ -155,20 +159,15 @@ class TestBuildCfg:
             build_cfg(parse_source("int f() { return 1; a = 2; }"))
 
     # Ids count every statement in source order: a for's init and update,
-    # and a braced body's block, each have one. javac accepts the loops
-    # whose update no path reaches (JLS 14.22 checks no for update).
+    # and a braced body's block, each have one.
     @pytest.mark.parametrize("source, dead", [
         ("int f() { return 1; a = 2; }", [1]),
         ("void f() { if (a) { return; } else { return; } x = 1; y = 2; }", [5, 6]),
         ("void f() { { return; } { } x = 1; }", [3]),
         ("int f() { while (a) { break; b = 1; } return 1; }", [3]),
         ("void f() { while (a) { for (; b; i = i + 1) { continue; break; } } }", [6]),
-        ("int f(int n) { for (int i = 0; i < n; i = i + 1) { return i; } }", [2]),
-        ("void f() { for (;; i = 1) { break; } }", [1]),
-        ("void f() { for (; a; i = i + 1) { if (b) { return; } else { break; } } }", [1]),
     ], ids=["after return", "after both branches", "after a block", "after break",
-            "after continue", "for update after return", "for update after break",
-            "for update after both branches"])
+            "after continue"])
     def test_unreachable_statements_are_named_by_id(self, source, dead):
         with pytest.raises(CfgError) as err:
             build_cfg(parse_source(source))
@@ -220,6 +219,39 @@ class TestBuildCfg:
         b = build_cfg(idle_method)
         assert a.nodes == b.nodes
         assert a.edges == b.edges
+
+
+class TestForUpdateNoPathReaches:
+    """javac accepts a loop whose update no path reaches (JLS 14.22 checks
+    no for update). The update never runs, so it gets no node, lands in no
+    split, and its header's split renders without it."""
+
+    @pytest.mark.parametrize("source, update, edges, header", [
+        ("int f(int n) { for (int i = 0; i < n; i = i + 1) { return i; } }", 2,
+         [(2, 3), (4, 1), (3, 4), (0, 2), (3, 1)], "for ( int i = <NUM> ; i < n ; ) { }"),
+        ("void f() { for (;; i = 1) { break; } }", 1,
+         [(2, 3), (0, 2), (2, 1), (3, 1)], "for ( ; ; ) { }"),
+        ("void f() { for (; a; i = i + 1) { if (b) { return; } else { break; } } }", 1,
+         [(4, 1), (3, 4), (3, 5), (2, 3), (0, 2), (2, 1), (5, 1)], "for ( ; a ; ) { }"),
+    ], ids=["after return", "after break", "after both branches"])
+    def test_kept_without_the_update(self, source, update, edges, header, tmp_path):
+        method = parse_source(source)
+        cfg = build_cfg(method)
+        assert cfg.edges == edges
+        kept = sorted(n.stmt_id for n in stmt_nodes(cfg))
+        assert kept == [sid for sid, stmt in sorted(method.statements.items())
+                        if sid != update and stmt.kind != "block"]
+        result = split_method(method)
+        assert sorted(s for split in result.graph.splits for s in split.statements) == kept
+        codes = [" ".join(make_split_code(split, method)) for split in result.graph.splits]
+        assert header in codes[0]
+        want = split_asts_by_reparse(result.graph, method)
+        assert [ast_to_json(a.root) for a in result.asts] == [ast_to_json(a.root) for a in want]
+        corpus = preprocess([CorpusRecord("r", source, "first")], RunConfig())
+        assert [r.record_id for r in corpus.records] == ["r"] and corpus.dropped == []
+        src = tmp_path / "f.mini"
+        src.write_text(source)
+        assert run(["split", "--input", str(src), "--output", str(tmp_path / "s.json")]) == 0
 
 
 def _reach(adj, start):

@@ -50,10 +50,11 @@ from conftest import (
     nested_parens,
     parse_source,
 )
+from oracles import code_token_texts_per_token
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from minigen import write_jsonl  # noqa: E402
-from workloads import SummarizeSmall  # noqa: E402
+from minigen import generate_records, write_jsonl  # noqa: E402
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE, SummarizeSmall  # noqa: E402
 
 
 def write_corpus(path, rows):
@@ -273,6 +274,24 @@ class TestCodeTokenTexts:
         method = parse_source("void _() { __ = ___; }")
         assert cli.code_token_texts(method, 4) == ["void", "(", ")", "{"]
         assert cli.code_token_texts(method, 100) == ["void", "(", ")", "{", "=", ";", "}"]
+
+    @pytest.mark.parametrize("max_len", [1, 7, 24, 100, 10_000])
+    def test_matches_per_token_oracle_on_generated_methods(self, max_len):
+        for label, profile, count in (("prep-large", PREP_PROFILE, 3),
+                                      ("pretrain-sep", MEDIUM_PROFILE, 6),
+                                      ("summarize-small", SMALL_PROFILE, 12)):
+            for seed in (1, 2):
+                records = generate_records(label, seed, count, profile)
+                for method in parse_program("\n".join(r["code"] for r in records)):
+                    assert (cli.code_token_texts(method, max_len)
+                            == code_token_texts_per_token(method, max_len))
+
+    def test_matches_per_token_oracle_where_identifiers_have_no_subtokens(self):
+        _, method = parse_program("void a() { } int __(int _, int a_b) "
+                                  "{ _ = __ + _x__y; if (_ > __) { return _; } return a_b; }")
+        for max_len in range(0, 40):
+            assert (cli.code_token_texts(method, max_len)
+                    == code_token_texts_per_token(method, max_len))
 
     def test_summarize_feeds_each_method_its_own_code(self, tmp_path, monkeypatch, capsys):
         code_vocab = Vocab.build([cli.code_token_texts(m, 100)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from basts.cfg import build_cfg
+from basts.cli import run
 from basts.dominators import compute_dominators
-from basts.frontend import Statement, ast_to_json, build_ast, iter_nodes, parse_program
+from basts.frontend import (Statement, ast_to_json, build_ast, iter_nodes, parse_program,
+                            tokenize)
 from basts.splitter import build_split_asts, make_split_code, partition_blocks, split_method
 from conftest import (
     DIAMOND_SOURCE,
@@ -355,3 +358,35 @@ class TestSplitDigest:
                     })
                     digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == GENERATED_SPLITS_SHA256
+
+
+def reformat(source: str, rng: random.Random) -> str:
+    """The source's tokens with random spaces and newlines between them,
+    and a `//` or `/* */` comment after some statement ends."""
+    out = []
+    for text in tokenize(source):
+        out += [text, rng.choice([" ", "  ", "\n", "\t", "\n    ", " \n\n  "])]
+        if text in (";", "{", "}") and rng.random() < 0.3:
+            out.append(rng.choice(["// ends; { here\n", "/* ends; }\n here */ "]))
+    return "".join(out)
+
+
+class TestSplitIgnoresLayout:
+    # 105 methods over 15 files; about 0.6 s
+    @pytest.mark.parametrize("label, profile, count", [
+        ("prep-large", PREP_PROFILE, 3),
+        ("pretrain-sep", MEDIUM_PROFILE, 6),
+        ("summarize-small", SMALL_PROFILE, 12),
+    ])
+    def test_reformatted_source_splits_byte_identically(self, label, profile, count, tmp_path):
+        for seed in range(1, 6):
+            source = "\n".join(r["code"] for r in generate_records(label, seed, count, profile))
+            respaced = reformat(source, random.Random(f"{label}:{seed}"))
+            assert respaced != source and tokenize(respaced) == tokenize(source)
+            outputs = []
+            for name, text in (("plain", source), ("respaced", respaced)):
+                src, out = tmp_path / f"{name}.mini", tmp_path / f"{name}.json"
+                src.write_text(text, encoding="utf-8")
+                assert run(["split", "--input", str(src), "--output", str(out)]) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1]
