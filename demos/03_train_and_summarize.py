@@ -1,10 +1,10 @@
-"""Walkthrough: training the fusion summarizer and decoding comments.
+"""Walkthrough: training the summarizer and decoding comments.
 
 Run with `python3 demos/03_train_and_summarize.py` (about a minute on one
 CPU core). A tiny corpus is memorized end to end: split ASTs feed the
-tree encoder, the pooled syntax vector is fused with the token sequence,
-and the Transformer learns to emit each method's comment. Greedy decoding
-then reproduces the gold comments.
+tree encoder, each split's root becomes one more encoder row after the
+method's code tokens, and the Transformer learns to emit each method's
+comment. Greedy decoding then reproduces the gold comments.
 """
 
 import numpy as np

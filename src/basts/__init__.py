@@ -5,6 +5,6 @@ statement-level methods; each method's control flow graph is reduced to
 its dominator tree, which is partitioned into blocks of consecutive
 statements; every block becomes an independently parsed split AST. Split
 ASTs are encoded by a Child-Sum Tree-LSTM whose parameters are pre-trained
-on next-split prediction, and a fusion Transformer combines the pooled
-syntax encoding with the token sequence to generate comment text.
+on next-split prediction, and a Transformer reads each method's code
+tokens, then one row per split AST, to generate comment text.
 """

@@ -472,12 +472,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return _emit(out, tuple(tensors), back)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got {x.shape}")
-    return _emit(x.data.T.copy(), (x,), lambda g: (g.T,))
-
-
 def sum_(x: Tensor) -> Tensor:
     shape = x.shape
     return _emit(x.data.sum(), (x,), lambda g: (np.full(shape, float(g)),))

@@ -40,7 +40,10 @@ from basts.summarizer import SPECIAL_TOKENS, SummarizerModel, TransformerParams,
 from basts.syntax_encoder import SepModel, TreeLstmParams
 
 MAGIC = b"BASTSCKP"
-VERSION = 1
+# Version 2 dropped the transformer section's fuse_w and fuse_b blobs. A
+# file without that section has had one layout since version 1 and still
+# says 1, so pre-training checkpoints written before version 2 still load.
+VERSION = 2
 
 _FLAG_TREE = 1
 _FLAG_TRANSFORMER = 2
@@ -187,6 +190,10 @@ class Checkpoint:
         return SummarizerModel(self.tree, self.transformer)
 
 
+def _version(flags: int) -> int:
+    return VERSION if flags & _FLAG_TRANSFORMER else 1
+
+
 def serialize(tree: TreeLstmParams | None = None, sep: SepModel | None = None,
               transformer: TransformerParams | None = None,
               code_vocab: Vocab | None = None,
@@ -195,7 +202,7 @@ def serialize(tree: TreeLstmParams | None = None, sep: SepModel | None = None,
         raise CheckpointError("transformer section needs both vocabularies")
     flags = ((_FLAG_TREE if tree is not None else 0)
              | (_FLAG_TRANSFORMER if transformer is not None else 0))
-    out = bytearray(MAGIC + struct.pack("<II", VERSION, flags))
+    out = bytearray(MAGIC + struct.pack("<II", _version(flags), flags))
     if tree is not None:
         _pack_tree(out, tree, sep)
     if transformer is not None:
@@ -211,10 +218,9 @@ def deserialize(raw: bytes) -> Checkpoint:
     r = _Reader(view[8:-4])
     if zlib.crc32(r.view) != struct.unpack("<I", view[-4:])[0]:
         raise CheckpointError("checkpoint checksum mismatch")
-    version = r.u32()
-    if version != VERSION:
+    version, flags = r.u32(), r.u32()
+    if version != _version(flags):
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    flags = r.u32()
     unknown = flags & ~(_FLAG_TREE | _FLAG_TRANSFORMER)
     if unknown:
         raise CheckpointError(f"unknown flag bits {unknown:#x}")

@@ -1,18 +1,17 @@
-"""Fusion Transformer that turns code plus split-AST encodings into comments.
+"""Transformer that turns code plus split-AST encodings into comments.
 
-Each example's split embeddings are average-pooled into one syntax
-vector, concatenated with every code token embedding, and projected
-through a ReLU layer; the result, plus sinusoidal position encodings,
-feeds a standard multi-head encoder/decoder stack (post-sublayer layer
-norm, residual connections, a causal mask in the decoder). Training is
-teacher-forced cross entropy; decoding is greedy.
+Each example's encoder rows are its code token embeddings, then one row
+per split AST, the split's root embedding, in split order, so every
+block of the method keeps a row of its own. The rows, plus sinusoidal
+position encodings, feed a standard multi-head encoder/decoder stack
+(post-sublayer layer norm, residual connections, a causal mask in the
+decoder). Training is teacher-forced cross entropy; decoding is greedy.
 
-A training batch is packed: the token rows of all its examples form one
+A training batch is packed: the rows of all its examples form one
 matrix, with position encodings restarting at each example, so
 `train_step` runs each encoder and decoder layer once per batch and
 scores every target token with one cross entropy. One `encode_trees`
-call folds every split AST of the batch, and one matmul with a constant
-averaging matrix pools them per example. Every attention call runs all
+call folds every split AST of the batch. Every attention call runs all
 of its heads, over every example's own rows, as one `autodiff.attention`
 op, so its tape cost grows with neither the head count nor the batch
 size, and no attention array spans two examples. Each call names every
@@ -28,10 +27,11 @@ once per comment.
 
 Memory rows are stated once: `encode_batch` returns the packed memory
 with `lengths`, where `lengths[b]` is the number of memory rows of
-example b (today one per code token), and `train_step` hands those
-counts to `decoder_logits`. `greedy_decode` encodes a batch of one,
-which owns every row. So an encoder that adds rows, such as one row per
-split, replaces `encode_batch` alone.
+example b (its code tokens plus its splits), and `train_step` hands
+those counts to `decoder_logits`. `greedy_decode` encodes a batch of
+one, which owns every row. So an encoder of another row layout, such as
+the ablation arms of `experiments/ablation.py`, replaces `encode_batch`
+alone.
 """
 
 from __future__ import annotations
@@ -173,8 +173,6 @@ class TransformerParams(Params):
     heads: int
     code_embedding: Tensor
     word_embedding: Tensor
-    fuse_w: Tensor  # L x 2L projection applied to concat(pooled, token)
-    fuse_b: Tensor
     enc: list[EncoderLayerParams]  # blob names enc0., enc1., ...
     dec: list[DecoderLayerParams]
     out_w: Tensor  # L x |W| word projection
@@ -190,8 +188,6 @@ class TransformerParams(Params):
             size, heads,
             code_embedding=Slot((code_vocab_size, size), 0.1),
             word_embedding=Slot((word_vocab_size, size), 0.1),
-            fuse_w=glorot((size, 2 * size)),
-            fuse_b=Slot((size,)),
             enc=[EncoderLayerParams.statement(size, hidden)] * encoder_layers,
             dec=[DecoderLayerParams.statement(size, hidden)] * decoder_layers,
             out_w=glorot((size, word_vocab_size)),
@@ -296,36 +292,33 @@ def encode_batch(batch: list[SummarizationExample],
     """Source encodings of a batch, packed into one [Σn, L] matrix, and
     `lengths`, where `lengths[b]` is the number of memory rows of example b.
 
-    Example b's code tokens, one row each, follow those of examples
-    0..b-1. Every split AST of the batch is folded in one `encode_trees`
-    call; one matmul with a constant [B, T] averaging matrix pools each
-    example's roots into row b of a [B, L] matrix, and one lookup takes
-    row b once per code token of example b. The fused inputs, with
-    positions restarting at each example, go through each encoder layer
-    once for the whole batch; attention stays within an example.
+    Example b's rows follow those of examples 0..b-1: one row per code
+    token, its embedding, then one row per split AST, the split's root,
+    in split order. Every split AST of the batch is folded in one
+    `encode_trees` call, and one lookup gathers each example's code and
+    split rows together. The rows, with positions restarting at each
+    example and running on from its code rows into its split rows, go
+    through each encoder layer once for the whole batch; attention stays
+    within an example.
     """
     t = model.transformer
-    trees, spans = [], []
+    # `rows` holds the batch's code tokens, then its split roots; `order`
+    # takes example b's code rows, then its roots
+    code_ids, trees, order, lengths = [], [], [], []
+    first_root = sum(len(example.code_ids) for example in batch)
     for b, example in enumerate(batch):
         if not example.split_asts:
             raise EmptyInputError(f"example {b} of the batch has no split ASTs")
         if not example.code_ids:
             raise EmptyInputError(f"example {b} of the batch has no code tokens")
-        spans.append((len(trees), len(trees) + len(example.split_asts)))
+        n, k, root = len(example.code_ids), len(example.split_asts), first_root + len(trees)
+        order += [*range(len(code_ids), len(code_ids) + n), *range(root, root + k)]
+        code_ids += example.code_ids
         trees += example.split_asts
-    pool = np.zeros((len(batch), len(trees)))
-    for b, (lo, hi) in enumerate(spans):
-        pool[b, lo:hi] = 1.0 / (hi - lo)
-    roots = encode_trees(trees, model.tree)
-    pooled = ad.matmul(Tensor(pool), roots)
-
-    lengths = [len(example.code_ids) for example in batch]
-    syntax = ad.embedding_lookup(pooled, np.repeat(np.arange(len(batch)), lengths))
-    tokens = ad.embedding_lookup(
-        t.code_embedding, [c for example in batch for c in example.code_ids])
-    joint = ad.concat([syntax, tokens], axis=1)
-    fused = ad.relu(ad.add_rowvec(ad.matmul(joint, ad.transpose(t.fuse_w)), t.fuse_b))
-    x = ad.add(fused, Tensor(_positions(lengths, t.size)))
+        lengths.append(n + k)
+    rows = ad.concat([ad.embedding_lookup(t.code_embedding, code_ids),
+                      encode_trees(trees, model.tree)])
+    x = ad.add(ad.embedding_lookup(rows, order), Tensor(_positions(lengths, t.size)))
     self_lengths = [(n, n) for n in lengths]
     for layer in t.enc:
         x = _encoder_layer(x, layer, t.heads, self_lengths)
@@ -335,8 +328,8 @@ def encode_batch(batch: list[SummarizationExample],
 def encode(example: SummarizationExample, model: SummarizerModel) -> Tensor:
     """Source encoding of one example: `encode_batch` of a batch of one.
 
-    With zero encoder layers the result is exactly the fused inputs plus
-    position encodings.
+    With zero encoder layers the result is exactly the code token
+    embeddings, then the split roots, plus position encodings.
     """
     return encode_batch([example], model)[0]
 

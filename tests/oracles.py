@@ -1,8 +1,7 @@
 """Slow reference forms of vectorised package code, kept as test oracles.
 
-`fuse` is the per-token form of the fusion layer inside
-`summarizer.encode_batch`; `positional_encoding` is the scalar form of
-`summarizer.positional_matrix`. `syntax_encoder.encode_trees` folds a batch
+`positional_encoding` is the scalar form of `summarizer.positional_matrix`.
+`syntax_encoder.encode_trees` folds a batch
 of trees as one tape op with a hand-written backward; `tree_lstm_cell` and
 `encode_tree_per_node` are its one-cell-per-node form, and
 `encode_trees_per_level` its one-height-at-a-time form, about 20 primitive
@@ -28,12 +27,15 @@ of an (n, m) sequence. `row_softmax` and `attention_per_head` are the
 one-op-per-head form of `autodiff.attention`, and
 `multi_head_attention_per_head` the matching form of
 `summarizer.multi_head_attention`, one block of packed rows at a time.
-`avg_pool`, `encode_per_example`, `encoder_layer_per_example`,
+`encode_per_example`, `encoder_layer_per_example`,
 `decoder_layer_per_example`, `decoder_logits_per_example` and
 `train_loss_per_example` are the one-example-at-a-time form of
 `summarizer.train_step`'s loss: each example gets its own tree fold, its
 own encoder and decoder passes with per-head attention, and its own cross
-entropy, where the step packs the whole batch into one pass.
+entropy, where the step packs the whole batch into one pass. An
+example's memory rows are its code rows, then its split roots;
+`memory_rows` counts them. `avg_pool` is the per-example form of the
+mean pooling in `experiments/ablation.py`'s *mean* arm.
 
 `split_asts_by_reparse` is the token form of `splitter.build_split_asts`:
 it parses each split's code, with its body braced, instead of building
@@ -49,8 +51,8 @@ of one compiled regular expression. `code_token_texts_per_token` is
 by `frontend.token_kinds` and the cut made once at the end, where the
 package reads the kinds the parser kept and stops at `max_len`.
 
-`repeat_row`, `tanh`, `col_slice` and `segment_sum` are tape ops that
-only these oracles use; the package has no caller for them.
+`repeat_row`, `transpose`, `tanh`, `col_slice` and `segment_sum` are tape
+ops that only these oracles use; the package has no caller for them.
 
 `grad_check` is the reference for every hand-written backward: it
 compares a tape's gradient of a scalar function with central
@@ -84,7 +86,6 @@ from basts.summarizer import (
     EncoderLayerParams,
     SummarizationExample,
     SummarizerModel,
-    TransformerParams,
     _feed_forward,
     positional_matrix,
 )
@@ -105,6 +106,10 @@ def repeat_row(v: Tensor, n: int) -> Tensor:
     return ad._emit(
         np.tile(v.data, (n, 1)), (v,), lambda g: (g.sum(axis=0),)
     )
+
+
+def transpose(x: Tensor) -> Tensor:
+    return ad._emit(x.data.T.copy(), (x,), lambda g: (g.T,))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -182,12 +187,6 @@ def allowed_block(n: int, m: int, causal: bool = False) -> np.ndarray:
     key, or with `causal` (n == m) keys 0..i for query i."""
     allowed = np.ones((n, m), dtype=bool)
     return np.tril(allowed) if causal else allowed
-
-
-def fuse(pooled: Tensor, token_embedding: Tensor, params: TransformerParams) -> Tensor:
-    """ReLU projection of one token embedding joined with the pooled syntax."""
-    joint = ad.concat([pooled, token_embedding], axis=0)
-    return ad.relu(ad.add(ad.matmul(params.fuse_w, joint), params.fuse_b))
 
 
 def row_softmax(x: Tensor, additive_mask: np.ndarray | None = None) -> Tensor:
@@ -293,7 +292,7 @@ def attention_per_head(q: Tensor, k: Tensor, v: Tensor, heads: int,
     for h in range(heads):
         lo, hi = h * width, (h + 1) * width
         scores = ad.scalar_mul(
-            ad.matmul(col_slice(q, lo, hi), ad.transpose(col_slice(k, lo, hi))),
+            ad.matmul(col_slice(q, lo, hi), transpose(col_slice(k, lo, hi))),
             scale,
         )
         attn = row_softmax(scores, additive_mask)
@@ -378,16 +377,19 @@ def avg_pool(roots: Tensor) -> Tensor:
     return ad.matmul(Tensor(np.full(n, 1.0 / n)), roots)
 
 
+def memory_rows(example: SummarizationExample) -> int:
+    """The memory rows of one example: one per code token, one per split."""
+    return len(example.code_ids) + len(example.split_asts)
+
+
 def encode_per_example(example: SummarizationExample, model: SummarizerModel) -> Tensor:
-    """Source encoding of one example, with a tree fold of its own."""
+    """Source encoding of one example, with a tree fold of its own: its code
+    token rows, then its split roots, plus positions over both."""
     t = model.transformer
-    roots = encode_trees(example.split_asts, model.tree)
-    pooled = avg_pool(roots)
-    n = len(example.code_ids)
+    n = memory_rows(example)
     tokens = ad.embedding_lookup(t.code_embedding, example.code_ids)
-    joint = ad.concat([repeat_row(pooled, n), tokens], axis=1)
-    fused = ad.relu(ad.add_rowvec(ad.matmul(joint, ad.transpose(t.fuse_w)), t.fuse_b))
-    x = ad.add(fused, Tensor(positional_matrix(n, t.size)))
+    x = ad.concat([tokens, encode_trees(example.split_asts, model.tree)])
+    x = ad.add(x, Tensor(positional_matrix(n, t.size)))
     allowed = allowed_block(n, n)
     for layer in t.enc:
         x = encoder_layer_per_example(x, layer, t.heads, [allowed])
@@ -560,12 +562,12 @@ def encode_trees_per_level(trees: list[SplitAst], params: TreeLstmParams) -> Ten
     size = params.size
     # [x, h_tilde] @ iou_w gives every row's input, output and update
     # pre-activations at once
-    iou_w = ad.transpose(ad.concat([
+    iou_w = transpose(ad.concat([
         ad.concat([params.w_i, params.w_o, params.w_u], axis=0),
         ad.concat([params.u_i, params.u_o, params.u_u], axis=0),
     ], axis=1))
     iou_b = ad.concat([params.b_i, params.b_o, params.b_u], axis=0)
-    f_w, f_u = ad.transpose(params.w_f), ad.transpose(params.u_f)
+    f_w, f_u = transpose(params.w_f), transpose(params.u_f)
     # states[0] is the virtual child, states[k + 1] the rows of height k
     firsts = np.array([0] + [lo for lo, _, _, _ in plan.heights])
     states = [(repeat_row(params.virtual_h, 1), repeat_row(params.virtual_m, 1))]

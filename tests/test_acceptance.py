@@ -30,7 +30,7 @@ from basts.summarizer import (
     SummarizerModel,
     TransformerParams,
     decoder_logits,
-    encode,
+    encode_batch,
     greedy_decode,
     memory_kv,
     multi_head_attention,
@@ -159,10 +159,9 @@ def test_criterion_3_gradient_fidelity():
     example = SummarizationExample([7, 8, 9, 10, 4], [ast], [1, 7, 8, 9, 2])
 
     def summarizer_loss(_):
-        memory = encode(example, model)
+        memory, lengths = encode_batch([example], model)
         inputs = [example.comment_ids[:-1]]
-        logits = decoder_logits(inputs, memory_kv(memory, model),
-                                [len(example.code_ids)], model)
+        logits = decoder_logits(inputs, memory_kv(memory, model), lengths, model)
         return ad.cross_entropy_logits(logits, example.comment_ids[1:])
 
     worst["summarizer"] = max(
@@ -327,12 +326,13 @@ def test_criterion_8_attention_invariants():
         n_words = int(rng.integers(3, 7))
         ids = [1] + [int(rng.integers(4, 12)) for _ in range(n_words)]
         example = SummarizationExample([7, 8, 9], [ast], ids + [2])
-        kv = memory_kv(encode(example, model), model)
-        base = decoder_logits([ids], kv, [len(example.code_ids)], model).data
+        memory, lengths = encode_batch([example], model)
+        kv = memory_kv(memory, model)
+        base = decoder_logits([ids], kv, lengths, model).data
         s = int(rng.integers(1, len(ids)))
         perturbed = list(ids)
         perturbed[s] = 4 if ids[s] != 4 else 5
-        after = decoder_logits([perturbed], kv, [len(example.code_ids)], model).data
+        after = decoder_logits([perturbed], kv, lengths, model).data
         if not np.array_equal(base[:s], after[:s]):
             causal_ok = False
             break

@@ -23,7 +23,7 @@ SEP_CHECKPOINT_SHA256 = (
     "00167ecd0970fa0a994d06d000b91e1d4b000271451ac61d3581b3b71b77bcd9"
 )
 SUMMARIZER_CHECKPOINT_SHA256 = (
-    "e50fabce873a82b1198fdbab6481a8fdba9f4039f4513d02eee8e4a403cbd0a4"
+    "86b5a0f415cb600c77f71b268c384289208be56d701749820ef4f01e2e4f43b5"
 )
 
 TYPE_VALUES = {"<UNK>": 0, "MethodDeclaration_f": 1, "BasicType_int": 2,

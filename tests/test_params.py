@@ -34,8 +34,8 @@ class TestParamsWalk:
         assert "transformer.dec1.ffn.b2" in names
         blob_names = [name for name, _ in transformer.named_params()]
         assert "enc0.attn.wq" in blob_names and "dec1.ffn.b2" in blob_names
-        # tree; embeddings and fusion; two encoder and two decoder layers; output
-        assert len(names) == 15 + 4 + 2 * 12 + 2 * 18 + 2
+        # tree; the two embeddings; two encoder and two decoder layers; output
+        assert len(names) == 15 + 2 + 2 * 12 + 2 * 18 + 2
 
     def test_sep_model_walk_covers_every_tensor(self):
         tree = tree_params()

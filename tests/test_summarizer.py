@@ -43,8 +43,8 @@ from conftest import assert_same_state, optimizer_state
 from oracles import (
     allowed_block,
     avg_pool,
-    fuse,
     grad_check,
+    memory_rows,
     multi_head_attention_per_head,
     positional_encoding,
     row_softmax,
@@ -118,39 +118,6 @@ class TestAvgPool:
             avg_pool(Tensor(np.zeros((0, 2))))
 
 
-class TestFuse:
-    def test_zero_params_zero_output(self):
-        model = make_model(size=4, heads=1)
-        t = model.transformer
-        t.fuse_w.data[...] = 0.0
-        t.fuse_b.data[...] = 0.0
-        out = fuse(Tensor(np.ones(4)), Tensor(np.ones(4)), t)
-        assert np.array_equal(out.data, np.zeros(4))
-
-    def test_identity_block_selects_pooled_half(self):
-        model = make_model(size=4, heads=1)
-        t = model.transformer
-        t.fuse_w.data[...] = 0.0
-        t.fuse_w.data[:, :4] = np.eye(4)
-        t.fuse_b.data[...] = 0.0
-        pooled = Tensor(np.array([1.0, -2.0, 0.5, -0.1]))
-        out = fuse(pooled, Tensor(np.ones(4)), t)
-        assert np.array_equal(out.data, np.maximum(pooled.data, 0.0))
-
-    def test_hand_evaluated_affine(self):
-        rng = np.random.default_rng(3)
-        model = make_model(size=2, heads=1)
-        t = model.transformer
-        w = rng.normal(size=(2, 4))
-        b = rng.normal(size=2)
-        t.fuse_w.data[...] = w
-        t.fuse_b.data[...] = b
-        pooled, token = rng.normal(size=2), rng.normal(size=2)
-        expected = np.maximum(w @ np.concatenate([pooled, token]) + b, 0.0)
-        out = fuse(Tensor(pooled), Tensor(token), t)
-        assert np.allclose(out.data, expected, atol=1e-15)
-
-
 class TestPositionalEncoding:
     def test_position_zero(self):
         assert positional_encoding(0, 0, 64) == 0.0
@@ -214,9 +181,8 @@ class TestMultiHeadAttention:
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(5, 4)))
-        scores = ad.matmul(x, ad.transpose(x))
-        attn = row_softmax(scores)
+        x = rng.normal(size=(5, 4))
+        attn = row_softmax(Tensor(x @ x.T))
         assert np.max(np.abs(attn.data.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_causal_mask_blocks_keys_above_the_diagonal(self):
@@ -241,24 +207,23 @@ class TestMultiHeadAttention:
 
 
 class TestEncode:
-    def test_zero_layers_is_fused_plus_positions(self):
+    def test_zero_layers_is_code_then_split_rows_plus_positions(self):
         model = make_model(enc=0, dec=0)
         ex = make_example()
+        ex.split_asts = ex.split_asts + [SplitAst(1, AstNode("B"))]
         out = encode(ex, model)
         t = model.transformer
-        pooled = avg_pool(encode_trees(ex.split_asts, model.tree))
-        rows = []
-        for cid in ex.code_ids:
-            token = Tensor(ad.embedding_lookup(t.code_embedding, [cid]).data[0])
-            rows.append(fuse(pooled, token, t).data)
-        expected = np.stack(rows) + positional_matrix(len(ex.code_ids), t.size)
-        assert np.allclose(out.data, expected, atol=1e-12)
+        rows = np.concatenate([t.code_embedding.data[ex.code_ids],
+                               encode_trees(ex.split_asts, model.tree).data])
+        expected = rows + positional_matrix(memory_rows(ex), t.size)
+        assert out.shape == (6, 8)
+        assert np.array_equal(out.data, expected)
 
     def test_output_shape_for_any_layer_count(self):
         for enc in (0, 1, 2):
             model = make_model(enc=enc)
             out = encode(make_example(), model)
-            assert out.shape == (4, 8)
+            assert out.shape == (5, 8)  # 4 code rows, 1 split row
 
     def test_one_layer_matches_manual_composition(self):
         model = make_model(size=2, heads=1, enc=1, dec=0, seed=11)
@@ -266,11 +231,9 @@ class TestEncode:
         t = model.transformer
         layer = t.enc[0]
 
-        pooled = avg_pool(encode_trees(ex.split_asts, model.tree)).data
+        root = encode_trees(ex.split_asts, model.tree).data
         tok = t.code_embedding.data[np.asarray(ex.code_ids)]
-        joint = np.concatenate([np.tile(pooled, (3, 1)), tok], axis=1)
-        x = np.maximum(joint @ t.fuse_w.data.T + t.fuse_b.data, 0.0)
-        x = x + positional_matrix(3, 2)
+        x = np.concatenate([tok, root]) + positional_matrix(4, 2)
 
         q, k, v = (x @ w.data for w in (layer.attn.wq, layer.attn.wk, layer.attn.wv))
         scores = q @ k.T / math.sqrt(2.0)
@@ -419,7 +382,7 @@ class TestBatchedEncode:
     def test_greedy_decode_matches_per_head_path(self, monkeypatch):
         corpus, model = toy_corpus_and_model()
         opt = Adam(model.all_params(), lr=3e-3)
-        for _ in range(3):
+        for _ in range(20):  # before about 15 steps, every example decodes alike
             train_step(corpus.examples, model, opt)
         decoded = [greedy_decode(ex, model, max_len=12) for ex in corpus.examples]
 
@@ -437,12 +400,37 @@ class TestBatchedEncode:
                  make_example(code_ids=(8, 8, 10, 11, 4))]
         batch[1].split_asts = batch[1].split_asts * 3
         memory, lengths = encode_batch(batch, model)
-        offsets = [0, 4, 7, 12]
-        assert lengths == [4, 3, 5]
-        assert memory.shape == (12, 8)
+        offsets = [0, 5, 11, 17]
+        assert lengths == [memory_rows(ex) for ex in batch] == [5, 6, 6]
+        assert memory.shape == (17, 8)
         for b, ex in enumerate(batch):
             rows = memory.data[offsets[b]:offsets[b + 1]]
             assert np.max(np.abs(rows - encode(ex, model).data)) <= 1e-12
+
+    def test_each_example_holds_its_code_rows_then_its_split_roots(self):
+        # with no encoder layer the memory is the encoder's input rows
+        model = make_model(enc=0, seed=8)
+        shapes = [AstNode("A"), AstNode("B"), AstNode("A", children=[AstNode("B")]),
+                  AstNode("B", children=[AstNode("A")]),
+                  AstNode("A", children=[AstNode("A"), AstNode("B")])]
+        batch = [make_example(), make_example(code_ids=(9, 4, 7)),
+                 make_example(code_ids=(8, 10))]
+        batch[0].split_asts = [SplitAst(0, shapes[4])]
+        batch[1].split_asts = [SplitAst(i, shapes[i]) for i in (0, 2, 3)]
+        batch[2].split_asts = [SplitAst(0, shapes[1]), SplitAst(1, shapes[0])]
+        memory, lengths = encode_batch(batch, model)
+        assert lengths == [4 + 1, 3 + 3, 2 + 2]
+        t = model.transformer
+        roots = encode_trees([a for ex in batch for a in ex.split_asts], model.tree).data
+        at = root_at = 0
+        for ex, n in zip(batch, lengths):
+            k = len(ex.split_asts)
+            rows = np.concatenate([t.code_embedding.data[ex.code_ids],
+                                   roots[root_at:root_at + k]])
+            expected = rows + positional_matrix(n, t.size)
+            assert np.array_equal(memory.data[at:at + n], expected)
+            at, root_at = at + n, root_at + k
+        assert at == memory.shape[0]
 
     def test_example_without_split_asts_raises(self):
         model = make_model()
@@ -498,8 +486,7 @@ class TestEmptyAndNonFiniteInputs:
 
     @pytest.mark.parametrize("steps_before", [0, 1])
     def test_a_nan_code_embedding_stops_the_step(self, steps_before):
-        # relu maps the NaN fused rows to 0, so the loss stays finite, but
-        # the NaN inputs reach the fuse_w gradient
+        # the NaN code rows reach the encoder, so the loss is NaN
         model = make_model()
         opt = Adam(model.all_params(), lr=1e-3)
         for _ in range(steps_before):
@@ -508,7 +495,7 @@ class TestEmptyAndNonFiniteInputs:
         before = optimizer_state(opt)
         with pytest.raises(NaNError) as err:
             train_step([make_example()], model, opt)
-        assert str(err.value) == "non-finite gradient of a leaf of shape (8, 16)"
+        assert str(err.value) == "non-finite loss nan"
         assert_same_state(before, optimizer_state(opt))
 
 
@@ -558,12 +545,12 @@ class TestTrainStep:
         def f(_):
             memory = encode(ex, model)
             inputs = [ex.comment_ids[:-1]]
-            logits = decoder_logits(inputs, memory_kv(memory, model), [len(ex.code_ids)],
+            logits = decoder_logits(inputs, memory_kv(memory, model), [memory_rows(ex)],
                                     model)
             return ad.cross_entropy_logits(logits, ex.comment_ids[1:])
 
         targets = {
-            "fuse_w": model.transformer.fuse_w,
+            "code_embedding": model.transformer.code_embedding,
             "enc_wq": model.transformer.enc[0].attn.wq,
             "dec_cross_wv": model.transformer.dec[0].cross_attn.wv,
             "ln_gain": model.transformer.enc[0].ln1.gain,
@@ -581,10 +568,10 @@ class TestCostGates:
 
     # the 16 toy rows as one packed batch at the default config: L=64, 4 heads,
     # 2+2 layers; one of them is the tree fold of all the batch's split ASTs
-    TRAIN_STEP_OPS = 85
+    TRAIN_STEP_OPS = 80
     # the same step with the tree's parameters not requiring grad: the fold
-    # and the two ops that carry its roots into the fused inputs record nothing
-    TRAIN_STEP_FROZEN_OPS = 82
+    # records nothing
+    TRAIN_STEP_FROZEN_OPS = 79
     # the tracemalloc peak of that step, in MiB: it reads 12.7 when each node
     # keeps only what its backward reads, 19.0 when nodes keep their inputs
     TRAIN_STEP_PEAK_MIB = 14
@@ -718,13 +705,14 @@ class TestCausality:
         for trial in range(5):
             model = make_model(seed=trial)
             ex = make_example()
-            kv = memory_kv(encode(ex, model), model)
+            memory, lengths = encode_batch([ex], model)
+            kv = memory_kv(memory, model)
             ids = [1, 7, 8, 9, 7]
-            base = decoder_logits([ids], kv, [len(ex.code_ids)], model).data
+            base = decoder_logits([ids], kv, lengths, model).data
             s = int(rng.integers(1, len(ids)))
             perturbed_ids = list(ids)
             perturbed_ids[s] = 4 if ids[s] != 4 else 5
-            perturbed = decoder_logits([perturbed_ids], kv, [len(ex.code_ids)], model).data
+            perturbed = decoder_logits([perturbed_ids], kv, lengths, model).data
             assert np.array_equal(base[:s], perturbed[:s])
             assert not np.array_equal(base[s:], perturbed[s:])
 
@@ -751,6 +739,7 @@ class TestMemoryRowSeam:
     def test_added_rows_reach_every_decoder_call(self, monkeypatch):
         batch = [make_example(), make_example(code_ids=(9, 4, 7))]
         model, twin = make_model(enc=1, dec=2, seed=5), make_model(enc=1, dec=2, seed=5)
+        rows = encode_batch(batch, twin)[1]
         plain = train_step(batch, twin, Adam(twin.all_params(), lr=3e-3))
         seen = []
 
@@ -762,13 +751,14 @@ class TestMemoryRowSeam:
                             self.one_zero_row_more(summarizer.encode_batch))
         monkeypatch.setattr(summarizer, "decoder_logits", spy)
         loss = train_step(batch, model, Adam(model.all_params(), lr=3e-3))
-        assert seen == [(2, [5, 4], 9)]
+        assert rows == [5, 4]  # code rows, then one split row
+        assert seen == [(2, [6, 5], 11)]
         assert math.isfinite(loss) and loss != plain  # the zero rows were attended
 
         seen.clear()
         out = greedy_decode(batch[1], model, max_len=3)
         assert len(seen) == min(len(out) + 1, 3)
-        assert all(rows == [4] and total == 4 for _, rows, total in seen)
+        assert all(counts == [5] and total == 5 for _, counts, total in seen)
 
 
 class TestGreedyDecode:
