@@ -10,12 +10,11 @@ is `init_tree`'s, the one `pretrain` starts from too; `eval --input` and
 `summarize` share one decode loop, `summaries`.
 Corpora are JSON Lines records with id/code/comment fields; configs are
 key = value text. A token is its text: `code_token_texts` finds the
-identifiers among a method's tokens by the kinds the parser kept,
-`Method.kinds`, and `method_key` is the tuple of the method's own
-tokens. Every text input is read by `read_lines`, and a FormatError
-names the file, then the line. Runs are reproducible from (config,
-seed): identical invocations write byte-identical checkpoints and loss
-logs.
+identifiers among a method's tokens by the frontend's kind table,
+`KIND_OF`, and `method_key` is the tuple of the method's own tokens.
+Every text input is read by `read_lines`, and a FormatError names the
+file, then the line. Runs are reproducible from (config, seed):
+identical invocations write byte-identical checkpoints and loss logs.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from basts.cfg import CfgError, build_cfg, cfg_to_dot
 from basts.checkpoint import load_checkpoint, save_checkpoint
 from basts.dominators import compute_dominators, dom_to_dot
 from basts.frontend import (
+    KIND_OF,
     LexError,
     ParseError,
     abstract_literals,
@@ -185,10 +185,10 @@ def code_token_texts(method, max_len: int) -> list[str]:
     """
     out: list[str] = []
     lo, hi = method.span
-    for tok, kind in zip(method.tokens[lo:hi], method.kinds[lo:hi]):
+    for tok in method.tokens[lo:hi]:
         if len(out) >= max_len:
             break
-        if kind == "identifier":
+        if KIND_OF[tok] == "identifier":
             out.extend(split_identifier(tok))
         else:
             out.append(tok)

@@ -3,14 +3,14 @@
 The frontend feeds every later stage: abstracted token streams for the
 summarizer, statement-level structure for control-flow analysis, and
 labeled syntax trees for the tree encoder. A token is its text, a `str`,
-and token and statement kinds are plain strings. `token_kinds` gives
-each text's kind; the parser computes it once over its token list and
-keeps it as `Method.kinds`, so later stages read a token's kind there.
-`token_offsets` recovers where each token starts from the source, which
-only error messages need. The parser builds the
-`AstNode`s of expressions, of each simple statement (`Statement.node`)
-and of the method's return type and parameters (`Method.declaration`). A
-tree adds only header, block and `MethodDeclaration` nodes over them, so
+and token and statement kinds are plain strings. A token's kind follows
+from its text alone, so one table, `KIND_OF`, finds each distinct
+text's kind once; the lexer, `abstract_literals`, the parser and later
+stages all read kinds there. `token_offsets` recovers where each token
+starts from the source, which only error messages need. The parser
+builds the `AstNode`s of expressions, of each simple statement
+(`Statement.node`) and of the method's return type and parameters
+(`Method.declaration`). A tree adds only header, block and `MethodDeclaration` nodes over them, so
 every tree built from one method shares the parser's nodes. Nodes carry
 no ids, and nothing changes a node once it is built, so trees may share
 them. `JUMPS` and `HEADERS` name the statement kinds that transfer
@@ -25,7 +25,6 @@ import itertools
 import re
 import string
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 
 class LexError(ValueError):
@@ -88,19 +87,42 @@ _FIRST_KIND.update(dict.fromkeys(string.ascii_letters + "_", "identifier"))
 _FIRST_KIND.update({'"': "string", "/": "comment"})
 _ERROR_OR_COMMENT = frozenset((None, "comment"))
 _LEX_ERRORS = {'"': "unterminated string literal", "/*": "unterminated block comment"}
+_KIND_TABLE_SIZE = 2**16
+
+
+class _KindTable(dict):
+    """The kind of each match text, as `KIND_OF[text]`.
+
+    A text the table does not hold gets the rule above, once: its kind is
+    stored, so each distinct token text is classified once per process.
+    Comment and error matches are never stored, and once the table holds
+    `_KIND_TABLE_SIZE` (2**16) texts a new text's kind is computed and not
+    stored. So the table holds at most 2**16 entries: about 1.9 MB of dict
+    on CPython 3.11, plus the token texts it keeps alive. What it holds
+    changes no kind, only how fast one is found.
+    """
+
+    def __missing__(self, text: str) -> str | None:
+        kind = _TEXT_KIND.get(text, _FIRST_KIND.get(text[0]))
+        if kind not in _ERROR_OR_COMMENT and len(self) < _KIND_TABLE_SIZE:
+            self[text] = kind
+        return kind
+
+
+KIND_OF = _KindTable()
 
 
 def token_kinds(texts: list[str]) -> list[str | None]:
     """The kind of each token text: "identifier", "keyword", "number",
     "string", "bool", "operator" or "punct" (docs/grammar.md)."""
-    return list(map(_TEXT_KIND.get, texts, map(_FIRST_KIND.get, map(itemgetter(0), texts))))
+    return list(map(KIND_OF.__getitem__, texts))
 
 
 def tokenize(source: str) -> list[str]:
     """Lex source text into token texts, skipping whitespace and comments.
 
-    Kinds are found here only to spot comments and errors; `token_offsets`
-    finds where tokens start, for error messages.
+    Kinds are read from `KIND_OF` here only to spot comments and errors;
+    `token_offsets` finds where tokens start, for error messages.
     """
     texts = _TOKEN_RE.findall(source)
     kinds = token_kinds(texts)
@@ -123,21 +145,18 @@ def token_offsets(source: str) -> list[int]:
     return [m.start() for m in _TOKEN_RE.finditer(source) if not m[0].startswith(("//", "/*"))]
 
 
-# A number starts with a digit and a string with a quote; true and false
-# are the bools
-_LITERAL_BY_FIRST = dict.fromkeys("0123456789", NUM_TOKEN)
-_LITERAL_BY_FIRST['"'] = STR_TOKEN
-_LITERAL_BY_TEXT = {"true": BOOL_TOKEN, "false": BOOL_TOKEN}
+_PLACEHOLDERS = {"number": NUM_TOKEN, "string": STR_TOKEN, "bool": BOOL_TOKEN}
 
 
 def abstract_literals(tokens: list[str]) -> list[str]:
-    """Replace every literal token with its placeholder token.
+    """Replace every literal token with its kind's placeholder token.
 
-    Kinds and list length are preserved, so the operation is idempotent;
-    any other token comes back as the same object.
+    A token of kind "number", "string" or "bool" (its `KIND_OF` entry)
+    becomes `NUM_TOKEN`, `STR_TOKEN` or `BOOL_TOKEN`. Kinds and list
+    length are preserved, so the operation is idempotent; any other token
+    comes back as the same object.
     """
-    by_first = map(_LITERAL_BY_FIRST.get, map(itemgetter(0), tokens), tokens)
-    return list(map(_LITERAL_BY_TEXT.get, tokens, by_first))
+    return list(map(_PLACEHOLDERS.get, map(KIND_OF.__getitem__, tokens), tokens))
 
 
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
@@ -201,12 +220,14 @@ class Statement:
 
 @dataclass
 class Method:
+    """A parsed method. It keeps no token kinds: a kind follows from the
+    token's text alone, so every stage reads it from `KIND_OF`."""
+
     name: str
     declaration: list[AstNode]  # return type and parameter nodes, shared by the method's trees
     declaration_tokens: list[str]  # return type through the closing ')'
     body: list[Statement]
     tokens: list[str]  # the token list all spans index into, shared by a file's methods
-    kinds: list[str | None]  # the parser's kind of each token, then "<eof>"'s; shared as tokens is
     span: tuple[int, int]  # half-open range of this method's own tokens
     statements: dict[int, Statement]  # every statement, nested ones included, by id
 
@@ -224,14 +245,12 @@ _TOO_DEEP = f"nesting at most {MAX_NESTING} deep"
 # Read after the caller's last token. It matches no grammar rule, so no
 # read runs past it and an error there is found at '<eof>'.
 _EOF = "<eof>"
-_LITERALS = frozenset(("number", "string", "bool"))
 
 
 class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens  # the caller's list, which spans index into
         self.toks = tokens + [_EOF]
-        self.kinds = token_kinds(self.toks)  # kept by every Method parsed here
         self.end = len(tokens)  # the index of _EOF
         self.i = 0
         self.statements: dict[int, Statement] = {}
@@ -246,11 +265,11 @@ class _Parser:
         self.i += 1
 
     def _expect_ident(self, what: str) -> str:
-        i = self.i
-        if self.kinds[i] != "identifier":
+        text = self.toks[self.i]
+        if KIND_OF[text] != "identifier":
             self._fail([what])
-        self.i = i + 1
-        return self.toks[i]
+        self.i += 1
+        return text
 
     # --- declarations -----------------------------------------------------
 
@@ -269,7 +288,6 @@ class _Parser:
             declaration_tokens=declaration_tokens,
             body=body,
             tokens=self.tokens,
-            kinds=self.kinds,
             span=(start, self.i),
             statements=self.statements,
         )
@@ -377,8 +395,8 @@ class _Parser:
         The trailing ';' is consumed by the caller, so the same parse
         serves both free-standing statements and for-loop clauses.
         """
-        start, toks, kinds, sid = self.i, self.toks, self.kinds, len(self.statements)
-        if kinds[start] == "identifier" and kinds[start + 1] == "identifier":
+        start, toks, sid = self.i, self.toks, len(self.statements)
+        if KIND_OF[toks[start]] == "identifier" and KIND_OF[toks[start + 1]] == "identifier":
             self.i = start + 2
             node = AstNode("LocalVariableDeclaration", toks[start + 1],
                            [AstNode("BasicType", toks[start])])
@@ -432,14 +450,14 @@ class _Parser:
             self._fail([_TOO_DEEP])
         i = self.i
         t = toks[i]
-        kind = self.kinds[i]
+        kind = KIND_OF[t]
         if kind == "identifier":
             self.i = i + 1
             if toks[i + 1] == "(":
                 left = AstNode("MethodInvocation", t, self._parse_list(self.parse_expr))
             else:
                 left = AstNode("MemberReference", t)
-        elif kind in _LITERALS:
+        elif kind in _PLACEHOLDERS:  # a literal
             self.i = i + 1
             left = AstNode("Literal", t)
         elif t == "(":
@@ -476,10 +494,7 @@ class _Parser:
             if level > MAX_NESTING:
                 self._fail([_TOO_DEEP])
             self.i += 1
-            if self.kinds[self.i] != "identifier":
-                self._fail(["member name"])
-            name = toks[self.i]
-            self.i += 1
+            name = self._expect_ident("member name")
             if toks[self.i] == "(":
                 expr = AstNode("MethodInvocation", name,
                                [expr] + self._parse_list(self.parse_expr))

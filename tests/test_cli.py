@@ -1465,6 +1465,21 @@ class TestEvalDedupeFrontendOnly:
         capsys.readouterr()
         assert json_path.read_text() == self.REPORT
 
+    def test_report_equals_eval_of_the_records_it_keeps(self, tmp_path, capsys):
+        """What the pin above guards, with no pinned text: dropping the one
+        record the training corpus repeats scores as `eval` over the other two."""
+        argv = _dedupe_setup(tmp_path)
+        kept = tmp_path / "kept.jsonl"
+        write_corpus(kept, toy_rows()[1:])
+        assert argv[3] == "--input" and argv[-2] == "--dedupe-train"
+        reports = []
+        for args in (argv, [*argv[:4], str(kept), *argv[5:-2]]):
+            json_path = tmp_path / "report.json"
+            assert run(args + ["--json", str(json_path)]) == 0
+            reports.append(json_path.read_text())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+
 
 def test_eval_of_summarize_output_matches_eval_of_the_corpus(tmp_path, capsys):
     """Both eval modes decode through one loop, so they score alike.

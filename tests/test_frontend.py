@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from basts import frontend
 from basts.frontend import (
     MAX_NESTING,
     LexError,
@@ -32,6 +33,10 @@ from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
 def lex(source):
     return tokenize(source)
 
+
+# each bench profile with the methods per seed its oracle tests take
+PROFILES = [("prep-large", PREP_PROFILE, 3), ("pretrain-sep", MEDIUM_PROFILE, 6),
+            ("summarize-small", SMALL_PROFILE, 12)]
 
 TOKEN_KINDS = {"identifier", "keyword", "number", "string", "bool", "operator", "punct"}
 STMT_KINDS = {"decl", "assign", "expr", "if", "while", "for", "return", "break", "continue",
@@ -148,11 +153,7 @@ class TestTokenizeMatchesPerCharOracle:
     def test_random_text(self, source):
         assert lex_outcome(tokens_and_offsets, source) == lex_outcome(tokenize_per_char, source)
 
-    @pytest.mark.parametrize("label, profile, count", [
-        ("prep-large", PREP_PROFILE, 3),
-        ("pretrain-sep", MEDIUM_PROFILE, 6),
-        ("summarize-small", SMALL_PROFILE, 12),
-    ])
+    @pytest.mark.parametrize("label, profile, count", PROFILES)
     def test_generated_methods(self, label, profile, count):
         for seed in range(1, 21):
             for record in generate_records(label, seed, count, profile):
@@ -188,11 +189,7 @@ class TestAbstractLiteralsMatchesPerTokenOracle:
         toks = tokenize(source)
         assert token_kinds(abstract_literals(toks)) == token_kinds(toks)
 
-    @pytest.mark.parametrize("label, profile, count", [
-        ("prep-large", PREP_PROFILE, 3),
-        ("pretrain-sep", MEDIUM_PROFILE, 6),
-        ("summarize-small", SMALL_PROFILE, 12),
-    ])
+    @pytest.mark.parametrize("label, profile, count", PROFILES)
     def test_generated_methods(self, label, profile, count):
         for seed in range(1, 21):
             for record in generate_records(label, seed, count, profile):
@@ -227,6 +224,76 @@ class TestAbstractLiterals:
             if after == before:
                 assert after is before
         assert all(a is b for a, b in zip(abstract_literals(once), once))
+
+
+# texts no other test lexes: an identifier, a number and a string
+UNSEEN_SOURCE = ('unseenTableName = 9876.54321 + "never seen before" != false; '
+                 "while (unseenTableName <= 31337) { continue; }")
+
+
+@pytest.fixture
+def empty_kind_table():
+    """`frontend.KIND_OF` emptied for one test, then refilled as it was."""
+    saved = dict(frontend.KIND_OF)
+    frontend.KIND_OF.clear()
+    yield frontend.KIND_OF
+    frontend.KIND_OF.clear()
+    frontend.KIND_OF.update(saved)
+
+
+def generated_sources(profiles=PROFILES):
+    return [record["code"] for label, profile, count in profiles
+            for seed in range(1, 6) for record in generate_records(label, seed, count, profile)]
+
+
+def tokens_kinds_and_abstracted(source):
+    toks = tokenize(source)
+    return toks, token_kinds(toks), abstract_literals(toks)
+
+
+class TestKindTable:
+    @pytest.mark.parametrize("profile", PROFILES, ids=[p[0] for p in PROFILES])
+    def test_cold_and_warm_tables_match_the_oracles(self, empty_kind_table, profile):
+        sources = generated_sources([profile])
+        for warmth in ("cold", "warm"):
+            assert bool(empty_kind_table) == (warmth == "warm")
+            if warmth == "warm":
+                assert "unseenTableName" not in empty_kind_table
+                sources.append(UNSEEN_SOURCE)
+            for source in sources:
+                pairs, _ = tokenize_per_char(source)
+                toks = tokenize(source)
+                assert list(zip(toks, token_kinds(toks))) == pairs
+                abstracted = abstract_literals(toks)
+                assert list(zip(abstracted, token_kinds(abstracted))) == (
+                    abstract_literals_per_token(pairs))
+        assert empty_kind_table["unseenTableName"] == "identifier"
+
+    def test_a_full_table_gives_the_same_results_and_stops_growing(self, empty_kind_table,
+                                                                   monkeypatch):
+        sources = generated_sources() + [UNSEEN_SOURCE]
+        expected = [tokens_kinds_and_abstracted(s) for s in sources]
+        # UNSEEN_SOURCE holds statements, not a method, so it is not parsed
+        methods = [parse_method(abstracted) for _, _, abstracted in expected[:-1]]
+        empty_kind_table.clear()
+        tokenize("int f(int x) { return x; }")
+        full = dict(empty_kind_table)
+        assert 0 < len(full) < 16
+        monkeypatch.setattr(frontend, "_KIND_TABLE_SIZE", len(full))
+        assert [tokens_kinds_and_abstracted(s) for s in sources] == expected
+        assert [parse_method(abstracted) for _, _, abstracted in expected[:-1]] == methods
+        assert empty_kind_table == full
+
+    def test_no_comment_or_error_text_enters_the_table(self, empty_kind_table):
+        source = "int f() { // a line comment\n return /* a block */ 1; } /* last */"
+        assert tokenize(source) == ["int", "f", "(", ")", "{", "return", "1", ";", "}"]
+        for bad in ("x = @;", 'x = "open;', "x /* open", "a & b"):
+            with pytest.raises(LexError):
+                tokenize(bad)
+        for text in ("// a line comment", "/* a block */", "/* last */", "@", '"', "/*", "&"):
+            assert text not in empty_kind_table
+        assert not set(empty_kind_table.values()) & {None, "comment"}
+        assert set(empty_kind_table) >= {"int", "f", "return", "1", "x", "=", "open", "a"}
 
 
 class TestSplitIdentifier:
