@@ -27,10 +27,12 @@ train from the same initial weights, with no pre-training, at L=32,
 - *none*: the code rows alone.
 
 Each arm replaces `summarizer.encode_batch` only, the seam that
-`train_step` and `greedy_decode` read. Scores are on the held-out
-methods: clause accuracy (the share whose decoded clause set is exactly
-the reference's), `corpus_bleu`, `sentence_bleu` with add-one smoothing,
-ROUGE-L and `meteor_lite`. For each pair of arms the JSON gives the
+`train_step` and `greedy_decode` read, and hands its rows to
+`summarizer.encode`, the package's one encoder stack. Scores are on the
+held-out methods: clause accuracy (the share whose decoded clause set is
+exactly the reference's), then `corpus_bleu`, `sentence_bleu` with
+add-one smoothing, ROUGE-L and `meteor_lite` as `metrics.evaluate_corpus`
+reports them. For each pair of arms the JSON gives the
 per-seed differences, their mean, wins, losses and a two-sided sign test.
 """
 
@@ -66,7 +68,7 @@ from basts.autodiff import Params, Slot, Tensor, glorot  # noqa: E402
 from basts.cli import (CorpusRecord, RunConfig, build_model, code_token_texts,  # noqa: E402
                        preprocess, summaries, train_summarizer)
 from basts.frontend import abstract_literals, parse_method, tokenize  # noqa: E402
-from basts.metrics import corpus_bleu, meteor_lite, rouge_l, sentence_bleu  # noqa: E402
+from basts.metrics import evaluate_corpus  # noqa: E402
 from basts.summarizer import SummarizerModel, encode_trees  # noqa: E402
 from minigen import generate_records  # noqa: E402
 from workloads import MEDIUM_PROFILE  # noqa: E402
@@ -135,15 +137,6 @@ class MeanModel(SummarizerModel):
     fuse: FuseParams
 
 
-def _encoder(x: Tensor, lengths: list[int], model) -> tuple[Tensor, list[int]]:
-    """Positions restarting at each example, then every encoder layer."""
-    t = model.transformer
-    x = ad.add(x, Tensor(summarizer._positions(lengths, t.size)))
-    for layer in t.enc:
-        x = summarizer._encoder_layer(x, layer, t.heads, [(n, n) for n in lengths])
-    return x, lengths
-
-
 def _code_rows(batch, model) -> tuple[Tensor, list[int]]:
     ids = [c for example in batch for c in example.code_ids]
     return (ad.embedding_lookup(model.transformer.code_embedding, ids),
@@ -164,12 +157,13 @@ def encode_mean(batch, model: MeanModel) -> tuple[Tensor, list[int]]:
     syntax = ad.embedding_lookup(pooled, np.repeat(np.arange(len(batch)), lengths))
     joint = ad.concat([syntax, tokens], axis=1)
     fused = ad.relu(ad.add_rowvec(ad.matmul(joint, model.fuse.w), model.fuse.b))
-    return _encoder(fused, lengths, model)
+    return summarizer.encode(fused, lengths, model), lengths
 
 
 def encode_none(batch, model) -> tuple[Tensor, list[int]]:
     """The code rows alone; no split is read."""
-    return _encoder(*_code_rows(batch, model), model)
+    tokens, lengths = _code_rows(batch, model)
+    return summarizer.encode(tokens, lengths, model), lengths
 
 
 def build_arm(arm: str, corpus, config: RunConfig):
@@ -200,14 +194,12 @@ def arm_encoder(arm: str):
 
 
 def scores(hyps: list[list[str]], refs: list[list[str]]) -> dict:
-    n = len(refs)
-    return {
-        "clause_accuracy": sum(clause_set(h) == clause_set(r) for h, r in zip(hyps, refs)) / n,
-        "corpus_bleu": corpus_bleu(list(zip(hyps, refs))),
-        "sentence_bleu": sum(sentence_bleu(h, r, smoothing=True) for h, r in zip(hyps, refs)) / n,
-        "rouge_l": sum(rouge_l(h, r) for h, r in zip(hyps, refs)) / n,
-        "meteor_lite": sum(meteor_lite(h, r) for h, r in zip(hyps, refs)) / n,
-    }
+    pairs = list(zip(hyps, refs))
+    report = evaluate_corpus(pairs)
+    exact = sum(clause_set(h) == clause_set(r) for h, r in pairs)
+    return {"clause_accuracy": exact / len(pairs), "corpus_bleu": report.c_bleu,
+            "sentence_bleu": report.s_bleu, "rouge_l": report.rougeL_f,
+            "meteor_lite": report.meteor}
 
 
 def run_job(job: dict) -> dict:

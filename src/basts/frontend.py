@@ -238,7 +238,8 @@ _OPENS = {"{": "block", "for": "for", "if": "if", "while": "while", "return": "r
           "break": "break", "continue": "continue"}
 
 # Deepest nesting the parser accepts (docs/grammar.md, "Nesting limit"); it keeps
-# the recursive AST, CFG and JSON builders under Python's default recursion limit.
+# the parser's own recursion and `split`'s JSON dump under Python's default
+# recursion limit.
 MAX_NESTING = 100
 _TOO_DEEP = f"nesting at most {MAX_NESTING} deep"
 

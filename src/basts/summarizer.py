@@ -21,17 +21,18 @@ only mask is the decoder's causal one, which its self-attention asks of
 decoder's cross-attention keys and values depend on the encoder output
 alone, so `memory_kv` projects them once per batch, before the decoder
 runs, and every decoder layer takes its own pair.
-`encode`, `decoder_logits` and `greedy_decode` run the same code on a
-batch of one. Decoding encodes and projects the memory keys and values
-once per comment.
+`greedy_decode` runs `encode_batch` and `decoder_logits` on a batch of
+one, and encodes and projects the memory keys and values once per
+comment.
 
 Memory rows are stated once: `encode_batch` returns the packed memory
 with `lengths`, where `lengths[b]` is the number of memory rows of
-example b (its code tokens plus its splits), and `train_step` hands
-those counts to `decoder_logits`. `greedy_decode` encodes a batch of
-one, which owns every row. So an encoder of another row layout, such as
-the ablation arms of `experiments/ablation.py`, replaces `encode_batch`
-alone.
+example b (its code tokens plus its splits), and `train_step` and
+`greedy_decode` hand those counts to `decoder_logits`. The encoder stack
+is stated once: `encode` adds positions to packed rows and runs every
+encoder layer. So an encoder of another row layout, such as the ablation
+arms of `experiments/ablation.py`, replaces `encode_batch` alone: it
+builds its rows and hands them to `encode`.
 """
 
 from __future__ import annotations
@@ -287,6 +288,24 @@ def _decoder_layer(y: Tensor, kv: tuple[Tensor, Tensor], layer: DecoderLayerPara
     return y
 
 
+def encode(x: Tensor, lengths, model: SummarizerModel) -> Tensor:
+    """The encoder stack over packed source rows x, [Σn, L].
+
+    `lengths[b]` is the number of rows of example b, whose rows follow
+    those of examples 0..b-1. Position encodings restart at each example,
+    then every encoder layer runs once over all the rows; attention stays
+    within an example. Every row layout, `encode_batch`'s and the ablation
+    arms', feeds this one stack. With zero encoder layers the result is x
+    plus the position encodings.
+    """
+    t = model.transformer
+    x = ad.add(x, Tensor(_positions(lengths, t.size)))
+    self_lengths = [(n, n) for n in lengths]
+    for layer in t.enc:
+        x = _encoder_layer(x, layer, t.heads, self_lengths)
+    return x
+
+
 def encode_batch(batch: list[SummarizationExample],
                  model: SummarizerModel) -> tuple[Tensor, list[int]]:
     """Source encodings of a batch, packed into one [Σn, L] matrix, and
@@ -296,12 +315,10 @@ def encode_batch(batch: list[SummarizationExample],
     token, its embedding, then one row per split AST, the split's root,
     in split order. Every split AST of the batch is folded in one
     `encode_trees` call, and one lookup gathers each example's code and
-    split rows together. The rows, with positions restarting at each
-    example and running on from its code rows into its split rows, go
-    through each encoder layer once for the whole batch; attention stays
-    within an example.
+    split rows together. `encode` runs them through the encoder stack,
+    with positions running on from an example's code rows into its split
+    rows.
     """
-    t = model.transformer
     # `rows` holds the batch's code tokens, then its split roots; `order`
     # takes example b's code rows, then its roots
     code_ids, trees, order, lengths = [], [], [], []
@@ -316,22 +333,9 @@ def encode_batch(batch: list[SummarizationExample],
         code_ids += example.code_ids
         trees += example.split_asts
         lengths.append(n + k)
-    rows = ad.concat([ad.embedding_lookup(t.code_embedding, code_ids),
+    rows = ad.concat([ad.embedding_lookup(model.transformer.code_embedding, code_ids),
                       encode_trees(trees, model.tree)])
-    x = ad.add(ad.embedding_lookup(rows, order), Tensor(_positions(lengths, t.size)))
-    self_lengths = [(n, n) for n in lengths]
-    for layer in t.enc:
-        x = _encoder_layer(x, layer, t.heads, self_lengths)
-    return x, lengths
-
-
-def encode(example: SummarizationExample, model: SummarizerModel) -> Tensor:
-    """Source encoding of one example: `encode_batch` of a batch of one.
-
-    With zero encoder layers the result is exactly the code token
-    embeddings, then the split roots, plus position encodings.
-    """
-    return encode_batch([example], model)[0]
+    return encode(ad.embedding_lookup(rows, order), lengths, model), lengths
 
 
 def decoder_logits(target_ids, kv, memory_lengths, model: SummarizerModel) -> Tensor:
@@ -388,25 +392,24 @@ def greedy_decode(example: SummarizationExample, model: SummarizerModel,
                   max_len: int = 30) -> list[int]:
     """Greedily generate up to max_len content word ids.
 
-    PAD and BOS are never candidates; argmax ties break toward the lowest
-    eligible id. EOS stops generation and is not part of the result.
+    PAD and BOS are never candidates: they are the only ids below EOS, so
+    each step takes the argmax of the logits from EOS on, and ties break
+    toward the lowest eligible id. EOS stops generation and is not part
+    of the result.
 
     Each step runs the whole prefix through `decoder_logits`. What does
-    not change between steps is made once per comment: the encoding and
-    its cross-attention keys and values. A batch of one owns every memory
-    row, so the memory's height is its row count. Decoding runs outside
-    any tape, so nothing records and the tree fold keeps no backward
-    buffers.
+    not change between steps is made once per comment: the encoding of
+    `encode_batch` over a batch of one, and its cross-attention keys and
+    values. Decoding runs outside any tape, so nothing records and the
+    tree fold keeps no backward buffers.
     """
-    memory = encode(example, model)
-    kv, memory_lengths = memory_kv(memory, model), [memory.shape[0]]
+    memory, memory_lengths = encode_batch([example], model)
+    kv = memory_kv(memory, model)
     out = [Vocab.BOS]
     content: list[int] = []
     for _ in range(max_len):
-        logits = decoder_logits([out], kv, memory_lengths, model).data[-1].copy()
-        logits[Vocab.PAD] = -np.inf
-        logits[Vocab.BOS] = -np.inf
-        nxt = int(np.argmax(logits))
+        row = decoder_logits([out], kv, memory_lengths, model).data[-1]
+        nxt = Vocab.EOS + int(np.argmax(row[Vocab.EOS:]))
         if nxt == Vocab.EOS:
             break
         content.append(nxt)

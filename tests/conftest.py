@@ -1,4 +1,6 @@
 import copy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,10 @@ from hypothesis import settings
 
 from basts.cfg import Cfg, CfgNode
 from basts.frontend import abstract_literals, parse_method, tokenize
+
+# Tests import the generator (`minigen`), its profiles and the tracer
+# (`workloads`, `spans`) from the benchmark's directory.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 # Every property test runs under this one profile: the same examples on
 # every run, no example database on disk, and no per-example deadline,

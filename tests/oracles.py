@@ -49,7 +49,8 @@ parent.
 of one compiled regular expression. `code_token_texts_per_token` is
 `cli.code_token_texts` with every token of the method classified afresh
 by `frontend.token_kinds` and the cut made once at the end, where the
-package reads the kinds the parser kept and stops at `max_len`.
+package looks each token's kind up in `frontend.KIND_OF`, the table of
+kinds by distinct text, and stops at `max_len`.
 
 `repeat_row`, `transpose`, `tanh`, `col_slice` and `segment_sum` are tape
 ops that only these oracles use; the package has no caller for them.

@@ -1,6 +1,3 @@
-import sys
-from pathlib import Path
-
 import pytest
 
 from basts.cfg import CfgError, CfgNode, build_cfg, cfg_to_dot
@@ -10,9 +7,8 @@ from basts.splitter import make_split_code, split_method
 from conftest import make_cfg, parse_source
 from oracles import split_asts_by_reparse
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from minigen import generate_records  # noqa: E402
-from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
+from minigen import generate_records
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE
 
 
 def stmt_nodes(cfg):

@@ -52,9 +52,8 @@ from conftest import (
 )
 from oracles import code_token_texts_per_token
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from minigen import generate_records, write_jsonl  # noqa: E402
-from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE, SummarizeSmall  # noqa: E402
+from minigen import generate_records, write_jsonl
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE, SummarizeSmall
 
 
 def write_corpus(path, rows):

@@ -1,7 +1,5 @@
 import hashlib
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +14,8 @@ from basts.dominators import (
 )
 from conftest import make_cfg, parse_source, random_reachable_cfg
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from minigen import generate_records  # noqa: E402
-from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
+from minigen import generate_records
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE
 
 # empty branches and bodies, which the generator never writes
 EMPTY_BLOCK_SOURCES = [

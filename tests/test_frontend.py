@@ -1,4 +1,3 @@
-import sys
 from pathlib import Path
 
 import pytest
@@ -25,9 +24,8 @@ from basts.frontend import (
 from conftest import IDLE_CONNECTIONS_SOURCE, nested_ifs, nested_parens, parse_source
 from oracles import abstract_literals_per_token, tokenize_per_char
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from minigen import generate_records  # noqa: E402
-from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
+from minigen import generate_records
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE
 
 
 def lex(source):

@@ -1,8 +1,6 @@
 import hashlib
 import json
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +22,8 @@ from conftest import (
 from oracles import partition_blocks_reference, split_asts_by_reparse
 from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from minigen import generate_records  # noqa: E402
-from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
+from minigen import generate_records
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE
 
 
 def labels(root):

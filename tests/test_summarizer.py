@@ -1,7 +1,5 @@
 import math
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,9 +50,8 @@ from oracles import (
 )
 from toydata import SUMMARIZATION_ROWS
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from minigen import generate_records  # noqa: E402
-from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
+from minigen import generate_records
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE
 
 
 def make_model(size=8, heads=2, enc=1, dec=1, code_vocab=12, word_vocab=10, seed=0):
@@ -211,7 +208,7 @@ class TestEncode:
         model = make_model(enc=0, dec=0)
         ex = make_example()
         ex.split_asts = ex.split_asts + [SplitAst(1, AstNode("B"))]
-        out = encode(ex, model)
+        out = encode_batch([ex], model)[0]
         t = model.transformer
         rows = np.concatenate([t.code_embedding.data[ex.code_ids],
                                encode_trees(ex.split_asts, model.tree).data])
@@ -222,7 +219,7 @@ class TestEncode:
     def test_output_shape_for_any_layer_count(self):
         for enc in (0, 1, 2):
             model = make_model(enc=enc)
-            out = encode(make_example(), model)
+            out = encode_batch([make_example()], model)[0]
             assert out.shape == (5, 8)  # 4 code rows, 1 split row
 
     def test_one_layer_matches_manual_composition(self):
@@ -249,8 +246,20 @@ class TestEncode:
         hidden = np.maximum(x @ layer.ffn.w1.data + layer.ffn.b1.data, 0.0)
         x = ln(x + hidden @ layer.ffn.w2.data + layer.ffn.b2.data, layer.ln2)
 
-        out = encode(ex, model)
+        out = encode_batch([ex], model)[0]
         assert np.allclose(out.data, x, atol=1e-12)
+
+    def test_stack_restarts_positions_and_attends_within_each_example(self):
+        model = make_model(enc=2, seed=5)
+        x = np.random.default_rng(5).normal(size=(7, 8))
+        packed = encode(Tensor(x), [3, 4], model).data
+        for lo, hi in ((0, 3), (3, 7)):
+            alone = encode(Tensor(x[lo:hi]), [hi - lo], model).data
+            assert np.max(np.abs(packed[lo:hi] - alone)) <= 1e-12
+        bare = make_model(enc=0, seed=5)
+        assert np.array_equal(encode(Tensor(x), [3, 4], bare).data,
+                              x + np.concatenate([positional_matrix(3, 8),
+                                                  positional_matrix(4, 8)]))
 
 
 def corpus_and_model(records, config):
@@ -405,7 +414,7 @@ class TestBatchedEncode:
         assert memory.shape == (17, 8)
         for b, ex in enumerate(batch):
             rows = memory.data[offsets[b]:offsets[b + 1]]
-            assert np.max(np.abs(rows - encode(ex, model).data)) <= 1e-12
+            assert np.max(np.abs(rows - encode_batch([ex], model)[0].data)) <= 1e-12
 
     def test_each_example_holds_its_code_rows_then_its_split_roots(self):
         # with no encoder layer the memory is the encoder's input rows
@@ -543,7 +552,7 @@ class TestTrainStep:
         ex = make_example(code_ids=(7, 8, 9, 10, 4), comment_ids=(1, 7, 8, 9, 2))
 
         def f(_):
-            memory = encode(ex, model)
+            memory = encode_batch([ex], model)[0]
             inputs = [ex.comment_ids[:-1]]
             logits = decoder_logits(inputs, memory_kv(memory, model), [memory_rows(ex)],
                                     model)

@@ -1,9 +1,7 @@
 import copy
 import functools
 import gc
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +42,8 @@ from oracles import (
 )
 from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from minigen import generate_records  # noqa: E402
-from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE  # noqa: E402
+from minigen import generate_records
+from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE
 
 
 def make_params(size=4, seed=0, vocab=None):
