@@ -179,13 +179,9 @@ class Params:
                                 for i, item in enumerate(value)]
         return replace(self, **made) if made else self
 
-    def draw(self, rng: np.random.Generator, last=()) -> "Params":
-        """This statement's slots drawn from `rng` in `named_params` order,
-        except that the slots named in `last` draw after all the others."""
-        slots = [(name, s) for name, s in self.named_params() if isinstance(s, Slot)]
-        drawn = {name: s.draw(rng)
-                 for name, s in sorted(slots, key=lambda item: item[0] in last)}
-        return self.build(lambda name, _: drawn[name])
+    def draw(self, rng: np.random.Generator) -> "Params":
+        """This statement's slots drawn from `rng` in `named_params` order."""
+        return self.build(lambda _, slot: slot.draw(rng))
 
 
 class _OpNode:

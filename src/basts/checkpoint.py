@@ -37,13 +37,13 @@ import numpy as np
 
 from basts.autodiff import Params, ShapeError, Slot, Tensor
 from basts.summarizer import SPECIAL_TOKENS, SummarizerModel, TransformerParams, Vocab
-from basts.syntax_encoder import SepModel, TreeLstmParams
+from basts.syntax_encoder import UNK_TYPE_VALUE, SepModel, TreeLstmParams
 
 MAGIC = b"BASTSCKP"
-# Version 2 dropped the transformer section's fuse_w and fuse_b blobs. A
-# file without that section has had one layout since version 1 and still
-# says 1, so pre-training checkpoints written before version 2 still load.
-VERSION = 2
+# Version 2 dropped the transformer section's fuse_w and fuse_b blobs;
+# version 3 packed the tree section's gate tensors into `wu` and `b` and its
+# virtual child state into `virtual`. Only the current version loads.
+VERSION = 3
 
 _FLAG_TREE = 1
 _FLAG_TRANSFORMER = 2
@@ -190,10 +190,6 @@ class Checkpoint:
         return SummarizerModel(self.tree, self.transformer)
 
 
-def _version(flags: int) -> int:
-    return VERSION if flags & _FLAG_TRANSFORMER else 1
-
-
 def serialize(tree: TreeLstmParams | None = None, sep: SepModel | None = None,
               transformer: TransformerParams | None = None,
               code_vocab: Vocab | None = None,
@@ -202,7 +198,7 @@ def serialize(tree: TreeLstmParams | None = None, sep: SepModel | None = None,
         raise CheckpointError("transformer section needs both vocabularies")
     flags = ((_FLAG_TREE if tree is not None else 0)
              | (_FLAG_TRANSFORMER if transformer is not None else 0))
-    out = bytearray(MAGIC + struct.pack("<II", _version(flags), flags))
+    out = bytearray(MAGIC + struct.pack("<II", VERSION, flags))
     if tree is not None:
         _pack_tree(out, tree, sep)
     if transformer is not None:
@@ -219,7 +215,7 @@ def deserialize(raw: bytes) -> Checkpoint:
     if zlib.crc32(r.view) != struct.unpack("<I", view[-4:])[0]:
         raise CheckpointError("checkpoint checksum mismatch")
     version, flags = r.u32(), r.u32()
-    if version != _version(flags):
+    if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     unknown = flags & ~(_FLAG_TREE | _FLAG_TRANSFORMER)
     if unknown:
@@ -227,7 +223,7 @@ def deserialize(raw: bytes) -> Checkpoint:
     out = Checkpoint()
     if flags & _FLAG_TREE:
         size = r.u32()
-        vocab = _ids(r.str_list(), "type_value")
+        vocab = _ids(r.str_list(), "type_value", (UNK_TYPE_VALUE,))
         r.blob_count()
         out.tree = _stated(TreeLstmParams.statement, vocab, size).build(r.blob)
         if r.blobs:  # the pair-scoring head; its tree holds no slot

@@ -86,21 +86,12 @@ class TreeLstmParams(Params):
 
     vocab: dict[str, int]
     size: int
+    # gate g's input weight W is wu[g, 0] and its hidden weight U is wu[g, 1],
+    # each applied as W @ x; gates in Tai et al.'s order i, f, o, u
+    wu: Tensor  # [4, 2, L, L]
+    b: Tensor  # [4, L] gate biases, in the same order
     embedding: Tensor  # |vocab| x L rows of type_value embeddings
-    w_i: Tensor
-    u_i: Tensor
-    b_i: Tensor
-    w_f: Tensor
-    u_f: Tensor
-    b_f: Tensor
-    w_o: Tensor
-    u_o: Tensor
-    b_o: Tensor
-    w_u: Tensor
-    u_u: Tensor
-    b_u: Tensor
-    virtual_h: Tensor  # shared learnable state standing in for leaf children
-    virtual_m: Tensor
+    virtual: Tensor  # [2, L]: h, then m, of the leaves' one shared child
     index: SubtreeIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -109,17 +100,13 @@ class TreeLstmParams(Params):
     @classmethod
     def statement(cls, vocab: dict[str, int], size: int) -> "TreeLstmParams":
         ad.check_width(size)
-        w, b, virtual = glorot((size, size)), Slot((size,)), Slot((size,), 0.1)
-        # the embedding; w, u and b of the i, f, o and u gates; virtual_h and _m
-        return cls(vocab, size, Slot((len(vocab), size), 0.1), *[w, w, b] * 4,
-                   virtual, virtual)
+        return cls(vocab, size, glorot((4, 2, size, size), fans=2 * size),
+                   Slot((4, size)), Slot((len(vocab), size), 0.1), Slot((2, size), 0.1))
 
     @classmethod
     def init(cls, vocab: dict[str, int], size: int,
              rng: np.random.Generator) -> "TreeLstmParams":
-        # the gates draw first: the order the golden checkpoints were made in
-        return cls.statement(dict(vocab), size).draw(
-            rng, last=("embedding", "virtual_h", "virtual_m"))
+        return cls.statement(dict(vocab), size).draw(rng)
 
 
 class _Plan(NamedTuple):
@@ -241,6 +228,10 @@ def _sigmoid_(x: np.ndarray):
     np.reciprocal(x, out=x)
 
 
+# the fold's gate order, i, o, u then f, as indices into the parameters' gates
+_FOLD_GATES = [0, 2, 3, 1]
+
+
 def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
     """Child-Sum Tree-LSTM fold: row i of the [T, L] result is trees[i]'s root h.
 
@@ -270,7 +261,7 @@ def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
     by one `np.bincount` each over child ids computed once per backward;
     its cost follows those rows, not its own edges. Every weight gradient
     is then one product over all rows, all edges or the distinct labels.
-    The op takes the 15 `TreeLstmParams` tensors as they are; its tape
+    The op takes the four `TreeLstmParams` tensors as they are; its tape
     cost is one op, whatever the trees.
     """
     size = params.size
@@ -278,21 +269,21 @@ def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
         return Tensor(np.zeros((0, size)))
     labels, children, parents, roots, heights = params.index.plan(trees)
     p = params
-    inputs = (p.embedding, p.w_i, p.u_i, p.b_i, p.w_f, p.u_f, p.b_f,
-              p.w_o, p.u_o, p.b_o, p.w_u, p.u_u, p.b_u, p.virtual_h, p.virtual_m)
+    inputs = (p.wu, p.b, p.embedding, p.virtual)
     keep = ad._recording(inputs)  # the backward's buffers, only if it can run
     rows, edges = len(labels), len(children)
     # gate g of a row is x @ w_x[g] + b[g], plus h_sum @ u_iou[g] for i, o, u;
     # the label part is taken once per distinct label of the batch
-    w_x = np.stack([p.w_i.data.T, p.w_o.data.T, p.w_u.data.T, p.w_f.data.T])
-    b = np.stack([p.b_i.data, p.b_o.data, p.b_u.data, p.b_f.data])[:, None]
-    u_iou = np.stack([p.u_i.data.T, p.u_o.data.T, p.u_u.data.T])
-    u_f = p.u_f.data
+    wu = p.wu.data
+    w_x = np.stack([wu[g, 0].T for g in _FOLD_GATES])
+    b = p.b.data[_FOLD_GATES][:, None]
+    u_iou = np.stack([wu[g, 1].T for g in _FOLD_GATES[:3]])
+    u_f = wu[1, 1]  # the forget gate's U
     used, label_of = np.unique(labels[1:], return_inverse=True)
     x = p.embedding.data[used]
     label_pre = x @ w_x + b  # [4, labels, L]
     h, m = np.empty((rows, size)), np.empty((rows, size))
-    h[0], m[0] = p.virtual_h.data, p.virtual_m.data
+    h[0], m[0] = p.virtual.data
     # each edge's parent, counted within its height, as flat ids into [n, L]
     spans = [e1 - e0 for _, _, e0, e1 in heights]
     up = parents - np.repeat([lo for lo, _, _, _ in heights], spans)
@@ -359,19 +350,18 @@ def encode_trees(trees: list[SplitAst], params: TreeLstmParams) -> Tensor:
             d_h[:lo] += np.bincount(ids, d_edge_h.ravel(), lo * size).reshape(lo, size)
             d_m[:lo] += np.bincount(ids, d_edge_m.ravel(), lo * size).reshape(lo, size)
         d = gates[:, 1:]
-        d_u = d[:3].transpose(0, 2, 1) @ h_sum[1:]
-        d_u_f = forget.T @ h[children]
+        d_wu, d_b = np.empty_like(wu), np.empty_like(p.b.data)
+        d_wu[_FOLD_GATES[:3], 1] = d[:3].transpose(0, 2, 1) @ h_sum[1:]
+        d_wu[1, 1] = forget.T @ h[children]
         # the label parts, summed per distinct label first
         to_label = (label_of[:, None] * size + np.arange(size)).ravel()
         d_label = np.stack([np.bincount(to_label, d_g.ravel(), len(used) * size)
                             for d_g in d]).reshape(4, len(used), size)
-        d_w = d_label.transpose(0, 2, 1) @ x
-        d_b = d_label.sum(axis=1)
+        d_wu[_FOLD_GATES, 0] = d_label.transpose(0, 2, 1) @ x
+        d_b[_FOLD_GATES] = d_label.sum(axis=1)
         d_embedding = np.zeros_like(p.embedding.data)
         d_embedding[used] = (d_label @ w_x.transpose(0, 2, 1)).sum(axis=0)
-        return (d_embedding, d_w[0], d_u[0], d_b[0], d_w[3], d_u_f, d_b[3],
-                d_w[1], d_u[1], d_b[1], d_w[2], d_u[2], d_b[2],
-                d_h[0].copy(), d_m[0].copy())
+        return d_wu, d_b, d_embedding, np.stack((d_h[0], d_m[0]))
 
     return ad._emit(h[roots], inputs, back)
 

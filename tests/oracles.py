@@ -52,8 +52,12 @@ by `frontend.token_kinds` and the cut made once at the end, where the
 package looks each token's kind up in `frontend.KIND_OF`, the table of
 kinds by distinct text, and stops at `max_len`.
 
-`repeat_row`, `transpose`, `tanh`, `col_slice` and `segment_sum` are tape
-ops that only these oracles use; the package has no caller for them.
+`repeat_row`, `transpose`, `tanh`, `col_slice`, `part` and `segment_sum`
+are tape ops that only these oracles use; the package has no caller for
+them. The tree oracles read each gate's W, U and b, and the virtual
+child's h and m, out of the packed `TreeLstmParams` tensors through
+`part`, one op per read, indexed by `GATE_I`, `GATE_F`, `GATE_O` and
+`GATE_U`.
 
 `grad_check` is the reference for every hand-written backward: it
 compares a tape's gradient of a scalar function with central
@@ -129,6 +133,21 @@ def col_slice(x: Tensor, lo: int, hi: int) -> Tensor:
         return (full,)
 
     return ad._emit(x.data[:, lo:hi].copy(), (x,), back)
+
+
+def part(x: Tensor, *index) -> Tensor:
+    """x[index], such as one gate's W, `params.wu[g, 0]`."""
+
+    def back(g):
+        full = np.zeros_like(x.data)
+        full[index] = g
+        return (full,)
+
+    return ad._emit(x.data[index].copy(), (x,), back)
+
+
+# the gates' rows of `TreeLstmParams.wu` and `.b`, in Tai et al.'s order
+GATE_I, GATE_F, GATE_O, GATE_U = range(4)
 
 
 def segment_sum(x: Tensor, ids, n: int) -> Tensor:
@@ -445,17 +464,19 @@ def tree_lstm_cell(x_v: Tensor, children: list[tuple[Tensor, Tensor]],
     for h_c, _ in children[1:]:
         h_tilde = ad.add(h_tilde, h_c)
 
-    def gate(w, u, b, h):
-        return ad.add(ad.add(ad.matmul(w, x_v), ad.matmul(u, h)), b)
+    def gate(g, h):
+        w, u = part(params.wu, g, 0), part(params.wu, g, 1)
+        return ad.add(ad.add(ad.matmul(w, x_v), ad.matmul(u, h)), part(params.b, g))
 
-    i = ad.sigmoid(gate(params.w_i, params.u_i, params.b_i, h_tilde))
-    o = ad.sigmoid(gate(params.w_o, params.u_o, params.b_o, h_tilde))
-    u = tanh(gate(params.w_u, params.u_u, params.b_u, h_tilde))
+    i = ad.sigmoid(gate(GATE_I, h_tilde))
+    o = ad.sigmoid(gate(GATE_O, h_tilde))
+    u = tanh(gate(GATE_U, h_tilde))
 
-    wfx = ad.add(ad.matmul(params.w_f, x_v), params.b_f)
+    wfx = ad.add(ad.matmul(part(params.wu, GATE_F, 0), x_v), part(params.b, GATE_F))
+    u_f = part(params.wu, GATE_F, 1)
     m = ad.mul(i, u)
     for h_c, m_c in children:
-        f_c = ad.sigmoid(ad.add(wfx, ad.matmul(params.u_f, h_c)))
+        f_c = ad.sigmoid(ad.add(wfx, ad.matmul(u_f, h_c)))
         m = ad.add(m, ad.mul(f_c, m_c))
     h = ad.mul(o, tanh(m))
     return h, m
@@ -468,7 +489,7 @@ def encode_tree_per_node(t: SplitAst, params: TreeLstmParams) -> Tensor:
     recursion limit. Each node is processed exactly once.
     """
     states: dict[int, tuple[Tensor, Tensor]] = {}  # keyed by id(node)
-    virtual = [(params.virtual_h, params.virtual_m)]
+    virtual = [(part(params.virtual, 0), part(params.virtual, 1))]
     stack = [(t.root, False)]
     while stack:
         node, ready = stack.pop()
@@ -563,15 +584,17 @@ def encode_trees_per_level(trees: list[SplitAst], params: TreeLstmParams) -> Ten
     size = params.size
     # [x, h_tilde] @ iou_w gives every row's input, output and update
     # pre-activations at once
+    iou_gates = [GATE_I, GATE_O, GATE_U]
     iou_w = transpose(ad.concat([
-        ad.concat([params.w_i, params.w_o, params.w_u], axis=0),
-        ad.concat([params.u_i, params.u_o, params.u_u], axis=0),
+        ad.concat([part(params.wu, g, 0) for g in iou_gates], axis=0),
+        ad.concat([part(params.wu, g, 1) for g in iou_gates], axis=0),
     ], axis=1))
-    iou_b = ad.concat([params.b_i, params.b_o, params.b_u], axis=0)
-    f_w, f_u = transpose(params.w_f), transpose(params.u_f)
+    iou_b = ad.concat([part(params.b, g) for g in iou_gates], axis=0)
+    f_w, f_u = transpose(part(params.wu, GATE_F, 0)), transpose(part(params.wu, GATE_F, 1))
+    f_b = part(params.b, GATE_F)
     # states[0] is the virtual child, states[k + 1] the rows of height k
     firsts = np.array([0] + [lo for lo, _, _, _ in plan.heights])
-    states = [(repeat_row(params.virtual_h, 1), repeat_row(params.virtual_m, 1))]
+    states = [(part(params.virtual, [0]), part(params.virtual, [1]))]
 
     def locate(rows):  # plan rows -> (index into states, row within it)
         k = np.searchsorted(firsts, rows, side="right") - 1
@@ -599,7 +622,7 @@ def encode_trees_per_level(trees: list[SplitAst], params: TreeLstmParams) -> Ten
         o = col_slice(gates, size, 2 * size)
         u = tanh(col_slice(iou, 2 * size, 3 * size))
 
-        wfx = ad.add_rowvec(ad.matmul(x, f_w), params.b_f)
+        wfx = ad.add_rowvec(ad.matmul(x, f_w), f_b)
         f = ad.sigmoid(ad.add(ad.embedding_lookup(wfx, parents),
                               ad.matmul(h_kids, f_u)))
         m = ad.add(ad.mul(i, u), segment_sum(ad.mul(f, m_kids), parents, n))

@@ -19,6 +19,7 @@ from basts import cli
 from basts.autodiff import Adam, Tensor
 from basts.cfg import CfgError
 from basts.checkpoint import (
+    VERSION,
     CheckpointError,
     deserialize,
     load_checkpoint,
@@ -669,7 +670,7 @@ class TestCheckpointFormat:
 
     def test_missing_blob_is_named(self):
         raw = self._tree_with_blobs(lambda blobs: blobs[:-1])
-        with pytest.raises(CheckpointError, match="missing blob 'virtual_m'"):
+        with pytest.raises(CheckpointError, match="missing blob 'virtual'"):
             deserialize(raw)
 
     def test_unexpected_blob_is_named(self):
@@ -680,7 +681,7 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match=r"^blob 'bogus' found where 'score_w' belongs$"):
             deserialize(raw)
 
-    @pytest.mark.parametrize("kind, first", [("tree+sep", b"embedding"),
+    @pytest.mark.parametrize("kind, first", [("tree+sep", b"wu"),
                                              ("summarizer", b"code_embedding")])
     def test_blob_after_the_last_slot_is_unexpected(self, kind, first):
         """The last section's blob count is raised by one and a blob appended."""
@@ -694,10 +695,10 @@ class TestCheckpointFormat:
 
     def test_blob_shape_mismatch_is_named(self):
         def shrink(blobs):
-            return [(n, Tensor(np.zeros((3, 3))) if n == "w_i" else t) for n, t in blobs]
+            return [(n, Tensor(np.zeros((3, 3))) if n == "wu" else t) for n, t in blobs]
 
         raw = self._tree_with_blobs(shrink)
-        with pytest.raises(CheckpointError, match="blob 'w_i' has shape"):
+        with pytest.raises(CheckpointError, match="blob 'wu' has shape"):
             deserialize(raw)
 
     @staticmethod
@@ -746,7 +747,7 @@ class TestCheckpointFormat:
 
     @pytest.mark.parametrize("section, field, value, message", [
         ("tree", 0, 7_864_324,
-         r"^blob 'embedding' has shape \(1, 4\), expected \(1, 7864324\)$"),
+         r"^blob 'wu' has shape \(4, 2, 4, 4\), expected \(4, 2, 7864324, 7864324\)$"),
         ("transformer", 0, 6,
          r"^blob 'code_embedding' has shape \((\d+), 4\), expected \(\1, 6\)$"),
         ("transformer", 1, 3, r"^heads must be at least 1 and divide size 4, got 3$"),
@@ -802,16 +803,24 @@ class TestCheckpointFormat:
                            match=r"^type_value vocabulary repeats 'AA' \(ids 1 and 2\)$"):
             deserialize(self._resealed(raw.replace(b"BB", b"AA")))
 
+    @pytest.mark.parametrize("vocab", [{}, {"BasicType_int": 0, "<UNK>": 1}],
+                             ids=["empty", "unk-not-first"])
+    def test_type_value_vocabulary_must_start_with_unk(self, vocab):
+        # unknown labels take row 0; without it the fold has no row to give them
+        raw = serialize(tree=TreeLstmParams.init(vocab, 8, np.random.default_rng(0)))
+        with pytest.raises(CheckpointError,
+                           match=r"^type_value vocabulary lacks '<UNK>' at id 0$"):
+            deserialize(raw)
+
     def _wide_tree_header(self) -> bytes:
-        """A tree checkpoint with an empty vocabulary whose header says width
-        1500, as does its [0, 1500] embedding; every other blob has width 4."""
-        raw = serialize(tree=TreeLstmParams.init({}, 4, np.random.default_rng(0)))
-        dims = raw.index(b"embedding") + len(b"embedding")
-        return self._resealed(raw[:16] + struct.pack("<I", 1500) + raw[20:dims]
-                        + struct.pack("<BQQ", 2, 0, 1500) + raw[dims + 17:])
+        """A tree checkpoint whose header says width 1500; its first blob,
+        `wu`, and every other blob have width 4."""
+        raw = serialize(tree=TreeLstmParams.init({"<UNK>": 0}, 4, np.random.default_rng(0)))
+        return self._resealed(raw[:16] + struct.pack("<I", 1500) + raw[20:])
 
     @pytest.mark.parametrize("case, message", [
-        ("wide-tree", r"^blob 'w_i' has shape \(4, 4\), expected \(1500, 1500\)$"),
+        ("wide-tree",
+         r"^blob 'wu' has shape \(4, 2, 4, 4\), expected \(4, 2, 1500, 1500\)$"),
         ("wide-transformer",
          r"^blob 'code_embedding' has shape \(9, 4\), expected \(9, 1500\)$"),
         ("many-enc-layers",
@@ -858,11 +867,11 @@ class TestCheckpointFormat:
     def test_many_tiny_blobs_fail_within_allocation_bound(self):
         """100,000 blobs, each an empty name of rank 1 and dim 0 (13 bytes)."""
         raw = SMALL_CHECKPOINTS["tree"]
-        at = raw.index(b"embedding") - 8  # the blob count
+        at = raw.index(b"wu") - 8  # the blob count, before the first blob
         blobs = struct.pack("<IBQ", 0, 1, 0) * 100_000
         bad = self._resealed(raw[:at] + struct.pack("<I", 100_000) + blobs + raw[-4:])
         with allocation_bound(bad), pytest.raises(
-                CheckpointError, match=r"^blob '' found where 'embedding' belongs$"):
+                CheckpointError, match=r"^blob '' found where 'wu' belongs$"):
             deserialize(bad)
 
     @given(kind=st.sampled_from(sorted(SMALL_CHECKPOINTS)), data=st.data())
@@ -897,15 +906,15 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match=r"^extra bytes after the last section \(1\)$"):
             deserialize(padded)
 
-    @pytest.mark.parametrize("section, written, refused",
-                             [("tree", 1, 2), ("transformer", 2, 1)])
-    def test_version_follows_the_sections(self, section, written, refused):
-        # version 2 dropped the transformer section's fuse layer; a tree
-        # section alone kept its version 1 layout
+    @pytest.mark.parametrize("section", ["tree", "transformer"])
+    @pytest.mark.parametrize("old", [1, 2])
+    def test_older_versions_are_refused(self, section, old):
+        # version 2 dropped the transformer section's fuse layer, and version
+        # 3 packed the tree section's gates, so no older file of either loads
         raw = self._one_section(section)
-        assert struct.unpack("<I", raw[8:12]) == (written,)
-        bad = raw[:8] + struct.pack("<I", refused) + raw[12:]
-        with pytest.raises(CheckpointError, match=f"^unsupported checkpoint version {refused}$"):
+        assert struct.unpack("<I", raw[8:12]) == (VERSION,) == (3,)
+        bad = raw[:8] + struct.pack("<I", old) + raw[12:]
+        with pytest.raises(CheckpointError, match=f"^unsupported checkpoint version {old}$"):
             deserialize(self._resealed(bad))
 
     def test_unknown_flag_bits_rejected(self):

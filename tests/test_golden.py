@@ -1,13 +1,17 @@
-"""Golden sha256 digests of `basts split` output and of serialized checkpoints.
+"""Golden sha256 digests of `basts split` output, of serialized checkpoints,
+and of the tree encoder's initial values.
 
-Both paths avoid BLAS (the split pipeline is pure Python and parameter
+These paths avoid BLAS (the split pipeline is pure Python and parameter
 init only draws from a seeded generator), so the digests are the same on
-every platform. A refactor that changes either output changes a digest.
+every platform. A refactor that changes an output changes a digest. The
+values digest does not follow the checkpoint layout, so a change of
+layout alone re-pins the checkpoint digests and leaves it as it is.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
 from basts.checkpoint import serialize
 from basts.cli import run
@@ -19,12 +23,21 @@ from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
 SPLIT_SHA256 = (
     "e9f09aeb67274fca9ad68cfbdb896f9bd75a06928cfadfdb0f37ce687e0c4e81"
 )
+# re-pinned when the tree section's blobs became wu, b, embedding and
+# virtual at checkpoint version 3; TREE_VALUES_SHA256 holds their values
 SEP_CHECKPOINT_SHA256 = (
-    "00167ecd0970fa0a994d06d000b91e1d4b000271451ac61d3581b3b71b77bcd9"
+    "c76d9b66dc4ea744ae5780dfacc39addb95250bff53c81d35fb1514612de295f"
 )
 SUMMARIZER_CHECKPOINT_SHA256 = (
-    "86b5a0f415cb600c77f71b268c384289208be56d701749820ef4f01e2e4f43b5"
+    "5adcd41983c9961da57f6402a366bac87db4e45303f4682801cd6a93455be4f6"
 )
+# the values `TreeLstmParams.init(TYPE_VALUES, 8, rng)` draws at seeds 3 and
+# 5, gate by gate (see `_tree_values`); the same since the gates were
+# separate tensors
+TREE_VALUES_SHA256 = {
+    3: "ca6f98d3735eafb024781b5f5dedc0479874cb512b237e716cce9d659f6140b2",
+    5: "797fdbf48f74dc1b122efeb80cfd7407847f87a81fa2427549c757d0c81acfee",
+}
 
 TYPE_VALUES = {"<UNK>": 0, "MethodDeclaration_f": 1, "BasicType_int": 2,
                "ReturnStatement": 3}
@@ -32,6 +45,21 @@ TYPE_VALUES = {"<UNK>": 0, "MethodDeclaration_f": 1, "BasicType_int": 2,
 
 def _sha256(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
+
+
+def _tree_values(tree: TreeLstmParams) -> bytes:
+    """W, U and b of the i, f, o and u gates in turn, then the embedding and
+    the virtual child's h and m, as little-endian float64s."""
+    parts = [part for g in range(4) for part in (tree.wu.data[g, 0], tree.wu.data[g, 1],
+                                                  tree.b.data[g])]
+    parts += [tree.embedding.data, *tree.virtual.data]
+    return b"".join(part.astype("<f8").tobytes() for part in parts)
+
+
+@pytest.mark.parametrize("seed", sorted(TREE_VALUES_SHA256))
+def test_tree_init_values_digest(seed):
+    tree = TreeLstmParams.init(TYPE_VALUES, 8, np.random.default_rng(seed))
+    assert _sha256(_tree_values(tree)) == TREE_VALUES_SHA256[seed]
 
 
 def test_split_output_digest(tmp_path):

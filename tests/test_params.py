@@ -35,7 +35,7 @@ class TestParamsWalk:
         blob_names = [name for name, _ in transformer.named_params()]
         assert "enc0.attn.wq" in blob_names and "dec1.ffn.b2" in blob_names
         # tree; the two embeddings; two encoder and two decoder layers; output
-        assert len(names) == 15 + 2 + 2 * 12 + 2 * 18 + 2
+        assert len(names) == 4 + 2 + 2 * 12 + 2 * 18 + 2
 
     def test_sep_model_walk_covers_every_tensor(self):
         tree = tree_params()

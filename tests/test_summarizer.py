@@ -563,8 +563,8 @@ class TestTrainStep:
             "enc_wq": model.transformer.enc[0].attn.wq,
             "dec_cross_wv": model.transformer.dec[0].cross_attn.wv,
             "ln_gain": model.transformer.enc[0].ln1.gain,
-            "tree_u_i": model.tree.u_i,
-            "virtual_h": model.tree.virtual_h,
+            "tree_wu": model.tree.wu,
+            "tree_virtual": model.tree.virtual,
         }
         for name, param in targets.items():
             report = grad_check(f, param)

@@ -58,6 +58,12 @@ def zero_params(size=2):
     return params
 
 
+def virtual_child(params):
+    """The leaves' shared child state, (h, m), as two constant vectors."""
+    h, m = params.virtual.data
+    return Tensor(h), Tensor(m)
+
+
 def chain_tree(labels):
     nodes = [AstNode(label) for label in labels]
     for parent, child in zip(nodes, nodes[1:]):
@@ -77,7 +83,10 @@ class TestTreeLstmCell:
     def test_duplicated_child_matches_hand_formula(self):
         # scalar case: every weight a concrete number, evaluated directly
         params = make_params(size=1, seed=9)
-        vals = {name: float(t.data.reshape(-1)[0]) for name, t in params.named_params()}
+        # gate g's scalar W, U and b, for g in Tai et al.'s order i, f, o, u
+        w, u, b = (dict(zip("ifou", column.tolist()))
+                   for column in (params.wu.data[:, 0, 0, 0], params.wu.data[:, 1, 0, 0],
+                                  params.b.data[:, 0]))
         x = Tensor([0.7])
         h_c, m_c = Tensor([0.3]), Tensor([-0.2])
 
@@ -86,12 +95,12 @@ class TestTreeLstmCell:
 
         def expected(n_children):
             h_tilde = n_children * 0.3
-            i = sig(vals["w_i"] * 0.7 + vals["u_i"] * h_tilde + vals["b_i"])
-            o = sig(vals["w_o"] * 0.7 + vals["u_o"] * h_tilde + vals["b_o"])
-            u = np.tanh(vals["w_u"] * 0.7 + vals["u_u"] * h_tilde + vals["b_u"])
-            f = sig(vals["w_f"] * 0.7 + vals["u_f"] * 0.3 + vals["b_f"])
-            m = i * u + n_children * f * (-0.2)
-            return o * np.tanh(m)
+            i_g = sig(w["i"] * 0.7 + u["i"] * h_tilde + b["i"])
+            o_g = sig(w["o"] * 0.7 + u["o"] * h_tilde + b["o"])
+            u_g = np.tanh(w["u"] * 0.7 + u["u"] * h_tilde + b["u"])
+            f_g = sig(w["f"] * 0.7 + u["f"] * 0.3 + b["f"])
+            m = i_g * u_g + n_children * f_g * (-0.2)
+            return o_g * np.tanh(m)
 
         h1, _ = tree_lstm_cell(x, [(h_c, m_c)], params)
         h2, _ = tree_lstm_cell(x, [(h_c, m_c), (h_c, m_c)], params)
@@ -121,7 +130,7 @@ class TestTreeLstmCell:
             h, _m = tree_lstm_cell(x, [kid], params)
             return ad.sum_(ad.mul(h, h))
 
-        report = grad_check(f, params.w_i)
+        report = grad_check(f, params.wu)
         assert report.passed, report
 
 
@@ -131,16 +140,14 @@ class TestEncodeTree:
         tree = SplitAst(0, AstNode("A"))
         emb = encode_tree(tree, params)
         x = embed(params, "A")
-        h, _ = tree_lstm_cell(x, [(params.virtual_h, params.virtual_m)], params)
+        h, _ = tree_lstm_cell(x, [virtual_child(params)], params)
         # matrix and matrix-vector products may round differently
         assert np.allclose(emb.data[0], h.data, rtol=0.0, atol=1e-12)
 
     def test_three_node_chain_matches_manual_unrolling(self):
         params = make_params(size=3, seed=8)
         emb = encode_tree(chain_tree(["A", "B", "C"]), params)
-        leaf = tree_lstm_cell(
-            embed(params, "C"), [(params.virtual_h, params.virtual_m)], params
-        )
+        leaf = tree_lstm_cell(embed(params, "C"), [virtual_child(params)], params)
         mid = tree_lstm_cell(embed(params, "B"), [leaf], params)
         root = tree_lstm_cell(embed(params, "A"), [mid], params)
         assert np.allclose(emb.data[0], root[0].data, atol=1e-15)
@@ -159,7 +166,7 @@ class TestEncodeTree:
             emb = encode_tree(tree, params)
             return ad.sum_(ad.mul(emb, emb))
 
-        for target in (params.u_f, params.embedding, params.virtual_m):
+        for target in (params.wu, params.embedding, params.virtual):
             report = grad_check(f, target)
             assert report.passed, report
 
@@ -248,16 +255,24 @@ def row_count(trees, vocab):
     return len(SubtreeIndex(vocab).plan(trees).labels) - 1
 
 
+# the leading axes of each tree tensor that index its parts: a gate's W or
+# U, a gate's b, the embedding as a whole, the virtual child's h or m
+PART_AXES = {"wu": 2, "b": 1, "embedding": 0, "virtual": 1}
+
+
 def assert_fold_matches(trees, params, oracle):
-    """Root h within 1e-12 and every gradient within 1e-10 of its largest entry."""
+    """Root h within 1e-12, and each part of each gradient (see `PART_AXES`)
+    within 1e-10 of that part's largest entry."""
     got_h, got_g = tree_grads(trees, params, encode_trees)
     want_h, want_g = tree_grads(trees, params, oracle)
     assert got_h.shape == want_h.shape == (len(trees), params.size)
     assert np.max(np.abs(got_h - want_h)) <= 1e-12
-    assert got_g.keys() == want_g.keys() and len(want_g) == 15
-    for name, want in want_g.items():
-        scale = max(np.max(np.abs(want)), 1e-30)
-        assert np.max(np.abs(got_g[name] - want)) <= 1e-10 * scale, name
+    assert got_g.keys() == want_g.keys() == PART_AXES.keys()
+    for name, want_all in want_g.items():
+        for at in np.ndindex(want_all.shape[:PART_AXES[name]]):
+            want = want_all[at]
+            scale = max(np.max(np.abs(want)), 1e-30)
+            assert np.max(np.abs(got_g[name][at] - want)) <= 1e-10 * scale, (name, at)
 
 
 class TestEncodeTreesMatchesPerNodeFold:
@@ -381,7 +396,7 @@ class TestFusedFoldMatchesOracles:
             return ad.sum_(ad.mul(encode_trees(trees, params), readout))
 
         named = params.named_params()
-        assert len(named) == 15
+        assert len(named) == 4
         for name, tensor in named:
             report = grad_check(f, tensor)
             assert report.passed, (name, report)
@@ -527,7 +542,7 @@ class TestCostGates:
         # everything allocated over forward and backward, the plan and the
         # arrays the op keeps included, as float64s per node and unit of width
         assert peak <= 40 * node_count([tree]) * size * 8
-        assert np.all(np.isfinite(params.u_f.grad))
+        assert np.all(np.isfinite(params.wu.grad))
 
     def test_no_grad_fold_keeps_no_backward_buffers(self):
         trees, params = with_own_vocab(generated_trees(1, methods=8)[:60], size=64)
@@ -652,7 +667,7 @@ class TestSepLoss:
         def f(_):
             return sep_loss(pairs, model)[0]
 
-        for target in (model.score_w, params.w_o):
+        for target in (model.score_w, params.wu):
             report = grad_check(f, target)
             assert report.passed, report
 
@@ -822,6 +837,22 @@ class TestPretrain:
         opt, before = made[0]
         assert any(p is params.embedding for p in opt.params)
         assert_same_state(before, optimizer_state(opt))
+
+    def test_a_step_updates_six_tensors(self, monkeypatch):
+        corpus = [split_method(parse_source(src)) for src in PRETRAIN_SOURCES]
+        vocab = build_type_value_vocab([a.root for ms in corpus for a in ms.asts])
+        params = TreeLstmParams.init(vocab, 4, np.random.default_rng(0))
+        made = []
+
+        class RecordedAdam(ad.Adam):
+            def step(self):
+                made.append([p.grad.shape for p in self.params])
+                super().step()
+
+        monkeypatch.setattr(syntax_encoder, "Adam", RecordedAdam)
+        pretrain(corpus, params, PretrainConfig(epochs=1, batch_size=64))
+        # the tree's wu, b, embedding and virtual, then the head's score_w and score_b
+        assert made == [[(4, 2, 4, 4), (4, 4), (len(vocab), 4), (2, 4), (8,), ()]]
 
     def test_rejects_bad_config(self, diamond_method):
         corpus = [split_method(diamond_method)]
