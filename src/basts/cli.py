@@ -9,9 +9,10 @@ records and summarize's methods share one per-method preparation.
 is `init_tree`'s, the one `pretrain` starts from too; `eval --input` and
 `summarize` share one decode loop, `summaries`.
 Corpora are JSON Lines records with id/code/comment fields; configs are
-key = value text. A token is its text: `code_token_texts` finds the
-identifiers among a method's tokens by the frontend's kind table,
-`KIND_OF`, and `method_key` is the tuple of the method's own tokens.
+key = value text. A token is its text: `code_token_texts` reads each
+token's model-facing texts, its subtokens if it is an identifier, from
+the frontend's per-text table `SUBTOKENS_OF`, and `method_key` is the
+tuple of the method's own tokens.
 Every text input is read by `read_lines`, and a FormatError names the
 file, then the line. Runs are reproducible from (config, seed):
 identical invocations write byte-identical checkpoints and loss logs.
@@ -25,6 +26,7 @@ import gc
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -33,14 +35,13 @@ from basts.cfg import CfgError, build_cfg, cfg_to_dot
 from basts.checkpoint import load_checkpoint, save_checkpoint
 from basts.dominators import compute_dominators, dom_to_dot
 from basts.frontend import (
-    KIND_OF,
+    SUBTOKENS_OF,
     LexError,
     ParseError,
     abstract_literals,
     ast_to_json,
     parse_method,
     parse_program,
-    split_identifier,
     token_offsets,
     tokenize,
     tokenize_comment,
@@ -180,19 +181,13 @@ class RunConfig(PretrainConfig):
 def code_token_texts(method, max_len: int) -> list[str]:
     """Model-facing token sequence: identifiers expand to subtokens.
 
-    Only the method's own tokens count, and the walk stops once `max_len`
+    Only the method's own tokens count, each token's texts are read from
+    the frontend's `SUBTOKENS_OF` table, and the walk stops once `max_len`
     texts are out.
     """
-    out: list[str] = []
     lo, hi = method.span
-    for tok in method.tokens[lo:hi]:
-        if len(out) >= max_len:
-            break
-        if KIND_OF[tok] == "identifier":
-            out.extend(split_identifier(tok))
-        else:
-            out.append(tok)
-    return out[:max_len]
+    texts = chain.from_iterable(map(SUBTOKENS_OF.__getitem__, method.tokens[lo:hi]))
+    return list(islice(texts, max_len))
 
 
 @dataclass

@@ -4,14 +4,21 @@ The frontend feeds every later stage: abstracted token streams for the
 summarizer, statement-level structure for control-flow analysis, and
 labeled syntax trees for the tree encoder. A token is its text, a `str`,
 and token and statement kinds are plain strings. A token's kind follows
-from its text alone, so one table, `KIND_OF`, finds each distinct
-text's kind once; the lexer, `abstract_literals`, the parser and later
-stages all read kinds there. `token_offsets` recovers where each token
-starts from the source, which only error messages need. The parser
-builds the `AstNode`s of expressions, of each simple statement
+from its text alone, and so do its literal placeholder, its identifier
+subtokens and its childless AST node. Each of these facts lives in a
+`TextTable`, which computes it once per distinct text and holds at most
+2**16 texts: `KIND_OF`, where the lexer, the parser and later stages
+read kinds; `PLACEHOLDER_OF`, which `abstract_literals` maps tokens
+through; `SUBTOKENS_OF`, each token's model-facing texts; and `LEAF_OF`
+and `BASIC_TYPE_OF`, the parser's leaves. `token_offsets` recovers where
+each token starts from the source, which only error messages need. The
+parser builds the `AstNode`s of expressions, of each simple statement
 (`Statement.node`) and of the method's return type and parameters
-(`Method.declaration`). A tree adds only header, block and `MethodDeclaration` nodes over them, so
-every tree built from one method shares the parser's nodes. Nodes carry
+(`Method.declaration`). A tree adds only header, block and
+`MethodDeclaration` nodes over them, so every tree built from one method
+shares the parser's nodes, and every `MemberReference`, `Literal` and
+`BasicType` leaf is its table's one node for its text, shared across
+positions, trees and methods: a tree is a DAG at its leaves. Nodes carry
 no ids, and nothing changes a node once it is built, so trees may share
 them. `JUMPS` and `HEADERS` name the statement kinds that transfer
 control and those that head a control construct, for every later stage.
@@ -87,29 +94,36 @@ _FIRST_KIND.update(dict.fromkeys(string.ascii_letters + "_", "identifier"))
 _FIRST_KIND.update({'"': "string", "/": "comment"})
 _ERROR_OR_COMMENT = frozenset((None, "comment"))
 _LEX_ERRORS = {'"': "unterminated string literal", "/*": "unterminated block comment"}
-_KIND_TABLE_SIZE = 2**16
+_TABLE_SIZE = 2**16
 
 
-class _KindTable(dict):
-    """The kind of each match text, as `KIND_OF[text]`.
+class TextTable(dict):
+    """One fact about each distinct token text, as `table[text]`.
 
-    A text the table does not hold gets the rule above, once: its kind is
-    stored, so each distinct token text is classified once per process.
-    Comment and error matches are never stored, and once the table holds
-    `_KIND_TABLE_SIZE` (2**16) texts a new text's kind is computed and not
-    stored. So the table holds at most 2**16 entries: about 1.9 MB of dict
-    on CPython 3.11, plus the token texts it keeps alive. What it holds
-    changes no kind, only how fast one is found.
+    A text the table does not hold gets the table's rule, once: the result
+    is stored, so each distinct text's fact is computed once per process.
+    A result in `unstored` is never stored, and once the table holds
+    `_TABLE_SIZE` (2**16) texts a new text's result is computed and not
+    stored. So a table holds at most 2**16 entries: about 1.9 MB of dict
+    on CPython 3.11, plus the texts and results it keeps alive. What a
+    table holds changes no result, only how fast one is found. Every
+    table starts empty, and every table shares the one bound.
     """
 
-    def __missing__(self, text: str) -> str | None:
-        kind = _TEXT_KIND.get(text, _FIRST_KIND.get(text[0]))
-        if kind not in _ERROR_OR_COMMENT and len(self) < _KIND_TABLE_SIZE:
-            self[text] = kind
-        return kind
+    def __init__(self, rule, unstored=()):
+        super().__init__()
+        self.rule, self.unstored = rule, unstored
+
+    def __missing__(self, text: str):
+        value = self.rule(text)
+        if len(self) < _TABLE_SIZE and value not in self.unstored:
+            self[text] = value
+        return value
 
 
-KIND_OF = _KindTable()
+# The kind of each match text. Comment and error matches are not stored.
+KIND_OF = TextTable(lambda text: _TEXT_KIND.get(text, _FIRST_KIND.get(text[0])),
+                    unstored=_ERROR_OR_COMMENT)
 
 
 def token_kinds(texts: list[str]) -> list[str | None]:
@@ -148,15 +162,21 @@ def token_offsets(source: str) -> list[int]:
 _PLACEHOLDERS = {"number": NUM_TOKEN, "string": STR_TOKEN, "bool": BOOL_TOKEN}
 
 
+# Each token text's placeholder if it is a literal, else the text itself
+PLACEHOLDER_OF = TextTable(lambda text: _PLACEHOLDERS.get(KIND_OF[text], text))
+
+
 def abstract_literals(tokens: list[str]) -> list[str]:
     """Replace every literal token with its kind's placeholder token.
 
     A token of kind "number", "string" or "bool" (its `KIND_OF` entry)
     becomes `NUM_TOKEN`, `STR_TOKEN` or `BOOL_TOKEN`. Kinds and list
-    length are preserved, so the operation is idempotent; any other token
-    comes back as the same object.
+    length are preserved, so the operation is idempotent. Each token is
+    read from `PLACEHOLDER_OF`, so any other token comes back as one
+    text equal to it, the same object for every call while the table
+    holds it.
     """
-    return list(map(_PLACEHOLDERS.get, map(KIND_OF.__getitem__, tokens), tokens))
+    return list(map(PLACEHOLDER_OF.__getitem__, tokens))
 
 
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
@@ -170,6 +190,12 @@ def split_identifier(name: str) -> list[str]:
     transitions. "camelCase" -> ["camel", "case"].
     """
     return [piece.lower() for piece in _SUBTOKEN_RE.findall(name)]
+
+
+# The model-facing texts of each token text: an identifier's subtokens, or
+# the text itself
+SUBTOKENS_OF = TextTable(lambda text: tuple(split_identifier(text))
+                         if KIND_OF[text] == "identifier" else (text,))
 
 
 def tokenize_comment(text: str) -> list[str]:
@@ -194,6 +220,13 @@ _STMT_TYPE = {"if": "IfStatement", "while": "WhileStatement", "for": "ForStateme
 
 @dataclass(slots=True)
 class AstNode:
+    """A syntax tree node. Nothing changes a node once it is built.
+
+    A `MemberReference`, `Literal` or `BasicType` leaf is the one node that
+    `LEAF_OF` or `BASIC_TYPE_OF` holds for its text, so one leaf object may
+    stand at many positions, in one tree or in many.
+    """
+
     node_type: str  # MethodDeclaration, IfStatement, BinaryOperation, ... (docs/grammar.md)
     value: str | None = None
     children: list["AstNode"] = field(default_factory=list)
@@ -202,6 +235,14 @@ class AstNode:
         if self.value:
             return f"{self.node_type}_{self.value}"
         return self.node_type
+
+
+# The childless node of each text, built once and shared by every position,
+# tree and method it occurs at, so nothing may change it: an expression
+# leaf (a literal's `Literal`, else a `MemberReference`) and a type leaf.
+LEAF_OF = TextTable(lambda text: AstNode(
+    "Literal" if KIND_OF[text] in _PLACEHOLDERS else "MemberReference", text))
+BASIC_TYPE_OF = TextTable(lambda text: AstNode("BasicType", text))
 
 
 @dataclass(slots=True)
@@ -278,7 +319,7 @@ class _Parser:
         """Parse the method that starts at the next token; its ids start at 0."""
         self.statements = {}
         start = self.i
-        declaration = [AstNode("BasicType", self._expect_ident("return type"))]
+        declaration = [BASIC_TYPE_OF[self._expect_ident("return type")]]
         name = self._expect_ident("method name")
         declaration += self._parse_list(self._parse_param)
         declaration_tokens = self.toks[start : self.i]
@@ -294,7 +335,7 @@ class _Parser:
         )
 
     def _parse_param(self) -> AstNode:
-        ptype = AstNode("BasicType", self._expect_ident("parameter type"))
+        ptype = BASIC_TYPE_OF[self._expect_ident("parameter type")]
         return AstNode("FormalParameter", self._expect_ident("parameter name"), [ptype])
 
     # --- statements -------------------------------------------------------
@@ -400,7 +441,7 @@ class _Parser:
         if KIND_OF[toks[start]] == "identifier" and KIND_OF[toks[start + 1]] == "identifier":
             self.i = start + 2
             node = AstNode("LocalVariableDeclaration", toks[start + 1],
-                           [AstNode("BasicType", toks[start])])
+                           [BASIC_TYPE_OF[toks[start]]])
             if toks[self.i] == "=":
                 self.i += 1
                 node.children.append(self.parse_expr())
@@ -457,10 +498,10 @@ class _Parser:
             if toks[i + 1] == "(":
                 left = AstNode("MethodInvocation", t, self._parse_list(self.parse_expr))
             else:
-                left = AstNode("MemberReference", t)
+                left = LEAF_OF[t]
         elif kind in _PLACEHOLDERS:  # a literal
             self.i = i + 1
-            left = AstNode("Literal", t)
+            left = LEAF_OF[t]
         elif t == "(":
             self.i = i + 1
             left = self.parse_expr()
@@ -554,7 +595,9 @@ def iter_nodes(root: AstNode):
 def ast_to_json(root: AstNode) -> dict:
     """Nested {id, type, value, children} form used by the split dump.
 
-    A node's id is its preorder index within the tree, numbered here.
+    Ids number positions, not objects: a position's id is its preorder
+    index within the tree, numbered here, so a shared leaf gets one id at
+    each position it stands at.
     """
     ids = itertools.count()
 
@@ -606,8 +649,9 @@ def build_ast(method: Method) -> AstNode:
     The root is a MethodDeclaration carrying the method name; the return
     type and parameters come first, then one subtree per body statement.
     The root, header and block nodes are new; the rest are the parser's
-    nodes, shared with every other tree built from the method. Nodes
-    carry no ids; `ast_to_json` numbers them in preorder.
+    nodes, shared with every other tree built from the method, and the
+    leaves are the per-text ones every tree shares. Nodes carry no ids;
+    `ast_to_json` numbers positions in preorder.
     """
     return AstNode("MethodDeclaration", method.name,
                    method.declaration + [stmt_ast(s) for s in method.body])

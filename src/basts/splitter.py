@@ -9,8 +9,10 @@ Each split's AST is built from the method's parsed statements and equals
 what re-parsing the split's code would give. A split tree is the
 parser's declaration and statement nodes under header, block and
 `MethodDeclaration` nodes of its own, so a method's split trees share the
-declaration nodes. Removed edges, lifted to the blocks they join, form
-the successor relation later used as pre-training labels.
+declaration nodes, and every tree shares the frontend's per-text
+`MemberReference`, `Literal` and `BasicType` leaves. Removed edges,
+lifted to the blocks they join, form the successor relation later used
+as pre-training labels.
 """
 
 from __future__ import annotations

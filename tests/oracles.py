@@ -486,20 +486,24 @@ def encode_tree_per_node(t: SplitAst, params: TreeLstmParams) -> Tensor:
     """Root hidden state of a split AST, one `tree_lstm_cell` per node.
 
     Iterative post-order, so tree depth is not bounded by the Python
-    recursion limit. Each node is processed exactly once.
+    recursion limit. States are kept by node object and never dropped, so
+    each node object is processed exactly once: a shared leaf that stands
+    at several positions of the tree is folded once.
     """
     states: dict[int, tuple[Tensor, Tensor]] = {}  # keyed by id(node)
     virtual = [(part(params.virtual, 0), part(params.virtual, 1))]
     stack = [(t.root, False)]
     while stack:
         node, ready = stack.pop()
+        if id(node) in states:
+            continue
         if not ready:
             stack.append((node, True))
             stack.extend((c, False) for c in reversed(node.children))
             continue
         x_v = embed(params, node.type_value())
         if node.children:
-            children = [states.pop(id(c)) for c in node.children]
+            children = [states[id(c)] for c in node.children]
         else:
             children = virtual
         states[id(node)] = tree_lstm_cell(x_v, children, params)

@@ -5,8 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from basts import frontend
+from basts.cli import code_token_texts
 from basts.frontend import (
     MAX_NESTING,
+    AstNode,
     LexError,
     ParseError,
     abstract_literals,
@@ -22,7 +24,7 @@ from basts.frontend import (
     tokenize_comment,
 )
 from conftest import IDLE_CONNECTIONS_SOURCE, nested_ifs, nested_parens, parse_source
-from oracles import abstract_literals_per_token, tokenize_per_char
+from oracles import abstract_literals_per_token, code_token_texts_per_token, tokenize_per_char
 
 from minigen import generate_records
 from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE
@@ -214,29 +216,39 @@ class TestAbstractLiterals:
         assert token_kinds(once) == token_kinds(toks)
 
     def test_keeps_token_objects_it_does_not_change(self):
+        """A token it does not change comes back as an equal text, and as one
+        canonical object per text across calls (`PLACEHOLDER_OF`'s)."""
         toks = lex('call(12, "ab", false, xs) <= 3.5;')
         once = abstract_literals(toks)
         assert once == ["call", "(", "<NUM>", ",", "<STR>", ",", "<BOOL>", ",", "xs", ")",
                         "<=", "<NUM>", ";"]
-        for before, after in zip(toks, once):
-            if after == before:
-                assert after is before
+        again = abstract_literals(lex('call(12, "ab", false, xs) <= 3.5;'))
+        assert all(a is b for a, b in zip(again, once))
         assert all(a is b for a, b in zip(abstract_literals(once), once))
+        assert all(text is frontend.PLACEHOLDER_OF[text] for text in once)
 
 
-# texts no other test lexes: an identifier, a number and a string
-UNSEEN_SOURCE = ('unseenTableName = 9876.54321 + "never seen before" != false; '
-                 "while (unseenTableName <= 31337) { continue; }")
+# texts no other test lexes: a type, an identifier, a number and a string
+UNSEEN_SOURCE = ('unseenTypeName unseenMethodName(unseenTypeName unseenParam) { '
+                 'unseenTableName = 9876.54321 + "never seen before" != false; '
+                 "while (unseenTableName <= 31337) { continue; } }")
+UNSEEN_TEXTS = {"KIND_OF": "9876.54321", "PLACEHOLDER_OF": '"never seen before"',
+                "SUBTOKENS_OF": "unseenTableName", "LEAF_OF": "unseenTableName",
+                "BASIC_TYPE_OF": "unseenTypeName"}
+TABLES = {name: getattr(frontend, name) for name in UNSEEN_TEXTS}
 
 
 @pytest.fixture
-def empty_kind_table():
-    """`frontend.KIND_OF` emptied for one test, then refilled as it was."""
-    saved = dict(frontend.KIND_OF)
-    frontend.KIND_OF.clear()
-    yield frontend.KIND_OF
-    frontend.KIND_OF.clear()
-    frontend.KIND_OF.update(saved)
+def empty_tables():
+    """Every `frontend.TextTable`, by name, emptied for one test, then refilled
+    as it was."""
+    saved = {name: dict(table) for name, table in TABLES.items()}
+    for table in TABLES.values():
+        table.clear()
+    yield TABLES
+    for name, table in TABLES.items():
+        table.clear()
+        table.update(saved[name])
 
 
 def generated_sources(profiles=PROFILES):
@@ -244,54 +256,79 @@ def generated_sources(profiles=PROFILES):
             for seed in range(1, 6) for record in generate_records(label, seed, count, profile)]
 
 
-def tokens_kinds_and_abstracted(source):
+MAX_LENS = (1, 7, 100, 10**6)  # code_token_texts cuts, the last past every method's end
+
+
+def outputs_checked_against_oracles(source):
+    """A source's tokens, abstracted tokens, method and code texts, each
+    first checked against its per-token oracle."""
+    pairs, _ = tokenize_per_char(source)
     toks = tokenize(source)
-    return toks, token_kinds(toks), abstract_literals(toks)
+    assert list(zip(toks, token_kinds(toks))) == pairs
+    abstracted = abstract_literals(toks)
+    assert list(zip(abstracted, token_kinds(abstracted))) == abstract_literals_per_token(pairs)
+    method = parse_method(abstracted)
+    texts = [code_token_texts(method, max_len) for max_len in MAX_LENS]
+    assert texts == [code_token_texts_per_token(method, max_len) for max_len in MAX_LENS]
+    return toks, abstracted, method, texts
+
+
+def parsed_with_empty_tables(sources):
+    """Each source's method, parsed with every table emptied first."""
+    methods = []
+    for source in sources:
+        for table in TABLES.values():
+            table.clear()
+        methods.append(parse_method(abstract_literals(tokenize(source))))
+    return methods
 
 
 class TestKindTable:
-    @pytest.mark.parametrize("profile", PROFILES, ids=[p[0] for p in PROFILES])
-    def test_cold_and_warm_tables_match_the_oracles(self, empty_kind_table, profile):
-        sources = generated_sources([profile])
-        for warmth in ("cold", "warm"):
-            assert bool(empty_kind_table) == (warmth == "warm")
-            if warmth == "warm":
-                assert "unseenTableName" not in empty_kind_table
-                sources.append(UNSEEN_SOURCE)
-            for source in sources:
-                pairs, _ = tokenize_per_char(source)
-                toks = tokenize(source)
-                assert list(zip(toks, token_kinds(toks))) == pairs
-                abstracted = abstract_literals(toks)
-                assert list(zip(abstracted, token_kinds(abstracted))) == (
-                    abstract_literals_per_token(pairs))
-        assert empty_kind_table["unseenTableName"] == "identifier"
+    """`KIND_OF` and the other `TextTable`s: cold, warm and full."""
 
-    def test_a_full_table_gives_the_same_results_and_stops_growing(self, empty_kind_table,
+    @pytest.mark.parametrize("profile", PROFILES, ids=[p[0] for p in PROFILES])
+    def test_cold_and_warm_tables_match_the_oracles(self, empty_tables, profile):
+        sources = generated_sources([profile]) + [UNSEEN_SOURCE]
+        fresh = parsed_with_empty_tables(sources)
+        for table in TABLES.values():
+            table.clear()
+        for warmth in ("cold", "warm"):
+            for name, table in TABLES.items():
+                assert bool(table) == (warmth == "warm")
+                assert (UNSEEN_TEXTS[name] in table) == (warmth == "warm")
+            methods = [outputs_checked_against_oracles(s)[2] for s in sources]
+            assert methods == fresh
+        assert TABLES["KIND_OF"]["unseenTableName"] == "identifier"
+        assert TABLES["SUBTOKENS_OF"]["unseenTableName"] == ("unseen", "table", "name")
+        assert TABLES["LEAF_OF"]["unseenTableName"] == AstNode("MemberReference",
+                                                               "unseenTableName")
+
+    def test_a_full_table_gives_the_same_results_and_stops_growing(self, empty_tables,
                                                                    monkeypatch):
         sources = generated_sources() + [UNSEEN_SOURCE]
-        expected = [tokens_kinds_and_abstracted(s) for s in sources]
-        # UNSEEN_SOURCE holds statements, not a method, so it is not parsed
-        methods = [parse_method(abstracted) for _, _, abstracted in expected[:-1]]
-        empty_kind_table.clear()
-        tokenize("int f(int x) { return x; }")
-        full = dict(empty_kind_table)
-        assert 0 < len(full) < 16
-        monkeypatch.setattr(frontend, "_KIND_TABLE_SIZE", len(full))
-        assert [tokens_kinds_and_abstracted(s) for s in sources] == expected
-        assert [parse_method(abstracted) for _, _, abstracted in expected[:-1]] == methods
-        assert empty_kind_table == full
+        expected = [outputs_checked_against_oracles(s) for s in sources]
+        for table in TABLES.values():
+            table.clear()
+        monkeypatch.setattr(frontend, "_TABLE_SIZE", 4)
+        assert [outputs_checked_against_oracles(s) for s in sources] == expected
+        full = {name: dict(table) for name, table in TABLES.items()}
+        assert all(len(table) == 4 for table in full.values())
+        assert [outputs_checked_against_oracles(s) for s in sources] == expected
+        for name, table in TABLES.items():
+            assert table.keys() == full[name].keys()
+            assert all(table[text] is value for text, value in full[name].items())
 
-    def test_no_comment_or_error_text_enters_the_table(self, empty_kind_table):
+    def test_no_comment_or_error_text_enters_the_table(self, empty_tables):
+        kind_of = TABLES["KIND_OF"]
         source = "int f() { // a line comment\n return /* a block */ 1; } /* last */"
         assert tokenize(source) == ["int", "f", "(", ")", "{", "return", "1", ";", "}"]
         for bad in ("x = @;", 'x = "open;', "x /* open", "a & b"):
             with pytest.raises(LexError):
                 tokenize(bad)
         for text in ("// a line comment", "/* a block */", "/* last */", "@", '"', "/*", "&"):
-            assert text not in empty_kind_table
-        assert not set(empty_kind_table.values()) & {None, "comment"}
-        assert set(empty_kind_table) >= {"int", "f", "return", "1", "x", "=", "open", "a"}
+            assert text not in kind_of
+        assert not set(kind_of.values()) & {None, "comment"}
+        assert set(kind_of) >= {"int", "f", "return", "1", "x", "=", "open", "a"}
 
 
 class TestSplitIdentifier:
@@ -559,15 +596,23 @@ class TestBuildAst:
         assert "MethodInvocation_currentTimeMillis" in labels
 
     def test_node_ids_unique_and_links_consistent(self, idle_method):
+        """Only the per-text leaves are shared; every other node has one
+        parent, and the JSON ids number positions."""
         root = build_ast(idle_method)
-        nodes = list(iter_nodes(root))
-        assert len({id(n) for n in nodes}) == len(nodes)
+        nodes = list(iter_nodes(root))  # one entry per position
+        leaf_tables = {"MemberReference": frontend.LEAF_OF, "Literal": frontend.LEAF_OF,
+                       "BasicType": frontend.BASIC_TYPE_OF}
+        shared = [n for n in nodes if n.node_type in leaf_tables]
+        assert all(n is leaf_tables[n.node_type][n.value] for n in shared)
+        assert len({id(n) for n in shared}) < len(shared)  # some leaf stands twice
         parents = {}
         for n in nodes:
             for c in n.children:
-                assert id(c) not in parents, "child reachable from two parents"
-                parents[id(c)] = n
-        # the JSON form numbers the nodes in preorder
+                if c.node_type not in leaf_tables:
+                    assert id(c) not in parents, "child reachable from two parents"
+                    parents[id(c)] = n
+        assert len(parents) == len(nodes) - len(shared) - 1  # every such node but the root
+        # the JSON form numbers the positions in preorder
         dumped, stack = [], [ast_to_json(root)]
         while stack:
             d = stack.pop()

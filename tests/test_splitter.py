@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from basts.cfg import build_cfg
-from basts.cli import run
+from basts.cli import CorpusRecord, RunConfig, preprocess, run
 from basts.dominators import compute_dominators
-from basts.frontend import (Statement, ast_to_json, build_ast, iter_nodes, parse_program,
-                            tokenize)
+from basts.frontend import (BASIC_TYPE_OF, LEAF_OF, AstNode, Statement, ast_to_json, build_ast,
+                            iter_nodes, parse_program, token_kinds, tokenize)
 from basts.splitter import build_split_asts, make_split_code, partition_blocks, split_method
 from conftest import (
     DIAMOND_SOURCE,
@@ -237,12 +237,17 @@ class TestSplitAstsEqualReparse:
                 assert_split_asts_equal_reparse(parse_source(record["code"]))
 
 
+SHARED_LEAF_TYPES = {"MemberReference", "Literal", "BasicType"}  # one node per text
+
+
 def assert_expressions_shared_once(method):
-    """Each statement's cond and node children are the parser's own nodes, each in one split AST."""
+    """Each statement's own node, and each of its cond and node children but
+    the per-text leaves, is the parser's own node, in one split AST."""
     trees = [list(iter_nodes(a.root)) for a in split_method(method).asts]
     for stmt in method.statements.values():
-        for expr in [stmt.cond] + (stmt.node.children if stmt.node else []):
-            if expr is not None:
+        own = [stmt.node, stmt.cond] + (stmt.node.children if stmt.node else [])
+        for expr in own:
+            if expr is not None and expr.node_type not in SHARED_LEAF_TYPES:
                 holders = [t for t in trees if any(n is expr for n in t)]
                 assert len(holders) == 1, (stmt.stmt_id, expr.node_type)
 
@@ -286,8 +291,9 @@ class TestSplitAstsShareDeclarationNodes:
     """A method's split trees share its return type and parameter nodes."""
 
     # distinct AstNode objects across the split ASTs of the 420 digest
-    # methods; 68,418 when each split tree built its own declaration nodes
-    DISTINCT_NODES = 56511
+    # methods, counted per method; 68,418 when each split tree built its own
+    # declaration nodes, 56,511 when each position had its own leaf node
+    DISTINCT_NODES = 40248
 
     def test_fixture_and_toy_methods(self):
         sources = [IDLE_CONNECTIONS_SOURCE, DIAMOND_SOURCE, STRAIGHT_LINE_SOURCE]
@@ -319,6 +325,39 @@ class TestSplitAstsShareDeclarationNodes:
         assert {"for", "if"} <= kinds  # header pieces are built
         build_split_asts(graph, idle_method)
         assert len(made) == 1
+
+
+class TestSharedLeavesStayLeaves:
+    """Nothing downstream of the parser changes a per-text leaf."""
+
+    def test_parse_split_and_preprocess_leave_the_leaves_as_built(self):
+        sources = [IDLE_CONNECTIONS_SOURCE, DIAMOND_SOURCE, STRAIGHT_LINE_SOURCE]
+        sources += PRETRAIN_SOURCES + [row["code"] for row in SUMMARIZATION_ROWS]
+        sources += EDGE_CASE_SOURCES
+        records = [CorpusRecord(f"fixture{i}", code, "a comment")
+                   for i, code in enumerate(sources)]
+        records += [CorpusRecord(r["id"], r["code"], r["comment"])
+                    for label, profile, count in DIGEST_METHODS for seed in range(1, 21)
+                    for r in generate_records(label, seed, count, profile)]
+        methods = [parse_source(r.code) for r in records]
+        trees = [a.root for m in methods for a in split_method(m).asts]
+        methods += [r.splits.method for r in preprocess(records, RunConfig()).records]
+        trees += [build_ast(m) for m in methods]
+
+        leaves = {id(node) for table in (LEAF_OF, BASIC_TYPE_OF) for node in table.values()}
+        for text, node in LEAF_OF.items():
+            literal = token_kinds([text])[0] in ("number", "string", "bool")
+            assert node == AstNode("Literal" if literal else "MemberReference", text)
+        for text, node in BASIC_TYPE_OF.items():
+            assert node == AstNode("BasicType", text)
+        for node in (n for root in trees for n in iter_nodes(root)):
+            if node.node_type in SHARED_LEAF_TYPES:
+                assert id(node) in leaves
+        # the nodes the parser appends a child to are built afresh per statement
+        grown = [s.node for m in methods for s in m.statements.values()
+                 if s.kind in ("return", "decl")]
+        assert len({id(n) for n in grown}) == len(grown)
+        assert not leaves & {id(n) for n in grown}
 
 
 # sha256 over the generated methods below, one JSON line per method
