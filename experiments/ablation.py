@@ -5,12 +5,13 @@ Run from the repository root:
     python3 experiments/ablation.py
 
 It regenerates `experiments/ablation.json` for seeds 1-10 at
-`max_code_length` 24 and 100, and prints its wall time: about 170 s at
-two processes on two cores, and 290 s at one. Each (seed,
-length) pair is one job; jobs run in at most `os.cpu_count()` worker
-processes (`--processes`), each with single-threaded BLAS, and the
-results are the same, byte for byte apart from the `*_s` timings, at any
-process count.
+`max_code_length` 24 and 100, and prints its wall time: about 165 s at
+two processes on two cores, and 330 s at one. Each (seed, length) pair
+is one job; jobs always run in one pool of spawned worker processes, at
+most `os.cpu_count()` of them (`--processes`), each with single-threaded
+BLAS, and the results are the same, byte for byte apart from the `*_s`
+timings, at any process count. `--seeds` and `--lengths` take each value
+once.
 
 Per seed, 384 training and 128 held-out methods come from the bench
 generator (`bench/minigen.py`, `MEDIUM_PROFILE` of `bench/workloads.py`;
@@ -26,13 +27,20 @@ train from the same initial weights, with no pre-training, at L=32,
   token by a ReLU layer whose weights live in `MeanModel`;
 - *none*: the code rows alone.
 
-Each arm replaces `summarizer.encode_batch` only, the seam that
-`train_step` and `greedy_decode` read, and hands its rows to
-`summarizer.encode`, the package's one encoder stack. Scores are on the
-held-out methods: clause accuracy (the share whose decoded clause set is
-exactly the reference's), then `corpus_bleu`, `sentence_bleu` with
-add-one smoothing, ROUGE-L and `meteor_lite` as `metrics.evaluate_corpus`
-reports them. For each pair of arms the JSON gives the
+An arm is one `Arm` record in `ARMS`: its name, the
+`summarizer.encode_batch` it swaps in, and the builder of its fresh model
+(`build_model`, unless the arm owns parameters, as *mean* owns
+`FuseParams`). Adding an arm is adding one record. Each arm replaces
+`summarizer.encode_batch` only, the seam that `train_step` and
+`greedy_decode` read, and hands its rows to `summarizer.encode`, the
+package's one encoder stack.
+
+Scores are on the held-out methods: clause accuracy (the share whose
+decoded clause set is exactly the reference's), then `corpus_bleu`,
+`sentence_bleu` with add-one smoothing, ROUGE-L and `meteor_lite` as
+`metrics.evaluate_corpus` reports them. The pairs follow from `ARMS`:
+*positions* against every other arm, then every arm other than
+*positions* and *none* against *none*. For each pair the JSON gives the
 per-seed differences, their mean, wins, losses and a two-sided sign test.
 """
 
@@ -52,6 +60,7 @@ import multiprocessing  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from collections import namedtuple  # noqa: E402
 from concurrent.futures import ProcessPoolExecutor  # noqa: E402
 from contextlib import contextmanager  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
@@ -74,8 +83,9 @@ from minigen import generate_records  # noqa: E402
 from workloads import MEDIUM_PROFILE  # noqa: E402
 
 OUTPUT = Path(__file__).resolve().with_name("ablation.json")
-ARMS = ("positions", "mean", "none")
-PAIRS = (("positions", "mean"), ("positions", "none"), ("mean", "none"))
+# the model settings every arm trains at, stated once for `RunConfig` and `setup`
+MODEL = {"embedding_size": 32, "heads": 2, "encoder_layers": 1, "decoder_layers": 1,
+         "learning_rate": 3e-3, "batch_size": 16}
 METRICS = ("clause_accuracy", "corpus_bleu", "sentence_bleu", "rouge_l", "meteor_lite")
 # structure feature -> its clause, in the order clauses are written
 CLAUSES = {"while": "with a while loop", "for": "with a for loop",
@@ -146,12 +156,9 @@ def _code_rows(batch, model) -> tuple[Tensor, list[int]]:
 def encode_mean(batch, model: MeanModel) -> tuple[Tensor, list[int]]:
     """One code row per token, fused with the mean of its method's split roots."""
     trees = [tree for example in batch for tree in example.split_asts]
-    pool = np.zeros((len(batch), len(trees)))
-    lo = 0
-    for b, example in enumerate(batch):
-        hi = lo + len(example.split_asts)
-        pool[b, lo:hi] = 1.0 / (hi - lo)
-        lo = hi
+    counts = [len(example.split_asts) for example in batch]
+    # row b weighs each of example b's roots by 1 / its count, and others by 0
+    pool = np.repeat(np.eye(len(batch)) / np.array(counts)[:, None], counts, axis=1)
     pooled = ad.matmul(Tensor(pool), encode_trees(trees, model.tree))
     tokens, lengths = _code_rows(batch, model)
     syntax = ad.embedding_lookup(pooled, np.repeat(np.arange(len(batch)), lengths))
@@ -166,24 +173,28 @@ def encode_none(batch, model) -> tuple[Tensor, list[int]]:
     return summarizer.encode(tokens, lengths, model), lengths
 
 
-def build_arm(arm: str, corpus, config: RunConfig):
-    """A fresh model: the three arms share the tree and Transformer weights."""
+def build_mean(corpus, config: RunConfig) -> MeanModel:
+    """`build_model`'s fresh model, whose tree and Transformer weights every
+    arm shares, plus the mean arm's fuse layer."""
     model = build_model(corpus, config)
-    if arm != "mean":
-        return model
     size = config.embedding_size
     fuse = FuseParams(glorot((2 * size, size)), Slot((size,)))
     return MeanModel(model.tree, model.transformer,
                      fuse.draw(np.random.default_rng(config.seed + 2)))
 
 
-ENCODERS = {"positions": summarizer.encode_batch, "mean": encode_mean, "none": encode_none}
+# An arm: its name, the `summarizer.encode_batch` it swaps in, and the builder
+# of its fresh model from (corpus, config), `build_model` unless the arm owns
+# parameters of its own.
+Arm = namedtuple("Arm", ["name", "encode_batch", "build"], defaults=[build_model])
+ARMS = (Arm("positions", summarizer.encode_batch), Arm("mean", encode_mean, build_mean),
+        Arm("none", encode_none))
 
 
 @contextmanager
-def arm_encoder(arm: str):
+def arm_encoder(arm: Arm):
     package = summarizer.encode_batch
-    summarizer.encode_batch = ENCODERS[arm]
+    summarizer.encode_batch = arm.encode_batch
     try:
         yield
     finally:
@@ -206,9 +217,8 @@ def run_job(job: dict) -> dict:
     """Train and score every arm for one (seed, max_code_length)."""
     start = time.perf_counter()
     seed, length = job["seed"], job["max_code_length"]
-    config = RunConfig(embedding_size=32, heads=2, encoder_layers=1, decoder_layers=1,
-                       max_code_length=length, learning_rate=3e-3, batch_size=16,
-                       epochs=job["epochs"], seed=seed).validate()
+    config = RunConfig(**MODEL, max_code_length=length, epochs=job["epochs"],
+                       seed=seed).validate()
     train = preprocess(records(f"abl{seed}", seed, job["train"]), config)
     held = preprocess(records(f"held{seed}", seed, job["heldout"]), config,
                       code_vocab=train.code_vocab, word_vocab=train.word_vocab)
@@ -221,14 +231,14 @@ def run_job(job: dict) -> dict:
     }
     refs = [r.comment_words for r in held.records]
     for arm in ARMS:
-        model = build_arm(arm, train, config)
+        model = arm.build(train, config)
         with arm_encoder(arm):
             t0 = time.perf_counter()
             history = train_summarizer(train.examples, model, config)
             t1 = time.perf_counter()
             hyps = summaries(held, model, config)
             t2 = time.perf_counter()
-        out["arms"][arm] = {
+        out["arms"][arm.name] = {
             **{k: round(v, 6) for k, v in scores(hyps, refs).items()},
             "final_loss": round(history[-1], 6), "train_s": round(t1 - t0, 2),
             "decode_s": round(t2 - t1, 2),
@@ -250,11 +260,15 @@ def sign_test(wins: int, losses: int) -> float:
 
 
 def summarize(runs: list[dict]) -> dict:
+    # *positions* against every other arm, then each remaining arm against *none*
+    names = [arm.name for arm in ARMS]
+    paired = [("positions", b) for b in names if b != "positions"]
+    paired += [(a, "none") for a in names if a not in ("positions", "none")]
     out = {}
     for length in sorted({r["max_code_length"] for r in runs}):
         rows = [r for r in runs if r["max_code_length"] == length]
         arms = {}
-        for arm in ARMS:
+        for arm in names:
             arms[arm] = {}
             for metric in METRICS:
                 values = [r["arms"][arm][metric] for r in rows]
@@ -263,7 +277,7 @@ def summarize(runs: list[dict]) -> dict:
                     "sd": round(statistics.stdev(values), 6) if len(values) > 1 else 0.0,
                     "min": min(values), "max": max(values)}
         pairs = {}
-        for a, b in PAIRS:
+        for a, b in paired:
             pairs[f"{a}-{b}"] = {}
             for metric in METRICS:
                 diffs = [round(r["arms"][a][metric] - r["arms"][b][metric], 6) for r in rows]
@@ -285,7 +299,7 @@ def gate(summary: dict) -> dict:
     return {**GATE, "mean_difference": pair["mean"], "wins": pair["wins"], "holds": holds}
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     parser.add_argument("--lengths", type=int, nargs="+", default=[24, 100],
@@ -297,18 +311,21 @@ def main(argv=None) -> int:
                         help="worker processes, at most os.cpu_count()")
     parser.add_argument("--output", default=str(OUTPUT))
     args = parser.parse_args(argv)
+    for option, values in (("--seeds", args.seeds), ("--lengths", args.lengths)):
+        if len(set(values)) < len(values):
+            parser.error(f"{option}: {max(values, key=values.count)} is given more than once")
+    return args
 
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     start = time.perf_counter()
     jobs = [{"seed": seed, "max_code_length": length, "train": args.train,
              "heldout": args.heldout, "epochs": args.epochs}
             for seed in args.seeds for length in args.lengths]
     processes = max(1, min(args.processes, os.cpu_count() or 1, len(jobs)))
-    if processes == 1:
-        runs = [run_job(job) for job in jobs]
-    else:
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(processes, mp_context=spawn) as pool:
-            runs = list(pool.map(run_job, jobs))
+    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = list(pool.map(run_job, jobs))
     summary = summarize(runs)
     result = {
         "command": " ".join(["python3 experiments/ablation.py", "--seeds", *map(str, args.seeds),
@@ -316,10 +333,9 @@ def main(argv=None) -> int:
                              "--heldout", str(args.heldout), "--epochs", str(args.epochs)]),
         "setup": {
             "profile": "MEDIUM_PROFILE", "train": args.train, "heldout": args.heldout,
-            "seeds": args.seeds, "max_code_length": args.lengths, "embedding_size": 32,
-            "heads": 2, "encoder_layers": 1, "decoder_layers": 1, "learning_rate": 3e-3,
-            "batch_size": 16, "epochs": args.epochs, "pretraining": None,
-            "arms": list(ARMS), "clauses": list(CLAUSES.values()),
+            "seeds": args.seeds, "max_code_length": args.lengths, **MODEL,
+            "epochs": args.epochs, "pretraining": None,
+            "arms": [arm.name for arm in ARMS], "clauses": list(CLAUSES.values()),
             "sentence_bleu": "add-one smoothing at orders 2-4 when some order has no match",
             "meteor_lite": "exact unigram matches only",
         },

@@ -3,12 +3,15 @@
 One seed of a tiny configuration runs in two subprocesses, at one and at
 two worker processes: the JSON must follow its schema and, with every
 `*_s` timing dropped, be equal at both. No outcome is gated. The arms'
-encoders are checked against per-example forms.
+encoders are checked against per-example forms, a test-local arm joins
+the run as one record, and the committed JSON is checked against the
+script's summary, gate, arms and parser without training.
 """
 
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -24,6 +27,7 @@ from basts.summarizer import encode_trees, positional_matrix, train_step
 from oracles import avg_pool
 
 SCRIPT = Path(__file__).resolve().parents[1] / "experiments" / "ablation.py"
+COMMITTED = SCRIPT.with_name("ablation.json")
 TINY = ["--seeds", "1", "--lengths", "8", "24", "--train", "16", "--heldout", "8",
         "--epochs", "1"]
 
@@ -43,6 +47,11 @@ def ablation():
         sys.path[:] = path
     yield module
     del sys.modules["ablation"]
+
+
+def record(ablation, name: str):
+    """The `Arm` record called `name`."""
+    return next(arm for arm in ablation.ARMS if arm.name == name)
 
 
 def without_timings(value):
@@ -93,8 +102,54 @@ def test_a_tiny_run_follows_the_schema_at_one_and_two_processes(tmp_path, ablati
         results.append(json.loads(out.read_text()))
     assert time.perf_counter() - start <= 10.0
     for result in results:
-        check_schema(result, ablation.ARMS, ablation.METRICS)
+        check_schema(result, [arm.name for arm in ablation.ARMS], ablation.METRICS)
     assert without_timings(results[0]) == without_timings(results[1])
+
+
+def test_an_arm_is_one_record(ablation, monkeypatch):
+    package = summarizer.encode_batch
+    swapped = []
+
+    def encode_probe(batch, model):
+        swapped.append(summarizer.encode_batch is encode_probe)
+        return ablation.encode_none(batch, model)
+
+    monkeypatch.setattr(ablation, "ARMS", (*ablation.ARMS, ablation.Arm("probe", encode_probe)))
+    start = time.perf_counter()
+    run = ablation.run_job({"seed": 1, "max_code_length": 8, "train": 16, "heldout": 8,
+                            "epochs": 1})
+    summary = ablation.summarize([run])
+    assert time.perf_counter() - start <= 10.0
+    assert swapped and all(swapped)
+    assert summarizer.encode_batch is package
+    assert list(run["arms"]) == ["positions", "mean", "none", "probe"]
+    assert list(summary["8"]["arms"]) == ["positions", "mean", "none", "probe"]
+    assert list(summary["8"]["pairs"]) == ["positions-mean", "positions-none",
+                                           "positions-probe", "mean-none", "probe-none"]
+
+
+def test_repeated_seeds_or_lengths_are_a_parser_error(ablation, capsys):
+    for argv, message in ((["--seeds", "3", "1", "3"], "--seeds: 3 is given more than once"),
+                          (["--lengths", "24", "24"], "--lengths: 24 is given more than once")):
+        with pytest.raises(SystemExit) as exit_:
+            ablation.parse_args(argv)
+        assert exit_.value.code == 2 and message in capsys.readouterr().err
+    assert ablation.parse_args(["--seeds", "2", "1"]).seeds == [2, 1]
+
+
+def test_the_committed_json_agrees_with_the_script(ablation):
+    result = json.loads(COMMITTED.read_text(encoding="utf-8"))
+    setup = result["setup"]
+    assert ablation.summarize(result["runs"]) == result["summary"]
+    assert ablation.gate(result["summary"]) == result["gate"]
+    assert setup["arms"] == [arm.name for arm in ablation.ARMS]
+    assert {key: setup[key] for key in ablation.MODEL} == ablation.MODEL
+    program, script, *argv = shlex.split(result["command"])
+    assert (program, script) == ("python3", "experiments/ablation.py")
+    args = ablation.parse_args(argv)
+    assert (args.seeds, args.lengths, args.train, args.heldout, args.epochs) == (
+        setup["seeds"], setup["max_code_length"], setup["train"], setup["heldout"],
+        setup["epochs"])
 
 
 def test_sign_test_is_two_sided_and_drops_ties(ablation):
@@ -125,7 +180,7 @@ def corpus_and_config(ablation):
 
 def test_mean_arm_fuses_each_token_with_its_methods_mean_root(ablation, corpus_and_config):
     corpus, config = corpus_and_config
-    model = ablation.build_arm("mean", corpus, config)
+    model = record(ablation, "mean").build(corpus, config)
     batch = corpus.examples[:4]
     memory, lengths = ablation.encode_mean(batch, model)
     assert lengths == [len(ex.code_ids) for ex in batch]
@@ -142,22 +197,23 @@ def test_mean_arm_fuses_each_token_with_its_methods_mean_root(ablation, corpus_a
 
 def test_mean_arm_trains_its_fuse_layer(ablation, corpus_and_config):
     corpus, config = corpus_and_config
-    model = ablation.build_arm("mean", corpus, config)
-    twin = ablation.build_arm("positions", corpus, config)
+    model = record(ablation, "mean").build(corpus, config)
+    twin = record(ablation, "positions").build(corpus, config)
     assert [n for n, _ in model.named_params()][-2:] == ["fuse.w", "fuse.b"]
     assert all(np.array_equal(a.data, b.data)
                for a, b in zip(model.all_params(), twin.all_params()))  # shared weights
     before = model.fuse.w.data.copy()
-    with ablation.arm_encoder("mean"):
+    package = summarizer.encode_batch
+    with ablation.arm_encoder(record(ablation, "mean")):
         assert summarizer.encode_batch is ablation.encode_mean
         train_step(corpus.examples[:4], model, Adam(model.all_params(), lr=3e-3))
-    assert summarizer.encode_batch is ablation.ENCODERS["positions"]
+    assert summarizer.encode_batch is package
     assert not np.array_equal(model.fuse.w.data, before)
 
 
 def test_none_arm_holds_the_code_rows_alone(ablation, corpus_and_config):
     corpus, config = corpus_and_config
-    model = ablation.build_arm("none", corpus, config)
+    model = record(ablation, "none").build(corpus, config)
     batch = corpus.examples[:3]
     memory, lengths = ablation.encode_none(batch, model)
     assert lengths == [len(ex.code_ids) for ex in batch]
