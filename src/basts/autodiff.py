@@ -29,9 +29,20 @@ None if it is untracked. It keeps no output of its own tape, and refers
 to its tape weakly. Strong references run one way only: from an output
 tensor, or from the tape, to a node, and from a node to its backward
 closure's saved arrays, its producer nodes and its leaves. So the graph
-holds no reference cycles, an op output that no backward saves is freed
-as soon as the forward drops it, and the rest goes when the tape and
-the loss are dropped.
+holds no reference cycles, and an op output that no backward saves is
+freed as soon as the forward drops it. `backward` drops each node's
+closure, and with it the arrays that closure saved, as soon as it has
+run that node or passed it because its output fed no later op; so a
+step's saved activations go while its backward runs, not when the tape
+and the loss are dropped.
+
+That release is paired with keeping freed heap in the process. At
+import the module sets glibc's mmap threshold to 32 MiB, the ceiling of
+glibc's own dynamic threshold on 64-bit, and its trim threshold to 64
+MiB, twice that, by `mallopt` through ctypes; where there is no
+`mallopt` it sets nothing. Otherwise glibc hands the heap that backward
+frees back to the system in mid-step and the next step faults it in
+again: the release alone took pre-training steps about 1.3 times as long.
 
 `backward` is the one non-finite gate of training: it raises NaNError
 when the loss is not finite, or when a gradient it would write to a leaf
@@ -47,6 +58,7 @@ states its tensors' shapes once, in its shape statement (see Params).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
 import weakref
@@ -55,6 +67,18 @@ from functools import cache
 from typing import NamedTuple
 
 import numpy as np
+
+
+# glibc's mmap and trim thresholds, set once at import (see above); _HEAP_KEPT
+# holds mallopt's return for each, 1 on success, or is () with no mallopt
+MMAP_THRESHOLD, TRIM_THRESHOLD = 32 << 20, 64 << 20
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):  # no C library to load, or no mallopt in it
+    _HEAP_KEPT = ()
+else:  # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _HEAP_KEPT = (_mallopt(-3, MMAP_THRESHOLD), _mallopt(-1, TRIM_THRESHOLD))
 
 
 class ShapeError(ValueError):
@@ -187,7 +211,8 @@ class Params:
 class _OpNode:
     """One recorded op. Each of `inputs` is the input's producer node on
     this op's tape, the input itself if it is a tracked leaf, or None if
-    it is untracked; `tape` is a weak reference."""
+    it is untracked; `tape` is a weak reference. `backward_fn` is None
+    once backward has passed the node."""
 
     __slots__ = ("inputs", "backward_fn", "tape")
 
@@ -265,10 +290,12 @@ def backward(tape: Tape, loss: Tensor):
     # keyed by the source itself: a producer node, or a leaf tensor
     grads = {loss.node: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
+        # the closure, and the arrays it saved, go once this node is passed
+        back, node.backward_fn = node.backward_fn, None
         g = grads.pop(node, None)
         if g is None:  # its output fed no later op
             continue
-        for source, gt in zip(node.inputs, node.backward_fn(g)):
+        for source, gt in zip(node.inputs, back(g)):
             if gt is None or source is None:
                 continue
             grads[source] = grads[source] + gt if source in grads else gt

@@ -1,4 +1,5 @@
 import inspect
+import platform
 import weakref
 
 import numpy as np
@@ -298,7 +299,8 @@ def _captured(fn):
 
 
 class TestTapeKeeps:
-    """A node keeps its producers and leaves, and a backward only what it reads."""
+    """A node keeps its producers and leaves, and a backward only what it
+    reads, until backward has passed the node."""
 
     def test_op_calls_cover_every_public_op(self):
         public = {name for name, f in vars(ad).items()
@@ -319,6 +321,38 @@ class TestTapeKeeps:
         held = [obj for node in tape.nodes for obj in _captured(node.backward_fn)
                 if isinstance(obj, Tensor) and obj.node is not None]
         assert held == []
+
+    @pytest.mark.parametrize("fed", [True, False], ids=["fed the loss", "fed no later op"])
+    @pytest.mark.parametrize("name", OP_CALLS)
+    def test_backward_frees_what_each_closure_saved(self, name, fed):
+        def run(keep):
+            rng = np.random.default_rng(0)
+
+            def produced(*shape):
+                leaf = Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=True)
+                return ad.scalar_mul(leaf, 1.0)
+
+            with Tape() as tape:
+                out = OP_CALLS[name](produced)
+                loss = ad.sum_(out if fed else produced(2))
+                del out
+            leaves = [t for node in tape.nodes for t in node.inputs if isinstance(t, Tensor)]
+            held = {id(t.data) for t in leaves + [loss]}
+            closures = [node.backward_fn for node in tape.nodes]
+            saved = [weakref.ref(obj) for fn in closures for obj in _captured(fn)
+                     if isinstance(obj, np.ndarray) and id(obj) not in held]
+            saved += [weakref.ref(fn) for fn in closures]
+            if not keep:
+                del closures
+            backward(tape, loss)
+            # the tape still lives; only `closures` can keep what they saved
+            assert all((ref() is None) is not keep for ref in saved)
+            assert all(node.backward_fn is None for node in tape.nodes)
+            return [t.grad for t in leaves]
+
+        kept, released = run(True), run(False)
+        assert all((a is None and b is None) or np.array_equal(a, b)
+                   for a, b in zip(kept, released))
 
     @pytest.mark.parametrize("producer", ["add", "add_rowvec", "concat", "matmul"])
     def test_an_output_no_backward_saves_is_freed_while_its_tape_lives(self, producer):
@@ -385,6 +419,12 @@ class TestTapeKeeps:
             backward(tape, loss)
         assert pair[untracked].grad is None
         assert np.array_equal(tracked.grad, pair[untracked].data)
+
+
+class TestAllocator:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_import_sets_both_glibc_thresholds(self):
+        assert ad._HEAP_KEPT == (1, 1)
 
 
 class TestCompositeGradients:

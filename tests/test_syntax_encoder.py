@@ -1,7 +1,11 @@
 import copy
 import functools
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 
 import basts.autodiff as ad
 from basts import syntax_encoder
-from basts.autodiff import Tape, Tensor, backward
+from basts.autodiff import Adam, Tape, Tensor, backward
 from basts.frontend import AstNode, iter_nodes
 from basts.splitter import SplitAst, split_method
 from basts.syntax_encoder import (
@@ -44,6 +48,9 @@ from toydata import PRETRAIN_SOURCES, SUMMARIZATION_ROWS
 
 from minigen import generate_records
 from workloads import MEDIUM_PROFILE, PREP_PROFILE, SMALL_PROFILE
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_params(size=4, seed=0, vocab=None):
@@ -565,6 +572,23 @@ class TestCostGates:
         # the recorded fold keeps its [4, R, L] gate buffer, and more
         assert peak(False) + 4 * rows * params.size * 8 <= peak(True)
 
+    # minor page faults of one steady pre-training epoch (`steady_epoch_faults`),
+    # in fresh processes on glibc 2.36: 7-13 with autodiff's allocator setting
+    # and its release of closures in backward, 2,389 with neither, and about
+    # 10,700 with the release alone
+    STEADY_EPOCH_FAULTS = 500
+
+    @pytest.mark.skipif(not ad._HEAP_KEPT, reason="no mallopt to keep the freed heap")
+    def test_steady_pretraining_steps_fault_in_no_freed_heap(self):
+        # a fresh process: what earlier tests freed would hide the faults
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("src", "tests")))
+        done = subprocess.run(
+            [sys.executable, "-c", "from test_syntax_encoder import steady_epoch_faults as f; "
+                                   "print(f())"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert int(done.stdout) < self.STEADY_EPOCH_FAULTS
+
     def test_step_leaves_no_reference_cycles(self):
         batch, model = toy_pretrain_batch()
         gc.collect()
@@ -577,6 +601,34 @@ class TestCostGates:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def steady_epoch_faults() -> int:
+    """Minor page faults of the second epoch of `pretrain`'s steps over 20
+    `MEDIUM_PROFILE` methods at L=64; the first interns every tree and
+    grows the heap to a step's peak."""
+    import resource  # POSIX only; this runs in the fault test's own process
+
+    records = generate_records("pretrain-sep", 1, 20, MEDIUM_PROFILE)
+    corpus = [split_method(parse_source(r["code"])) for r in records]
+    vocab = build_type_value_vocab([a.root for ms in corpus for a in ms.asts])
+    model = SepModel.init(TreeLstmParams.init(vocab, 64, np.random.default_rng(0)),
+                          np.random.default_rng(1))
+    pairs = [p for i, ms in enumerate(corpus) for p in generate_pairs(ms, 1, seed=i)]
+    opt = Adam(model.all_params(), lr=1e-3)
+
+    def epoch():
+        for lo in range(0, len(pairs), 16):
+            with Tape() as tape:
+                loss, _ = sep_loss(pairs[lo : lo + 16], model)
+                backward(tape, loss)
+            opt.step()
+            opt.zero_grad()
+
+    epoch()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    epoch()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
 def rows(*vectors):
